@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"krad"
+	"krad/internal/profile"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -248,6 +249,46 @@ func BenchmarkKRADAllot(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Allot(int64(i), jobs, caps)
 			}
+		})
+	}
+}
+
+// BenchmarkEngineRound measures one scheduling round of the engine kradd
+// ships (K-RAD behind the floor layer, allotment validation on) against the
+// size of the active set: K=3, 16 processors per category, rigid jobs long
+// enough that none completes while the clock runs. Every category is
+// overloaded from active=64 up, so each round is RAD's round-robin branch —
+// 48 processors handed out whatever the queue length. The engine's share of
+// a round follows the processors; what still grows with the active set is
+// the scheduler's pass over the views it is handed.
+func BenchmarkEngineRound(b *testing.B) {
+	for _, active := range []int{64, 512, 4096} {
+		b.Run(fmt.Sprintf("active=%d", active), func(b *testing.B) {
+			eng, err := krad.NewEngine(krad.Config{
+				K: 3, Caps: []int{16, 16, 16}, Scheduler: krad.WithFloors(krad.NewKRAD(3)),
+				ValidateAllotments: true, MaxSteps: 1 << 60,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			specs := make([]krad.JobSpec, active)
+			for j := range specs {
+				specs[j] = krad.JobSpec{Source: profile.MustNewRigid(3, "r", krad.Category(1+j%3), 1+(j/3)%4, 1<<40)}
+			}
+			if _, err := eng.AdmitBatch(specs); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Step(); err != nil { // release and size every buffer
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
 		})
 	}
 }

@@ -34,20 +34,41 @@ func moldCfg(k int, caps []int, pick dag.PickPolicy, seed int64, noLeap bool) si
 // admitAll builds an engine and admits specs in release order.
 func admitAll(t *testing.T, cfg sim.Config, specs []sim.JobSpec) *sim.Engine {
 	t.Helper()
-	eng, err := sim.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ordered := append([]sim.JobSpec(nil), specs...)
 	for i := 1; i < len(ordered); i++ {
 		for j := i; j > 0 && ordered[j].Release < ordered[j-1].Release; j-- {
 			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
 		}
 	}
-	if _, err := eng.AdmitBatch(ordered); err != nil {
+	return admitInOrder(t, cfg, ordered)
+}
+
+// admitInOrder admits the specs as given, so IDs need not follow release
+// order and a late release can land below the highest active ID. Every
+// engine the suites build runs the slot-table oracle on every round.
+func admitInOrder(t *testing.T, cfg sim.Config, specs []sim.JobSpec) *sim.Engine {
+	t.Helper()
+	eng, err := sim.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.CheckSlots(func(err error) { t.Error(err) })
+	if _, err := eng.AdmitBatch(specs); err != nil {
 		t.Fatal(err)
 	}
 	return eng
+}
+
+// advanceTo drives the engine until its clock reaches target (or it goes
+// idle), never executing a step past target.
+func advanceTo(eng *sim.Engine, target int64) error {
+	for eng.Now() < target {
+		info, err := eng.StepN(target - eng.Now())
+		if err != nil || info.Idle {
+			return err
+		}
+	}
+	return nil
 }
 
 // drain steps the engine to completion with huge budgets.
@@ -60,13 +81,15 @@ func drain(eng *sim.Engine) error {
 	return nil
 }
 
-// mixedFamilySpecs draws a random three-family population: moldable jobs
-// plus profile and DAG jobs, all with staggered releases.
+// mixedFamilySpecs draws a random four-family population: moldable jobs
+// plus profile, DAG and (one seed in three) timed-DAG jobs, all with
+// staggered releases.
 func mixedFamilySpecs(rng *rand.Rand, k, jobs int) []sim.JobSpec {
 	specs := moldable.Generate(moldable.GenOpts{
 		K: k, Jobs: 1 + jobs/2, MinTasks: 2, MaxTasks: 10,
 		MaxWork: 64, MaxProcs: 8, MaxArrival: 30, Seed: rng.Int63(),
 	})
+	timed := rng.Intn(3) == 0
 	for len(specs) < jobs {
 		release := rng.Int63n(30)
 		if rng.Intn(2) == 0 {
@@ -78,6 +101,15 @@ func mixedFamilySpecs(rng *rand.Rand, k, jobs int) []sim.JobSpec {
 					g.MustEdge(u, cur[rng.Intn(len(cur))])
 				}
 				prev = cur
+			}
+			if timed && rng.Intn(2) == 0 {
+				// A few small multi-step tasks: short floors, so the
+				// population still leaps once the job has drained.
+				for v := 0; v < g.NumTasks(); v += 2 {
+					g.SetDuration(dag.TaskID(v), 1+rng.Intn(3))
+				}
+				specs = append(specs, sim.JobSpec{Source: sim.TimedGraphSource(g), Release: release})
+				continue
 			}
 			specs = append(specs, sim.JobSpec{Graph: g, Release: release})
 			continue
@@ -144,10 +176,15 @@ func TestQuickMoldableStepNEquivalence(t *testing.T) {
 	}
 }
 
-// TestQuickMixedFamilyEquivalence runs all three families — profile, DAG
-// and moldable — through one engine step loop and checks leap-on against
-// leap-off (NoLeap) bit-identically, plus chunk invariance on the leap-on
-// side (random StepN budgets vs one big drain).
+// TestQuickMixedFamilyEquivalence runs all four families — profile, DAG,
+// timed DAG and moldable — through one engine step loop and checks leap-on
+// against leap-off (NoLeap) bit-identically, plus chunk invariance on the
+// leap-on side (random StepN budgets vs one big drain). The seeds also vary
+// what moves slots in the engine's table: admission out of release order
+// (releases insert below the highest active ID), cancels of whatever is
+// active at a random clock, and Speed 2 (several micro-rounds per
+// allotment) — with the slot oracle comparing the table to fresh runtime
+// reads on every round of every engine.
 func TestQuickMixedFamilyEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -157,9 +194,40 @@ func TestQuickMixedFamilyEquivalence(t *testing.T) {
 			caps[i] = 1 + rng.Intn(16)
 		}
 		specs := mixedFamilySpecs(rng, k, 2+rng.Intn(8))
-		on := admitAll(t, moldCfg(k, caps, dag.PickFIFO, seed, false), specs)
-		off := admitAll(t, moldCfg(k, caps, dag.PickFIFO, seed, true), specs)
-		chunked := admitAll(t, moldCfg(k, caps, dag.PickFIFO, seed, false), specs)
+		admit := admitAll
+		if rng.Intn(2) == 0 {
+			admit = admitInOrder
+		}
+		speed := 0
+		if rng.Intn(4) == 0 {
+			speed = 2
+		}
+		mk := func(noLeap bool) *sim.Engine {
+			cfg := moldCfg(k, caps, dag.PickFIFO, seed, noLeap)
+			cfg.Speed = speed
+			return admit(t, cfg, specs)
+		}
+		engines := []*sim.Engine{mk(false), mk(true), mk(false)}
+		on, off, chunked := engines[0], engines[1], engines[2]
+
+		// Cancel up to two jobs at random clocks, the same on every engine.
+		for c := rng.Intn(3); c > 0; c-- {
+			at, id := rng.Int63n(50), rng.Intn(len(specs))
+			var first error
+			for i, eng := range engines {
+				if err := advanceTo(eng, at); err != nil {
+					t.Logf("seed %d: %v", seed, err)
+					return false
+				}
+				err := eng.Cancel(id)
+				if i == 0 {
+					first = err
+				} else if (err == nil) != (first == nil) {
+					t.Logf("seed %d: cancel(%d) at %d diverged: %v vs %v", seed, id, at, first, err)
+					return false
+				}
+			}
+		}
 		if err := drain(on); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -186,7 +254,7 @@ func TestQuickMixedFamilyEquivalence(t *testing.T) {
 		son, soff := on.Snapshot(), off.Snapshot()
 		return son.Now == soff.Now && reflect.DeepEqual(son.ExecutedTotal, soff.ExecutedTotal)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
@@ -278,6 +346,7 @@ func TestMoldableStepAllocsZero(t *testing.T) {
 	cfg.ValidateAllotments = false
 	cfg.MaxSteps = 1 << 40
 	eng := admitAll(t, cfg, specs)
+	eng.CheckSlots(nil) // the oracle allocates; this test counts allocations
 	for i := 0; i < 8; i++ {
 		if _, err := eng.Step(); err != nil {
 			t.Fatal(err)
@@ -309,6 +378,7 @@ func TestMoldableStepNLeapAllocsZero(t *testing.T) {
 	cfg.ValidateAllotments = false
 	cfg.MaxSteps = 1 << 40
 	eng := admitAll(t, cfg, specs)
+	eng.CheckSlots(nil) // the oracle allocates; this test counts allocations
 	for i := 0; i < 8; i++ {
 		if _, err := eng.StepN(64); err != nil {
 			t.Fatal(err)

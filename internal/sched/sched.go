@@ -109,8 +109,11 @@ type CategoryStable interface {
 // IntoAllotter is an optional Scheduler extension for allocation-free
 // stepping: AllotInto behaves exactly like Allot but writes the matrix
 // into caller-owned storage. dst has one row per job, each row of
-// len(caps); rows are fully overwritten. Callers own dst and may reuse it
-// across calls (see Matrix); implementations must not retain it.
+// len(caps), zeroed by the caller (as for Stable.LeapTotals), so an
+// implementation writes only what it grants and no layer clears the matrix
+// a second time. Callers own dst and may reuse it across calls
+// (Matrix.Shape returns zeros; the engine re-zeroes only the rows a round
+// wrote); implementations must not retain it.
 type IntoAllotter interface {
 	AllotInto(t int64, jobs []JobView, caps []int, dst [][]int)
 }
@@ -267,16 +270,22 @@ type PerCategory struct {
 	name string
 	cats []CategoryScheduler
 	// Scratch reused across AllotInto calls (single-simulation use only,
-	// like the category schedulers themselves).
-	catJobs []CatJob
-	idx     []int
+	// like the category schedulers themselves): per category, the α-active
+	// projection of the last project call and each projected job's index
+	// in the views.
+	catJobs [][]CatJob
+	idx     [][]int
 	catOut  []int
 }
 
 // NewPerCategory builds a Scheduler from per-category schedulers. The slice
 // index is α−1.
 func NewPerCategory(name string, cats []CategoryScheduler) *PerCategory {
-	return &PerCategory{name: name, cats: cats}
+	return &PerCategory{
+		name: name, cats: cats,
+		catJobs: make([][]CatJob, len(cats)),
+		idx:     make([][]int, len(cats)),
+	}
 }
 
 // Name returns the composite scheduler's name.
@@ -303,44 +312,60 @@ func (p *PerCategory) Allot(t int64, jobs []JobView, caps []int) [][]int {
 	return allot
 }
 
+// project splits the views into the K per-category lists in one pass over
+// the jobs: category α's list keeps the α-active jobs (desire > 0) in view
+// order, which is ascending ID.
+func (p *PerCategory) project(jobs []JobView) {
+	k := len(p.cats)
+	for a := 0; a < k; a++ {
+		p.catJobs[a] = p.catJobs[a][:0]
+		p.idx[a] = p.idx[a][:0]
+	}
+	for i, j := range jobs {
+		for a, d := range j.Desire[:k] {
+			if d > 0 {
+				p.catJobs[a] = append(p.catJobs[a], CatJob{ID: j.ID, Desire: d})
+				p.idx[a] = append(p.idx[a], i)
+			}
+		}
+	}
+}
+
+// outBuf returns the per-category result scratch resliced to n entries.
+func (p *PerCategory) outBuf(n int) []int {
+	if cap(p.catOut) < n {
+		p.catOut = make([]int, n, n*2+8)
+	}
+	return p.catOut[:n]
+}
+
 // AllotInto implements IntoAllotter: the same projection as Allot, writing
-// into dst (one row per job, each row len(caps), fully overwritten) and
-// asking each category scheduler for its CategoryIntoAllotter fast path
-// before falling back to the allocating Allot.
+// each category scheduler's grants into dst (zeroed by the caller) and
+// asking for the CategoryIntoAllotter fast path before falling back to the
+// allocating Allot.
 func (p *PerCategory) AllotInto(t int64, jobs []JobView, caps []int, dst [][]int) {
 	if len(caps) != len(p.cats) {
 		panic(fmt.Sprintf("sched: PerCategory %q built for K=%d but given %d capacities", p.name, len(p.cats), len(caps)))
 	}
-	catJobs := p.catJobs[:0]
-	idx := p.idx[:0]
-	for a := range p.cats {
-		catJobs = catJobs[:0]
-		idx = idx[:0]
-		for i, j := range jobs {
-			dst[i][a] = 0
-			if j.Desire[a] > 0 {
-				catJobs = append(catJobs, CatJob{ID: j.ID, Desire: j.Desire[a]})
-				idx = append(idx, i)
-			}
-		}
+	p.project(jobs)
+	for a, c := range p.cats {
+		catJobs, idx := p.catJobs[a], p.idx[a]
 		var out []int
-		if ia, ok := p.cats[a].(CategoryIntoAllotter); ok {
-			if cap(p.catOut) < len(catJobs) {
-				p.catOut = make([]int, len(catJobs), len(catJobs)*2+8)
-			}
-			out = p.catOut[:len(catJobs)]
+		if ia, ok := c.(CategoryIntoAllotter); ok {
+			out = p.outBuf(len(catJobs))
 			ia.AllotInto(t, catJobs, caps[a], out)
 		} else {
-			out = p.cats[a].Allot(t, catJobs, caps[a])
+			out = c.Allot(t, catJobs, caps[a])
 			if len(out) != len(catJobs) {
-				panic(fmt.Sprintf("sched: category %d scheduler %q returned %d allotments for %d jobs", a+1, p.cats[a].Name(), len(out), len(catJobs)))
+				panic(fmt.Sprintf("sched: category %d scheduler %q returned %d allotments for %d jobs", a+1, c.Name(), len(out), len(catJobs)))
 			}
 		}
 		for j, v := range out {
-			dst[idx[j]][a] = v
+			if v != 0 {
+				dst[idx[j]][a] = v
+			}
 		}
 	}
-	p.catJobs, p.idx = catJobs[:0], idx[:0]
 }
 
 // StableHorizon implements Stable: the composite is stable for as long as
@@ -369,30 +394,20 @@ func (p *PerCategory) StableHorizon() int64 {
 // StableHorizon reported ≥ n−1, which implies every category implements
 // CategoryStable.
 func (p *PerCategory) LeapTotals(t int64, jobs []JobView, caps []int, n int64, dst [][]int) {
-	catJobs := p.catJobs[:0]
-	idx := p.idx[:0]
-	for a := range p.cats {
-		catJobs = catJobs[:0]
-		idx = idx[:0]
-		for i, j := range jobs {
-			if j.Desire[a] > 0 {
-				catJobs = append(catJobs, CatJob{ID: j.ID, Desire: j.Desire[a]})
-				idx = append(idx, i)
-			}
-		}
-		if cap(p.catOut) < len(catJobs) {
-			p.catOut = make([]int, len(catJobs), len(catJobs)*2+8)
-		}
-		out := p.catOut[:len(catJobs)]
+	p.project(jobs)
+	for a, c := range p.cats {
+		catJobs, idx := p.catJobs[a], p.idx[a]
+		out := p.outBuf(len(catJobs))
 		for i := range out {
 			out[i] = 0
 		}
-		p.cats[a].(CategoryStable).LeapTotals(t, catJobs, caps[a], n, out)
+		c.(CategoryStable).LeapTotals(t, catJobs, caps[a], n, out)
 		for j, v := range out {
-			dst[idx[j]][a] = v
+			if v != 0 {
+				dst[idx[j]][a] = v
+			}
 		}
 	}
-	p.catJobs, p.idx = catJobs[:0], idx[:0]
 }
 
 // JobsDone forwards completion notifications to every per-category

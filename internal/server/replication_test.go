@@ -66,19 +66,27 @@ func startFollower(t *testing.T, cfg Config, promoteAfter time.Duration) (*Servi
 	return svc, rcv, ln.Addr().String()
 }
 
-// startPrimary boots a serving Service over its own journal dir.
-func startPrimary(t *testing.T, cfg Config) *Service {
+// newPrimary builds a primary Service over its own journal dir without
+// starting its step loops: the clock stands still until Start.
+func newPrimary(t *testing.T, cfg Config) *Service {
 	t.Helper()
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Start()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = svc.Close(ctx)
 	})
+	return svc
+}
+
+// startPrimary boots a serving Service over its own journal dir.
+func startPrimary(t *testing.T, cfg Config) *Service {
+	t.Helper()
+	svc := newPrimary(t, cfg)
+	svc.Start()
 	return svc
 }
 
@@ -177,7 +185,10 @@ func TestReplicationBitIdentity(t *testing.T) {
 
 	pcfg := replConfig(t)
 	pdir := pcfg.Journal.Dir
-	primary := startPrimary(t, pcfg)
+	// The primary's step loop starts only after the cancel below: a running
+	// loop that drains the short jobs fast-forwards the idle engine to the
+	// victim's release and completes it before the test can cancel it.
+	primary := newPrimary(t, pcfg)
 	startSender(t, primary, pdir, addr, nil)
 
 	var ids []int
@@ -188,8 +199,8 @@ func TestReplicationBitIdentity(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	// A far-future job stays pending long enough to cancel, putting a
-	// cancel record on the stream.
+	// A far-future job, cancelled while still pending, puts a cancel record
+	// on the stream.
 	victim, err := primary.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1), Release: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +208,7 @@ func TestReplicationBitIdentity(t *testing.T) {
 	if err := primary.Cancel(victim); err != nil {
 		t.Fatal(err)
 	}
+	primary.Start()
 	waitFor(t, "primary drain", func() bool { return primary.Stats().Completed == 8 })
 	waitCaughtUp(t, primary, follower)
 

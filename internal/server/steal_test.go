@@ -217,6 +217,13 @@ func TestStealDrainsSkewedBacklog(t *testing.T) {
 	}
 	const n = 800
 	ids := submitBurst(t, svc, 0, n, 5, 0)
+	// The hot shard's first step releases the whole burst, and released jobs
+	// cannot be stolen: hold its loop back until a thief has taken its share,
+	// so the outcome does not depend on who wins the race at Start.
+	for _, sh := range svc.shards[1:] {
+		sh.start()
+	}
+	waitFor(t, "first steal", func() bool { st := svc.Stats(); return st.Steal != nil && st.Steal.Stolen > 0 })
 	svc.Start()
 	waitFor(t, "skewed drain", func() bool { return svc.Stats().Completed == n })
 	st := svc.Stats()

@@ -257,19 +257,34 @@ type Engine struct {
 	// Cached scheduler capability views, asserted once at construction.
 	intoAllotter sched.IntoAllotter
 	stable       sched.Stable
+	completer    sched.Completer
 
-	// Reused per-round buffers. desireBuf and floorBuf are single flat
-	// backing arrays sliced per job, so snapshotting desires allocates
-	// nothing once they reach steady-state capacity.
-	views      []sched.JobView
-	desireBuf  []int
-	floorBuf   []int
-	allotBuf   sched.Matrix
+	// The slot table (slots.go): per-slot arrays parallel to active, and
+	// the aggregates over them, maintained incrementally instead of being
+	// rebuilt every round.
+	views       []sched.JobView // what the scheduler sees; slot i is active[i]
+	desire      []int           // flat desire rows; views[i].Desire is row i
+	floor       []int           // flat floor rows; nil until a floor-bearing job is released
+	flags       []uint8         // slotHeld | slotSoftUnheld | slotHardFloor | slotNoLeap | slotFloored
+	allot       [][]int         // engine-owned allotment rows (IntoAllotter schedulers); zero between rounds
+	allotBack   []int
+	activeCount []int           // per category: slots with desire > 0
+	hardFloors  int             // slots flagged slotHardFloor
+	softUnheld  int             // slots flagged slotSoftUnheld
+	noLeap      int             // slots flagged slotNoLeap
+	floored     int             // slots flagged slotFloored
+	touched     []int32         // slots with a non-zero allotment row this round, ascending
+	gone        []int32         // slots completed this round (or the one cancelled), ascending
+	checkViews  []sched.JobView // the touched slots' views and rows, gathered
+	checkRows   [][]int         // for ValidateAllotments
+	slotOracle  func(error)
+
+	// Reused per-round buffers.
 	leapBuf    sched.Matrix // totals buffer for event-leaps
 	doneIDs    []int        // completions of the current round
 	stepExec   []int        // tasks executed in the current round, per category
 	perStepBuf []int        // per-step allotment bound passed to StableRuntime
-	heldBuf    []bool       // per-active-job: held this round (see executeRound)
+	oneID      [1]int       // JobsDone argument of Cancel and Withdraw
 
 	// Per-call accumulators for StepN (a call may span many rounds).
 	callExec []int
@@ -290,16 +305,18 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	cfg.Caps = append([]int(nil), cfg.Caps...)
 	e := &Engine{
-		cfg:        cfg,
-		trace:      newTrace(cfg.Trace, cfg.K),
-		overloaded: make([]bool, cfg.K),
-		execTotal:  make([]int64, cfg.K),
-		stepExec:   make([]int, cfg.K),
-		callExec:   make([]int, cfg.K),
-		perStepBuf: make([]int, cfg.K),
+		cfg:         cfg,
+		trace:       newTrace(cfg.Trace, cfg.K),
+		overloaded:  make([]bool, cfg.K),
+		execTotal:   make([]int64, cfg.K),
+		stepExec:    make([]int, cfg.K),
+		callExec:    make([]int, cfg.K),
+		perStepBuf:  make([]int, cfg.K),
+		activeCount: make([]int, cfg.K),
 	}
 	e.intoAllotter, _ = cfg.Scheduler.(sched.IntoAllotter)
 	e.stable, _ = cfg.Scheduler.(sched.Stable)
+	e.completer, _ = cfg.Scheduler.(sched.Completer)
 	if cl, ok := cfg.Scheduler.(sched.Clairvoyant); ok {
 		cl.SetOracle(engineOracle{e})
 	}
@@ -488,7 +505,10 @@ func (e *Engine) Cancel(id int) error {
 		e.estWork -= int64(js.tasks)
 		js.spec = JobSpec{}
 	case JobActive:
-		e.active = removeJob(e.active, js)
+		i := e.activeIndex(id)
+		e.dropSlot(i)
+		e.gone = append(e.gone[:0], int32(i))
+		e.removeSlots(e.gone)
 		for _, w := range js.rt.RemainingWork() {
 			e.estWork -= int64(w)
 		}
@@ -500,10 +520,16 @@ func (e *Engine) Cancel(id int) error {
 	js.cancelledAt = e.now
 	e.remaining--
 	e.cancelledN++
-	if c, ok := e.cfg.Scheduler.(sched.Completer); ok {
-		c.JobsDone([]int{id})
-	}
+	e.jobGone(id)
 	return nil
+}
+
+// jobGone tells a stateful scheduler that one job left outside a round.
+func (e *Engine) jobGone(id int) {
+	if e.completer != nil {
+		e.oneID[0] = id
+		e.completer.JobsDone(e.oneID[:])
+	}
 }
 
 // Withdraw removes a pending (not-yet-released) job so it can be
@@ -535,9 +561,7 @@ func (e *Engine) Withdraw(id int) (JobSpec, error) {
 	if e.estWork < 0 {
 		e.estWork = 0
 	}
-	if c, ok := e.cfg.Scheduler.(sched.Completer); ok {
-		c.JobsDone([]int{id})
-	}
+	e.jobGone(id)
 	return spec, nil
 }
 
@@ -760,81 +784,25 @@ func (e *Engine) stepN(budget int64) (StepInfo, error) {
 	return info, nil
 }
 
-// executeRound runs one scheduling round at step t: snapshot desires, ask
-// the scheduler for allotments, then execute them for one step — or, when
-// the whole system is provably in a stable regime, for up to budget steps
-// in one event-leap. It returns how many steps were executed (≥ 1).
+// executeRound runs one scheduling round at step t: hand the slot table's
+// views to the scheduler, then execute the allotments for one step — or,
+// when the whole system is provably in a stable regime, for up to budget
+// steps in one event-leap. It returns how many steps were executed (≥ 1).
+//
+// The views are not rebuilt: they are current by the slot-table invariant
+// (slots.go), and only the slots this round touches — those whose allotment
+// row is non-zero — are executed, advanced, checked for completion and
+// re-read, which is all the idle-step law requires.
 func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
-	// Snapshot desires (and non-preemptive floors, when the runtime has
-	// them) into flat reused backing arrays — no per-job allocations.
-	k := e.cfg.K
-	if cap(e.desireBuf) < len(e.active)*k {
-		e.desireBuf = make([]int, len(e.active)*k)
-	}
-	e.views = e.views[:0]
-	if cap(e.views) < len(e.active) {
-		e.views = make([]sched.JobView, 0, len(e.active))
-	}
-	if cap(e.heldBuf) < len(e.active) {
-		e.heldBuf = make([]bool, len(e.active))
-	}
-	e.heldBuf = e.heldBuf[:len(e.active)]
-	leapable := true
-	hardFloors, softUnheld := 0, 0
-	for i, j := range e.active {
-		d := e.desireBuf[i*k : (i+1)*k : (i+1)*k]
-		for a := 1; a <= k; a++ {
-			d[a-1] = j.rt.Desire(dag.Category(a))
+	if e.slotOracle != nil {
+		if err := e.checkSlots(); err != nil {
+			e.slotOracle(fmt.Errorf("step %d: %w", t, err))
 		}
-		v := sched.JobView{ID: j.id, Desire: d}
-		e.heldBuf[i] = false
-		if j.caps.floor != nil {
-			if cap(e.floorBuf) < len(e.active)*k {
-				e.floorBuf = make([]int, len(e.active)*k)
-			}
-			fl := e.floorBuf[i*k : (i+1)*k : (i+1)*k]
-			any, pinned := false, true
-			for a := 1; a <= k; a++ {
-				fl[a-1] = j.caps.floor.Floor(dag.Category(a))
-				if fl[a-1] > 0 {
-					any = true
-				}
-				if fl[a-1] != d[a-1] {
-					pinned = false
-				}
-			}
-			if any {
-				v.Floor = fl
-			}
-			// A hold-capable job is "held" when its desires equal its
-			// floors everywhere: the whole frontier is in flight, so
-			// repeating the floor allotment only counts down leases (the
-			// hold law). Hold-incapable floor-bearers (timed DAGs) block
-			// leaping outright.
-			if j.caps.hold != nil {
-				if any && pinned {
-					e.heldBuf[i] = true
-				} else {
-					softUnheld++
-				}
-			} else if any {
-				hardFloors++
-			}
-		}
-		if !e.heldBuf[i] && j.caps.leap == nil {
-			leapable = false
-		}
-		e.views = append(e.views, v)
 	}
+	n := len(e.active)
 	overloadNow := false
-	for a := 0; a < k; a++ {
-		activeCount := 0
-		for _, v := range e.views {
-			if v.Desire[a] > 0 {
-				activeCount++
-			}
-		}
-		if activeCount > e.cfg.Caps[a] {
+	for a, c := range e.activeCount {
+		if c > e.cfg.Caps[a] {
 			e.overloaded[a] = true
 			overloadNow = true
 		}
@@ -842,21 +810,37 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 
 	var allot [][]int
 	if e.intoAllotter != nil {
-		dst := e.allotBuf.Shape(len(e.views), k)
-		e.intoAllotter.AllotInto(t, e.views, e.cfg.Caps, dst)
-		allot = dst
+		allot = e.allot[:n]
+		e.intoAllotter.AllotInto(t, e.views, e.cfg.Caps, allot)
 	} else {
 		allot = e.cfg.Scheduler.Allot(t, e.views, e.cfg.Caps)
 	}
 	if e.cfg.Observer != nil {
 		e.cfg.Observer(t, e.views, allot)
 	}
+	if len(allot) != n {
+		return 0, fmt.Errorf("sim: step %d: scheduler returned %d rows for %d jobs", t, len(allot), n)
+	}
+	touched := e.collectTouched(allot)
 	if e.cfg.ValidateAllotments {
-		if err := sched.ValidateAllotments(e.views, e.cfg.Caps, allot); err != nil {
+		// Rows of zeros for floor-free jobs satisfy every Section 2
+		// condition and add nothing to a column sum, so checking the
+		// touched rows checks the matrix. Two cases go to the validator
+		// whole: every row touched (nothing to leave out), and a job that
+		// pins processors handed a row of zeros (for the validator to name).
+		views, rows := e.views, allot
+		if len(touched) < n && e.flooredAmong(touched) == e.floored {
+			views, rows = e.checkViews[:0], e.checkRows[:0]
+			for _, i := range touched {
+				views = append(views, e.views[i])
+				rows = append(rows, allot[i])
+			}
+			e.checkViews, e.checkRows = views, rows
+		}
+		if err := sched.ValidateAllotments(views, e.cfg.Caps, rows); err != nil {
+			e.clearAllot(n)
 			return 0, fmt.Errorf("sim: step %d: %w", t, err)
 		}
-	} else if len(allot) != len(e.views) {
-		return 0, fmt.Errorf("sim: step %d: scheduler returned %d rows for %d jobs", t, len(allot), len(e.views))
 	}
 
 	// Event-leap: repeat this exact allotment for n steps when it is
@@ -869,9 +853,9 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	// per-step hook that would observe the skipped rounds. tryLeap counts
 	// the blocking reason otherwise.
 	if budget > 1 {
-		if n := e.tryLeap(t, allot, budget, leapable, hardFloors, softUnheld, overloadNow); n > 1 {
-			e.leapRound(t, allot, n)
-			return n, nil
+		if m := e.tryLeap(t, allot, budget, overloadNow); m > 1 {
+			e.leapRound(t, allot, m)
+			return m, nil
 		}
 	}
 
@@ -887,49 +871,102 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	}
 	for round := 0; round < rounds; round++ {
 		if e.cfg.Parallel && e.trace.level < TraceTasks {
-			e.executeParallel(t, e.active, allot)
+			e.executeParallel(t, touched, allot)
 		} else {
-			e.executeSerial(t, e.active, allot)
+			e.executeSerial(t, touched, allot)
 		}
-		for _, j := range e.active {
-			j.rt.Advance()
+		for _, i := range touched {
+			e.active[i].rt.Advance()
 		}
 	}
-	for a, n := range e.stepExec {
-		e.execTotal[a] += int64(n)
-		e.callExec[a] += n
-		e.estWork -= int64(n)
+	for a, c := range e.stepExec {
+		e.execTotal[a] += int64(c)
+		e.callExec[a] += c
+		e.estWork -= int64(c)
 	}
 	if e.estWork < 0 {
 		e.estWork = 0
 	}
 
-	// Step boundary: detect completions.
+	// Step boundary: detect completions among the touched slots, re-read
+	// the survivors, and hand the rows back zeroed.
 	e.doneIDs = e.doneIDs[:0]
-	out := e.active[:0]
-	for _, j := range e.active {
-		if j.rt.Done() {
-			j.completed = t
-			j.phase = JobDone
-			if t > e.makespan {
-				e.makespan = t
-			}
-			e.doneIDs = append(e.doneIDs, j.id)
-			e.remaining--
-			e.completedN++
-		} else {
-			out = append(out, j)
+	e.gone = e.gone[:0]
+	for _, ti := range touched {
+		i := int(ti)
+		if e.intoAllotter != nil {
+			clear(allot[i])
 		}
+		j := e.active[i]
+		if !j.rt.Done() {
+			e.refreshSlot(i)
+			continue
+		}
+		j.completed = t
+		j.phase = JobDone
+		if t > e.makespan {
+			e.makespan = t
+		}
+		e.doneIDs = append(e.doneIDs, j.id)
+		e.remaining--
+		e.completedN++
+		e.dropSlot(i)
+		e.gone = append(e.gone, ti)
 	}
-	e.active = out
-	if len(e.doneIDs) > 0 {
+	if len(e.gone) > 0 {
+		e.removeSlots(e.gone)
 		e.callDone = append(e.callDone, e.doneIDs...)
-		if c, ok := e.cfg.Scheduler.(sched.Completer); ok {
-			c.JobsDone(e.doneIDs)
+		if e.completer != nil {
+			e.completer.JobsDone(e.doneIDs)
 		}
 	}
-	e.trace.endStep(t, len(e.active)+len(e.doneIDs), len(e.doneIDs))
+	e.trace.endStep(t, n, len(e.doneIDs))
 	return 1, nil
+}
+
+// collectTouched lists the slots whose allotment row is not a row of
+// zeros, in the engine's one pass over the matrix — integers only, no
+// runtime is consulted. The engine's own matrix is scanned as the flat
+// array it is, one compare per entry; a matrix a plain Allot returned is
+// walked row by row, and a misshapen row counts as touched so that the
+// validator gets to name it. Kept out of line: inlined into executeRound
+// the loop — the one that runs once per active job — spills to the stack.
+//
+//go:noinline
+func (e *Engine) collectTouched(allot [][]int) []int32 {
+	touched := e.touched[:0]
+	k := e.cfg.K
+	if e.intoAllotter != nil {
+		// One compare per entry. A hit names its slot and the rest of that
+		// row is passed over; the slot is the one after the last hit when
+		// rounds are dense (every small active set) and a division
+		// otherwise (at most one per processor handed out).
+		i, end := -1, 0 // last touched slot and the end of its row
+		for x, v := range e.allotBack[:len(allot)*k] {
+			if v == 0 || x < end {
+				continue
+			}
+			if x < end+k {
+				i++
+			} else {
+				i = x / k
+			}
+			end = (i + 1) * k
+			touched = append(touched, int32(i))
+		}
+	} else {
+		for i, row := range allot {
+			or := len(row) ^ k
+			for _, v := range row {
+				or |= v
+			}
+			if or != 0 {
+				touched = append(touched, int32(i))
+			}
+		}
+	}
+	e.touched = touched
+	return touched
 }
 
 // tryLeap decides whether the round at step t may extend into an event-leap
@@ -937,7 +974,7 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 // blocks the leap it increments the matching LeapBlocked counter; rounds
 // merely clipped to one step by an imminent release or the runaway guard
 // count nothing.
-func (e *Engine) tryLeap(t int64, allot [][]int, budget int64, leapable bool, hardFloors, softUnheld int, overloadNow bool) int64 {
+func (e *Engine) tryLeap(t int64, allot [][]int, budget int64, overloadNow bool) int64 {
 	switch {
 	case e.cfg.NoLeap:
 		e.leapBlocked.NoLeap++
@@ -947,11 +984,11 @@ func (e *Engine) tryLeap(t int64, allot [][]int, budget int64, leapable bool, ha
 		e.leapBlocked.Observer++
 	case e.trace.level >= TraceTasks:
 		e.leapBlocked.Trace++
-	case hardFloors > 0:
+	case e.hardFloors > 0:
 		e.leapBlocked.Floors++
-	case softUnheld > 0:
+	case e.softUnheld > 0:
 		e.leapBlocked.Hold++
-	case !leapable:
+	case e.noLeap > 0:
 		e.leapBlocked.Runtime++
 	case e.stable == nil:
 		e.leapBlocked.Scheduler++
@@ -991,7 +1028,7 @@ func (e *Engine) tryLeap(t int64, allot [][]int, budget int64, leapable bool, ha
 		// one processor the rotating DEQ remainder may add on later covered
 		// steps (the Stable contract's per-step bound).
 		for i, j := range e.active {
-			if e.heldBuf[i] {
+			if e.flags[i]&slotHeld != 0 {
 				hf := j.caps.hold.HoldFor()
 				if hf <= 0 {
 					e.leapBlocked.Hold++
@@ -1037,7 +1074,7 @@ func (e *Engine) leapRound(t int64, allot [][]int, n int64) {
 	totals := e.leapBuf.Shape(len(e.views), e.cfg.K)
 	e.stable.LeapTotals(t, e.views, e.cfg.Caps, n, totals)
 	for i, j := range e.active {
-		if e.heldBuf[i] {
+		if e.flags[i]&slotHeld != 0 {
 			j.caps.hold.LeapHold(n)
 		} else {
 			j.caps.leap.LeapTasks(totals[i])
@@ -1068,6 +1105,11 @@ func (e *Engine) leapRound(t int64, allot [][]int, n int64) {
 		}
 	}
 	e.now = t + n - 1
+	// A leap moves every job: the whole table is re-read.
+	for i := range e.active {
+		e.refreshSlot(i)
+	}
+	e.clearAllot(len(e.active))
 }
 
 // Result assembles the run outcome from the jobs admitted so far: makespan,
@@ -1121,16 +1163,6 @@ func (e *Engine) insertPending(js *jobState) {
 	live[i] = js
 }
 
-// insertActive inserts into the active set, keeping ascending ID order —
-// the order the Scheduler contract requires views in. In batch runs
-// releases happen in ID order so this is an append.
-func (e *Engine) insertActive(js *jobState) {
-	i := sort.Search(len(e.active), func(i int) bool { return e.active[i].id > js.id })
-	e.active = append(e.active, nil)
-	copy(e.active[i+1:], e.active[i:])
-	e.active[i] = js
-}
-
 // removeJob deletes js from a slice, preserving order.
 func removeJob(list []*jobState, js *jobState) []*jobState {
 	for i, p := range list {
@@ -1141,11 +1173,13 @@ func removeJob(list []*jobState, js *jobState) []*jobState {
 	return list
 }
 
-func (e *Engine) executeSerial(t int64, active []*jobState, allot [][]int) {
+// executeSerial runs the touched slots' allotments in slot (ascending ID)
+// order.
+func (e *Engine) executeSerial(t int64, touched []int32, allot [][]int) {
 	taskLevel := e.trace.level >= TraceTasks
-	for i, j := range active {
-		for a := 0; a < e.cfg.K; a++ {
-			n := allot[i][a]
+	for _, i := range touched {
+		j := e.active[i]
+		for a, n := range allot[i][:e.cfg.K] {
 			if n == 0 {
 				continue
 			}
@@ -1165,16 +1199,16 @@ func (e *Engine) executeSerial(t int64, active []*jobState, allot [][]int) {
 // executeParallel runs the execution phase over a fixed worker pool. Job
 // instances are independent, so this is race-free; per-step aggregate trace
 // counts are merged per worker. Results are bit-identical to serial runs.
-func (e *Engine) executeParallel(t int64, active []*jobState, allot [][]int) {
+func (e *Engine) executeParallel(t int64, touched []int32, allot [][]int) {
 	workers := e.cfg.Workers
 	if workers <= 0 {
 		workers = 8
 	}
-	if workers > len(active) {
-		workers = len(active)
+	if workers > len(touched) {
+		workers = len(touched)
 	}
 	if workers <= 1 {
-		e.executeSerial(t, active, allot)
+		e.executeSerial(t, touched, allot)
 		return
 	}
 	// Reused scratch: one flat counts array sliced per worker.
@@ -1196,10 +1230,11 @@ func (e *Engine) executeParallel(t int64, active []*jobState, allot [][]int) {
 		go func(w int) {
 			defer wg.Done()
 			local := counts[w]
-			for i := w; i < len(active); i += workers {
-				j := active[i]
-				for a := 0; a < e.cfg.K; a++ {
-					if n := allot[i][a]; n > 0 {
+			for x := w; x < len(touched); x += workers {
+				i := touched[x]
+				j := e.active[i]
+				for a, n := range allot[i][:e.cfg.K] {
+					if n > 0 {
 						local[a] += j.rt.Execute(dag.Category(a+1), n)
 					}
 				}

@@ -27,6 +27,15 @@ type JobSource interface {
 
 // RuntimeJob is the engine's view of one executing job: report desires,
 // execute allotted tasks, advance at step boundaries.
+//
+// The idle-step law: a job that executes nothing in a step does not change
+// in that step. Between two Execute calls that ran at least one task,
+// Desire, Done and RemainingWork — and Floor and the hold window of the
+// runtimes that have them — return what they returned before, however many
+// step boundaries (Advance calls) passed. The engine relies on it: it
+// caches each active job's desires and floors and re-reads them, calls
+// Advance and checks Done only for jobs it handed processors that step, so
+// a job the scheduler passed over is not called at all.
 type RuntimeJob interface {
 	// Desire returns d(Ji, α, t), the count of ready α-tasks.
 	Desire(c dag.Category) int

@@ -93,17 +93,26 @@ func denseLayeredGraph(k, width, levels, rot int) *dag.Graph {
 // release order (Run's ID assignment).
 func admitAll(t *testing.T, cfg sim.Config, specs []sim.JobSpec) *sim.Engine {
 	t.Helper()
-	eng, err := sim.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ordered := append([]sim.JobSpec(nil), specs...)
 	for i := 1; i < len(ordered); i++ {
 		for j := i; j > 0 && ordered[j].Release < ordered[j-1].Release; j-- {
 			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
 		}
 	}
-	if _, err := eng.AdmitBatch(ordered); err != nil {
+	return admitInOrder(t, cfg, ordered)
+}
+
+// admitInOrder admits the specs as given, so IDs need not follow release
+// order and a late release can land below the highest active ID. Every
+// engine the suites build runs the slot-table oracle on every round.
+func admitInOrder(t *testing.T, cfg sim.Config, specs []sim.JobSpec) *sim.Engine {
+	t.Helper()
+	eng, err := sim.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.CheckSlots(func(err error) { t.Error(err) })
+	if _, err := eng.AdmitBatch(specs); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -157,8 +166,14 @@ func TestQuickLeapEquivalence(t *testing.T) {
 				ValidateAllotments: true, NoLeap: noLeap,
 			}
 		}
-		on := admitAll(t, mkCfg(false), specs)
-		off := admitAll(t, mkCfg(true), specs)
+		// Half the seeds admit in generation order: IDs then disagree with
+		// release order and releases insert below the highest active ID.
+		admit := admitAll
+		if rng.Intn(2) == 0 {
+			admit = admitInOrder
+		}
+		on := admit(t, mkCfg(false), specs)
+		off := admit(t, mkCfg(true), specs)
 
 		// Cancel up to two jobs at random times; both engines are at the
 		// same clock when each cancel lands, so outcomes must match.
