@@ -241,28 +241,6 @@ func ReadFile(path string) ([]Record, error) {
 	return recs, nil
 }
 
-// SeqBase returns the sequence cursor already covered by a decoded
-// journal's head: a snap-headed journal resumes the cursor its snapshot
-// carries, anything else starts from zero.
-func SeqBase(recs []Record) int64 {
-	if len(recs) > 0 && recs[0].Type == TypeSnap {
-		return recs[0].Seq
-	}
-	return 0
-}
-
-// SeqAfter returns the sequence number of a decoded journal's last record
-// — the cursor a replica that has applied all of recs continues from. The
-// head snap record, when present, does not get a sequence number of its
-// own: it stands in for the Seq records it covers.
-func SeqAfter(recs []Record) int64 {
-	n := int64(len(recs))
-	if len(recs) > 0 && recs[0].Type == TypeSnap {
-		n--
-	}
-	return SeqBase(recs) + n
-}
-
 // decodeAll parses a journal image, returning the intact records and the
 // byte length of the valid prefix. Damage at the tail is reported by
 // goodLen < len(data) with a nil error; damage anywhere else is ErrCorrupt;

@@ -19,139 +19,110 @@ import (
 // different configuration (scheduler, capacities, seed) and continuing
 // would silently corrupt state.
 func Replay(eng *sim.Engine, recs []Record) error {
-	return ReplayObserved(eng, recs, nil)
-}
-
-// Observer receives replay side-effects the engine itself does not model.
-// The server's fairness controller implements it to rebuild its fair-share
-// ledger — usage accumulators, job→tenant map, per-tenant in-flight counts
-// — bit-identically from the journal. A nil Observer makes ReplayObserved
-// behave exactly like Replay. Fair records reach the observer via Fair;
-// every hook runs after the engine committed the corresponding mutation,
-// so the engine's clock (passed as now where it matters) is the same value
-// the live server saw when it journaled the record.
-type Observer interface {
-	// Fair restores a journaled fair-share ledger (the head fair record, or
-	// a snap record's attached ledger). An error aborts the replay — e.g.
-	// the journal's half-life does not match the server's configuration.
-	Fair(st FairState) error
-	// Admitted runs after an admit/batch record replayed; ids are the
-	// engine-assigned job IDs (cross-checked against rec.Base) and now is
-	// the engine clock at admission.
-	Admitted(rec Record, ids []int, now int64)
-	// Cancelled runs after a cancel record replayed.
-	Cancelled(id int)
-	// Stepped runs after a step/steps record replayed; info.Completed lists
-	// the jobs that finished during the batch.
-	Stepped(info sim.StepInfo)
-}
-
-// StealObserver is an optional extension of Observer for servers that
-// enable cross-shard work stealing. Replay detects it by type assertion, so
-// existing Observer implementations keep working unchanged; a steal record
-// replayed without a StealObserver still withdraws the jobs (the engine
-// stays bit-identical) but the server-side bookkeeping — redirects, the
-// outgoing-steal ledger — is silently skipped, so steal-enabled servers
-// must implement it.
-type StealObserver interface {
-	// Stolen runs after a steal record replayed: the record's jobs were
-	// withdrawn from this engine. specs are the withdrawn jobs' original
-	// specs (specs[k] belongs to rec.IDs[k]), exactly what the thief
-	// re-admitted; the slice is only valid during the call.
-	Stolen(rec Record, specs []sim.JobSpec)
-	// StealSnap restores a snap record's attached steal state (stolen-in
-	// count, redirect map).
-	StealSnap(st StealState)
-}
-
-// ReplayObserved is Replay with an Observer receiving the side-effects the
-// engine does not model (fair-share ledger state). See Replay for the
-// determinism and cross-checking contract.
-func ReplayObserved(eng *sim.Engine, recs []Record, obs Observer) error {
 	for i, rec := range recs {
-		if err := replayOne(eng, rec, i, obs); err != nil {
+		if err := Apply(eng, i, rec, nil, nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Apply replays a single record through the engine (and observer) as one
-// incremental unit of ReplayObserved — the seam a replication follower
-// uses to track a live primary record by record. pos is the record's
-// position in the logical record sequence since the engine's birth: snap
-// and fair records are only valid at position 0, exactly as in a full
-// replay. The determinism and cross-checking contract is Replay's.
-func Apply(eng *sim.Engine, pos int, rec Record, obs Observer) error {
-	return replayOne(eng, rec, pos, obs)
+// Observer receives what a record did to the engine, so the owner of the
+// engine can keep the state the engine does not model — job-status index,
+// lifecycle counters, fair-share ledger, steal redirects — in step with
+// it. internal/server's shard is the implementation: its live mutation
+// paths, its startup replay and its replication follower all reach these
+// hooks through Apply, which is what makes the three bit-identical. Every
+// hook runs after the engine committed the corresponding mutation.
+type Observer interface {
+	// Fair restores a journaled fair-share ledger (the head fair record).
+	// An error aborts the apply — e.g. the journal's half-life does not
+	// match the server's configuration.
+	Fair(st FairState) error
+	// Admitted runs after an admit/batch record applied: specs are the
+	// admitted jobs and ids the engine-assigned IDs (ids[0] cross-checked
+	// against rec.Base). ids is the observer's to keep.
+	Admitted(rec Record, specs []sim.JobSpec, ids []int)
+	// Cancelled runs after a cancel record applied.
+	Cancelled(id int)
+	// Stolen runs after a steal record applied: the record's jobs were
+	// withdrawn from this engine. specs are their original specs (specs[k]
+	// belongs to rec.IDs[k]), exactly what the thief re-admits; the slice is
+	// the observer's to keep.
+	Stolen(rec Record, specs []sim.JobSpec)
+	// Stepped runs after a step/steps record applied; info's slices are
+	// engine-owned and valid until the engine's next step.
+	Stepped(info sim.StepInfo)
 }
 
-func replayOne(eng *sim.Engine, rec Record, i int, obs Observer) error {
+// Apply commits a single record to the engine and reports it to obs (nil
+// for a bare engine) — the one transition per record type that a full
+// Replay, a replication follower tracking a live primary, and a live server
+// that has just made the record durable all share. pos is the record's
+// position in the logical record sequence since the engine's birth: snap
+// and fair records are only valid at position 0. specs, when non-nil, are
+// an admit/batch record's jobs already decoded — the live admission path
+// hands over what it validated instead of re-deriving them from the
+// record; nil decodes them here. A snap record restores the engine only:
+// the fair and steal state it carries belong to the server's own restore.
+// The determinism and cross-checking contract is Replay's.
+func Apply(eng *sim.Engine, pos int, rec Record, specs []sim.JobSpec, obs Observer) error {
 	switch rec.Type {
 	case TypeSnap:
-		if i != 0 {
-			return fmt.Errorf("journal: replay record %d: snapshot not at journal head", i)
+		if pos != 0 {
+			return fmt.Errorf("journal: replay record %d: snapshot not at journal head", pos)
 		}
 		if err := eng.Restore(*rec.Snap); err != nil {
-			return fmt.Errorf("journal: replay record %d (snap): %w", i, err)
-		}
-		if rec.Fair != nil && obs != nil {
-			if err := obs.Fair(*rec.Fair); err != nil {
-				return fmt.Errorf("journal: replay record %d (snap): %w", i, err)
-			}
-		}
-		if rec.Steal != nil {
-			if so, ok := obs.(StealObserver); ok {
-				so.StealSnap(*rec.Steal)
-			}
+			return fmt.Errorf("journal: replay record %d (snap): %w", pos, err)
 		}
 	case TypeFair:
-		if i != 0 {
-			return fmt.Errorf("journal: replay record %d: fair ledger not at journal head", i)
+		if pos != 0 {
+			return fmt.Errorf("journal: replay record %d: fair ledger not at journal head", pos)
 		}
 		if obs != nil {
 			if err := obs.Fair(*rec.Fair); err != nil {
-				return fmt.Errorf("journal: replay record %d (fair): %w", i, err)
+				return fmt.Errorf("journal: replay record %d (fair): %w", pos, err)
 			}
 		}
 	case TypeAdmit, TypeBatch:
-		specs := make([]sim.JobSpec, len(rec.Jobs))
-		for k, j := range rec.Jobs {
-			spec, err := j.spec()
-			if err != nil {
-				return fmt.Errorf("journal: replay record %d (%s) job %d: %w", i, rec.Type, k, err)
+		if specs == nil {
+			specs = make([]sim.JobSpec, len(rec.Jobs))
+			for k, j := range rec.Jobs {
+				spec, err := j.spec()
+				if err != nil {
+					return fmt.Errorf("journal: replay record %d (%s) job %d: %w", pos, rec.Type, k, err)
+				}
+				specs[k] = spec
 			}
-			specs[k] = spec
 		}
-		now := eng.Now()
 		ids, err := eng.AdmitBatch(specs)
 		if err != nil {
-			return fmt.Errorf("journal: replay record %d (%s): %w", i, rec.Type, err)
+			return fmt.Errorf("journal: replay record %d (%s): %w", pos, rec.Type, err)
 		}
 		if ids[0] != rec.Base {
-			return fmt.Errorf("journal: replay record %d (%s): engine assigned job %d, journal says %d — journal does not match this configuration", i, rec.Type, ids[0], rec.Base)
+			return fmt.Errorf("journal: replay record %d (%s): engine assigned job %d, journal says %d — journal does not match this configuration", pos, rec.Type, ids[0], rec.Base)
 		}
 		if obs != nil {
-			obs.Admitted(rec, ids, now)
+			obs.Admitted(rec, specs, ids)
 		}
 	case TypeCancel:
 		if err := eng.Cancel(rec.ID); err != nil {
-			return fmt.Errorf("journal: replay record %d (cancel %d): %w", i, rec.ID, err)
+			return fmt.Errorf("journal: replay record %d (cancel %d): %w", pos, rec.ID, err)
 		}
 		if obs != nil {
 			obs.Cancelled(rec.ID)
 		}
 	case TypeSteal:
-		specs := make([]sim.JobSpec, len(rec.IDs))
+		withdrawn := make([]sim.JobSpec, len(rec.IDs))
 		for k, id := range rec.IDs {
 			spec, err := eng.Withdraw(id)
 			if err != nil {
-				return fmt.Errorf("journal: replay record %d (steal %d): %w", i, id, err)
+				return fmt.Errorf("journal: replay record %d (steal %d): %w", pos, id, err)
 			}
-			specs[k] = spec
+			withdrawn[k] = spec
 		}
-		if so, ok := obs.(StealObserver); ok {
-			so.Stolen(rec, specs)
+		if obs != nil {
+			obs.Stolen(rec, withdrawn)
 		}
 	case TypeStep, TypeSteps:
 		n := rec.N
@@ -160,22 +131,22 @@ func replayOne(eng *sim.Engine, rec Record, i int, obs Observer) error {
 		}
 		info, err := eng.StepN(n)
 		if err != nil {
-			return fmt.Errorf("journal: replay record %d (%s): %w", i, rec.Type, err)
+			return fmt.Errorf("journal: replay record %d (%s): %w", pos, rec.Type, err)
 		}
 		if info.Idle {
-			return fmt.Errorf("journal: replay record %d (%s): engine is idle but the journal recorded a step to %d — journal does not match this configuration", i, rec.Type, rec.Now)
+			return fmt.Errorf("journal: replay record %d (%s): engine is idle but the journal recorded a step to %d — journal does not match this configuration", pos, rec.Type, rec.Now)
 		}
 		if info.Steps != n {
-			return fmt.Errorf("journal: replay record %d (%s): engine executed %d of %d recorded steps — journal does not match this configuration", i, rec.Type, info.Steps, n)
+			return fmt.Errorf("journal: replay record %d (%s): engine executed %d of %d recorded steps — journal does not match this configuration", pos, rec.Type, info.Steps, n)
 		}
 		if info.Step != rec.Now {
-			return fmt.Errorf("journal: replay record %d (%s): engine stepped to %d, journal says %d — journal does not match this configuration", i, rec.Type, info.Step, rec.Now)
+			return fmt.Errorf("journal: replay record %d (%s): engine stepped to %d, journal says %d — journal does not match this configuration", pos, rec.Type, info.Step, rec.Now)
 		}
 		if obs != nil {
 			obs.Stepped(info)
 		}
 	default:
-		return fmt.Errorf("journal: replay record %d: unknown type %q", i, rec.Type)
+		return fmt.Errorf("journal: replay record %d: unknown type %q", pos, rec.Type)
 	}
 	return nil
 }

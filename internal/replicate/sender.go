@@ -183,7 +183,7 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 }
 
 // Seed positions each shard's cursor at the sequence number its journal
-// already covers (journal.SeqAfter at startup), so the sender knows those
+// already covers (server.Service.ReplicationSeqs at startup), so the sender knows those
 // records exist on disk without having seen them through Committed. Call
 // before Start.
 func (s *Sender) Seed(seqs []int64) {

@@ -174,13 +174,9 @@ func (sh *shard) fairCollect(states map[string]fairshare.State) {
 
 // fairAccrueLocked charges a committed admission to the tenant's ledger:
 // usage grows by cost at the shard's current step, the jobs are tracked
-// for in-flight accounting. Called with the shard lock held, after the
-// admission is durable; a no-op when fairness is off or the caller did
-// not route through the fair admission gate (direct shard tests).
+// for in-flight accounting. Called with the shard lock held by the
+// Admitted apply hook (apply.go) on a fairness-enabled shard.
 func (sh *shard) fairAccrueLocked(tenant string, ids []int, cost float64) {
-	if sh.fair == nil || tenant == "" {
-		return
-	}
 	u := sh.fairUsage[tenant]
 	if u == nil {
 		u = &fairshare.Usage{}
@@ -231,22 +227,13 @@ func (sh *shard) fairStateLocked() journal.FairState {
 	return st
 }
 
-// specsCost is a batch's admission cost in the usage ledger.
+// specsCost is a batch's admission cost in the usage ledger. Replay decodes
+// the same graphs the live admission charged, so the replayed accrual is
+// bit-identical.
 func specsCost(specs []sim.JobSpec) float64 {
 	c := 0.0
 	for _, sp := range specs {
 		c += graphCost(sp.Graph)
-	}
-	return c
-}
-
-// recordCost recomputes an admit/batch record's cost during replay; the
-// record carries the same graphs the live admission charged, so the
-// replayed accrual is bit-identical.
-func recordCost(rec journal.Record) float64 {
-	c := 0.0
-	for _, j := range rec.Jobs {
-		c += graphCost(j.Graph)
 	}
 	return c
 }
@@ -267,48 +254,4 @@ func graphCost(g *dag.Graph) float64 {
 		return float64(w)
 	}
 	return float64(g.TotalWork())
-}
-
-// fairReplayObserver rebuilds a shard's fair ledger during journal
-// replay: ledger restores from fair/snap records, accruals from
-// tenant-tagged admit records (at the same engine clock the live server
-// charged them), in-flight forgetting from step and cancel records.
-// Runs with the shard lock held (attachJournal), before any step loop.
-type fairReplayObserver struct{ sh *shard }
-
-func (o fairReplayObserver) Fair(st journal.FairState) error {
-	sh := o.sh
-	if st.HalfLife != sh.fair.halfLife {
-		return fmt.Errorf("server: journal fair half-life %d does not match the configured %d — decayed usage would diverge (restart with the original half-life, or remove the journal)", st.HalfLife, sh.fair.halfLife)
-	}
-	sh.fairUsage = make(map[string]*fairshare.Usage, len(st.Usage))
-	for k, u := range st.Usage {
-		uc := u
-		sh.fairUsage[k] = &uc
-	}
-	sh.fairJobs = make(map[int]string, len(st.Jobs))
-	sh.fairInFlight = make(map[string]int)
-	for id, tenant := range st.Jobs {
-		sh.fairJobs[id] = tenant
-		sh.fairInFlight[tenant]++
-	}
-	return nil
-}
-
-func (o fairReplayObserver) Admitted(rec journal.Record, ids []int, now int64) {
-	tenant := rec.Tenant
-	if tenant == "" {
-		// Pre-fairness journal records: attribute to the default leaf, the
-		// same resolution a headerless live submission gets.
-		tenant = o.sh.fair.defaultPath
-	}
-	o.sh.fairAccrueLocked(tenant, ids, recordCost(rec))
-}
-
-func (o fairReplayObserver) Cancelled(id int) { o.sh.fairForgetLocked(id) }
-
-func (o fairReplayObserver) Stepped(info sim.StepInfo) {
-	for _, id := range info.Completed {
-		o.sh.fairForgetLocked(id)
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"krad/internal/journal"
-	"krad/internal/sim"
 )
 
 // ErrDegraded means the shard's journal hit a write failure (full or
@@ -107,57 +106,32 @@ func (s *Service) openJournals(jc *JournalConfig) error {
 	return nil
 }
 
-// attachJournal replays recs through the shard's fresh engine and rebuilds
-// the shard's lifecycle counters from the replayed state, then arms
-// journaling for all future mutations. Called from New, before the step
-// loop exists, so no locking races are possible — the lock is held for
-// the counter rebuild only out of uniformity.
+// attachJournal replays recs through the shard's fresh engine — each record
+// down the same apply path a live mutation or a replicated record takes, a
+// head snapshot through the same restore a follower's snapshot frame takes
+// — then arms journaling for all future mutations. Called from New, before
+// the step loop exists, so no locking races are possible; the lock is held
+// out of uniformity with the apply path's other callers.
 func (sh *shard) attachJournal(jn *journal.Journal, snapshotEvery int64, recs []journal.Record) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if !sh.steal {
-		// A steal-off server replaying a steal-tagged journal would lose the
-		// redirects (and the reconciliation ledger) that keep stolen jobs'
-		// original IDs resolvable; refuse, symmetrically with fairness below.
-		for i, rec := range recs {
-			if rec.Type == journal.TypeSteal || len(rec.From) != 0 || rec.Steal != nil {
-				return fmt.Errorf("record %d is steal-tagged but stealing is disabled; refusing to drop redirect state (restart with -steal, or move the journal away)", i)
-			}
+	for i := range recs {
+		apply := sh.replayLocked
+		if i == 0 && recs[i].Type == journal.TypeSnap {
+			apply = sh.restoreLocked
 		}
-	}
-	switch {
-	case sh.steal:
-		// Stealing and fairness are mutually exclusive (Config validation),
-		// so the steal observer owns the replay; a fair record errors there.
-		if err := journal.ReplayObserved(sh.eng, recs, stealReplayObserver{sh}); err != nil {
-			return err
-		}
-	case sh.fair == nil:
-		// A fairness-off server replaying a fairness-tagged journal would
-		// silently drop the tenant ledger; refuse instead.
-		for i, rec := range recs {
-			if rec.Type == journal.TypeFair || rec.Fair != nil || rec.Tenant != "" {
-				return fmt.Errorf("record %d is fairness-tagged but fairness is disabled; refusing to drop tenant state (restart with -fairness, or move the journal away)", i)
-			}
-		}
-		if err := journal.Replay(sh.eng, recs); err != nil {
-			return err
-		}
-	default:
-		if err := journal.ReplayObserved(sh.eng, recs, fairReplayObserver{sh}); err != nil {
-			// A journal without fair records replays fine too: its
-			// pre-fairness admissions accrue to the default leaf,
-			// deterministically.
+		if err := apply(&recs[i]); err != nil {
 			return err
 		}
 	}
+	// Steps are process-local (the replayed ones were another process's);
+	// the job lifecycle counters, the response histogram and the replication
+	// cursor are durable state and were rebuilt record by record — a snapshot
+	// head resumes the cursor at its stamp (0 on journals written before
+	// replication existed), every later record counts one.
+	sh.steps = 0
 	sh.jn = jn
 	sh.compactEvery = snapshotEvery
-	// Seed the replication cursor from what the journal already covers: a
-	// snapshot head resumes at its stamped cursor (0 on journals written
-	// before replication existed), every later record counts one.
-	sh.repSeq = journal.SeqAfter(recs)
-	sh.applied = int64(len(recs))
 	if sh.fair != nil && len(recs) == 0 && !sh.standby {
 		// Head marker on a fresh fairness-enabled journal: declares the
 		// half-life so later replays cross-check decay math before
@@ -166,98 +140,11 @@ func (sh *shard) attachJournal(jn *journal.Journal, snapshotEvery int64, recs []
 		// replicated like everything else, or the two journals diverge at
 		// sequence 1.
 		rec := journal.FairRecord(sh.fairStateLocked())
-		if err := jn.Append(rec); err != nil {
+		if err := sh.commitLocked(&rec, nil); err != nil {
 			return fmt.Errorf("write fair head record: %w", err)
 		}
-		sh.commitLocked(rec)
 	}
-	// Rebuild the counters Stats and /metrics report. Steps and rejections
-	// are process-local (a rejection admitted nothing durable), so they
-	// restart at zero; the job lifecycle counters and the response
-	// histogram are durable state and come back from the engine. The
-	// status index rebuilds from the same pass (JobRef avoids a per-job
-	// work-vector copy; put copies into the stripe arena), and RetireDone
-	// then releases each terminal job's engine state — the index has it.
-	snap := sh.eng.Snapshot()
-	// Stolen-in admissions were journaled by steals, not clients: external
-	// submissions are the engine's admitted total minus what the steal
-	// observer counted back in.
-	sh.submitted = int64(snap.Admitted) - sh.stolenIn
-	sh.completed = int64(snap.Completed)
-	sh.cancelled = int64(snap.Cancelled)
-	sh.resp.Reset()
-	sh.respHist = newHistogram(responseBuckets())
-	for id := 0; id < snap.Admitted; id++ {
-		st, ok := sh.eng.JobRef(id)
-		if !ok {
-			continue // retired before the checkpoint: status is gone for good
-		}
-		if st.Phase == sim.JobStolen {
-			// The replayed steal record installed the redirect; the stale
-			// local entry must stay out of the index so lookups follow it.
-			if sh.retireDone {
-				_ = sh.eng.Retire(id)
-			}
-			continue
-		}
-		sh.tab.put(id, st)
-		if st.Phase == sim.JobDone {
-			r := float64(st.Completion - st.Release)
-			sh.resp.Observe(r)
-			sh.respHist.observe(r)
-		}
-		if sh.retireDone && (st.Phase == sim.JobDone || st.Phase == sim.JobCancelled) {
-			_ = sh.eng.Retire(id)
-		}
-	}
-	sh.syncGaugesLocked()
 	return nil
-}
-
-// journalAdmitLocked makes a committed admission durable. Called with the
-// shard lock held, immediately after AdmitBatch assigned ids. On journal
-// failure the admission is rolled back (the IDs were never returned to
-// the caller) and ErrDegraded is reported; the failure is sticky, so no
-// later admission can slip into the ID gap and diverge replay.
-func (sh *shard) journalAdmitLocked(ids []int, specs []sim.JobSpec, tenant string) error {
-	// Without replication the record only lives until Append encodes it,
-	// so a per-shard scratch record (admitRec, reused under this same
-	// lock) keeps the steady-state submit path allocation-free. A
-	// replication sender retains committed records in its send queue, so
-	// with rep attached each admission builds a fresh record instead.
-	rec := &sh.admitRec
-	var err error
-	if sh.rep == nil {
-		err = journal.AdmitRecordInto(rec, ids[0], specs)
-	} else {
-		var fresh journal.Record
-		fresh, err = journal.AdmitRecord(ids[0], specs)
-		rec = &fresh
-	}
-	if err != nil {
-		// Non-journalable job shape (no graph): roll back, reject.
-		sh.rollbackLocked(ids)
-		return err
-	}
-	// Tenant identity rides the admit record (empty — and omitted on the
-	// wire — outside the fair admission gate), so replay re-charges the
-	// same leaf.
-	rec.Tenant = tenant
-	if err := sh.jn.Append(*rec); err != nil {
-		sh.rollbackLocked(ids)
-		return fmt.Errorf("%w: %v", ErrDegraded, err)
-	}
-	sh.commitLocked(*rec)
-	return nil
-}
-
-// rollbackLocked withdraws just-admitted jobs whose journal append failed.
-// Cancel cannot fail here: the jobs were admitted under this same lock
-// acquisition, so they are still pending or active.
-func (sh *shard) rollbackLocked(ids []int) {
-	for _, id := range ids {
-		_ = sh.eng.Cancel(id)
-	}
 }
 
 // journalHealthyLocked reports whether mutations may be acknowledged.
@@ -296,7 +183,7 @@ func (sh *shard) maybeCompact() {
 		st := sh.fairStateLocked()
 		rec.Fair = &st
 	}
-	if sh.steal {
+	if sh.ledger != nil {
 		// Steal state rides the snapshot the same way: the dropped records
 		// held the stolen-in count and the redirects that keep original IDs
 		// resolvable. Omitted while empty so a steal-enabled shard that

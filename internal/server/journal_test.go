@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/journal"
+	"krad/internal/profile"
 	"krad/internal/sched"
 	"krad/internal/sim"
 )
@@ -324,6 +326,52 @@ func TestDegradedAdmissionRollsBackCleanly(t *testing.T) {
 	defer drainAndClose(t, svc2)
 	if got := svc2.Stats().Submitted; got != int64(len(acked)) {
 		t.Fatalf("restart sees %d submissions, %d were acknowledged", got, len(acked))
+	}
+}
+
+// TestNonJournalableSubmitLeavesNoTrace pins the refusal order: a job shape
+// the journal cannot describe is turned away before anything mutates — no
+// engine ID burned, journal not latched — so the next acknowledged job is
+// journaled at a base ID replay reproduces.
+func TestNonJournalableSubmitLeavesNoTrace(t *testing.T) {
+	cfg := journaledConfig(t, 1, 2)
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextID := func() int {
+		sh := svc.shards[0]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.eng.NextID()
+	}
+	before := nextID()
+	src := profile.MustNew(1, "phased", []profile.Phase{{Tasks: []int{2}}, {Tasks: []int{1}}})
+	if _, err := svc.Submit(sim.JobSpec{Source: src}); err == nil || !strings.Contains(err.Error(), "not journalable") {
+		t.Fatalf("submit of a profile source on a journaled service: %v, want a located \"not journalable\" error", err)
+	}
+	if ok, reason := svc.Ready(); !ok {
+		t.Fatalf("refused submit degraded the service: %s", reason)
+	}
+	if got := nextID(); got != before {
+		t.Fatalf("refused submit moved the engine's next ID %d → %d", before, got)
+	}
+	id, err := svc.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 3, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainlessClose(t, svc)
+
+	svc2, err := New(journaledConfigFrom(cfg))
+	if err != nil {
+		t.Fatalf("restart after a refused submit: %v", err)
+	}
+	defer drainAndClose(t, svc2)
+	if _, ok := svc2.Job(id); !ok {
+		t.Fatalf("acknowledged job %d lost across restart", id)
+	}
+	if got := svc2.Stats().Submitted; got != 1 {
+		t.Fatalf("restart sees %d submissions, want 1 (the refused one left no trace)", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"krad/internal/journal"
 	"krad/internal/replicate"
-	"krad/internal/sim"
 )
 
 // ErrFollower means this daemon is a warm standby: it tracks a primary's
@@ -135,68 +134,51 @@ func (s *Service) NextSeqs() []int64 {
 }
 
 // ApplyReplicated implements replicate.Applier: journal the record, then
-// replay it through the shard's engine — the same record order, lock
-// discipline and replay path a crash-restart uses, so the follower's
-// engine tracks the primary bit-identically. The journal append comes
-// first: a follower crash between append and apply replays the record on
-// restart, while a crash before the append never acked it, so the
-// primary re-sends. An apply error means the follower diverged
-// (mismatched configuration or corrupt stream); it latches the shard so
-// nothing further applies until an operator restarts against a clean
-// journal.
+// apply it — the same record order, lock discipline and apply path a live
+// mutation and a crash-restart use (apply.go), so the follower's engine
+// tracks the primary bit-identically. The journal append comes first: a
+// follower crash between append and apply replays the record on restart,
+// while a crash before the append never acked it, so the primary re-sends.
+// A record this follower cannot account for, or one that fails to apply,
+// means it diverged (mismatched configuration or corrupt stream); that
+// latches the shard so nothing further applies until an operator restarts
+// against a clean journal.
 func (s *Service) ApplyReplicated(shard int, seq int64, rec journal.Record) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("server: replicated record for shard %d but the service runs %d shard(s)", shard, len(s.shards))
 	}
 	sh := s.shards[shard]
 	sh.mu.Lock()
-	if sh.repErr != nil {
-		err := sh.repErr
-		sh.mu.Unlock()
-		return err
+	err := sh.applyReplicatedLocked(seq, &rec)
+	stepped := err == nil && (rec.Type == journal.TypeStep || rec.Type == journal.TypeSteps)
+	var ev Event
+	if stepped {
+		ev = sh.stepEventLocked()
 	}
-	if sh.closed {
-		sh.mu.Unlock()
-		return ErrClosed
-	}
-	if seq != sh.repSeq+1 {
-		sh.mu.Unlock()
-		return fmt.Errorf("server: shard %d: replicated seq %d, want %d — stream out of order", shard, seq, sh.repSeq+1)
-	}
-	if rec.Type == journal.TypeSnap {
-		sh.mu.Unlock()
-		return fmt.Errorf("server: shard %d: snapshot arrived as a sequenced record; snapshots reset via their own frame", shard)
-	}
-	if !sh.steal && (rec.Type == journal.TypeSteal || len(rec.From) != 0) {
-		// A steal-tagged record on a steal-off follower would silently move
-		// jobs without the redirect/ledger bookkeeping; refuse and latch.
-		sh.repErr = fmt.Errorf("server: shard %d: replicated seq %d is steal-tagged but stealing is disabled on this follower; restart with -steal", shard, seq)
-		err := sh.repErr
-		sh.mu.Unlock()
-		return err
-	}
-	if sh.jn != nil {
-		if err := sh.jn.Append(rec); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("%w: %v", ErrDegraded, err)
-		}
-	}
-	obs := &applyObserver{sh: sh}
-	if err := journal.Apply(sh.eng, int(sh.applied), rec, obs); err != nil {
-		sh.repErr = fmt.Errorf("server: shard %d: replicated seq %d diverged from this engine: %w", shard, seq, err)
-		err = sh.repErr
-		sh.mu.Unlock()
-		return err
-	}
-	sh.repSeq = seq
-	sh.applied++
-	sh.syncGaugesLocked()
-	ev := obs.ev
 	sh.mu.Unlock()
-	if ev != nil {
-		sh.fan.publish(*ev)
+	if stepped {
+		sh.fan.publish(ev)
 	}
-	return nil
+	return err
+}
+
+func (sh *shard) applyReplicatedLocked(seq int64, rec *journal.Record) error {
+	switch {
+	case sh.repErr != nil:
+		return sh.repErr
+	case sh.closed:
+		return ErrClosed
+	case seq != sh.repSeq+1:
+		return fmt.Errorf("server: shard %d: replicated seq %d, want %d — stream out of order", sh.idx, seq, sh.repSeq+1)
+	case rec.Type == journal.TypeSnap:
+		return fmt.Errorf("server: shard %d: snapshot arrived as a sequenced record; snapshots reset via their own frame", sh.idx)
+	}
+	err := sh.replayLocked(rec)
+	if err != nil && !errors.Is(err, ErrDegraded) {
+		sh.repErr = fmt.Errorf("server: shard %d: replicated seq %d diverged from this follower: %w", sh.idx, seq, err)
+		err = sh.repErr
+	}
+	return err
 }
 
 // ApplyReplicatedSnap implements replicate.Applier: primary compaction
@@ -208,9 +190,6 @@ func (s *Service) ApplyReplicatedSnap(shard int, rec journal.Record) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("server: replicated snapshot for shard %d but the service runs %d shard(s)", shard, len(s.shards))
 	}
-	if rec.Type != journal.TypeSnap || rec.Snap == nil || rec.Seq < 1 {
-		return fmt.Errorf("server: shard %d: malformed replicated snapshot record", shard)
-	}
 	sh := s.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -220,172 +199,15 @@ func (s *Service) ApplyReplicatedSnap(shard int, rec journal.Record) error {
 	if sh.closed {
 		return ErrClosed
 	}
-	if rec.Seq <= sh.repSeq {
-		return fmt.Errorf("server: shard %d: snapshot covers through seq %d but %d is already applied — refusing to rewind", shard, rec.Seq, sh.repSeq)
+	if rec.Seq < 1 {
+		// A follower's frame must say which sequence numbers it subsumes;
+		// only a journal's own pre-replication head may omit the cursor.
+		return fmt.Errorf("server: shard %d: malformed replicated snapshot record", shard)
 	}
-	eng, err := sh.newEngine()
-	if err != nil {
-		return fmt.Errorf("server: shard %d: rebuild engine for snapshot: %w", shard, err)
+	if err := sh.restoreLocked(&rec); err != nil {
+		return fmt.Errorf("server: shard %d: replicated snapshot: %w", shard, err)
 	}
-	if err := eng.Restore(*rec.Snap); err != nil {
-		return fmt.Errorf("server: shard %d: restore snapshot through seq %d: %w", shard, rec.Seq, err)
-	}
-	if rec.Fair != nil {
-		if sh.fair == nil {
-			return fmt.Errorf("server: shard %d: replicated snapshot is fairness-tagged but fairness is disabled on this follower; restart with -fairness", shard)
-		}
-		if err := (fairReplayObserver{sh}).Fair(*rec.Fair); err != nil {
-			return err
-		}
-	}
-	if sh.jn != nil {
-		if err := sh.jn.Compact(rec); err != nil {
-			return fmt.Errorf("%w: %v", ErrDegraded, err)
-		}
-	}
-	if rec.Steal != nil && !sh.steal {
-		return fmt.Errorf("server: shard %d: replicated snapshot is steal-tagged but stealing is disabled on this follower; restart with -steal", shard)
-	}
-	sh.eng = eng
-	snap := eng.Snapshot()
-	sh.tab.reset()
-	sh.stolenIn = 0
-	if rec.Steal != nil {
-		(stealReplayObserver{sh}).StealSnap(*rec.Steal)
-	}
-	sh.submitted = int64(snap.Admitted) - sh.stolenIn
-	sh.completed = int64(snap.Completed)
-	sh.cancelled = int64(snap.Cancelled)
-	sh.resp.Reset()
-	sh.respHist = newHistogram(responseBuckets())
-	for id := 0; id < snap.Admitted; id++ {
-		st, ok := eng.JobRef(id)
-		if !ok {
-			continue // retired before the primary's checkpoint
-		}
-		if st.Phase == sim.JobStolen {
-			// The redirect from the snapshot's steal state is the job's
-			// status truth now; keep the stale local entry out of the index.
-			if sh.retireDone {
-				_ = eng.Retire(id)
-			}
-			continue
-		}
-		sh.tab.put(id, st)
-		if st.Phase == sim.JobDone {
-			r := float64(st.Completion - st.Release)
-			sh.resp.Observe(r)
-			sh.respHist.observe(r)
-		}
-		if sh.retireDone && (st.Phase == sim.JobDone || st.Phase == sim.JobCancelled) {
-			_ = eng.Retire(id)
-		}
-	}
-	sh.syncGaugesLocked()
-	sh.repSeq = rec.Seq
-	sh.applied = 1
 	return nil
-}
-
-// applyObserver folds one replicated record's side-effects into the
-// shard: the lifecycle counters and response accounting stepN maintains
-// on a primary, the fair-share ledger the replay observer maintains, and
-// the step event (captured here, published by the caller after the lock
-// drops). Runs with the shard lock held.
-type applyObserver struct {
-	sh *shard
-	ev *Event
-}
-
-func (o *applyObserver) Fair(st journal.FairState) error {
-	if o.sh.fair == nil {
-		return fmt.Errorf("record is fairness-tagged but fairness is disabled on this follower; restart with -fairness")
-	}
-	return fairReplayObserver{o.sh}.Fair(st)
-}
-
-func (o *applyObserver) Admitted(rec journal.Record, ids []int, now int64) {
-	if len(rec.From) != 0 {
-		// Thief-side steal admission: counts as stolen-in, not submitted,
-		// and installs same-shard redirects (orphan repairs re-admit on the
-		// victim itself). The ledger match lets Promote-time reconciliation
-		// see the steal completed.
-		stealReplayObserver{o.sh}.Admitted(rec, ids, now)
-		for _, id := range ids {
-			st, _ := o.sh.eng.JobRef(id)
-			o.sh.tab.put(id, st)
-		}
-		return
-	}
-	o.sh.submitted += int64(len(ids))
-	for _, id := range ids {
-		st, _ := o.sh.eng.JobRef(id)
-		o.sh.tab.put(id, st)
-	}
-	if o.sh.fair != nil {
-		fairReplayObserver{o.sh}.Admitted(rec, ids, now)
-	}
-}
-
-// Stolen and StealSnap forward the victim-side steal bookkeeping, making
-// applyObserver a journal.StealObserver: a replicated steal record
-// installs the same redirects and ledger entries the primary's live steal
-// did. ApplyReplicated rejects steal-tagged records on steal-off
-// followers before the observer ever sees one.
-func (o *applyObserver) Stolen(rec journal.Record, specs []sim.JobSpec) {
-	stealReplayObserver{o.sh}.Stolen(rec, specs)
-	if o.sh.retireDone {
-		for _, id := range rec.IDs {
-			_ = o.sh.eng.Retire(id)
-		}
-	}
-}
-
-func (o *applyObserver) StealSnap(st journal.StealState) {
-	stealReplayObserver{o.sh}.StealSnap(st)
-}
-
-func (o *applyObserver) Cancelled(id int) {
-	o.sh.cancelled++
-	o.sh.fairForgetLocked(id)
-	o.sh.tab.setCancelled(id, o.sh.eng.Now())
-	if o.sh.retireDone {
-		_ = o.sh.eng.Retire(id)
-	}
-}
-
-func (o *applyObserver) Stepped(info sim.StepInfo) {
-	sh := o.sh
-	sh.steps += info.Steps
-	for _, id := range info.Released {
-		sh.tab.setActive(id)
-	}
-	for _, id := range info.Completed {
-		done, _ := sh.eng.Completion(id)
-		rel, _ := sh.tab.release(id)
-		sh.tab.setDone(id, done)
-		r := float64(done - rel)
-		sh.resp.Observe(r)
-		sh.respHist.observe(r)
-		sh.completed++
-		sh.fairForgetLocked(id)
-		if sh.retireDone {
-			_ = sh.eng.Retire(id)
-		}
-	}
-	ev := Event{
-		Shard:     sh.idx,
-		Step:      info.Step,
-		Executed:  append([]int(nil), info.Executed...),
-		Released:  sh.namespace(info.Released),
-		Completed: sh.namespace(info.Completed),
-		Active:    info.Active,
-		Pending:   sh.eng.Snapshot().Pending,
-	}
-	if info.Steps > 1 {
-		ev.Steps = info.Steps
-	}
-	o.ev = &ev
 }
 
 // JournalCatchUp builds the replication catch-up source over a service's
@@ -401,7 +223,10 @@ func JournalCatchUp(dir string) replicate.CatchUpFunc {
 		if err != nil {
 			return nil, nil, err
 		}
+		// A snapshot head resumes the cursor it was stamped with and takes no
+		// number of its own; every later record counts one.
 		var snap *replicate.SeqRecord
+		var seq int64
 		i := 0
 		if len(recs) > 0 && recs[0].Type == journal.TypeSnap {
 			if recs[0].Seq == 0 {
@@ -410,10 +235,10 @@ func JournalCatchUp(dir string) replicate.CatchUpFunc {
 				// no follower can be seeded from it.
 				return nil, nil, fmt.Errorf("server: %s is headed by a snapshot without a replication cursor (compacted by a pre-replication build); the next compaction re-stamps it, or move the journal away to start fresh", path)
 			}
-			snap = &replicate.SeqRecord{Seq: recs[0].Seq, Rec: recs[0]}
+			seq = recs[0].Seq
+			snap = &replicate.SeqRecord{Seq: seq, Rec: recs[0]}
 			i = 1
 		}
-		seq := journal.SeqBase(recs)
 		var tail []replicate.SeqRecord
 		for ; i < len(recs); i++ {
 			seq++

@@ -291,7 +291,6 @@ func New(cfg Config) (*Service, error) {
 		}
 		sh.standby = cfg.Follower
 		sh.retireDone = cfg.RetireDone
-		sh.steal = cfg.Steal
 		sh.stealIdle = cfg.StealIdle
 		shards[i] = sh
 	}

@@ -56,26 +56,23 @@ type shard struct {
 	resp     metrics.SampleHist
 	respHist *histogram
 
-	// Work stealing (see steal.go). steal marks the shard part of a
-	// steal-enabled fleet: its journal may carry steal records and its
-	// idle loop probes for victims. stealFn, set by the service, attempts
-	// one steal on behalf of this shard and reports whether it moved work.
-	// stealIdle, when > 0, also triggers a probe after a step round that
-	// left estimated work below the threshold (near-idle top-up). stolenIn
-	// counts jobs this shard re-admitted from victims — kept out of
-	// submitted so external admission counters survive replay rebuilds
-	// (submitted = engine admitted − stolenIn). The scratch slices are
-	// stealFor's reusable buffers.
-	steal      bool
-	stealIdle  int64
-	stealFn    func() bool
-	stolenIn   int64
-	stealIDs   []int
-	stealSpecs []sim.JobSpec
-	stealFrom  []int
-	// ledger is the service-wide steal reconciliation ledger (steal.go),
-	// shared by every shard; nil when stealing is off.
-	ledger *stealLedger
+	// Work stealing (see steal.go). ledger is the service-wide steal
+	// reconciliation ledger, shared by every shard; non-nil marks the shard
+	// part of a steal-enabled fleet, whose journal may carry steal records.
+	// stealFn, set by the service, attempts one steal on behalf of this
+	// shard and reports whether it moved work. stealIdle, when > 0, also
+	// triggers a probe after a step round that left estimated work below
+	// the threshold (near-idle top-up). stolenIn counts jobs this shard
+	// re-admitted from victims — kept out of submitted so external
+	// admission counters survive replay rebuilds (submitted = engine
+	// admitted − stolenIn). The scratch slices are stealFor's reusable
+	// buffers.
+	ledger    *stealLedger
+	stealIdle int64
+	stealFn   func() bool
+	stolenIn  int64
+	stealIDs  []int
+	stealFrom []int
 
 	// Lock-free load gauges, refreshed under mu at every engine mutation
 	// (syncGaugesLocked) and read without it by placement and victim
@@ -97,23 +94,23 @@ type shard struct {
 	fairJobs     map[int]string
 
 	// jn, when set, is the shard's write-ahead journal (see journal.go):
-	// every committed mutation is appended under the same lock acquisition
-	// that committed it, so the journal's record order IS the engine's
+	// every mutation is appended and then applied under one lock
+	// acquisition (apply.go), so the journal's record order IS the engine's
 	// mutation order. compactEvery and compactOff govern idle-point
-	// snapshot compaction.
+	// snapshot compaction. admitRec is admitRecordLocked's scratch record;
+	// out is what the last apply handed back.
 	jn           *journal.Journal
 	compactEvery int64
 	compactOff   bool
-	// admitRec is the scratch admission record journalAdmitLocked refills
-	// in place (journal.AdmitRecordInto) when no replication sender could
-	// retain it — the allocation-free leg of the journaled submit path.
-	admitRec journal.Record
+	admitRec     journal.Record
+	out          applyOut
 
 	// Replication state (see replicate.go). repSeq is the sequence number
 	// of the shard's last committed mutation record (1-based since engine
 	// birth; snapshot records carry the cursor but take no number of their
-	// own). applied counts records in the logical journal sequence — the
-	// pos argument incremental replay needs, reset to 1 by a snapshot.
+	// own). applied counts records applied since the engine's birth or its
+	// last snapshot (which counts as one) — the pos argument journal.Apply
+	// needs.
 	// rep, when set, receives every committed record (primary mode) and
 	// gates admissions behind fencing/lease checks. standby marks a
 	// follower shard at journal-attach time; repErr latches a follower
@@ -214,64 +211,70 @@ func (sh *shard) submit(tenant string, spec sim.JobSpec) (int, error) {
 // leaf path the admission is journaled under and charged to.
 func (sh *shard) submitBatch(tenant string, specs []sim.JobSpec) ([]int, error) {
 	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if sh.rep != nil {
-		if err := sh.rep.WriteAllowed(); err != nil {
-			// Fenced or lease-expired primary: acknowledging this write
-			// could diverge from a promoted follower. Refuse with the
-			// replication error located to this shard.
-			sh.rejected += int64(len(specs))
-			sh.mu.Unlock()
-			return nil, fmt.Errorf("shard %d: %w", sh.idx, err)
-		}
-	}
-	if !sh.journalHealthyLocked() {
-		// Degraded disk: nothing new can be made durable. Shed the
-		// submission; in-flight jobs keep scheduling from memory.
-		sh.rejected += int64(len(specs))
-		sh.mu.Unlock()
-		return nil, ErrDegraded
-	}
-	if sh.eng.Remaining()+len(specs) > sh.maxInFlight {
-		sh.rejected += int64(len(specs))
-		sh.mu.Unlock()
-		return nil, ErrQueueFull
-	}
-	for i := range specs {
-		if specs[i].Release == 0 {
-			specs[i].Release = sh.eng.Now()
-		}
-	}
-	ids, err := sh.eng.AdmitBatch(specs)
-	if err == nil && sh.jn != nil {
-		// Journal after commit, under the same lock acquisition: success
-		// means the IDs are durable and may be acknowledged; failure rolls
-		// the admission back before anyone saw the IDs.
-		err = sh.journalAdmitLocked(ids, specs, tenant)
-	}
-	if err == nil {
-		sh.submitted += int64(len(ids))
-		// Index before the IDs are acknowledged: a status query racing the
-		// submit response must find the job. JobRef's Work aliases engine
-		// memory; put copies it into the stripe arena.
-		for _, id := range ids {
-			st, _ := sh.eng.JobRef(id)
-			sh.tab.put(id, st)
-		}
-		// Ledger accrual strictly after the admission is durable, so the
-		// journal's record sequence replays to the identical ledger.
-		sh.fairAccrueLocked(tenant, ids, specsCost(specs))
-	}
-	sh.syncGaugesLocked()
+	ids, err := sh.submitLocked(tenant, specs)
 	sh.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	sh.kick()
 	return ids, nil
+}
+
+func (sh *shard) submitLocked(tenant string, specs []sim.JobSpec) ([]int, error) {
+	if sh.closed {
+		return nil, ErrClosed
+	}
+	err := sh.writableLocked()
+	if err == nil && sh.eng.Remaining()+len(specs) > sh.maxInFlight {
+		err = ErrQueueFull
+	}
+	if err != nil {
+		sh.rejected += int64(len(specs))
+		return nil, err
+	}
+	now := sh.eng.Now()
+	for i := range specs {
+		if specs[i].Release == 0 {
+			specs[i].Release = now
+		}
+	}
+	return sh.admitLocked(specs, tenant, nil)
+}
+
+// admitLocked is the admission pipeline past the gates, shared by client
+// submissions and the orphaned-steal repair (from tags the latter with the
+// job's original ID). Everything that can refuse runs before the record
+// exists: an invalid spec, or a job shape the journal cannot describe,
+// leaves no trace — no engine ID burned, nothing on disk.
+func (sh *shard) admitLocked(specs []sim.JobSpec, tenant string, from []int) ([]int, error) {
+	if err := sh.eng.CheckAdmit(specs); err != nil {
+		return nil, err
+	}
+	rec, err := sh.admitRecordLocked(specs, tenant, from)
+	if err != nil {
+		return nil, err
+	}
+	if err := sh.commitLocked(rec, specs); err != nil {
+		return nil, err
+	}
+	return sh.out.ids, nil
+}
+
+// writableLocked reports why the shard may not acknowledge a new mutation
+// right now: a fenced or lease-expired primary could diverge from a
+// promoted follower (the replication error, located to this shard), and a
+// degraded disk can make nothing durable — in-flight jobs keep scheduling
+// from memory either way.
+func (sh *shard) writableLocked() error {
+	if sh.rep != nil {
+		if err := sh.rep.WriteAllowed(); err != nil {
+			return fmt.Errorf("shard %d: %w", sh.idx, err)
+		}
+	}
+	if !sh.journalHealthyLocked() {
+		return ErrDegraded
+	}
+	return nil
 }
 
 // cancel withdraws a pending or active job (engine-local ID); its
@@ -284,12 +287,11 @@ func (sh *shard) cancel(id int) error {
 			return fmt.Errorf("shard %d: %w", sh.idx, err)
 		}
 	}
-	// Precheck against the status index, which — unlike the engine under
+	// Validate against the status index, which — unlike the engine under
 	// RetireDone — still remembers retired jobs. The error texts mirror
 	// sim.Engine.Cancel exactly, so callers see the engine's canonical
-	// wording whether or not the job's state has been recycled. The
-	// journal path additionally relies on the precheck: once a cancel
-	// record is appended, Cancel below must not fail.
+	// wording whether or not the job's state has been recycled. Once the
+	// cancel record is appended, applying it must not fail.
 	switch ph, done, ok := sh.tab.phaseOf(id); {
 	case !ok:
 		return fmt.Errorf("sim: no job %d", id)
@@ -298,31 +300,11 @@ func (sh *shard) cancel(id int) error {
 	case ph == sim.JobCancelled:
 		return fmt.Errorf("sim: job %d already cancelled", id)
 	}
-	journaled := false
+	if !sh.journalHealthyLocked() {
+		return ErrDegraded
+	}
 	rec := journal.CancelRecord(id)
-	if sh.jn != nil {
-		if !sh.journalHealthyLocked() {
-			return ErrDegraded
-		}
-		if err := sh.jn.Append(rec); err != nil {
-			return fmt.Errorf("%w: %v", ErrDegraded, err)
-		}
-		journaled = true
-	}
-	err := sh.eng.Cancel(id)
-	if err == nil {
-		sh.cancelled++
-		sh.fairForgetLocked(id)
-		sh.tab.setCancelled(id, sh.eng.Now())
-		if sh.retireDone {
-			_ = sh.eng.Retire(id)
-		}
-		if journaled {
-			sh.commitLocked(rec)
-		}
-		sh.syncGaugesLocked()
-	}
-	return err
+	return sh.commitLocked(&rec, nil)
 }
 
 // syncGaugesLocked refreshes the shard's lock-free load gauges from the
@@ -378,19 +360,6 @@ func (sh *shard) view() shardView {
 	}
 	v.hist.counts = append([]uint64(nil), sh.respHist.counts...)
 	return v
-}
-
-// commitLocked advances the shard's replication cursor past a mutation
-// record that just landed in the journal and hands it to the replication
-// hook, if one is attached. Called with the shard lock held, immediately
-// after the successful append, so the hook observes records in exactly
-// the journal's order.
-func (sh *shard) commitLocked(rec journal.Record) {
-	sh.repSeq++
-	sh.applied++
-	if sh.rep != nil {
-		sh.rep.Committed(sh.idx, sh.repSeq, rec)
-	}
 }
 
 // close stops admission and drains in-flight jobs (the loop keeps
@@ -477,65 +446,22 @@ func (sh *shard) stepN(max int64) (int64, error) {
 		sh.mu.Unlock()
 		return 0, err
 	}
-	if sh.jn != nil {
-		// Best-effort: a failed append latches the journal (degrading
-		// admission) but never stops the clock — in-flight jobs keep
-		// scheduling from memory. The un-journaled tail of steps is safe to
-		// lose: steps are deterministic, so a restarted engine re-derives
-		// them, and the sticky failure guarantees no later admission ever
-		// interleaves with the lost tail. A batch is one record: replay
-		// re-executes it with StepN, bit-identical to the original steps.
-		// Replication mirrors durability exactly: only records that landed
-		// on disk stream to the follower, so the follower never holds
-		// records a restarted primary would not re-derive.
-		rec := journal.StepsRecord(info.Steps, info.Step)
-		if err := sh.jn.Append(rec); err == nil {
-			sh.commitLocked(rec)
-		}
-	}
-	sh.steps += info.Steps
-	for _, id := range info.Released {
-		sh.tab.setActive(id)
-	}
-	for _, id := range info.Completed {
-		// Response accounting off the index and the engine's no-copy
-		// completion lookup: the pre-index path called eng.Job here, whose
-		// defensive work-vector copy was the last per-completion allocation
-		// on the steady-state step path.
-		done, _ := sh.eng.Completion(id)
-		rel, _ := sh.tab.release(id)
-		sh.tab.setDone(id, done)
-		r := float64(done - rel)
-		sh.resp.Observe(r)
-		sh.respHist.observe(r)
-		sh.completed++
-		sh.fairForgetLocked(id)
-		if sh.retireDone {
-			_ = sh.eng.Retire(id)
-		}
-	}
+	// The one engine-first mutation: a step's outcome is only known by
+	// executing it, so its record follows it, best-effort. A failed append
+	// latches the journal (degrading admission) but never stops the clock —
+	// in-flight jobs keep scheduling from memory. The un-journaled tail of
+	// steps is safe to lose: steps are deterministic, so a restarted engine
+	// re-derives them, and the sticky failure guarantees no later record
+	// ever interleaves with the lost tail. A batch is one record: replay
+	// re-executes it with StepN, bit-identical to the original steps.
+	rec := journal.StepsRecord(info.Steps, info.Step)
+	_ = sh.journalLocked(&rec)
+	sh.Stepped(info)
+	sh.applied++
 	sh.syncGaugesLocked()
-	pending := sh.eng.Snapshot().Pending
-	// info.Executed/Released/Completed are engine-owned buffers reused by
-	// the next step; the event outlives this call (async subscribers), so
-	// copy while still holding the lock.
-	exec := append([]int(nil), info.Executed...)
-	released := sh.namespace(info.Released)
-	completed := sh.namespace(info.Completed)
+	ev := sh.stepEventLocked()
 	sh.mu.Unlock()
 
-	ev := Event{
-		Shard:     sh.idx,
-		Step:      info.Step,
-		Executed:  exec,
-		Released:  released,
-		Completed: completed,
-		Active:    info.Active,
-		Pending:   pending,
-	}
-	if info.Steps > 1 {
-		ev.Steps = info.Steps
-	}
 	sh.fan.publish(ev)
 	return info.Steps, nil
 }

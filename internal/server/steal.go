@@ -15,37 +15,35 @@ import (
 // arrival stream — one hot placement key hashing to one shard — drains at
 // fleet speed instead of single-shard speed.
 //
-// The move is an atomic cancel-on-victim + re-admit-on-thief under two
-// shard locks taken in shard-index order (stealFor), and both halves are
-// journaled so restart replay and a warm-standby follower rebuild
-// bit-identical state: the victim appends a steal record (which jobs
-// left, where they went), the thief appends an admit record tagged with
-// the jobs' original namespaced IDs (journal.StealAdmitRecord). The
-// victim's record is forced to disk before the thief acknowledges, so a
-// completed steal implies both halves are durable — which is what makes
-// later victim-side compaction safe. The victim's ID table gains a
-// redirect entry per stolen job, so status and cancel by the original
-// namespaced ID keep working (Service.resolve follows the chain).
+// The move is withdraw-on-victim + admit-on-thief under two shard locks
+// taken in shard-index order (stealFor), each half a journaled record that
+// goes down the one mutation pipeline (apply.go) — so a live steal, restart
+// replay and a warm-standby follower build bit-identical state: the victim
+// commits a steal record (which jobs left, where they went), the thief an
+// admit record tagged with the jobs' original namespaced IDs
+// (journal.StealAdmitRecord). The victim's half is durable before the
+// thief's is built. The victim's ID table gains a redirect per stolen job,
+// so status and cancel by the original namespaced ID keep working
+// (Service.resolve follows the chain).
 //
 // A crash can still land between the two records; reconcileSteals repairs
-// the ledger at startup and at follower promotion, before any step loop
-// runs.
+// that at startup and at follower promotion, before any step loop runs.
 
 // stealProbeEvery bounds how long an idle steal-enabled shard parks
 // before re-probing for victims: work arriving at a peer never kicks this
 // shard's wake channel.
 const stealProbeEvery = 2 * time.Millisecond
 
-// stealIn records where a stolen job landed (from the thief's journaled
-// admit record).
+// stealIn is the thief half of a steal (from its From-tagged admit
+// record): where the job landed.
 type stealIn struct {
 	to      int // thief shard index
 	toLocal int // thief-local job ID
 }
 
-// stealOut records the victim half of a steal (from the victim's
-// journaled steal record): where the job went and the original spec the
-// thief was supposed to re-admit — what an orphan repair needs.
+// stealOut is the victim half of a steal (from its steal record): where
+// the job went and the original spec the thief was supposed to re-admit —
+// what an orphan repair needs.
 type stealOut struct {
 	to      int
 	toLocal int
@@ -53,36 +51,46 @@ type stealOut struct {
 }
 
 // stealLedger is the service-wide reconciliation ledger, keyed by the
-// stolen job's original namespaced ID. It is populated only by the
-// replay/apply observers (startup replay on a restarting primary, the
-// replicated record stream on a follower), never by live steals — a live
-// steal writes both records before returning, so it can never need
-// repair. Lock order is shard.mu → ledger.mu; reconcileSteals therefore
-// snapshots the ledger before touching any shard lock.
+// stolen job's original namespaced ID. The apply hooks feed it one half at
+// a time — live, at startup replay, on a follower — and a half that finds
+// its partner cancels against it, so the ledger only ever holds steals one
+// of whose records is missing: a live steal nets to nothing, a crash
+// between the pair leaves exactly the half reconcileSteals must repair.
+// Lock order is shard.mu → ledger.mu; reconcileSteals therefore snapshots
+// the ledger before touching any shard lock.
 type stealLedger struct {
-	mu      sync.Mutex
-	out     map[int]stealOut
-	matched map[int]stealIn
+	mu  sync.Mutex
+	out map[int]stealOut // victim half only: the jobs exist nowhere (orphans)
+	in  map[int]stealIn  // thief half only: the jobs exist twice (duplicates)
 }
 
 func newStealLedger() *stealLedger {
-	return &stealLedger{out: make(map[int]stealOut), matched: make(map[int]stealIn)}
+	return &stealLedger{out: make(map[int]stealOut), in: make(map[int]stealIn)}
 }
 
-// stolen folds a replayed victim-side steal record into the ledger.
+// stolen folds a victim-side steal record into the ledger.
 func (l *stealLedger) stolen(victimIdx int, rec journal.Record, specs []sim.JobSpec) {
 	l.mu.Lock()
 	for k, id := range rec.IDs {
-		l.out[composeID(victimIdx, id)] = stealOut{to: rec.To, toLocal: rec.NBase + k, spec: specs[k]}
+		src := composeID(victimIdx, id)
+		if _, ok := l.in[src]; ok {
+			delete(l.in, src)
+			continue
+		}
+		l.out[src] = stealOut{to: rec.To, toLocal: rec.NBase + k, spec: specs[k]}
 	}
 	l.mu.Unlock()
 }
 
-// admitted folds a replayed thief-side steal admission into the ledger.
+// admitted folds a thief-side steal admission into the ledger.
 func (l *stealLedger) admitted(thiefIdx int, from, ids []int) {
 	l.mu.Lock()
 	for k, src := range from {
-		l.matched[src] = stealIn{to: thiefIdx, toLocal: ids[k]}
+		if _, ok := l.out[src]; ok {
+			delete(l.out, src)
+			continue
+		}
+		l.in[src] = stealIn{to: thiefIdx, toLocal: ids[k]}
 	}
 	l.mu.Unlock()
 }
@@ -90,7 +98,7 @@ func (l *stealLedger) admitted(thiefIdx int, from, ids []int) {
 // stealFor attempts one steal on thief's behalf: pick the peer with the
 // deepest stealable (pending) backlog off the lock-free gauges, move up
 // to half its pending work — at most Config.StealMax jobs, and never past
-// the thief's admission bound — and journal both halves. Returns whether
+// the thief's admission bound — and commit both halves. Returns whether
 // any work moved. Called from the thief's own step loop, so at most one
 // stealFor runs per thief at a time; the no-victim probe path is
 // allocation-free (AllocsPerRun-pinned).
@@ -120,16 +128,13 @@ func (s *Service) stealFor(thief *shard) bool {
 	hi.mu.Lock()
 	defer hi.mu.Unlock()
 
-	// Re-validate under the locks: the gauges were a hint.
+	// Validate under the locks: the gauges were a hint. A fenced or
+	// lease-expired primary, or a degraded disk on either side, moves
+	// nothing.
 	if thief.closed || victim.closed || thief.stepErr != nil || victim.stepErr != nil {
 		return false
 	}
-	if thief.rep != nil {
-		if err := thief.rep.WriteAllowed(); err != nil {
-			return false // fenced or lease-expired primary: no new writes
-		}
-	}
-	if !thief.journalHealthyLocked() || !victim.journalHealthyLocked() {
+	if thief.writableLocked() != nil || !victim.journalHealthyLocked() {
 		return false
 	}
 	target := victim.eng.PendingWork() / 2
@@ -149,122 +154,42 @@ func (s *Service) stealFor(thief *shard) bool {
 		return false
 	}
 
-	// Journal the victim half first, mirroring cancel's precheck pattern:
-	// the candidates are pending under this lock, so once the record is
-	// down the Withdraws below cannot fail. The forced sync makes the
-	// record durable before the thief acknowledges anything (best-effort
-	// under journal.SyncNever, like every other append).
-	nbase := thief.eng.NextID()
-	if victim.jn != nil {
-		vrec := journal.StealRecord(ids, thief.idx, nbase)
-		if err := victim.jn.Append(vrec); err != nil {
-			return false // victim degraded; nothing moved
-		}
-		victim.commitLocked(vrec)
-		_ = victim.jn.Sync()
+	// Victim half. The candidates are pending under this lock, so once the
+	// record is down its withdraws cannot fail; an append failure means the
+	// victim just degraded and nothing moved.
+	vrec := journal.StealRecord(ids, thief.idx, thief.eng.NextID())
+	if victim.commitLocked(&vrec, nil) != nil {
+		return false
 	}
-	specs := thief.stealSpecs[:0]
+	// Thief half: exactly the specs the victim gave up. Shard virtual clocks
+	// are independent and a release in the thief's past would be refused,
+	// so past releases move up to its clock; future ones (not-yet-due jobs)
+	// are preserved.
+	specs := victim.out.withdrawn
 	from := thief.stealFrom[:0]
 	now := thief.eng.Now()
-	for _, id := range ids {
-		spec, err := victim.eng.Withdraw(id)
-		if err != nil {
-			// Unreachable (pending under this lock). Latch loudly: the
-			// victim's journal now disagrees with its memory.
-			victim.stepErr = fmt.Errorf("server: shard %d: steal withdraw %d: %v", victim.idx, id, err)
-			return false
+	for k := range specs {
+		if specs[k].Release < now {
+			specs[k].Release = now
 		}
-		if spec.Release < now {
-			// Shard virtual clocks are independent; a release in the
-			// thief's past would be rejected at re-admission. Future
-			// releases (not-yet-due jobs) are preserved.
-			spec.Release = now
-		}
-		specs = append(specs, spec)
-		from = append(from, composeID(victim.idx, id))
+		from = append(from, composeID(victim.idx, ids[k]))
 	}
-	thief.stealSpecs, thief.stealFrom = specs, from
-	nids, err := thief.eng.AdmitBatch(specs)
+	thief.stealFrom = from
+	arec, err := thief.admitRecordLocked(specs, "", from)
 	if err != nil {
-		// Unreachable: the specs were admitted once already and the
-		// releases are normalized. Latch loudly — the victim's journal says
-		// these jobs moved here.
+		// Unreachable: the victim journaled these very specs. Latch loudly —
+		// the victim's journal says the jobs moved here.
 		thief.stepErr = fmt.Errorf("server: shard %d: steal re-admit from shard %d: %v", thief.idx, victim.idx, err)
 		return false
 	}
-	if thief.jn != nil {
-		arec, err := journal.StealAdmitRecord(nids[0], specs, from)
-		if err == nil {
-			err = thief.jn.Append(arec)
-		}
-		if err == nil {
-			thief.commitLocked(arec)
-			_ = thief.jn.Sync()
-		}
-		// An append failure latches the thief's journal (degraded, sticky):
-		// the jobs run from memory, and after a crash startup
-		// reconciliation finds the victim's record unmatched and re-homes
-		// the jobs to the victim (orphan path).
-	}
-	thief.stolenIn += int64(len(nids))
-	for k, nid := range nids {
-		st, _ := thief.eng.JobRef(nid)
-		thief.tab.put(nid, st)
-		victim.tab.setRedirect(ids[k], composeID(thief.idx, nid))
-	}
-	thief.syncGaugesLocked()
-	victim.syncGaugesLocked()
-	return true
-}
-
-// stealReplayObserver rebuilds the server-side steal state — redirects,
-// stolen-in counters, the reconciliation ledger — while a steal-enabled
-// shard's journal replays (journal.ReplayObserved during attachJournal).
-// The engine half of each record replays in the journal layer; this
-// observer only mirrors what the live stealFor recorded outside the
-// engine. Fairness and stealing are mutually exclusive, so a fair record
-// in a steal-enabled journal is a hard error.
-type stealReplayObserver struct{ sh *shard }
-
-func (o stealReplayObserver) Fair(journal.FairState) error {
-	return fmt.Errorf("record is fairness-tagged but fairness is disabled; refusing to drop tenant state (restart with -fairness, or move the journal away)")
-}
-
-func (o stealReplayObserver) Admitted(rec journal.Record, ids []int, now int64) {
-	if len(rec.From) == 0 {
-		return
-	}
-	o.sh.stolenIn += int64(len(ids))
-	for k, src := range rec.From {
-		if ShardOf(src) == o.sh.idx {
-			// An orphan repair re-admitted the job on its own victim shard;
-			// the redirect points back into this shard, overwriting the
-			// stale one the original steal record installed.
-			o.sh.tab.setRedirect(LocalID(src), composeID(o.sh.idx, ids[k]))
-		}
-	}
-	if o.sh.ledger != nil {
-		o.sh.ledger.admitted(o.sh.idx, rec.From, ids)
-	}
-}
-
-func (o stealReplayObserver) Cancelled(int)        {}
-func (o stealReplayObserver) Stepped(sim.StepInfo) {}
-
-func (o stealReplayObserver) Stolen(rec journal.Record, specs []sim.JobSpec) {
-	for k, id := range rec.IDs {
-		o.sh.tab.setRedirect(id, composeID(rec.To, rec.NBase+k))
-	}
-	if o.sh.ledger != nil {
-		o.sh.ledger.stolen(o.sh.idx, rec, specs)
-	}
-}
-
-func (o stealReplayObserver) StealSnap(st journal.StealState) {
-	o.sh.stolenIn = st.In
-	for id, target := range st.Redirects {
-		o.sh.tab.setRedirect(id, target)
-	}
+	// Like a steps record, the thief's half applies even when its append
+	// fails: the failure latches the thief's journal, so nothing later can
+	// interleave with the missing record, the jobs keep running from memory
+	// like all in-flight work on a degraded disk, and after a crash startup
+	// reconciliation finds the victim's record unmatched and re-homes the
+	// jobs there (orphan path).
+	_ = thief.journalLocked(arec)
+	return thief.applyLocked(arec, specs) == nil
 }
 
 // reconcileSteals repairs steals whose two journal records were split by
@@ -286,7 +211,8 @@ func (o stealReplayObserver) StealSnap(st journal.StealState) {
 //
 // Anything else — the thief consumed the promised ID with a different
 // admission, the victim's copy already ran — means the journals diverged;
-// that is a hard error, never a silent repair.
+// that is a hard error, never a silent repair. Each repair is an ordinary
+// committed record, so its apply hooks settle the ledger entry it fixes.
 func (s *Service) reconcileSteals() error {
 	if s.ledger == nil {
 		return nil
@@ -294,7 +220,6 @@ func (s *Service) reconcileSteals() error {
 	// Snapshot under the ledger lock alone (lock order is shard.mu →
 	// ledger.mu), in deterministic ID order so repairs journal identically
 	// across identical crashes.
-	s.ledger.mu.Lock()
 	type orphan struct {
 		src int
 		out stealOut
@@ -303,17 +228,14 @@ func (s *Service) reconcileSteals() error {
 		src int
 		in  stealIn
 	}
-	var orphans []orphan
-	var dups []dup
+	s.ledger.mu.Lock()
+	orphans := make([]orphan, 0, len(s.ledger.out))
 	for src, o := range s.ledger.out {
-		if _, ok := s.ledger.matched[src]; !ok {
-			orphans = append(orphans, orphan{src, o})
-		}
+		orphans = append(orphans, orphan{src, o})
 	}
-	for src, in := range s.ledger.matched {
-		if _, ok := s.ledger.out[src]; !ok {
-			dups = append(dups, dup{src, in})
-		}
+	dups := make([]dup, 0, len(s.ledger.in))
+	for src, in := range s.ledger.in {
+		dups = append(dups, dup{src, in})
 	}
 	s.ledger.mu.Unlock()
 	sort.Slice(orphans, func(i, j int) bool { return orphans[i].src < orphans[j].src })
@@ -350,33 +272,13 @@ func (s *Service) fixOrphanSteal(src int, out stealOut) error {
 	if !victim.journalHealthyLocked() {
 		return fmt.Errorf("server: shard %d: cannot repair orphaned steal of job %d: %w", victim.idx, src, ErrDegraded)
 	}
-	spec := out.spec
-	if spec.Release < victim.eng.Now() {
-		spec.Release = victim.eng.Now()
+	specs := []sim.JobSpec{out.spec}
+	if specs[0].Release < victim.eng.Now() {
+		specs[0].Release = victim.eng.Now()
 	}
-	nids, err := victim.eng.AdmitBatch([]sim.JobSpec{spec})
-	if err != nil {
+	if _, err := victim.admitLocked(specs, "", []int{src}); err != nil {
 		return fmt.Errorf("server: shard %d: re-admit orphaned steal of job %d: %w", victim.idx, src, err)
 	}
-	if victim.jn != nil {
-		arec, err := journal.StealAdmitRecord(nids[0], []sim.JobSpec{spec}, []int{src})
-		if err == nil {
-			err = victim.jn.Append(arec)
-		}
-		if err != nil {
-			return fmt.Errorf("server: shard %d: journal orphaned-steal repair of job %d: %w", victim.idx, src, err)
-		}
-		victim.commitLocked(arec)
-		_ = victim.jn.Sync()
-	}
-	victim.stolenIn++
-	st, _ := victim.eng.JobRef(nids[0])
-	victim.tab.put(nids[0], st)
-	victim.tab.setRedirect(LocalID(src), composeID(victim.idx, nids[0]))
-	victim.syncGaugesLocked()
-	s.ledger.mu.Lock()
-	s.ledger.matched[src] = stealIn{to: victim.idx, toLocal: nids[0]}
-	s.ledger.mu.Unlock()
 	return nil
 }
 
@@ -407,22 +309,10 @@ func (s *Service) fixDuplicateSteal(src int, in stealIn) error {
 	if !victim.journalHealthyLocked() {
 		return fmt.Errorf("server: shard %d: cannot repair duplicated steal of job %d: %w", victim.idx, src, ErrDegraded)
 	}
-	if victim.jn != nil {
-		vrec := journal.StealRecord([]int{local}, in.to, in.toLocal)
-		if err := victim.jn.Append(vrec); err != nil {
-			return fmt.Errorf("server: shard %d: journal duplicated-steal repair of job %d: %w", victim.idx, src, err)
-		}
-		victim.commitLocked(vrec)
-		_ = victim.jn.Sync()
-	}
-	if _, err := victim.eng.Withdraw(local); err != nil {
+	rec := journal.StealRecord([]int{local}, in.to, in.toLocal)
+	if err := victim.commitLocked(&rec, nil); err != nil {
 		return fmt.Errorf("server: shard %d: withdraw duplicated steal of job %d: %w", victim.idx, src, err)
 	}
-	victim.tab.setRedirect(local, composeID(in.to, in.toLocal))
-	if victim.retireDone {
-		_ = victim.eng.Retire(local)
-	}
-	victim.syncGaugesLocked()
 	return nil
 }
 

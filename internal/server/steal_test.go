@@ -87,7 +87,9 @@ func drainManually(t *testing.T, svc *Service) {
 // original namespaced IDs keep answering status and cancel through the
 // redirect chain.
 func TestStealMovesPendingWork(t *testing.T) {
-	svc, err := New(stealConfig(2, 1, 1))
+	cfg := stealConfig(2, 1, 1)
+	cfg.RetireDone = true
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +124,11 @@ func TestStealMovesPendingWork(t *testing.T) {
 		if js.ID != id {
 			t.Fatalf("job %d reports ID %d", id, js.ID)
 		}
-		if _, moved := svc.shards[0].tab.redirect(LocalID(id)); moved && stolen < 0 {
-			stolen = id
+		if _, moved := svc.shards[0].tab.redirect(LocalID(id)); moved {
+			if stolen < 0 {
+				stolen = id
+			}
+			requireRetiredOnVictim(t, svc, id)
 		}
 	}
 	if stolen < 0 {
@@ -144,6 +149,19 @@ func TestStealMovesPendingWork(t *testing.T) {
 		if !ok || (js.Phase != sim.JobDone && js.Phase != sim.JobCancelled) {
 			t.Fatalf("job %d not terminal: %+v ok=%v", id, js, ok)
 		}
+	}
+}
+
+// requireRetiredOnVictim asserts that, under RetireDone, the shard a job was
+// stolen from no longer holds its engine state — the answer a live steal, a
+// restart and a follower must all give.
+func requireRetiredOnVictim(t *testing.T, svc *Service, id int) {
+	t.Helper()
+	sh := svc.shards[ShardOf(id)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if st, ok := sh.eng.JobRef(LocalID(id)); ok {
+		t.Fatalf("stolen job %d still held by its victim's engine: %+v", id, st)
 	}
 }
 
@@ -446,9 +464,11 @@ func TestStealFairnessMutuallyExclusive(t *testing.T) {
 // finish the stolen work after promotion.
 func TestStealReplicationAndPromotion(t *testing.T) {
 	fcfg := journaledStealConfig(t, 2, 1, 1)
+	fcfg.RetireDone = true
 	follower, rcv, addr := startFollower(t, fcfg, 0)
 
 	pcfg := journaledStealConfig(t, 2, 1, 1)
+	pcfg.RetireDone = true
 	primary, err := New(pcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -481,6 +501,10 @@ func TestStealReplicationAndPromotion(t *testing.T) {
 		}
 		if got.Phase != want.Phase || got.Release != want.Release {
 			t.Fatalf("job %d: follower %+v, primary %+v", id, got, want)
+		}
+		if _, moved := primary.shards[0].tab.redirect(LocalID(id)); moved {
+			requireRetiredOnVictim(t, primary, id)
+			requireRetiredOnVictim(t, follower, id)
 		}
 	}
 

@@ -411,6 +411,44 @@ func (e *Engine) AdmitBatch(specs []JobSpec) ([]int, error) {
 	return ids, nil
 }
 
+// CheckAdmit reports the error AdmitBatch(specs) would return, changing
+// nothing: a caller that must make an admission durable before committing
+// it (internal/server's journal-then-apply order) validates here first, so
+// the admission it then journals cannot fail. Under TraceTasks the check
+// mints a throw-away runtime per job to see whether it reports task IDs;
+// every other configuration allocates nothing.
+func (e *Engine) CheckAdmit(specs []JobSpec) error {
+	for i, spec := range specs {
+		id := len(e.jobs) + i
+		if err := e.checkAdmissible(spec, id); err != nil {
+			return err
+		}
+		if e.cfg.Trace >= TraceTasks {
+			src := spec.source()
+			if _, ok := src.NewRuntime(e.cfg.Pick, e.cfg.Seed+int64(id)).(TaskRuntime); !ok {
+				return errNoTaskIDs(id, src)
+			}
+		}
+	}
+	return nil
+}
+
+// checkAdmissible is the runtime-free half of admission validation: the
+// spec's shape against the configuration and its release against the clock.
+func (e *Engine) checkAdmissible(spec JobSpec, id int) error {
+	if err := checkSpec(&e.cfg, spec, id); err != nil {
+		return err
+	}
+	if spec.Release < e.now {
+		return fmt.Errorf("sim: job %d release %d is in the past (clock is at %d)", id, spec.Release, e.now)
+	}
+	return nil
+}
+
+func errNoTaskIDs(id int, src JobSource) error {
+	return fmt.Errorf("sim: job %d (%s) runtime cannot report task IDs; TraceTasks requires DAG-backed jobs", id, src.Name())
+}
+
 // prepare validates one spec against the engine's clock and configuration
 // and builds its jobState without touching engine state, so a batch can
 // validate every member before admitting any. Retired jobStates are
@@ -418,11 +456,8 @@ func (e *Engine) AdmitBatch(specs []JobSpec) ([]int, error) {
 // RuntimeReuser make the steady-state admit→complete→retire→admit cycle
 // allocation-free.
 func (e *Engine) prepare(spec JobSpec, id int) (*jobState, int, error) {
-	if err := checkSpec(&e.cfg, spec, id); err != nil {
+	if err := e.checkAdmissible(spec, id); err != nil {
 		return nil, 0, err
-	}
-	if spec.Release < e.now {
-		return nil, 0, fmt.Errorf("sim: job %d release %d is in the past (clock is at %d)", id, spec.Release, e.now)
 	}
 	src := spec.source()
 	var js *jobState
@@ -462,7 +497,7 @@ func (e *Engine) prepare(spec JobSpec, id int) (*jobState, int, error) {
 	js.family = FamilyOf(src)
 	if e.cfg.Trace >= TraceTasks && js.caps.task == nil {
 		e.free = append(e.free, js)
-		return nil, 0, fmt.Errorf("sim: job %d (%s) runtime cannot report task IDs; TraceTasks requires DAG-backed jobs", id, src.Name())
+		return nil, 0, errNoTaskIDs(id, src)
 	}
 	js.tasks = src.TotalTasks()
 	js.spec = spec
