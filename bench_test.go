@@ -1,10 +1,12 @@
 package krad_test
 
-// The benchmark harness: one testing.B target per experiment in DESIGN.md's
-// per-experiment index (E1–E10), each running the full table generation so
-// `go test -bench=.` regenerates every reproduced figure/table, plus
-// microbenchmarks of the scheduling primitives. Table output itself is
-// produced by cmd/kradbench; here the work is measured.
+// The micro suite, and CI's bench smoke: one testing.B target per experiment
+// in DESIGN.md's per-experiment index (E1–E21), each running the full table
+// generation so `go test -bench=.` regenerates every reproduced figure/table,
+// plus microbenchmarks of the engines and the scheduling primitives. Table
+// output itself is produced by cmd/kradbench; here the work is measured.
+// These are for measuring while you work: regressions are judged by
+// cmd/benchgate on the repository's benchmark (benchmark/, BENCHMARK.json).
 
 import (
 	"fmt"

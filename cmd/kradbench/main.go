@@ -1,4 +1,4 @@
-// Command kradbench runs the reproduction experiment suite (E1–E10 from
+// Command kradbench runs the reproduction experiment suite (E1–E21 from
 // DESIGN.md) and prints each experiment's table. With -markdown it emits
 // the EXPERIMENTS.md body; with -run it restricts to a comma-separated set
 // of experiment IDs.
@@ -6,18 +6,10 @@
 // Usage:
 //
 //	kradbench [-run E3,E4] [-quick] [-seed N] [-markdown] [-o file]
-//	kradbench -json bench.json [-note "post-PR4"]
-//	kradbench -compare BENCH_PR7.json -with bench.json [-tol 0.40]
 //
-// With -json the experiment suite is skipped: the scheduling
-// micro-benchmarks (the same workloads as `go test -bench`) run under
-// testing.Benchmark and a machine-readable report is written to the given
-// path ("-" for stdout). BENCH_PR4.json in the repo root records the
-// pre-optimization baseline in this format.
-//
-// With -compare (paired with -with) two such reports are diffed and the
-// command exits non-zero on a regression beyond the noise tolerance — the
-// CI bench-regression gate.
+// Performance is measured elsewhere: `go test -bench` runs the micro
+// suite (bench_test.go), benchmark/ is the repository's benchmark, and
+// cmd/benchgate compares two commits on it.
 package main
 
 import (
@@ -41,36 +33,8 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		markdown = flag.Bool("markdown", false, "emit markdown instead of plain text")
 		outPath  = flag.String("o", "", "write output to file instead of stdout")
-		jsonPath = flag.String("json", "", "run the scheduling micro-benchmarks and write a JSON report to this path (\"-\" for stdout), skipping the experiment suite")
-		note     = flag.String("note", "", "free-form note embedded in the -json report header")
-		family   = flag.String("family", "", "restrict the -json engine benchmarks to one runtime family: profile, dag, moldable, mixed (empty = all)")
-		compare  = flag.String("compare", "", "baseline -json report to compare against (requires -with); exits non-zero on regression")
-		with     = flag.String("with", "", "candidate -json report for -compare")
-		tol      = flag.Float64("tol", 0.40, "fractional ns/op regression tolerance for -compare")
-		allocTol = flag.Float64("alloc-tol", 0.10, "fractional allocs/op regression tolerance for -compare")
 	)
 	flag.Parse()
-
-	if *compare != "" || *with != "" {
-		if *compare == "" || *with == "" {
-			log.Fatal("-compare and -with must be given together")
-		}
-		regressions, err := compareReports(*compare, *with, *tol, *allocTol)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if regressions > 0 {
-			log.Fatalf("%d benchmark regression(s) beyond tolerance", regressions)
-		}
-		return
-	}
-
-	if *jsonPath != "" {
-		if err := runJSONBenchmarks(*jsonPath, *note, *family); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {

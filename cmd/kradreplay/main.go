@@ -523,7 +523,11 @@ func submitBatch(o options, client *http.Client, item workItem, hist *metrics.La
 }
 
 // retryDelay honors the server's Retry-After hint, capped, with a small
-// attempt-scaled floor so a missing header still backs off.
+// attempt-scaled floor so a missing header still backs off. The result is
+// drawn uniformly from the upper half of that delay: once the cap binds,
+// every worker would otherwise sleep the same time and retry in lockstep,
+// and against a queue shorter than the worker count the same worker can
+// lose every round.
 func retryDelay(header string, cap time.Duration, attempt int) time.Duration {
 	d := time.Duration(10*(attempt+1)) * time.Millisecond
 	if secs, err := strconv.Atoi(header); err == nil && secs > 0 {
@@ -532,7 +536,10 @@ func retryDelay(header string, cap time.Duration, attempt int) time.Duration {
 	if d > cap {
 		d = cap
 	}
-	return d
+	if d <= 0 { // -retry-cap 0 or negative: retry at once
+		return 0
+	}
+	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
 // waitDrain polls /healthz until the daemon has completed everything this

@@ -37,14 +37,32 @@ func TestParseMix(t *testing.T) {
 }
 
 func TestRetryDelay(t *testing.T) {
-	if d := retryDelay("3", 10*time.Second, 0); d != 3*time.Second {
-		t.Errorf("Retry-After 3 → %v", d)
+	// Every delay lands in the upper half of the capped hint, and the draws
+	// differ: workers that all hit the cap must not retry in lockstep.
+	for _, tc := range []struct {
+		name   string
+		header string
+		cap    time.Duration
+		want   time.Duration // the un-jittered delay
+	}{
+		{"Retry-After honored", "3", 10 * time.Second, 3 * time.Second},
+		{"capped", "3", time.Second, time.Second},
+		{"missing header floor", "", 10 * time.Second, 10 * time.Millisecond},
+	} {
+		seen := map[time.Duration]bool{}
+		for i := 0; i < 64; i++ {
+			d := retryDelay(tc.header, tc.cap, 0)
+			if d < tc.want/2 || d > tc.want {
+				t.Fatalf("%s: delay %v outside [%v, %v]", tc.name, d, tc.want/2, tc.want)
+			}
+			seen[d] = true
+		}
+		if len(seen) < 2 {
+			t.Errorf("%s: 64 draws all equal %v — no jitter", tc.name, tc.want)
+		}
 	}
-	if d := retryDelay("3", time.Second, 0); d != time.Second {
-		t.Errorf("cap ignored: %v", d)
-	}
-	if d := retryDelay("", 10*time.Second, 0); d <= 0 || d > time.Second {
-		t.Errorf("missing header floor: %v", d)
+	if d := retryDelay("", 0, 3); d != 0 {
+		t.Errorf("zero cap: %v, want 0", d)
 	}
 }
 
@@ -164,9 +182,12 @@ func TestRunBackpressure(t *testing.T) {
 		defer cancel()
 		_ = svc.Close(ctx)
 	}()
+	// 50 attempts at up to 50 ms outlast the whole ~2 s run, so a worker
+	// cannot run out of retries while the queue is still draining (at 20 ms
+	// one did about once in a hundred runs, even with jittered delays).
 	rep, err := run(options{
 		addr: ts.URL, jobs: 200, k: 1, mix: "rigid=1",
-		workers: 8, batch: 1, seed: 2, retryCap: 20 * time.Millisecond,
+		workers: 8, batch: 1, seed: 2, retryCap: 50 * time.Millisecond,
 		drain: true, drainMax: time.Minute, quiet: true,
 	})
 	if err != nil {

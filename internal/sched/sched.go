@@ -125,7 +125,8 @@ type CategoryIntoAllotter interface {
 }
 
 // Matrix is a reusable allotment matrix backed by a single flat []int, for
-// hot paths that call AllotWith every step without allocating.
+// hot paths that hand an IntoAllotter or Stable.LeapTotals a zeroed
+// destination every step without allocating.
 type Matrix struct {
 	rows [][]int
 	back []int
@@ -150,18 +151,6 @@ func (m *Matrix) Shape(n, k int) [][]int {
 		m.rows[i] = m.back[i*k : (i+1)*k : (i+1)*k]
 	}
 	return m.rows
-}
-
-// AllotWith invokes s.AllotInto when implemented, reusing m's storage, and
-// falls back to plain Allot otherwise. The result is valid until m's next
-// Shape call (into path) or owned by the caller (fallback path).
-func AllotWith(s Scheduler, t int64, jobs []JobView, caps []int, m *Matrix) [][]int {
-	if ia, ok := s.(IntoAllotter); ok {
-		dst := m.Shape(len(jobs), len(caps))
-		ia.AllotInto(t, jobs, caps, dst)
-		return dst
-	}
-	return s.Allot(t, jobs, caps)
 }
 
 // Completer is implemented by stateful schedulers (such as RAD's
@@ -298,7 +287,8 @@ func (p *PerCategory) Category(alpha int) CategoryScheduler { return p.cats[alph
 // Allot projects the jobs onto each category (keeping only α-active jobs,
 // preserving ID order), delegates to that category's scheduler, and
 // reassembles the full allotment matrix. The result is freshly allocated
-// (callers may retain it); hot paths use AllotInto via AllotWith instead.
+// (callers may retain it); hot paths bind IntoAllotter once and call
+// AllotInto with storage they own instead.
 func (p *PerCategory) Allot(t int64, jobs []JobView, caps []int) [][]int {
 	allot := make([][]int, len(jobs))
 	rows := make([]int, 0, len(jobs)*len(caps))

@@ -129,66 +129,32 @@ func benchSubmitService(b *testing.B) *Service {
 	return svc
 }
 
-// handleSubmitUnpooled is the pre-pooling submit path, kept verbatim for
-// the before/after comparison BenchmarkHTTPSubmit publishes: a fresh
-// decoder and request struct per request, no body reuse, no early 413.
-func (s *Service) handleSubmitUnpooled(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job JSON: %v", err)
-		return
-	}
-	spec, err := req.spec()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id, err := s.SubmitTenant(r.Header.Get(PlacementKeyHeader), r.Header.Get(TenantHeader), spec)
-	if !s.writeSubmitError(w, err) {
-		return
-	}
-	st, _ := s.Job(id)
-	writeJSON(w, http.StatusCreated, map[string]any{"id": id, "release": st.Release, "shard": ShardOf(id)})
-}
-
 // BenchmarkHTTPSubmit measures the submit handler end to end (no network:
-// handler invoked directly), pooled against the pre-pooling decode path,
-// for both the small rigid wire form and a wide DAG body.
+// handler invoked directly) for both the small rigid wire form and a wide
+// DAG body.
 func BenchmarkHTTPSubmit(b *testing.B) {
 	rigid := []byte(`{"rigid":{"k":2,"cat":1,"procs":2,"steps":3}}`)
 	graphBody, err := json.Marshal(submitRequest{Graph: dag.ForkJoin(2, 16, 1, 2, 1)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	bodies := []struct {
+	for _, body := range []struct {
 		name string
 		body []byte
-	}{{"rigid", rigid}, {"dag16", graphBody}}
-	paths := []struct {
-		name    string
-		handler func(*Service) http.HandlerFunc
-	}{
-		{"pooled", func(s *Service) http.HandlerFunc { return s.handleSubmit }},
-		{"unpooled", func(s *Service) http.HandlerFunc { return s.handleSubmitUnpooled }},
-	}
-	for _, body := range bodies {
-		for _, path := range paths {
-			b.Run(body.name+"/"+path.name, func(b *testing.B) {
-				svc := benchSubmitService(b)
-				h := path.handler(svc)
-				rec := httptest.NewRecorder()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body.body))
-					rec.Body.Reset()
-					h(rec, req)
-					if rec.Code != http.StatusCreated {
-						b.Fatalf("status %d: %s", rec.Code, rec.Body)
-					}
+	}{{"rigid", rigid}, {"dag16", graphBody}} {
+		b.Run(body.name, func(b *testing.B) {
+			svc := benchSubmitService(b)
+			rec := httptest.NewRecorder()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body.body))
+				rec.Body.Reset()
+				svc.handleSubmit(rec, req)
+				if rec.Code != http.StatusCreated {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"strings"
@@ -425,6 +426,75 @@ func TestStealCrashBetweenRecords(t *testing.T) {
 		}
 		drainAndClose(t, svc2)
 	})
+}
+
+// TestStealHalfCompactedRefusesRestart pins a known hole exactly as bad as
+// it is today: idle-point compaction folds one shard's half of a completed
+// steal into its snapshot while the peer's journal still holds the other
+// half as a record. The snapshot's StealState carries redirects and a
+// count, not which pairs it settled, so the next start sees an unmatched
+// half, cannot repair it (the job already ran) and refuses. The refusal
+// changes nothing on disk, so the journals stay recoverable by hand.
+//
+// ROADMAP item 3 (the binary codec, whose snapshot records which steal
+// pairs it settled) is the change that must flip this test to a clean
+// restart with 4 completed jobs.
+func TestStealHalfCompactedRefusesRestart(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		compact int // the shard whose half goes into a snapshot
+	}{{"thief compacted", 1}, {"victim compacted", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := journaledStealConfig(t, 2, 1, 1)
+			cfg.Journal.SnapshotEvery = 1
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			submitBurst(t, svc, 0, 4, 2, 0)
+			if !svc.stealFor(svc.shards[1]) {
+				t.Fatal("steal moved nothing")
+			}
+			// Step only: drainManually would let shard 0 steal back, and the
+			// journals would hold a second pair in the other direction.
+			for stepShard(t, svc, 0) || stepShard(t, svc, 1) {
+			}
+			if st := svc.Stats(); st.Completed != 4 || st.Steal.Stolen != st.Steal.StolenIn {
+				t.Fatalf("before compaction: %+v steal %+v, want 4 completed and one settled steal", st, st.Steal)
+			}
+			svc.shards[tc.compact].maybeCompact()
+			if svc.Stats().Journal.Compactions != 1 {
+				t.Fatal("idle shard did not compact")
+			}
+			drainlessClose(t, svc)
+
+			wals := []string{shardJournalPath(cfg.Journal.Dir, 0), shardJournalPath(cfg.Journal.Dir, 1)}
+			var before [2][]byte
+			for i, p := range wals {
+				if before[i], err = os.ReadFile(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			svc2, err := New(restartStealConfig(cfg))
+			if err == nil {
+				drainlessClose(t, svc2)
+				t.Fatal("restart over a half-compacted steal succeeded: the hole is closed — flip this test to assert the clean restart (ROADMAP item 3)")
+			}
+			if !strings.Contains(err.Error(), "diverged") {
+				t.Fatalf("refusal %q, want the steal-divergence error", err)
+			}
+			t.Logf("refused: %v", err)
+			for i, p := range wals {
+				after, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(after, before[i]) {
+					t.Errorf("refused start rewrote %s: %d bytes, was %d", p, len(after), len(before[i]))
+				}
+			}
+		})
+	}
 }
 
 // TestStealOffRestartRefusesStealJournal pins the mismatch error: a
