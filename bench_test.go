@@ -322,28 +322,6 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineParallel compares serial and goroutine-parallel execution.
-func BenchmarkEngineParallel(b *testing.B) {
-	specs, err := krad.Mix{K: 3, Jobs: 600, MinSize: 20, MaxSize: 80, Seed: 1}.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{"serial", "parallel"} {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := krad.Run(krad.Config{
-					K: 3, Caps: []int{16, 16, 16}, Scheduler: krad.NewKRAD(3),
-					Parallel: mode == "parallel", Workers: 8,
-				}, specs)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAdversarialInstance measures Figure 3 construction + execution
 // at the scale used by E3's largest row.
 func BenchmarkAdversarialInstance(b *testing.B) {

@@ -63,16 +63,26 @@ func main() {
 		experiments = selected
 	}
 
-	opts := analysis.Options{Quick: *quick, Seed: *seed}
-	failures := 0
+	failures, err := run(out, experiments, analysis.Options{Quick: *quick, Seed: *seed}, *markdown)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if failures > 0 {
+		log.Fatalf("%d bound violations — the reproduction does NOT match the paper", failures)
+	}
+}
+
+// run renders each experiment's table to out — the EXPERIMENTS.md body
+// when markdown is set — and counts the notes that report a violated bound.
+func run(out io.Writer, experiments []analysis.Experiment, opts analysis.Options, markdown bool) (failures int, err error) {
 	for _, e := range experiments {
 		start := time.Now()
 		tbl, err := e.Run(opts)
 		if err != nil {
-			log.Fatalf("%s: %v", e.ID, err)
+			return failures, fmt.Errorf("%s: %w", e.ID, err)
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
-		if *markdown {
+		if markdown {
 			fmt.Fprintf(out, "%s\n*source: %s; generated in %s*\n\n", tbl.Markdown(), e.Source, elapsed)
 		} else {
 			fmt.Fprintf(out, "%s(source: %s; generated in %s)\n\n", tbl.Render(), e.Source, elapsed)
@@ -84,7 +94,5 @@ func main() {
 			}
 		}
 	}
-	if failures > 0 {
-		log.Fatalf("%d bound violations — the reproduction does NOT match the paper", failures)
-	}
+	return failures, nil
 }

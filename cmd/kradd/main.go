@@ -133,52 +133,91 @@ func bootstrapHandler() http.Handler {
 	return mux
 }
 
+// options holds every kradd flag's value.
+type options struct {
+	addr      string
+	k         int
+	caps      string
+	sched     string
+	pick      string
+	seed      int64
+	step      time.Duration
+	queue     int
+	retire    bool
+	buf       int
+	drain     time.Duration
+	shard     int
+	place     string
+	journal   string
+	fsync     string
+	fsyncInt  time.Duration
+	snap      int64
+	batch     int64
+	pprof     bool
+	fair      bool
+	fairHL    int64
+	fairCfg   string
+	repTo     string
+	follow    string
+	epoch     int64
+	lease     time.Duration
+	repHB     time.Duration
+	promote   time.Duration
+	repQueue  int
+	steal     bool
+	stealMax  int
+	stealIdle int64
+}
+
+// registerFlags declares kradd's flags on fs, bound to the returned options.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
+	fs.IntVar(&o.k, "k", 3, "number of resource categories")
+	fs.StringVar(&o.caps, "caps", "4,4,4", "per-category processor counts, comma-separated")
+	fs.StringVar(&o.sched, "sched", "k-rad", fmt.Sprintf("scheduler: one of %v", analysis.SchedulerNames()))
+	fs.StringVar(&o.pick, "pick", "fifo", "task pick policy: fifo, lifo, random, cp-first, cp-last")
+	fs.Int64Var(&o.seed, "seed", 1, "scheduler/pick-policy seed")
+	fs.DurationVar(&o.step, "step", 0, "wall-clock duration of one virtual step (0 = free-running)")
+	fs.IntVar(&o.queue, "queue", 256, "admission bound: max in-flight (pending + active) jobs")
+	fs.BoolVar(&o.retire, "retire-done", false, "recycle engine state of terminal jobs; statuses served from the ID index (bounds memory for long-running, high-volume daemons)")
+	fs.IntVar(&o.buf, "event-buffer", 64, "per-subscriber event channel capacity")
+	fs.DurationVar(&o.drain, "drain", 30*time.Second, "max time to drain in-flight jobs at shutdown")
+	fs.IntVar(&o.shard, "shards", 1, "number of independent engine shards")
+	fs.StringVar(&o.place, "placement", server.PlaceRoundRobin, "shard placement policy: round-robin, hash, least-loaded")
+	fs.StringVar(&o.journal, "journal-dir", "", "write-ahead journal directory (empty = no durability)")
+	fs.StringVar(&o.fsync, "fsync", "always", "journal fsync policy: always, interval, never")
+	fs.DurationVar(&o.fsyncInt, "fsync-interval", 100*time.Millisecond, "min spacing between fsyncs under -fsync=interval")
+	fs.Int64Var(&o.snap, "snapshot-every", 10000, "compact a shard journal after this many records at an idle point (0 = never)")
+	fs.Int64Var(&o.batch, "step-batch", 0, "max virtual steps per scheduling round under one lock and one journal append (0 = default 64, 1 = per-step events)")
+	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
+	fs.BoolVar(&o.fair, "fairness", false, "gate admission by multi-tenant fair share (X-Krad-Tenant header)")
+	fs.Int64Var(&o.fairHL, "fair-halflife", fairshare.DefaultHalfLife, "fair-share usage decay half-life in virtual steps (overrides the -fair-config halflife line)")
+	fs.StringVar(&o.fairCfg, "fair-config", "", "queue-tree config file (implies -fairness): halflife, default and queue lines")
+	fs.StringVar(&o.repTo, "replicate-to", "", "primary: stream committed journal records to a follower kradd's -follow address (requires -journal-dir)")
+	fs.StringVar(&o.follow, "follow", "", "follower: run as a warm standby, accepting a primary's replication stream on this address (requires -journal-dir)")
+	fs.Int64Var(&o.epoch, "epoch", 1, "replication epoch; restart a deposed primary with a value above the promoted follower's to take leadership back")
+	fs.DurationVar(&o.lease, "lease", 0, "primary: refuse admissions once the follower has been silent this long (0 = no lease gating); set strictly below the follower's -promote-after")
+	fs.DurationVar(&o.repHB, "replicate-heartbeat", time.Second, "primary: idle keepalive interval on the replication stream")
+	fs.DurationVar(&o.promote, "promote-after", 0, "follower: self-promote after this much primary silence, once a primary has connected (0 = manual POST /v1/promote only)")
+	fs.IntVar(&o.repQueue, "replicate-queue", 1024, "primary: per-shard in-memory replication send queue length (overflow falls back to WAL catch-up)")
+	fs.BoolVar(&o.steal, "steal", false, "cross-shard work stealing: idle shards pull pending jobs off the deepest peer (journaled; incompatible with -fairness)")
+	fs.IntVar(&o.stealMax, "steal-max", 64, "max jobs one steal moves (the work target is half the victim's pending work)")
+	fs.Int64Var(&o.stealIdle, "steal-idle", 0, "steal while still running once a shard's estimated remaining work drops below this many task-steps (0 = steal only when idle)")
+	return o
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kradd: ")
-	var (
-		addrFlag   = flag.String("addr", ":8080", "HTTP listen address")
-		kFlag      = flag.Int("k", 3, "number of resource categories")
-		capsFlag   = flag.String("caps", "4,4,4", "per-category processor counts, comma-separated")
-		schedFlag  = flag.String("sched", "k-rad", fmt.Sprintf("scheduler: one of %v", analysis.SchedulerNames()))
-		pickFlag   = flag.String("pick", "fifo", "task pick policy: fifo, lifo, random, cp-first, cp-last")
-		seedFlag   = flag.Int64("seed", 1, "scheduler/pick-policy seed")
-		stepFlag   = flag.Duration("step", 0, "wall-clock duration of one virtual step (0 = free-running)")
-		queueFlag  = flag.Int("queue", 256, "admission bound: max in-flight (pending + active) jobs")
-		retireFlag = flag.Bool("retire-done", false, "recycle engine state of terminal jobs; statuses served from the ID index (bounds memory for long-running, high-volume daemons)")
-		bufFlag    = flag.Int("event-buffer", 64, "per-subscriber event channel capacity")
-		drainFlag  = flag.Duration("drain", 30*time.Second, "max time to drain in-flight jobs at shutdown")
-		parFlag    = flag.Bool("parallel", false, "parallelize each step's execution phase")
-		shardFlag  = flag.Int("shards", 1, "number of independent engine shards")
-		placeFlag  = flag.String("placement", server.PlaceRoundRobin,
-			"shard placement policy: round-robin, hash, least-loaded")
-		journalFlag  = flag.String("journal-dir", "", "write-ahead journal directory (empty = no durability)")
-		fsyncFlag    = flag.String("fsync", "always", "journal fsync policy: always, interval, never")
-		fsyncIntFlag = flag.Duration("fsync-interval", 100*time.Millisecond, "min spacing between fsyncs under -fsync=interval")
-		snapFlag     = flag.Int64("snapshot-every", 10000, "compact a shard journal after this many records at an idle point (0 = never)")
-		batchFlag    = flag.Int64("step-batch", 0, "max virtual steps per scheduling round under one lock and one journal append (0 = default 64, 1 = per-step events)")
-		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
-		fairFlag     = flag.Bool("fairness", false, "gate admission by multi-tenant fair share (X-Krad-Tenant header)")
-		fairHLFlag   = flag.Int64("fair-halflife", fairshare.DefaultHalfLife, "fair-share usage decay half-life in virtual steps (overrides the -fair-config halflife line)")
-		fairCfgFlag  = flag.String("fair-config", "", "queue-tree config file (implies -fairness): halflife, default and queue lines")
-		repToFlag    = flag.String("replicate-to", "", "primary: stream committed journal records to a follower kradd's -follow address (requires -journal-dir)")
-		followFlag   = flag.String("follow", "", "follower: run as a warm standby, accepting a primary's replication stream on this address (requires -journal-dir)")
-		epochFlag    = flag.Int64("epoch", 1, "replication epoch; restart a deposed primary with a value above the promoted follower's to take leadership back")
-		leaseFlag    = flag.Duration("lease", 0, "primary: refuse admissions once the follower has been silent this long (0 = no lease gating); set strictly below the follower's -promote-after")
-		repHBFlag    = flag.Duration("replicate-heartbeat", time.Second, "primary: idle keepalive interval on the replication stream")
-		promoteFlag  = flag.Duration("promote-after", 0, "follower: self-promote after this much primary silence, once a primary has connected (0 = manual POST /v1/promote only)")
-		repQueueFlag = flag.Int("replicate-queue", 1024, "primary: per-shard in-memory replication send queue length (overflow falls back to WAL catch-up)")
-		stealFlag     = flag.Bool("steal", false, "cross-shard work stealing: idle shards pull pending jobs off the deepest peer (journaled; incompatible with -fairness)")
-		stealMaxFlag  = flag.Int("steal-max", 64, "max jobs one steal moves (the work target is half the victim's pending work)")
-		stealIdleFlag = flag.Int64("steal-idle", 0, "steal while still running once a shard's estimated remaining work drops below this many task-steps (0 = steal only when idle)")
-	)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	caps, err := parseInts(*capsFlag)
-	if err != nil || len(caps) != *kFlag {
-		log.Fatalf("-caps must list exactly K=%d integers: %v", *kFlag, err)
+	caps, err := parseInts(o.caps)
+	if err != nil || len(caps) != o.k {
+		log.Fatalf("-caps must list exactly K=%d integers: %v", o.k, err)
 	}
-	scheduler, err := analysis.NewScheduler(*schedFlag, *kFlag)
+	scheduler, err := analysis.NewScheduler(o.sched, o.k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -187,47 +226,47 @@ func main() {
 	// the identity, and it snapshots/restores byte-identically to the
 	// unwrapped scheduler, so existing journals still replay.
 	scheduler = sched.WithFloors(scheduler)
-	pick, err := parsePick(*pickFlag)
+	pick, err := parsePick(o.pick)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var journalCfg *server.JournalConfig
-	if *journalFlag != "" {
-		policy, err := journal.ParseSyncPolicy(*fsyncFlag)
+	if o.journal != "" {
+		policy, err := journal.ParseSyncPolicy(o.fsync)
 		if err != nil {
 			log.Fatal(err)
 		}
 		journalCfg = &server.JournalConfig{
-			Dir:           *journalFlag,
+			Dir:           o.journal,
 			Sync:          policy,
-			SyncInterval:  *fsyncIntFlag,
-			SnapshotEvery: *snapFlag,
+			SyncInterval:  o.fsyncInt,
+			SnapshotEvery: o.snap,
 		}
 	}
-	if *repToFlag != "" && *followFlag != "" {
+	if o.repTo != "" && o.follow != "" {
 		log.Fatal("-replicate-to and -follow are mutually exclusive: a daemon is the primary or the standby, not both")
 	}
-	if (*repToFlag != "" || *followFlag != "") && *journalFlag == "" {
+	if (o.repTo != "" || o.follow != "") && o.journal == "" {
 		log.Fatal("replication requires -journal-dir: the journal is both the catch-up source (primary) and the durable apply log (follower)")
 	}
 	var fairCfg *fairshare.Config
-	if *fairFlag || *fairCfgFlag != "" {
-		c := fairshare.Config{HalfLife: *fairHLFlag}
-		if *fairCfgFlag != "" {
-			f, err := os.Open(*fairCfgFlag)
+	if o.fair || o.fairCfg != "" {
+		c := fairshare.Config{HalfLife: o.fairHL}
+		if o.fairCfg != "" {
+			f, err := os.Open(o.fairCfg)
 			if err != nil {
 				log.Fatal(err)
 			}
 			c, err = fairshare.ParseConfig(f)
 			_ = f.Close()
 			if err != nil {
-				log.Fatalf("-fair-config %s: %v", *fairCfgFlag, err)
+				log.Fatalf("-fair-config %s: %v", o.fairCfg, err)
 			}
 			// An explicitly passed -fair-halflife beats the file's halflife
 			// line; the flag's default does not.
 			flag.Visit(func(fl *flag.Flag) {
 				if fl.Name == "fair-halflife" {
-					c.HalfLife = *fairHLFlag
+					c.HalfLife = o.fairHL
 				}
 			})
 		}
@@ -236,7 +275,7 @@ func main() {
 		if hl == 0 {
 			hl = fairshare.DefaultHalfLife
 		}
-		log.Printf("fair-share admission enabled (half-life=%d steps, config=%q)", hl, *fairCfgFlag)
+		log.Printf("fair-share admission enabled (half-life=%d steps, config=%q)", hl, o.fairCfg)
 	}
 
 	// The listener comes up before the service: journal replay can take a
@@ -245,7 +284,7 @@ func main() {
 	// bootstrap handler is swapped for the real one once New returns.
 	handler := newSwapHandler(bootstrapHandler())
 	var root http.Handler = handler
-	if *pprofFlag {
+	if o.pprof {
 		// The profiling endpoints wrap the swap handler so they answer even
 		// during journal replay — profiling a slow replay is exactly when
 		// they are wanted. Off by default: they expose stacks and heap
@@ -261,7 +300,7 @@ func main() {
 		log.Printf("pprof enabled at /debug/pprof/")
 	}
 	srv := &http.Server{
-		Addr:              *addrFlag,
+		Addr:              o.addr,
 		Handler:           root,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -273,29 +312,29 @@ func main() {
 	}
 	svc, err := server.New(server.Config{
 		Sim: sim.Config{
-			K: *kFlag, Caps: caps, Scheduler: scheduler, Pick: pick,
-			Seed: *seedFlag, ValidateAllotments: true, Parallel: *parFlag,
+			K: o.k, Caps: caps, Scheduler: scheduler, Pick: pick,
+			Seed: o.seed, ValidateAllotments: true,
 		},
-		MaxInFlight:      *queueFlag,
-		StepEvery:        *stepFlag,
-		StepBatch:        *batchFlag,
-		SubscriberBuffer: *bufFlag,
-		Shards:           *shardFlag,
-		Placement:        *placeFlag,
+		MaxInFlight:      o.queue,
+		StepEvery:        o.step,
+		StepBatch:        o.batch,
+		SubscriberBuffer: o.buf,
+		Shards:           o.shard,
+		Placement:        o.place,
 		// Each shard needs its own scheduler instance: K-RAD and the
 		// clairvoyant variants carry per-engine state. The name and K
 		// were validated above, so the factory cannot fail.
 		NewScheduler: func() sched.Scheduler {
-			s, _ := analysis.NewScheduler(*schedFlag, *kFlag)
+			s, _ := analysis.NewScheduler(o.sched, o.k)
 			return sched.WithFloors(s)
 		},
 		Journal:    journalCfg,
 		Fairness:   fairCfg,
-		Follower:   *followFlag != "",
-		RetireDone: *retireFlag,
-		Steal:      *stealFlag,
-		StealMax:   *stealMaxFlag,
-		StealIdle:  *stealIdleFlag,
+		Follower:   o.follow != "",
+		RetireDone: o.retire,
+		Steal:      o.steal,
+		StealMax:   o.stealMax,
+		StealIdle:  o.stealIdle,
 	})
 	if err != nil {
 		// A journal that cannot be replayed (corrupt record, version
@@ -310,15 +349,15 @@ func main() {
 	// are covered by seeding the sender's cursors from the journal.
 	var sender *replicate.Sender
 	var receiver *replicate.Receiver
-	if *repToFlag != "" {
+	if o.repTo != "" {
 		sender, err = replicate.NewSender(replicate.SenderConfig{
-			Addr:      *repToFlag,
-			Epoch:     *epochFlag,
+			Addr:      o.repTo,
+			Epoch:     o.epoch,
 			Shards:    svc.Shards(),
-			CatchUp:   server.JournalCatchUp(*journalFlag),
-			QueueLen:  *repQueueFlag,
-			Heartbeat: *repHBFlag,
-			Lease:     *leaseFlag,
+			CatchUp:   server.JournalCatchUp(o.journal),
+			QueueLen:  o.repQueue,
+			Heartbeat: o.repHB,
+			Lease:     o.lease,
 			Logf:      log.Printf,
 		})
 		if err != nil {
@@ -331,18 +370,18 @@ func main() {
 			return &server.ReplicationStats{Role: "primary", Primary: &st}
 		})
 		sender.Start()
-		log.Printf("replicating to %s (epoch %d, lease %v, heartbeat %v)", *repToFlag, *epochFlag, *leaseFlag, *repHBFlag)
+		log.Printf("replicating to %s (epoch %d, lease %v, heartbeat %v)", o.repTo, o.epoch, o.lease, o.repHB)
 	}
-	if *followFlag != "" {
-		ln, err := net.Listen("tcp", *followFlag)
+	if o.follow != "" {
+		ln, err := net.Listen("tcp", o.follow)
 		if err != nil {
 			log.Fatal(err)
 		}
 		receiver, err = replicate.NewReceiver(replicate.ReceiverConfig{
 			Listener:     ln,
 			Applier:      svc,
-			Epoch:        *epochFlag,
-			PromoteAfter: *promoteFlag,
+			Epoch:        o.epoch,
+			PromoteAfter: o.promote,
 			OnPromote: func(epoch int64) {
 				svc.Promote()
 				log.Printf("promoted to primary at epoch %d: step loops started, admissions open", epoch)
@@ -361,7 +400,7 @@ func main() {
 			}
 			return &server.ReplicationStats{Role: role, Follower: &st}
 		})
-		log.Printf("following: replication listener on %s (epoch %d, promote-after %v)", ln.Addr(), *epochFlag, *promoteFlag)
+		log.Printf("following: replication listener on %s (epoch %d, promote-after %v)", ln.Addr(), o.epoch, o.promote)
 	}
 
 	svc.Start()
@@ -371,7 +410,7 @@ func main() {
 	defer cancel()
 
 	log.Printf("listening on %s (K=%d caps=%v sched=%s step=%v queue=%d shards=%d placement=%s)",
-		*addrFlag, *kFlag, caps, *schedFlag, *stepFlag, *queueFlag, *shardFlag, *placeFlag)
+		o.addr, o.k, caps, o.sched, o.step, o.queue, o.shard, o.place)
 
 	select {
 	case err := <-errCh:
@@ -379,8 +418,8 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	log.Printf("shutting down: draining in-flight jobs (up to %v)", *drainFlag)
-	drainCtx, stop := context.WithTimeout(context.Background(), *drainFlag)
+	log.Printf("shutting down: draining in-flight jobs (up to %v)", o.drain)
+	drainCtx, stop := context.WithTimeout(context.Background(), o.drain)
 	defer stop()
 	// Close first so the drain happens while the HTTP surface still
 	// answers status queries; then shut the listener down. The sender

@@ -222,21 +222,25 @@ func run(o options) (*report, error) {
 	jobs := make(chan workItem, o.workers*2)
 	go feed(o, src, keyGen, jobs)
 
-	var hist metrics.LatencyHist
+	hists := make([]metrics.Hist, o.workers) // one per worker, merged below
 	var accepted, shed429, shed503, errCount atomic.Int64
 	client := &http.Client{Timeout: 30 * time.Second}
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < o.workers; w++ {
+	for w := range hists {
 		wg.Add(1)
-		go func() {
+		go func(hist *metrics.Hist) {
 			defer wg.Done()
 			for item := range jobs {
-				submitBatch(o, client, item, &hist, &accepted, &shed429, &shed503, &errCount)
+				submitBatch(o, client, item, hist, &accepted, &shed429, &shed503, &errCount)
 			}
-		}()
+		}(&hists[w])
 	}
 	wg.Wait()
+	var hist metrics.Hist
+	for w := range hists {
+		hist.Merge(&hists[w])
+	}
 	wall := time.Since(start)
 
 	rep.Jobs = accepted.Load() + errCount.Load()
@@ -462,7 +466,7 @@ func feed(o options, src func() ([]wireJob, error), keyGen func() string, jobs c
 // retrying shed submissions with the server's Retry-After hint. The
 // item's placement key, when present, rides the request header so the
 // daemon's hash placement concentrates the skewed stream.
-func submitBatch(o options, client *http.Client, item workItem, hist *metrics.LatencyHist,
+func submitBatch(o options, client *http.Client, item workItem, hist *metrics.Hist,
 	accepted, shed429, shed503, errCount *atomic.Int64) {
 	batch := item.jobs
 	path := "/v1/jobs/batch"

@@ -57,7 +57,6 @@ func main() {
 		ganttFlag  = flag.Bool("gantt", false, "print an ASCII Gantt chart (small runs only)")
 		csvFlag    = flag.String("csv", "", "write the per-step trace as CSV to this file")
 		jsonFlag   = flag.String("json", "", `write the run result + competitive ratios as JSON to this file ("-" = stdout, suppressing the report)`)
-		parFlag    = flag.Bool("parallel", false, "parallelize the execution phase")
 	)
 	flag.Parse()
 
@@ -145,7 +144,7 @@ func main() {
 	}
 	res, err := sim.Run(sim.Config{
 		K: k, Caps: caps, Scheduler: scheduler, Pick: pick, Seed: *seedFlag,
-		Trace: level, ValidateAllotments: true, Parallel: *parFlag,
+		Trace: level, ValidateAllotments: true,
 	}, specs)
 	if err != nil {
 		log.Fatal(err)

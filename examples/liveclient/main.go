@@ -404,9 +404,9 @@ var (
 	maxRetryTime time.Duration
 	// submitLat is the wall-clock latency histogram of accepted
 	// submission requests — the same log-bucketed histogram kradreplay
-	// uses (internal/metrics.LatencyHist), so a trickle demo and a
+	// uses (internal/metrics.Hist), so a trickle demo and a
 	// million-job replay report comparable percentiles.
-	submitLat metrics.LatencyHist
+	submitLat metrics.Hist
 )
 
 // tenantCounts tracks one synthetic tenant's admission outcomes: jobs

@@ -6,6 +6,7 @@ import (
 	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/metrics"
+	"krad/internal/moldable"
 	"krad/internal/sched"
 	"krad/internal/sim"
 	"krad/internal/workload"
@@ -18,9 +19,9 @@ import (
 //   - preemptive: each task of duration d expanded into a chain of d unit
 //     tasks (dag.ExpandDurations) — progress can pause and resume, so the
 //     result is an ordinary K-DAG and Theorem 3 applies verbatim;
-//   - non-preemptive: the same durations executed by dag.TimedInstance,
-//     where a started task pins its processor, under K-RAD wrapped in
-//     sched.WithFloors.
+//   - non-preemptive: the same durations as moldable jobs with Max = 1
+//     (moldable.FromTimedGraph), where a started task pins its processor,
+//     under K-RAD wrapped in sched.WithFloors.
 //
 // Ratios are against the duration-weighted Section 4 lower bound.
 // Measured shape (a reproduction finding worth stating): preemptive ratios
@@ -67,7 +68,11 @@ func RunE16(opts Options) (*Table, error) {
 		nonpre := make([]sim.JobSpec, len(timed))
 		for i, s := range timed {
 			preemptive[i] = sim.JobSpec{Graph: dag.ExpandDurations(s.Graph)}
-			nonpre[i] = sim.JobSpec{Source: sim.TimedGraphSource(s.Graph)}
+			job, err := moldable.FromTimedGraph(s.Graph)
+			if err != nil {
+				return nil, err
+			}
+			nonpre[i] = sim.JobSpec{Source: job}
 		}
 		models := []model{
 			{"preemptive (expanded)", preemptive, func() sched.Scheduler { return core.NewKRAD(k) }},

@@ -108,3 +108,33 @@ func TestRADAllotEmptyShared(t *testing.T) {
 		t.Fatalf("RandomRAD empty Allot horizon = %d; want Unbounded", h)
 	}
 }
+
+// TestRADRoundRobinCycleGrowsStampOnce pins the mark slice's growth: the
+// round-robin steps of the first cycle over 4,096 jobs size it from the
+// call's largest ID in one allocation, not one reallocation per newly
+// marked ID.
+func TestRADRoundRobinCycleGrowsStampOnce(t *testing.T) {
+	const n, p = 4096, 48
+	jobs := make([]sched.CatJob, n)
+	for i := range jobs {
+		jobs[i] = sched.CatJob{ID: i, Desire: 1}
+	}
+	dst := make([]int, n)
+	warm := NewRAD()
+	warm.AllotInto(1, jobs, p, dst) // sizes q/qp, which a fresh RAD pays too
+	var r *RAD
+	avg := testing.AllocsPerRun(5, func() {
+		r = NewRAD()
+		r.q, r.qp = warm.q, warm.qp
+		for s := int64(1); s <= n/p; s++ { // 85 steps mark 4,080 jobs
+			r.AllotInto(s, jobs, p, dst)
+		}
+	})
+	// The RAD itself and its stamp slice.
+	if avg > 2 {
+		t.Fatalf("first round-robin cycle allocates %.0f times; want 2 (was one per marked ID)", avg)
+	}
+	if len(r.stamp) != n || cap(r.stamp) != n {
+		t.Fatalf("stamp len %d cap %d after the cycle, want exactly %d: no spare capacity", len(r.stamp), cap(r.stamp), n)
+	}
+}

@@ -21,8 +21,8 @@ type RAD struct {
 	// dense slice keyed by job ID: stamp[id] == gen means marked. Clearing
 	// every mark is gen++ — O(1) instead of O(marks) — and membership is
 	// one bounds check plus one load instead of a map probe. stamp grows
-	// to the largest job ID marked so far; JobsDone zeroes slots so the
-	// marks themselves cannot leak across job lifetimes.
+	// to the largest job ID a round-robin call has seen; JobsDone zeroes
+	// slots so the marks themselves cannot leak across job lifetimes.
 	gen   uint64
 	stamp []uint64
 	// rot rotates which marked jobs receive the cycle-completing "bonus"
@@ -47,12 +47,18 @@ func (r *RAD) marked(id int) bool {
 	return id >= 0 && id < len(r.stamp) && r.stamp[id] == r.gen
 }
 
-func (r *RAD) mark(id int) {
-	if id >= len(r.stamp) {
-		grown := make([]uint64, id+1)
+// growStamp makes stamp hold every ID below n — exactly, with no spare
+// capacity, so its size never depends on the order IDs were marked in.
+func (r *RAD) growStamp(n int) {
+	if n > len(r.stamp) {
+		grown := make([]uint64, n)
 		copy(grown, r.stamp)
 		r.stamp = grown
 	}
+}
+
+func (r *RAD) mark(id int) {
+	r.growStamp(id + 1)
 	r.stamp[id] = r.gen
 }
 
@@ -116,6 +122,9 @@ func (r *RAD) AllotInto(t int64, jobs []sched.CatJob, p int, dst []int) {
 		// ROUND-ROBIN: first P jobs of Q get one processor each, marked.
 		// Mid-cycle state changes every step, so never leap over it.
 		r.horizon = 0
+		// Jobs arrive in ascending ID: one growth covers the whole cycle,
+		// instead of one reallocation per newly marked ID.
+		r.growStamp(jobs[len(jobs)-1].ID + 1)
 		for _, i := range q[:p] {
 			dst[i] = 1
 			r.mark(jobs[i].ID)

@@ -10,9 +10,11 @@ import "fmt"
 //     it needs no new machinery;
 //   - non-preemptive (a started task holds its processor for its whole
 //     duration): the scheduler loses per-step reallocation freedom. This
-//     file adds optional per-task durations to Graph and a TimedInstance
-//     runtime that exposes in-flight tasks as allotment floors (see
-//     sched.WithFloors); experiment E16 measures the cost.
+//     file adds optional per-task durations to Graph; such a graph runs
+//     as a moldable job whose tasks take at most one processor
+//     (moldable.FromTimedGraph), which exposes in-flight tasks as
+//     allotment floors (see sched.WithFloors); experiment E16 measures
+//     the cost.
 //
 // A Graph without SetDuration calls behaves exactly as before.
 
@@ -46,57 +48,12 @@ func (g *Graph) Duration(id TaskID) int {
 	return int(g.durs[id])
 }
 
-// Timed reports whether any task has a duration above 1.
-func (g *Graph) Timed() bool {
-	for i := range g.durs {
-		if g.durs[i] > 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// TimedWorkVector returns duration-weighted α-work: the processor-steps
-// category α must supply. Equals WorkVector for unit-duration graphs.
-func (g *Graph) TimedWorkVector() []int {
-	w := make([]int, g.k)
-	for id, c := range g.cats {
-		w[c-1] += g.Duration(TaskID(id))
-	}
-	return w
-}
-
-// TimedSpan returns the duration-weighted critical path: the minimum
-// completion time with unlimited processors. Equals Span for unit
-// durations.
-func (g *Graph) TimedSpan() int {
-	order, err := g.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	finish := make([]int, g.NumTasks())
-	best := 0
-	for _, u := range order {
-		start := 0
-		for _, p := range g.pred[u] {
-			if finish[p] > start {
-				start = finish[p]
-			}
-		}
-		finish[u] = start + g.Duration(u)
-		if finish[u] > best {
-			best = finish[u]
-		}
-	}
-	return best
-}
-
 // ExpandDurations converts a duration-annotated graph into its unit-task
 // equivalent under PREEMPTIVE semantics: each task of duration d becomes a
 // chain of d unit tasks (like Stretch, but honoring per-task durations).
 // Scheduling the expansion with ordinary K-RAD models tasks whose progress
-// can be paused and resumed; contrast with NewTimedInstance, which models
-// non-preemptive execution of the same graph.
+// can be paused and resumed; contrast with moldable.FromTimedGraph, which
+// models non-preemptive execution of the same graph.
 func ExpandDurations(g *Graph) *Graph {
 	out := New(g.k).Named(g.name + "-expanded")
 	heads := make([]TaskID, g.NumTasks())
@@ -120,25 +77,4 @@ func ExpandDurations(g *Graph) *Graph {
 		}
 	}
 	return out
-}
-
-// timedHeights returns duration-weighted remaining-chain lengths for the
-// critical-path pick policies.
-func (g *Graph) timedHeights() ([]int32, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	h := make([]int32, g.NumTasks())
-	for i := len(order) - 1; i >= 0; i-- {
-		u := order[i]
-		best := int32(0)
-		for _, v := range g.succ[u] {
-			if h[v] > best {
-				best = h[v]
-			}
-		}
-		h[u] = best + int32(g.Duration(u))
-	}
-	return h, nil
 }

@@ -81,9 +81,9 @@ func drain(eng *sim.Engine) error {
 	return nil
 }
 
-// mixedFamilySpecs draws a random four-family population: moldable jobs
-// plus profile, DAG and (one seed in three) timed-DAG jobs, all with
-// staggered releases.
+// mixedFamilySpecs draws a random three-family population: moldable jobs
+// plus profile, DAG and (one seed in three) duration-graph jobs — moldable
+// jobs with Max = 1 — all with staggered releases.
 func mixedFamilySpecs(rng *rand.Rand, k, jobs int) []sim.JobSpec {
 	specs := moldable.Generate(moldable.GenOpts{
 		K: k, Jobs: 1 + jobs/2, MinTasks: 2, MaxTasks: 10,
@@ -108,7 +108,11 @@ func mixedFamilySpecs(rng *rand.Rand, k, jobs int) []sim.JobSpec {
 				for v := 0; v < g.NumTasks(); v += 2 {
 					g.SetDuration(dag.TaskID(v), 1+rng.Intn(3))
 				}
-				specs = append(specs, sim.JobSpec{Source: sim.TimedGraphSource(g), Release: release})
+				job, err := moldable.FromTimedGraph(g)
+				if err != nil {
+					panic(err)
+				}
+				specs = append(specs, sim.JobSpec{Source: job, Release: release})
 				continue
 			}
 			specs = append(specs, sim.JobSpec{Graph: g, Release: release})
@@ -176,8 +180,9 @@ func TestQuickMoldableStepNEquivalence(t *testing.T) {
 	}
 }
 
-// TestQuickMixedFamilyEquivalence runs all four families — profile, DAG,
-// timed DAG and moldable — through one engine step loop and checks leap-on
+// TestQuickMixedFamilyEquivalence runs all three families — profile, DAG
+// and moldable, duration graphs included — through one engine step loop and
+// checks leap-on
 // against leap-off (NoLeap) bit-identically, plus chunk invariance on the
 // leap-on side (random StepN budgets vs one big drain). The seeds also vary
 // what moves slots in the engine's table: admission out of release order
@@ -302,29 +307,44 @@ func TestMoldableHoldLeapActuallyFires(t *testing.T) {
 	}
 }
 
-// TestTimedFloorsStillBlockLeaps pins the reason split: floor-bearing jobs
-// without the hold capability (the timed family) must keep refusing under
-// Floors, not under the new Hold reason.
-func TestTimedFloorsStillBlockLeaps(t *testing.T) {
+// TestTimedGraphLeapsUnderHoldLaw: a duration graph is a moldable job, so
+// its in-flight 400-step tasks are held phases the engine leaps across —
+// any refusal it causes counts under Hold, never Floors — and the run ends
+// at the same clock and completions as single-stepping.
+func TestTimedGraphLeapsUnderHoldLaw(t *testing.T) {
 	g := dag.New(1)
 	u, v := g.AddTask(1), g.AddTask(1)
 	g.MustEdge(u, v)
 	g.SetDuration(u, 400)
 	g.SetDuration(v, 400)
+	job, err := moldable.FromTimedGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	specs := []sim.JobSpec{
-		{Source: sim.TimedGraphSource(g)},
+		{Source: job},
 		{Source: profile.MustNew(1, "p", []profile.Phase{{Tasks: []int{3000}}})},
 	}
-	eng := admitAll(t, moldCfg(1, []int{8}, dag.PickFIFO, 1, false), specs)
+	cfg := moldCfg(1, []int{8}, dag.PickFIFO, 1, false)
+	eng, single := admitAll(t, cfg, specs), admitAll(t, cfg, specs)
 	if err := drain(eng); err != nil {
 		t.Fatal(err)
 	}
-	b := eng.Snapshot().LeapBlocked
-	if b.Floors == 0 {
-		t.Errorf("timed job produced no Floors refusals: %+v", b)
+	for single.Remaining() > 0 {
+		if _, err := single.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if b.Hold != 0 {
-		t.Errorf("timed job counted under Hold, want Floors: %+v", b)
+	snap := eng.Snapshot()
+	if snap.LeapSteps == 0 {
+		t.Errorf("no event-leaps across 800 held steps: %+v", snap.LeapBlocked)
+	}
+	if snap.LeapBlocked.Floors != 0 {
+		t.Errorf("duration graph refused under Floors, want the hold law: %+v", snap.LeapBlocked)
+	}
+	if snap.Now != single.Snapshot().Now || !reflect.DeepEqual(eng.Result().Jobs, single.Result().Jobs) {
+		t.Errorf("leaping run ends at %d with %+v, single-stepping at %d with %+v",
+			snap.Now, eng.Result().Jobs, single.Snapshot().Now, single.Result().Jobs)
 	}
 }
 

@@ -133,6 +133,25 @@ func FromSpec(s Spec) (*Job, error) {
 	return j, nil
 }
 
+// FromTimedGraph expresses a duration-annotated K-DAG as a moldable job:
+// a task that holds one processor for d steps is the model's Max = 1
+// point (serial work d on the linear curve), so non-preemptive execution
+// of g — desire = pinned + ready, the floor, pick order, ID-ordered
+// release, held-phase leaping — is Instance's. The job is named
+// g.Name()+"-timed"; work and span are duration-weighted.
+func FromTimedGraph(g *dag.Graph) (*Job, error) {
+	s := Spec{K: g.K(), Name: g.Name() + "-timed", Tasks: make([]TaskSpec, g.NumTasks())}
+	linear := CurveSpec{Type: CurvePowerLaw, Alpha: 1}
+	for v := range s.Tasks {
+		id := dag.TaskID(v)
+		s.Tasks[v] = TaskSpec{Cat: int(g.Category(id)), Work: g.Duration(id), Max: 1, Curve: linear}
+		for _, w := range g.Successors(id) {
+			s.Edges = append(s.Edges, [2]int{v, int(w)})
+		}
+	}
+	return FromSpec(s)
+}
+
 // computeHeights runs one Kahn pass to reject cycles and assigns each
 // task its optimistic critical-path height (optDur-weighted longest path
 // from the task, inclusive, to a sink). The job's Span is the maximum

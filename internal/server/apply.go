@@ -6,6 +6,7 @@ import (
 
 	"krad/internal/fairshare"
 	"krad/internal/journal"
+	"krad/internal/metrics"
 	"krad/internal/sim"
 )
 
@@ -256,12 +257,10 @@ func (sh *shard) Stepped(info sim.StepInfo) {
 	}
 }
 
-// observeResponseLocked accounts one completed job's response time in both
-// the Stats summary and the /metrics histogram.
+// observeResponseLocked accounts one completed job's response time, for
+// the Stats summary and the /metrics histogram alike.
 func (sh *shard) observeResponseLocked(steps int64) {
-	r := float64(steps)
-	sh.resp.Observe(r)
-	sh.respHist.observe(r)
+	sh.resp.Observe(float64(steps))
 }
 
 // retireLocked releases a terminal job's engine state once the index holds
@@ -349,8 +348,7 @@ func (sh *shard) restoreLocked(rec *journal.Record) error {
 	sh.submitted = int64(snap.Admitted) - sh.stolenIn
 	sh.completed = int64(snap.Completed)
 	sh.cancelled = int64(snap.Cancelled)
-	sh.resp.Reset()
-	sh.respHist = newHistogram(responseBuckets())
+	sh.resp = metrics.Hist{}
 	for id := 0; id < snap.Admitted; id++ {
 		st, ok := eng.JobRef(id)
 		if !ok {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"krad/internal/dag"
+	"krad/internal/metrics"
 )
 
 // postJobRelease submits a job with an explicit absolute release time.
@@ -61,7 +62,7 @@ func mustStep(t *testing.T, svc *Service) int {
 	if !progressed {
 		t.Fatal("engine idle, expected work")
 	}
-	v := svc.shards[0].view()
+	v := svc.shards[0].view(new(metrics.Hist))
 	total := 0
 	for _, w := range v.snap.ExecutedTotal {
 		total += int(w)
@@ -86,7 +87,7 @@ func TestCancelActiveFreesProcessorsNextStep(t *testing.T) {
 
 	// Admit B at the current clock: it releases on the next step but the
 	// single processor is held by A.
-	now := svc.shards[0].view().snap.Now
+	now := svc.shards[0].view(new(metrics.Hist)).snap.Now
 	idB := postJobRelease(t, ts.URL, dag.UniformChain(1, 3, 1), now)
 
 	// Cancel A while it is active.
@@ -95,7 +96,7 @@ func TestCancelActiveFreesProcessorsNextStep(t *testing.T) {
 		t.Fatalf("cancel active: status %d state %q", code, st.State)
 	}
 
-	before := svc.shards[0].view().snap.ExecutedTotal[0]
+	before := svc.shards[0].view(new(metrics.Hist)).snap.ExecutedTotal[0]
 	if got := mustStep(t, svc); got != int(before)+1 {
 		t.Fatalf("step after cancel executed %d total tasks, want %d — freed processor not reused on the very next step", got, before+1)
 	}

@@ -238,20 +238,13 @@ func specsCost(specs []sim.JobSpec) float64 {
 	return c
 }
 
-// graphCost is one job's cost: its total work in task-steps (the timed
-// work sum for duration-weighted graphs), so a tenant submitting heavy
-// DAGs accrues usage proportionally faster than one submitting small
-// ones. Graph-free jobs (non-journalable test shapes) cost 1.
+// graphCost is one job's cost: its total work in task-steps, so a tenant
+// submitting heavy DAGs accrues usage proportionally faster than one
+// submitting small ones. Graph-free jobs (non-journalable test shapes)
+// cost 1.
 func graphCost(g *dag.Graph) float64 {
 	if g == nil {
 		return 1
-	}
-	if g.Timed() {
-		w := 0
-		for _, v := range g.TimedWorkVector() {
-			w += v
-		}
-		return float64(w)
 	}
 	return float64(g.TotalWork())
 }

@@ -3,56 +3,11 @@ package server
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
+	"krad/internal/metrics"
 	"krad/internal/sim"
 )
-
-// histogram is a fixed-bucket cumulative histogram matching the Prometheus
-// exposition model: counts[i] is the number of observations ≤ bounds[i],
-// rendered with cumulative le labels plus a +Inf bucket.
-type histogram struct {
-	bounds []float64
-	counts []uint64 // per-bucket (non-cumulative); len(bounds)+1, last is +Inf
-	count  uint64
-	sum    float64
-}
-
-func newHistogram(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.count++
-	h.sum += v
-}
-
-// merge folds o's observations into h. Both histograms must share the
-// same bucket bounds (every shard uses responseBuckets, so cross-shard
-// merges are exact, not approximate).
-func (h *histogram) merge(o *histogram) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.count += o.count
-	h.sum += o.sum
-}
-
-// responseBuckets covers response times from one virtual step into the
-// tens of thousands, doubling per bucket.
-func responseBuckets() []float64 {
-	b := make([]float64, 0, 16)
-	for v := 1.0; v <= 32768; v *= 2 {
-		b = append(b, v)
-	}
-	return b
-}
 
 // WriteMetrics renders the service's state in the Prometheus text
 // exposition format (version 0.0.4). Fleet-wide families keep the
@@ -62,8 +17,9 @@ func responseBuckets() []float64 {
 // expose each engine individually.
 func (s *Service) WriteMetrics(w io.Writer) error {
 	views := make([]shardView, len(s.shards))
+	var resp metrics.Hist
 	for i, sh := range s.shards {
-		views[i] = sh.view()
+		views[i] = sh.view(&resp)
 	}
 	subscribers, dropped := s.fan.stats()
 
@@ -72,7 +28,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	var leapBlocked sim.LeapBlocked
 	active, pending := 0, 0
 	execTotal := make([]int64, s.cfg.Sim.K)
-	hist := newHistogram(responseBuckets())
 	for _, v := range views {
 		steps += v.steps
 		leapSteps += v.snap.LeapSteps
@@ -90,7 +45,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		for a, w := range v.snap.ExecutedTotal {
 			execTotal[a] += w
 		}
-		hist.merge(&v.hist)
 	}
 
 	var b strings.Builder
@@ -263,40 +217,21 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(&b, "# HELP krad_response_steps Job response times in virtual steps (all shards).\n# TYPE krad_response_steps histogram\n")
-	var cum uint64
-	for i, bound := range hist.bounds {
-		cum += hist.counts[i]
-		fmt.Fprintf(&b, "krad_response_steps_bucket{le=\"%g\"} %d\n", bound, cum)
-	}
-	cum += hist.counts[len(hist.bounds)]
-	fmt.Fprintf(&b, "krad_response_steps_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(&b, "krad_response_steps_sum %g\n", hist.sum)
-	fmt.Fprintf(&b, "krad_response_steps_count %d\n", hist.count)
+	writeResponseHist(&b, &resp)
 
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// quantile is unused by the exposition format but handy for tests: the
-// upper bound of the bucket containing the q-quantile observation.
-func (h *histogram) quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
+// writeResponseHist renders the response-time histogram: cumulative le
+// buckets from one virtual step into the tens of thousands, doubling per
+// bucket — every bound is an edge of h, so each line is an exact count.
+func writeResponseHist(b *strings.Builder, h *metrics.Hist) {
+	fmt.Fprintf(b, "# HELP krad_response_steps Job response times in virtual steps (all shards).\n# TYPE krad_response_steps histogram\n")
+	for le := 1.0; le <= 32768; le *= 2 {
+		fmt.Fprintf(b, "krad_response_steps_bucket{le=\"%g\"} %d\n", le, h.CountLE(le))
 	}
-	target := uint64(math.Ceil(q * float64(h.count)))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
+	fmt.Fprintf(b, "krad_response_steps_bucket{le=\"+Inf\"} %d\n", h.Count())
+	fmt.Fprintf(b, "krad_response_steps_sum %g\n", h.Sum())
+	fmt.Fprintf(b, "krad_response_steps_count %d\n", h.Count())
 }

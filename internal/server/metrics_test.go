@@ -1,79 +1,47 @@
 package server
 
 import (
-	"math"
+	"strings"
 	"testing"
+
+	"krad/internal/metrics"
 )
 
-// TestHistogramQuantile is the table-driven contract for the test-support
-// quantile: empty, single-bucket, boundary, and overflow(+Inf)-bucket
-// behavior.
-func TestHistogramQuantile(t *testing.T) {
-	cases := []struct {
-		name    string
-		bounds  []float64
-		observe []float64
-		q       float64
-		want    float64
-	}{
-		{"empty histogram", []float64{1, 2, 4}, nil, 0.5, 0},
-		{"empty histogram q=1", []float64{1, 2, 4}, nil, 1, 0},
-		{"single bucket", []float64{10}, []float64{3, 4, 5}, 0.5, 10},
-		{"single bucket q=0", []float64{10}, []float64{3}, 0, 10},
-		{"all in first bucket", []float64{1, 2, 4}, []float64{0.5, 1, 1}, 0.99, 1},
-		{"median on boundary", []float64{1, 2, 4}, []float64{1, 2, 2, 4}, 0.5, 2},
-		{"upper quantile", []float64{1, 2, 4}, []float64{1, 1, 1, 3}, 0.9, 4},
-		{"overflow bucket", []float64{1, 2, 4}, []float64{100}, 0.5, math.Inf(1)},
-		{"overflow tail only at q=1", []float64{1, 2, 4}, []float64{1, 1, 1, 99}, 0.75, 1},
-		{"q=1 reaches overflow", []float64{1, 2, 4}, []float64{1, 1, 1, 99}, 1, math.Inf(1)},
-		{"no bounds at all", nil, []float64{7}, 0.5, math.Inf(1)},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			h := newHistogram(c.bounds)
-			for _, v := range c.observe {
-				h.observe(v)
-			}
-			got := h.quantile(c.q)
-			if got != c.want && !(math.IsInf(got, 1) && math.IsInf(c.want, 1)) {
-				t.Errorf("quantile(%g) = %g, want %g", c.q, got, c.want)
-			}
-		})
-	}
-}
-
-// TestHistogramMergeMatchesOracle checks the cross-shard merge against a
-// single histogram observing every sample directly: identical buckets,
-// count and sum — the merge is exact, not approximate.
+// TestHistogramMergeMatchesOracle checks the cross-shard merge behind
+// /metrics against a single histogram observing every sample directly:
+// identical le lines, count and sum — the merge is exact, not approximate.
 func TestHistogramMergeMatchesOracle(t *testing.T) {
 	shardSamples := [][]float64{
 		{1, 2, 3, 1000},
-		{0.5, 8, 8, 8, 40000}, // includes an overflow observation
+		{0.5, 8, 8, 8, 40000}, // includes an observation past the last bound
 		{},                    // an idle shard contributes nothing
 		{7, 7, 7},
 	}
-	oracle := newHistogram(responseBuckets())
-	merged := newHistogram(responseBuckets())
+	var oracle, merged metrics.Hist
 	for _, samples := range shardSamples {
-		sh := newHistogram(responseBuckets())
+		var sh metrics.Hist
 		for _, v := range samples {
-			sh.observe(v)
-			oracle.observe(v)
+			sh.Observe(v)
+			oracle.Observe(v)
 		}
-		merged.merge(sh)
+		merged.Merge(&sh)
 	}
-	if merged.count != oracle.count || merged.sum != oracle.sum {
-		t.Errorf("merged count=%d sum=%g, oracle count=%d sum=%g",
-			merged.count, merged.sum, oracle.count, oracle.sum)
+	var got, want strings.Builder
+	writeResponseHist(&got, &merged)
+	writeResponseHist(&want, &oracle)
+	if got.String() != want.String() {
+		t.Errorf("merged exposition\n%s\noracle\n%s", got.String(), want.String())
 	}
-	for i := range oracle.counts {
-		if merged.counts[i] != oracle.counts[i] {
-			t.Errorf("bucket %d: merged %d, oracle %d", i, merged.counts[i], oracle.counts[i])
-		}
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 1} {
-		if m, o := merged.quantile(q), oracle.quantile(q); m != o && !(math.IsInf(m, 1) && math.IsInf(o, 1)) {
-			t.Errorf("quantile(%g): merged %g, oracle %g", q, m, o)
+	for _, line := range []string{
+		`krad_response_steps_bucket{le="1"} 2`,
+		`krad_response_steps_bucket{le="8"} 10`,
+		`krad_response_steps_bucket{le="32768"} 11`,
+		`krad_response_steps_bucket{le="+Inf"} 12`,
+		"krad_response_steps_sum 41051.5",
+		"krad_response_steps_count 12",
+	} {
+		if !strings.Contains(got.String(), line+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", line, got.String())
 		}
 	}
 }

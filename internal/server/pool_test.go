@@ -227,9 +227,9 @@ func TestPoolResponseMergeMatchesOracle(t *testing.T) {
 	}
 	want := metrics.Summarize(oracle)
 	got := svc.Stats().Response
-	// Responses are small integers, so the moments the fixed-size sample
+	// Responses are small integers, so the moments the fixed-size
 	// histogram tracks exactly (N, Min, Max, Mean, StdDev — see
-	// metrics.SampleHist) must match the oracle bit for bit; the quantiles
+	// metrics.Hist) must match the oracle bit for bit; the quantiles
 	// are bucketed estimates with a documented ~19% log-bucket error, so
 	// they only need to land within that bound of the true order statistic.
 	if got.N != want.N || got.Min != want.Min || got.Max != want.Max || got.Mean != want.Mean {

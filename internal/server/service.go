@@ -614,10 +614,10 @@ func (s *Service) Stats() Stats {
 	}
 	execTotal := make([]int64, s.cfg.Sim.K)
 	var elapsed int64
-	var resp metrics.SampleHist
+	var resp metrics.Hist
 	var steal StealStats
 	for _, sh := range s.shards {
-		v := sh.view()
+		v := sh.view(&resp)
 		if st.Caps == nil {
 			st.Caps = v.snap.Caps
 		}
@@ -636,7 +636,6 @@ func (s *Service) Stats() Stats {
 		for a, w := range v.snap.ExecutedTotal {
 			execTotal[a] += w
 		}
-		resp.Merge(v.resp)
 		steal.Stolen += int64(v.snap.Stolen)
 		steal.StolenIn += v.stolenIn
 		steal.EstWork += v.estWork

@@ -3,13 +3,14 @@ package server
 import (
 	"context"
 	"errors"
-	"math"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"krad/internal/core"
 	"krad/internal/dag"
+	"krad/internal/metrics"
 	"krad/internal/sched"
 	"krad/internal/sim"
 )
@@ -226,22 +227,21 @@ func (idleScheduler) Allot(t int64, jobs []sched.JobView, caps []int) [][]int {
 	return out
 }
 
+// TestHistogram pins the /metrics fold of the response histogram: le bounds
+// are upper-inclusive powers of two, cumulative, and +Inf is the count.
 func TestHistogram(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4})
+	var h metrics.Hist
 	for _, v := range []float64{0.5, 1, 3, 100} {
-		h.observe(v)
+		h.Observe(v)
 	}
-	if h.count != 4 || h.sum != 104.5 {
-		t.Errorf("count=%d sum=%g", h.count, h.sum)
+	var b strings.Builder
+	writeResponseHist(&b, &h)
+	want := "# HELP krad_response_steps Job response times in virtual steps (all shards).\n# TYPE krad_response_steps histogram\n"
+	for le, cum := range []int{2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4} {
+		want += fmt.Sprintf("krad_response_steps_bucket{le=\"%d\"} %d\n", 1<<le, cum)
 	}
-	if got := h.quantile(0.5); got != 1 {
-		t.Errorf("p50 bucket %g, want 1", got)
-	}
-	if got := h.quantile(1); !math.IsInf(got, 1) {
-		t.Errorf("p100 bucket %g, want +Inf", got)
-	}
-	empty := newHistogram(responseBuckets())
-	if empty.quantile(0.9) != 0 {
-		t.Error("empty histogram quantile not 0")
+	want += "krad_response_steps_bucket{le=\"+Inf\"} 4\nkrad_response_steps_sum 104.5\nkrad_response_steps_count 4\n"
+	if b.String() != want {
+		t.Errorf("exposition\n%s\nwant\n%s", b.String(), want)
 	}
 }

@@ -49,12 +49,9 @@ type shard struct {
 	cancelled int64
 	rejected  int64
 	// resp accumulates one response time per completed job in fixed space:
-	// exact N/Min/Max/Mean, bucketed quantiles (metrics.SampleHist). It
-	// replaces an unbounded []float64 that grew for the life of the
-	// process. respHist is the separate power-of-two histogram /metrics
-	// exposes.
-	resp     metrics.SampleHist
-	respHist *histogram
+	// exact N/Min/Max/Mean/StdDev and bucketed quantiles for Stats, and the
+	// counts /metrics folds into its power-of-two le series.
+	resp metrics.Hist
 
 	// Work stealing (see steal.go). ledger is the service-wide steal
 	// reconciliation ledger, shared by every shard; non-nil marks the shard
@@ -141,8 +138,6 @@ type shardView struct {
 	stolenIn  int64
 	estWork   int64
 	stepErr   error
-	resp      *metrics.SampleHist
-	hist      histogram // counts copied; safe to merge
 }
 
 func newShard(idx int, simCfg sim.Config, mkSched func() sched.Scheduler, maxInFlight int, stepEvery time.Duration, stepBatch int64, fan *fanout) (*shard, error) {
@@ -172,7 +167,6 @@ func newShard(idx int, simCfg sim.Config, mkSched func() sched.Scheduler, maxInF
 		tab:         newIDTable(simCfg.K),
 		eng:         eng,
 		newEngine:   newEngine,
-		respHist:    newHistogram(responseBuckets()),
 		wake:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -340,11 +334,14 @@ func (sh *shard) inFlight() int {
 	return sh.eng.Remaining()
 }
 
-// view snapshots the shard's counters for aggregation.
-func (sh *shard) view() shardView {
+// view snapshots the shard's counters for aggregation and, under the same
+// lock, folds its response histogram into resp — callers visit shards in
+// index order, which fixes the summation order of the merged moments.
+func (sh *shard) view(resp *metrics.Hist) shardView {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	v := shardView{
+	resp.Merge(&sh.resp)
+	return shardView{
 		idx:       sh.idx,
 		snap:      sh.eng.Snapshot(),
 		steps:     sh.steps,
@@ -355,11 +352,7 @@ func (sh *shard) view() shardView {
 		stolenIn:  sh.stolenIn,
 		estWork:   sh.eng.EstWork(),
 		stepErr:   sh.stepErr,
-		resp:      sh.resp.Clone(),
-		hist:      *sh.respHist,
 	}
-	v.hist.counts = append([]uint64(nil), sh.respHist.counts...)
-	return v
 }
 
 // close stops admission and drains in-flight jobs (the loop keeps

@@ -5,6 +5,7 @@ import (
 
 	"krad/internal/dag"
 	"krad/internal/journal"
+	"krad/internal/metrics"
 	"krad/internal/sim"
 )
 
@@ -142,7 +143,7 @@ func TestRestartReplaysLeapedDAGSteps(t *testing.T) {
 	for _, n := range []int64{5, 9, 3, 17} {
 		stepShardN(t, svc, 0, n)
 	}
-	if got := svc.shards[0].view().snap.LeapSteps; got == 0 {
+	if got := svc.shards[0].view(new(metrics.Hist)).snap.LeapSteps; got == 0 {
 		t.Fatal("dense-layered DAG batches executed without any event-leaps")
 	}
 

@@ -77,13 +77,6 @@ type Config struct {
 	// retained. Used for instrumentation such as reallocation-churn
 	// accounting (metrics.ChurnObserver).
 	Observer func(t int64, jobs []sched.JobView, allot [][]int)
-	// Parallel executes the per-job task-execution phase on multiple
-	// goroutines. Only the execution phase is parallelized — scheduling
-	// decisions stay sequential and results are identical to serial runs.
-	Parallel bool
-	// Workers bounds the goroutines used when Parallel is set; 0 means
-	// a small fixed fan-out.
-	Workers int
 	// NoLeap disables the event-leap fast path: StepN executes every step
 	// through its own scheduling round. Results are bit-identical either
 	// way (the equivalence tests assert it); the knob exists for those

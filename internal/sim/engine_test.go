@@ -181,41 +181,6 @@ func TestValidateAllotmentsCatchesBrokenScheduler(t *testing.T) {
 	}
 }
 
-// floorStarver is a broken scheduler that serves job 0 at step 1 only and
-// every other job always — so once job 0's multi-step task is in flight,
-// the job that pins a processor is handed a row of zeros.
-type floorStarver struct{}
-
-func (floorStarver) Name() string { return "floor-starver" }
-func (floorStarver) Allot(t int64, jobs []sched.JobView, caps []int) [][]int {
-	out := make([][]int, len(jobs))
-	for i, j := range jobs {
-		out[i] = make([]int, len(caps))
-		if j.ID != 0 || t == 1 {
-			out[i][0] = 1
-		}
-	}
-	return out
-}
-
-// TestValidateAllotmentsNamesStarvedFloor: the engine executes, and hands
-// the validator, only the rows a round wrote — but a job that pins
-// processors and was passed over must still be named.
-func TestValidateAllotmentsNamesStarvedFloor(t *testing.T) {
-	g := dag.Singleton(1, 1)
-	g.SetDuration(0, 3)
-	specs := []JobSpec{
-		{Source: TimedGraphSource(g)},
-		{Graph: dag.UniformChain(1, 5, 1)},
-		{Graph: dag.UniformChain(1, 5, 1)},
-	}
-	cfg := Config{K: 1, Caps: []int{3}, Scheduler: floorStarver{}, ValidateAllotments: true}
-	_, err := Run(cfg, specs)
-	if err == nil || !strings.Contains(err.Error(), "job 0 category 1 allotment 0 below non-preemptive floor 1") {
-		t.Errorf("starved floor not caught: %v", err)
-	}
-}
-
 // idler is a broken scheduler that never allots anything.
 type idler struct{}
 
@@ -250,51 +215,6 @@ func TestClairvoyantOracleInjection(t *testing.T) {
 	// The singleton (shortest) must finish at step 1.
 	if res.Jobs[1].Completion != 1 {
 		t.Errorf("short job completed at %d, want 1", res.Jobs[1].Completion)
-	}
-}
-
-func TestParallelExecutionMatchesSerial(t *testing.T) {
-	mkSpecs := func() []JobSpec {
-		var specs []JobSpec
-		for i := 0; i < 40; i++ {
-			specs = append(specs, JobSpec{Graph: dag.ForkJoin(2, 6, 1, 2, 1), Release: int64(i / 4)})
-		}
-		return specs
-	}
-	base := Config{
-		K: 2, Caps: []int{3, 3}, Scheduler: core.NewKRAD(2),
-		Pick: dag.PickFIFO, Trace: TraceSteps, ValidateAllotments: true,
-	}
-	serial := mustRun(t, base, mkSpecs())
-
-	par := base
-	par.Scheduler = core.NewKRAD(2)
-	par.Parallel = true
-	par.Workers = 4
-	parallel := mustRun(t, par, mkSpecs())
-
-	if serial.Makespan != parallel.Makespan {
-		t.Errorf("makespan differs: serial %d parallel %d", serial.Makespan, parallel.Makespan)
-	}
-	if serial.TotalResponse() != parallel.TotalResponse() {
-		t.Errorf("total response differs: %d vs %d", serial.TotalResponse(), parallel.TotalResponse())
-	}
-	for i := range serial.Jobs {
-		if serial.Jobs[i].Completion != parallel.Jobs[i].Completion {
-			t.Fatalf("job %d completion differs: %d vs %d", i, serial.Jobs[i].Completion, parallel.Jobs[i].Completion)
-		}
-	}
-	// Per-step aggregate execution counts must also match.
-	if len(serial.Trace.Steps) != len(parallel.Trace.Steps) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(serial.Trace.Steps), len(parallel.Trace.Steps))
-	}
-	for i := range serial.Trace.Steps {
-		a, b := serial.Trace.Steps[i], parallel.Trace.Steps[i]
-		for c := range a.Executed {
-			if a.Executed[c] != b.Executed[c] {
-				t.Fatalf("step %d cat %d executed differs: %d vs %d", a.Step, c+1, a.Executed[c], b.Executed[c])
-			}
-		}
 	}
 }
 

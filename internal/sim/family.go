@@ -13,12 +13,10 @@ package sim
 //     tasks, drain law, always leapable mid-phase.
 //   - FamilyDAG: unit-task K-DAG jobs (internal/dag.Instance). Drain law;
 //     leapable inside promotion-free frontier windows (StableRuntime).
-//   - FamilyTimed: duration-annotated DAG jobs (dag.TimedInstance).
-//     Non-preemptive floors (hold law while tasks are in flight), never
-//     leapable.
 //   - FamilyMoldable: moldable tasks under precedence with concave
 //     speedup (internal/moldable). Non-preemptive floors; leapable across
-//     held phases (HoldRuntime).
+//     held phases (HoldRuntime). A duration-annotated DAG is this family
+//     with every task's processor maximum at 1 (moldable.FromTimedGraph).
 type RuntimeFamily int
 
 const (
@@ -29,8 +27,6 @@ const (
 	FamilyProfile
 	// FamilyDAG is the unit-task K-DAG representation.
 	FamilyDAG
-	// FamilyTimed is the duration-annotated non-preemptive DAG.
-	FamilyTimed
 	// FamilyMoldable is the moldable-task family: each task picks a
 	// processor count once at start under a concave speedup curve.
 	FamilyMoldable
@@ -44,8 +40,6 @@ func (f RuntimeFamily) String() string {
 		return "profile"
 	case FamilyDAG:
 		return "dag"
-	case FamilyTimed:
-		return "timed"
 	case FamilyMoldable:
 		return "moldable"
 	default:
@@ -69,7 +63,7 @@ func FamilyOf(src JobSource) RuntimeFamily {
 }
 
 // HoldRuntime is the event-leap capability of floor-pinning runtimes
-// (moldable tasks, and any future non-preemptive family): the complement
+// (moldable tasks, duration graphs among them): the complement
 // of LeapRuntime's drain law. A drain-law runtime leaps because its
 // desires decrease by exactly the allotment each step; a hold-law runtime
 // leaps because, in a held phase — every frontier task in flight, nothing

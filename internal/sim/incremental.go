@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"krad/internal/dag"
 	"krad/internal/sched"
@@ -143,7 +142,7 @@ type LeapBlocked struct {
 	Speed       int64 // Config.Speed > 1: micro-rounds need per-step boundaries
 	Observer    int64 // Config.Observer must see every scheduling round
 	Trace       int64 // TraceTasks needs per-step task identities
-	Floors      int64 // a hold-incapable runtime (timed) pinned floor processors this round
+	Floors      int64 // a FloorRuntime without HoldRuntime pinned processors this round
 	Hold        int64 // a hold-capable runtime was not held, or its held window ends too soon
 	Runtime     int64 // an active job's runtime lacks LeapRuntime
 	Scheduler   int64 // scheduler lacks sched.Stable or reported horizon 0
@@ -290,10 +289,6 @@ type Engine struct {
 	callExec []int
 	callDone []int
 	callRel  []int
-
-	// executeParallel scratch.
-	parCounts [][]int
-	parFlat   []int
 }
 
 // NewEngine validates the job-independent configuration and returns an
@@ -352,9 +347,9 @@ func (e *Engine) PendingWork() int64 { return e.pendingWork }
 
 // EstWork estimates the unexecuted tasks across pending and active jobs:
 // admitted work minus drained steps, maintained incrementally so the hot
-// path never scans the job table. Exact for unit-task families; for timed
-// and moldable runtimes it is an estimate (duration-weighted task counts)
-// that self-corrects to zero whenever the engine drains idle.
+// path never scans the job table. Exact for unit-task families; for
+// moldable runtimes it is an estimate (duration-weighted task counts) that
+// self-corrects to zero whenever the engine drains idle.
 func (e *Engine) EstWork() int64 {
 	if e.remaining == 0 {
 		return 0
@@ -796,7 +791,7 @@ func (e *Engine) stepN(budget int64) (StepInfo, error) {
 	e.leapSteps += leaps
 	if e.remaining == 0 {
 		// Drained: snap the work estimate back to truth so estimation error
-		// from timed/moldable runtimes cannot accumulate across bursts.
+		// from moldable runtimes cannot accumulate across bursts.
 		e.estWork = 0
 		e.pendingWork = 0
 	}
@@ -905,11 +900,7 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 		rounds = 1
 	}
 	for round := 0; round < rounds; round++ {
-		if e.cfg.Parallel && e.trace.level < TraceTasks {
-			e.executeParallel(t, touched, allot)
-		} else {
-			e.executeSerial(t, touched, allot)
-		}
+		e.execute(t, touched, allot)
 		for _, i := range touched {
 			e.active[i].rt.Advance()
 		}
@@ -1208,9 +1199,8 @@ func removeJob(list []*jobState, js *jobState) []*jobState {
 	return list
 }
 
-// executeSerial runs the touched slots' allotments in slot (ascending ID)
-// order.
-func (e *Engine) executeSerial(t int64, touched []int32, allot [][]int) {
+// execute runs the touched slots' allotments in slot (ascending ID) order.
+func (e *Engine) execute(t int64, touched []int32, allot [][]int) {
 	taskLevel := e.trace.level >= TraceTasks
 	for _, i := range touched {
 		j := e.active[i]
@@ -1227,60 +1217,6 @@ func (e *Engine) executeSerial(t int64, touched []int32, allot [][]int) {
 				e.trace.add(t, a+1, ran)
 				e.stepExec[a] += ran
 			}
-		}
-	}
-}
-
-// executeParallel runs the execution phase over a fixed worker pool. Job
-// instances are independent, so this is race-free; per-step aggregate trace
-// counts are merged per worker. Results are bit-identical to serial runs.
-func (e *Engine) executeParallel(t int64, touched []int32, allot [][]int) {
-	workers := e.cfg.Workers
-	if workers <= 0 {
-		workers = 8
-	}
-	if workers > len(touched) {
-		workers = len(touched)
-	}
-	if workers <= 1 {
-		e.executeSerial(t, touched, allot)
-		return
-	}
-	// Reused scratch: one flat counts array sliced per worker.
-	if cap(e.parCounts) < workers {
-		e.parCounts = make([][]int, workers)
-	}
-	if cap(e.parFlat) < workers*e.cfg.K {
-		e.parFlat = make([]int, workers*e.cfg.K)
-	}
-	counts := e.parCounts[:workers]
-	flat := e.parFlat[:workers*e.cfg.K]
-	for i := range flat {
-		flat[i] = 0
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		counts[w] = flat[w*e.cfg.K : (w+1)*e.cfg.K : (w+1)*e.cfg.K]
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := counts[w]
-			for x := w; x < len(touched); x += workers {
-				i := touched[x]
-				j := e.active[i]
-				for a, n := range allot[i][:e.cfg.K] {
-					if n > 0 {
-						local[a] += j.rt.Execute(dag.Category(a+1), n)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, local := range counts {
-		e.trace.recordCounts(t, local)
-		for a, c := range local {
-			e.stepExec[a] += c
 		}
 	}
 }

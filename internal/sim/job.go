@@ -5,9 +5,10 @@ import (
 )
 
 // JobSource describes a job's static shape and mints runtime instances for
-// a run. Two implementations ship with the library: K-DAG jobs (JobSpec's
-// Graph field, wrapping internal/dag) and compact parallelism-profile jobs
-// (internal/profile) for very large simulations.
+// a run. Three implementations ship with the library: K-DAG jobs (JobSpec's
+// Graph field, wrapping internal/dag), compact parallelism-profile jobs
+// (internal/profile) for very large simulations, and moldable jobs
+// (internal/moldable), which also run duration-annotated K-DAGs.
 type JobSource interface {
 	// Name labels the job in traces and errors.
 	Name() string
@@ -187,54 +188,4 @@ var (
 	_ FamilySource  = graphSource{}
 	_ TaskRuntime   = (*graphRuntime)(nil)
 	_ StableRuntime = (*graphRuntime)(nil)
-)
-
-// timedSource adapts a duration-annotated *dag.Graph to JobSource with
-// non-preemptive semantics (dag.TimedInstance). Work and span are
-// duration-weighted, so the metrics package's lower bounds remain valid.
-type timedSource struct {
-	g *dag.Graph
-}
-
-// TimedGraphSource wraps a K-DAG with task durations for non-preemptive
-// execution. TraceTasks recording is unsupported (a multi-step task has no
-// single execution step); use aggregate tracing.
-func TimedGraphSource(g *dag.Graph) JobSource { return timedSource{g} }
-
-func (s timedSource) Name() string          { return s.g.Name() + "-timed" }
-func (s timedSource) K() int                { return s.g.K() }
-func (s timedSource) WorkVector() []int     { return s.g.TimedWorkVector() }
-func (s timedSource) Span() int             { return s.g.TimedSpan() }
-func (s timedSource) Family() RuntimeFamily { return FamilyTimed }
-
-// TotalTasks returns duration-weighted total work (processor-steps), which
-// is what the engine's runaway guard and throughput accounting need.
-func (s timedSource) TotalTasks() int {
-	n := 0
-	for _, w := range s.g.TimedWorkVector() {
-		n += w
-	}
-	return n
-}
-
-func (s timedSource) NewRuntime(pick dag.PickPolicy, seed int64) RuntimeJob {
-	return &timedRuntime{inst: dag.NewTimedInstance(s.g, pick, seed)}
-}
-
-// timedRuntime adapts *dag.TimedInstance to FloorRuntime.
-type timedRuntime struct {
-	inst *dag.TimedInstance
-}
-
-func (r *timedRuntime) Desire(c dag.Category) int         { return r.inst.Desire(c) }
-func (r *timedRuntime) Floor(c dag.Category) int          { return r.inst.Floor(c) }
-func (r *timedRuntime) Execute(c dag.Category, n int) int { return r.inst.Execute(c, n) }
-func (r *timedRuntime) Advance()                          { r.inst.Advance() }
-func (r *timedRuntime) Done() bool                        { return r.inst.Done() }
-func (r *timedRuntime) RemainingWork() []int              { return r.inst.RemainingWork() }
-
-var (
-	_ JobSource    = timedSource{}
-	_ FamilySource = timedSource{}
-	_ FloorRuntime = (*timedRuntime)(nil)
 )

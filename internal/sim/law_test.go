@@ -37,12 +37,13 @@ func readState(rt sim.RuntimeJob, k int) runtimeState {
 }
 
 // TestRuntimeLawIdleStepChangesNothing pins the law the engine's sparse
-// rounds rest on, for each of the five shipped runtimes: a step in which the
-// job executes nothing — Advance with no Execute before it — leaves Desire,
-// Floor, Done, RemainingWork and the hold window exactly as they were. The
-// law is checked at every step boundary of a whole run driven with random
-// allotments between floor and desire, so it covers fresh, mid-phase,
-// in-flight and finished states.
+// rounds rest on, for each of the four shipped runtimes (and a duration
+// graph, which is a moldable job whose tasks take one processor): a step in
+// which the job executes nothing — Advance with no Execute before it —
+// leaves Desire, Floor, Done, RemainingWork and the hold window exactly as
+// they were. The law is checked at every step boundary of a whole run
+// driven with random allotments between floor and desire, so it covers
+// fresh, mid-phase, in-flight and finished states.
 func TestRuntimeLawIdleStepChangesNothing(t *testing.T) {
 	const k = 2
 	layered := func() *dag.Graph {
@@ -61,6 +62,10 @@ func TestRuntimeLawIdleStepChangesNothing(t *testing.T) {
 	for v := 0; v < timed.NumTasks(); v += 2 {
 		timed.SetDuration(dag.TaskID(v), 2+v%3)
 	}
+	timedJob, err := moldable.FromTimedGraph(timed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mold := moldable.Generate(moldable.GenOpts{
 		K: k, Jobs: 1, MinTasks: 6, MaxTasks: 6, MaxWork: 40, MaxProcs: 4, Seed: 7,
 	})[0].Source
@@ -71,7 +76,7 @@ func TestRuntimeLawIdleStepChangesNothing(t *testing.T) {
 		{"profile", profile.MustNew(k, "p", []profile.Phase{{Tasks: []int{9, 4}}, {Tasks: []int{0, 7}}, {Tasks: []int{5, 5}}})},
 		{"rigid", profile.MustNewRigid(k, "r", 2, 3, 4)},
 		{"dag.Instance", sim.GraphSource(layered())},
-		{"dag.TimedInstance", sim.TimedGraphSource(timed)},
+		{"duration graph", timedJob},
 		{"moldable.Instance", mold},
 	}
 	for _, tc := range sources {

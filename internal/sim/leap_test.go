@@ -416,4 +416,68 @@ func TestLeapActuallyFires(t *testing.T) {
 	}
 }
 
+// pinJob is a one-category job that holds one processor for left steps: a
+// FloorRuntime without HoldRuntime, the seam an external non-preemptive
+// runtime plugs into (every shipped floor-bearing runtime also holds).
+type pinJob struct {
+	left    int
+	started bool
+}
+
+func (j *pinJob) Name() string      { return "pin" }
+func (j *pinJob) K() int            { return 1 }
+func (j *pinJob) WorkVector() []int { return []int{j.left} }
+func (j *pinJob) Span() int         { return j.left }
+func (j *pinJob) TotalTasks() int   { return j.left }
+
+func (j *pinJob) NewRuntime(dag.PickPolicy, int64) sim.RuntimeJob { return j }
+
+func (j *pinJob) Advance()             {}
+func (j *pinJob) Done() bool           { return j.left == 0 }
+func (j *pinJob) RemainingWork() []int { return []int{j.left} }
+
+func (j *pinJob) Desire(dag.Category) int {
+	if j.left > 0 {
+		return 1
+	}
+	return 0
+}
+
+func (j *pinJob) Floor(dag.Category) int {
+	if j.started && j.left > 0 {
+		return 1
+	}
+	return 0
+}
+
+func (j *pinJob) Execute(_ dag.Category, n int) int {
+	if n < 1 || j.left == 0 {
+		return 0
+	}
+	j.started = true
+	j.left--
+	return 1
+}
+
+// TestFloorsWithoutHoldBlockLeaps pins the reason split: a runtime that
+// pins processors but cannot report a held window refuses every leap under
+// Floors, never under Hold, for as long as it is in flight.
+func TestFloorsWithoutHoldBlockLeaps(t *testing.T) {
+	specs := []sim.JobSpec{
+		{Source: &pinJob{left: 400}},
+		{Source: profile.MustNew(1, "p", []profile.Phase{{Tasks: []int{3000}}})},
+	}
+	eng := admitAll(t, sim.Config{
+		K: 1, Caps: []int{8}, Scheduler: sched.WithFloors(core.NewKRAD(1)), ValidateAllotments: true,
+	}, specs)
+	if err := advanceTo(eng, 400); err != nil {
+		t.Fatal(err)
+	}
+	snap := eng.Snapshot()
+	if snap.LeapSteps != 0 || snap.LeapBlocked.Floors == 0 || snap.LeapBlocked.Hold != 0 {
+		t.Errorf("after 400 pinned steps: %d leap steps, blocked %+v; want no leaps, all refusals under Floors",
+			snap.LeapSteps, snap.LeapBlocked)
+	}
+}
+
 var _ sched.Stable = (*sched.PerCategory)(nil)

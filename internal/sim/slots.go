@@ -33,8 +33,8 @@ const (
 	slotHeld uint8 = 1 << iota
 	// slotSoftUnheld: hold-capable but not held this round.
 	slotSoftUnheld
-	// slotHardFloor: pins processors without hold capability (timed DAGs);
-	// blocks leaping outright.
+	// slotHardFloor: pins processors without hold capability (no shipped
+	// runtime does; external FloorRuntimes may); blocks leaping outright.
 	slotHardFloor
 	// slotNoLeap: neither held nor drain-law leapable.
 	slotNoLeap

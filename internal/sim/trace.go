@@ -90,7 +90,7 @@ func (tr *Trace) add(t int64, cat, n int) {
 	tr.cur.Executed[cat-1] += n
 }
 
-// recordCounts merges pre-aggregated per-category counts (parallel mode).
+// recordCounts merges pre-aggregated per-category counts (event-leaps).
 func (tr *Trace) recordCounts(t int64, counts []int) {
 	if tr.level == TraceNone {
 		return

@@ -250,7 +250,7 @@ func (m Mix) catPicker(rng *rand.Rand) func(*rand.Rand) dag.Category {
 
 // WithDurations returns a copy of the specs whose graphs carry per-task
 // durations drawn uniformly from [1, maxDur] — input to the non-preemptive
-// execution experiments (sim.TimedGraphSource / dag.ExpandDurations). The
+// execution experiments (moldable.FromTimedGraph / dag.ExpandDurations). The
 // originals are not modified.
 func WithDurations(specs []sim.JobSpec, maxDur int, seed int64) ([]sim.JobSpec, error) {
 	if maxDur < 1 {

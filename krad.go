@@ -201,8 +201,8 @@ type (
 	EngineSnapshot = sim.EngineSnapshot
 )
 
-// NewEngine builds an incremental engine from a Config (Parallel and
-// MaxSteps apply; jobs arrive via Engine.Admit instead of a spec slice).
+// NewEngine builds an incremental engine from a Config (MaxSteps applies;
+// jobs arrive via Engine.Admit instead of a spec slice).
 var NewEngine = sim.NewEngine
 
 // Job lifecycle phases reported by JobStatus.Phase.
@@ -217,13 +217,20 @@ const (
 // JobSpec.Graph covers the common K-DAG case.
 type JobSource = sim.JobSource
 
-// GraphSource wraps a K-DAG as an explicit JobSource; TimedGraphSource
-// wraps a duration-annotated K-DAG for non-preemptive execution (pair the
-// run's scheduler with WithFloors).
-var (
-	GraphSource      = sim.GraphSource
-	TimedGraphSource = sim.TimedGraphSource
-)
+// GraphSource wraps a K-DAG as an explicit JobSource.
+var GraphSource = sim.GraphSource
+
+// TimedGraphSource wraps a duration-annotated K-DAG for non-preemptive
+// execution (pair the run's scheduler with WithFloors): a moldable job
+// whose tasks each hold one processor for their duration. It panics on a
+// graph FromSpec rejects (no tasks, or a cycle).
+func TimedGraphSource(g *Graph) JobSource {
+	j, err := moldable.FromTimedGraph(g)
+	if err != nil {
+		panic(err)
+	}
+	return j
+}
 
 // NewChurn accumulates reallocation churn through Config.Observer
 // (see experiment E17).
@@ -275,7 +282,7 @@ var (
 	GenerateMoldable = moldable.Generate
 )
 
-// RuntimeFamily classifies a job's execution model (profile, dag, timed,
+// RuntimeFamily classifies a job's execution model (profile, dag,
 // moldable); FamilyOf resolves a JobSource's family.
 type RuntimeFamily = sim.RuntimeFamily
 
@@ -284,7 +291,6 @@ const (
 	FamilyUnknown  = sim.FamilyUnknown
 	FamilyProfile  = sim.FamilyProfile
 	FamilyDAG      = sim.FamilyDAG
-	FamilyTimed    = sim.FamilyTimed
 	FamilyMoldable = sim.FamilyMoldable
 )
 
