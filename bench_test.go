@@ -257,29 +257,35 @@ func BenchmarkKRADAllot(b *testing.B) {
 
 // BenchmarkEngineRound measures one scheduling round of the engine kradd
 // ships (K-RAD behind the floor layer, allotment validation on) against the
-// size of the active set: K=3, 16 processors per category, rigid jobs long
-// enough that none completes while the clock runs. Every category is
-// overloaded from active=64 up, so each round is RAD's round-robin branch —
-// 48 processors handed out whatever the queue length. The engine's share of
-// a round follows the processors; what still grows with the active set is
-// the scheduler's pass over the views it is handed.
+// size of the active set: K=3, 16 processors per category, rigid jobs. In
+// the active=N variants no job completes while the clock runs and every
+// category is overloaded, so each round is RAD's round-robin branch — 48
+// processors handed out whatever the queue length — and ns/round should be
+// flat in N. Those jobs never finish, so they never reach the removal path:
+// the drain variant runs the benchmark's overload_drain population (4,000
+// rigid jobs, 1–4 processors, 8–63 steps) from release to idle, completions,
+// slot-table slides and cycle-completing rounds included.
 func BenchmarkEngineRound(b *testing.B) {
-	for _, active := range []int{64, 512, 4096} {
+	newEngine := func(b *testing.B, specs []krad.JobSpec) *krad.Engine {
+		eng, err := krad.NewEngine(krad.Config{
+			K: 3, Caps: []int{16, 16, 16}, Scheduler: krad.WithFloors(krad.NewKRAD(3)),
+			ValidateAllotments: true, MaxSteps: 1 << 60,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.AdmitBatch(specs); err != nil {
+			b.Fatal(err)
+		}
+		return eng
+	}
+	for _, active := range []int{64, 512, 4096, 32768} {
 		b.Run(fmt.Sprintf("active=%d", active), func(b *testing.B) {
-			eng, err := krad.NewEngine(krad.Config{
-				K: 3, Caps: []int{16, 16, 16}, Scheduler: krad.WithFloors(krad.NewKRAD(3)),
-				ValidateAllotments: true, MaxSteps: 1 << 60,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			specs := make([]krad.JobSpec, active)
 			for j := range specs {
 				specs[j] = krad.JobSpec{Source: profile.MustNewRigid(3, "r", krad.Category(1+j%3), 1+(j/3)%4, 1<<40)}
 			}
-			if _, err := eng.AdmitBatch(specs); err != nil {
-				b.Fatal(err)
-			}
+			eng := newEngine(b, specs)
 			if _, err := eng.Step(); err != nil { // release and size every buffer
 				b.Fatal(err)
 			}
@@ -293,6 +299,32 @@ func BenchmarkEngineRound(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
 		})
 	}
+	b.Run("drain", func(b *testing.B) {
+		specs := make([]krad.JobSpec, 4000)
+		for j := range specs {
+			c := j / 3
+			specs[j] = krad.JobSpec{Source: profile.MustNewRigid(3, "ovl", krad.Category(1+j%3), 1+c%4, 8+(c/4)%56)}
+		}
+		b.ReportAllocs()
+		var rounds int64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			eng := newEngine(b, specs)
+			b.StartTimer()
+			for {
+				info, err := eng.Step()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if info.Idle {
+					break
+				}
+				rounds++
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
+		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	})
 }
 
 // BenchmarkEngineRun measures end-to-end simulation throughput.

@@ -121,11 +121,11 @@ func TestRADRoundRobinCycleGrowsStampOnce(t *testing.T) {
 	}
 	dst := make([]int, n)
 	warm := NewRAD()
-	warm.AllotInto(1, jobs, p, dst) // sizes q/qp, which a fresh RAD pays too
+	warm.AllotInto(1, jobs, p, dst) // sizes the dense entry's memory, which a fresh RAD pays too
 	var r *RAD
 	avg := testing.AllocsPerRun(5, func() {
 		r = NewRAD()
-		r.q, r.qp = warm.q, warm.qp
+		r.ids, r.grants = warm.ids[:0], warm.grants[:0]
 		for s := int64(1); s <= n/p; s++ { // 85 steps mark 4,080 jobs
 			r.AllotInto(s, jobs, p, dst)
 		}

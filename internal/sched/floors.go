@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // WithFloors makes any scheduler valid for non-preemptive jobs: every
 // job's allotment floor (processors pinned by in-flight multi-step tasks)
@@ -11,9 +14,9 @@ import "fmt"
 // The wrapper also extends the inner scheduler's stability report (Stable)
 // to the hold law: when every floor-bearing job in a round is HELD —
 // desire equals floor in every category, so its residual desire is zero
-// and the inner scheduler effectively does not see it — the inner
-// stability analysis of the residual system applies verbatim, and the held
-// rows' per-step allotments are their frozen floors. StableHorizon then
+// and the inner scheduler effectively does not see it — the inner stability
+// analysis of the residual system applies verbatim, and the held rows'
+// per-step allotments are their frozen floors. StableHorizon then
 // forwards the inner horizon, and LeapTotals fills held rows with n×floor.
 // Rounds where some floor-bearing job is NOT held report horizon 0: its
 // residual desire shifts as leases finish, which the inner analysis cannot
@@ -22,31 +25,54 @@ import "fmt"
 // This is the standard way two-level systems retrofit malleable-job
 // schedulers onto non-preemptive tasks; experiment E16 measures what the
 // lost reallocation freedom costs against the paper's bounds.
+//
+// The layer is delta-driven (DeltaAllotter): it keeps the floor-bearing jobs
+// — usually few, never more than there are processors pinned — in an
+// ID-sorted list with their floor rows, and the pinned-processor sums and the
+// pinned/unheld counts as aggregates over it, so a round never scans the
+// views. The inner scheduler is driven through its own delta form with the
+// residual desires; one that has none is kept a dense view list (denseInner).
 type floored struct {
 	inner Scheduler
-	// lastFloors records whether the most recent Allot/AllotInto saw any
-	// non-zero floor; lastHeldOnly whether every floor-bearing job in that
-	// call was held (residual desire zero everywhere). Together they decide
-	// whether the inner stability report may be forwarded.
-	lastFloors   bool
-	lastHeldOnly bool
+	delta DeltaAllotter // inner's delta form: inner itself, or a denseInner around it
+
+	// The floor-bearing jobs (Floor != nil), ascending by ID: their floor
+	// rows, and whether some desire exceeds its floor (not held).
+	k      int
+	ids    []int
+	rows   []int // K per job
+	unheld []bool
+	// Aggregates over them: processors pinned per category, jobs with any
+	// floor > 0, jobs not held.
+	pinned  []int
+	nPinned int
+	nUnheld int
 
 	// Scratch reused across calls, so the engine's allocation-free hot
 	// path stays allocation-free through the wrapper.
-	residual  []JobView
-	desireBuf []int
-	capsBuf   []int
-	innerMat  Matrix
+	residual []int
+	capsBuf  []int
+	out      [][]CatGrant
+	merged   [][]CatGrant
+	dense    denseEntry
 }
 
 // WithFloors wraps inner; see the type comment.
-func WithFloors(inner Scheduler) Scheduler { return &floored{inner: inner} }
+func WithFloors(inner Scheduler) Scheduler {
+	f := &floored{inner: inner}
+	if d, ok := inner.(DeltaAllotter); ok {
+		f.delta = d
+	} else {
+		f.delta = &denseInner{s: inner}
+	}
+	return f
+}
 
 // Name implements Scheduler.
 func (f *floored) Name() string { return f.inner.Name() + "+floors" }
 
 // Allot implements Scheduler. The result is freshly allocated; hot paths
-// use AllotInto.
+// use AllotInto or the delta form.
 func (f *floored) Allot(t int64, jobs []JobView, caps []int) [][]int {
 	var m Matrix
 	dst := m.Shape(len(jobs), len(caps))
@@ -54,95 +80,148 @@ func (f *floored) Allot(t int64, jobs []JobView, caps []int) [][]int {
 	return dst
 }
 
-// AllotInto implements IntoAllotter: grant floors, let the inner scheduler
-// partition the residual capacity over the residual desires, and add the
-// floors back.
+// AllotInto implements IntoAllotter as an adapter onto the delta form
+// (denseEntry); the engine drives JobChanged/JobGone/AllotDelta directly.
 func (f *floored) AllotInto(t int64, jobs []JobView, caps []int, dst [][]int) {
-	any, heldOnly := false, true
-	for _, j := range jobs {
-		if j.Floor == nil {
-			continue
-		}
-		for a, v := range j.Floor {
-			if v > 0 {
-				any = true
-			}
-			if j.Desire[a] > v {
-				heldOnly = false
-			}
-		}
-	}
-	f.lastFloors, f.lastHeldOnly = any, any && heldOnly
-	if !any {
-		f.innerInto(t, jobs, caps, dst)
-		return
-	}
+	f.dense.allot(f, t, jobs, caps, dst)
+}
 
-	residual, residualCaps := f.project(jobs, caps)
-	f.innerInto(t, residual, residualCaps, dst)
-	for i, j := range jobs {
-		if j.Floor != nil {
-			for a, fl := range j.Floor {
-				dst[i][a] += fl
-			}
-		}
+// withdraw takes floor-bearing job i's contributions out of the aggregates.
+func (f *floored) withdraw(i int) {
+	any := false
+	for a, fl := range f.rows[i*f.k : (i+1)*f.k] {
+		f.pinned[a] -= fl
+		any = any || fl > 0
+	}
+	if any {
+		f.nPinned--
+	}
+	if f.unheld[i] {
+		f.nUnheld--
 	}
 }
 
-// innerInto writes the inner scheduler's allotment into dst, via its
-// IntoAllotter fast path when available.
-func (f *floored) innerInto(t int64, jobs []JobView, caps []int, dst [][]int) {
-	if ia, ok := f.inner.(IntoAllotter); ok {
-		ia.AllotInto(t, jobs, caps, dst)
+// JobChanged implements DeltaAllotter: a floor-bearing job's row and
+// contributions are replaced, and the inner scheduler sees the residual
+// desire — desire minus floor, clamped at zero, so a held job vanishes from
+// every category.
+func (f *floored) JobChanged(id int, desire, floor []int, changed []bool) {
+	if desire == nil {
+		floor = nil // out of the active set: nothing pinned either
+	}
+	i, in := slices.BinarySearch(f.ids, id)
+	if !in && floor == nil {
+		f.delta.JobChanged(id, desire, nil, changed)
 		return
 	}
-	out := f.inner.Allot(t, jobs, caps)
-	if len(out) != len(jobs) {
-		panic(fmt.Sprintf("sched: scheduler %q returned %d rows for %d jobs", f.inner.Name(), len(out), len(jobs)))
+	if in {
+		f.withdraw(i)
 	}
-	for i := range out {
-		copy(dst[i], out[i])
+	if floor == nil {
+		f.remove(i)
+		f.delta.JobChanged(id, desire, nil, changed)
+		return
 	}
+	k := len(floor)
+	if !in {
+		f.k = k
+		f.ids = slices.Insert(f.ids, i, id)
+		f.unheld = slices.Insert(f.unheld, i, false)
+		f.rows = slices.Insert(f.rows, i*k, floor...)
+		for len(f.pinned) < k {
+			f.pinned = append(f.pinned, 0)
+			f.residual = append(f.residual, 0)
+		}
+	}
+	any, unheld := false, false
+	row, residual := f.rows[i*k:(i+1)*k], f.residual[:k]
+	for a, fl := range floor {
+		row[a] = fl
+		f.pinned[a] += fl
+		any = any || fl > 0
+		unheld = unheld || desire[a] > fl
+		residual[a] = max(desire[a]-fl, 0)
+	}
+	if any {
+		f.nPinned++
+	}
+	if unheld {
+		f.nUnheld++
+	}
+	f.unheld[i] = unheld
+	f.delta.JobChanged(id, residual, nil, changed)
 }
 
-// project builds, in reused scratch, the residual system the inner
-// scheduler sees: desires minus floors (clamped at zero, so held jobs
-// vanish from every category) and capacities minus the pinned processors.
-// The views are valid until the next project call.
-func (f *floored) project(jobs []JobView, caps []int) ([]JobView, []int) {
-	k := len(caps)
-	if cap(f.desireBuf) < len(jobs)*k {
-		f.desireBuf = make([]int, len(jobs)*k)
+// JobGone implements DeltaAllotter. A residual desire is positive only where
+// the desire is, so the hint passes through as it is.
+func (f *floored) JobGone(id int, desire []int) {
+	if i, in := slices.BinarySearch(f.ids, id); in {
+		f.withdraw(i)
+		f.remove(i)
 	}
-	if cap(f.residual) < len(jobs) {
-		f.residual = make([]JobView, len(jobs))
+	f.delta.JobGone(id, desire)
+}
+
+// remove deletes floor-bearing job i, its contributions already withdrawn.
+func (f *floored) remove(i int) {
+	f.ids = slices.Delete(f.ids, i, i+1)
+	f.rows = slices.Delete(f.rows, i*f.k, (i+1)*f.k)
+	f.unheld = slices.Delete(f.unheld, i, i+1)
+}
+
+// residualCaps returns the capacities the inner scheduler partitions: caps
+// minus the pinned processors.
+func (f *floored) residualCaps(caps []int) []int {
+	if f.nPinned == 0 {
+		return caps
 	}
-	if cap(f.capsBuf) < k {
-		f.capsBuf = make([]int, k)
-	}
-	residual := f.residual[:len(jobs)]
-	residualCaps := f.capsBuf[:k]
-	copy(residualCaps, caps)
-	for i, j := range jobs {
-		d := f.desireBuf[i*k : (i+1)*k : (i+1)*k]
-		copy(d, j.Desire)
-		if j.Floor != nil {
-			for a, fl := range j.Floor {
-				d[a] -= fl
-				if d[a] < 0 {
-					d[a] = 0
-				}
-				residualCaps[a] -= fl
-			}
-		}
-		residual[i] = JobView{ID: j.ID, Desire: d}
-	}
-	for a, c := range residualCaps {
-		if c < 0 {
+	rc := append(f.capsBuf[:0], caps...)
+	f.capsBuf = rc
+	for a, p := range f.pinned[:len(rc)] {
+		if rc[a] -= p; rc[a] < 0 {
 			panic(fmt.Sprintf("sched: category %d floors exceed capacity %d — jobs hold more processors than exist", a+1, caps[a]))
 		}
 	}
-	return residual, residualCaps
+	return rc
+}
+
+// AllotDelta implements DeltaAllotter: the inner scheduler partitions the
+// residual capacity over the residual desires, and in every category with
+// pinned processors the floors are added back — two ID-sorted sequences
+// merged into one.
+func (f *floored) AllotDelta(t int64, caps []int) [][]CatGrant {
+	g := f.delta.AllotDelta(t, f.residualCaps(caps))
+	if f.nPinned == 0 {
+		return g
+	}
+	k := len(caps)
+	for len(f.out) < k {
+		f.out, f.merged = append(f.out, nil), append(f.merged, nil)
+	}
+	for a, inner := range g {
+		if f.pinned[a] == 0 {
+			f.out[a] = inner
+			continue
+		}
+		m, i := f.merged[a][:0], 0
+		for j, id := range f.ids {
+			fl := f.rows[j*k+a]
+			if fl == 0 {
+				continue
+			}
+			for ; i < len(inner) && inner[i].ID < id; i++ {
+				m = append(m, inner[i])
+			}
+			if i < len(inner) && inner[i].ID == id {
+				fl += inner[i].N
+				i++
+			}
+			m = append(m, CatGrant{ID: id, N: fl})
+		}
+		m = append(m, inner[i:]...)
+		f.out[a], f.merged[a] = m, m
+	}
+	return f.out[:k]
 }
 
 // StableHorizon implements Stable. The inner report forwards when the last
@@ -152,7 +231,7 @@ func (f *floored) project(jobs []JobView, caps []int) ([]JobView, []int) {
 // separately bounds the window by each held job's HoldFor). A round with
 // an unheld floor reports 0.
 func (f *floored) StableHorizon() int64 {
-	if f.lastFloors && !f.lastHeldOnly {
+	if f.nPinned > 0 && f.nUnheld > 0 {
 		return 0
 	}
 	if s, ok := f.inner.(Stable); ok {
@@ -163,38 +242,39 @@ func (f *floored) StableHorizon() int64 {
 
 // LeapTotals implements Stable. Only called after StableHorizon reported
 // > 0, which implies the inner scheduler is Stable and the last round was
-// floor-free or held-only. In the held-only case the residual system is
-// rebuilt exactly as AllotInto saw it, the inner scheduler fills the
-// residual totals, and every floored row gains n×floor — the per-step
+// floor-free or held-only. The inner scheduler fills the residual totals —
+// a delta-driven one from its own state, a dense one from the residual views
+// denseInner keeps — and every floored row gains n×floor, the per-step
 // allotment a held job receives on each covered step.
 func (f *floored) LeapTotals(t int64, jobs []JobView, caps []int, n int64, dst [][]int) {
-	inner := f.inner.(Stable)
-	if !f.lastFloors {
-		inner.LeapTotals(t, jobs, caps, n, dst)
+	residual := jobs
+	if di, ok := f.delta.(*denseInner); ok {
+		residual = di.views
+	}
+	f.inner.(Stable).LeapTotals(t, residual, f.residualCaps(caps), n, dst)
+	if f.nPinned == 0 {
 		return
 	}
-	residual, residualCaps := f.project(jobs, caps)
-	inner.LeapTotals(t, residual, residualCaps, n, dst)
-	for i, j := range jobs {
-		if j.Floor != nil {
-			for a, fl := range j.Floor {
-				dst[i][a] += fl * int(n)
-			}
+	k := len(caps)
+	i := 0
+	for j, id := range f.ids {
+		for jobs[i].ID != id {
+			i++
+		}
+		for a, fl := range f.rows[j*k : (j+1)*k] {
+			dst[i][a] += fl * int(n)
 		}
 	}
 }
 
-// JobsDone forwards completions.
-func (f *floored) JobsDone(ids []int) {
-	if c, ok := f.inner.(Completer); ok {
-		c.JobsDone(ids)
-	}
-}
+// JobsDone implements Completer for callers of the dense entry.
+func (f *floored) JobsDone(ids []int) { f.dense.done(f, ids) }
 
 // SnapshotState forwards to the inner scheduler: the wrapper itself holds
-// no cross-step state (lastFloors is re-derived every round), so the
-// encoding is byte-identical to the unwrapped scheduler's — checkpoints
-// taken before a deployment wrapped its scheduler still restore.
+// no cross-step state (the floor list mirrors the active jobs' current rows
+// and is empty whenever the engine is idle), so the encoding is
+// byte-identical to the unwrapped scheduler's — checkpoints taken before a
+// deployment wrapped its scheduler still restore.
 func (f *floored) SnapshotState() ([]byte, error) {
 	s, ok := f.inner.(Snapshotter)
 	if !ok {
@@ -213,9 +293,10 @@ func (f *floored) RestoreState(data []byte) error {
 }
 
 var (
-	_ Scheduler    = (*floored)(nil)
-	_ IntoAllotter = (*floored)(nil)
-	_ Stable       = (*floored)(nil)
-	_ Completer    = (*floored)(nil)
-	_ Snapshotter  = (*floored)(nil)
+	_ Scheduler     = (*floored)(nil)
+	_ IntoAllotter  = (*floored)(nil)
+	_ DeltaAllotter = (*floored)(nil)
+	_ Stable        = (*floored)(nil)
+	_ Completer     = (*floored)(nil)
+	_ Snapshotter   = (*floored)(nil)
 )

@@ -6,6 +6,16 @@
 // per-category processor counts. That restriction is what "online
 // non-clairvoyant" means; clairvoyant baselines must opt in explicitly via
 // the Clairvoyant interface.
+//
+// A scheduler has two entries. The dense one — Scheduler.Allot, or
+// IntoAllotter.AllotInto with Completer.JobsDone beside it — is the public
+// contract: every active job's view, every step, a whole matrix back. It is
+// what the baselines, Quantized, decorators and caller-written schedulers
+// implement, and the engine drives it for them. The delta one —
+// DeltaAllotter — is told only what changed since the last step and returns
+// only the grants; the engine prefers it when the configured scheduler has
+// it, which WithFloors, PerCategory and core.RAD do. Their dense entries are
+// adapters onto the delta form, so there is one implementation either way.
 package sched
 
 import (
@@ -108,12 +118,13 @@ type CategoryStable interface {
 
 // IntoAllotter is an optional Scheduler extension for allocation-free
 // stepping: AllotInto behaves exactly like Allot but writes the matrix
-// into caller-owned storage. dst has one row per job, each row of
-// len(caps), zeroed by the caller (as for Stable.LeapTotals), so an
-// implementation writes only what it grants and no layer clears the matrix
-// a second time. Callers own dst and may reuse it across calls
-// (Matrix.Shape returns zeros; the engine re-zeroes only the rows a round
-// wrote); implementations must not retain it.
+// into caller-owned storage. The engine uses it for a scheduler that is not
+// a DeltaAllotter, and Allot for one that is neither. dst has one row per
+// job, each row of len(caps), zeroed by the caller (as for
+// Stable.LeapTotals), so an implementation writes only what it grants and no
+// layer clears the matrix a second time. Callers own dst and may reuse it
+// across calls (Matrix.Shape returns zeros; the engine re-zeroes only the
+// rows a round wrote); implementations must not retain it.
 type IntoAllotter interface {
 	AllotInto(t int64, jobs []JobView, caps []int, dst [][]int)
 }
@@ -156,7 +167,8 @@ func (m *Matrix) Shape(n, k int) [][]int {
 // Completer is implemented by stateful schedulers (such as RAD's
 // round-robin marking) that want to drop per-job state when jobs finish.
 // The engine calls JobsDone after each step with the IDs of jobs that
-// completed during the step.
+// completed during the step — unless the scheduler is a DeltaAllotter, which
+// hears of each one through JobGone instead.
 type Completer interface {
 	JobsDone(ids []int)
 }
@@ -201,12 +213,17 @@ type Clairvoyant interface {
 // ValidateAllotments checks the Section 2 validity conditions on a
 // scheduler's output: one allotment row per job, rows shaped like caps,
 // non-negative entries, and per-category column sums within capacity.
-// It returns a descriptive error on the first violation.
+// It returns a descriptive error on the first violation. The engine calls
+// it every round, so the column sums live on the stack for ordinary K.
 func ValidateAllotments(jobs []JobView, caps []int, allot [][]int) error {
 	if len(allot) != len(jobs) {
 		return fmt.Errorf("sched: %d allotment rows for %d jobs", len(allot), len(jobs))
 	}
-	sums := make([]int, len(caps))
+	var small [16]int
+	sums := small[:min(len(caps), len(small))]
+	if len(caps) > len(small) {
+		sums = make([]int, len(caps))
+	}
 	for i, row := range allot {
 		if len(row) != len(caps) {
 			return fmt.Errorf("sched: job %d allotment row has %d categories, want %d", jobs[i].ID, len(row), len(caps))
@@ -255,26 +272,46 @@ type CategoryCompleter interface {
 // PerCategory lifts K independent CategoryScheduler instances (one per
 // resource category) into a full Scheduler. This is exactly the structure
 // of K-RAD: "assigns one RAD scheduler to each category α of processors".
+//
+// It keeps the K α-active projections persistent: lists[α−1] holds the jobs
+// with positive desire in category α, ascending by ID, edited by JobChanged
+// and JobGone (DeltaAllotter) rather than rebuilt from the views each step.
+// A category scheduler that implements CategoryDeltaAllotter is told who
+// enters and leaves its list and answers with its non-zero grants; any other
+// is handed the list through its dense Allot/AllotInto.
 type PerCategory struct {
-	name string
-	cats []CategoryScheduler
-	// Scratch reused across AllotInto calls (single-simulation use only,
-	// like the category schedulers themselves): per category, the α-active
-	// projection of the last project call and each projected job's index
-	// in the views.
-	catJobs [][]CatJob
-	idx     [][]int
-	catOut  []int
+	name  string
+	cats  []CategoryScheduler
+	delta []CategoryDeltaAllotter // delta[a] is cats[a]'s delta form, nil without one
+	done  []CategoryCompleter     // the category schedulers that want JobsDone
+	lists [][]CatJob
+	hint  []int // per category: where the last lookup landed (see FindCatJob)
+
+	// Scratch reused across rounds (single-simulation use only, like the
+	// category schedulers themselves).
+	grants [][]CatGrant
+	catOut []int
+	oneID  [1]int
+	dense  denseEntry
 }
 
 // NewPerCategory builds a Scheduler from per-category schedulers. The slice
 // index is α−1.
 func NewPerCategory(name string, cats []CategoryScheduler) *PerCategory {
-	return &PerCategory{
+	p := &PerCategory{
 		name: name, cats: cats,
-		catJobs: make([][]CatJob, len(cats)),
-		idx:     make([][]int, len(cats)),
+		delta:  make([]CategoryDeltaAllotter, len(cats)),
+		lists:  make([][]CatJob, len(cats)),
+		hint:   make([]int, len(cats)),
+		grants: make([][]CatGrant, len(cats)),
 	}
+	for a, c := range cats {
+		p.delta[a], _ = c.(CategoryDeltaAllotter)
+		if cc, ok := c.(CategoryCompleter); ok {
+			p.done = append(p.done, cc)
+		}
+	}
+	return p
 }
 
 // Name returns the composite scheduler's name.
@@ -284,41 +321,103 @@ func (p *PerCategory) Name() string { return p.name }
 // mainly for tests and ablations.
 func (p *PerCategory) Category(alpha int) CategoryScheduler { return p.cats[alpha-1] }
 
-// Allot projects the jobs onto each category (keeping only α-active jobs,
-// preserving ID order), delegates to that category's scheduler, and
-// reassembles the full allotment matrix. The result is freshly allocated
-// (callers may retain it); hot paths bind IntoAllotter once and call
-// AllotInto with storage they own instead.
+// Allot is the dense entry: the allotment matrix over jobs, one row per job,
+// freshly allocated (callers may retain it). See AllotInto.
 func (p *PerCategory) Allot(t int64, jobs []JobView, caps []int) [][]int {
-	allot := make([][]int, len(jobs))
-	rows := make([]int, 0, len(jobs)*len(caps))
-	if len(jobs)*len(caps) > 0 {
-		rows = make([]int, len(jobs)*len(caps))
-	}
-	for i := range jobs {
-		allot[i] = rows[i*len(caps) : (i+1)*len(caps) : (i+1)*len(caps)]
-	}
+	var m Matrix
+	allot := m.Shape(len(jobs), len(caps))
 	p.AllotInto(t, jobs, caps, allot)
 	return allot
 }
 
-// project splits the views into the K per-category lists in one pass over
-// the jobs: category α's list keeps the α-active jobs (desire > 0) in view
-// order, which is ascending ID.
-func (p *PerCategory) project(jobs []JobView) {
-	k := len(p.cats)
-	for a := 0; a < k; a++ {
-		p.catJobs[a] = p.catJobs[a][:0]
-		p.idx[a] = p.idx[a][:0]
+// AllotInto implements IntoAllotter as an adapter onto the delta form
+// (denseEntry); the engine drives JobChanged/JobGone/AllotDelta directly.
+func (p *PerCategory) AllotInto(t int64, jobs []JobView, caps []int, dst [][]int) {
+	p.dense.allot(p, t, jobs, caps, dst)
+}
+
+// JobChanged implements DeltaAllotter: per category, the job is inserted
+// into, updated in or removed from the α-active list according to its desire
+// there. Floors are not this layer's business (see WithFloors).
+func (p *PerCategory) JobChanged(id int, desire, _ []int, changed []bool) {
+	for a := range p.cats {
+		if changed != nil && !changed[a] {
+			continue
+		}
+		d := 0
+		if desire != nil {
+			d = desire[a]
+		}
+		p.setDesire(a, id, d)
 	}
-	for i, j := range jobs {
-		for a, d := range j.Desire[:k] {
-			if d > 0 {
-				p.catJobs[a] = append(p.catJobs[a], CatJob{ID: j.ID, Desire: d})
-				p.idx[a] = append(p.idx[a], i)
-			}
+}
+
+// setDesire makes job id's entry in category a's list read d: inserted,
+// updated, or — at zero — removed.
+func (p *PerCategory) setDesire(a, id, d int) {
+	l := p.lists[a]
+	i, in := FindCatJob(l, p.hint[a], id)
+	p.hint[a] = i
+	switch {
+	case in && d > 0:
+		l[i].Desire = d
+	case in:
+		p.lists[a] = append(l[:i], l[i+1:]...)
+		if p.delta[a] != nil {
+			p.delta[a].JobLeft(id)
+		}
+	case d > 0:
+		l = append(l, CatJob{})
+		copy(l[i+1:], l[i:])
+		l[i] = CatJob{ID: id, Desire: d}
+		p.lists[a] = l
+		if p.delta[a] != nil {
+			p.delta[a].JobEntered(id)
 		}
 	}
+}
+
+// JobGone implements DeltaAllotter: the job leaves every list and every
+// category scheduler forgets it.
+func (p *PerCategory) JobGone(id int, desire []int) {
+	for a := range p.cats {
+		if desire == nil || desire[a] > 0 {
+			p.setDesire(a, id, 0)
+		}
+	}
+	p.oneID[0] = id
+	for _, cc := range p.done {
+		cc.JobsDone(p.oneID[:])
+	}
+}
+
+// AllotDelta implements DeltaAllotter: each category scheduler grants over
+// its α-active list.
+func (p *PerCategory) AllotDelta(t int64, caps []int) [][]CatGrant {
+	if len(caps) != len(p.cats) {
+		panic(fmt.Sprintf("sched: PerCategory %q built for K=%d but given %d capacities", p.name, len(p.cats), len(caps)))
+	}
+	for a, c := range p.cats {
+		l, g := p.lists[a], p.grants[a][:0]
+		if d := p.delta[a]; d != nil {
+			g = d.AllotDelta(t, l, caps[a], g)
+		} else {
+			var out []int
+			if ia, ok := c.(CategoryIntoAllotter); ok {
+				out = p.outBuf(len(l))
+				ia.AllotInto(t, l, caps[a], out)
+			} else if out = c.Allot(t, l, caps[a]); len(out) != len(l) {
+				panic(fmt.Sprintf("sched: category %d scheduler %q returned %d allotments for %d jobs", a+1, c.Name(), len(out), len(l)))
+			}
+			for j, v := range out {
+				if v != 0 {
+					g = append(g, CatGrant{ID: l[j].ID, N: v})
+				}
+			}
+		}
+		p.grants[a] = g
+	}
+	return p.grants
 }
 
 // outBuf returns the per-category result scratch resliced to n entries.
@@ -327,35 +426,6 @@ func (p *PerCategory) outBuf(n int) []int {
 		p.catOut = make([]int, n, n*2+8)
 	}
 	return p.catOut[:n]
-}
-
-// AllotInto implements IntoAllotter: the same projection as Allot, writing
-// each category scheduler's grants into dst (zeroed by the caller) and
-// asking for the CategoryIntoAllotter fast path before falling back to the
-// allocating Allot.
-func (p *PerCategory) AllotInto(t int64, jobs []JobView, caps []int, dst [][]int) {
-	if len(caps) != len(p.cats) {
-		panic(fmt.Sprintf("sched: PerCategory %q built for K=%d but given %d capacities", p.name, len(p.cats), len(caps)))
-	}
-	p.project(jobs)
-	for a, c := range p.cats {
-		catJobs, idx := p.catJobs[a], p.idx[a]
-		var out []int
-		if ia, ok := c.(CategoryIntoAllotter); ok {
-			out = p.outBuf(len(catJobs))
-			ia.AllotInto(t, catJobs, caps[a], out)
-		} else {
-			out = c.Allot(t, catJobs, caps[a])
-			if len(out) != len(catJobs) {
-				panic(fmt.Sprintf("sched: category %d scheduler %q returned %d allotments for %d jobs", a+1, c.Name(), len(out), len(catJobs)))
-			}
-		}
-		for j, v := range out {
-			if v != 0 {
-				dst[idx[j]][a] = v
-			}
-		}
-	}
 }
 
 // StableHorizon implements Stable: the composite is stable for as long as
@@ -378,37 +448,31 @@ func (p *PerCategory) StableHorizon() int64 {
 	return h
 }
 
-// LeapTotals implements Stable by re-projecting jobs per category (the
-// same projection Allot used — jobs must be the same slice contents) and
-// delegating to each category's CategoryStable. Only called when
-// StableHorizon reported ≥ n−1, which implies every category implements
-// CategoryStable.
+// LeapTotals implements Stable over the α-active lists — by the Stable
+// contract jobs are the views of the round just allotted, so the lists are
+// their projection and jobs only places each total in its row. Only called
+// when StableHorizon reported ≥ n−1, which implies every category
+// implements CategoryStable.
 func (p *PerCategory) LeapTotals(t int64, jobs []JobView, caps []int, n int64, dst [][]int) {
-	p.project(jobs)
 	for a, c := range p.cats {
-		catJobs, idx := p.catJobs[a], p.idx[a]
-		out := p.outBuf(len(catJobs))
-		for i := range out {
-			out[i] = 0
-		}
-		c.(CategoryStable).LeapTotals(t, catJobs, caps[a], n, out)
+		l := p.lists[a]
+		out := p.outBuf(len(l))
+		clear(out)
+		c.(CategoryStable).LeapTotals(t, l, caps[a], n, out)
+		i := 0
 		for j, v := range out {
 			if v != 0 {
-				dst[idx[j]][a] = v
+				for jobs[i].ID != l[j].ID {
+					i++
+				}
+				dst[i][a] = v
 			}
 		}
 	}
 }
 
-// JobsDone forwards completion notifications to every per-category
-// scheduler that cares.
-func (p *PerCategory) JobsDone(ids []int) {
-	for _, c := range p.cats {
-		if cc, ok := c.(CategoryCompleter); ok {
-			cc.JobsDone(ids)
-		}
-	}
-}
+// JobsDone implements Completer for callers of the dense entry.
+func (p *PerCategory) JobsDone(ids []int) { p.dense.done(p, ids) }
 
 // SnapshotState captures every per-category scheduler's state, failing if
 // any category scheduler does not implement CategorySnapshotter — partial
@@ -452,9 +516,10 @@ func (p *PerCategory) RestoreState(data []byte) error {
 }
 
 var (
-	_ Scheduler    = (*PerCategory)(nil)
-	_ Completer    = (*PerCategory)(nil)
-	_ Snapshotter  = (*PerCategory)(nil)
-	_ IntoAllotter = (*PerCategory)(nil)
-	_ Stable       = (*PerCategory)(nil)
+	_ Scheduler     = (*PerCategory)(nil)
+	_ Completer     = (*PerCategory)(nil)
+	_ Snapshotter   = (*PerCategory)(nil)
+	_ IntoAllotter  = (*PerCategory)(nil)
+	_ DeltaAllotter = (*PerCategory)(nil)
+	_ Stable        = (*PerCategory)(nil)
 )

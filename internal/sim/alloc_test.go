@@ -11,8 +11,9 @@ import (
 
 // TestEngineStepAllocsZero pins the engine's steady-state scheduling round
 // at zero allocations: profile jobs mid-run, K-RAD, no tracing — the
-// configuration long online simulations and the kradd service run in. Any
-// regression here multiplies across millions of steps.
+// configuration long online simulations and the kradd service run in, the
+// latter with allotment validation on. Any regression here multiplies across
+// millions of steps.
 func TestEngineStepAllocsZero(t *testing.T) {
 	const k = 3
 	phases := []profile.Phase{{Tasks: []int{1 << 28, 1 << 28, 1 << 28}}}
@@ -20,29 +21,31 @@ func TestEngineStepAllocsZero(t *testing.T) {
 	for j := 0; j < 16; j++ {
 		specs = append(specs, sim.JobSpec{Source: profile.MustNew(k, "p", phases)})
 	}
-	eng, err := sim.NewEngine(sim.Config{
-		K: k, Caps: []int{13, 7, 5}, Scheduler: core.NewKRAD(k),
-		Pick: dag.PickFIFO, MaxSteps: 1 << 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.AdmitBatch(specs); err != nil {
-		t.Fatal(err)
-	}
-	// Warm every reused buffer (views, desire backing, allot matrix, RAD
-	// scratch) past its steady-state capacity.
-	for i := 0; i < 8; i++ {
-		if _, err := eng.Step(); err != nil {
+	for _, validate := range []bool{false, true} {
+		eng, err := sim.NewEngine(sim.Config{
+			K: k, Caps: []int{13, 7, 5}, Scheduler: core.NewKRAD(k),
+			Pick: dag.PickFIFO, MaxSteps: 1 << 40, ValidateAllotments: validate,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := eng.Step(); err != nil {
+		if _, err := eng.AdmitBatch(specs); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Fatalf("steady-state Engine.Step allocates %.1f per call; want 0", avg)
+		// Warm every reused buffer (views, desire backing, allot matrix, RAD
+		// scratch) past its steady-state capacity.
+		for i := 0; i < 8; i++ {
+			if _, err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(200, func() {
+			if _, err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("steady-state Engine.Step (ValidateAllotments %v) allocates %.1f per call; want 0", validate, avg)
+		}
 	}
 }
 

@@ -253,10 +253,15 @@ type Engine struct {
 	leapSteps   int64       // cumulative event-leap steps (see EngineSnapshot.LeapSteps)
 	leapBlocked LeapBlocked // per-reason counts of rounds that could not leap
 
-	// Cached scheduler capability views, asserted once at construction.
+	// Cached scheduler capability views, asserted once at construction. A
+	// DeltaAllotter is driven from the slot table's writers (slots.go) and
+	// asked for grants; its dense forms — intoAllotter, completer — are then
+	// left unbound. ownAllot: the allotment rows are the engine's.
+	delta        sched.DeltaAllotter
 	intoAllotter sched.IntoAllotter
 	stable       sched.Stable
 	completer    sched.Completer
+	ownAllot     bool
 
 	// The slot table (slots.go): per-slot arrays parallel to active, and
 	// the aggregates over them, maintained incrementally instead of being
@@ -272,6 +277,9 @@ type Engine struct {
 	softUnheld  int             // slots flagged slotSoftUnheld
 	noLeap      int             // slots flagged slotNoLeap
 	floored     int             // slots flagged slotFloored
+	changed     []bool          // per category: did refreshSlot's last re-read change that entry
+	heads       []int           // per category: applyGrants' position in that category's grants,
+	nextID      []int           // and the job ID there
 	touched     []int32         // slots with a non-zero allotment row this round, ascending
 	gone        []int32         // slots completed this round (or the one cancelled), ascending
 	checkViews  []sched.JobView // the touched slots' views and rows, gathered
@@ -308,10 +316,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 		callExec:    make([]int, cfg.K),
 		perStepBuf:  make([]int, cfg.K),
 		activeCount: make([]int, cfg.K),
+		changed:     make([]bool, cfg.K),
+		heads:       make([]int, cfg.K),
+		nextID:      make([]int, cfg.K),
 	}
-	e.intoAllotter, _ = cfg.Scheduler.(sched.IntoAllotter)
+	if e.delta, _ = cfg.Scheduler.(sched.DeltaAllotter); e.delta == nil {
+		e.intoAllotter, _ = cfg.Scheduler.(sched.IntoAllotter)
+		e.completer, _ = cfg.Scheduler.(sched.Completer)
+	}
+	e.ownAllot = e.delta != nil || e.intoAllotter != nil
 	e.stable, _ = cfg.Scheduler.(sched.Stable)
-	e.completer, _ = cfg.Scheduler.(sched.Completer)
 	if cl, ok := cfg.Scheduler.(sched.Clairvoyant); ok {
 		cl.SetOracle(engineOracle{e})
 	}
@@ -554,7 +568,8 @@ func (e *Engine) Cancel(id int) error {
 	return nil
 }
 
-// jobGone tells a stateful scheduler that one job left outside a round.
+// jobGone tells a stateful scheduler that one job left outside a round (a
+// DeltaAllotter heard it from dropSlot, if it ever heard of the job).
 func (e *Engine) jobGone(id int) {
 	if e.completer != nil {
 		e.oneID[0] = id
@@ -814,10 +829,12 @@ func (e *Engine) stepN(budget int64) (StepInfo, error) {
 	return info, nil
 }
 
-// executeRound runs one scheduling round at step t: hand the slot table's
-// views to the scheduler, then execute the allotments for one step — or,
-// when the whole system is provably in a stable regime, for up to budget
-// steps in one event-leap. It returns how many steps were executed (≥ 1).
+// executeRound runs one scheduling round at step t: ask the scheduler for
+// step t's allotments — a DeltaAllotter, which has been told every change
+// to the slot table, for its grants; any other by handing it the table's
+// views — then execute them for one step or, when the whole system is
+// provably in a stable regime, for up to budget steps in one event-leap. It
+// returns how many steps were executed (≥ 1).
 //
 // The views are not rebuilt: they are current by the slot-table invariant
 // (slots.go), and only the slots this round touches — those whose allotment
@@ -839,10 +856,20 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	}
 
 	var allot [][]int
-	if e.intoAllotter != nil {
+	var touched []int32
+	switch {
+	case e.delta != nil:
+		// The grants are the touched list: nothing is scanned to find it.
+		allot = e.allot[:n]
+		var err error
+		if touched, err = e.applyGrants(e.delta.AllotDelta(t, e.cfg.Caps)); err != nil {
+			e.clearAllot(n)
+			return 0, fmt.Errorf("sim: step %d: %w", t, err)
+		}
+	case e.intoAllotter != nil:
 		allot = e.allot[:n]
 		e.intoAllotter.AllotInto(t, e.views, e.cfg.Caps, allot)
-	} else {
+	default:
 		allot = e.cfg.Scheduler.Allot(t, e.views, e.cfg.Caps)
 	}
 	if e.cfg.Observer != nil {
@@ -851,7 +878,9 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	if len(allot) != n {
 		return 0, fmt.Errorf("sim: step %d: scheduler returned %d rows for %d jobs", t, len(allot), n)
 	}
-	touched := e.collectTouched(allot)
+	if e.delta == nil {
+		touched = e.collectTouched(allot)
+	}
 	if e.cfg.ValidateAllotments {
 		// Rows of zeros for floor-free jobs satisfy every Section 2
 		// condition and add nothing to a column sum, so checking the
@@ -920,12 +949,12 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	e.gone = e.gone[:0]
 	for _, ti := range touched {
 		i := int(ti)
-		if e.intoAllotter != nil {
+		if e.ownAllot {
 			clear(allot[i])
 		}
 		j := e.active[i]
 		if !j.rt.Done() {
-			e.refreshSlot(i)
+			e.rereadSlot(i)
 			continue
 		}
 		j.completed = t
@@ -950,6 +979,70 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	return 1, nil
 }
 
+// applyGrants merges a DeltaAllotter's per-category grants, each ascending
+// by job ID, into the engine's allotment rows and returns the slots written —
+// the round's touched list, ascending. Slots ascend with IDs, so each job is
+// looked for from where the last was found, galloping: O(log gap) per job,
+// not O(log n).
+func (e *Engine) applyGrants(grants [][]sched.CatGrant) ([]int32, error) {
+	k, n := e.cfg.K, len(e.views)
+	if len(grants) != k {
+		return nil, fmt.Errorf("scheduler %q granted in %d categories, want %d", e.cfg.Scheduler.Name(), len(grants), k)
+	}
+	// next[a] is the job ID at the head of category a's grants.
+	const none = int(^uint(0) >> 1)
+	touched, heads, next := e.touched[:0], e.heads, e.nextID
+	for a, g := range grants {
+		heads[a], next[a] = 0, none
+		if len(g) > 0 {
+			next[a] = g[0].ID
+		}
+	}
+	for lo := 0; ; lo++ {
+		id := none
+		for _, x := range next {
+			id = min(id, x)
+		}
+		if id == none {
+			break
+		}
+		if lo >= n || e.views[lo].ID != id {
+			hi := lo
+			for step := 1; hi < n && e.views[hi].ID < id; step <<= 1 {
+				lo = hi + 1
+				hi += step
+			}
+			hi = min(hi, n)
+			for lo < hi {
+				if mid := int(uint(lo+hi) >> 1); e.views[mid].ID < id {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if lo == n || e.views[lo].ID != id {
+				e.touched = touched
+				return nil, fmt.Errorf("scheduler %q granted processors to job %d, which is not active (or not in ascending ID order)", e.cfg.Scheduler.Name(), id)
+			}
+		}
+		row := e.allot[lo]
+		for a, x := range next {
+			if x != id {
+				continue
+			}
+			g, h := grants[a], heads[a]
+			row[a] = g[h].N
+			heads[a], next[a] = h+1, none
+			if h+1 < len(g) {
+				next[a] = g[h+1].ID
+			}
+		}
+		touched = append(touched, int32(lo))
+	}
+	e.touched = touched
+	return touched, nil
+}
+
 // collectTouched lists the slots whose allotment row is not a row of
 // zeros, in the engine's one pass over the matrix — integers only, no
 // runtime is consulted. The engine's own matrix is scanned as the flat
@@ -962,7 +1055,7 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 func (e *Engine) collectTouched(allot [][]int) []int32 {
 	touched := e.touched[:0]
 	k := e.cfg.K
-	if e.intoAllotter != nil {
+	if e.ownAllot {
 		// One compare per entry. A hit names its slot and the rest of that
 		// row is passed over; the slot is the one after the last hit when
 		// rounds are dense (every small active set) and a division
@@ -1133,7 +1226,7 @@ func (e *Engine) leapRound(t int64, allot [][]int, n int64) {
 	e.now = t + n - 1
 	// A leap moves every job: the whole table is re-read.
 	for i := range e.active {
-		e.refreshSlot(i)
+		e.rereadSlot(i)
 	}
 	e.clearAllot(len(e.active))
 }

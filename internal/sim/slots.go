@@ -11,9 +11,11 @@ import (
 // The slot table is the engine's persistent view of the active set: slot i
 // describes e.active[i], and every per-slot array below is kept parallel to
 // e.active through releases, cancels and completions. A scheduling round
-// hands e.views to the scheduler as is — nothing is rebuilt — and re-reads
-// from the runtimes only the slots it touched (non-zero allotment row), so a
-// round costs the processors it hands out, not the jobs that wait.
+// rebuilds nothing: the scheduler is told of each change to the table as it
+// is made (a sched.DeltaAllotter; any other scheduler is handed e.views as
+// they are), and only the slots the round touched (non-zero allotment row)
+// are re-read from the runtimes, so a round costs the processors it hands
+// out plus what changed, not the jobs that wait.
 //
 // That is sound because of the idle-step law in the RuntimeJob contract: a job
 // that executes nothing in a step does not change Desire, Floor, Done or
@@ -67,7 +69,7 @@ func (e *Engine) growSlots(n int) {
 	flags := make([]uint8, live, c)
 	copy(flags, e.flags)
 	e.flags = flags
-	if e.intoAllotter != nil {
+	if e.ownAllot {
 		// Rows are all zero between rounds, so there is nothing to copy.
 		e.allotBack = make([]int, c*k)
 		e.allot = make([][]int, c)
@@ -123,10 +125,17 @@ func (e *Engine) insertActive(js *jobState) {
 	}
 	e.flags[i] = 0
 	e.refreshSlot(i)
+	if e.delta != nil {
+		// Read against a row of zeros — what a job not yet active reports —
+		// so the flagged categories are the ones it enters.
+		e.delta.JobChanged(js.id, v.Desire, v.Floor, e.changed)
+	}
+	e.resetChanged()
 }
 
-// moveSlot copies slot src over slot dst. Allotment rows are not moved:
-// they are zero whenever slots move.
+// moveSlot copies slot src over slot dst (insertActive's shift; removeSlots
+// moves whole runs). Allotment rows are not moved: they are zero whenever
+// slots move.
 func (e *Engine) moveSlot(dst, src int) {
 	e.active[dst] = e.active[src]
 	fl := e.flags[src]
@@ -148,14 +157,44 @@ func (e *Engine) moveSlot(dst, src int) {
 	}
 }
 
+// rereadSlot is refreshSlot for a slot the scheduler already knows: a
+// DeltaAllotter is told only when a row actually changed.
+func (e *Engine) rereadSlot(i int) {
+	if !e.refreshSlot(i) {
+		return
+	}
+	if e.delta != nil {
+		v := &e.views[i]
+		e.delta.JobChanged(v.ID, v.Desire, v.Floor, e.changed)
+	}
+	e.resetChanged()
+}
+
+// resetChanged clears the flags refreshSlot set. K is small: a loop that
+// the compiler does not turn into a memclr call is the cheaper form.
+func (e *Engine) resetChanged() {
+	for a, c := range e.changed {
+		if c {
+			e.changed[a] = false
+		}
+	}
+}
+
 // refreshSlot re-reads slot i's desires, floors and leap classification
-// from its runtime and folds the difference into the aggregates.
-func (e *Engine) refreshSlot(i int) {
+// from its runtime and folds the difference into the aggregates. It reports
+// whether the rows the scheduler sees — desire, floor — changed, and flags
+// in e.changed (clear on entry; the caller clears it again) which categories
+// did.
+func (e *Engine) refreshSlot(i int) (changed bool) {
 	j := e.active[i]
 	v := &e.views[i]
 	d := v.Desire
 	for a := range d {
 		now := j.rt.Desire(dag.Category(a + 1))
+		if now == d[a] {
+			continue
+		}
+		changed, e.changed[a] = true, true
 		if (now > 0) != (d[a] > 0) {
 			if now > 0 {
 				e.activeCount[a]++
@@ -171,7 +210,13 @@ func (e *Engine) refreshSlot(i int) {
 		row := e.floor[i*k : (i+1)*k : (i+1)*k]
 		any, pinned := false, true
 		for a := range row {
-			row[a] = j.caps.floor.Floor(dag.Category(a + 1))
+			now := j.caps.floor.Floor(dag.Category(a + 1))
+			// The row is this slot's last read only while the view carries
+			// it; otherwise every floor was zero.
+			if was := v.Floor != nil; was && now != row[a] || !was && now != 0 {
+				changed, e.changed[a] = true, true
+			}
+			row[a] = now
 			if row[a] > 0 {
 				any = true
 			}
@@ -203,6 +248,7 @@ func (e *Engine) refreshSlot(i int) {
 		e.countFlags(fl, +1)
 		e.flags[i] = fl
 	}
+	return changed
 }
 
 // countFlags adds by to every leap aggregate fl contributes to.
@@ -221,35 +267,56 @@ func (e *Engine) countFlags(fl uint8, by int) {
 	}
 }
 
-// dropSlot withdraws slot i's contributions from the aggregates; the slot
-// itself stays in place until removeSlots closes the gap.
+// dropSlot withdraws slot i's contributions from the aggregates and tells a
+// DeltaAllotter its job is gone; the slot itself stays in place until
+// removeSlots closes the gap.
 func (e *Engine) dropSlot(i int) {
-	for a, d := range e.views[i].Desire {
+	v := &e.views[i]
+	for a, d := range v.Desire {
 		if d > 0 {
 			e.activeCount[a]--
 		}
 	}
 	e.countFlags(e.flags[i], -1)
+	v.Floor = nil
+	if e.delta != nil {
+		e.delta.JobGone(v.ID, v.Desire)
+	}
 }
 
 // removeSlots deletes the given slots (ascending; their contributions
 // already withdrawn by dropSlot), sliding the survivors above the first of
-// them down over the gaps. Runs only when a round completed something or a
-// job was cancelled.
+// them down over the gaps: each run of survivors between two gaps moves with
+// one copy per flat array. A view's Desire stays pinned to its row, so only
+// its ID moves; floor rows move, and views are re-pointed at them, only while
+// some survivor carries floors (dropSlot cleared the views of those that
+// left). Runs only when a round completed something or a job was cancelled.
 func (e *Engine) removeSlots(gone []int32) {
-	n := len(e.active)
+	n, k := len(e.active), e.cfg.K
 	w := int(gone[0])
-	for i := w + 1; i < n; i++ {
-		if len(gone) > 1 && int(gone[1]) == i {
-			gone = gone[1:]
-			continue
+	for g, from := range gone {
+		lo, hi := int(from)+1, n
+		if g+1 < len(gone) {
+			hi = int(gone[g+1])
 		}
-		e.moveSlot(w, i)
-		w++
+		copy(e.active[w:], e.active[lo:hi])
+		copy(e.flags[w:], e.flags[lo:hi])
+		copy(e.desire[w*k:], e.desire[lo*k:hi*k])
+		for i := lo; i < hi; i++ {
+			e.views[w+i-lo].ID = e.views[i].ID
+		}
+		if e.floored > 0 {
+			copy(e.floor[w*k:], e.floor[lo*k:hi*k])
+			for i := w; i < w+hi-lo; i++ {
+				e.views[i].Floor = nil
+				if e.flags[i]&slotFloored != 0 {
+					e.views[i].Floor = e.floor[i*k : (i+1)*k : (i+1)*k]
+				}
+			}
+		}
+		w += hi - lo
 	}
-	for i := w; i < n; i++ {
-		e.active[i] = nil
-	}
+	clear(e.active[w:n])
 	e.active = e.active[:w]
 	e.views = e.views[:w]
 	e.flags = e.flags[:w]
@@ -275,7 +342,7 @@ func (e *Engine) activeIndex(id int) int {
 
 // clearAllot zeroes the engine-owned allotment rows of the first n slots.
 func (e *Engine) clearAllot(n int) {
-	if e.intoAllotter != nil {
+	if e.ownAllot {
 		clear(e.allotBack[:n*e.cfg.K])
 	}
 }
@@ -358,7 +425,7 @@ func (e *Engine) checkSlots() error {
 		if !held && j.caps.leap == nil {
 			noLeap++
 		}
-		if e.intoAllotter != nil {
+		if e.ownAllot {
 			for a, x := range e.allot[i] {
 				if x != 0 {
 					return fmt.Errorf("sim: job %d category %d allotment row holds %d between rounds", j.id, a+1, x)
