@@ -16,10 +16,10 @@
 //
 // Usage:
 //
-//	kradd -addr :8080 -k 3 -caps 4,4,4 -sched k-rad -step 50ms -queue 256
+//	kradd -addr :8080 -k 3 -caps 4,4,4 -step 50ms -queue 256
 //	kradd -addr :8080 -shards 4 -placement hash -queue 1024
 //	kradd -addr :8080 -journal-dir /var/lib/kradd -fsync always
-//	kradd -addr :8080 -fairness -fair-config queues.conf -fair-halflife 512
+//	kradd -addr :8080 -fair-config queues.conf
 //
 // With -journal-dir set, every committed mutation is write-ahead-journaled
 // (one file per shard) and replayed on startup, so a crash or restart
@@ -47,12 +47,12 @@
 // Retry-After while under-quota tenants keep admitting. -fair-config
 // names a queue-tree file (halflife/default/queue lines — see README);
 // without one every tenant header gets a dynamically created equal-weight
-// leaf. -fair-halflife sets the usage decay half-life in virtual steps
-// and overrides the file's halflife line. Tenant identity and usage ride
-// the journal, so a fairness-enabled daemon restarts with its ledger
-// intact — and refuses to replay a fairness-tagged journal with fairness
-// off (or under a different half-life) rather than silently dropping
-// tenant state.
+// leaf. The file's halflife line sets the usage decay half-life in
+// virtual steps (fairshare.DefaultHalfLife without one). Tenant identity
+// and usage ride the journal, so a fairness-enabled daemon restarts with
+// its ledger intact — and refuses to replay a fairness-tagged journal
+// with fairness off (or under a different half-life) rather than silently
+// dropping tenant state.
 //
 // With -replicate-to, every committed journal record additionally streams
 // to a warm-standby kradd started with -follow (both ends need
@@ -92,8 +92,7 @@ import (
 	"syscall"
 	"time"
 
-	"krad/internal/analysis"
-	"krad/internal/dag"
+	"krad/internal/core"
 	"krad/internal/fairshare"
 	"krad/internal/journal"
 	"krad/internal/replicate"
@@ -135,38 +134,28 @@ func bootstrapHandler() http.Handler {
 
 // options holds every kradd flag's value.
 type options struct {
-	addr      string
-	k         int
-	caps      string
-	sched     string
-	pick      string
-	seed      int64
-	step      time.Duration
-	queue     int
-	retire    bool
-	buf       int
-	drain     time.Duration
-	shard     int
-	place     string
-	journal   string
-	fsync     string
-	fsyncInt  time.Duration
-	snap      int64
-	batch     int64
-	pprof     bool
-	fair      bool
-	fairHL    int64
-	fairCfg   string
-	repTo     string
-	follow    string
-	epoch     int64
-	lease     time.Duration
-	repHB     time.Duration
-	promote   time.Duration
-	repQueue  int
-	steal     bool
-	stealMax  int
-	stealIdle int64
+	addr    string
+	k       int
+	caps    string
+	step    time.Duration
+	queue   int
+	retire  bool
+	drain   time.Duration
+	shard   int
+	place   string
+	journal string
+	fsync   string
+	snap    int64
+	pprof   bool
+	fair    bool
+	fairCfg string
+	repTo   string
+	follow  string
+	epoch   int64
+	lease   time.Duration
+	repHB   time.Duration
+	promote time.Duration
+	steal   bool
 }
 
 // registerFlags declares kradd's flags on fs, bound to the returned options.
@@ -175,24 +164,17 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
 	fs.IntVar(&o.k, "k", 3, "number of resource categories")
 	fs.StringVar(&o.caps, "caps", "4,4,4", "per-category processor counts, comma-separated")
-	fs.StringVar(&o.sched, "sched", "k-rad", fmt.Sprintf("scheduler: one of %v", analysis.SchedulerNames()))
-	fs.StringVar(&o.pick, "pick", "fifo", "task pick policy: fifo, lifo, random, cp-first, cp-last")
-	fs.Int64Var(&o.seed, "seed", 1, "scheduler/pick-policy seed")
 	fs.DurationVar(&o.step, "step", 0, "wall-clock duration of one virtual step (0 = free-running)")
 	fs.IntVar(&o.queue, "queue", 256, "admission bound: max in-flight (pending + active) jobs")
 	fs.BoolVar(&o.retire, "retire-done", false, "recycle engine state of terminal jobs; statuses served from the ID index (bounds memory for long-running, high-volume daemons)")
-	fs.IntVar(&o.buf, "event-buffer", 64, "per-subscriber event channel capacity")
 	fs.DurationVar(&o.drain, "drain", 30*time.Second, "max time to drain in-flight jobs at shutdown")
 	fs.IntVar(&o.shard, "shards", 1, "number of independent engine shards")
 	fs.StringVar(&o.place, "placement", server.PlaceRoundRobin, "shard placement policy: round-robin, hash, least-loaded")
 	fs.StringVar(&o.journal, "journal-dir", "", "write-ahead journal directory (empty = no durability)")
 	fs.StringVar(&o.fsync, "fsync", "always", "journal fsync policy: always, interval, never")
-	fs.DurationVar(&o.fsyncInt, "fsync-interval", 100*time.Millisecond, "min spacing between fsyncs under -fsync=interval")
 	fs.Int64Var(&o.snap, "snapshot-every", 10000, "compact a shard journal after this many records at an idle point (0 = never)")
-	fs.Int64Var(&o.batch, "step-batch", 0, "max virtual steps per scheduling round under one lock and one journal append (0 = default 64, 1 = per-step events)")
 	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	fs.BoolVar(&o.fair, "fairness", false, "gate admission by multi-tenant fair share (X-Krad-Tenant header)")
-	fs.Int64Var(&o.fairHL, "fair-halflife", fairshare.DefaultHalfLife, "fair-share usage decay half-life in virtual steps (overrides the -fair-config halflife line)")
 	fs.StringVar(&o.fairCfg, "fair-config", "", "queue-tree config file (implies -fairness): halflife, default and queue lines")
 	fs.StringVar(&o.repTo, "replicate-to", "", "primary: stream committed journal records to a follower kradd's -follow address (requires -journal-dir)")
 	fs.StringVar(&o.follow, "follow", "", "follower: run as a warm standby, accepting a primary's replication stream on this address (requires -journal-dir)")
@@ -200,11 +182,44 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.lease, "lease", 0, "primary: refuse admissions once the follower has been silent this long (0 = no lease gating); set strictly below the follower's -promote-after")
 	fs.DurationVar(&o.repHB, "replicate-heartbeat", time.Second, "primary: idle keepalive interval on the replication stream")
 	fs.DurationVar(&o.promote, "promote-after", 0, "follower: self-promote after this much primary silence, once a primary has connected (0 = manual POST /v1/promote only)")
-	fs.IntVar(&o.repQueue, "replicate-queue", 1024, "primary: per-shard in-memory replication send queue length (overflow falls back to WAL catch-up)")
 	fs.BoolVar(&o.steal, "steal", false, "cross-shard work stealing: idle shards pull pending jobs off the deepest peer (journaled; incompatible with -fairness)")
-	fs.IntVar(&o.stealMax, "steal-max", 64, "max jobs one steal moves (the work target is half the victim's pending work)")
-	fs.Int64Var(&o.stealIdle, "steal-idle", 0, "steal while still running once a shard's estimated remaining work drops below this many task-steps (0 = steal only when idle)")
 	return o
+}
+
+// dependents lists the flags that only mean something inside a mode another
+// flag turns on (any one of needs, non-empty); checkDependents refuses one
+// set without its mode, where it would otherwise be silently ignored.
+var dependents = []struct {
+	name  string
+	needs []string
+}{
+	{"fsync", []string{"journal-dir"}},
+	{"snapshot-every", []string{"journal-dir"}},
+	{"lease", []string{"replicate-to"}},
+	{"replicate-heartbeat", []string{"replicate-to"}},
+	{"promote-after", []string{"follow"}},
+	{"epoch", []string{"replicate-to", "follow"}},
+}
+
+// checkDependents walks the flags set on fs's command line and returns an
+// error naming the first dependent flag whose mode is off.
+func checkDependents(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		for _, d := range dependents {
+			if err != nil || d.name != f.Name {
+				continue
+			}
+			on := false
+			for _, mode := range d.needs {
+				on = on || fs.Lookup(mode).Value.String() != ""
+			}
+			if !on {
+				err = fmt.Errorf("-%s does nothing without -%s", d.name, strings.Join(d.needs, " or -"))
+			}
+		}
+	})
+	return err
 }
 
 func main() {
@@ -217,17 +232,7 @@ func main() {
 	if err != nil || len(caps) != o.k {
 		log.Fatalf("-caps must list exactly K=%d integers: %v", o.k, err)
 	}
-	scheduler, err := analysis.NewScheduler(o.sched, o.k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Moldable jobs pin processors non-preemptively, so every shard's
-	// scheduler is floor-respecting. For unit-task workloads the wrapper is
-	// the identity, and it snapshots/restores byte-identically to the
-	// unwrapped scheduler, so existing journals still replay.
-	scheduler = sched.WithFloors(scheduler)
-	pick, err := parsePick(o.pick)
-	if err != nil {
+	if err := checkDependents(flag.CommandLine); err != nil {
 		log.Fatal(err)
 	}
 	var journalCfg *server.JournalConfig
@@ -239,7 +244,6 @@ func main() {
 		journalCfg = &server.JournalConfig{
 			Dir:           o.journal,
 			Sync:          policy,
-			SyncInterval:  o.fsyncInt,
 			SnapshotEvery: o.snap,
 		}
 	}
@@ -251,7 +255,7 @@ func main() {
 	}
 	var fairCfg *fairshare.Config
 	if o.fair || o.fairCfg != "" {
-		c := fairshare.Config{HalfLife: o.fairHL}
+		var c fairshare.Config
 		if o.fairCfg != "" {
 			f, err := os.Open(o.fairCfg)
 			if err != nil {
@@ -262,13 +266,6 @@ func main() {
 			if err != nil {
 				log.Fatalf("-fair-config %s: %v", o.fairCfg, err)
 			}
-			// An explicitly passed -fair-halflife beats the file's halflife
-			// line; the flag's default does not.
-			flag.Visit(func(fl *flag.Flag) {
-				if fl.Name == "fair-halflife" {
-					c.HalfLife = o.fairHL
-				}
-			})
 		}
 		fairCfg = &c
 		hl := c.HalfLife
@@ -311,30 +308,23 @@ func main() {
 		log.Printf("replaying journal from %s (fsync=%s snapshot-every=%d)", journalCfg.Dir, journalCfg.Sync, journalCfg.SnapshotEvery)
 	}
 	svc, err := server.New(server.Config{
-		Sim: sim.Config{
-			K: o.k, Caps: caps, Scheduler: scheduler, Pick: pick,
-			Seed: o.seed, ValidateAllotments: true,
-		},
-		MaxInFlight:      o.queue,
-		StepEvery:        o.step,
-		StepBatch:        o.batch,
-		SubscriberBuffer: o.buf,
-		Shards:           o.shard,
-		Placement:        o.place,
-		// Each shard needs its own scheduler instance: K-RAD and the
-		// clairvoyant variants carry per-engine state. The name and K
-		// were validated above, so the factory cannot fail.
-		NewScheduler: func() sched.Scheduler {
-			s, _ := analysis.NewScheduler(o.sched, o.k)
-			return sched.WithFloors(s)
-		},
-		Journal:    journalCfg,
-		Fairness:   fairCfg,
-		Follower:   o.follow != "",
-		RetireDone: o.retire,
-		Steal:      o.steal,
-		StealMax:   o.stealMax,
-		StealIdle:  o.stealIdle,
+		// Tasks are picked FIFO (the zero Pick): the paper's bounds hold for
+		// every pick policy, and kradsim is the tool that compares them.
+		Sim:         sim.Config{K: o.k, Caps: caps, ValidateAllotments: true},
+		MaxInFlight: o.queue,
+		StepEvery:   o.step,
+		Shards:      o.shard,
+		Placement:   o.place,
+		// One K-RAD per shard: it carries per-engine state. Moldable jobs
+		// pin processors non-preemptively, so it is floor-respecting; for
+		// unit-task workloads the wrapper is the identity, and it
+		// snapshots/restores byte-identically to the unwrapped scheduler.
+		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(o.k)) },
+		Journal:      journalCfg,
+		Fairness:     fairCfg,
+		Follower:     o.follow != "",
+		RetireDone:   o.retire,
+		Steal:        o.steal,
 	})
 	if err != nil {
 		// A journal that cannot be replayed (corrupt record, version
@@ -355,7 +345,6 @@ func main() {
 			Epoch:     o.epoch,
 			Shards:    svc.Shards(),
 			CatchUp:   server.JournalCatchUp(o.journal),
-			QueueLen:  o.repQueue,
 			Heartbeat: o.repHB,
 			Lease:     o.lease,
 			Logf:      log.Printf,
@@ -409,8 +398,8 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer cancel()
 
-	log.Printf("listening on %s (K=%d caps=%v sched=%s step=%v queue=%d shards=%d placement=%s)",
-		o.addr, o.k, caps, o.sched, o.step, o.queue, o.shard, o.place)
+	log.Printf("listening on %s (K=%d caps=%v step=%v queue=%d shards=%d placement=%s)",
+		o.addr, o.k, caps, o.step, o.queue, o.shard, o.place)
 
 	select {
 	case err := <-errCh:
@@ -461,20 +450,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func parsePick(s string) (dag.PickPolicy, error) {
-	switch s {
-	case "fifo":
-		return dag.PickFIFO, nil
-	case "lifo":
-		return dag.PickLIFO, nil
-	case "random":
-		return dag.PickRandom, nil
-	case "cp-first":
-		return dag.PickCPFirst, nil
-	case "cp-last":
-		return dag.PickCPLast, nil
-	}
-	return 0, fmt.Errorf("unknown pick policy %q", s)
 }

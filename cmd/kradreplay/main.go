@@ -22,8 +22,16 @@
 //
 // Backpressure: 429 (tenant over fair share) and 503 (queue full,
 // journal degraded) responses are counted, the server's Retry-After
-// hint honored (capped by -retry-cap), and the job retried. The final
-// report separates accepted, shed and errored submissions.
+// hint honored (capped by -retry-cap), and the job retried. Transport
+// errors — connection refused or reset, EOF: a daemon restarting or a
+// failover in progress — are retried on the same schedule and counted
+// apart as conn_retries. The final report separates accepted, shed and
+// errored submissions, and the process exits 1 when any submission was
+// lost or the drain stalled.
+//
+// With -tenants N batches rotate over N synthetic tenants (X-Krad-Tenant:
+// team-0 … team-<N-1>; pair with kradd -fairness) and the report breaks
+// accepted and 429-shed counts out per tenant.
 //
 // Examples:
 //
@@ -36,6 +44,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,6 +56,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"krad/internal/dag"
@@ -70,7 +80,6 @@ type options struct {
 	addr     string
 	trace    string
 	jobs     int
-	k        int
 	scale    int64
 	maxProcs int
 	mix      string
@@ -81,6 +90,7 @@ type options struct {
 	seed     int64
 	skew     string
 	skewKeys int
+	tenants  int
 	retryCap time.Duration
 	drain    bool
 	drainMax time.Duration
@@ -101,14 +111,24 @@ type report struct {
 	Accepted    int64   `json:"accepted"`
 	Shed429     int64   `json:"shed_429"`
 	Shed503     int64   `json:"shed_503"`
+	ConnRetries int64   `json:"conn_retries"`
 	Errors      int64   `json:"errors"`
 	WallSeconds float64 `json:"wall_seconds"`
 	SubmitRate  float64 `json:"submit_jobs_per_sec"`
 
 	Latency metrics.LatencyReport `json:"admit_latency"`
 
+	Tenants []tenantReport `json:"tenants,omitempty"`
+
 	Drain   *drainReport  `json:"drain,omitempty"`
 	Journal *journalDelta `json:"journal,omitempty"`
+}
+
+// tenantReport is one -tenants tenant's share of accepted and shed_429.
+type tenantReport struct {
+	Tenant   string `json:"tenant"`
+	Accepted int64  `json:"accepted"`
+	Shed429  int64  `json:"shed_429"`
 }
 
 type drainReport struct {
@@ -152,7 +172,6 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "http://localhost:8080", "kradd base URL")
 	flag.StringVar(&o.trace, "trace", "", "SWF trace to replay (empty = synthetic stream)")
 	flag.IntVar(&o.jobs, "jobs", 10000, "jobs to submit (with -trace: cap, 0 = whole log)")
-	flag.IntVar(&o.k, "k", 3, "resource categories of the target daemon")
 	flag.Int64Var(&o.scale, "timescale", 60, "SWF seconds per virtual step")
 	flag.IntVar(&o.maxProcs, "max-procs", 8, "cap per-job processor demand (0 = none)")
 	flag.StringVar(&o.mix, "mix", "rigid=1", "synthetic family mix, e.g. rigid=0.8,dag=0.1,mold=0.1")
@@ -163,6 +182,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "synthetic workload seed")
 	flag.StringVar(&o.skew, "skew", "", "skewed placement keys per batch: zipf (polynomial key frequencies), hot (90% one key), empty = no placement key; pair with kradd -placement hash")
 	flag.IntVar(&o.skewKeys, "skew-keys", 64, "distinct placement keys -skew draws from")
+	flag.IntVar(&o.tenants, "tenants", 0, "rotate batches over N synthetic tenants via the X-Krad-Tenant header (0 = no header; pair with kradd -fairness)")
 	flag.DurationVar(&o.retryCap, "retry-cap", 2*time.Second, "cap on honoring Retry-After hints")
 	flag.BoolVar(&o.drain, "drain", true, "wait for the daemon to drain and measure throughput")
 	flag.DurationVar(&o.drainMax, "drain-timeout", 10*time.Minute, "give up draining after this long without progress")
@@ -170,35 +190,60 @@ func main() {
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress progress logging")
 	flag.Parse()
 
+	// The report comes first, the verdict second: a run that lost
+	// submissions or stalled draining still says what it measured.
 	rep, err := run(o)
+	if rep != nil {
+		if werr := writeReport(rep, o.out); werr != nil {
+			log.Fatal(werr)
+		}
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc = append(enc, '\n')
-	if o.out == "" {
-		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(o.out, enc, 0o644); err != nil {
-		log.Fatal(err)
+	if rep.Errors > 0 {
+		log.Fatalf("kradreplay: %d of %d submissions lost", rep.Errors, rep.Jobs)
 	}
 }
 
+// writeReport writes rep as indented JSON to path, or to stdout without one.
+func writeReport(rep *report, path string) error {
+	enc, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	enc = append(enc, '\n')
+	if path == "" {
+		_, err = os.Stdout.Write(enc)
+		return err
+	}
+	return os.WriteFile(path, enc, 0o644)
+}
+
+// counters is what the submit workers tally; tenants has one cell per
+// -tenants tenant.
+type counters struct {
+	accepted, shed429, shed503, connRetries, errors atomic.Int64
+	tenants                                         []tenantTally
+}
+
+type tenantTally struct{ accepted, shed429 atomic.Int64 }
+
+// run drives one replay. A drain that stalls returns the report so far
+// together with the error.
 func run(o options) (*report, error) {
-	if o.workers < 1 || o.batch < 1 {
-		return nil, fmt.Errorf("kradreplay: need workers ≥ 1 and batch ≥ 1")
+	if o.workers < 1 || o.batch < 1 || o.tenants < 0 {
+		return nil, fmt.Errorf("kradreplay: need workers ≥ 1, batch ≥ 1 and tenants ≥ 0")
 	}
 	before, err := fetchHealth(o.addr)
 	if err != nil {
 		return nil, fmt.Errorf("kradreplay: daemon not reachable: %w", err)
 	}
-	if before.Stats.K != o.k {
-		return nil, fmt.Errorf("kradreplay: daemon has k=%d, client says -k=%d", before.Stats.K, o.k)
+	if before.Stats.K < 1 {
+		return nil, fmt.Errorf("kradreplay: daemon not ready: /healthz says %q and carries no stats yet", before.Status)
 	}
 
-	src, name, err := newSource(o)
+	src, name, err := newSource(o, before.Stats.K)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +268,7 @@ func run(o options) (*report, error) {
 	go feed(o, src, keyGen, jobs)
 
 	hists := make([]metrics.Hist, o.workers) // one per worker, merged below
-	var accepted, shed429, shed503, errCount atomic.Int64
+	c := &counters{tenants: make([]tenantTally, o.tenants)}
 	client := &http.Client{Timeout: 30 * time.Second}
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -232,7 +277,7 @@ func run(o options) (*report, error) {
 		go func(hist *metrics.Hist) {
 			defer wg.Done()
 			for item := range jobs {
-				submitBatch(o, client, item, hist, &accepted, &shed429, &shed503, &errCount)
+				submitBatch(o, client, item, hist, c)
 			}
 		}(&hists[w])
 	}
@@ -243,31 +288,37 @@ func run(o options) (*report, error) {
 	}
 	wall := time.Since(start)
 
-	rep.Jobs = accepted.Load() + errCount.Load()
-	rep.Accepted = accepted.Load()
-	rep.Shed429 = shed429.Load()
-	rep.Shed503 = shed503.Load()
-	rep.Errors = errCount.Load()
+	rep.Accepted = c.accepted.Load()
+	rep.Shed429 = c.shed429.Load()
+	rep.Shed503 = c.shed503.Load()
+	rep.ConnRetries = c.connRetries.Load()
+	rep.Errors = c.errors.Load()
+	rep.Jobs = rep.Accepted + rep.Errors
+	for i := range c.tenants {
+		rep.Tenants = append(rep.Tenants, tenantReport{
+			Tenant: tenantName(i), Accepted: c.tenants[i].accepted.Load(), Shed429: c.tenants[i].shed429.Load(),
+		})
+	}
 	rep.WallSeconds = wall.Seconds()
 	if wall > 0 {
 		rep.SubmitRate = float64(rep.Accepted) / wall.Seconds()
 	}
 	rep.Latency = hist.Report()
 	if !o.quiet {
-		log.Printf("submitted %d jobs in %v (%.0f jobs/s): %s; shed 429=%d 503=%d errors=%d",
-			rep.Accepted, wall.Round(time.Millisecond), rep.SubmitRate, rep.Latency, rep.Shed429, rep.Shed503, rep.Errors)
+		log.Printf("submitted %d jobs in %v (%.0f jobs/s): %s; shed 429=%d 503=%d conn-retries=%d errors=%d",
+			rep.Accepted, wall.Round(time.Millisecond), rep.SubmitRate, rep.Latency, rep.Shed429, rep.Shed503, rep.ConnRetries, rep.Errors)
 	}
 
 	if o.drain && rep.Accepted > 0 {
 		dr, err := waitDrain(o, before, rep.Accepted, start)
 		if err != nil {
-			return nil, err
+			return rep, err
 		}
 		rep.Drain = dr
 	}
 	after, err := fetchHealth(o.addr)
 	if err != nil {
-		return nil, err
+		return rep, err
 	}
 	if bj, aj := before.Stats.Journal, after.Stats.Journal; bj != nil && aj != nil {
 		d := &journalDelta{
@@ -286,8 +337,8 @@ func run(o options) (*report, error) {
 }
 
 // newSource builds the job iterator. It returns batches of exactly
-// o.batch jobs (the tail may be shorter).
-func newSource(o options) (func() ([]wireJob, error), string, error) {
+// o.batch jobs (the tail may be shorter) for a daemon of k categories.
+func newSource(o options, k int) (func() ([]wireJob, error), string, error) {
 	if o.trace != "" {
 		f, err := os.Open(o.trace)
 		if err != nil {
@@ -314,11 +365,11 @@ func newSource(o options) (func() ([]wireJob, error), string, error) {
 				if o.maxProcs > 0 && rec.Procs > o.maxProcs {
 					rec.Procs = o.maxProcs
 				}
-				cat := dag.Category((rec.Partition-1+o.k)%o.k + 1)
+				cat := dag.Category((rec.Partition-1+k)%k + 1)
 				if rec.Partition <= 0 {
-					cat = dag.Category(emitted%o.k + 1)
+					cat = dag.Category(emitted%k + 1)
 				}
-				sp, err := rec.RigidSpec(o.k, cat, o.scale)
+				sp, err := rec.RigidSpec(k, cat, o.scale)
 				if err != nil {
 					return nil, err
 				}
@@ -351,7 +402,7 @@ func newSource(o options) (func() ([]wireJob, error), string, error) {
 		}
 		out := make([]wireJob, 0, n)
 		for i := 0; i < n; i++ {
-			out = append(out, synthJob(rng, o.k, weights, emitted+i))
+			out = append(out, synthJob(rng, k, weights, emitted+i))
 		}
 		emitted += n
 		return out, nil
@@ -417,21 +468,30 @@ func synthJob(rng *rand.Rand, k int, weights map[string]float64, i int) wireJob 
 	}
 }
 
-// workItem is one batch plus the placement key it submits under ("" when
-// -skew is off).
+// workItem is one batch plus the placement key ("" when -skew is off) and
+// tenant index (-1 when -tenants is off) it submits under.
 type workItem struct {
-	jobs []wireJob
-	key  string
+	jobs   []wireJob
+	key    string
+	tenant int
 }
+
+// tenantHeader names the submitting tenant's fair-share queue (the
+// client-side spelling of the server's X-Krad-Tenant header).
+const tenantHeader = "X-Krad-Tenant"
+
+// tenantName names synthetic tenant i; the value is a queue-tree path.
+func tenantName(i int) string { return "team-" + strconv.Itoa(i) }
 
 // feed pushes job batches into the channel: as fast as workers take them
 // in closed-loop mode, or paced at -rate in open-loop mode. keyGen, when
-// set, stamps each batch with a skewed placement key.
+// set, stamps each batch with a skewed placement key; with -tenants the
+// batches rotate over the tenants.
 func feed(o options, src func() ([]wireJob, error), keyGen func() string, jobs chan<- workItem) {
 	defer close(jobs)
 	rng := rand.New(rand.NewSource(o.seed + 1))
 	var next time.Time
-	for {
+	for n := 0; ; n++ {
 		batch, err := src()
 		if err == io.EOF {
 			return
@@ -454,7 +514,10 @@ func feed(o options, src func() ([]wireJob, error), keyGen func() string, jobs c
 				time.Sleep(wait)
 			}
 		}
-		item := workItem{jobs: batch}
+		item := workItem{jobs: batch, tenant: -1}
+		if o.tenants > 0 {
+			item.tenant = n % o.tenants
+		}
 		if keyGen != nil {
 			item.key = keyGen()
 		}
@@ -462,13 +525,26 @@ func feed(o options, src func() ([]wireJob, error), keyGen func() string, jobs c
 	}
 }
 
+// isConnErr reports a transport failure worth retrying: the daemon refused
+// the connection (restarting, or a failover target not serving yet) or cut
+// it mid-request (reset, EOF). A 503, by contrast, is a healthy daemon
+// shedding load.
+func isConnErr(err error) bool {
+	return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) ||
+		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
+// maxAttempts bounds the retries of one batch, sheds and transport errors
+// together.
+const maxAttempts = 50
+
 // submitBatch posts one batch (singly via /v1/jobs when -batch=1),
-// retrying shed submissions with the server's Retry-After hint. The
-// item's placement key, when present, rides the request header so the
-// daemon's hash placement concentrates the skewed stream.
-func submitBatch(o options, client *http.Client, item workItem, hist *metrics.Hist,
-	accepted, shed429, shed503, errCount *atomic.Int64) {
+// retrying shed submissions with the server's Retry-After hint and
+// transport errors on the same schedule. The item's placement key and
+// tenant, when present, ride the request headers.
+func submitBatch(o options, client *http.Client, item workItem, hist *metrics.Hist, c *counters) {
 	batch := item.jobs
+	n := int64(len(batch))
 	path := "/v1/jobs/batch"
 	var body []byte
 	var err error
@@ -481,48 +557,61 @@ func submitBatch(o options, client *http.Client, item workItem, hist *metrics.Hi
 		}{batch})
 	}
 	if err != nil {
-		errCount.Add(int64(len(batch)))
+		c.errors.Add(n)
 		return
 	}
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
 		req, err := http.NewRequest(http.MethodPost, o.addr+path, bytes.NewReader(body))
 		if err != nil {
-			errCount.Add(int64(len(batch)))
+			c.errors.Add(n)
 			return
 		}
 		req.Header.Set("Content-Type", "application/json")
 		if item.key != "" {
 			req.Header.Set(placementKeyHeader, item.key)
 		}
-		resp, err := client.Do(req)
-		if err != nil {
-			errCount.Add(int64(len(batch)))
-			return
+		if item.tenant >= 0 {
+			req.Header.Set(tenantHeader, tenantName(item.tenant))
 		}
-		lat := time.Since(start).Seconds()
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusCreated:
-			hist.Observe(lat)
-			accepted.Add(int64(len(batch)))
+		resp, err := client.Do(req)
+		retryAfter := "" // the hint a shed carries; a transport error has none
+		switch {
+		case err != nil && isConnErr(err):
+			c.connRetries.Add(1)
+		case err != nil:
+			c.errors.Add(n)
 			return
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			if resp.StatusCode == http.StatusTooManyRequests {
-				shed429.Add(1)
-			} else {
-				shed503.Add(1)
-			}
-			if attempt >= 50 {
-				errCount.Add(int64(len(batch)))
+		default:
+			lat := time.Since(start).Seconds()
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusCreated:
+				hist.Observe(lat)
+				c.accepted.Add(n)
+				if item.tenant >= 0 {
+					c.tenants[item.tenant].accepted.Add(n)
+				}
+				return
+			case http.StatusServiceUnavailable:
+				c.shed503.Add(1)
+			case http.StatusTooManyRequests:
+				c.shed429.Add(1)
+				if item.tenant >= 0 {
+					c.tenants[item.tenant].shed429.Add(1)
+				}
+			default:
+				c.errors.Add(n)
 				return
 			}
-			time.Sleep(retryDelay(resp.Header.Get("Retry-After"), o.retryCap, attempt))
-		default:
-			errCount.Add(int64(len(batch)))
+			retryAfter = resp.Header.Get("Retry-After")
+		}
+		if attempt >= maxAttempts {
+			c.errors.Add(n)
 			return
 		}
+		time.Sleep(retryDelay(retryAfter, o.retryCap, attempt))
 	}
 }
 

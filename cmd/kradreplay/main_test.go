@@ -10,11 +10,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"krad/internal/core"
 	"krad/internal/dag"
+	"krad/internal/fairshare"
 	"krad/internal/sched"
 	"krad/internal/server"
 	"krad/internal/sim"
@@ -93,7 +95,7 @@ func selfHost(t *testing.T, k int, caps []int) string {
 func TestRunSyntheticClosedLoop(t *testing.T) {
 	addr := selfHost(t, 2, []int{8, 8})
 	rep, err := run(options{
-		addr: addr, jobs: 2000, k: 2, mix: "rigid=0.8,dag=0.1,mold=0.1",
+		addr: addr, jobs: 2000, mix: "rigid=0.8,dag=0.1,mold=0.1",
 		workers: 4, batch: 1, seed: 7, retryCap: 100 * time.Millisecond,
 		drain: true, drainMax: time.Minute, quiet: true,
 	})
@@ -117,7 +119,7 @@ func TestRunSyntheticClosedLoop(t *testing.T) {
 func TestRunSyntheticBatchedOpenLoop(t *testing.T) {
 	addr := selfHost(t, 2, []int{8, 8})
 	rep, err := run(options{
-		addr: addr, jobs: 1200, k: 2, mix: "rigid=1",
+		addr: addr, jobs: 1200, mix: "rigid=1",
 		workers: 2, batch: 64, rate: 100000, arrivals: "poisson", seed: 3,
 		retryCap: 100 * time.Millisecond, drain: true, drainMax: time.Minute, quiet: true,
 	})
@@ -144,7 +146,7 @@ func TestRunSWFTrace(t *testing.T) {
 	}
 	f.Close()
 	rep, err := run(options{
-		addr: addr, trace: path, jobs: 0, k: 3, scale: 60, maxProcs: 4,
+		addr: addr, trace: path, jobs: 0, scale: 60, maxProcs: 4,
 		workers: 4, batch: 8, retryCap: 100 * time.Millisecond,
 		drain: true, drainMax: time.Minute, quiet: true,
 	})
@@ -186,7 +188,7 @@ func TestRunBackpressure(t *testing.T) {
 	// cannot run out of retries while the queue is still draining (at 20 ms
 	// one did about once in a hundred runs, even with jittered delays).
 	rep, err := run(options{
-		addr: ts.URL, jobs: 200, k: 1, mix: "rigid=1",
+		addr: ts.URL, jobs: 200, mix: "rigid=1",
 		workers: 8, batch: 1, seed: 2, retryCap: 50 * time.Millisecond,
 		drain: true, drainMax: time.Minute, quiet: true,
 	})
@@ -198,6 +200,120 @@ func TestRunBackpressure(t *testing.T) {
 	}
 	if rep.Shed503 == 0 {
 		t.Fatal("queue of 4 under 8 workers shed nothing — backpressure not exercised")
+	}
+}
+
+// TestRunTenants spreads a run over three tenants of a fairness-gated
+// service whose fleet bound is far below the offered load: over-quota
+// submissions bounce with 429 and are retried, the per-tenant rows add up
+// to the totals, and every job drains.
+func TestRunTenants(t *testing.T) {
+	svc, err := server.New(server.Config{
+		Sim:          sim.Config{K: 1, Caps: []int{2}},
+		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(1)) },
+		MaxInFlight:  6,
+		RetireDone:   true,
+		Fairness:     &fairshare.Config{},
+		StepEvery:    2 * time.Millisecond, // paced, as in TestRunBackpressure
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	ts := httptest.NewServer(svc.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		_ = svc.Close(ctx)
+	}()
+	rep, err := run(options{
+		addr: ts.URL, jobs: 150, mix: "rigid=1", tenants: 3,
+		workers: 9, batch: 1, seed: 2, retryCap: 50 * time.Millisecond,
+		drain: true, drainMax: time.Minute, quiet: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Accepted != 150 || rep.Errors != 0 {
+		t.Fatalf("accepted %d errors %d, want 150/0", rep.Accepted, rep.Errors)
+	}
+	if rep.Shed429 == 0 {
+		t.Fatal("9 workers against a fair-shared bound of 6 shed no 429")
+	}
+	if len(rep.Tenants) != 3 {
+		t.Fatalf("tenant rows %+v, want 3", rep.Tenants)
+	}
+	var accepted, shed int64
+	for i, tr := range rep.Tenants {
+		if tr.Tenant != tenantName(i) || tr.Accepted != 50 {
+			t.Errorf("tenant row %d: %+v, want %s with 50 accepted", i, tr, tenantName(i))
+		}
+		accepted += tr.Accepted
+		shed += tr.Shed429
+	}
+	if accepted != rep.Accepted || shed != rep.Shed429 {
+		t.Fatalf("per-tenant sums %d/%d, totals %d/%d", accepted, shed, rep.Accepted, rep.Shed429)
+	}
+	if rep.Drain == nil || rep.Drain.Jobs != 150 {
+		t.Fatalf("drain %+v, want all 150 jobs", rep.Drain)
+	}
+}
+
+// TestRunRetriesConnErrors resets the connection under the first few
+// submissions — what a restarting daemon or a failover looks like from the
+// client — and checks each is retried, counted apart from sheds, and
+// nothing is lost.
+func TestRunRetriesConnErrors(t *testing.T) {
+	svc, err := server.New(server.Config{
+		Sim:          sim.Config{K: 1, Caps: []int{4}},
+		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(1)) },
+		RetireDone:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	const resets = 5
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && posts.Add(1) <= resets {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_ = conn.(*net.TCPConn).SetLinger(0) // close sends RST, not FIN
+			conn.Close()
+			return
+		}
+		svc.Handler().ServeHTTP(w, r)
+	}))
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		_ = svc.Close(ctx)
+	}()
+	rep, err := run(options{
+		addr: ts.URL, jobs: 40, mix: "rigid=1",
+		workers: 2, batch: 4, seed: 2, retryCap: 20 * time.Millisecond,
+		drain: true, drainMax: time.Minute, quiet: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Accepted != 40 || rep.Errors != 0 {
+		t.Fatalf("accepted %d errors %d, want 40/0", rep.Accepted, rep.Errors)
+	}
+	if rep.ConnRetries != resets {
+		t.Fatalf("conn_retries %d, want %d (one per reset connection)", rep.ConnRetries, resets)
+	}
+	if rep.Shed429 != 0 || rep.Shed503 != 0 {
+		t.Fatalf("resets counted as sheds: 429=%d 503=%d", rep.Shed429, rep.Shed503)
+	}
+	if rep.Drain == nil || rep.Drain.Jobs != 40 {
+		t.Fatalf("drain %+v, want all 40 jobs", rep.Drain)
 	}
 }
 
@@ -268,7 +384,7 @@ func TestReplaySmokeRealKradd(t *testing.T) {
 	}
 	outPath := filepath.Join(dir, "report.json")
 	cmd := exec.Command(replay,
-		"-addr", base, "-k", "2", "-jobs", fmt.Sprint(jobs),
+		"-addr", base, "-jobs", fmt.Sprint(jobs),
 		"-mix", "rigid=0.9,dag=0.05,mold=0.05", "-workers", "8", "-batch", "16",
 		"-drain-timeout", "5m", "-out", outPath)
 	cmd.Stdout = os.Stderr

@@ -83,7 +83,7 @@ func TestStealSmokeRealKradd(t *testing.T) {
 	}
 	outPath := filepath.Join(dir, "report.json")
 	cmd := exec.Command(replay,
-		"-addr", base, "-k", "2", "-jobs", fmt.Sprint(jobs),
+		"-addr", base, "-jobs", fmt.Sprint(jobs),
 		"-mix", "rigid=0.9,dag=0.05,mold=0.05", "-workers", "8", "-batch", "16",
 		"-skew", "zipf", "-skew-keys", "64",
 		"-drain-timeout", "5m", "-out", outPath)

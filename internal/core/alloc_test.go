@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"krad/internal/sched"
@@ -136,5 +138,48 @@ func TestRADRoundRobinCycleGrowsStampOnce(t *testing.T) {
 	}
 	if len(r.stamp) != n || cap(r.stamp) != n {
 		t.Fatalf("stamp len %d cap %d after the cycle, want exactly %d: no spare capacity", len(r.stamp), cap(r.stamp), n)
+	}
+}
+
+// TestRADRestoreGrowsStampOnce pins the same for RestoreState: 4,096
+// ascending marks size the stamp slice in one allocation, not one
+// reallocation (and one copy of everything below) per restored ID, and the
+// restored RAD snapshots back to the same bytes.
+func TestRADRestoreGrowsStampOnce(t *testing.T) {
+	const n = 4096
+	src := NewRAD()
+	for id := 0; id < n; id++ {
+		src.mark(id)
+	}
+	data, err := src.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := testing.AllocsPerRun(5, func() {
+		var st radState
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var r *RAD
+	avg := testing.AllocsPerRun(5, func() {
+		r = NewRAD()
+		if err := r.RestoreState(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Beyond decoding the JSON: the RAD itself and its stamp slice.
+	if avg > decode+2 {
+		t.Fatalf("restoring %d marks allocates %.0f times, %.0f of them decoding; want 2 more (was one per mark)", n, avg, decode)
+	}
+	if len(r.stamp) != n || cap(r.stamp) != n {
+		t.Fatalf("stamp len %d cap %d after restore, want exactly %d: no spare capacity", len(r.stamp), cap(r.stamp), n)
+	}
+	again, err := r.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatal("snapshot bytes changed across restore")
 	}
 }

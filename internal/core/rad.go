@@ -358,10 +358,15 @@ func (r *RAD) RestoreState(data []byte) error {
 	}
 	r.gen, r.cursor, r.late, r.ids = 1, 0, r.late[:0], r.ids[:0]
 	clear(r.stamp)
+	top := -1
 	for _, id := range st.Marked {
 		if id < 0 {
 			return fmt.Errorf("core: rad state has negative job ID %d", id)
 		}
+		top = max(top, id)
+	}
+	r.growStamp(top + 1) // once, not once per mark
+	for _, id := range st.Marked {
 		r.mark(id)
 	}
 	r.rot = st.Rot

@@ -46,6 +46,16 @@ type SeqRecord struct {
 // never under engine locks.
 type CatchUpFunc func(shard int, from int64) (snap *SeqRecord, tail []SeqRecord, err error)
 
+const (
+	// queueLen bounds the per-shard in-memory send queue. When a slow link
+	// lets a queue fill, it is dropped wholesale and the stream falls back
+	// to CatchUp — backpressure never reaches the commit path, by design: a
+	// warm standby must not be able to stall the primary.
+	queueLen = 1024
+	// batchMax caps records per recs frame.
+	batchMax = 256
+)
+
 // SenderConfig parameterizes a Sender.
 type SenderConfig struct {
 	// Addr is the follower's replication listen address.
@@ -56,14 +66,6 @@ type SenderConfig struct {
 	Shards int
 	// CatchUp reads aged-out records from durable storage. Required.
 	CatchUp CatchUpFunc
-	// QueueLen bounds the per-shard in-memory send queue. When a slow
-	// link lets a queue fill, it is dropped wholesale and the stream
-	// falls back to CatchUp — backpressure never reaches the commit
-	// path, by design: a warm standby must not be able to stall the
-	// primary. 0 means 1024.
-	QueueLen int
-	// BatchMax caps records per recs frame. 0 means 256.
-	BatchMax int
 	// Heartbeat is the idle keepalive interval (and the base of the
 	// link-death detection deadlines). 0 means 1s.
 	Heartbeat time.Duration
@@ -148,12 +150,6 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	}
 	if cfg.CatchUp == nil {
 		return nil, fmt.Errorf("replicate: sender needs a CatchUp source")
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 1024
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 256
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
@@ -246,7 +242,7 @@ func (s *Sender) Committed(shard int, seq int64, rec journal.Record) {
 		*q = sendQueue{base: seq}
 		s.drops++
 	}
-	if len(q.buf) >= s.cfg.QueueLen {
+	if len(q.buf) >= queueLen {
 		// Full: spill wholesale. Dropping one-by-one would make overflow
 		// O(queue) per append inside the commit path; dropping all is
 		// O(1) and the disk has everything anyway.
@@ -507,8 +503,8 @@ func (s *Sender) pump(conn net.Conn, shard int, cursor *int64) (bool, error) {
 	if len(q.buf) > 0 && q.base <= *cursor {
 		off := int(*cursor - q.base)
 		n := len(q.buf) - off
-		if n > s.cfg.BatchMax {
-			n = s.cfg.BatchMax
+		if n > batchMax {
+			n = batchMax
 		}
 		recs := append([]journal.Record(nil), q.buf[off:off+n]...)
 		s.mu.Unlock()
@@ -545,8 +541,8 @@ func (s *Sender) pump(conn net.Conn, shard int, cursor *int64) (bool, error) {
 			return false, fmt.Errorf("shard %d: catch-up skipped from seq %d to %d", shard, *cursor, tail[i].Seq)
 		}
 		n := len(tail) - i
-		if n > s.cfg.BatchMax {
-			n = s.cfg.BatchMax
+		if n > batchMax {
+			n = batchMax
 		}
 		recs := make([]journal.Record, n)
 		for k := 0; k < n; k++ {

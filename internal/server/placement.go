@@ -17,8 +17,7 @@ const shardIDBits = 32
 func composeID(shard, local int) int { return shard<<shardIDBits | local }
 
 // ShardOf returns the shard index encoded in a namespaced job ID.
-// Exported so clients (examples/liveclient) can audit per-shard behavior
-// from the IDs alone.
+// Exported so clients can audit per-shard behavior from the IDs alone.
 func ShardOf(id int) int { return id >> shardIDBits }
 
 // LocalID returns the shard-local job ID encoded in a namespaced job ID.

@@ -72,14 +72,6 @@ type Config struct {
 	// fast as the hardware allows whenever work is queued (useful for
 	// tests and batch-like drains).
 	StepEvery time.Duration
-	// StepBatch caps how many virtual steps one step-loop iteration may
-	// execute under a single engine lock acquisition and journal append
-	// (sim.Engine.StepN, which event-leaps where provably safe). In
-	// free-run mode (StepEvery == 0) every iteration uses the full batch;
-	// in paced mode it bounds ticker catch-up after stalls. Batched steps
-	// fan out as one aggregated Event (Steps > 1). 0 means 64; 1 restores
-	// the one-step-per-iteration behavior and per-step events.
-	StepBatch int64
 	// SubscriberBuffer is each event subscriber's channel capacity; events
 	// beyond it are dropped for that subscriber (counted, never blocking
 	// any step loop). 0 means 64.
@@ -111,24 +103,15 @@ type Config struct {
 	// checkpoint. Off by default: every behavior, checkpoint shape and
 	// per-job query then matches pre-retirement builds exactly.
 	RetireDone bool
-	// Steal enables cross-shard work stealing: an idle (or, with
-	// StealIdle, near-idle) shard's step loop pulls whole pending jobs off
-	// the peer with the deepest estimated backlog, journaled on both sides
-	// so replay and warm-standby followers rebuild the moves
-	// bit-identically, with the original namespaced IDs kept resolvable
-	// through redirects. It also upgrades "least-loaded" placement from
-	// in-flight counts to the estimated-remaining-work gauge. Mutually
-	// exclusive with Fairness (stolen jobs would escape their tenant's
-	// ledger). See steal.go.
+	// Steal enables cross-shard work stealing: an idle shard's step loop
+	// pulls whole pending jobs off the peer with the deepest estimated
+	// backlog, journaled on both sides so replay and warm-standby followers
+	// rebuild the moves bit-identically, with the original namespaced IDs
+	// kept resolvable through redirects. It also upgrades "least-loaded"
+	// placement from in-flight counts to the estimated-remaining-work
+	// gauge. Mutually exclusive with Fairness (stolen jobs would escape
+	// their tenant's ledger). See steal.go.
 	Steal bool
-	// StealMax caps how many jobs one steal moves (the work target is
-	// always half the victim's pending work). 0 means 64.
-	StealMax int
-	// StealIdle, when > 0, makes a shard probe for steals while still
-	// running: after any step round that leaves its estimated remaining
-	// work below this many task-steps, it tops up from the deepest peer
-	// instead of waiting to go fully idle. 0 steals only when idle.
-	StealIdle int64
 	// Fairness, when set, enables hierarchical multi-tenant fair-share
 	// admission: submissions resolve their X-Krad-Tenant header through
 	// the queue tree, the fleet MaxInFlight is divided by weighted fair
@@ -151,8 +134,8 @@ type Event struct {
 	// steps) executed.
 	Step int64 `json:"step"`
 	// Steps is the number of virtual steps this event aggregates: the
-	// shard's step loop batches catch-up work under one lock
-	// (Config.StepBatch), emitting one event per batch. Omitted when 1,
+	// shard's step loop batches catch-up work under one lock (up to
+	// stepBatch steps), emitting one event per batch. Omitted when 1,
 	// so unbatched streams keep the pre-batching wire format.
 	Steps int64 `json:"steps,omitempty"`
 	// Executed[α−1] counts α-tasks executed over the event's steps.
@@ -223,7 +206,6 @@ type Service struct {
 	fan       *fanout
 	fair      *fairController // nil when fairness is off
 	ledger    *stealLedger    // nil when stealing is off
-	stealMax  int
 	schedName string
 	retryVals [4]string     // Retry-After values base..base+3s; base from StepEvery
 	retrySeq  atomic.Uint32 // round-robin cursor into retryVals
@@ -245,9 +227,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.SubscriberBuffer <= 0 {
 		cfg.SubscriberBuffer = 64
 	}
-	if cfg.StepBatch <= 0 {
-		cfg.StepBatch = 64
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -256,9 +235,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.Steal && cfg.Fairness != nil {
 		return nil, errors.New("server: Steal and Fairness are mutually exclusive — a stolen job would escape its tenant's fair-share ledger")
-	}
-	if cfg.StealMax <= 0 {
-		cfg.StealMax = 64
 	}
 	place, err := NewPlacement(cfg.Placement)
 	if err != nil {
@@ -282,7 +258,7 @@ func New(cfg Config) (*Service, error) {
 		// Scheduler construction happens exactly once per shard, inside
 		// newShard's engine factory — NewScheduler side-effects (tests count
 		// invocations to plant per-shard behaviour) must see one call each.
-		sh, err := newShard(i, simCfg, cfg.NewScheduler, share, cfg.StepEvery, cfg.StepBatch, fan)
+		sh, err := newShard(i, simCfg, cfg.NewScheduler, share, cfg.StepEvery, fan)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +267,6 @@ func New(cfg Config) (*Service, error) {
 		}
 		sh.standby = cfg.Follower
 		sh.retireDone = cfg.RetireDone
-		sh.stealIdle = cfg.StealIdle
 		shards[i] = sh
 	}
 	s := &Service{
@@ -300,7 +275,6 @@ func New(cfg Config) (*Service, error) {
 		place:     place,
 		fan:       fan,
 		schedName: schedName,
-		stealMax:  cfg.StealMax,
 		follower:  cfg.Follower,
 	}
 	if cfg.Steal {

@@ -155,7 +155,6 @@ func TestCancelPendingJob(t *testing.T) {
 func TestSlowSubscriberDropsEvents(t *testing.T) {
 	cfg := testConfig(1, 1)
 	cfg.SubscriberBuffer = 1
-	cfg.StepBatch = 1 // per-step events: the 50-step job must overflow the buffer
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +164,9 @@ func TestSlowSubscriberDropsEvents(t *testing.T) {
 	defer unsub()
 	_ = ch // never read: every event past the first must be dropped, not block
 
-	if _, err := svc.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 50, 1)}); err != nil {
+	// One event per step round of at most stepBatch steps: a chain four
+	// batches long publishes four events into a buffer of one.
+	if _, err := svc.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 4*stepBatch, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "drain", func() bool { return svc.Stats().Completed == 1 })

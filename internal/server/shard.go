@@ -25,7 +25,6 @@ type shard struct {
 	idx         int
 	maxInFlight int
 	stepEvery   time.Duration
-	stepBatch   int64 // max virtual steps per loop iteration (Config.StepBatch)
 	fan         *fanout
 
 	// tab is the shard's lock-striped job-status index (idtable.go):
@@ -57,15 +56,12 @@ type shard struct {
 	// reconciliation ledger, shared by every shard; non-nil marks the shard
 	// part of a steal-enabled fleet, whose journal may carry steal records.
 	// stealFn, set by the service, attempts one steal on behalf of this
-	// shard and reports whether it moved work. stealIdle, when > 0, also
-	// triggers a probe after a step round that left estimated work below
-	// the threshold (near-idle top-up). stolenIn counts jobs this shard
-	// re-admitted from victims — kept out of submitted so external
+	// shard and reports whether it moved work. stolenIn counts jobs this
+	// shard re-admitted from victims — kept out of submitted so external
 	// admission counters survive replay rebuilds (submitted = engine
 	// admitted − stolenIn). The scratch slices are stealFor's reusable
 	// buffers.
 	ledger    *stealLedger
-	stealIdle int64
 	stealFn   func() bool
 	stolenIn  int64
 	stealIDs  []int
@@ -140,7 +136,7 @@ type shardView struct {
 	stepErr   error
 }
 
-func newShard(idx int, simCfg sim.Config, mkSched func() sched.Scheduler, maxInFlight int, stepEvery time.Duration, stepBatch int64, fan *fanout) (*shard, error) {
+func newShard(idx int, simCfg sim.Config, mkSched func() sched.Scheduler, maxInFlight int, stepEvery time.Duration, fan *fanout) (*shard, error) {
 	// newEngine must yield an engine Restore accepts (fresh, with its own
 	// scheduler instance when a factory exists) — snapshot application on a
 	// replication follower rebuilds the engine wholesale.
@@ -155,14 +151,10 @@ func newShard(idx int, simCfg sim.Config, mkSched func() sched.Scheduler, maxInF
 	if err != nil {
 		return nil, err
 	}
-	if stepBatch < 1 {
-		stepBatch = 1
-	}
 	return &shard{
 		idx:         idx,
 		maxInFlight: maxInFlight,
 		stepEvery:   stepEvery,
-		stepBatch:   stepBatch,
 		fan:         fan,
 		tab:         newIDTable(simCfg.K),
 		eng:         eng,
@@ -474,6 +466,14 @@ func (sh *shard) namespace(ids []int) []int {
 	return out
 }
 
+// stepBatch caps how many virtual steps one step-loop iteration executes
+// under a single engine lock acquisition and journal append
+// (sim.Engine.StepN, which event-leaps where provably safe). In free-run
+// mode every iteration uses the full batch; in paced mode it bounds ticker
+// catch-up after stalls. Batched steps fan out as one aggregated Event
+// (Steps > 1).
+const stepBatch = 64
+
 // loop is the single goroutine that owns stepping. Each iteration
 // executes up to stepBatch steps under one lock and fans the aggregated
 // event out; with no work it parks until a submission (or shutdown)
@@ -511,7 +511,7 @@ func (sh *shard) loop() {
 		return int64(time.Since(anchor)/sh.stepEvery) + 1 - anchored
 	}
 	for {
-		budget := sh.stepBatch
+		budget := int64(stepBatch)
 		if tick != nil {
 			if anchor.IsZero() {
 				anchor, anchored = time.Now(), 0
@@ -520,8 +520,8 @@ func (sh *shard) loop() {
 			if budget < 1 {
 				budget = 1
 			}
-			if budget > sh.stepBatch {
-				budget = sh.stepBatch
+			if budget > stepBatch {
+				budget = stepBatch
 			}
 		}
 		did, err := sh.stepN(budget)
@@ -575,12 +575,6 @@ func (sh *shard) loop() {
 				return
 			}
 			continue
-		}
-		if sh.stealFn != nil && sh.stealIdle > 0 && sh.loadEstWork.Load() < sh.stealIdle {
-			// Near-idle: the round left less estimated work than the
-			// configured threshold, so top up from a loaded peer before the
-			// queue actually runs dry.
-			sh.stealFn()
 		}
 		if tick != nil {
 			anchored += did

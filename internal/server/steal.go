@@ -34,6 +34,10 @@ import (
 // shard's wake channel.
 const stealProbeEvery = 2 * time.Millisecond
 
+// stealMax caps how many jobs one steal moves; the work target is always
+// half the victim's pending work.
+const stealMax = 64
+
 // stealIn is the thief half of a steal (from its From-tagged admit
 // record): where the job landed.
 type stealIn struct {
@@ -97,7 +101,7 @@ func (l *stealLedger) admitted(thiefIdx int, from, ids []int) {
 
 // stealFor attempts one steal on thief's behalf: pick the peer with the
 // deepest stealable (pending) backlog off the lock-free gauges, move up
-// to half its pending work — at most Config.StealMax jobs, and never past
+// to half its pending work — at most stealMax jobs, and never past
 // the thief's admission bound — and commit both halves. Returns whether
 // any work moved. Called from the thief's own step loop, so at most one
 // stealFor runs per thief at a time; the no-victim probe path is
@@ -141,7 +145,7 @@ func (s *Service) stealFor(thief *shard) bool {
 	if target <= 0 {
 		return false
 	}
-	maxJobs := s.stealMax
+	maxJobs := stealMax
 	if free := thief.maxInFlight - thief.eng.Remaining(); free < maxJobs {
 		maxJobs = free
 	}

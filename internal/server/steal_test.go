@@ -25,7 +25,7 @@ func stealConfig(shards int, k int, caps ...int) Config {
 
 // journaledStealConfig adds a journal dir; restartStealConfig rebuilds a
 // config over the same dir with nothing mutable shared (like
-// journaledConfigFrom, plus the steal knobs it does not carry).
+// journaledConfigFrom, plus Steal, which it does not carry).
 func journaledStealConfig(t *testing.T, shards int, k int, caps ...int) Config {
 	t.Helper()
 	cfg := stealConfig(shards, k, caps...)
@@ -36,8 +36,6 @@ func journaledStealConfig(t *testing.T, shards int, k int, caps ...int) Config {
 func restartStealConfig(cfg Config) Config {
 	out := journaledConfigFrom(cfg)
 	out.Steal = cfg.Steal
-	out.StealMax = cfg.StealMax
-	out.StealIdle = cfg.StealIdle
 	return out
 }
 
@@ -615,35 +613,5 @@ func TestStealHotPathAllocs(t *testing.T) {
 	defer sh.mu.Unlock()
 	if allocs := testing.AllocsPerRun(200, sh.syncGaugesLocked); allocs != 0 {
 		t.Fatalf("work-gauge update allocates %.1f per run, want 0", allocs)
-	}
-}
-
-// TestStealIdleThreshold pins -steal-idle plumbing: a near-idle shard
-// (est-work below the threshold) probes for steals from its own loop.
-func TestStealIdleThreshold(t *testing.T) {
-	cfg := stealConfig(2, 1, 1)
-	cfg.StealIdle = 10
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.shards[1].stealIdle != 10 {
-		t.Fatalf("stealIdle %d, want 10", svc.shards[1].stealIdle)
-	}
-	// Give the thief a little work (below threshold) and the victim a lot:
-	// the near-idle path still steals.
-	if _, err := svc.shards[1].submit("", sim.JobSpec{Graph: dag.UniformChain(1, 2, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	submitBurst(t, svc, 0, 20, 4, 0)
-	if svc.shards[1].loadEstWork.Load() >= cfg.StealIdle {
-		t.Fatalf("thief est-work %d not below threshold %d: test premise broken", svc.shards[1].loadEstWork.Load(), cfg.StealIdle)
-	}
-	if !svc.stealFor(svc.shards[1]) {
-		t.Fatal("near-idle thief stole nothing")
-	}
-	drainManually(t, svc)
-	if st := svc.Stats(); st.Completed != 21 {
-		t.Fatalf("completed %d of 21", st.Completed)
 	}
 }
