@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	kradd -addr :8080 -k 3 -caps 4,4,4 -step 50ms -queue 256
+//	kradd -addr :8080 -caps 4,4,4 -step 50ms -queue 256
 //	kradd -addr :8080 -shards 4 -placement hash -queue 1024
 //	kradd -addr :8080 -journal-dir /var/lib/kradd -fsync always
 //	kradd -addr :8080 -fair-config queues.conf
@@ -135,7 +135,6 @@ func bootstrapHandler() http.Handler {
 // options holds every kradd flag's value.
 type options struct {
 	addr    string
-	k       int
 	caps    string
 	step    time.Duration
 	queue   int
@@ -162,8 +161,7 @@ type options struct {
 func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
-	fs.IntVar(&o.k, "k", 3, "number of resource categories")
-	fs.StringVar(&o.caps, "caps", "4,4,4", "per-category processor counts, comma-separated")
+	fs.StringVar(&o.caps, "caps", "4,4,4", "per-category processor counts, comma-separated; their number is K")
 	fs.DurationVar(&o.step, "step", 0, "wall-clock duration of one virtual step (0 = free-running)")
 	fs.IntVar(&o.queue, "queue", 256, "admission bound: max in-flight (pending + active) jobs")
 	fs.BoolVar(&o.retire, "retire-done", false, "recycle engine state of terminal jobs; statuses served from the ID index (bounds memory for long-running, high-volume daemons)")
@@ -229,9 +227,10 @@ func main() {
 	flag.Parse()
 
 	caps, err := parseInts(o.caps)
-	if err != nil || len(caps) != o.k {
-		log.Fatalf("-caps must list exactly K=%d integers: %v", o.k, err)
+	if err != nil {
+		log.Fatalf("-caps must be a comma-separated list of integers: %v", err)
 	}
+	k := len(caps)
 	if err := checkDependents(flag.CommandLine); err != nil {
 		log.Fatal(err)
 	}
@@ -310,7 +309,7 @@ func main() {
 	svc, err := server.New(server.Config{
 		// Tasks are picked FIFO (the zero Pick): the paper's bounds hold for
 		// every pick policy, and kradsim is the tool that compares them.
-		Sim:         sim.Config{K: o.k, Caps: caps, ValidateAllotments: true},
+		Sim:         sim.Config{K: k, Caps: caps, ValidateAllotments: true},
 		MaxInFlight: o.queue,
 		StepEvery:   o.step,
 		Shards:      o.shard,
@@ -319,7 +318,7 @@ func main() {
 		// pin processors non-preemptively, so it is floor-respecting; for
 		// unit-task workloads the wrapper is the identity, and it
 		// snapshots/restores byte-identically to the unwrapped scheduler.
-		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(o.k)) },
+		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(k)) },
 		Journal:      journalCfg,
 		Fairness:     fairCfg,
 		Follower:     o.follow != "",
@@ -399,7 +398,7 @@ func main() {
 	defer cancel()
 
 	log.Printf("listening on %s (K=%d caps=%v step=%v queue=%d shards=%d placement=%s)",
-		o.addr, o.k, caps, o.step, o.queue, o.shard, o.place)
+		o.addr, k, caps, o.step, o.queue, o.shard, o.place)
 
 	select {
 	case err := <-errCh:

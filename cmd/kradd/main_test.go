@@ -13,16 +13,16 @@ import (
 // changes this list and README's table in the same commit.
 var wantFlags = []string{
 	"addr", "caps", "drain", "epoch", "fair-config", "fairness", "follow",
-	"fsync", "journal-dir", "k", "lease", "placement", "pprof",
-	"promote-after", "queue", "replicate-heartbeat", "replicate-to",
-	"retire-done", "shards", "snapshot-every", "steal", "step",
+	"fsync", "journal-dir", "lease", "placement", "pprof", "promote-after",
+	"queue", "replicate-heartbeat", "replicate-to", "retire-done", "shards",
+	"snapshot-every", "steal", "step",
 }
 
-// removedFlags became constants (or, in one case, went with the
-// behaviour). A stale script naming one must fail at startup.
+// removedFlags became constants (or went with the behaviour; -k is the
+// length of -caps). A stale script naming one must fail at startup.
 var removedFlags = []string{
 	"sched", "pick", "seed", "step-batch", "event-buffer", "fsync-interval",
-	"steal-max", "steal-idle", "replicate-queue", "fair-halflife",
+	"steal-max", "steal-idle", "replicate-queue", "fair-halflife", "k",
 }
 
 func newFlagSet() *flag.FlagSet {
@@ -32,7 +32,7 @@ func newFlagSet() *flag.FlagSet {
 	return fs
 }
 
-// TestFlagSet pins the flag surface (22 names), that README documents
+// TestFlagSet pins the flag surface (21 names), that README documents
 // every one of them as `-name`, and that each removed name is rejected.
 func TestFlagSet(t *testing.T) {
 	fs := newFlagSet()

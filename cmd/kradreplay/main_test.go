@@ -344,7 +344,7 @@ func TestReplaySmokeRealKradd(t *testing.T) {
 
 	jdir := filepath.Join(dir, "journal")
 	daemon := exec.Command(kradd,
-		"-addr", addr, "-k", "2", "-caps", "8,8",
+		"-addr", addr, "-caps", "8,8",
 		"-queue", "200000", "-retire-done",
 		"-journal-dir", jdir, "-fsync", "interval", "-snapshot-every", "0")
 	daemon.Stdout = os.Stderr

@@ -42,7 +42,7 @@ func TestStealSmokeRealKradd(t *testing.T) {
 
 	jdir := filepath.Join(dir, "journal")
 	daemon := exec.Command(kradd,
-		"-addr", addr, "-k", "2", "-caps", "2,2",
+		"-addr", addr, "-caps", "2,2",
 		"-shards", "8", "-steal", "-placement", "hash",
 		"-queue", "200000", "-retire-done",
 		"-journal-dir", jdir, "-fsync", "interval", "-snapshot-every", "0")

@@ -8,8 +8,9 @@
 //
 // Usage:
 //
-//	kradsim -k 3 -caps 4,4,4 -sched k-rad -jobs 50 -arrive poisson:3 \
+//	kradsim -caps 4,4,4 -sched k-rad -jobs 50 -arrive poisson:3 \
 //	        [-pick fifo] [-seed 1] [-gantt] [-csv trace.csv]
+//	kradsim -preset overload -gantt     # a small fixed job set, drawn
 package main
 
 import (
@@ -37,8 +38,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kradsim: ")
 	var (
-		kFlag      = flag.Int("k", 3, "number of resource categories")
-		capsFlag   = flag.String("caps", "4,4,4", "per-category processor counts, comma-separated")
+		capsFlag   = flag.String("caps", "4,4,4", "per-category processor counts, comma-separated; their number is K")
 		schedFlag  = flag.String("sched", "k-rad", fmt.Sprintf("scheduler: one of %v", analysis.SchedulerNames()))
 		jobsFlag   = flag.Int("jobs", 20, "number of generated jobs (ignored with -load)")
 		familyFlag = flag.String("family", "dag", "generated runtime family: dag, profile, moldable, mixed (ignored with -load/-swf/-preset)")
@@ -52,35 +52,32 @@ func main() {
 		swfFlag    = flag.String("swf", "", "load the job set from a Standard Workload Format log")
 		swfScale   = flag.Int64("swf-scale", 60, "seconds per simulation step when reading SWF")
 		swfMax     = flag.Int("swf-maxjobs", 500, "cap on SWF jobs read (0 = all)")
-		presetFlag = flag.String("preset", "", fmt.Sprintf("use a named workload preset (overrides -k/-caps/-jobs): %v", workload.PresetNames()))
+		presetFlag = flag.String("preset", "", fmt.Sprintf("use a named workload preset (overrides -caps/-jobs): %v", workload.PresetNames()))
 		saveFlag   = flag.String("save", "", "write the job set to a JSON file (usable later with -load)")
-		ganttFlag  = flag.Bool("gantt", false, "print an ASCII Gantt chart (small runs only)")
+		ganttFlag  = flag.Bool("gantt", false, "print an ASCII Gantt chart and re-check the schedule against Section 2 (small DAG runs only)")
 		csvFlag    = flag.String("csv", "", "write the per-step trace as CSV to this file")
 		jsonFlag   = flag.String("json", "", `write the run result + competitive ratios as JSON to this file ("-" = stdout, suppressing the report)`)
 	)
 	flag.Parse()
 
-	k := *kFlag
-	var caps []int
+	caps, err := parseInts(*capsFlag)
+	if err != nil {
+		log.Fatalf("-caps must be a comma-separated list of integers: %v", err)
+	}
+	k := len(caps)
 	var specs []sim.JobSpec
-	var err error
 	switch {
 	case *presetFlag != "":
 		p, perr := workload.FindPreset(*presetFlag)
 		if perr != nil {
 			log.Fatal(perr)
 		}
-		k = p.K
-		caps = append([]int(nil), p.Caps...)
+		k, caps = p.K, append([]int(nil), p.Caps...)
 		specs, err = p.Build(*seedFlag)
 		if err == nil {
 			fmt.Printf("preset %q: %s\n", p.Name, p.Description)
 		}
 	case *swfFlag != "":
-		caps, err = parseInts(*capsFlag)
-		if err != nil || len(caps) != k {
-			log.Fatalf("-caps must list exactly K=%d integers: %v", k, err)
-		}
 		var f *os.File
 		f, err = os.Open(*swfFlag)
 		if err != nil {
@@ -97,16 +94,8 @@ func main() {
 			fmt.Printf("SWF log %s: %d usable jobs loaded (scale %ds/step)\n", *swfFlag, len(recs), *swfScale)
 		}
 	case *loadFlag != "":
-		caps, err = parseInts(*capsFlag)
-		if err != nil || len(caps) != k {
-			log.Fatalf("-caps must list exactly K=%d integers: %v", k, err)
-		}
 		specs, err = loadSpecs(*loadFlag)
 	default:
-		caps, err = parseInts(*capsFlag)
-		if err != nil || len(caps) != k {
-			log.Fatalf("-caps must list exactly K=%d integers: %v", k, err)
-		}
 		specs, err = generateFamily(*familyFlag, k, *jobsFlag, *shapeFlag, *arrive, *minSize, *maxSize, *seedFlag)
 	}
 	if err != nil {
@@ -164,6 +153,12 @@ func main() {
 	if *ganttFlag {
 		fmt.Println()
 		fmt.Print(res.Trace.Gantt(len(res.Jobs), 200))
+		// Tasks were recorded: re-check the schedule independently of the
+		// engine that produced it.
+		if err := sim.ValidateSchedule(specs, res); err != nil {
+			log.Fatalf("schedule INVALID: %v", err)
+		}
+		fmt.Println("\nschedule re-validated against the Section 2 conditions: OK")
 	}
 	if *csvFlag != "" {
 		f, err := os.Create(*csvFlag)

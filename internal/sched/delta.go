@@ -12,11 +12,11 @@ import (
 // from what it last reported, JobGone when it finishes or is cancelled — and
 // AllotDelta returns only the jobs that receive processors. A round then
 // costs the processors handed out plus the changes since the last round, not
-// the jobs that wait. The engine binds it once, ahead of IntoAllotter, and
-// drives it from the slot table's three writers; WithFloors, PerCategory and
-// core.RAD implement it, and their dense Allot/AllotInto entries are adapters
-// onto it (denseEntry). One value serves one driver: either the delta calls
-// or the dense entry, never both.
+// the jobs that wait. It is the only form the engine drives, from the slot
+// table's three writers; WithFloors, PerCategory and core.RAD implement it,
+// and their dense Allot/AllotInto entries are adapters onto it (denseEntry);
+// any other Scheduler enters through FromDense. One value serves one driver:
+// either the delta calls or the dense entry, never both.
 type DeltaAllotter interface {
 	// JobChanged reports job id's current desire and floor rows (len K;
 	// floor nil for a job that pins nothing). A nil desire means the job left
@@ -34,8 +34,9 @@ type DeltaAllotter interface {
 	// one list per category (index α−1): the jobs that receive α-processors
 	// and how many, ascending by job ID; a job in no list receives nothing.
 	// The lists are the scheduler's, are not to be written, and are valid
-	// until its next call.
-	AllotDelta(t int64, caps []int) [][]CatGrant
+	// until its next call. An error means the round produced no allotment:
+	// a scheduler underneath answered in the wrong shape.
+	AllotDelta(t int64, caps []int) ([][]CatGrant, error)
 }
 
 // CatGrant is one job's non-zero allotment in one category.
@@ -114,10 +115,15 @@ type denseViews struct {
 	hasFl  []bool
 }
 
-// allot is AllotInto for d: sync the views, run the round, scatter.
+// allot is AllotInto for d: sync the views, run the round, scatter. The dense
+// contract has no error to return, so a failed round panics.
 func (s *denseEntry) allot(d DeltaAllotter, t int64, jobs []JobView, caps []int, dst [][]int) {
 	s.sync(d, jobs, len(caps))
-	for a, grants := range d.AllotDelta(t, caps) {
+	all, err := d.AllotDelta(t, caps)
+	if err != nil {
+		panic(err)
+	}
+	for a, grants := range all {
 		i := 0
 		for _, g := range grants {
 			i += sort.Search(len(jobs)-i, func(x int) bool { return jobs[i+x].ID >= g.ID })
@@ -190,68 +196,92 @@ func (s *denseEntry) done(d DeltaAllotter, ids []int) {
 	}
 }
 
-// denseInner gives a Scheduler that knows only the dense contract the delta
-// form WithFloors drives: it keeps the rows such a scheduler wants — every
-// active job, ascending ID, zero-desire rows included — current from the
-// delta calls and hands them over whole, as views, each round.
-type denseInner struct {
-	s      Scheduler
-	k      int
-	ids    []int
-	desire []int     // K per job
-	views  []JobView // the last round's, rebuilt from ids and desire
-	mat    Matrix
-	out    [][]CatGrant
-	oneID  [1]int
+// FromDense is the delta form of a Scheduler that knows only the dense
+// contract — the baselines, Quantized, decorators, caller-written schedulers.
+// It is the one adapter in that direction: sim.NewEngine wraps any scheduler
+// that is not a DeltaAllotter in it, and WithFloors a dense inner. It keeps
+// the rows such a scheduler wants current from the delta calls and hands them
+// over whole each round, as views that read exactly like the engine's slot
+// table: every active job, ascending ID, zero-desire rows included, Floor
+// where the job reported one. AllotDelta calls AllotInto when s has it and
+// Allot otherwise; a matrix with the wrong number of rows or a row of the
+// wrong width is an error naming s. JobGone forwards to Completer.JobsDone.
+func FromDense(s Scheduler) DeltaAllotter {
+	d := &fromDense{s: s}
+	d.into, _ = s.(IntoAllotter)
+	d.done, _ = s.(Completer)
+	return d
 }
 
-func (d *denseInner) JobChanged(id int, desire, _ []int, _ []bool) {
+type fromDense struct {
+	s     Scheduler
+	into  IntoAllotter
+	done  Completer
+	k     int
+	ids   []int
+	rows  []int     // 2K per job: its desire row, then its floor row
+	hasFl []bool    // per job: the floor row is reported, not padding
+	views []JobView // the last round's, rebuilt from ids and rows
+	mat   Matrix
+	out   [][]CatGrant
+	oneID [1]int
+}
+
+func (d *fromDense) JobChanged(id int, desire, floor []int, _ []bool) {
 	i, in := slices.BinarySearch(d.ids, id)
-	switch {
-	case desire == nil:
+	if desire == nil {
 		if in {
 			d.remove(i)
 		}
-	case in:
-		copy(d.desire[i*d.k:(i+1)*d.k], desire)
-	default:
-		d.k = len(desire)
-		d.ids = slices.Insert(d.ids, i, id)
-		d.desire = slices.Insert(d.desire, i*d.k, desire...)
+		return
 	}
+	k := len(desire)
+	if !in {
+		d.k = k
+		d.ids = slices.Insert(d.ids, i, id)
+		d.hasFl = slices.Insert(d.hasFl, i, false)
+		// Room for both rows; what they hold is written below.
+		d.rows = slices.Insert(slices.Insert(d.rows, i*2*k, desire...), i*2*k, desire...)
+	}
+	row := d.rows[i*2*k : (i+1)*2*k]
+	copy(row, desire)
+	copy(row[k:], floor)
+	d.hasFl[i] = floor != nil
 }
 
-func (d *denseInner) remove(i int) {
+func (d *fromDense) remove(i int) {
 	d.ids = slices.Delete(d.ids, i, i+1)
-	d.desire = slices.Delete(d.desire, i*d.k, (i+1)*d.k)
+	d.hasFl = slices.Delete(d.hasFl, i, i+1)
+	d.rows = slices.Delete(d.rows, i*2*d.k, (i+1)*2*d.k)
 }
 
-func (d *denseInner) JobGone(id int, _ []int) {
+func (d *fromDense) JobGone(id int, _ []int) {
 	if i, in := slices.BinarySearch(d.ids, id); in {
 		d.remove(i)
 	}
-	if c, ok := d.s.(Completer); ok {
+	if d.done != nil {
 		d.oneID[0] = id
-		c.JobsDone(d.oneID[:])
+		d.done.JobsDone(d.oneID[:])
 	}
 }
 
-func (d *denseInner) AllotDelta(t int64, caps []int) [][]CatGrant {
+func (d *fromDense) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
+	k := d.k
 	d.views = d.views[:0]
 	for i, id := range d.ids {
-		d.views = append(d.views, JobView{ID: id, Desire: d.desire[i*d.k : (i+1)*d.k : (i+1)*d.k]})
+		row := d.rows[i*2*k : (i+1)*2*k]
+		v := JobView{ID: id, Desire: row[:k:k]}
+		if d.hasFl[i] {
+			v.Floor = row[k:]
+		}
+		d.views = append(d.views, v)
 	}
-	rows := d.mat.Shape(len(d.views), len(caps))
-	if ia, ok := d.s.(IntoAllotter); ok {
-		ia.AllotInto(t, d.views, caps, rows)
-	} else {
-		out := d.s.Allot(t, d.views, caps)
-		if len(out) != len(d.views) {
-			panic(fmt.Sprintf("sched: scheduler %q returned %d rows for %d jobs", d.s.Name(), len(out), len(d.views)))
-		}
-		for i := range out {
-			copy(rows[i], out[i])
-		}
+	var rows [][]int
+	if d.into != nil {
+		rows = d.mat.Shape(len(d.views), len(caps))
+		d.into.AllotInto(t, d.views, caps, rows)
+	} else if rows = d.s.Allot(t, d.views, caps); len(rows) != len(d.views) {
+		return nil, fmt.Errorf("sched: scheduler %q returned %d rows for %d jobs", d.s.Name(), len(rows), len(d.views))
 	}
 	for len(d.out) < len(caps) {
 		d.out = append(d.out, nil)
@@ -260,11 +290,14 @@ func (d *denseInner) AllotDelta(t int64, caps []int) [][]CatGrant {
 		d.out[a] = d.out[a][:0]
 	}
 	for i, row := range rows {
+		if len(row) != len(caps) {
+			return nil, fmt.Errorf("sched: scheduler %q returned a row of %d categories for job %d, want %d", d.s.Name(), len(row), d.views[i].ID, len(caps))
+		}
 		for a, v := range row {
 			if v != 0 {
 				d.out[a] = append(d.out[a], CatGrant{ID: d.views[i].ID, N: v})
 			}
 		}
 	}
-	return d.out
+	return d.out, nil
 }

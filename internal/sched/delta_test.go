@@ -150,7 +150,11 @@ func (dd *deltaDriver) allot(t int64, jobs []sched.JobView, caps []int) [][]int 
 	dd.sync(jobs, len(caps))
 	var m sched.Matrix
 	out := m.Shape(len(jobs), len(caps))
-	for a, grants := range dd.d.AllotDelta(t, caps) {
+	all, err := dd.d.AllotDelta(t, caps)
+	if err != nil {
+		panic(err)
+	}
+	for a, grants := range all {
 		i, last := 0, -1
 		for _, g := range grants {
 			if g.ID <= last || g.N == 0 {

@@ -31,10 +31,10 @@ import (
 // ID-sorted list with their floor rows, and the pinned-processor sums and the
 // pinned/unheld counts as aggregates over it, so a round never scans the
 // views. The inner scheduler is driven through its own delta form with the
-// residual desires; one that has none is kept a dense view list (denseInner).
+// residual desires; one that has none enters through FromDense.
 type floored struct {
 	inner Scheduler
-	delta DeltaAllotter // inner's delta form: inner itself, or a denseInner around it
+	delta DeltaAllotter // inner's delta form: inner itself, or FromDense(inner)
 
 	// The floor-bearing jobs (Floor != nil), ascending by ID: their floor
 	// rows, and whether some desire exceeds its floor (not held).
@@ -60,10 +60,8 @@ type floored struct {
 // WithFloors wraps inner; see the type comment.
 func WithFloors(inner Scheduler) Scheduler {
 	f := &floored{inner: inner}
-	if d, ok := inner.(DeltaAllotter); ok {
-		f.delta = d
-	} else {
-		f.delta = &denseInner{s: inner}
+	if f.delta, _ = inner.(DeltaAllotter); f.delta == nil {
+		f.delta = FromDense(inner)
 	}
 	return f
 }
@@ -189,10 +187,10 @@ func (f *floored) residualCaps(caps []int) []int {
 // residual capacity over the residual desires, and in every category with
 // pinned processors the floors are added back — two ID-sorted sequences
 // merged into one.
-func (f *floored) AllotDelta(t int64, caps []int) [][]CatGrant {
-	g := f.delta.AllotDelta(t, f.residualCaps(caps))
-	if f.nPinned == 0 {
-		return g
+func (f *floored) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
+	g, err := f.delta.AllotDelta(t, f.residualCaps(caps))
+	if err != nil || f.nPinned == 0 {
+		return g, err
 	}
 	k := len(caps)
 	for len(f.out) < k {
@@ -221,7 +219,7 @@ func (f *floored) AllotDelta(t int64, caps []int) [][]CatGrant {
 		m = append(m, inner[i:]...)
 		f.out[a], f.merged[a] = m, m
 	}
-	return f.out[:k]
+	return f.out[:k], nil
 }
 
 // StableHorizon implements Stable. The inner report forwards when the last
@@ -244,11 +242,11 @@ func (f *floored) StableHorizon() int64 {
 // > 0, which implies the inner scheduler is Stable and the last round was
 // floor-free or held-only. The inner scheduler fills the residual totals —
 // a delta-driven one from its own state, a dense one from the residual views
-// denseInner keeps — and every floored row gains n×floor, the per-step
+// FromDense keeps — and every floored row gains n×floor, the per-step
 // allotment a held job receives on each covered step.
 func (f *floored) LeapTotals(t int64, jobs []JobView, caps []int, n int64, dst [][]int) {
 	residual := jobs
-	if di, ok := f.delta.(*denseInner); ok {
+	if di, ok := f.delta.(*fromDense); ok {
 		residual = di.views
 	}
 	f.inner.(Stable).LeapTotals(t, residual, f.residualCaps(caps), n, dst)

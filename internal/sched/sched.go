@@ -11,11 +11,11 @@
 // IntoAllotter.AllotInto with Completer.JobsDone beside it — is the public
 // contract: every active job's view, every step, a whole matrix back. It is
 // what the baselines, Quantized, decorators and caller-written schedulers
-// implement, and the engine drives it for them. The delta one —
-// DeltaAllotter — is told only what changed since the last step and returns
-// only the grants; the engine prefers it when the configured scheduler has
-// it, which WithFloors, PerCategory and core.RAD do. Their dense entries are
-// adapters onto the delta form, so there is one implementation either way.
+// implement. The delta one — DeltaAllotter — is told only what changed since
+// the last step and returns only the grants; it is the one the engine drives.
+// WithFloors, PerCategory and core.RAD implement it, and their dense entries
+// are adapters onto it; a scheduler with only the dense entry is driven
+// through FromDense. There is one implementation either way.
 package sched
 
 import (
@@ -118,13 +118,12 @@ type CategoryStable interface {
 
 // IntoAllotter is an optional Scheduler extension for allocation-free
 // stepping: AllotInto behaves exactly like Allot but writes the matrix
-// into caller-owned storage. The engine uses it for a scheduler that is not
-// a DeltaAllotter, and Allot for one that is neither. dst has one row per
-// job, each row of len(caps), zeroed by the caller (as for
+// into caller-owned storage. FromDense prefers it to Allot. dst has one row
+// per job, each row of len(caps), zeroed by the caller (as for
 // Stable.LeapTotals), so an implementation writes only what it grants and no
 // layer clears the matrix a second time. Callers own dst and may reuse it
-// across calls (Matrix.Shape returns zeros; the engine re-zeroes only the
-// rows a round wrote); implementations must not retain it.
+// across calls (Matrix.Shape returns zeros); implementations must not retain
+// it.
 type IntoAllotter interface {
 	AllotInto(t int64, jobs []JobView, caps []int, dst [][]int)
 }
@@ -166,9 +165,8 @@ func (m *Matrix) Shape(n, k int) [][]int {
 
 // Completer is implemented by stateful schedulers (such as RAD's
 // round-robin marking) that want to drop per-job state when jobs finish.
-// The engine calls JobsDone after each step with the IDs of jobs that
-// completed during the step — unless the scheduler is a DeltaAllotter, which
-// hears of each one through JobGone instead.
+// FromDense calls JobsDone with the ID of each active job that completes or
+// is cancelled; a DeltaAllotter hears of it through JobGone instead.
 type Completer interface {
 	JobsDone(ids []int)
 }
@@ -393,9 +391,9 @@ func (p *PerCategory) JobGone(id int, desire []int) {
 
 // AllotDelta implements DeltaAllotter: each category scheduler grants over
 // its α-active list.
-func (p *PerCategory) AllotDelta(t int64, caps []int) [][]CatGrant {
+func (p *PerCategory) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
 	if len(caps) != len(p.cats) {
-		panic(fmt.Sprintf("sched: PerCategory %q built for K=%d but given %d capacities", p.name, len(p.cats), len(caps)))
+		return nil, fmt.Errorf("sched: PerCategory %q built for K=%d but given %d capacities", p.name, len(p.cats), len(caps))
 	}
 	for a, c := range p.cats {
 		l, g := p.lists[a], p.grants[a][:0]
@@ -417,7 +415,7 @@ func (p *PerCategory) AllotDelta(t int64, caps []int) [][]CatGrant {
 		}
 		p.grants[a] = g
 	}
-	return p.grants
+	return p.grants, nil
 }
 
 // outBuf returns the per-category result scratch resliced to n entries.

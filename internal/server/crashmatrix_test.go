@@ -167,7 +167,7 @@ burst:
 func startKradd(t *testing.T, bin, dir, addr string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin,
-		"-addr", addr, "-k", "1", "-caps", "2",
+		"-addr", addr, "-caps", "2",
 		"-journal-dir", dir, "-fsync", "always", "-snapshot-every", "0",
 		"-drain", "10s",
 	)

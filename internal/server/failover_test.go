@@ -79,12 +79,12 @@ func runFailoverKill(t *testing.T, bin string, killAfterMillis int64) {
 	client := &http.Client{Timeout: 2 * time.Second}
 
 	startDaemon(t, bin, "follower",
-		"-addr", fAddr, "-k", "1", "-caps", "2",
+		"-addr", fAddr, "-caps", "2",
 		"-journal-dir", fdir, "-fsync", "always", "-snapshot-every", "0",
 		"-follow", repAddr, "-drain", "10s")
 	waitAlive(t, client, fAddr)
 	primary := startDaemon(t, bin, "primary",
-		"-addr", pAddr, "-k", "1", "-caps", "2",
+		"-addr", pAddr, "-caps", "2",
 		"-journal-dir", pdir, "-fsync", "always", "-snapshot-every", "0",
 		"-replicate-to", repAddr, "-replicate-heartbeat", "50ms", "-drain", "10s")
 	waitReady(t, pAddr)
@@ -156,13 +156,13 @@ func runFailoverLinkFaults(t *testing.T, bin string) {
 	client := &http.Client{Timeout: 2 * time.Second}
 
 	startDaemon(t, bin, "follower",
-		"-addr", fAddr, "-k", "1", "-caps", "2",
+		"-addr", fAddr, "-caps", "2",
 		"-journal-dir", fdir, "-fsync", "always", "-snapshot-every", "0",
 		"-follow", repAddr, "-drain", "10s")
 	waitAlive(t, client, fAddr)
 	proxy := newLinkProxy(t, repAddr)
 	primary := startDaemon(t, bin, "primary",
-		"-addr", pAddr, "-k", "1", "-caps", "2",
+		"-addr", pAddr, "-caps", "2",
 		"-journal-dir", pdir, "-fsync", "always", "-snapshot-every", "0",
 		"-replicate-to", proxy.addr(), "-replicate-heartbeat", "50ms", "-drain", "10s")
 	waitReady(t, pAddr)
@@ -235,13 +235,13 @@ func runFailoverPromoteAfter(t *testing.T, bin string) {
 	client := &http.Client{Timeout: 2 * time.Second}
 
 	startDaemon(t, bin, "follower",
-		"-addr", fAddr, "-k", "1", "-caps", "2",
+		"-addr", fAddr, "-caps", "2",
 		"-journal-dir", fdir, "-fsync", "always", "-snapshot-every", "0",
 		"-follow", repAddr, "-promote-after", "700ms", "-drain", "10s")
 	waitAlive(t, client, fAddr)
 	proxy := newLinkProxy(t, repAddr)
 	startDaemon(t, bin, "primary",
-		"-addr", pAddr, "-k", "1", "-caps", "2",
+		"-addr", pAddr, "-caps", "2",
 		"-journal-dir", pdir, "-fsync", "always", "-snapshot-every", "0",
 		"-replicate-to", proxy.addr(), "-replicate-heartbeat", "50ms",
 		"-lease", "250ms", "-drain", "10s")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"krad/internal/dag"
 	"krad/internal/fairshare"
 	"krad/internal/journal"
 	"krad/internal/sim"
@@ -227,24 +226,19 @@ func (sh *shard) fairStateLocked() journal.FairState {
 	return st
 }
 
-// specsCost is a batch's admission cost in the usage ledger. Replay decodes
-// the same graphs the live admission charged, so the replayed accrual is
-// bit-identical.
+// specsCost is a batch's admission cost in the usage ledger: each job's
+// total work in task-steps, whatever its family, so a tenant submitting heavy
+// jobs accrues usage proportionally faster than one submitting small ones.
+// Replay decodes the same specs the live admission charged, so the replayed
+// accrual is bit-identical.
 func specsCost(specs []sim.JobSpec) float64 {
-	c := 0.0
+	c := 0
 	for _, sp := range specs {
-		c += graphCost(sp.Graph)
+		if sp.Graph != nil {
+			c += sp.Graph.NumTasks()
+		} else {
+			c += sp.Source.TotalTasks()
+		}
 	}
-	return c
-}
-
-// graphCost is one job's cost: its total work in task-steps, so a tenant
-// submitting heavy DAGs accrues usage proportionally faster than one
-// submitting small ones. Graph-free jobs (non-journalable test shapes)
-// cost 1.
-func graphCost(g *dag.Graph) float64 {
-	if g == nil {
-		return 1
-	}
-	return float64(g.TotalWork())
+	return float64(c)
 }

@@ -14,6 +14,7 @@ import (
 
 	"krad/internal/dag"
 	"krad/internal/fairshare"
+	"krad/internal/profile"
 	"krad/internal/sim"
 )
 
@@ -86,6 +87,38 @@ func TestFairShareTwoToOneRatio(t *testing.T) {
 	}
 	if shed == 0 {
 		t.Error("no submissions shed — the loop never saturated the gate")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_ = svc.Close(ctx)
+}
+
+// TestFairUsageChargesWorkOfEveryFamily: the ledger charges a job its total
+// work in task-steps whether it arrives as a graph or as a rigid rectangle.
+// Two equal-weight tenants submit the same number of jobs at the same
+// instant — singletons against 4 × 8 rigid jobs — and the usage ratio is the
+// work ratio, 1:32 (graph-free jobs used to cost 1: 1:1).
+func TestFairUsageChargesWorkOfEveryFamily(t *testing.T) {
+	cfg := testConfig(1, 4)
+	cfg.Fairness = &fairshare.Config{Nodes: []fairshare.NodeConfig{{Name: "small", Weight: 1}, {Name: "wide", Weight: 1}}}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := svc.SubmitTenant("", "small", sim.JobSpec{Graph: dag.Singleton(1, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.SubmitTenant("", "wide", sim.JobSpec{Source: profile.MustNewRigid(1, "r", 1, 4, 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	usage := map[string]float64{}
+	for _, ts := range svc.Stats().Tenants {
+		usage[ts.Path] = ts.Usage
+	}
+	if usage["small"] != 5 || usage["wide"] != 5*32 {
+		t.Errorf("usage small=%v wide=%v, want 5 and 160 (1:32)", usage["small"], usage["wide"])
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()

@@ -16,35 +16,13 @@ import (
 // elapsed time); per-shard krad_shard_* series labelled {shard="i"}
 // expose each engine individually.
 func (s *Service) WriteMetrics(w io.Writer) error {
-	views := make([]shardView, len(s.shards))
-	var resp metrics.Hist
-	for i, sh := range s.shards {
-		views[i] = sh.view(&resp)
-	}
-	subscribers, dropped := s.fan.stats()
-
-	var steps, leapSteps, submitted, completed, cancelled, rejected, elapsed int64
-	var maxNow int64
+	st, views, resp := s.collect()
+	subscribers, _ := s.fan.stats()
+	var leapSteps int64
 	var leapBlocked sim.LeapBlocked
-	active, pending := 0, 0
-	execTotal := make([]int64, s.cfg.Sim.K)
 	for _, v := range views {
-		steps += v.steps
 		leapSteps += v.snap.LeapSteps
 		leapBlocked.Add(v.snap.LeapBlocked)
-		submitted += v.submitted
-		completed += v.completed
-		cancelled += v.cancelled
-		rejected += v.rejected
-		active += v.snap.Active
-		pending += v.snap.Pending
-		elapsed += v.snap.Now
-		if v.snap.Now > maxNow {
-			maxNow = v.snap.Now
-		}
-		for a, w := range v.snap.ExecutedTotal {
-			execTotal[a] += w
-		}
 	}
 
 	var b strings.Builder
@@ -57,7 +35,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	}
 
 	metric("krad_shards", "Independent scheduler engines behind the admission front-end.", "gauge", len(views), "")
-	metric("krad_steps_total", "Virtual scheduler steps executed (all shards).", "counter", steps, "")
+	metric("krad_steps_total", "Virtual scheduler steps executed (all shards).", "counter", st.Steps, "")
 	metric("krad_engine_leap_steps_total", "Virtual steps covered by event-leaps — executed in closed form without a fresh scheduling round (all shards).", "counter", leapSteps, "")
 	leapFirst := true
 	leapBlocked.Each(func(reason string, n int64) {
@@ -68,23 +46,19 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		}
 		metric("krad_engine_leap_blocked_total", help, "counter", n, fmt.Sprintf(`{reason="%s"}`, reason))
 	})
-	metric("krad_virtual_time", "Furthest shard virtual clock (last executed step).", "gauge", maxNow, "")
-	metric("krad_jobs_submitted_total", "Jobs admitted.", "counter", submitted, "")
-	metric("krad_jobs_completed_total", "Jobs completed.", "counter", completed, "")
-	metric("krad_jobs_cancelled_total", "Jobs cancelled.", "counter", cancelled, "")
-	metric("krad_jobs_rejected_total", "Submissions rejected by admission backpressure.", "counter", rejected, "")
-	metric("krad_jobs_active", "Jobs currently executing.", "gauge", active, "")
-	metric("krad_jobs_pending", "Admitted jobs awaiting release.", "gauge", pending, "")
-	metric("krad_queue_depth", "In-flight jobs (pending + active) against the admission bound.", "gauge", active+pending, "")
-	metric("krad_events_dropped_total", "Step events dropped on slow subscribers.", "counter", dropped, "")
+	metric("krad_virtual_time", "Furthest shard virtual clock (last executed step).", "gauge", st.Now, "")
+	metric("krad_jobs_submitted_total", "Jobs admitted.", "counter", st.Submitted, "")
+	metric("krad_jobs_completed_total", "Jobs completed.", "counter", st.Completed, "")
+	metric("krad_jobs_cancelled_total", "Jobs cancelled.", "counter", st.Cancelled, "")
+	metric("krad_jobs_rejected_total", "Submissions rejected by admission backpressure.", "counter", st.Rejected, "")
+	metric("krad_jobs_active", "Jobs currently executing.", "gauge", st.Active, "")
+	metric("krad_jobs_pending", "Admitted jobs awaiting release.", "gauge", st.Pending, "")
+	metric("krad_queue_depth", "In-flight jobs (pending + active) against the admission bound.", "gauge", st.InFlight, "")
+	metric("krad_events_dropped_total", "Step events dropped on slow subscribers.", "counter", st.EventsDropped, "")
 	metric("krad_event_subscribers", "Connected event subscribers.", "gauge", subscribers, "")
 
 	first := true
-	for a := 0; a < s.cfg.Sim.K; a++ {
-		u := 0.0
-		if elapsed > 0 {
-			u = float64(execTotal[a]) / (float64(views[0].snap.Caps[a]) * float64(elapsed))
-		}
+	for a, u := range st.Utilization {
 		help := ""
 		if first {
 			help = "Cumulative busy fraction per resource category, weighted across shards."
@@ -121,16 +95,10 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	// Steal families appear only when work stealing is enabled, so a
 	// steal-free deployment's exposition stays bit-identical to earlier
 	// builds.
-	if s.cfg.Steal {
-		var stolenOut, stolenIn, estWork int64
-		for _, v := range views {
-			stolenOut += int64(v.snap.Stolen)
-			stolenIn += v.stolenIn
-			estWork += v.estWork
-		}
-		metric("krad_jobs_stolen_total", "Jobs moved off their admission shard by work stealing (victim side).", "counter", stolenOut, "")
-		metric("krad_jobs_stolen_in_total", "Jobs re-admitted by thieves (matches krad_jobs_stolen_total when no steal is mid-repair).", "counter", stolenIn, "")
-		metric("krad_est_work", "Estimated remaining work across the fleet (task-steps) — the work-aware placement gauge.", "gauge", estWork, "")
+	if st.Steal != nil {
+		metric("krad_jobs_stolen_total", "Jobs moved off their admission shard by work stealing (victim side).", "counter", st.Steal.Stolen, "")
+		metric("krad_jobs_stolen_in_total", "Jobs re-admitted by thieves (matches krad_jobs_stolen_total when no steal is mid-repair).", "counter", st.Steal.StolenIn, "")
+		metric("krad_est_work", "Estimated remaining work across the fleet (task-steps) — the work-aware placement gauge.", "gauge", st.Steal.EstWork, "")
 		perSteal := []struct {
 			name, help, typ string
 			value           func(v shardView) any
@@ -153,7 +121,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	// Journal families appear only when journaling is enabled, so a
 	// journal-free deployment's exposition stays bit-identical to builds
 	// before durability existed.
-	if js := s.journalStats(); js != nil {
+	if js := st.Journal; js != nil {
 		metric("krad_journal_records", "Write-ahead journal records across shards (replay length of a crash right now).", "gauge", js.Records, "")
 		metric("krad_journal_appended_total", "Journal records appended since startup.", "counter", js.Appended, "")
 		metric("krad_journal_compactions_total", "Journal snapshot compactions since startup.", "counter", js.Compactions, "")
@@ -166,7 +134,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	// Replication families appear only when replication is configured, so
 	// a standalone deployment's exposition stays bit-identical to builds
 	// before warm standbys existed.
-	if rs := s.replicationStats(); rs != nil {
+	if rs := st.Replication; rs != nil {
 		b2i := func(v bool) int {
 			if v {
 				return 1
@@ -195,7 +163,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	// Tenant families appear only when fairness is enabled, so a
 	// fairness-free deployment's exposition stays bit-identical to builds
 	// before multi-tenancy existed.
-	if tenants := s.tenantStats(); len(tenants) > 0 {
+	if tenants := st.Tenants; len(tenants) > 0 {
 		perTenant := []struct {
 			name, help, typ string
 			value           func(ts TenantStats) any
@@ -217,7 +185,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	writeResponseHist(&b, &resp)
+	writeResponseHist(&b, resp)
 
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -574,6 +574,15 @@ func (s *Service) Err() error {
 
 // Stats summarizes the service across every shard.
 func (s *Service) Stats() Stats {
+	st, _, _ := s.collect()
+	return st
+}
+
+// collect takes every shard's view once and sums the fleet counters,
+// utilization and steal totals: what Stats returns and WriteMetrics renders
+// its fleet families from. The views (per-shard families) and the merged
+// response histogram (its buckets) ride along for the exposition.
+func (s *Service) collect() (Stats, []shardView, *metrics.Hist) {
 	s.mu.Lock()
 	draining := s.closed
 	s.mu.Unlock()
@@ -590,8 +599,10 @@ func (s *Service) Stats() Stats {
 	var elapsed int64
 	var resp metrics.Hist
 	var steal StealStats
-	for _, sh := range s.shards {
+	views := make([]shardView, len(s.shards))
+	for i, sh := range s.shards {
 		v := sh.view(&resp)
+		views[i] = v
 		if st.Caps == nil {
 			st.Caps = v.snap.Caps
 		}
@@ -628,7 +639,7 @@ func (s *Service) Stats() Stats {
 	if s.cfg.Steal {
 		st.Steal = &steal
 	}
-	return st
+	return st, views, &resp
 }
 
 // replicationStats invokes the registered replication probe, or nil when

@@ -92,9 +92,9 @@ func deltaSeeds(t *testing.T) int64 {
 // TestDeltaMatchesDense is the engine-level oracle for the delta-driven
 // scheduler: per seed, one engine drives the shipped stack through its delta
 // form and another drives the same stack hidden behind its dense contract —
-// all views every round, collectTouched, JobsDone — and the two must agree on
-// every StepInfo, on the scheduler's snapshot bytes after every call, and on
-// per-job completions and the engine snapshot at the end. The seeds vary what
+// all views every round through sched.FromDense, JobsDone — and the two must
+// agree on every StepInfo, on the scheduler's snapshot bytes after every call,
+// and on per-job completions and the engine snapshot at the end. The seeds vary what
 // moves the queues: small machines (round-robin cycles in every category),
 // admission out of release order (releases insert below the highest active
 // ID and below RAD's cursor), DAG jobs that leave a category and re-enter it

@@ -181,6 +181,41 @@ func TestValidateAllotmentsCatchesBrokenScheduler(t *testing.T) {
 	}
 }
 
+// misshaper is a broken scheduler whose matrix has the wrong shape: one row
+// too few, or a last row one category short.
+type misshaper struct{ shortRow bool }
+
+func (misshaper) Name() string { return "misshaper" }
+func (m misshaper) Allot(t int64, jobs []sched.JobView, caps []int) [][]int {
+	out := idler{}.Allot(t, jobs, caps)
+	if m.shortRow {
+		out[len(out)-1] = out[len(out)-1][:len(caps)-1]
+		return out
+	}
+	return out[:len(out)-1]
+}
+
+// TestMisshapenAllotmentIsALocatedError: with or without validation, the
+// step fails with an error naming the step, the scheduler and what is wrong
+// — never an index panic in the engine.
+func TestMisshapenAllotmentIsALocatedError(t *testing.T) {
+	specs := []JobSpec{{Graph: dag.Singleton(2, 1)}, {Graph: dag.Singleton(2, 2)}}
+	for _, tc := range []struct {
+		s    misshaper
+		want string
+	}{
+		{misshaper{}, `sim: step 1: sched: scheduler "misshaper" returned 1 rows for 2 jobs`},
+		{misshaper{shortRow: true}, `sim: step 1: sched: scheduler "misshaper" returned a row of 1 categories for job 1, want 2`},
+	} {
+		for _, validate := range []bool{false, true} {
+			_, err := Run(Config{K: 2, Caps: []int{1, 1}, Scheduler: tc.s, ValidateAllotments: validate}, specs)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("validate=%v: got %v, want %s", validate, err, tc.want)
+			}
+		}
+	}
+}
+
 // idler is a broken scheduler that never allots anything.
 type idler struct{}
 

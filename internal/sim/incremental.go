@@ -253,15 +253,13 @@ type Engine struct {
 	leapSteps   int64       // cumulative event-leap steps (see EngineSnapshot.LeapSteps)
 	leapBlocked LeapBlocked // per-reason counts of rounds that could not leap
 
-	// Cached scheduler capability views, asserted once at construction. A
-	// DeltaAllotter is driven from the slot table's writers (slots.go) and
-	// asked for grants; its dense forms — intoAllotter, completer — are then
-	// left unbound. ownAllot: the allotment rows are the engine's.
-	delta        sched.DeltaAllotter
-	intoAllotter sched.IntoAllotter
-	stable       sched.Stable
-	completer    sched.Completer
-	ownAllot     bool
+	// The scheduler as the engine drives it, bound once at construction:
+	// delta is told of every change by the slot table's writers (slots.go)
+	// and asked for grants — cfg.Scheduler itself, or sched.FromDense around
+	// one that knows only the dense contract. stable is cfg.Scheduler's own
+	// report either way: FromDense hands it views that read like e.views.
+	delta  sched.DeltaAllotter
+	stable sched.Stable
 
 	// The slot table (slots.go): per-slot arrays parallel to active, and
 	// the aggregates over them, maintained incrementally instead of being
@@ -270,7 +268,7 @@ type Engine struct {
 	desire      []int           // flat desire rows; views[i].Desire is row i
 	floor       []int           // flat floor rows; nil until a floor-bearing job is released
 	flags       []uint8         // slotHeld | slotSoftUnheld | slotHardFloor | slotNoLeap | slotFloored
-	allot       [][]int         // engine-owned allotment rows (IntoAllotter schedulers); zero between rounds
+	allot       [][]int         // the allotment rows applyGrants writes; zero between rounds
 	allotBack   []int
 	activeCount []int           // per category: slots with desire > 0
 	hardFloors  int             // slots flagged slotHardFloor
@@ -291,7 +289,6 @@ type Engine struct {
 	doneIDs    []int        // completions of the current round
 	stepExec   []int        // tasks executed in the current round, per category
 	perStepBuf []int        // per-step allotment bound passed to StableRuntime
-	oneID      [1]int       // JobsDone argument of Cancel and Withdraw
 
 	// Per-call accumulators for StepN (a call may span many rounds).
 	callExec []int
@@ -321,10 +318,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		nextID:      make([]int, cfg.K),
 	}
 	if e.delta, _ = cfg.Scheduler.(sched.DeltaAllotter); e.delta == nil {
-		e.intoAllotter, _ = cfg.Scheduler.(sched.IntoAllotter)
-		e.completer, _ = cfg.Scheduler.(sched.Completer)
+		e.delta = sched.FromDense(cfg.Scheduler)
 	}
-	e.ownAllot = e.delta != nil || e.intoAllotter != nil
 	e.stable, _ = cfg.Scheduler.(sched.Stable)
 	if cl, ok := cfg.Scheduler.(sched.Clairvoyant); ok {
 		cl.SetOracle(engineOracle{e})
@@ -564,17 +559,7 @@ func (e *Engine) Cancel(id int) error {
 	js.cancelledAt = e.now
 	e.remaining--
 	e.cancelledN++
-	e.jobGone(id)
 	return nil
-}
-
-// jobGone tells a stateful scheduler that one job left outside a round (a
-// DeltaAllotter heard it from dropSlot, if it ever heard of the job).
-func (e *Engine) jobGone(id int) {
-	if e.completer != nil {
-		e.oneID[0] = id
-		e.completer.JobsDone(e.oneID[:])
-	}
 }
 
 // Withdraw removes a pending (not-yet-released) job so it can be
@@ -606,7 +591,6 @@ func (e *Engine) Withdraw(id int) (JobSpec, error) {
 	if e.estWork < 0 {
 		e.estWork = 0
 	}
-	e.jobGone(id)
 	return spec, nil
 }
 
@@ -829,16 +813,15 @@ func (e *Engine) stepN(budget int64) (StepInfo, error) {
 	return info, nil
 }
 
-// executeRound runs one scheduling round at step t: ask the scheduler for
-// step t's allotments — a DeltaAllotter, which has been told every change
-// to the slot table, for its grants; any other by handing it the table's
-// views — then execute them for one step or, when the whole system is
-// provably in a stable regime, for up to budget steps in one event-leap. It
-// returns how many steps were executed (≥ 1).
+// executeRound runs one scheduling round at step t: ask the scheduler, which
+// has been told every change to the slot table, for step t's grants, then
+// execute them for one step or, when the whole system is provably in a
+// stable regime, for up to budget steps in one event-leap. It returns how
+// many steps were executed (≥ 1).
 //
 // The views are not rebuilt: they are current by the slot-table invariant
-// (slots.go), and only the slots this round touches — those whose allotment
-// row is non-zero — are executed, advanced, checked for completion and
+// (slots.go), and only the slots this round touches — the grants name them,
+// nothing is scanned — are executed, advanced, checked for completion and
 // re-read, which is all the idle-step law requires.
 func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	if e.slotOracle != nil {
@@ -855,31 +838,18 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 		}
 	}
 
-	var allot [][]int
+	allot := e.allot[:n]
 	var touched []int32
-	switch {
-	case e.delta != nil:
-		// The grants are the touched list: nothing is scanned to find it.
-		allot = e.allot[:n]
-		var err error
-		if touched, err = e.applyGrants(e.delta.AllotDelta(t, e.cfg.Caps)); err != nil {
-			e.clearAllot(n)
-			return 0, fmt.Errorf("sim: step %d: %w", t, err)
-		}
-	case e.intoAllotter != nil:
-		allot = e.allot[:n]
-		e.intoAllotter.AllotInto(t, e.views, e.cfg.Caps, allot)
-	default:
-		allot = e.cfg.Scheduler.Allot(t, e.views, e.cfg.Caps)
+	grants, err := e.delta.AllotDelta(t, e.cfg.Caps)
+	if err == nil {
+		touched, err = e.applyGrants(grants)
+	}
+	if err != nil {
+		e.clearAllot(n)
+		return 0, fmt.Errorf("sim: step %d: %w", t, err)
 	}
 	if e.cfg.Observer != nil {
 		e.cfg.Observer(t, e.views, allot)
-	}
-	if len(allot) != n {
-		return 0, fmt.Errorf("sim: step %d: scheduler returned %d rows for %d jobs", t, len(allot), n)
-	}
-	if e.delta == nil {
-		touched = e.collectTouched(allot)
 	}
 	if e.cfg.ValidateAllotments {
 		// Rows of zeros for floor-free jobs satisfy every Section 2
@@ -949,9 +919,7 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	e.gone = e.gone[:0]
 	for _, ti := range touched {
 		i := int(ti)
-		if e.ownAllot {
-			clear(allot[i])
-		}
+		clear(allot[i])
 		j := e.active[i]
 		if !j.rt.Done() {
 			e.rereadSlot(i)
@@ -971,15 +939,12 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	if len(e.gone) > 0 {
 		e.removeSlots(e.gone)
 		e.callDone = append(e.callDone, e.doneIDs...)
-		if e.completer != nil {
-			e.completer.JobsDone(e.doneIDs)
-		}
 	}
 	e.trace.endStep(t, n, len(e.doneIDs))
 	return 1, nil
 }
 
-// applyGrants merges a DeltaAllotter's per-category grants, each ascending
+// applyGrants merges the scheduler's per-category grants, each ascending
 // by job ID, into the engine's allotment rows and returns the slots written —
 // the round's touched list, ascending. Slots ascend with IDs, so each job is
 // looked for from where the last was found, galloping: O(log gap) per job,
@@ -1041,51 +1006,6 @@ func (e *Engine) applyGrants(grants [][]sched.CatGrant) ([]int32, error) {
 	}
 	e.touched = touched
 	return touched, nil
-}
-
-// collectTouched lists the slots whose allotment row is not a row of
-// zeros, in the engine's one pass over the matrix — integers only, no
-// runtime is consulted. The engine's own matrix is scanned as the flat
-// array it is, one compare per entry; a matrix a plain Allot returned is
-// walked row by row, and a misshapen row counts as touched so that the
-// validator gets to name it. Kept out of line: inlined into executeRound
-// the loop — the one that runs once per active job — spills to the stack.
-//
-//go:noinline
-func (e *Engine) collectTouched(allot [][]int) []int32 {
-	touched := e.touched[:0]
-	k := e.cfg.K
-	if e.ownAllot {
-		// One compare per entry. A hit names its slot and the rest of that
-		// row is passed over; the slot is the one after the last hit when
-		// rounds are dense (every small active set) and a division
-		// otherwise (at most one per processor handed out).
-		i, end := -1, 0 // last touched slot and the end of its row
-		for x, v := range e.allotBack[:len(allot)*k] {
-			if v == 0 || x < end {
-				continue
-			}
-			if x < end+k {
-				i++
-			} else {
-				i = x / k
-			}
-			end = (i + 1) * k
-			touched = append(touched, int32(i))
-		}
-	} else {
-		for i, row := range allot {
-			or := len(row) ^ k
-			for _, v := range row {
-				or |= v
-			}
-			if or != 0 {
-				touched = append(touched, int32(i))
-			}
-		}
-	}
-	e.touched = touched
-	return touched
 }
 
 // tryLeap decides whether the round at step t may extend into an event-leap

@@ -12,10 +12,9 @@ import (
 // describes e.active[i], and every per-slot array below is kept parallel to
 // e.active through releases, cancels and completions. A scheduling round
 // rebuilds nothing: the scheduler is told of each change to the table as it
-// is made (a sched.DeltaAllotter; any other scheduler is handed e.views as
-// they are), and only the slots the round touched (non-zero allotment row)
-// are re-read from the runtimes, so a round costs the processors it hands
-// out plus what changed, not the jobs that wait.
+// is made (e.delta), and only the slots the round touched (non-zero
+// allotment row) are re-read from the runtimes, so a round costs the
+// processors it hands out plus what changed, not the jobs that wait.
 //
 // That is sound because of the idle-step law in the RuntimeJob contract: a job
 // that executes nothing in a step does not change Desire, Floor, Done or
@@ -69,13 +68,11 @@ func (e *Engine) growSlots(n int) {
 	flags := make([]uint8, live, c)
 	copy(flags, e.flags)
 	e.flags = flags
-	if e.ownAllot {
-		// Rows are all zero between rounds, so there is nothing to copy.
-		e.allotBack = make([]int, c*k)
-		e.allot = make([][]int, c)
-		for i := range e.allot {
-			e.allot[i] = e.allotBack[i*k : (i+1)*k : (i+1)*k]
-		}
+	// Rows are all zero between rounds, so there is nothing to copy.
+	e.allotBack = make([]int, c*k)
+	e.allot = make([][]int, c)
+	for i := range e.allot {
+		e.allot[i] = e.allotBack[i*k : (i+1)*k : (i+1)*k]
 	}
 }
 
@@ -125,11 +122,9 @@ func (e *Engine) insertActive(js *jobState) {
 	}
 	e.flags[i] = 0
 	e.refreshSlot(i)
-	if e.delta != nil {
-		// Read against a row of zeros — what a job not yet active reports —
-		// so the flagged categories are the ones it enters.
-		e.delta.JobChanged(js.id, v.Desire, v.Floor, e.changed)
-	}
+	// Read against a row of zeros — what a job not yet active reports — so
+	// the flagged categories are the ones it enters.
+	e.delta.JobChanged(js.id, v.Desire, v.Floor, e.changed)
 	e.resetChanged()
 }
 
@@ -157,16 +152,14 @@ func (e *Engine) moveSlot(dst, src int) {
 	}
 }
 
-// rereadSlot is refreshSlot for a slot the scheduler already knows: a
-// DeltaAllotter is told only when a row actually changed.
+// rereadSlot is refreshSlot for a slot the scheduler already knows: it is
+// told only when a row actually changed.
 func (e *Engine) rereadSlot(i int) {
 	if !e.refreshSlot(i) {
 		return
 	}
-	if e.delta != nil {
-		v := &e.views[i]
-		e.delta.JobChanged(v.ID, v.Desire, v.Floor, e.changed)
-	}
+	v := &e.views[i]
+	e.delta.JobChanged(v.ID, v.Desire, v.Floor, e.changed)
 	e.resetChanged()
 }
 
@@ -267,9 +260,9 @@ func (e *Engine) countFlags(fl uint8, by int) {
 	}
 }
 
-// dropSlot withdraws slot i's contributions from the aggregates and tells a
-// DeltaAllotter its job is gone; the slot itself stays in place until
-// removeSlots closes the gap.
+// dropSlot withdraws slot i's contributions from the aggregates and tells the
+// scheduler its job is gone; the slot itself stays in place until removeSlots
+// closes the gap.
 func (e *Engine) dropSlot(i int) {
 	v := &e.views[i]
 	for a, d := range v.Desire {
@@ -279,9 +272,7 @@ func (e *Engine) dropSlot(i int) {
 	}
 	e.countFlags(e.flags[i], -1)
 	v.Floor = nil
-	if e.delta != nil {
-		e.delta.JobGone(v.ID, v.Desire)
-	}
+	e.delta.JobGone(v.ID, v.Desire)
 }
 
 // removeSlots deletes the given slots (ascending; their contributions
@@ -340,12 +331,8 @@ func (e *Engine) activeIndex(id int) int {
 	return sort.Search(len(e.active), func(i int) bool { return e.active[i].id >= id })
 }
 
-// clearAllot zeroes the engine-owned allotment rows of the first n slots.
-func (e *Engine) clearAllot(n int) {
-	if e.ownAllot {
-		clear(e.allotBack[:n*e.cfg.K])
-	}
-}
+// clearAllot zeroes the allotment rows of the first n slots.
+func (e *Engine) clearAllot(n int) { clear(e.allotBack[:n*e.cfg.K]) }
 
 // CheckSlots installs the slot table's test oracle: at the start of every
 // scheduling round the engine compares each cached view, floor, held flag
@@ -425,11 +412,9 @@ func (e *Engine) checkSlots() error {
 		if !held && j.caps.leap == nil {
 			noLeap++
 		}
-		if e.ownAllot {
-			for a, x := range e.allot[i] {
-				if x != 0 {
-					return fmt.Errorf("sim: job %d category %d allotment row holds %d between rounds", j.id, a+1, x)
-				}
+		for a, x := range e.allot[i] {
+			if x != 0 {
+				return fmt.Errorf("sim: job %d category %d allotment row holds %d between rounds", j.id, a+1, x)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"krad/internal/dag"
 	"krad/internal/sim"
 )
 
@@ -102,6 +103,67 @@ func init() {
 				MinSize: 40, MaxSize: 160,
 				Seed: seed,
 			}.Generate()
+		},
+	})
+	// Four fixed job sets small enough to read as a Gantt chart
+	// (kradsim -preset NAME -gantt); the seed is ignored.
+	register(Preset{
+		Name:        "etl",
+		Description: "three staggered CPU→vector→I/O pipelines under DEQ space sharing",
+		K:           3,
+		Caps:        []int{4, 2, 2},
+		Build: func(int64) ([]sim.JobSpec, error) {
+			var specs []sim.JobSpec
+			for i := 0; i < 3; i++ {
+				g := dag.Pipeline(3, 3, 6, func(s int) dag.Category { return dag.Category(s + 1) }).
+					Named(fmt.Sprintf("pipeline-%d", i))
+				specs = append(specs, sim.JobSpec{Graph: g, Release: int64(2 * i)})
+			}
+			return specs, nil
+		},
+	})
+	register(Preset{
+		Name:        "adversarial",
+		Description: "the Figure 3 instance (K=2, m=2): run with -pick cp-last and the adversary forces ≈10 steps where the optimum needs 5",
+		K:           2,
+		Caps:        []int{2, 2},
+		Build: func(int64) ([]sim.JobSpec, error) {
+			adv, err := dag.NewAdversarial(2, 2, []int{2, 2})
+			if err != nil {
+				return nil, err
+			}
+			var specs []sim.JobSpec
+			for _, g := range adv.JobSet(true) {
+				specs = append(specs, sim.JobSpec{Graph: g})
+			}
+			return specs, nil
+		},
+	})
+	register(Preset{
+		Name:        "overload",
+		Description: "7 chains on 2 processors: watch the round-robin cycles",
+		K:           1,
+		Caps:        []int{2},
+		Build: func(int64) ([]sim.JobSpec, error) {
+			var specs []sim.JobSpec
+			for i := 0; i < 7; i++ {
+				specs = append(specs, sim.JobSpec{Graph: dag.UniformChain(1, 4, 1).Named(fmt.Sprintf("chain-%d", i))})
+			}
+			return specs, nil
+		},
+	})
+	register(Preset{
+		Name:        "families",
+		Description: "reduction tree, butterfly, divide-and-conquer and stencil side by side on a two-category machine",
+		K:           2,
+		Caps:        []int{4, 2},
+		Build: func(int64) ([]sim.JobSpec, error) {
+			return []sim.JobSpec{
+				{Graph: dag.BinaryReduction(2, 8, 1, 2).Named("reduce")},
+				{Graph: dag.Butterfly(2, 3, func(r int) dag.Category { return dag.Category(r%2 + 1) }).Named("butterfly")},
+				{Graph: dag.DivideAndConquer(2, 3, 2, 1, 1, 2).Named("dnc")},
+				{Graph: dag.Stencil2D(2, 6, 4, 2, 1, 2).Named("stencil")},
+			}, nil
 		},
 	})
 }

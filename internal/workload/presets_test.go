@@ -2,6 +2,10 @@ package workload
 
 import (
 	"testing"
+
+	"krad/internal/core"
+	"krad/internal/dag"
+	"krad/internal/sim"
 )
 
 func TestPresetNamesSorted(t *testing.T) {
@@ -48,6 +52,26 @@ func TestAllPresetsBuildValidSpecs(t *testing.T) {
 			}
 			if s.Graph.K() != p.K {
 				t.Errorf("%s job %d: K mismatch", name, i)
+			}
+		}
+		// Every preset is something kradsim -preset NAME -gantt can draw,
+		// under the default pick policy and the one "adversarial" asks for:
+		// it runs on its own machine with tasks recorded, the schedule passes
+		// the independent Section 2 re-check, and the chart is not empty.
+		for _, pick := range []dag.PickPolicy{dag.PickFIFO, dag.PickCPLast} {
+			res, err := sim.Run(sim.Config{
+				K: p.K, Caps: p.Caps, Scheduler: core.NewKRAD(p.K), Pick: pick,
+				Trace: sim.TraceTasks, ValidateAllotments: true,
+			}, specs)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				continue
+			}
+			if err := sim.ValidateSchedule(specs, res); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			if res.Trace.Gantt(len(res.Jobs), 80) == "" {
+				t.Errorf("%s: empty gantt", name)
 			}
 		}
 	}

@@ -159,18 +159,13 @@ type SWFOptions struct {
 	// Category assigns a resource category to a record; nil means
 	// round-robin over [1, K] by acceptance order.
 	Category func(rec SWFRecord, index int) dag.Category
-	// Rigid emits each job as a *profile.Rigid (the O(1)-memory rigid
-	// form) instead of an explicit phase-profile job. Work vectors, spans
-	// and schedules are identical either way; rigid jobs just skip
-	// materializing steps × K phase slices, which matters at archive
-	// scale (a million 10-hour jobs is ~10⁹ phase entries).
-	Rigid bool
 }
 
 // ParseSWF reads an SWF log and returns engine-ready job specs (releases
-// in simulation steps, shapes as rigid profile jobs) plus the parsed
-// records. Records with unusable run times or processor counts are
-// skipped, not fatal: real logs contain cancelled and malformed entries.
+// in simulation steps, each job a *profile.Rigid — O(1) memory whatever its
+// length) plus the parsed records. Records with unusable run times or
+// processor counts are skipped, not fatal: real logs contain cancelled and
+// malformed entries.
 func ParseSWF(r io.Reader, opts SWFOptions) ([]sim.JobSpec, []SWFRecord, error) {
 	if opts.K < 1 {
 		return nil, nil, fmt.Errorf("workload: SWF options need K ≥ 1")
@@ -210,26 +205,7 @@ func ParseSWF(r io.Reader, opts SWFOptions) ([]sim.JobSpec, []SWFRecord, error) 
 		if err != nil {
 			return nil, nil, fmt.Errorf("workload: SWF line %d: %w", rd.Line(), err)
 		}
-		var job sim.JobSource
-		if opts.Rigid {
-			job, err = profile.FromRigidSpec(sp)
-		} else {
-			// Phase materialization is O(steps × K) memory; beyond this
-			// bound only the O(1) rigid form is sane (≈ 48 days of
-			// 1-second steps — no archive job is longer).
-			const maxPhaseSteps = 1 << 22
-			if sp.Steps > maxPhaseSteps {
-				return nil, nil, fmt.Errorf("workload: SWF line %d: %d steps exceeds the %d-step phase-profile bound; set SWFOptions.Rigid",
-					rd.Line(), sp.Steps, maxPhaseSteps)
-			}
-			phases := make([]profile.Phase, sp.Steps)
-			for p := range phases {
-				tasks := make([]int, opts.K)
-				tasks[cat-1] = rec.Procs
-				phases[p] = profile.Phase{Tasks: tasks}
-			}
-			job, err = profile.New(opts.K, sp.Name, phases)
-		}
+		job, err := profile.FromRigidSpec(sp)
 		if err != nil {
 			return nil, nil, fmt.Errorf("workload: SWF line %d: %w", rd.Line(), err)
 		}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -114,32 +115,27 @@ func TestParseSWFOutOfOrderSubmits(t *testing.T) {
 	}
 }
 
-// TestParseSWFRigidParity: the Rigid option must be an in-memory
-// representation change only — work vectors, spans and releases identical
-// to the phase-profile mapping.
+// TestParseSWFRigidParity: the rigid form ParseSWF emits is an in-memory
+// representation change only — name, work vector and span identical to the
+// explicit one-phase-per-step profile it stands for (Rigid.Profile), and the
+// release the record's submit time scaled.
 func TestParseSWFRigidParity(t *testing.T) {
-	phased, precs, err := ParseSWF(strings.NewReader(sampleSWF), SWFOptions{K: 2, TimeScale: 60})
+	specs, recs, err := ParseSWF(strings.NewReader(sampleSWF), SWFOptions{K: 2, TimeScale: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rigid, rrecs, err := ParseSWF(strings.NewReader(sampleSWF), SWFOptions{K: 2, TimeScale: 60, Rigid: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(phased) != len(rigid) || len(precs) != len(rrecs) {
-		t.Fatalf("job counts diverge: %d vs %d", len(phased), len(rigid))
-	}
-	for i := range phased {
-		p, r := phased[i], rigid[i]
-		if p.Release != r.Release || p.Source.Span() != r.Source.Span() {
-			t.Errorf("job %d: release/span diverge: %d/%d vs %d/%d",
-				i, p.Release, p.Source.Span(), r.Release, r.Source.Span())
+	for i, s := range specs {
+		r, ok := s.Source.(*profile.Rigid)
+		if !ok {
+			t.Fatalf("job %d is a %T, want *profile.Rigid", i, s.Source)
 		}
-		pw, rw := p.Source.WorkVector(), r.Source.WorkVector()
-		for a := range pw {
-			if pw[a] != rw[a] {
-				t.Errorf("job %d: work[%d] %d vs %d", i, a, pw[a], rw[a])
-			}
+		p := r.Profile()
+		if s.Release != recs[i].Submit/60 || p.Name() != r.Name() || p.Span() != r.Span() || p.TotalTasks() != r.TotalTasks() {
+			t.Errorf("job %d: release %d, name/span/tasks %s/%d/%d vs %s/%d/%d",
+				i, s.Release, p.Name(), p.Span(), p.TotalTasks(), r.Name(), r.Span(), r.TotalTasks())
+		}
+		if pw, rw := p.WorkVector(), r.WorkVector(); !slices.Equal(pw, rw) {
+			t.Errorf("job %d: work %v vs %v", i, pw, rw)
 		}
 	}
 }
