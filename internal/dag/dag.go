@@ -177,21 +177,24 @@ func (g *Graph) Sinks() []TaskID {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph, its adjacency lists cut from one
+// array the way a decoded graph's are (see UnmarshalJSON).
 func (g *Graph) Clone() *Graph {
 	c := &Graph{name: g.name, k: g.k, edges: g.edges}
 	c.cats = append([]Category(nil), g.cats...)
 	c.durs = append([]int32(nil), g.durs...)
-	c.succ = make([][]TaskID, len(g.succ))
-	c.pred = make([][]TaskID, len(g.pred))
-	for i := range g.succ {
-		if len(g.succ[i]) > 0 {
-			c.succ[i] = append([]TaskID(nil), g.succ[i]...)
-		}
-		if len(g.pred[i]) > 0 {
-			c.pred[i] = append([]TaskID(nil), g.pred[i]...)
+	n := len(g.succ)
+	lists := make([][]TaskID, 2*n)
+	flat := make([]TaskID, 0, 2*g.edges)
+	for i, side := range [2][][]TaskID{g.succ, g.pred} {
+		for j, l := range side {
+			if len(l) > 0 {
+				flat = append(flat, l...)
+				lists[i*n+j] = flat[len(flat)-len(l) : len(flat) : len(flat)]
+			}
 		}
 	}
+	c.succ, c.pred = lists[:n:n], lists[n:]
 	return c
 }
 

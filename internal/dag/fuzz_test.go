@@ -1,35 +1,80 @@
 package dag
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
-// FuzzGraphJSON ensures the decoder never panics on arbitrary input and
-// that anything it accepts passes full validation — decode is the trust
-// boundary for job sets loaded from disk (kradsim -load).
+// FuzzGraphJSON runs the hand-written decoder against the encoding/json
+// one it replaced (oracleUnmarshal): decode is the trust boundary for
+// submitted jobs, journal records, replication frames and kradsim -load,
+// and must accept and reject exactly what it did, build the same graph —
+// neighbour order included — and re-encode it to the same bytes. The one
+// licensed disagreement is an edge that is not exactly two integers, which
+// the oracle pads, truncates or skips and the decoder refuses.
 func FuzzGraphJSON(f *testing.F) {
-	good, _ := json.Marshal(Figure1())
-	f.Add(good)
-	f.Add([]byte(`{"k":2,"categories":[1,2],"edges":[[0,1]]}`))
-	f.Add([]byte(`{"k":1,"categories":[1,1,1],"edges":[[0,1],[1,2],[2,0]]}`))
-	f.Add([]byte(`{"k":-1}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`{`))
+	f.Add(Figure1().AppendJSON(nil))
+	for _, seed := range []string{
+		`{"k":2,"categories":[1,2],"edges":[[0,1]]}`,
+		`{"k":1,"categories":[1,1,1],"edges":[[0,1],[1,2],[2,0]]}`,
+		`{"k":-1}`,
+		`[]`,
+		`{`,
+		`null`,
+		`{"edges":[[1,0]],"name":"shuffled","categories":[2,1],"k":2}`,
+		"{ \"k\" :\t2 ,\n\"categories\" : [ 1 , 2 ] ,\r\"edges\" : [ [ 0 , 1 ] ] } ",
+		`{"k":1,"categories":[1,1,1],"edges":[[0,1], [1,2],[0,2] ,[0,1]]}`,
+		`{"k":1,"categories":[1,1,1],"edges":[[2,1],[0,1]]}`,
+		`{"k":2,"meta":{"owner":{"id":[1,2,{"x":null}]},"tags":["a","b"]},"categories":[1,2],"edges":[[0,1]]}`,
+		`{"k":1,"k":2,"categories":[1],"categories":[1,2],"edges":[[1,0]],"edges":[[0,1]]}`,
+		`{"K":2,"CATEGORIES":[1,2],"Edges":[[0,1]],"NAME":"upper"}`,
+		`{"k":2,"name":null,"categories":null,"edges":null}`,
+		`{"k":2,"categories":[1,2],"categories":[null,null]}`,
+		`{"k":12345678901,"categories":[12345678901]}`,
+		`{"k":1,"categories":[1,1],"edges":[[0,12345678901]]}`,
+		`{"k":1.0,"categories":[1]}`,
+		`{"k":1e0,"categories":[1]}`,
+		`{"k":1,"categories":[1,1],"edges":[[1]]}`,
+		`{"k":1,"categories":[1,1],"edges":[[0,1,7]]}`,
+		`{"k":1,"categories":[1,1],"edges":[[0,1],null]}`,
+		`{"k":1,"categories":[1,1],"edges":[[0,1]],"edges":[[null,1]]}`,
+		`{"k":1,"name":"\u003c\ud83d\ude00\ud83d\"\\"}`,
+		"{\"k\":1,\"name\":\"\xff\xe2\x80\xa8\"}",
+	} {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var g Graph
-		if err := json.Unmarshal(data, &g); err != nil {
-			return // rejected: fine
+		err := g.UnmarshalJSON(data)
+		want, oerr := oracleUnmarshal(data)
+		switch {
+		case err != nil && oerr != nil:
+			return // both reject
+		case edgeShapeOnly(err):
+			return // the licensed disagreement
+		case err != nil:
+			t.Fatalf("rejected what the oracle accepts: %v", err)
+		case oerr != nil:
+			t.Fatalf("accepted what the oracle rejects: %v", oerr)
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("decoder accepted an invalid graph: %v", err)
+		sameGraph(t, &g, want)
+		// Accepted graphs must support the whole metric surface (k is
+		// whatever the input said: WorkVector allocates k counters).
+		if g.K() <= 1<<16 {
+			_ = g.WorkVector()
 		}
-		// Accepted graphs must support the whole metric surface.
-		_ = g.Span()
-		_ = g.WorkVector()
 		if _, err := g.TopoOrder(); err != nil {
 			t.Fatalf("accepted graph has no topo order: %v", err)
 		}
+		// What the encoder writes, both decoders read back alike. (Not as
+		// g: edges are written by source, so predecessor order is the
+		// input's only if the input was sorted that way.)
+		encoded := g.AppendJSON(nil)
+		var back Graph
+		if err := back.UnmarshalJSON(encoded); err != nil {
+			t.Fatalf("own encoding rejected: %v", err)
+		}
+		if want, err = oracleUnmarshal(encoded); err != nil {
+			t.Fatalf("oracle rejects the encoding: %v", err)
+		}
+		sameGraph(t, &back, want)
 	})
 }
 

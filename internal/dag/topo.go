@@ -8,37 +8,46 @@ import "fmt"
 func (g *Graph) TopoOrder() ([]TaskID, error) {
 	n := g.NumTasks()
 	indeg := make([]int32, n)
-	for v := 0; v < n; v++ {
+	for v := range indeg {
 		indeg[v] = int32(len(g.pred[v]))
 	}
-	// A simple FIFO queue keeps the order deterministic; tasks enter in ID
-	// order initially and in completion order afterwards.
-	queue := make([]TaskID, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, TaskID(v))
-		}
-	}
-	order := make([]TaskID, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range g.succ[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
+	order := topoSort(g.succ, indeg, make([]TaskID, 0, n))
 	if len(order) != n {
-		for v := 0; v < n; v++ {
-			if indeg[v] > 0 {
-				return nil, fmt.Errorf("dag: graph %q has a cycle through task %d", g.name, v)
-			}
-		}
+		return nil, cycleError(g.name, indeg)
 	}
 	return order, nil
+}
+
+// topoSort appends the tasks to order as Kahn's algorithm releases them
+// and returns it: the result doubles as the FIFO queue, tasks entering in
+// ID order initially and in completion order afterwards. indeg holds every
+// task's in-degree and is consumed; the tasks it leaves positive are on a
+// cycle or behind one, and are missing from the result.
+func topoSort(succ [][]TaskID, indeg []int32, order []TaskID) []TaskID {
+	for v, d := range indeg {
+		if d == 0 {
+			order = append(order, TaskID(v))
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, v := range succ[order[head]] {
+			indeg[v]--
+			if indeg[v] == 0 {
+				order = append(order, v)
+			}
+		}
+	}
+	return order
+}
+
+// cycleError names the first task topoSort could not release.
+func cycleError(name string, indeg []int32) error {
+	for v, d := range indeg {
+		if d > 0 {
+			return fmt.Errorf("dag: graph %q has a cycle through task %d", name, v)
+		}
+	}
+	return fmt.Errorf("dag: graph %q has inconsistent predecessor lists", name)
 }
 
 // Levels partitions the tasks into precedence levels: level 0 holds the
@@ -92,16 +101,21 @@ func (g *Graph) computeHeights() ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := make([]int32, g.NumTasks())
+	return heightsOver(g.succ, order), nil
+}
+
+// heightsOver computes the heights from a topological order.
+func heightsOver(succ [][]TaskID, order []TaskID) []int32 {
+	h := make([]int32, len(order))
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
 		best := int32(0)
-		for _, v := range g.succ[u] {
+		for _, v := range succ[u] {
 			if h[v] > best {
 				best = h[v]
 			}
 		}
 		h[u] = best + 1
 	}
-	return h, nil
+	return h
 }

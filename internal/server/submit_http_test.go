@@ -213,6 +213,45 @@ func TestSubmitAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestSubmitAllocsPinnedGraph does the same for a K-DAG body: the decoder
+// builds a graph into a handful of flat arrays and the Instance into a few
+// more, so the request's allocations are one budget whatever the graph's
+// size — 200 tasks and 1,718 edges cost what 20 tasks and 98 edges do.
+func TestSubmitAllocsPinnedGraph(t *testing.T) {
+	cfg := testConfig(2, 4, 4)
+	cfg.RetireDone = true
+	cfg.MaxInFlight = 1 << 20
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	h := svc.Handler()
+	rec := httptest.NewRecorder()
+	for _, g := range []*dag.Graph{
+		dag.MapReduce(2, 10, 8, 1, 2, 1, 2),
+		dag.MapReduce(2, 190, 8, 1, 2, 1, 2),
+	} {
+		body, _ := json.Marshal(submitRequest{Graph: g})
+		submit := func() {
+			req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body))
+			rec.Body.Reset()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusCreated {
+				t.Fatalf("submit status %d: %s", rec.Code, rec.Body)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			submit()
+		}
+		avg := testing.AllocsPerRun(100, submit)
+		t.Logf("%v: %.1f allocs/op", g, avg)
+		if avg > 80 {
+			t.Errorf("%v: submit allocates %.1f/op, want one small budget (≤80) at every size", g, avg)
+		}
+	}
+}
+
 // TestSubmitAllocsPinnedBatch does the same for the batch path: per-job
 // marginal cost must stay constant (pooled specs slice, pooled request
 // slots), so a 64-job batch stays within 64× the single-job constant.
