@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -77,4 +79,32 @@ func TestExperimentsFileIsCurrent(t *testing.T) {
 		}
 	}
 	t.Fatalf("EXPERIMENTS.md body has %d lines, regenerated %d", len(wl), len(gl))
+}
+
+// quickDigest is the SHA-256 of every experiment's markdown table under
+// Options{Quick: true, Seed: 11}, timings masked.
+const quickDigest = "4c8ab9c703005e6bfd184bea8b7d49c9dbed57de1530e18579b1a6685c5fde57"
+
+// TestQuickSweepsAreUnchanged pins the reduced sweeps that `go test` and the
+// E-benchmarks run, which EXPERIMENTS.md does not show: a change that moves
+// any cell of them, timings aside, has to update quickDigest. It also holds
+// every row to its header's width — Render indexes the column widths per
+// cell, and Markdown would draw a short row as a ragged table.
+func TestQuickSweepsAreUnchanged(t *testing.T) {
+	var body strings.Builder
+	for _, e := range analysis.All() {
+		tbl, err := e.Run(analysis.Options{Quick: true, Seed: 11})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		for i, row := range tbl.Rows {
+			if len(row) != len(tbl.Header) {
+				t.Errorf("%s row %d has %d cells, header %d", e.ID, i, len(row), len(tbl.Header))
+			}
+		}
+		body.WriteString(tbl.Markdown() + "\n")
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(maskTimings(body.String())))); got != quickDigest {
+		t.Errorf("quick sweeps digest %s, want %s", got, quickDigest)
+	}
 }
