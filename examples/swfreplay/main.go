@@ -68,7 +68,10 @@ func main() {
 
 	fmt.Printf("%-10s  %8s  %7s  %10s  %8s  %8s\n", "scheduler", "makespan", "ratio", "mean resp", "p95 resp", "util")
 	for _, name := range []string{"k-rad", "deq-only", "rr-only", "equi", "fcfs"} {
-		s := mustScheduler(name, K)
+		s, err := krad.NewScheduler(name, K)
+		if err != nil {
+			log.Fatal(err)
+		}
 		res, err := krad.Run(krad.Config{
 			K: K, Caps: caps, Scheduler: s, ValidateAllotments: true,
 		}, specs)
@@ -92,21 +95,4 @@ func main() {
 	fmt.Println("\nEvery run stays within the paper's K+1−1/Pmax makespan bound; the")
 	fmt.Println("ratio column shows how far above the work/span lower bound each")
 	fmt.Println("scheduler lands on archive-shaped traffic.")
-}
-
-func mustScheduler(name string, k int) krad.Scheduler {
-	switch name {
-	case "k-rad":
-		return krad.NewKRAD(k)
-	case "deq-only":
-		return krad.NewDEQOnly(k)
-	case "rr-only":
-		return krad.NewRROnly(k)
-	case "equi":
-		return krad.NewEQUI(k)
-	case "fcfs":
-		return krad.NewFCFS(k)
-	}
-	log.Fatalf("unknown scheduler %q", name)
-	return nil
 }

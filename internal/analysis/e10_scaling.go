@@ -5,42 +5,29 @@ import (
 	"time"
 
 	"krad/internal/core"
-	"krad/internal/dag"
 	"krad/internal/sim"
 	"krad/internal/workload"
 )
 
-// RunE10 measures reproduction-infrastructure throughput: simulated tasks
+// e10 measures reproduction-infrastructure throughput: simulated tasks
 // per second as the job count grows. It is a performance report, not a
-// theorem check.
-func RunE10(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E10",
-		Title:  "Simulator throughput scaling",
-		Header: []string{"jobs", "tasks", "K", "makespan", "wall", "tasks/sec"},
-	}
-	sizes := []int{100, 400, 1600}
-	if opts.Quick {
-		sizes = []int{50, 200}
-	}
+// theorem check, so it times the bare engine: no allotment validation.
+func e10(t *Table, opts Options) error {
+	t.Header = []string{"jobs", "tasks", "K", "makespan", "wall", "tasks/sec"}
 	const k = 3
 	caps := []int{8, 8, 8}
-	for _, n := range sizes {
+	for _, n := range scale(opts, []int{100, 400, 1600}, []int{50, 200}) {
 		specs, err := workload.Mix{
 			K: k, Jobs: n, MinSize: 10, MaxSize: 60, Seed: opts.seed(),
 		}.Generate()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		tasks := 0
-		for _, s := range specs {
-			tasks += s.Graph.NumTasks()
-		}
-		cfg := sim.Config{K: k, Caps: caps, Scheduler: core.NewKRAD(k), Pick: dag.PickFIFO}
+		tasks := totalTasks(specs)
 		start := time.Now()
-		res, err := sim.Run(cfg, specs)
+		res, err := sim.Run(sim.Config{K: k, Caps: caps, Scheduler: core.NewKRAD(k)}, specs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		wall := time.Since(start)
 		rate := float64(tasks) / wall.Seconds()
@@ -48,5 +35,5 @@ func RunE10(opts Options) (*Table, error) {
 			wall.Round(time.Microsecond).String(), fmt.Sprintf("%.0f", rate))
 	}
 	t.AddNote("expected shape: throughput in the millions of tasks/sec")
-	return t, nil
+	return nil
 }

@@ -2,14 +2,13 @@ package analysis
 
 import (
 	"krad/internal/core"
-	"krad/internal/dag"
 	"krad/internal/metrics"
 	"krad/internal/sched"
 	"krad/internal/sim"
 	"krad/internal/workload"
 )
 
-// RunE13 measures the cost of a scheduling quantum: real two-level systems
+// e13 measures the cost of a scheduling quantum: real two-level systems
 // (the RAD lineage's deployment model) cannot re-partition processors at
 // every unit step, so sched.Quantized re-runs K-RAD's allocator only every
 // L steps and holds allotments in between. The table sweeps L and reports
@@ -17,61 +16,44 @@ import (
 // shape: L = 1 reproduces plain K-RAD exactly; ratios degrade gracefully
 // (roughly linearly in L for span-bound workloads) as allotments go stale
 // between boundaries.
-func RunE13(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E13",
-		Title:  "Scheduling-quantum sensitivity (two-level deployment model)",
-		Header: []string{"quantum L", "jobs", "makespan", "makespan ratio", "Thm3 bound (L=1)", "MRT ratio", "vs L=1 makespan"},
-	}
+func e13(t *Table, opts Options) error {
+	t.Header = []string{"quantum L", "jobs", "makespan", "makespan ratio", "Thm3 bound (L=1)", "MRT ratio", "vs L=1 makespan"}
 	const k = 3
 	caps := []int{4, 4, 4}
-	jobs := 40
-	if opts.Quick {
-		jobs = 20
-	}
+	jobs := scale(opts, 40, 20)
 	specs, err := workload.Mix{
 		K: k, Jobs: jobs, MinSize: 4, MaxSize: 50, Seed: opts.seed(),
 	}.Generate()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	totalWork := int64(0)
-	for _, s := range specs {
-		totalWork += int64(s.Graph.NumTasks())
-	}
+	totalWork := int64(totalTasks(specs))
 
-	quanta := []int64{1, 2, 4, 8, 16}
-	if opts.Quick {
-		quanta = []int64{1, 4, 16}
-	}
 	var base int64
-	for _, l := range quanta {
+	for _, l := range scale(opts, []int64{1, 2, 4, 8, 16}, []int64{1, 4, 16}) {
 		var s sched.Scheduler = core.NewKRAD(k)
 		if l > 1 {
 			s = sched.NewQuantized(s, l)
 		}
-		res, err := sim.Run(sim.Config{
-			K: k, Caps: caps, Scheduler: s, Pick: dag.PickFIFO,
-			ValidateAllotments: true,
+		res, err := run(sim.Config{
+			Caps: caps, Scheduler: s,
 			// Stale allotments can idle a job for up to L−1 steps, so the
 			// runaway guard must scale with the quantum.
 			MaxSteps: (l + 4) * (4*totalWork + 64),
 		}, specs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if l == 1 {
 			base = res.Makespan
 		}
-		msRatio := CheckTheorem3(res).Measured
-		mrtRatio := CheckTheorem6(res).Measured
-		t.AddRow(l, jobs, res.Makespan, msRatio,
-			metrics.MakespanCompetitiveLimit(k, caps), mrtRatio,
+		r := metrics.ComputeRatios(res)
+		t.AddRow(l, jobs, res.Makespan, r.MakespanRatio, r.MakespanBound, r.ResponseRatio,
 			float64(res.Makespan)/float64(base))
-		if l == 1 && msRatio > metrics.MakespanCompetitiveLimit(k, caps) {
+		if l == 1 && r.MakespanRatio > r.MakespanBound {
 			t.AddNote("FAIL: L=1 violates Theorem 3")
 		}
 	}
 	t.AddNote("the Theorem 3/6 guarantees are proven for L = 1 (allotments recomputed every step); larger quanta are outside the theorems and show the price of realistic reallocation periods")
-	return t, nil
+	return nil
 }

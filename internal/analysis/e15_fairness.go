@@ -1,14 +1,12 @@
 package analysis
 
 import (
-	"krad/internal/baselines"
-	"krad/internal/core"
 	"krad/internal/dag"
-	"krad/internal/sched"
+	"krad/internal/metrics"
 	"krad/internal/sim"
 )
 
-// RunE15 measures the price of fairness the paper's related-work section
+// e15 measures the price of fairness the paper's related-work section
 // leans on: Motwani et al. prove round robin is 2-competitive for batched
 // mean response time and that the bound is tight — the tight instance is a
 // batch of identical jobs, where any fair (rate-equalizing) scheduler
@@ -19,64 +17,41 @@ import (
 // Expected shape: the k-rad and rr-only ratios climb toward 2 as n grows
 // and never exceed it (matching the [22] bound); the Theorem 5/6
 // machinery still holds since their lower bounds absorb the factor.
-func RunE15(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E15",
-		Title:  "Fairness price on identical jobs (round robin's tight factor 2, Motwani et al.)",
-		Header: []string{"n jobs", "chain len", "P", "scheduler", "total resp", "vs run-to-completion", "Thm6 check"},
-	}
-	sizes := []int{4, 8, 16, 32, 64}
-	if opts.Quick {
-		sizes = []int{4, 16, 32}
-	}
+func e15(t *Table, opts Options) error {
+	t.Header = []string{"n jobs", "chain len", "P", "scheduler", "total resp", "vs run-to-completion", "Thm6 check"}
 	const chainLen = 12
 	const p = 2
-	for _, n := range sizes {
+	for _, n := range scale(opts, []int{4, 8, 16, 32, 64}, []int{4, 16, 32}) {
 		specs := make([]sim.JobSpec, n)
 		for i := range specs {
 			specs[i] = sim.JobSpec{Graph: dag.UniformChain(1, chainLen, 1)}
 		}
-		run := func(s sched.Scheduler) (*sim.Result, error) {
-			return sim.Run(sim.Config{
-				K: 1, Caps: []int{p}, Scheduler: s,
-				Pick: dag.PickFIFO, ValidateAllotments: true,
-			}, specs)
-		}
-		base, err := run(baselines.NewFCFS(1))
-		if err != nil {
-			return nil, err
-		}
-		for _, entry := range []struct {
-			name string
-			s    sched.Scheduler
-		}{
-			{"fcfs (run-to-completion)", nil},
-			{"k-rad", core.NewKRAD(1)},
-			{"rr-only", baselines.NewRROnly(1)},
-			{"equi", baselines.NewEQUI(1)},
-		} {
-			res := base
-			if entry.s != nil {
-				res, err = run(entry.s)
-				if err != nil {
-					return nil, err
-				}
+		// The first row, fcfs, is the run-to-completion baseline.
+		var base *sim.Result
+		for _, name := range []string{"fcfs", "k-rad", "rr-only", "equi"} {
+			res, err := run(sim.Config{Caps: []int{p}, Scheduler: mustScheduler(name, 1)}, specs)
+			if err != nil {
+				return err
+			}
+			label := name
+			if base == nil {
+				base, label = res, "fcfs (run-to-completion)"
 			}
 			ratio := float64(res.TotalResponse()) / float64(base.TotalResponse())
-			bc := CheckTheorem6(res)
-			check := "holds"
-			if entry.name == "k-rad" && !bc.OK {
-				check = "VIOLATED"
-				t.AddNote("FAIL: Theorem 6 violated at n=%d", n)
-			} else if entry.name != "k-rad" {
-				check = "n/a"
+			check := "n/a"
+			if name == "k-rad" {
+				bc := metrics.CheckTheorem6(res)
+				check = holds(bc.OK)
+				if !bc.OK {
+					t.AddNote("FAIL: Theorem 6 violated at n=%d", n)
+				}
 			}
-			t.AddRow(n, chainLen, p, entry.name, res.TotalResponse(), ratio, check)
-			if entry.name != "fcfs (run-to-completion)" && ratio > 2.0+2.0/float64(n) {
-				t.AddNote("FAIL: %s ratio %.3f exceeds the tight factor 2 (+1/n slack) at n=%d", entry.name, ratio, n)
+			t.AddRow(n, chainLen, p, label, res.TotalResponse(), ratio, check)
+			if res != base && ratio > 2.0+2.0/float64(n) {
+				t.AddNote("FAIL: %s ratio %.3f exceeds the tight factor 2 (+1/n slack) at n=%d", label, ratio, n)
 			}
 		}
 	}
 	t.AddNote("identical chains make run-to-completion the optimal order; fair schedulers pay up to 2× on total response — exactly the [22] tight bound, and why RAD accepts it in exchange for bounded starvation (E9)")
-	return t, nil
+	return nil
 }

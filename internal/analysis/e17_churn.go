@@ -2,14 +2,16 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
+	"krad/internal/core"
 	"krad/internal/metrics"
 	"krad/internal/sched"
 	"krad/internal/sim"
 	"krad/internal/workload"
 )
 
-// RunE17 measures reallocation churn — processors reassigned between jobs
+// e17 measures reallocation churn — processors reassigned between jobs
 // per scheduling step — for every scheduler on a common overloaded
 // heterogeneous workload, alongside the performance it buys. The paper's
 // model reallocates for free; real systems pay per migration, which is why
@@ -19,63 +21,32 @@ import (
 // (k-rad, rr-only, equi, laps) pays the most churn — k-rad's quantized
 // variant buys most of gang's churn reduction at a fraction of its
 // makespan cost.
-func RunE17(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E17",
-		Title:  "Reallocation churn per scheduler (the cost the model treats as free)",
-		Header: []string{"scheduler", "jobs", "makespan", "mean resp", "total churn", "churn/step"},
-	}
+func e17(t *Table, opts Options) error {
+	t.Header = []string{"scheduler", "jobs", "makespan", "mean resp", "total churn", "churn/step"}
 	const k = 3
 	caps := []int{4, 4, 4}
-	jobs := 60
-	if opts.Quick {
-		jobs = 30
-	}
+	jobs := scale(opts, 60, 30)
 	specs, err := workload.Mix{
 		K: k, Jobs: jobs, MinSize: 4, MaxSize: 40, Seed: opts.seed(),
 	}.Generate()
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	names, mk := schedulerFactories(k)
-	names = append(names, "k-rad-quantized(8)")
-	mkQ := func() sched.Scheduler { return sched.NewQuantized(mustScheduler("k-rad", k), 8) }
-
-	for _, name := range names {
-		var s sched.Scheduler
-		if name == "k-rad-quantized(8)" {
-			s = mkQ()
-		} else {
-			s = mk[name]()
-		}
+	totalWork := int64(totalTasks(specs))
+	quantized := namedScheduler{"k-rad-quantized(8)", func(k int) sched.Scheduler { return sched.NewQuantized(core.NewKRAD(k), 8) }}
+	for _, s := range append(slices.Clip(schedulers), quantized) {
 		churn := metrics.NewChurn(k)
-		totalWork := int64(0)
-		for _, sp := range specs {
-			totalWork += int64(sp.Graph.NumTasks())
-		}
-		res, err := sim.Run(sim.Config{
-			K: k, Caps: caps, Scheduler: s,
-			ValidateAllotments: true,
-			Observer:           churn.Observer(),
-			MaxSteps:           12 * (4*totalWork + 64),
+		res, err := run(sim.Config{
+			Caps: caps, Scheduler: s.mk(k),
+			Observer: churn.Observer(),
+			MaxSteps: 12 * (4*totalWork + 64),
 		}, specs)
 		if err != nil {
-			return nil, fmt.Errorf("E17 %s: %w", name, err)
+			return fmt.Errorf("E17 %s: %w", s.name, err)
 		}
-		t.AddRow(name, jobs, res.Makespan, fmt.Sprintf("%.1f", res.MeanResponse()),
+		t.AddRow(s.name, jobs, res.Makespan, fmt.Sprintf("%.1f", res.MeanResponse()),
 			churn.Total, fmt.Sprintf("%.2f", churn.PerStep()))
 	}
 	t.AddNote("churn = processors reassigned between jobs per step (half-L1 of consecutive allotment vectors); the scheduler rows share one workload, so columns are directly comparable")
-	return t, nil
-}
-
-// mustScheduler resolves a registry scheduler or panics (registry names
-// are compile-time constants here).
-func mustScheduler(name string, k int) sched.Scheduler {
-	s, err := NewScheduler(name, k)
-	if err != nil {
-		panic(err)
-	}
-	return s
+	return nil
 }

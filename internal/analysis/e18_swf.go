@@ -10,7 +10,7 @@ import (
 	"krad/internal/workload"
 )
 
-// RunE18 replays an archive-style workload log: a seeded synthetic log in
+// e18 replays an archive-style workload log: a seeded synthetic log in
 // the Standard Workload Format (the Parallel Workloads Archive format) is
 // parsed into rigid jobs — p processors for t steps, the SWF semantics —
 // and scheduled by K-RAD and the main baselines on a K = 3 machine with
@@ -19,66 +19,41 @@ import (
 // bound on real-shaped (bursty submits, power-of-two widths, heavy-tailed
 // runtimes) traffic, and the fair/unfair scheduler ordering from E8/E17
 // persists on log-shaped workloads.
-func RunE18(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E18",
-		Title:  "Archive-log replay (Standard Workload Format)",
-		Header: []string{"scheduler", "jobs", "makespan", "ratio", "Thm3 bound", "mean resp", "max resp", "util/cat"},
-	}
-	nJobs := 200
-	if opts.Quick {
-		nJobs = 60
-	}
+func e18(t *Table, opts Options) error {
+	t.Header = []string{"scheduler", "jobs", "makespan", "ratio", "Thm3 bound", "mean resp", "max resp", "util/cat"}
+	nJobs := scale(opts, 200, 60)
 	var log strings.Builder
 	if err := workload.WriteSyntheticSWF(&log, nJobs, opts.seed()); err != nil {
-		return nil, err
+		return err
 	}
 	const k = 3
 	caps := []int{16, 16, 16}
 	specs, _, err := workload.ParseSWF(strings.NewReader(log.String()), workload.SWFOptions{
 		K: k, TimeScale: 60, MaxProcs: 16,
 		Category: func(rec workload.SWFRecord, _ int) dag.Category {
-			p := rec.Partition
-			if p < 1 {
-				p = 1
-			}
-			return dag.Category((p-1)%k + 1)
+			return dag.Category((max(rec.Partition, 1)-1)%k + 1)
 		},
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	bound := metrics.MakespanCompetitiveLimit(k, caps)
 	for _, name := range []string{"k-rad", "deq-only", "rr-only", "equi", "fcfs"} {
-		s, err := NewScheduler(name, k)
+		res, err := run(sim.Config{Caps: caps, Scheduler: mustScheduler(name, k)}, specs)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("E18 %s: %w", name, err)
 		}
-		res, err := sim.Run(sim.Config{
-			K: k, Caps: caps, Scheduler: s, ValidateAllotments: true,
-		}, specs)
-		if err != nil {
-			return nil, fmt.Errorf("E18 %s: %w", name, err)
-		}
-		lb := metrics.MakespanLowerBound(res)
-		ratio := float64(res.Makespan) / float64(lb)
-		var maxResp int64
-		for _, j := range res.Jobs {
-			if r := j.Response(); r > maxResp {
-				maxResp = r
-			}
-		}
+		r := metrics.ComputeRatios(res)
 		var util []string
 		for _, u := range res.Utilization() {
 			util = append(util, fmt.Sprintf("%.0f%%", 100*u))
 		}
-		t.AddRow(name, len(specs), res.Makespan, ratio, bound,
-			fmt.Sprintf("%.1f", res.MeanResponse()), maxResp, strings.Join(util, "/"))
-		if name == "k-rad" && ratio > bound {
-			t.AddNote("FAIL: K-RAD violated Theorem 3 on the SWF replay (ratio %.3f)", ratio)
+		t.AddRow(name, len(specs), res.Makespan, r.MakespanRatio, r.MakespanBound,
+			fmt.Sprintf("%.1f", res.MeanResponse()), maxResponse(res), strings.Join(util, "/"))
+		if name == "k-rad" && r.MakespanRatio > r.MakespanBound {
+			t.AddNote("FAIL: K-RAD violated Theorem 3 on the SWF replay (ratio %.3f)", r.MakespanRatio)
 		}
 	}
 	t.AddNote("synthetic SWF log (%d submitted jobs), rigid p×t jobs, categories from the log's partition field mod K", nJobs)
-	return t, nil
+	return nil
 }

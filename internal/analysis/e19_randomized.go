@@ -9,7 +9,7 @@ import (
 	"krad/internal/sim"
 )
 
-// RunE19 measures what randomization buys against the Theorem 1 adversary.
+// e19 measures what randomization buys against the Theorem 1 adversary.
 // The deterministic lower-bound construction relies on the adversary
 // knowing which job the scheduler's fixed queue order reaches last; an
 // oblivious adversary facing a randomized round-robin order (RandomRAD)
@@ -21,59 +21,38 @@ import (
 // randomized mean is strictly smaller (≈ one half-cycle of the K-step
 // pipeline saved), echoing the paper's remark that randomized algorithms
 // have a weaker lower bound (2 − 1/√P at K = 1, Shmoys et al.).
-func RunE19(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E19",
-		Title:  "Randomization vs the deterministic adversary (Theorem 1 context)",
-		Header: []string{"K", "Pmax", "m", "det T", "det ratio", "rand mean T", "rand mean ratio", "limit"},
-	}
-	seeds := 9
-	ms := []int{2, 4, 8}
-	if opts.Quick {
-		seeds = 5
-		ms = []int{2, 4}
-	}
+func e19(t *Table, opts Options) error {
+	t.Header = []string{"K", "Pmax", "m", "det T", "det ratio", "rand mean T", "rand mean ratio", "limit"}
+	seeds := scale(opts, 9, 5)
 	for _, kp := range []struct{ k, p int }{{2, 4}, {3, 2}, {3, 4}} {
-		for _, m := range ms {
-			caps := make([]int, kp.k)
-			for i := range caps {
-				caps[i] = kp.p
-			}
+		for _, m := range scale(opts, []int{2, 4, 8}, []int{2, 4}) {
+			caps := equalCaps(kp.k, kp.p)
 			adv, err := dag.NewAdversarial(kp.k, m, caps)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			specs := make([]sim.JobSpec, 0, adv.NumJobs())
-			for _, g := range adv.JobSet(true) {
-				specs = append(specs, sim.JobSpec{Graph: g})
-			}
+			specs := graphSpecs(adv.JobSet(true))
 			tStar := float64(adv.OptimalMakespan())
 
-			det, err := sim.Run(sim.Config{
-				K: kp.k, Caps: caps, Scheduler: core.NewKRAD(kp.k), Pick: dag.PickCPLast,
-			}, specs)
+			det, err := run(sim.Config{Caps: caps, Pick: dag.PickCPLast}, specs)
 			if err != nil {
-				return nil, err
+				return err
 			}
-
-			var sum float64
-			for s := 0; s < seeds; s++ {
-				res, err := sim.Run(sim.Config{
-					K: kp.k, Caps: caps,
-					Scheduler: core.NewRandomKRAD(kp.k, opts.seed()+int64(s)*101),
-					Pick:      dag.PickCPLast,
-				}, specs)
+			mean, err := opts.meanOf(seeds, 101, func(seed int64) ([]float64, error) {
+				res, err := run(sim.Config{Caps: caps, Scheduler: core.NewRandomKRAD(kp.k, seed), Pick: dag.PickCPLast}, specs)
 				if err != nil {
 					return nil, err
 				}
-				sum += float64(res.Makespan)
+				return []float64{float64(res.Makespan)}, nil
+			})
+			if err != nil {
+				return err
 			}
-			randMean := sum / float64(seeds)
 
 			detRatio := float64(det.Makespan) / tStar
-			randRatio := randMean / tStar
+			randRatio := mean[0] / tStar
 			t.AddRow(kp.k, kp.p, m, det.Makespan, detRatio,
-				fmt.Sprintf("%.1f", randMean), randRatio,
+				fmt.Sprintf("%.1f", mean[0]), randRatio,
 				metrics.MakespanCompetitiveLimit(kp.k, caps))
 			if randRatio >= detRatio {
 				t.AddNote("UNEXPECTED: randomization did not beat the deterministic adversary at K=%d P=%d m=%d (%.3f ≥ %.3f)", kp.k, kp.p, m, randRatio, detRatio)
@@ -81,5 +60,5 @@ func RunE19(opts Options) (*Table, error) {
 		}
 	}
 	t.AddNote("randomized rows are means over %d seeds; the oblivious adversary still defers critical tasks (CP-last) but cannot place the big job last in a random service order", seeds)
-	return t, nil
+	return nil
 }

@@ -3,45 +3,34 @@ package analysis
 import (
 	"fmt"
 
-	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/sim"
 )
 
-// RunE1 reproduces the Figure 1 model artifact: it builds representative
+// e1 reproduces the Figure 1 model artifact: it builds representative
 // K-DAG jobs (including the Figure 1 3-DAG itself), reports the model
 // quantities the analysis is stated in (per-category work, span, maximum
 // parallelism), and schedules each alone under K-RAD to confirm that a
 // solo job completes in exactly max(span, work-limited) time on an
 // unconstrained machine.
-func RunE1(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E1",
-		Title:  "K-DAG job model metrics (Figure 1 / Section 2)",
-		Header: []string{"job", "K", "tasks", "edges", "work/cat", "span", "maxpar/cat", "solo makespan"},
-	}
-	jobs := []*dag.Graph{
+func e1(t *Table, opts Options) error {
+	t.Header = []string{"job", "K", "tasks", "edges", "work/cat", "span", "maxpar/cat", "solo makespan"}
+	for _, g := range []*dag.Graph{
 		dag.Figure1(),
 		dag.RoundRobinChain(3, 12).Named("rr-chain-12"),
 		dag.ForkJoin(3, 16, 1, 2, 3).Named("forkjoin-16"),
 		dag.MapReduce(3, 12, 6, 1, 1, 2, 3).Named("mapreduce-12x6"),
 		dag.Pipeline(3, 3, 8, func(s int) dag.Category { return dag.Category(s + 1) }).Named("pipeline-3x8"),
-	}
-	for _, g := range jobs {
+	} {
 		// A machine wide enough that the job is never processor-limited:
 		// solo makespan must equal the span exactly.
 		caps := g.MaxParallelism()
 		for a := range caps {
-			if caps[a] == 0 {
-				caps[a] = 1
-			}
+			caps[a] = max(caps[a], 1)
 		}
-		res, err := sim.Run(sim.Config{
-			K: g.K(), Caps: caps, Scheduler: core.NewKRAD(g.K()),
-			Pick: dag.PickFIFO, ValidateAllotments: true,
-		}, []sim.JobSpec{{Graph: g}})
+		res, err := run(sim.Config{Caps: caps}, []sim.JobSpec{{Graph: g}})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.AddRow(g.Name(), g.K(), g.NumTasks(), g.NumEdges(),
 			fmt.Sprint(g.WorkVector()), g.Span(), fmt.Sprint(g.MaxParallelism()), res.Makespan)
@@ -50,5 +39,5 @@ func RunE1(opts Options) (*Table, error) {
 		}
 	}
 	t.AddNote("expected shape: solo makespan equals span for every job — K-RAD wastes no step when a single job has the machine")
-	return t, nil
+	return nil
 }

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 
-	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/metrics"
 	"krad/internal/sim"
 )
 
-// RunE20 computes TRUE competitive ratios on tiny instances: the measured
+// e20 computes TRUE competitive ratios on tiny instances: the measured
 // ratios elsewhere divide by the Section 4 lower bound, which can
 // understate T*. Here a brute-force search (ExactMakespan) finds the real
 // optimum for random micro-instances, giving the exact ratio T/T* for
@@ -19,21 +18,13 @@ import (
 // shape: exact K-RAD ratios concentrate near 1 with a worst case well
 // below K+1−1/Pmax; the lower bound is within a few percent of T* on most
 // instances, justifying its use as the denominator at scale.
-func RunE20(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E20",
-		Title:  "True competitive ratios on tiny instances (exact optimum by search)",
-		Header: []string{"K", "caps", "instances", "mean T/T*", "worst T/T*", "worst adv T/T*", "mean LB/T*", "bound"},
-	}
-	trials := 60
-	if opts.Quick {
-		trials = 20
-	}
-	type cfg struct {
+func e20(t *Table, opts Options) error {
+	t.Header = []string{"K", "caps", "instances", "mean T/T*", "worst T/T*", "worst adv T/T*", "mean LB/T*", "bound"}
+	trials := scale(opts, 60, 20)
+	for _, c := range []struct {
 		k    int
 		caps []int
-	}
-	for _, c := range []cfg{
+	}{
 		{1, []int{2}},
 		{2, []int{1, 1}},
 		{2, []int{2, 2}},
@@ -43,8 +34,7 @@ func RunE20(opts Options) (*Table, error) {
 		var sumRatio, worst, worstAdv, sumLB float64
 		count := 0
 		for trial := 0; trial < trials; trial++ {
-			nJobs := 2 + rng.Intn(2)
-			jobs := make([]*dag.Graph, nJobs)
+			jobs := make([]*dag.Graph, 2+rng.Intn(2))
 			total := 0
 			for i := range jobs {
 				jobs[i] = dag.Random(c.k, dag.RandomOpts{
@@ -59,48 +49,36 @@ func RunE20(opts Options) (*Table, error) {
 			}
 			tStar, err := ExactMakespan(c.k, c.caps, jobs)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			run := func(pick dag.PickPolicy) (int64, error) {
-				specs := make([]sim.JobSpec, nJobs)
-				for i, g := range jobs {
-					specs[i] = sim.JobSpec{Graph: g}
-				}
-				res, err := sim.Run(sim.Config{
-					K: c.k, Caps: c.caps, Scheduler: core.NewKRAD(c.k),
-					Pick: pick, ValidateAllotments: true,
-				}, specs)
+			ratio := func(pick dag.PickPolicy) (float64, error) {
+				res, err := run(sim.Config{Caps: c.caps, Pick: pick}, graphSpecs(jobs))
 				if err != nil {
 					return 0, err
 				}
-				// Sanity: the simulator can never beat the exact optimum.
+				// Sanity: the simulator can never beat the exact optimum,
+				// and the lower bound must not exceed it either.
 				if res.Makespan < int64(tStar) {
 					return 0, fmt.Errorf("E20: simulated makespan %d below exact optimum %d", res.Makespan, tStar)
 				}
-				// And the lower bound must not exceed it either.
-				if lb := metrics.MakespanLowerBound(res); lb > int64(tStar) {
+				lb := metrics.MakespanLowerBound(res)
+				if lb > int64(tStar) {
 					return 0, fmt.Errorf("E20: lower bound %d above exact optimum %d", lb, tStar)
 				}
-				sumLB += float64(metrics.MakespanLowerBound(res)) / float64(tStar)
-				return res.Makespan, nil
+				sumLB += float64(lb) / float64(tStar)
+				return float64(res.Makespan) / float64(tStar), nil
 			}
-			tFifo, err := run(dag.PickFIFO)
+			r, err := ratio(dag.PickFIFO)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			tAdv, err := run(dag.PickCPLast)
+			ra, err := ratio(dag.PickCPLast)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			r := float64(tFifo) / float64(tStar)
-			ra := float64(tAdv) / float64(tStar)
 			sumRatio += r
-			if r > worst {
-				worst = r
-			}
-			if ra > worstAdv {
-				worstAdv = ra
-			}
+			worst = max(worst, r)
+			worstAdv = max(worstAdv, ra)
 			count++
 		}
 		bound := metrics.MakespanCompetitiveLimit(c.k, c.caps)
@@ -112,5 +90,5 @@ func RunE20(opts Options) (*Table, error) {
 		}
 	}
 	t.AddNote("T* by exhaustive search (≤ 16 tasks per instance); LB/T* shows how tight the Section 4 lower bound is — the denominator used by the at-scale experiments")
-	return t, nil
+	return nil
 }

@@ -8,7 +8,7 @@ import (
 	"krad/internal/workload"
 )
 
-// RunE21 places the schedulers in the speed-augmentation framework the
+// e21 places the schedulers in the speed-augmentation framework the
 // EQUI literature uses (Kalyanasundaram–Pruhs; Edmonds): give the online
 // algorithm processors s× faster than the optimum it is compared to, and
 // watch the competitive ratio collapse. Each row runs a scheduler at
@@ -18,43 +18,30 @@ import (
 // at s = 2 the fair schedulers sit near or below 1.0, the empirical face
 // of "EQUI is O(1)-competitive with (2+ε)-speed"; makespan ratios behave
 // the same through the work term.
-func RunE21(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E21",
-		Title:  "Speed augmentation: s-speed schedulers vs the unit-speed bound",
-		Header: []string{"scheduler", "speed", "makespan", "ms ratio (vs s=1 LB)", "total resp", "resp ratio (vs s=1 LB)"},
-	}
+func e21(t *Table, opts Options) error {
+	t.Header = []string{"scheduler", "speed", "makespan", "ms ratio (vs s=1 LB)", "total resp", "resp ratio (vs s=1 LB)"}
 	const k = 2
 	caps := []int{2, 2}
-	jobs := 40
-	if opts.Quick {
-		jobs = 20
-	}
 	specs, err := workload.Mix{
-		K: k, Jobs: jobs, MinSize: 3, MaxSize: 30, Seed: opts.seed(),
+		K: k, Jobs: scale(opts, 40, 20), MinSize: 3, MaxSize: 30, Seed: opts.seed(),
 	}.Generate()
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Unit-speed lower bounds: fixed denominators for every row.
-	base, err := sim.Run(sim.Config{
-		K: k, Caps: caps, Scheduler: mustScheduler("k-rad", k),
-	}, specs)
+	base, err := run(sim.Config{Caps: caps}, specs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	msLB := float64(metrics.MakespanLowerBound(base))
 	respLB := metrics.ResponseLowerBound(base)
 
 	for _, name := range []string{"k-rad", "equi", "laps", "rr-only"} {
 		for _, s := range []int{1, 2, 3} {
-			res, err := sim.Run(sim.Config{
-				K: k, Caps: caps, Scheduler: mustScheduler(name, k),
-				Speed: s, ValidateAllotments: true,
-			}, specs)
+			res, err := run(sim.Config{Caps: caps, Scheduler: mustScheduler(name, k), Speed: s}, specs)
 			if err != nil {
-				return nil, fmt.Errorf("E21 %s speed %d: %w", name, s, err)
+				return fmt.Errorf("E21 %s speed %d: %w", name, s, err)
 			}
 			t.AddRow(name, s, res.Makespan,
 				float64(res.Makespan)/msLB,
@@ -63,5 +50,5 @@ func RunE21(opts Options) (*Table, error) {
 		}
 	}
 	t.AddNote("denominators are the Section 4/6 lower bounds of the UNIT-speed instance, so a ratio below 1 means the augmented scheduler beats anything unit-speed processors could do — the standard resource-augmentation reading")
-	return t, nil
+	return nil
 }

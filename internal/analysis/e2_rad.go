@@ -7,7 +7,7 @@ import (
 	"krad/internal/sched"
 )
 
-// RunE2 stress-tests the Figure 2 allocation invariants over randomized
+// e2 stress-tests the Figure 2 allocation invariants over randomized
 // desire streams and reports violation counts (all columns must be zero):
 //
 //   - capacity:   Σi a(Ji,α,t) ≤ Pα
@@ -17,17 +17,9 @@ import (
 //     DEQ is in charge (job count ≤ P)
 //   - rr-cycle:   under overload, no job is scheduled a second time before
 //     the cycle-completing step that serves every remaining job
-func RunE2(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E2",
-		Title:  "RAD allocation invariants (Figure 2)",
-		Header: []string{"trial set", "steps", "capacity viol", "desire viol", "idle viol", "deq-equal viol", "rr-cycle viol"},
-	}
-	trials := 200
-	steps := 120
-	if opts.Quick {
-		trials, steps = 40, 60
-	}
+func e2(t *Table, opts Options) error {
+	t.Header = []string{"trial set", "steps", "capacity viol", "desire viol", "idle viol", "deq-equal viol", "rr-cycle viol"}
+	trials, steps := scale(opts, 200, 40), scale(opts, 120, 60)
 	configs := []struct {
 		name    string
 		p       int
@@ -113,5 +105,5 @@ func RunE2(opts Options) (*Table, error) {
 		}
 	}
 	t.AddNote("expected shape: every violation column is zero across all %d randomized steps per row", trials*steps)
-	return t, nil
+	return nil
 }

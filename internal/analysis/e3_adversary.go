@@ -3,12 +3,11 @@ package analysis
 import (
 	"fmt"
 
-	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/sim"
 )
 
-// RunE3 reproduces the Theorem 1 / Figure 3 lower-bound experiment. For
+// e3 reproduces the Theorem 1 / Figure 3 lower-bound experiment. For
 // each (K, Pmax, m) it materializes the adversarial job set and runs K-RAD
 // twice:
 //
@@ -24,69 +23,45 @@ import (
 // closed-form optimum T* = K + m·PK − 1, and the resulting ratio against
 // the limit K + 1 − 1/Pmax. Expected shape: ratio climbs toward the limit
 // as m grows and never exceeds it.
-func RunE3(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E3",
-		Title:  "Adversarial makespan lower bound (Figure 3 / Theorem 1)",
-		Header: []string{"K", "Pmax", "m", "jobs", "T adversarial", "paper worst", "T benign", "T* closed", "ratio", "limit K+1-1/Pmax"},
-	}
-	type cfg struct{ k, p, m int }
-	var sweep []cfg
-	ms := []int{1, 2, 4, 8, 16}
-	if opts.Quick {
-		ms = []int{1, 2, 4}
-	}
+func e3(t *Table, opts Options) error {
+	t.Header = []string{"K", "Pmax", "m", "jobs", "T adversarial", "paper worst", "T benign", "T* closed", "ratio", "limit K+1-1/Pmax"}
 	for _, kp := range []struct{ k, p int }{{2, 2}, {2, 4}, {3, 2}, {3, 4}, {4, 4}, {5, 2}} {
 		if opts.Quick && kp.k > 3 {
 			continue
 		}
-		for _, m := range ms {
-			sweep = append(sweep, cfg{kp.k, kp.p, m})
-		}
-	}
-
-	for _, c := range sweep {
-		caps := make([]int, c.k)
-		for i := range caps {
-			caps[i] = c.p
-		}
-		adv, err := dag.NewAdversarial(c.k, c.m, caps)
-		if err != nil {
-			return nil, err
-		}
-		run := func(bigLast bool, pick dag.PickPolicy) (int64, error) {
-			jobs := adv.JobSet(bigLast)
-			specs := make([]sim.JobSpec, len(jobs))
-			for i, g := range jobs {
-				specs[i] = sim.JobSpec{Graph: g}
-			}
-			res, err := sim.Run(sim.Config{
-				K: c.k, Caps: caps, Scheduler: core.NewKRAD(c.k), Pick: pick,
-			}, specs)
+		for _, m := range scale(opts, []int{1, 2, 4, 8, 16}, []int{1, 2, 4}) {
+			caps := equalCaps(kp.k, kp.p)
+			adv, err := dag.NewAdversarial(kp.k, m, caps)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			return res.Makespan, nil
-		}
-		tAdv, err := run(true, dag.PickCPLast)
-		if err != nil {
-			return nil, fmt.Errorf("E3 adversarial K=%d P=%d m=%d: %w", c.k, c.p, c.m, err)
-		}
-		tGood, err := run(false, dag.PickCPFirst)
-		if err != nil {
-			return nil, fmt.Errorf("E3 benign K=%d P=%d m=%d: %w", c.k, c.p, c.m, err)
-		}
-		tStar := int64(adv.OptimalMakespan())
-		ratio := float64(tAdv) / float64(tStar)
-		limit := adv.LimitRatio()
-		t.AddRow(c.k, c.p, c.m, adv.NumJobs(), tAdv, adv.WorstCaseMakespan(), tGood, tStar, ratio, limit)
-		if ratio > limit+1e-9 {
-			t.AddNote("FAIL: K=%d P=%d m=%d ratio %.3f exceeds the limit %.3f", c.k, c.p, c.m, ratio, limit)
-		}
-		if tAdv < int64(adv.WorstCaseMakespan()) {
-			t.AddNote("FAIL: K=%d P=%d m=%d adversary weaker than the paper's bound (%d < %d)", c.k, c.p, c.m, tAdv, adv.WorstCaseMakespan())
+			makespan := func(bigLast bool, pick dag.PickPolicy) (int64, error) {
+				res, err := run(sim.Config{Caps: caps, Pick: pick}, graphSpecs(adv.JobSet(bigLast)))
+				if err != nil {
+					return 0, err
+				}
+				return res.Makespan, nil
+			}
+			tAdv, err := makespan(true, dag.PickCPLast)
+			if err != nil {
+				return fmt.Errorf("E3 adversarial K=%d P=%d m=%d: %w", kp.k, kp.p, m, err)
+			}
+			tGood, err := makespan(false, dag.PickCPFirst)
+			if err != nil {
+				return fmt.Errorf("E3 benign K=%d P=%d m=%d: %w", kp.k, kp.p, m, err)
+			}
+			tStar := int64(adv.OptimalMakespan())
+			ratio := float64(tAdv) / float64(tStar)
+			limit := adv.LimitRatio()
+			t.AddRow(kp.k, kp.p, m, adv.NumJobs(), tAdv, adv.WorstCaseMakespan(), tGood, tStar, ratio, limit)
+			if ratio > limit+1e-9 {
+				t.AddNote("FAIL: K=%d P=%d m=%d ratio %.3f exceeds the limit %.3f", kp.k, kp.p, m, ratio, limit)
+			}
+			if tAdv < int64(adv.WorstCaseMakespan()) {
+				t.AddNote("FAIL: K=%d P=%d m=%d adversary weaker than the paper's bound (%d < %d)", kp.k, kp.p, m, tAdv, adv.WorstCaseMakespan())
+			}
 		}
 	}
 	t.AddNote("expected shape: ratio → K+1−1/Pmax from below as m grows; benign runs match the closed-form optimum")
-	return t, nil
+	return nil
 }

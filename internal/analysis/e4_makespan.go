@@ -3,39 +3,27 @@ package analysis
 import (
 	"fmt"
 
-	"krad/internal/core"
-	"krad/internal/dag"
 	"krad/internal/metrics"
 	"krad/internal/sim"
 	"krad/internal/workload"
 )
 
-// RunE4 validates the Theorem 3 makespan guarantee on random workloads with
+// e4 validates the Theorem 3 makespan guarantee on random workloads with
 // arbitrary release times. For every configuration it runs K-RAD, compares
 // the measured makespan against the Section 4 lower bound (an underestimate
 // of the optimum, so the quotient over-reports the true ratio), and checks
 // it stays below K + 1 − 1/Pmax. Batched rows additionally verify the
 // Lemma 2 inequality, whose premise (no idle intervals) batched sets
 // guarantee.
-func RunE4(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E4",
-		Title:  "Makespan competitiveness with arbitrary release times (Lemma 2 / Theorem 3)",
-		Header: []string{"workload", "K", "caps", "jobs", "arrivals", "makespan", "LB", "ratio", "bound", "lemma2"},
-	}
-	jobs := 60
-	reps := 5
-	if opts.Quick {
-		jobs, reps = 24, 2
-	}
-
-	type row struct {
+func e4(t *Table, opts Options) error {
+	t.Header = []string{"workload", "K", "caps", "jobs", "arrivals", "makespan", "LB", "ratio", "bound", "lemma2"}
+	jobs, reps := scale(opts, 60, 24), scale(opts, 5, 2)
+	for _, r := range []struct {
 		name    string
 		k       int
 		caps    []int
 		arrival string
-	}
-	rows := []row{
+	}{
 		{"uniform mix", 1, []int{4}, "batched"},
 		{"uniform mix", 2, []int{4, 4}, "batched"},
 		{"uniform mix", 3, []int{2, 4, 8}, "batched"},
@@ -45,18 +33,11 @@ func RunE4(opts Options) (*Table, error) {
 		{"uniform mix", 3, []int{2, 4, 8}, "bursty"},
 		{"chain-heavy", 3, []int{4, 4, 4}, "poisson"},
 		{"wide-jobs", 3, []int{4, 4, 4}, "batched"},
-	}
-
-	for _, r := range rows {
-		worstRatio := 0.0
-		var worstRun *sim.Result
-		lemmaOK := true
+	} {
 		lemmaApplies := r.arrival == "batched"
-		for rep := 0; rep < reps; rep++ {
-			mix := workload.Mix{
-				K: r.k, Jobs: jobs, MinSize: 4, MaxSize: 80,
-				Seed: opts.seed() + int64(rep)*1001,
-			}
+		lemmaOK := true
+		worst, worstRatio, err := opts.worstOf(reps, 1001, func(seed int64) (*sim.Result, float64, error) {
+			mix := workload.Mix{K: r.k, Jobs: jobs, MinSize: 4, MaxSize: 80, Seed: seed}
 			switch r.name {
 			case "chain-heavy":
 				mix.Shapes = []workload.Shape{workload.ShapeChain}
@@ -75,35 +56,27 @@ func RunE4(opts Options) (*Table, error) {
 				specs, err = mix.GenerateOnline(workload.Bursty(10, 40))
 			}
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			res, err := sim.Run(sim.Config{
-				K: r.k, Caps: r.caps, Scheduler: core.NewKRAD(r.k),
-				Pick: dag.PickFIFO, ValidateAllotments: true,
-			}, specs)
+			res, err := run(sim.Config{Caps: r.caps}, specs)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			if bc := CheckTheorem3(res); bc.Measured > worstRatio {
-				worstRatio = bc.Measured
-				worstRun = res
+			if lemmaApplies && !metrics.CheckLemma2(res).OK {
+				lemmaOK = false
 			}
-			if lemmaApplies {
-				if bc := CheckLemma2(res); !bc.OK {
-					lemmaOK = false
-				}
-			}
+			return res, metrics.CheckTheorem3(res).Measured, nil
+		})
+		if err != nil {
+			return err
 		}
 		bound := metrics.MakespanCompetitiveLimit(r.k, r.caps)
 		lemmaCell := "n/a"
 		if lemmaApplies {
-			lemmaCell = "holds"
-			if !lemmaOK {
-				lemmaCell = "VIOLATED"
-			}
+			lemmaCell = holds(lemmaOK)
 		}
 		t.AddRow(r.name, r.k, fmt.Sprint(r.caps), jobs, r.arrival,
-			worstRun.Makespan, metrics.MakespanLowerBound(worstRun), worstRatio, bound, lemmaCell)
+			worst.Makespan, metrics.MakespanLowerBound(worst), worstRatio, bound, lemmaCell)
 		if worstRatio > bound {
 			t.AddNote("FAIL: %s K=%d %s ratio %.3f exceeds bound %.3f", r.name, r.k, r.arrival, worstRatio, bound)
 		}
@@ -113,5 +86,5 @@ func RunE4(opts Options) (*Table, error) {
 	}
 	t.AddNote("ratio column is the worst of %d seeded repetitions; LB underestimates the optimum, so true ratios are lower still", reps)
 	t.AddNote("expected shape: every ratio below its K+1−1/Pmax bound; in practice random workloads sit near 1–1.5, far from the adversarial worst case")
-	return t, nil
+	return nil
 }

@@ -3,85 +3,50 @@ package analysis
 import (
 	"fmt"
 
-	"krad/internal/core"
-	"krad/internal/dag"
 	"krad/internal/metrics"
 	"krad/internal/sim"
 	"krad/internal/workload"
 )
 
-// runBatched generates a batched mix and schedules it with K-RAD.
-func runBatched(k int, caps []int, mix workload.Mix) (*sim.Result, error) {
-	specs, err := mix.Generate()
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(sim.Config{
-		K: k, Caps: caps, Scheduler: core.NewKRAD(k),
-		Pick: dag.PickFIFO, ValidateAllotments: true,
-	}, specs)
-}
-
-// RunE5 validates Theorem 5: for batched job sets that stay in the light-
+// e5 validates Theorem 5: for batched job sets that stay in the light-
 // workload regime (|J(α,t)| ≤ Pα throughout — guaranteed here by keeping
 // the job count at or below every category's processor count), the total
 // response time obeys Inequality (5) and the competitive ratio against the
 // Section 6 lower bound stays below 2K + 1 − 2K/(n+1).
-func RunE5(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E5",
-		Title:  "Mean response time under light workload (Theorem 5 / Inequality 5)",
-		Header: []string{"K", "caps", "jobs", "light?", "R(J)", "R LB", "ratio", "bound 2K+1-2K/(n+1)", "ineq5 rhs", "ineq5"},
-	}
-	reps := 5
-	if opts.Quick {
-		reps = 2
-	}
-	type cfg struct {
+func e5(t *Table, opts Options) error {
+	t.Header = []string{"K", "caps", "jobs", "light?", "R(J)", "R LB", "ratio", "bound 2K+1-2K/(n+1)", "ineq5 rhs", "ineq5"}
+	reps := scale(opts, 5, 2)
+	for _, c := range []struct {
 		k    int
 		caps []int
 		n    int
-	}
-	sweep := []cfg{
+	}{
 		{1, []int{8}, 2}, {1, []int{8}, 8},
 		{2, []int{8, 8}, 4}, {2, []int{8, 8}, 8},
 		{3, []int{8, 8, 8}, 8}, {3, []int{16, 16, 16}, 12},
 		{4, []int{8, 8, 8, 8}, 6},
-	}
-	for _, c := range sweep {
-		var worst *sim.Result
-		worstRatio := -1.0
-		ineqOK := true
-		allLight := true
-		for rep := 0; rep < reps; rep++ {
-			res, err := runBatched(c.k, c.caps, workload.Mix{
-				K: c.k, Jobs: c.n, MinSize: 6, MaxSize: 60,
-				Seed: opts.seed() + int64(rep)*77,
-			})
+	} {
+		ineqOK, allLight := true, true
+		worst, worstRatio, err := opts.worstOf(reps, 77, func(seed int64) (*sim.Result, float64, error) {
+			res, err := runMix(sim.Config{Caps: c.caps}, workload.Mix{K: c.k, Jobs: c.n, MinSize: 6, MaxSize: 60, Seed: seed})
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			if res.EverOverloaded() {
-				// Cannot happen with n ≤ min caps; would invalidate the row.
-				allLight = false
-			}
-			bc, _ := CheckTheorem5(res)
-			if bc.Measured > worstRatio {
-				worstRatio = bc.Measured
-				worst = res
-			}
-			if i5, applicable := CheckInequality5(res); applicable && !i5.OK {
-				ineqOK = false
-			}
+			// n ≤ min caps keeps every run light; a heavy one would
+			// invalidate the row.
+			i5, light := metrics.CheckInequality5(res)
+			allLight = allLight && light
+			ineqOK = ineqOK && (!light || i5.OK)
+			bc, _ := metrics.CheckTheorem5(res)
+			return res, bc.Measured, nil
+		})
+		if err != nil {
+			return err
 		}
 		bound := metrics.ResponseCompetitiveLimitLight(c.k, c.n)
-		ineqCell := "holds"
-		if !ineqOK {
-			ineqCell = "VIOLATED"
-		}
 		t.AddRow(c.k, fmt.Sprint(c.caps), c.n, allLight,
 			worst.TotalResponse(), metrics.ResponseLowerBound(worst), worstRatio, bound,
-			metrics.ResponseUpperBoundLight(worst), ineqCell)
+			metrics.ResponseUpperBoundLight(worst), holds(ineqOK))
 		if worstRatio > bound {
 			t.AddNote("FAIL: K=%d n=%d ratio %.3f exceeds bound %.3f", c.k, c.n, worstRatio, bound)
 		}
@@ -93,55 +58,36 @@ func RunE5(opts Options) (*Table, error) {
 		}
 	}
 	t.AddNote("worst of %d seeded repetitions per row; expected shape: ratios well below the theorem bound (typically < 2)", reps)
-	return t, nil
+	return nil
 }
 
-// RunE6 validates Theorem 6: for arbitrary batched sets — here heavily
+// e6 validates Theorem 6: for arbitrary batched sets — here heavily
 // overloaded ones, many more jobs than processors in every category — the
 // MRT competitive ratio stays below 4K + 1 − 4K/(n+1).
-func RunE6(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E6",
-		Title:  "Mean response time under heavy workload (Theorem 6)",
-		Header: []string{"K", "caps", "jobs", "overloaded?", "mean resp", "R(J)", "R LB", "ratio", "bound 4K+1-4K/(n+1)"},
-	}
-	reps := 3
-	sizes := []int{50, 100, 200}
-	if opts.Quick {
-		reps = 2
-		sizes = []int{30, 60}
-	}
-	type cfg struct {
+func e6(t *Table, opts Options) error {
+	t.Header = []string{"K", "caps", "jobs", "overloaded?", "mean resp", "R(J)", "R LB", "ratio", "bound 4K+1-4K/(n+1)"}
+	reps := scale(opts, 3, 2)
+	for _, c := range []struct {
 		k    int
 		caps []int
-	}
-	sweep := []cfg{
+	}{
 		{1, []int{2}},
 		{2, []int{2, 2}},
 		{3, []int{2, 4, 2}},
 		{4, []int{2, 2, 2, 2}},
-	}
-	for _, c := range sweep {
-		for _, n := range sizes {
-			var worst *sim.Result
-			worstRatio := -1.0
+	} {
+		for _, n := range scale(opts, []int{50, 100, 200}, []int{30, 60}) {
 			sawOverload := false
-			for rep := 0; rep < reps; rep++ {
-				res, err := runBatched(c.k, c.caps, workload.Mix{
-					K: c.k, Jobs: n, MinSize: 2, MaxSize: 30,
-					Seed: opts.seed() + int64(rep)*131,
-				})
+			worst, worstRatio, err := opts.worstOf(reps, 131, func(seed int64) (*sim.Result, float64, error) {
+				res, err := runMix(sim.Config{Caps: c.caps}, workload.Mix{K: c.k, Jobs: n, MinSize: 2, MaxSize: 30, Seed: seed})
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
-				if res.EverOverloaded() {
-					sawOverload = true
-				}
-				bc := CheckTheorem6(res)
-				if bc.Measured > worstRatio {
-					worstRatio = bc.Measured
-					worst = res
-				}
+				sawOverload = sawOverload || res.EverOverloaded()
+				return res, metrics.CheckTheorem6(res).Measured, nil
+			})
+			if err != nil {
+				return err
 			}
 			bound := metrics.ResponseCompetitiveLimit(c.k, n)
 			t.AddRow(c.k, fmt.Sprint(c.caps), n, sawOverload,
@@ -153,5 +99,5 @@ func RunE6(opts Options) (*Table, error) {
 		}
 	}
 	t.AddNote("worst of %d seeded repetitions per row; expected shape: ratios below the 4K+1 bound, growing mildly with K", reps)
-	return t, nil
+	return nil
 }

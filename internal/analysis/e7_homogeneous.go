@@ -1,84 +1,54 @@
 package analysis
 
 import (
-	"krad/internal/baselines"
-	"krad/internal/core"
-	"krad/internal/dag"
+	"strings"
+
 	"krad/internal/metrics"
-	"krad/internal/sched"
 	"krad/internal/sim"
 	"krad/internal/workload"
 )
 
-// RunE7 reproduces the K = 1 corollary of Section 7: RAD is
+// e7 reproduces the K = 1 corollary of Section 7: RAD is
 // (3 − 2/(n+1))-competitive for mean response time on homogeneous
 // processors — better than the 2 + √3 ≈ 3.73 bound Edmonds et al. proved
 // for EQUI. The experiment runs batched homogeneous workloads under RAD,
 // EQUI and RR-only and reports each scheduler's measured MRT ratio against
 // the same lower bound. Expected shape: RAD's worst measured ratio stays
 // below 3; EQUI and RR trail RAD on at least some workloads.
-func RunE7(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E7",
-		Title:  "Homogeneous (K=1) mean response time: RAD vs EQUI vs RR (Section 7)",
-		Header: []string{"workload", "P", "jobs", "scheduler", "mean resp", "ratio", "RAD bound 3-2/(n+1)"},
-	}
-	reps := 4
-	if opts.Quick {
-		reps = 2
-	}
-	type cfg struct {
+func e7(t *Table, opts Options) error {
+	t.Header = []string{"workload", "P", "jobs", "scheduler", "mean resp", "ratio", "RAD bound 3-2/(n+1)"}
+	reps := scale(opts, 4, 2)
+	for _, c := range []struct {
 		name   string
 		p      int
 		n      int
 		shapes []workload.Shape
-	}
-	sweep := []cfg{
+	}{
 		{"mixed light", 8, 6, nil},
 		{"mixed heavy", 4, 60, nil},
 		{"chains heavy", 2, 40, []workload.Shape{workload.ShapeChain}},
 		{"wide light", 16, 8, []workload.Shape{workload.ShapeForkJoin, workload.ShapeMapReduce}},
-	}
-	mk := map[string]func() sched.Scheduler{
-		"rad":     func() sched.Scheduler { return core.NewKRAD(1) },
-		"equi":    func() sched.Scheduler { return baselines.NewEQUI(1) },
-		"rr-only": func() sched.Scheduler { return baselines.NewRROnly(1) },
-	}
-	order := []string{"rad", "equi", "rr-only"}
-	for _, c := range sweep {
+	} {
 		bound := metrics.ResponseCompetitiveLimitLight(1, c.n) // 3 − 2/(n+1)
-		for _, name := range order {
-			worstRatio := -1.0
-			var worst *sim.Result
-			for rep := 0; rep < reps; rep++ {
-				specs, err := workload.Mix{
-					K: 1, Jobs: c.n, Shapes: c.shapes, MinSize: 4, MaxSize: 50,
-					Seed: opts.seed() + int64(rep)*17,
-				}.Generate()
+		for _, name := range []string{"k-rad", "equi", "rr-only"} {
+			worst, worstRatio, err := opts.worstOf(reps, 17, func(seed int64) (*sim.Result, float64, error) {
+				res, err := runMix(sim.Config{Caps: []int{c.p}, Scheduler: mustScheduler(name, 1)},
+					workload.Mix{K: 1, Jobs: c.n, Shapes: c.shapes, MinSize: 4, MaxSize: 50, Seed: seed})
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
-				res, err := sim.Run(sim.Config{
-					K: 1, Caps: []int{c.p}, Scheduler: mk[name](),
-					Pick: dag.PickFIFO, ValidateAllotments: true,
-				}, specs)
-				if err != nil {
-					return nil, err
-				}
-				lb := metrics.ResponseLowerBound(res)
-				ratio := float64(res.TotalResponse()) / lb
-				if ratio > worstRatio {
-					worstRatio = ratio
-					worst = res
-				}
+				return res, metrics.CheckTheorem6(res).Measured, nil
+			})
+			if err != nil {
+				return err
 			}
-			t.AddRow(c.name, c.p, c.n, name,
-				worst.MeanResponse(), worstRatio, bound)
-			if name == "rad" && worstRatio > bound {
+			// At K = 1 K-RAD is RAD, and the table says so.
+			t.AddRow(c.name, c.p, c.n, strings.TrimPrefix(name, "k-"), worst.MeanResponse(), worstRatio, bound)
+			if name == "k-rad" && worstRatio > bound {
 				t.AddNote("FAIL: RAD ratio %.3f exceeds the 3−2/(n+1) bound %.3f on %s", worstRatio, bound, c.name)
 			}
 		}
 	}
 	t.AddNote("worst of %d seeded repetitions; the 3−2/(n+1) bound applies to RAD (the paper's result) — EQUI's proven bound is 2+√3 ≈ 3.73, RR's is 2 for batched sets", reps)
-	return t, nil
+	return nil
 }

@@ -1,93 +1,50 @@
 package analysis
 
 import (
-	"krad/internal/baselines"
-	"krad/internal/core"
-	"krad/internal/dag"
 	"krad/internal/metrics"
-	"krad/internal/sched"
 	"krad/internal/sim"
 	"krad/internal/workload"
 )
 
-// schedulerFactories enumerates every scheduler in the comparison, keyed by
-// report name. Fresh instances per run because several are stateful.
-func schedulerFactories(k int) (names []string, mk map[string]func() sched.Scheduler) {
-	mk = map[string]func() sched.Scheduler{
-		"k-rad":         func() sched.Scheduler { return core.NewKRAD(k) },
-		"k-rad-random":  func() sched.Scheduler { return core.NewRandomKRAD(k, 1) },
-		"deq-only":      func() sched.Scheduler { return baselines.NewDEQOnly(k) },
-		"rr-only":       func() sched.Scheduler { return baselines.NewRROnly(k) },
-		"equi":          func() sched.Scheduler { return baselines.NewEQUI(k) },
-		"laps":          func() sched.Scheduler { return baselines.NewLAPS(k, 0.5) },
-		"gang":          func() sched.Scheduler { return baselines.NewGang(4) },
-		"fcfs":          func() sched.Scheduler { return baselines.NewFCFS(k) },
-		"greedy-desire": func() sched.Scheduler { return baselines.NewGreedyDesire(k) },
-		"sjf-oracle":    func() sched.Scheduler { return baselines.NewSJF() },
-	}
-	names = []string{"k-rad", "k-rad-random", "deq-only", "rr-only", "equi", "laps", "gang", "fcfs", "greedy-desire", "sjf-oracle"}
-	return names, mk
-}
-
-// RunE8 compares K-RAD against every baseline on heterogeneous (K = 3)
+// e8 compares K-RAD against every baseline on heterogeneous (K = 3)
 // workloads spanning the light and heavy regimes, reporting makespan and
 // mean response time (averaged over seeds) plus each scheduler's makespan
 // normalized to K-RAD's. Expected shape: K-RAD within a few percent of the
 // best non-clairvoyant baseline on makespan everywhere, clearly ahead of
 // rr-only on light-load makespan and ahead of deq-only/fcfs on heavy-load
 // mean response time; the clairvoyant SJF oracle may beat everyone on MRT.
-func RunE8(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E8",
-		Title:  "Scheduler comparison on heterogeneous workloads (K = 3)",
-		Header: []string{"workload", "scheduler", "mean makespan", "vs k-rad", "mean MRT", "MRT ratio vs LB"},
-	}
+func e8(t *Table, opts Options) error {
+	t.Header = []string{"workload", "scheduler", "mean makespan", "vs k-rad", "mean MRT", "MRT ratio vs LB"}
 	const k = 3
 	caps := []int{4, 4, 4}
-	reps := 4
-	jobs := map[string]int{"light (n<P)": 4, "moderate": 24, "heavy (n≫P)": 96}
-	if opts.Quick {
-		reps = 2
-		jobs = map[string]int{"light (n<P)": 4, "heavy (n≫P)": 48}
+	reps := scale(opts, 4, 2)
+	type load struct {
+		name string
+		n    int
 	}
-	order := []string{"light (n<P)", "moderate", "heavy (n≫P)"}
-	names, mk := schedulerFactories(k)
-
-	for _, wl := range order {
-		n, ok := jobs[wl]
-		if !ok {
-			continue
-		}
+	for _, wl := range scale(opts,
+		[]load{{"light (n<P)", 4}, {"moderate", 24}, {"heavy (n≫P)", 96}},
+		[]load{{"light (n<P)", 4}, {"heavy (n≫P)", 48}}) {
 		kradMakespan := 0.0
-		for _, name := range names {
-			var msSum, mrtSum, ratioSum float64
-			for rep := 0; rep < reps; rep++ {
-				specs, err := workload.Mix{
-					K: k, Jobs: n, MinSize: 4, MaxSize: 60,
-					Seed: opts.seed() + int64(rep)*311,
-				}.Generate()
+		for _, s := range schedulers {
+			mean, err := opts.meanOf(reps, 311, func(seed int64) ([]float64, error) {
+				res, err := runMix(sim.Config{Caps: caps, Scheduler: s.mk(k)},
+					workload.Mix{K: k, Jobs: wl.n, MinSize: 4, MaxSize: 60, Seed: seed})
 				if err != nil {
 					return nil, err
 				}
-				res, err := sim.Run(sim.Config{
-					K: k, Caps: caps, Scheduler: mk[name](),
-					Pick: dag.PickFIFO, ValidateAllotments: true,
-				}, specs)
-				if err != nil {
-					return nil, err
-				}
-				msSum += float64(res.Makespan)
-				mrtSum += res.MeanResponse()
-				ratioSum += float64(res.TotalResponse()) / metrics.ResponseLowerBound(res)
+				return []float64{float64(res.Makespan), res.MeanResponse(), metrics.CheckTheorem6(res).Measured}, nil
+			})
+			if err != nil {
+				return err
 			}
-			ms := msSum / float64(reps)
-			if name == "k-rad" {
-				kradMakespan = ms
+			if s.name == "k-rad" {
+				kradMakespan = mean[0]
 			}
-			t.AddRow(wl, name, ms, ms/kradMakespan, mrtSum/float64(reps), ratioSum/float64(reps))
+			t.AddRow(wl.name, s.name, mean[0], mean[0]/kradMakespan, mean[1], mean[2])
 		}
 	}
 	t.AddNote("means over %d seeds; 'vs k-rad' is makespan normalized to K-RAD's (1.000 = equal; >1 = slower)", reps)
 	t.AddNote("expected shape: rr-only degrades on light load (no space sharing); deq-only/fcfs degrade MRT under overload (late jobs starve); sjf-oracle is clairvoyant and marks the information ceiling")
-	return t, nil
+	return nil
 }

@@ -3,14 +3,11 @@ package analysis
 import (
 	"fmt"
 
-	"krad/internal/baselines"
-	"krad/internal/core"
 	"krad/internal/dag"
-	"krad/internal/sched"
 	"krad/internal/sim"
 )
 
-// RunE9 isolates the two failure modes RAD's design eliminates, using
+// e9 isolates the two failure modes RAD's design eliminates, using
 // workloads constructed to trigger each:
 //
 //   - "starvation": long chains submitted ahead of many short jobs on few
@@ -25,75 +22,44 @@ import (
 //
 // The table reports makespan, mean and max response time for each
 // scheduler on both workloads.
-func RunE9(opts Options) (*Table, error) {
-	t := &Table{
-		ID:     "E9",
-		Title:  "Ablations: what DEQ and RR each contribute (Section 3)",
-		Header: []string{"workload", "scheduler", "makespan", "mean resp", "max resp"},
-	}
-	nShort := 40
-	chainLen := 150
-	wideWidth := 64
-	if opts.Quick {
-		nShort, chainLen, wideWidth = 20, 60, 32
-	}
+func e9(t *Table, opts Options) error {
+	t.Header = []string{"workload", "scheduler", "makespan", "mean resp", "max resp"}
+	nShort, chainLen, wideWidth := scale(opts, 40, 20), scale(opts, 150, 60), scale(opts, 64, 32)
 
 	// Workload A: starvation probe. Two long chains submitted first (so
 	// they hold the lowest IDs, which deq-only serves preferentially),
 	// followed by many unit jobs, on a 2-processor machine.
-	starve := func() []sim.JobSpec {
-		specs := []sim.JobSpec{
-			{Graph: dag.UniformChain(1, chainLen, 1)},
-			{Graph: dag.UniformChain(1, chainLen, 1)},
-		}
-		for i := 0; i < nShort; i++ {
-			specs = append(specs, sim.JobSpec{Graph: dag.Singleton(1, 1)})
-		}
-		return specs
+	starve := []sim.JobSpec{
+		{Graph: dag.UniformChain(1, chainLen, 1)},
+		{Graph: dag.UniformChain(1, chainLen, 1)},
+	}
+	for i := 0; i < nShort; i++ {
+		starve = append(starve, sim.JobSpec{Graph: dag.Singleton(1, 1)})
 	}
 	// Workload B: waste probe. One wide fork-join plus two singletons on a
 	// wide machine.
-	wide := func() []sim.JobSpec {
-		return []sim.JobSpec{
-			{Graph: dag.ForkJoin(1, wideWidth, 1, 1, 1)},
-			{Graph: dag.Singleton(1, 1)},
-			{Graph: dag.Singleton(1, 1)},
-		}
+	wide := []sim.JobSpec{
+		{Graph: dag.ForkJoin(1, wideWidth, 1, 1, 1)},
+		{Graph: dag.Singleton(1, 1)},
+		{Graph: dag.Singleton(1, 1)},
 	}
 
-	mk := map[string]func() sched.Scheduler{
-		"k-rad":    func() sched.Scheduler { return core.NewKRAD(1) },
-		"deq-only": func() sched.Scheduler { return baselines.NewDEQOnly(1) },
-		"rr-only":  func() sched.Scheduler { return baselines.NewRROnly(1) },
-	}
-	order := []string{"k-rad", "deq-only", "rr-only"}
-
-	type wl struct {
+	for _, w := range []struct {
 		name  string
 		caps  []int
-		specs func() []sim.JobSpec
-	}
-	for _, w := range []wl{
+		specs []sim.JobSpec
+	}{
 		{"starvation probe", []int{2}, starve},
 		{"waste probe", []int{16}, wide},
 	} {
 		results := map[string]*sim.Result{}
-		for _, name := range order {
-			res, err := sim.Run(sim.Config{
-				K: 1, Caps: w.caps, Scheduler: mk[name](),
-				Pick: dag.PickFIFO, ValidateAllotments: true,
-			}, w.specs())
+		for _, name := range []string{"k-rad", "deq-only", "rr-only"} {
+			res, err := run(sim.Config{Caps: w.caps, Scheduler: mustScheduler(name, 1)}, w.specs)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			results[name] = res
-			var maxResp int64
-			for _, j := range res.Jobs {
-				if r := j.Response(); r > maxResp {
-					maxResp = r
-				}
-			}
-			t.AddRow(w.name, name, res.Makespan, fmt.Sprintf("%.1f", res.MeanResponse()), maxResp)
+			t.AddRow(w.name, name, res.Makespan, fmt.Sprintf("%.1f", res.MeanResponse()), maxResponse(res))
 		}
 		switch w.name {
 		case "starvation probe":
@@ -107,5 +73,5 @@ func RunE9(opts Options) (*Table, error) {
 		}
 	}
 	t.AddNote("expected shape: deq-only max response ≈ the whole backlog on the starvation probe (k-rad keeps it near the per-cycle bound); rr-only makespan ≈ width on the waste probe (k-rad ≈ width/P)")
-	return t, nil
+	return nil
 }

@@ -39,11 +39,15 @@ func TestFind(t *testing.T) {
 }
 
 func TestExperimentsAreSeedDeterministic(t *testing.T) {
-	a, err := RunE4(Options{Quick: true, Seed: 5})
+	e, err := Find("E4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunE4(Options{Quick: true, Seed: 5})
+	a, err := e.Run(Options{Quick: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.Run(Options{Quick: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 
-	"krad/internal/metrics"
 	"krad/internal/profile"
 )
 
@@ -38,42 +37,25 @@ func newFluidJob(j *profile.Job) *fluidJob {
 // done reports completion.
 func (f *fluidJob) done() bool { return f.phase >= len(f.phases) }
 
-// desire returns the remaining work of the current phase per category.
-func (f *fluidJob) desire() []float64 {
-	if f.done() {
-		return nil
-	}
-	return f.phases[f.phase]
-}
-
-// remainingWork sums per category across remaining phases.
-func (f *fluidJob) remainingWork(k int) []float64 {
-	out := make([]float64, k)
-	for p := f.phase; p < len(f.phases); p++ {
-		for a, v := range f.phases[p] {
-			out[a] += v
+// remaining sums the work per category across the remaining phases; the
+// remaining span is the number of remaining phases.
+func (f *fluidJob) remaining() ([]float64, int) {
+	work := make([]float64, len(f.phases[0]))
+	for _, ph := range f.phases[f.phase:] {
+		for a, v := range ph {
+			work[a] += v
 		}
 	}
-	return out
+	return work, len(f.phases) - f.phase
 }
 
-// remainingSpan counts remaining phases.
-func (f *fluidJob) remainingSpan() int {
-	if f.done() {
-		return 0
-	}
-	return len(f.phases) - f.phase
-}
-
-// execute consumes allotted work; the phase barrier advances at the step
-// boundary, mirroring the discrete engine.
-func (f *fluidJob) execute(allot []float64) {
+// execute consumes an allotment of category a; the phase barrier advances
+// at the step boundary, mirroring the discrete engine.
+func (f *fluidJob) execute(a int, v float64) {
 	cur := f.phases[f.phase]
-	for a, v := range allot {
-		cur[a] -= v
-		if cur[a] < 1e-9 {
-			cur[a] = 0
-		}
+	cur[a] -= v
+	if cur[a] < 1e-9 {
+		cur[a] = 0
 	}
 }
 
@@ -127,7 +109,8 @@ func fluidDeq(desires []float64, p float64) []float64 {
 
 // CheckInequality8Fluid replays the Theorem 5 induction in the fluid model
 // on batched profile jobs under per-category fluid DEQ. Time is still
-// discrete unit steps; only processor shares are real-valued.
+// discrete unit steps; only processor shares are real-valued, so a step
+// fails only beyond a 1e-6 float slack.
 func CheckInequality8Fluid(k int, caps []int, jobs []*profile.Job) (*InductionReport, error) {
 	if len(caps) != k {
 		return nil, fmt.Errorf("analysis: %d caps for K=%d", len(caps), k)
@@ -141,43 +124,16 @@ func CheckInequality8Fluid(k int, caps []int, jobs []*profile.Job) (*InductionRe
 		fl[i] = newFluidJob(j)
 		totalWork += j.TotalTasks()
 	}
-	report := &InductionReport{MinSlack: 1e18}
-	live := fl
-	maxSteps := 4*totalWork + 64
-	for t := 1; len(live) > 0; t++ {
-		if t > maxSteps {
-			return nil, fmt.Errorf("analysis: fluid replay exceeded %d steps", maxSteps)
-		}
-		n := len(live)
-		preSwa := make([]float64, k)
-		preSpan := 0
-		works := make([]float64, n)
-		for a := 0; a < k; a++ {
-			for i, j := range live {
-				works[i] = j.remainingWork(k)[a]
-			}
-			preSwa[a] = metrics.SqSumFloats(works) / float64(caps[a])
-		}
-		for _, j := range live {
-			preSpan += j.remainingSpan()
-		}
-
+	return replay(caps, fl, totalWork, 1e-6, func(_ int64, live []*fluidJob) ([]*fluidJob, error) {
 		// Per-category fluid DEQ on current-phase desires.
-		desires := make([][]float64, n)
-		for i, j := range live {
-			desires[i] = j.desire()
-		}
-		for a := 0; a < k; a++ {
-			col := make([]float64, n)
-			for i := range live {
-				col[i] = desires[i][a]
-			}
-			allot := fluidDeq(col, float64(caps[a]))
+		desires := make([]float64, len(live))
+		for a, p := range caps {
 			for i, j := range live {
-				if allot[i] > 0 {
-					row := make([]float64, k)
-					row[a] = allot[i]
-					j.execute(row)
+				desires[i] = j.phases[j.phase][a]
+			}
+			for i, share := range fluidDeq(desires, float64(p)) {
+				if share > 0 {
+					live[i].execute(a, share)
 				}
 			}
 		}
@@ -188,39 +144,6 @@ func CheckInequality8Fluid(k int, caps []int, jobs []*profile.Job) (*InductionRe
 				next = append(next, j)
 			}
 		}
-		postSwa := make([]float64, k)
-		postSpan := 0
-		worksPost := make([]float64, len(next))
-		for a := 0; a < k; a++ {
-			for i, j := range next {
-				worksPost[i] = j.remainingWork(k)[a]
-			}
-			postSwa[a] = metrics.SqSumFloats(worksPost) / float64(caps[a])
-		}
-		for _, j := range next {
-			postSpan += j.remainingSpan()
-		}
-
-		c := 2 - 2/float64(n+1)
-		rhs := float64(preSpan - postSpan)
-		for a := 0; a < k; a++ {
-			rhs += c * (preSwa[a] - postSwa[a])
-		}
-		lhs := float64(n)
-		report.Steps++
-		if slack := rhs - lhs; slack < report.MinSlack {
-			report.MinSlack = slack
-		}
-		if lhs > rhs+1e-6 {
-			report.Violations++
-			if deficit := lhs - rhs; deficit > report.MaxDeficit {
-				report.MaxDeficit = deficit
-			}
-			if report.FirstViolation == 0 {
-				report.FirstViolation = int64(t)
-			}
-		}
-		live = next
-	}
-	return report, nil
+		return next, nil
+	})
 }

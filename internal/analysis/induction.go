@@ -36,6 +36,86 @@ type InductionReport struct {
 	MaxDeficit float64
 }
 
+// replayJob is one job of an Inequality (8) replay, integral or fluid.
+type replayJob interface {
+	// remaining returns the job's unexecuted work per category and the
+	// span of its unexecuted part.
+	remaining() (work []float64, span int)
+}
+
+// replay checks Inequality (8) at every step of a batched replay: step
+// runs step t on the live (uncompleted) jobs and returns those still
+// uncompleted after it. A step violates the inequality when Δr exceeds the
+// right-hand side by more than tol, the model's rounding slack. totalWork
+// sizes the runaway guard.
+func replay[J replayJob](caps []int, live []J, totalWork int, tol float64, step func(t int64, live []J) ([]J, error)) (*InductionReport, error) {
+	// snapshot returns the per-category swa and the aggregate span of the
+	// jobs' unexecuted suffixes.
+	snapshot := func(jobs []J) (swa []float64, span int) {
+		works := make([][]float64, len(caps))
+		for _, j := range jobs {
+			w, s := j.remaining()
+			for a := range caps {
+				works[a] = append(works[a], w[a])
+			}
+			span += s
+		}
+		swa = make([]float64, len(caps))
+		for a, p := range caps {
+			swa[a] = metrics.SqSumFloats(works[a]) / float64(p)
+		}
+		return swa, span
+	}
+
+	report := &InductionReport{MinSlack: 1e18}
+	maxSteps := int64(4*totalWork + 64)
+	preSwa, preSpan := snapshot(live)
+	for t := int64(1); len(live) > 0; t++ {
+		if t > maxSteps {
+			return nil, fmt.Errorf("analysis: induction replay exceeded %d steps", maxSteps)
+		}
+		n := len(live)
+		next, err := step(t, live)
+		if err != nil {
+			return nil, err
+		}
+		postSwa, postSpan := snapshot(next)
+
+		c := 2 - 2/float64(n+1)
+		rhs := float64(preSpan - postSpan)
+		for a := range caps {
+			rhs += c * (preSwa[a] - postSwa[a])
+		}
+		lhs := float64(n) // Δr: every uncompleted job accrues one step
+		report.Steps++
+		report.MinSlack = min(report.MinSlack, rhs-lhs)
+		if lhs > rhs+tol {
+			report.Violations++
+			report.MaxDeficit = max(report.MaxDeficit, lhs-rhs)
+			if report.FirstViolation == 0 {
+				report.FirstViolation = t
+			}
+		}
+		live, preSwa, preSpan = next, postSwa, postSpan
+	}
+	return report, nil
+}
+
+// integralJob is a job runtime under the integral (whole-processor) replay.
+type integralJob struct {
+	id int
+	rt SpanRuntime
+}
+
+func (j integralJob) remaining() ([]float64, int) {
+	rw := j.rt.RemainingWork()
+	work := make([]float64, len(rw))
+	for a, v := range rw {
+		work[a] = float64(v)
+	}
+	return work, j.rt.RemainingSpan()
+}
+
 // CheckInequality8 replays a batched job set under a scheduler and checks,
 // at every time step, the per-step inequality at the heart of the
 // Theorem 5 induction (Section 7):
@@ -55,55 +135,21 @@ func CheckInequality8(k int, caps []int, sources []sim.JobSource, scheduler sche
 	if len(caps) != k {
 		return nil, fmt.Errorf("analysis: %d caps for K=%d", len(caps), k)
 	}
-	type jobRT struct {
-		id int
-		rt SpanRuntime
-	}
-	jobs := make([]jobRT, len(sources))
+	jobs := make([]integralJob, len(sources))
 	totalWork := 0
 	for i, src := range sources {
 		rt, ok := src.NewRuntime(dag.PickFIFO, int64(i)).(SpanRuntime)
 		if !ok {
 			return nil, fmt.Errorf("analysis: job %d runtime does not report remaining span", i)
 		}
-		jobs[i] = jobRT{id: i, rt: rt}
+		jobs[i] = integralJob{id: i, rt: rt}
 		totalWork += src.TotalTasks()
 	}
-
-	// suffixState snapshots Σ remaining spans and per-category swa.
-	snapshot := func(live []jobRT) (swa []float64, aggSpan int) {
-		swa = make([]float64, k)
-		works := make([][]int, k)
-		for a := range works {
-			works[a] = make([]int, 0, len(live))
-		}
-		for _, j := range live {
-			rw := j.rt.RemainingWork()
-			for a := 0; a < k; a++ {
-				works[a] = append(works[a], rw[a])
-			}
-			aggSpan += j.rt.RemainingSpan()
-		}
-		for a := 0; a < k; a++ {
-			swa[a] = metrics.SquashedWorkArea(works[a], caps[a])
-		}
-		return swa, aggSpan
-	}
-
-	report := &InductionReport{MinSlack: 1e18}
-	live := jobs
-	maxSteps := 4*totalWork + 64
-	for t := int64(1); len(live) > 0; t++ {
-		if int(t) > maxSteps {
-			return nil, fmt.Errorf("analysis: induction replay exceeded %d steps", maxSteps)
-		}
-		n := len(live)
-		preSwa, preSpan := snapshot(live)
-
-		views := make([]sched.JobView, n)
+	return replay(caps, jobs, totalWork, 1e-9, func(t int64, live []integralJob) ([]integralJob, error) {
+		views := make([]sched.JobView, len(live))
 		for i, j := range live {
 			d := make([]int, k)
-			for a := 0; a < k; a++ {
+			for a := range d {
 				d[a] = j.rt.Desire(dag.Category(a + 1))
 			}
 			views[i] = sched.JobView{ID: j.id, Desire: d}
@@ -112,16 +158,14 @@ func CheckInequality8(k int, caps []int, sources []sim.JobSource, scheduler sche
 		if err := sched.ValidateAllotments(views, caps, allot); err != nil {
 			return nil, fmt.Errorf("analysis: step %d: %w", t, err)
 		}
-		for i, j := range live {
-			for a := 0; a < k; a++ {
-				if allot[i][a] > 0 {
-					j.rt.Execute(dag.Category(a+1), allot[i][a])
-				}
-			}
-		}
 		var doneIDs []int
 		next := live[:0:len(live)]
-		for _, j := range live {
+		for i, j := range live {
+			for a, v := range allot[i] {
+				if v > 0 {
+					j.rt.Execute(dag.Category(a+1), v)
+				}
+			}
 			j.rt.Advance()
 			if j.rt.Done() {
 				doneIDs = append(doneIDs, j.id)
@@ -129,33 +173,9 @@ func CheckInequality8(k int, caps []int, sources []sim.JobSource, scheduler sche
 				next = append(next, j)
 			}
 		}
-		if len(doneIDs) > 0 {
-			if c, ok := scheduler.(sched.Completer); ok {
-				c.JobsDone(doneIDs)
-			}
+		if c, ok := scheduler.(sched.Completer); ok && len(doneIDs) > 0 {
+			c.JobsDone(doneIDs)
 		}
-		postSwa, postSpan := snapshot(next)
-
-		c := 2 - 2/float64(n+1)
-		rhs := float64(preSpan - postSpan)
-		for a := 0; a < k; a++ {
-			rhs += c * (preSwa[a] - postSwa[a])
-		}
-		lhs := float64(n) // Δr
-		report.Steps++
-		if slack := rhs - lhs; slack < report.MinSlack {
-			report.MinSlack = slack
-		}
-		if lhs > rhs+1e-9 {
-			report.Violations++
-			if deficit := lhs - rhs; deficit > report.MaxDeficit {
-				report.MaxDeficit = deficit
-			}
-			if report.FirstViolation == 0 {
-				report.FirstViolation = t
-			}
-		}
-		live = next
-	}
-	return report, nil
+		return next, nil
+	})
 }

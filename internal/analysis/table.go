@@ -1,7 +1,9 @@
-// Package analysis turns simulation runs into the paper's claims: it
-// provides checkers for each theorem's bound, the experiment suite E1–E10
-// described in DESIGN.md, and plain-text/markdown table rendering used by
-// cmd/kradbench to regenerate EXPERIMENTS.md.
+// Package analysis turns simulation runs into the paper's claims: the
+// experiment suite E1–E21 described in DESIGN.md (each table checked
+// against the bounds internal/metrics computes), the per-step replays of
+// the Theorem 5 induction, the exact-optimum search, the scheduler
+// registry, and the plain-text/markdown table rendering cmd/kradbench uses
+// to regenerate EXPERIMENTS.md.
 package analysis
 
 import (

@@ -1,11 +1,11 @@
 package analysis
 
 import (
-	"strings"
 	"testing"
 
 	"krad/internal/core"
 	"krad/internal/dag"
+	"krad/internal/metrics"
 	"krad/internal/sim"
 	"krad/internal/workload"
 )
@@ -29,7 +29,7 @@ func runBatchedMix(t *testing.T, k int, caps []int, n int, seed int64) *sim.Resu
 func TestCheckTheorem3HoldsOnRandomBatches(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		res := runBatchedMix(t, 3, []int{2, 4, 8}, 20, seed)
-		bc := CheckTheorem3(res)
+		bc := metrics.CheckTheorem3(res)
 		if !bc.OK {
 			t.Errorf("seed %d: %v", seed, bc)
 		}
@@ -42,7 +42,7 @@ func TestCheckTheorem3HoldsOnRandomBatches(t *testing.T) {
 func TestCheckLemma2HoldsOnBatches(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		res := runBatchedMix(t, 2, []int{3, 3}, 15, seed)
-		if bc := CheckLemma2(res); !bc.OK {
+		if bc := metrics.CheckLemma2(res); !bc.OK {
 			t.Errorf("seed %d: %v", seed, bc)
 		}
 	}
@@ -54,18 +54,18 @@ func TestCheckTheorem5And6OnLightLoad(t *testing.T) {
 		if res.EverOverloaded() {
 			t.Fatalf("seed %d: 5 jobs on 8+8 processors overloaded", seed)
 		}
-		bc, applicable := CheckTheorem5(res)
+		bc, applicable := metrics.CheckTheorem5(res)
 		if !applicable {
 			t.Fatalf("seed %d: theorem 5 not applicable", seed)
 		}
 		if !bc.OK {
 			t.Errorf("seed %d: %v", seed, bc)
 		}
-		i5, applicable := CheckInequality5(res)
+		i5, applicable := metrics.CheckInequality5(res)
 		if !applicable || !i5.OK {
 			t.Errorf("seed %d: %v (applicable=%v)", seed, i5, applicable)
 		}
-		if bc6 := CheckTheorem6(res); !bc6.OK {
+		if bc6 := metrics.CheckTheorem6(res); !bc6.OK {
 			t.Errorf("seed %d: %v", seed, bc6)
 		}
 	}
@@ -77,7 +77,7 @@ func TestCheckTheorem6OnHeavyLoad(t *testing.T) {
 		if !res.EverOverloaded() {
 			t.Fatalf("seed %d: 60 jobs on 2+2+2 processors not overloaded", seed)
 		}
-		if bc := CheckTheorem6(res); !bc.OK {
+		if bc := metrics.CheckTheorem6(res); !bc.OK {
 			t.Errorf("seed %d: %v", seed, bc)
 		}
 	}
@@ -85,18 +85,7 @@ func TestCheckTheorem6OnHeavyLoad(t *testing.T) {
 
 func TestCheckAllEmptyOnCompliantRuns(t *testing.T) {
 	res := runBatchedMix(t, 2, []int{4, 4}, 12, 3)
-	if failures := CheckAll(res); len(failures) != 0 {
+	if failures := metrics.CheckAll(res); len(failures) != 0 {
 		t.Errorf("unexpected failures: %v", failures)
-	}
-}
-
-func TestBoundCheckString(t *testing.T) {
-	ok := check("x", 1, 2)
-	if !strings.Contains(ok.String(), "≤") {
-		t.Errorf("String() = %q", ok.String())
-	}
-	bad := check("x", 3, 2)
-	if bad.OK || !strings.Contains(bad.String(), ">") {
-		t.Errorf("failing check: %+v %q", bad, bad.String())
 	}
 }

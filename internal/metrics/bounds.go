@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+
 	"krad/internal/sim"
 )
 
@@ -11,17 +13,9 @@ import (
 //
 // from a run's job table (work, span, release are schedule-independent).
 func MakespanLowerBound(r *sim.Result) int64 {
-	var lb int64
-	for _, j := range r.Jobs {
-		if v := j.Release + int64(j.Span); v > lb {
-			lb = v
-		}
-	}
+	lb := latestSpanEnd(r)
 	for a, w := range r.TotalWork() {
-		v := ceilDiv(int64(w), int64(r.Caps[a]))
-		if v > lb {
-			lb = v
-		}
+		lb = max(lb, ceilDiv(int64(w), int64(r.Caps[a])))
 	}
 	return lb
 }
@@ -38,32 +32,32 @@ func MakespanUpperBound(r *sim.Result) float64 {
 	for a, w := range r.TotalWork() {
 		sum += float64(w) / float64(r.Caps[a])
 	}
-	pmax := 0
-	for _, p := range r.Caps {
-		if p > pmax {
-			pmax = p
-		}
-	}
-	var spanTerm int64
+	return sum + (1-1/float64(pmax(r.Caps)))*float64(latestSpanEnd(r))
+}
+
+// latestSpanEnd is max_i (r(Ji) + T∞(Ji)), the critical-path term of both
+// makespan bounds.
+func latestSpanEnd(r *sim.Result) int64 {
+	var end int64
 	for _, j := range r.Jobs {
-		if v := int64(j.Span) + j.Release; v > spanTerm {
-			spanTerm = v
-		}
+		end = max(end, j.Release+int64(j.Span))
 	}
-	return sum + (1-1/float64(pmax))*float64(spanTerm)
+	return end
+}
+
+func pmax(caps []int) int {
+	p := 0
+	for _, c := range caps {
+		p = max(p, c)
+	}
+	return p
 }
 
 // MakespanCompetitiveLimit returns K + 1 − 1/Pmax, the proven competitive
 // ratio of K-RAD (Theorem 3) and the lower bound for any deterministic
 // online non-clairvoyant algorithm (Theorem 1).
 func MakespanCompetitiveLimit(k int, caps []int) float64 {
-	pmax := 0
-	for _, p := range caps {
-		if p > pmax {
-			pmax = p
-		}
-	}
-	return float64(k) + 1 - 1/float64(pmax)
+	return float64(k) + 1 - 1/float64(pmax(caps))
 }
 
 // ResponseLowerBound computes the Section 6 lower bound on the optimal
@@ -74,14 +68,8 @@ func MakespanCompetitiveLimit(k int, caps []int) float64 {
 // (total response time form; divide by |J| for the mean).
 func ResponseLowerBound(r *sim.Result) float64 {
 	lb := float64(r.AggregateSpan())
-	works := make([]int, len(r.Jobs))
-	for a := 0; a < r.K; a++ {
-		for i, j := range r.Jobs {
-			works[i] = j.Work[a]
-		}
-		if v := SquashedWorkArea(works, r.Caps[a]); v > lb {
-			lb = v
-		}
+	for _, swa := range squashedAreas(r) {
+		lb = max(lb, swa)
 	}
 	return lb
 }
@@ -92,16 +80,24 @@ func ResponseLowerBound(r *sim.Result) float64 {
 //	R(J) ≤ (2 − 2/(|J|+1))·Σα swa(J,α) + T∞(J)
 func ResponseUpperBoundLight(r *sim.Result) float64 {
 	n := float64(len(r.Jobs))
-	c := 2 - 2/(n+1)
 	var swaSum float64
+	for _, swa := range squashedAreas(r) {
+		swaSum += swa
+	}
+	return (2-2/(n+1))*swaSum + float64(r.AggregateSpan())
+}
+
+// squashedAreas returns swa(J,α) of every category, indexed α−1.
+func squashedAreas(r *sim.Result) []float64 {
+	swa := make([]float64, r.K)
 	works := make([]int, len(r.Jobs))
-	for a := 0; a < r.K; a++ {
+	for a := range swa {
 		for i, j := range r.Jobs {
 			works[i] = j.Work[a]
 		}
-		swaSum += SquashedWorkArea(works, r.Caps[a])
+		swa[a] = SquashedWorkArea(works, r.Caps[a])
 	}
-	return c*swaSum + float64(r.AggregateSpan())
+	return swa
 }
 
 // ResponseCompetitiveLimitLight returns 2K + 1 − 2K/(|J|+1), the Theorem 5
@@ -138,7 +134,9 @@ type Ratios struct {
 	LightLoad bool
 }
 
-// ComputeRatios evaluates a run against all the paper's bounds.
+// ComputeRatios evaluates a run against all the paper's bounds. It is the
+// one place the competitive quotients are taken; the Check functions read
+// them from here.
 func ComputeRatios(r *sim.Result) Ratios {
 	out := Ratios{
 		Makespan:      r.Makespan,
@@ -160,6 +158,111 @@ func ComputeRatios(r *sim.Result) Ratios {
 		out.ResponseBound = ResponseCompetitiveLimit(r.K, len(r.Jobs))
 	}
 	return out
+}
+
+// BoundCheck is the outcome of evaluating one of the paper's guarantees
+// against one measured run.
+type BoundCheck struct {
+	// Name identifies the theorem/lemma.
+	Name string
+	// Measured and Bound are the two sides of the inequality
+	// Measured ≤ Bound.
+	Measured, Bound float64
+	// OK reports Measured ≤ Bound (within floating-point slack).
+	OK bool
+}
+
+func check(name string, measured, bound float64) BoundCheck {
+	return BoundCheck{Name: name, Measured: measured, Bound: bound, OK: measured <= bound*(1+1e-9)}
+}
+
+// String formats the check result.
+func (b BoundCheck) String() string {
+	rel := "≤"
+	if !b.OK {
+		rel = ">"
+	}
+	return fmt.Sprintf("%s: measured %.4f %s bound %.4f", b.Name, b.Measured, rel, b.Bound)
+}
+
+// CheckLemma2 evaluates the Lemma 2 makespan guarantee (MakespanUpperBound)
+// on a measured K-RAD run. The lemma's premise is that the schedule has no
+// idle intervals; batched job sets always satisfy it. Callers using online
+// arrivals should only assert this on runs known to be gap-free.
+func CheckLemma2(res *sim.Result) BoundCheck {
+	return check("Lemma 2 (makespan bound)", float64(res.Makespan), MakespanUpperBound(res))
+}
+
+// CheckTheorem3 evaluates the Theorem 3 makespan competitiveness
+//
+//	T(J) / LB(J) ≤ K + 1 − 1/Pmax
+//
+// where LB is the Section 4 lower bound on the optimal makespan. Because
+// LB ≤ T*, the measured quotient upper-bounds the true competitive ratio,
+// so OK here implies the theorem held on this instance.
+func CheckTheorem3(res *sim.Result) BoundCheck {
+	r := ComputeRatios(res)
+	return check("Theorem 3 (makespan competitiveness)", r.MakespanRatio, r.MakespanBound)
+}
+
+// CheckInequality5 evaluates the explicit Theorem 5 response-time bound
+// (ResponseUpperBoundLight), which only applies to batched runs that
+// stayed in the light-workload regime (|J(α,t)| ≤ Pα throughout); the
+// second result reports whether the run stayed there.
+func CheckInequality5(res *sim.Result) (BoundCheck, bool) {
+	return check("Inequality 5 (light-load response bound)", float64(res.TotalResponse()), ResponseUpperBoundLight(res)),
+		!res.EverOverloaded()
+}
+
+// CheckTheorem5 evaluates the Theorem 5 competitiveness
+//
+//	R(J) / RLB(J) ≤ 2K + 1 − 2K/(|J|+1)
+//
+// for light-workload batched runs (RLB is the Section 6 lower bound); the
+// second result reports whether the run stayed in that regime.
+func CheckTheorem5(res *sim.Result) (BoundCheck, bool) {
+	r := ComputeRatios(res)
+	return check("Theorem 5 (light-load MRT competitiveness)", r.ResponseRatio,
+		ResponseCompetitiveLimitLight(res.K, len(res.Jobs))), r.LightLoad
+}
+
+// CheckTheorem6 evaluates the general batched MRT competitiveness
+//
+//	R(J) / RLB(J) ≤ 4K + 1 − 4K/(|J|+1)
+func CheckTheorem6(res *sim.Result) BoundCheck {
+	return check("Theorem 6 (batched MRT competitiveness)", ComputeRatios(res).ResponseRatio,
+		ResponseCompetitiveLimit(res.K, len(res.Jobs)))
+}
+
+// CheckAll runs every applicable check and returns the failures (empty =
+// all bounds held). Theorem 3 applies to every run; the rest only to
+// batched ones (every release 0).
+func CheckAll(res *sim.Result) []BoundCheck {
+	checks := []BoundCheck{CheckTheorem3(res)}
+	if batched(res) {
+		checks = append(checks, CheckLemma2(res))
+		if i5, light := CheckInequality5(res); light {
+			t5, _ := CheckTheorem5(res)
+			checks = append(checks, i5, t5)
+		}
+		checks = append(checks, CheckTheorem6(res))
+	}
+	var failures []BoundCheck
+	for _, bc := range checks {
+		if !bc.OK {
+			failures = append(failures, bc)
+		}
+	}
+	return failures
+}
+
+func batched(res *sim.Result) bool {
+	for _, j := range res.Jobs {
+		if j.Release != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"krad/internal/core"
@@ -132,6 +133,17 @@ func TestComputeRatios(t *testing.T) {
 	}
 	if r.ResponseRatio > r.ResponseBound {
 		t.Errorf("Theorem 5 violated: ratio %v > bound %v", r.ResponseRatio, r.ResponseBound)
+	}
+}
+
+func TestBoundCheckString(t *testing.T) {
+	ok := check("x", 1, 2)
+	if !strings.Contains(ok.String(), "≤") {
+		t.Errorf("String() = %q", ok.String())
+	}
+	bad := check("x", 3, 2)
+	if bad.OK || !strings.Contains(bad.String(), ">") {
+		t.Errorf("failing check: %+v %q", bad, bad.String())
 	}
 }
 

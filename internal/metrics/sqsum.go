@@ -1,8 +1,9 @@
 // Package metrics implements the quantities the paper's competitive
 // analysis is stated in: squashed sums and squashed work areas
 // (Definitions 4 and 5), aggregate span, the makespan and mean-response-
-// time lower bounds of Sections 4 and 6, and competitive-ratio reports
-// comparing measured schedules against those bounds.
+// time lower bounds of Sections 4 and 6, the Lemma 2 and Inequality (5)
+// upper bounds, and the theorem checks and competitive-ratio reports that
+// compare measured schedules against them.
 package metrics
 
 import "sort"

@@ -19,8 +19,8 @@
 //	internal/baselines comparison schedulers incl. a clairvoyant oracle
 //	internal/sim       discrete-time engine, traces, validation
 //	internal/workload  seeded workload generators
-//	internal/metrics   squashed work areas, theorem bounds, ratios
-//	internal/analysis  theorem checkers and the E1–E10 experiment suite
+//	internal/metrics   squashed work areas, theorem bounds and checks, ratios
+//	internal/analysis  the E1–E21 experiment suite and scheduler registry
 //
 // Quick start:
 //
@@ -353,32 +353,38 @@ var (
 	MakespanCompetitiveLimit = metrics.MakespanCompetitiveLimit
 	// ComputeRatios evaluates a run against all the paper's bounds.
 	ComputeRatios = metrics.ComputeRatios
+	// Theorem checkers for individual runs.
+	CheckLemma2   = metrics.CheckLemma2
+	CheckTheorem3 = metrics.CheckTheorem3
+	CheckTheorem5 = metrics.CheckTheorem5
+	CheckTheorem6 = metrics.CheckTheorem6
+	CheckAll      = metrics.CheckAll
 )
 
-// Ratios bundles a run's measured-versus-bound report.
-type Ratios = metrics.Ratios
+type (
+	// Ratios bundles a run's measured-versus-bound report.
+	Ratios = metrics.Ratios
+	// BoundCheck is a theorem-bound evaluation on one run.
+	BoundCheck = metrics.BoundCheck
+)
 
 // Experiments (internal/analysis).
 type (
-	// Experiment is one table of the reproduction suite (E1–E10).
+	// Experiment is one table of the reproduction suite (E1–E21).
 	Experiment = analysis.Experiment
 	// ExperimentOptions tunes an experiment run.
 	ExperimentOptions = analysis.Options
 	// ResultTable is an experiment's rendered output.
 	ResultTable = analysis.Table
-	// BoundCheck is a theorem-bound evaluation on one run.
-	BoundCheck = analysis.BoundCheck
 )
 
 var (
-	// Experiments returns the full E1–E10 suite.
+	// Experiments returns the full E1–E21 suite.
 	Experiments = analysis.All
 	// FindExperiment looks an experiment up by ID.
 	FindExperiment = analysis.Find
-	// Theorem checkers for individual runs.
-	CheckLemma2   = analysis.CheckLemma2
-	CheckTheorem3 = analysis.CheckTheorem3
-	CheckTheorem5 = analysis.CheckTheorem5
-	CheckTheorem6 = analysis.CheckTheorem6
-	CheckAll      = analysis.CheckAll
+	// NewScheduler builds a scheduler by its report name (k-rad, equi, …)
+	// for k categories; SchedulerNames lists the names, sorted.
+	NewScheduler   = analysis.NewScheduler
+	SchedulerNames = analysis.SchedulerNames
 )
