@@ -85,7 +85,14 @@ type Leaf struct {
 	Priority int
 	// Dynamic marks leaves auto-created for unknown tenant headers.
 	Dynamic bool
+
+	index int   // position in Leaves(): where the leaf's State sits in flat states
+	n     *node // the leaf's node, whose ancestors Share divides
 }
+
+// Index is the leaf's position in Leaves(), which is where Share reads
+// its State. A leaf keeps its index for the tree's lifetime.
+func (l *Leaf) Index() int { return l.index }
 
 // State is one leaf's live inputs to a rebalance.
 type State struct {
@@ -106,12 +113,15 @@ type node struct {
 	deserved float64
 	weight   float64
 	priority int
+	parent   *node
+	pos      int // index in parent.children
 	children []*node
 	leaf     *Leaf // non-nil iff len(children) == 0
 }
 
-// Tree is the compiled queue tree. It is not goroutine-safe: the owner
-// (the server's fairness controller) serializes access.
+// Tree is the compiled queue tree. It is not goroutine-safe, Shares and
+// Share included (they divide on the tree's own scratch): the owner (the
+// server's fairness controller) serializes access.
 type Tree struct {
 	halfLife int64
 	root     *node
@@ -119,6 +129,7 @@ type Tree struct {
 	order    []*Leaf // registration order: config first, then dynamic
 	def      *Leaf
 	dynamic  int
+	div      divider
 }
 
 // New compiles a Config into a Tree, creating the default leaf if the
@@ -175,6 +186,8 @@ func (t *Tree) build(parent *node, prefix string, nc NodeConfig, dynamic bool) e
 		deserved: nc.Deserved,
 		weight:   nc.Weight,
 		priority: nc.Priority,
+		parent:   parent,
+		pos:      len(parent.children),
 	}
 	parent.children = append(parent.children, n)
 	if len(nc.Children) == 0 {
@@ -184,6 +197,8 @@ func (t *Tree) build(parent *node, prefix string, nc NodeConfig, dynamic bool) e
 			Weight:   nc.Weight,
 			Priority: nc.Priority,
 			Dynamic:  dynamic,
+			index:    len(t.order),
+			n:        n,
 		}
 		t.leaves[path] = n.leaf
 		t.order = append(t.order, n.leaf)
@@ -322,8 +337,8 @@ func (t *Tree) extend(n *node, prefix string, segs []string) (*Leaf, error) {
 // each leaf's live inputs (missing entries mean idle with zero usage);
 // the result maps every leaf path to its integer bound, summing to
 // exactly capacity whenever at least one active leaf has over-quota
-// weight at every level. The function is pure and deterministic: shares
-// depend only on (tree, states, capacity), never on map iteration order.
+// weight at every level. The result is deterministic: shares depend only
+// on (tree, states, capacity), never on map iteration order.
 func (t *Tree) Shares(states map[string]State, capacity int) map[string]int {
 	out := make(map[string]int, len(t.leaves))
 	for path := range t.leaves {
@@ -332,8 +347,31 @@ func (t *Tree) Shares(states map[string]State, capacity int) map[string]int {
 	if capacity <= 0 {
 		return out
 	}
-	t.divide(t.root, capacity, states, out)
+	flat := make([]State, len(t.order))
+	for i, l := range t.order {
+		flat[i] = states[l.Path]
+	}
+	t.divide(t.root, 0, capacity, flat, out)
 	return out
+}
+
+// Share is l's entry of Shares over flat states, indexed like Leaves()
+// (a shorter slice leaves the missing leaves idle). It runs the same
+// division, but only at the levels on l's ancestor path: at each, every
+// sibling is gathered, since their claims decide the split, and only the
+// child leading to l is divided further. It allocates nothing once the
+// tree's scratch has grown to the tree.
+func (t *Tree) Share(l *Leaf, states []State, capacity int) int {
+	path := t.div.path[:0]
+	for n := l.n; n != t.root; n = n.parent {
+		path = append(path, n)
+	}
+	t.div.path = path
+	alloc := max(capacity, 0)
+	for i := len(path) - 1; i >= 0 && alloc > 0; i-- {
+		alloc = t.split(path[i].parent, 0, alloc, states)[path[i].pos]
+	}
+	return alloc
 }
 
 // aggregate is one child's claim at a division level.
@@ -347,9 +385,12 @@ type aggregate struct {
 	inFlight int
 }
 
-func (t *Tree) gather(n *node, states map[string]State) aggregate {
+func (t *Tree) gather(n *node, states []State) aggregate {
 	if n.leaf != nil {
-		st := states[n.path]
+		var st State
+		if n.leaf.index < len(states) {
+			st = states[n.leaf.index]
+		}
 		return aggregate{
 			n:        n,
 			active:   st.InFlight > 0 || st.Requesting,
@@ -383,33 +424,72 @@ func (t *Tree) gather(n *node, states map[string]State) aggregate {
 	return agg
 }
 
-func (t *Tree) divide(n *node, alloc int, states map[string]State, out map[string]int) {
+func (t *Tree) divide(n *node, depth, alloc int, states []State, out map[string]int) {
 	if n.leaf != nil {
 		out[n.path] = alloc
 		return
 	}
-	aggs := make([]aggregate, len(n.children))
-	var actives []int
-	for i, c := range n.children {
-		aggs[i] = t.gather(c, states)
-		if aggs[i].active {
-			actives = append(actives, i)
-		}
-	}
-	grants := divideLevel(aggs, actives, alloc)
+	grants := t.split(n, depth, alloc, states)
 	for i, c := range n.children {
 		if grants[i] > 0 {
-			t.divide(c, grants[i], states, out)
+			t.divide(c, depth+1, grants[i], states, out)
 		}
 	}
 }
 
-// divideLevel splits alloc among the active children of one node:
-// deserved pass first, over-quota pass on the remainder.
-func divideLevel(aggs []aggregate, actives []int, alloc int) []int {
-	grants := make([]int, len(aggs))
+// split gathers n's children and divides alloc among them, returning each
+// child's grant in the scratch row of depth: Shares' recursion still reads
+// a level's grants while the levels below it divide.
+func (t *Tree) split(n *node, depth, alloc int, states []State) []int {
+	d := &t.div
+	d.aggs, d.actives = d.aggs[:0], d.actives[:0]
+	for i, c := range n.children {
+		a := t.gather(c, states)
+		d.aggs = append(d.aggs, a)
+		if a.active {
+			d.actives = append(d.actives, i)
+		}
+	}
+	for len(d.grants) <= depth {
+		d.grants = append(d.grants, nil)
+	}
+	grants := d.grants[depth]
+	if cap(grants) < len(n.children) {
+		grants = make([]int, len(n.children))
+	}
+	grants = grants[:len(n.children)]
+	clear(grants)
+	d.grants[depth] = grants
+	d.divideLevel(grants, alloc)
+	return grants
+}
+
+// divider is the division's scratch, kept on the tree and reused by every
+// Shares and Share call: the admission gate divides once per submission.
+type divider struct {
+	path     []*node // Share's ancestors, leaf first
+	grants   [][]int // per depth
+	aggs     []aggregate
+	actives  []int // indices into aggs
+	weighted []int // indices into aggs
+	targets  []float64
+	ints     []int
+	fracs    []frac
+	claims   []int // apportion's: the aggregate each target claims for
+}
+
+type frac struct {
+	idx int
+	f   float64
+}
+
+// divideLevel splits alloc among the active children of one node, whose
+// claims are d.aggs, adding each child's grant to grants: deserved pass
+// first, over-quota pass on the remainder.
+func (d *divider) divideLevel(grants []int, alloc int) {
+	aggs, actives := d.aggs, d.actives
 	if len(actives) == 0 || alloc <= 0 {
-		return grants
+		return
 	}
 	var sumD float64
 	for _, i := range actives {
@@ -423,44 +503,39 @@ func divideLevel(aggs []aggregate, actives []int, alloc int) []int {
 		if sumD > float64(alloc) {
 			scale = float64(alloc) / sumD
 		}
-		targets := make([]float64, len(actives))
-		for k, i := range actives {
-			targets[k] = aggs[i].deserved * scale
+		d.targets = d.targets[:0]
+		for _, i := range actives {
+			d.targets = append(d.targets, aggs[i].deserved*scale)
 		}
-		ints := apportion(targets, min(alloc, int(sumD+0.5)), func(a, b int, fa, fb float64) bool {
-			return claimLess(aggs[actives[a]], aggs[actives[b]], fa, fb)
-		})
+		ints := d.apportion(min(alloc, int(sumD+0.5)), actives)
 		for k, i := range actives {
 			grants[i] = ints[k]
 			remaining -= ints[k]
 		}
 	}
 	if remaining <= 0 {
-		return grants
+		return
 	}
 	// Over-quota pass: split what is left in proportion to weight.
 	var sumW float64
-	var weighted []int // indices into actives
-	for k, i := range actives {
+	d.weighted = d.weighted[:0]
+	for _, i := range actives {
 		if aggs[i].weight > 0 {
 			sumW += aggs[i].weight
-			weighted = append(weighted, k)
+			d.weighted = append(d.weighted, i)
 		}
 	}
 	if sumW == 0 {
-		return grants // strict quotas: leftover capacity stays unallocated
+		return // strict quotas: leftover capacity stays unallocated
 	}
-	targets := make([]float64, len(weighted))
-	for j, k := range weighted {
-		targets[j] = float64(remaining) * aggs[actives[k]].weight / sumW
+	d.targets = d.targets[:0]
+	for _, i := range d.weighted {
+		d.targets = append(d.targets, float64(remaining)*aggs[i].weight/sumW)
 	}
-	ints := apportion(targets, remaining, func(a, b int, fa, fb float64) bool {
-		return claimLess(aggs[actives[weighted[a]]], aggs[actives[weighted[b]]], fa, fb)
-	})
-	for j, k := range weighted {
-		grants[actives[k]] += ints[j]
+	ints := d.apportion(remaining, d.weighted)
+	for j, i := range d.weighted {
+		grants[i] += ints[j]
 	}
-	return grants
 }
 
 // claimLess orders remainder claims: higher priority first, then lower
@@ -496,40 +571,33 @@ func normUsage(a aggregate) float64 {
 	return a.usage / w
 }
 
-// apportion converts fractional targets into integers summing to exactly
-// total: floor each target, then hand the remaining slots out in claim
-// order — less is a strict weak order over target indices, given each
-// side's fractional part so the caller can rank it among its criteria.
-// Deterministic by construction.
-func apportion(targets []float64, total int, less func(a, b int, fa, fb float64) bool) []int {
-	ints := make([]int, len(targets))
+// apportion converts the fractional d.targets into integers summing to
+// exactly total: floor each target, then hand the remaining slots out in
+// claim order — target i claims for the aggregate claims[i], ranked by
+// claimLess given its fractional part. Deterministic by construction.
+func (d *divider) apportion(total int, claims []int) []int {
+	d.ints, d.fracs, d.claims = d.ints[:0], d.fracs[:0], claims
 	sum := 0
-	type frac struct {
-		idx int
-		f   float64
-	}
-	fracs := make([]frac, len(targets))
-	for i, v := range targets {
+	for i, v := range d.targets {
 		if v < 0 {
 			v = 0
 		}
-		ints[i] = int(v)
-		sum += ints[i]
-		fracs[i] = frac{i, v - float64(ints[i])}
+		d.ints = append(d.ints, int(v))
+		sum += int(v)
+		d.fracs = append(d.fracs, frac{i, v - float64(int(v))})
 	}
-	sort.SliceStable(fracs, func(a, b int) bool {
-		return less(fracs[a].idx, fracs[b].idx, fracs[a].f, fracs[b].f)
-	})
-	for k := 0; sum < total && len(fracs) > 0; k = (k + 1) % len(fracs) {
-		ints[fracs[k].idx]++
+	sort.Stable(d)
+	for k := 0; sum < total && len(d.fracs) > 0; k = (k + 1) % len(d.fracs) {
+		d.ints[d.fracs[k].idx]++
 		sum++
 	}
-	return ints
+	return d.ints
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// Len, Less and Swap sort apportion's fractions into claim order.
+func (d *divider) Len() int { return len(d.fracs) }
+func (d *divider) Less(i, j int) bool {
+	a, b := d.fracs[i], d.fracs[j]
+	return claimLess(d.aggs[d.claims[a.idx]], d.aggs[d.claims[b.idx]], a.f, b.f)
 }
+func (d *divider) Swap(i, j int) { d.fracs[i], d.fracs[j] = d.fracs[j], d.fracs[i] }

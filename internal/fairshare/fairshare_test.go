@@ -374,3 +374,82 @@ func TestNewValidation(t *testing.T) {
 		}
 	}
 }
+
+// randomTree builds a queue tree of up to three configured levels with
+// random deserved quotas, weights and priorities, plus dynamic leaves.
+func randomTree(t *testing.T, rng *rand.Rand) *Tree {
+	t.Helper()
+	names := 0
+	var level func(depth int) []NodeConfig
+	level = func(depth int) []NodeConfig {
+		nodes := make([]NodeConfig, 1+rng.Intn(3))
+		for i := range nodes {
+			names++
+			nodes[i] = NodeConfig{
+				Name:     "n" + string(rune('a'+names%26)) + string(rune('a'+names/26)),
+				Deserved: []float64{0, 0, 0.5, 1, 2.5}[rng.Intn(5)],
+				Weight:   float64(rng.Intn(4)),
+				Priority: rng.Intn(3) / 2,
+			}
+			if depth < 2 && rng.Intn(2) == 0 {
+				nodes[i].Children = level(depth + 1)
+			}
+		}
+		return nodes
+	}
+	tr, err := New(Config{Nodes: level(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"dyn", "dyn2/x", "dyn3/y/z"}[:rng.Intn(4)] {
+		tr.Ensure(p)
+	}
+	return tr
+}
+
+// TestShareMatchesShares: the path-only division gives every leaf the
+// share the full division does, over random trees and states.
+func TestShareMatchesShares(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		tr := randomTree(t, rng)
+		leaves := tr.Leaves()
+		flat := make([]State, len(leaves))
+		states := make(map[string]State)
+		for i, l := range leaves {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			flat[i] = State{InFlight: rng.Intn(6), Usage: float64(rng.Intn(500)) / 7, Requesting: rng.Intn(5) == 0}
+			states[l.Path] = flat[i]
+		}
+		capacity := rng.Intn(40) - 2
+		want := tr.Shares(states, capacity)
+		for i, l := range leaves {
+			if l.Index() != i {
+				t.Fatalf("leaf %s has index %d, want %d", l.Path, l.Index(), i)
+			}
+			if got := tr.Share(l, flat, capacity); got != want[l.Path] {
+				t.Fatalf("trial %d: Share(%s) = %d, Shares gives %d (%v)", trial, l.Path, got, want[l.Path], want)
+			}
+		}
+	}
+}
+
+// TestShareAllocatesNothing pins the gate's division at zero allocations
+// once the tree's scratch has grown.
+func TestShareAllocatesNothing(t *testing.T) {
+	tr := flatTree(t,
+		NodeConfig{Name: "acme", Weight: 2, Children: []NodeConfig{
+			{Name: "ml", Deserved: 2, Weight: 3, Priority: 1},
+			{Name: "web", Weight: 1},
+		}},
+		NodeConfig{Name: "beta", Deserved: 1, Weight: 1},
+		NodeConfig{Name: "gamma", Weight: 4},
+	)
+	leaf, _ := tr.Lookup("acme/web")
+	states := []State{{InFlight: 3, Usage: 5}, {InFlight: 1, Usage: 2, Requesting: true}, {InFlight: 2, Usage: 9}, {InFlight: 4, Usage: 1}}
+	if avg := testing.AllocsPerRun(100, func() { tr.Share(leaf, states, 37) }); avg != 0 {
+		t.Errorf("Share allocates %.1f/op, want 0", avg)
+	}
+}

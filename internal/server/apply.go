@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"krad/internal/fairshare"
 	"krad/internal/journal"
 	"krad/internal/metrics"
 	"krad/internal/sim"
@@ -164,20 +163,6 @@ func (sh *shard) checkFair(st journal.FairState) error {
 		return fmt.Errorf("server: journal fair half-life %d does not match the configured %d — decayed usage would diverge (restart with the original half-life, or remove the journal)", st.HalfLife, sh.fair.halfLife)
 	}
 	return nil
-}
-
-func (sh *shard) setFairLocked(st journal.FairState) {
-	sh.fairUsage = make(map[string]*fairshare.Usage, len(st.Usage))
-	for k, u := range st.Usage {
-		uc := u
-		sh.fairUsage[k] = &uc
-	}
-	sh.fairJobs = make(map[int]string, len(st.Jobs))
-	sh.fairInFlight = make(map[string]int)
-	for id, tenant := range st.Jobs {
-		sh.fairJobs[id] = tenant
-		sh.fairInFlight[tenant]++
-	}
 }
 
 // Admitted implements journal.Observer. The jobs are indexed before the

@@ -26,7 +26,14 @@ type fairController struct {
 	mu       sync.Mutex
 	tree     *fairshare.Tree
 	admitted map[string]int64 // leaf path → jobs admitted
-	shed     map[string]int64 // leaf path → submissions shed over-quota
+	shed     map[string]int64 // leaf path → jobs shed over quota
+
+	// slots numbers the tenant paths the shards' ledgers are indexed by;
+	// leafSlot is each tree leaf's slot, by leaf index, and states the
+	// gate's per-leaf inputs, refilled on every call.
+	slots    *tenantSlots
+	leafSlot []int
+	states   []fairshare.State
 }
 
 func newFairController(cfg fairshare.Config) (*fairController, error) {
@@ -38,6 +45,7 @@ func newFairController(cfg fairshare.Config) (*fairController, error) {
 		tree:     tree,
 		admitted: make(map[string]int64),
 		shed:     make(map[string]int64),
+		slots:    &tenantSlots{index: make(map[string]int)},
 	}, nil
 }
 
@@ -49,11 +57,14 @@ func (fc *fairController) recordAdmit(path string, n int) {
 }
 
 // fairAdmit is the fair-share admission gate: it resolves the tenant
-// header to a leaf, rebalances the fleet bound over the active leaves
-// (with the requester forced active, so a first submission is never shed
-// for lack of a share), and rejects with ErrOverQuota when the leaf's
-// in-flight work would exceed its share. Returns the resolved leaf path
-// for downstream accounting. Only called when fairness is enabled.
+// header to a leaf, divides the fleet bound over the active leaves (with
+// the requester forced active, so a first submission is never shed for
+// lack of a share), and rejects the n jobs with ErrOverQuota when they
+// would take the leaf's in-flight work past its share. Only the share of
+// the requesting leaf is computed: Tree.Share divides down its ancestor
+// path alone, which gives what the full division (Tree.Shares) gives that
+// leaf. Returns the resolved leaf path for downstream accounting. Only
+// called when fairness is enabled.
 //
 // Concurrent submissions may both pass the gate before either lands on a
 // shard — the transient overshoot is bounded by the caller count and the
@@ -63,31 +74,68 @@ func (s *Service) fairAdmit(tenant string, n int) (string, error) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	leaf := fc.tree.Ensure(tenant)
-	states := s.fairStates(leaf.Path)
-	shares := fc.tree.Shares(states, s.cfg.MaxInFlight)
-	if states[leaf.Path].InFlight+n > shares[leaf.Path] {
+	states := s.fairInputs()
+	states[leaf.Index()].Requesting = true
+	if states[leaf.Index()].InFlight+n > fc.tree.Share(leaf, states, s.cfg.MaxInFlight) {
 		fc.shed[leaf.Path] += int64(n)
 		return "", fmt.Errorf("%w: %s", ErrOverQuota, leaf.Path)
 	}
 	return leaf.Path, nil
 }
 
-// fairStates aggregates every leaf's fleet-wide live state from the
-// shards' ledgers: in-flight counts sum, usage sums with each shard's
-// accumulator decayed to that shard's own virtual clock. requesting, when
-// non-empty, marks the leaf whose admission triggered the rebalance.
-// Callers hold fc.mu (lock order: controller, then each shard briefly).
-func (s *Service) fairStates(requesting string) map[string]fairshare.State {
-	states := make(map[string]fairshare.State)
+// fairInputs gathers every tree leaf's fleet-wide live state from the
+// shards' ledgers, indexed like the tree's leaves: in-flight counts sum,
+// usage sums in shard order with each shard's accumulator decayed to that
+// shard's own virtual clock. Callers hold fc.mu (lock order: controller,
+// then each shard briefly); the result is the controller's scratch, valid
+// until the next call.
+func (s *Service) fairInputs() []fairshare.State {
+	fc := s.fair
+	leaves := fc.tree.Leaves()
+	for i := len(fc.leafSlot); i < len(leaves); i++ {
+		fc.leafSlot = append(fc.leafSlot, fc.slots.of(leaves[i].Path))
+	}
+	if cap(fc.states) < len(leaves) {
+		fc.states = make([]fairshare.State, len(leaves))
+	}
+	fc.states = fc.states[:len(leaves)]
+	clear(fc.states)
 	for _, sh := range s.shards {
-		sh.fairCollect(states)
+		sh.fairCollect(fc.leafSlot, fc.states)
 	}
-	if requesting != "" {
-		st := states[requesting]
-		st.Requesting = true
-		states[requesting] = st
+	return fc.states
+}
+
+// tenantSlots numbers tenant paths fleet-wide in first-seen order. Every
+// shard's ledger is a slice indexed by slot, so the gate reads one tenant
+// across shards at one index. Paths are never forgotten: they are queue-tree
+// leaves, bounded by the tree's dynamic-leaf cap. Its lock is taken by the
+// apply hooks under a shard lock and by the gate under the controller lock,
+// and nothing is locked under it.
+type tenantSlots struct {
+	mu    sync.Mutex
+	index map[string]int
+	paths []string
+}
+
+// of returns path's slot, numbering it if it is new.
+func (ts *tenantSlots) of(path string) int {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	slot, ok := ts.index[path]
+	if !ok {
+		slot = len(ts.paths)
+		ts.index[path] = slot
+		ts.paths = append(ts.paths, path)
 	}
-	return states
+	return slot
+}
+
+// path returns the path numbered slot.
+func (ts *tenantSlots) path(slot int) string {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.paths[slot]
 }
 
 // TenantStats is one fair-share leaf's slice of Stats.Tenants.
@@ -116,12 +164,16 @@ func (s *Service) tenantStats() []TenantStats {
 	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	states := s.fairStates("")
-	shares := fc.tree.Shares(states, s.cfg.MaxInFlight)
+	flat := s.fairInputs()
 	leaves := fc.tree.Leaves()
+	states := make(map[string]fairshare.State, len(leaves))
+	for i, l := range leaves {
+		states[l.Path] = flat[i]
+	}
+	shares := fc.tree.Shares(states, s.cfg.MaxInFlight)
 	out := make([]TenantStats, 0, len(leaves))
-	for _, l := range leaves {
-		st := states[l.Path]
+	for i, l := range leaves {
+		st := flat[i]
 		out = append(out, TenantStats{
 			Path:     l.Path,
 			InFlight: st.InFlight,
@@ -134,40 +186,58 @@ func (s *Service) tenantStats() []TenantStats {
 	return out
 }
 
-// shardFair is the per-shard slice of the fairness configuration: enough
-// to run the usage ledger without reaching back into the controller.
+// shardFair is the shard's slice of fair-share accounting, indexed by
+// tenant slot: the usage this shard charged each tenant, decayed on its
+// own virtual clock, and the tenant's jobs in flight here, plus each
+// in-flight job's slot. Only the apply hooks write it — Admitted, the
+// completions and cancellations that forget a job, and a fair or snap
+// record restoring it — all under the shard lock; the gate reads it under
+// the same lock.
 type shardFair struct {
 	halfLife    int64
 	defaultPath string
+	slots       *tenantSlots
+	ledger      []fairLeaf
+	jobs        map[int]int // in-flight job → slot
+}
+
+// fairLeaf is one tenant's part of a shard ledger.
+type fairLeaf struct {
+	usage    fairshare.Usage
+	charged  bool // usage has an entry in this shard's journaled ledger
+	inFlight int
+}
+
+// leaf returns slot's entry, growing the ledger to it.
+func (f *shardFair) leaf(slot int) *fairLeaf {
+	for len(f.ledger) <= slot {
+		f.ledger = append(f.ledger, fairLeaf{})
+	}
+	return &f.ledger[slot]
 }
 
 // armFair enables the shard's fair ledger. Called from New before any
 // step loop or journal replay exists, so no locking is needed.
-func (sh *shard) armFair(halfLife int64, defaultPath string) {
-	sh.fair = &shardFair{halfLife: halfLife, defaultPath: defaultPath}
-	sh.fairUsage = make(map[string]*fairshare.Usage)
-	sh.fairInFlight = make(map[string]int)
-	sh.fairJobs = make(map[int]string)
+func (sh *shard) armFair(halfLife int64, defaultPath string, slots *tenantSlots) {
+	sh.fair = &shardFair{halfLife: halfLife, defaultPath: defaultPath, slots: slots, jobs: make(map[int]int)}
 }
 
-// fairCollect folds the shard's ledger into a fleet-wide state map,
-// decaying usage to this shard's current virtual step.
-func (sh *shard) fairCollect(states map[string]fairshare.State) {
+// fairCollect adds the shard's ledger into states, the tree leaf i reading
+// slot leafSlot[i], with usage decayed to this shard's current virtual
+// step. A leaf the shard never charged adds nothing.
+func (sh *shard) fairCollect(leafSlot []int, states []fairshare.State) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.fair == nil {
-		return
-	}
-	now := sh.eng.Now()
-	for path, u := range sh.fairUsage {
-		st := states[path]
-		st.Usage += u.At(now, sh.fair.halfLife)
-		states[path] = st
-	}
-	for path, n := range sh.fairInFlight {
-		st := states[path]
-		st.InFlight += n
-		states[path] = st
+	now, ledger := sh.eng.Now(), sh.fair.ledger
+	for i, slot := range leafSlot {
+		if slot >= len(ledger) {
+			continue
+		}
+		l := &ledger[slot]
+		if l.usage.V != 0 {
+			states[i].Usage += l.usage.At(now, sh.fair.halfLife)
+		}
+		states[i].InFlight += l.inFlight
 	}
 }
 
@@ -176,15 +246,14 @@ func (sh *shard) fairCollect(states map[string]fairshare.State) {
 // for in-flight accounting. Called with the shard lock held by the
 // Admitted apply hook (apply.go) on a fairness-enabled shard.
 func (sh *shard) fairAccrueLocked(tenant string, ids []int, cost float64) {
-	u := sh.fairUsage[tenant]
-	if u == nil {
-		u = &fairshare.Usage{}
-		sh.fairUsage[tenant] = u
-	}
-	u.Add(sh.eng.Now(), sh.fair.halfLife, cost)
-	sh.fairInFlight[tenant] += len(ids)
+	f := sh.fair
+	slot := f.slots.of(tenant)
+	l := f.leaf(slot)
+	l.usage.Add(sh.eng.Now(), f.halfLife, cost)
+	l.charged = true
+	l.inFlight += len(ids)
 	for _, id := range ids {
-		sh.fairJobs[id] = tenant
+		f.jobs[id] = slot
 	}
 }
 
@@ -192,38 +261,53 @@ func (sh *shard) fairAccrueLocked(tenant string, ids []int, cost float64) {
 // ledger (accrued usage stays — it decays). Called with the shard lock
 // held; a no-op for jobs the ledger never tracked.
 func (sh *shard) fairForgetLocked(id int) {
-	if sh.fairJobs == nil {
+	if sh.fair == nil {
 		return
 	}
-	tenant, ok := sh.fairJobs[id]
+	slot, ok := sh.fair.jobs[id]
 	if !ok {
 		return
 	}
-	delete(sh.fairJobs, id)
-	if n := sh.fairInFlight[tenant]; n > 1 {
-		sh.fairInFlight[tenant] = n - 1
-	} else {
-		delete(sh.fairInFlight, tenant)
-	}
+	delete(sh.fair.jobs, id)
+	sh.fair.ledger[slot].inFlight--
 }
 
 // fairStateLocked snapshots the shard's ledger for a journal record
 // (fresh maps, so the journal never aliases live state).
 func (sh *shard) fairStateLocked() journal.FairState {
-	st := journal.FairState{V: 1, HalfLife: sh.fair.halfLife}
-	if len(sh.fairUsage) > 0 {
-		st.Usage = make(map[string]fairshare.Usage, len(sh.fairUsage))
-		for k, u := range sh.fairUsage {
-			st.Usage[k] = *u
+	f := sh.fair
+	st := journal.FairState{V: 1, HalfLife: f.halfLife}
+	for slot, l := range f.ledger {
+		if l.charged {
+			if st.Usage == nil {
+				st.Usage = make(map[string]fairshare.Usage)
+			}
+			st.Usage[f.slots.path(slot)] = l.usage
 		}
 	}
-	if len(sh.fairJobs) > 0 {
-		st.Jobs = make(map[int]string, len(sh.fairJobs))
-		for k, v := range sh.fairJobs {
-			st.Jobs[k] = v
+	if len(f.jobs) > 0 {
+		st.Jobs = make(map[int]string, len(f.jobs))
+		for id, slot := range f.jobs {
+			st.Jobs[id] = f.slots.path(slot)
 		}
 	}
 	return st
+}
+
+// setFairLocked replaces the shard's ledger with the one st declares.
+func (sh *shard) setFairLocked(st journal.FairState) {
+	f := sh.fair
+	clear(f.ledger)
+	for path, u := range st.Usage {
+		l := f.leaf(f.slots.of(path))
+		l.usage, l.charged = u, true
+	}
+	f.jobs = make(map[int]int, len(st.Jobs))
+	for id, tenant := range st.Jobs {
+		slot := f.slots.of(tenant)
+		f.jobs[id] = slot
+		f.leaf(slot).inFlight++
+	}
 }
 
 // specsCost is a batch's admission cost in the usage ledger: each job's

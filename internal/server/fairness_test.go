@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -314,14 +317,17 @@ func snapshotLedger(sh *shard) fairLedger {
 		inFlight: map[string]int{},
 		jobs:     map[int]string{},
 	}
-	for k, u := range sh.fairUsage {
-		l.usage[k] = [2]uint64{math.Float64bits(u.V), uint64(u.AsOf)}
+	f := sh.fair
+	for slot, e := range f.ledger {
+		if e.charged {
+			l.usage[f.slots.path(slot)] = [2]uint64{math.Float64bits(e.usage.V), uint64(e.usage.AsOf)}
+		}
+		if e.inFlight != 0 {
+			l.inFlight[f.slots.path(slot)] = e.inFlight
+		}
 	}
-	for k, v := range sh.fairInFlight {
-		l.inFlight[k] = v
-	}
-	for k, v := range sh.fairJobs {
-		l.jobs[k] = v
+	for k, slot := range f.jobs {
+		l.jobs[k] = f.slots.path(slot)
 	}
 	return l
 }
@@ -515,4 +521,232 @@ func TestFairJournalConfigMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = svc2.Close(ctx)
+}
+
+// fairStates is the gate's inputs computed from scratch, the way the gate
+// once did on every submission: a fresh map over every tenant any shard's
+// ledger holds, usage summed in shard order with each accumulator decayed
+// to its shard's clock, in-flight counted off the job→tenant maps rather
+// than the hooks' counters. requesting marks the leaf being admitted.
+func fairStates(s *Service, requesting string) map[string]fairshare.State {
+	states := make(map[string]fairshare.State)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		f, now := sh.fair, sh.eng.Now()
+		for slot, e := range f.ledger {
+			if e.charged {
+				st := states[f.slots.path(slot)]
+				st.Usage += e.usage.At(now, f.halfLife)
+				states[f.slots.path(slot)] = st
+			}
+		}
+		for _, slot := range f.jobs {
+			st := states[f.slots.path(slot)]
+			st.InFlight++
+			states[f.slots.path(slot)] = st
+		}
+		sh.mu.Unlock()
+	}
+	st := states[requesting]
+	st.Requesting = true
+	states[requesting] = st
+	return states
+}
+
+// randomFairConfig draws a queue tree up to three levels deep with
+// deserved quotas, weights and priorities.
+func randomFairConfig(rng *rand.Rand) *fairshare.Config {
+	names := 0
+	var level func(depth int) []fairshare.NodeConfig
+	level = func(depth int) []fairshare.NodeConfig {
+		nodes := make([]fairshare.NodeConfig, 1+rng.Intn(3))
+		for i := range nodes {
+			names++
+			nodes[i] = fairshare.NodeConfig{
+				Name:     fmt.Sprintf("q%d", names),
+				Deserved: []float64{0, 0, 1, 2, 0.5}[rng.Intn(5)],
+				Weight:   float64(rng.Intn(4)),
+				Priority: rng.Intn(3) / 2,
+			}
+			if depth < 2 && rng.Intn(2) == 0 {
+				nodes[i].Children = level(depth + 1)
+			}
+		}
+		return nodes
+	}
+	return &fairshare.Config{HalfLife: int64(8 + rng.Intn(64)), Nodes: level(0)}
+}
+
+// TestFairGateMatchesShares is the gate's differential test: seeded scripts
+// of batch submissions, cancellations and uneven stepping (so the shards'
+// clocks diverge) over random trees — deserved quotas, weights,
+// priorities, three-level paths, dynamic leaves, junk headers — on two and
+// three shards with a fleet bound small enough to shed. Before every
+// submission the from-scratch oracle, Tree.Shares over fairStates, says
+// whether the batch fits the tenant's share; the gate, dividing down the
+// tenant's path over its flat ledgers, must shed exactly when it does not.
+// The script then continues on a service restarted from the journal.
+func TestFairGateMatchesShares(t *testing.T) {
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := poolConfig(2+int(seed%2), PlaceHash, 1, 3)
+		cfg.MaxInFlight = 6 + rng.Intn(10)
+		cfg.Fairness = randomFairConfig(rng)
+		cfg.Journal = &JournalConfig{Dir: t.TempDir()}
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants := []string{"", "dyn", "dyn2/x/y", "no such/tenant", "a/b/c/d"}
+		for _, l := range svc.fair.tree.Leaves() {
+			tenants = append(tenants, l.Path, l.Path+"/sub")
+		}
+		for _, nc := range cfg.Fairness.Nodes {
+			tenants = append(tenants, nc.Name, nc.Name+"/fresh")
+		}
+		var ids []int
+		shed, admitted := 0, 0
+		script := func(svc *Service, ops int) {
+			for op := 0; op < ops; op++ {
+				switch r := rng.Intn(10); {
+				case r < 6:
+					tenant := tenants[rng.Intn(len(tenants))]
+					specs := make([]sim.JobSpec, 1+rng.Intn(4))
+					for i := range specs {
+						specs[i] = sim.JobSpec{Source: profile.MustNewRigid(1, "r", 1, 1+rng.Intn(3), 1+rng.Intn(4))}
+						if rng.Intn(8) == 0 {
+							specs[i].Release = 1 << 30
+						}
+					}
+					// The oracle resolves the header, creating any dynamic
+					// leaf, and the batch goes in under the leaf's own path:
+					// Ensure on an interior node's path is not idempotent.
+					fc := svc.fair
+					fc.mu.Lock()
+					leaf := fc.tree.Ensure(tenant)
+					states := fairStates(svc, leaf.Path)
+					fits := states[leaf.Path].InFlight+len(specs) <= fc.tree.Shares(states, cfg.MaxInFlight)[leaf.Path]
+					fc.mu.Unlock()
+					got, err := svc.SubmitBatchTenant(tenant, leaf.Path, specs)
+					if errors.Is(err, ErrOverQuota) == fits {
+						t.Fatalf("seed %d op %d: %d jobs for %q (%s): gate err %v, oracle fits=%v", seed, op, len(specs), tenant, leaf.Path, err, fits)
+					}
+					if err == nil {
+						ids = append(ids, got...)
+						admitted++
+					} else if !fits {
+						shed++
+					}
+				case r < 7 && len(ids) > 0:
+					_ = svc.Cancel(ids[rng.Intn(len(ids))]) // a finished job refuses; that is part of the script
+				default:
+					if _, err := svc.shards[rng.Intn(len(svc.shards))].stepN(int64(1 + rng.Intn(6))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		script(svc, 300)
+		if err := svc.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		svc, err = New(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: restart: %v", seed, err)
+		}
+		script(svc, 200)
+		if shed == 0 || admitted == 0 {
+			t.Errorf("seed %d: %d batches admitted, %d shed; the script must exercise both", seed, admitted, shed)
+		}
+		if err := svc.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFairShedCountsJobs: the shed counter counts jobs, as the admitted
+// counter does, so a shed 8-job batch raises it by 8.
+func TestFairShedCountsJobs(t *testing.T) {
+	cfg := fairConfig(1, 4)
+	cfg.MaxInFlight = 4
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainAndClose(t, svc)
+	specs := make([]sim.JobSpec, 8)
+	for i := range specs {
+		specs[i] = sim.JobSpec{Graph: dag.Singleton(1, 1)}
+	}
+	if _, err := svc.SubmitBatchTenant("", "heavy", specs); !errors.Is(err, ErrOverQuota) {
+		t.Fatalf("8 jobs into a bound of 4: err %v, want ErrOverQuota", err)
+	}
+	for _, ts := range svc.Stats().Tenants {
+		if ts.Path == "heavy" && (ts.Shed != 8 || ts.Admitted != 0) {
+			t.Errorf("heavy shed %d admitted %d, want 8 and 0", ts.Shed, ts.Admitted)
+		}
+	}
+	var sb strings.Builder
+	if err := svc.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), `krad_tenant_shed_total{tenant="heavy"} 8`+"\n") {
+		t.Errorf("/metrics lacks the shed count of 8:\n%s", sb.String())
+	}
+}
+
+// TestFairLedgerConcurrent reaches the ledgers from several goroutines at
+// once: submitters under eight dynamic tenants go through the gate while
+// three shards' step loops complete jobs and compact their journals, and
+// a reader takes Stats. Once drained, every tenant has nothing in flight
+// and the admitted counts add up to what the submitters saw admitted.
+// Run it under -race.
+func TestFairLedgerConcurrent(t *testing.T) {
+	cfg := poolConfig(3, PlaceHash, 1, 4)
+	cfg.MaxInFlight = 48
+	cfg.Fairness = &fairshare.Config{Nodes: []fairshare.NodeConfig{{Name: "a", Weight: 2}, {Name: "b", Weight: 1}}}
+	cfg.Journal = &JournalConfig{Dir: t.TempDir(), SnapshotEvery: 8}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	admitted := make([]int64, 4)
+	var wg sync.WaitGroup
+	for g := range admitted {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				tenant := fmt.Sprintf("t%d", (g+i)%8)
+				specs := []sim.JobSpec{{Graph: dag.Singleton(1, 1)}, {Graph: dag.UniformChain(1, 2, 1)}}
+				switch _, err := svc.SubmitBatchTenant(tenant, tenant, specs); {
+				case err == nil:
+					admitted[g] += int64(len(specs))
+				case errors.Is(err, ErrOverQuota), errors.Is(err, ErrQueueFull):
+				default:
+					t.Errorf("submit %s: %v", tenant, err)
+					return
+				}
+				if i%16 == 0 {
+					_ = svc.Stats()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	drainAndClose(t, svc)
+	var want, got int64
+	for _, n := range admitted {
+		want += n
+	}
+	for _, ts := range svc.Stats().Tenants {
+		got += ts.Admitted
+		if ts.InFlight != 0 {
+			t.Errorf("tenant %s has %d in flight after the drain", ts.Path, ts.InFlight)
+		}
+	}
+	if got != want || want == 0 {
+		t.Errorf("tenants admitted %d jobs, the submitters saw %d", got, want)
+	}
 }

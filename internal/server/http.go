@@ -146,42 +146,55 @@ func (s *Service) retryAfterValue() string {
 	return s.retryVals[s.retrySeq.Add(1)&3]
 }
 
-// jobJSON is the wire form of a job's lifecycle status.
-type jobJSON struct {
-	ID          int    `json:"id"`
-	State       string `json:"state"`
-	Family      string `json:"family,omitempty"`
-	Release     int64  `json:"release"`
-	Completion  int64  `json:"completion,omitempty"`
-	Response    int64  `json:"response,omitempty"`
-	CancelledAt int64  `json:"cancelled_at,omitempty"`
-	Work        []int  `json:"work"`
-	Span        int    `json:"span"`
+// appendJobStatus appends the body GET and DELETE /v1/jobs/{id} answer
+// with, byte for byte what encoding/json wrote for the status struct the
+// tests keep as the oracle (jobJSON): family, completion, response and
+// cancelled_at omitted when zero, a nil work vector as null, and the
+// trailing newline json.Encoder adds.
+func appendJobStatus(dst []byte, st sim.JobStatus) []byte {
+	dst = wire.AppendInt(append(dst, `{"id":`...), int64(st.ID))
+	dst = wire.AppendString(append(dst, `,"state":`...), st.Phase.String())
+	if st.Family != sim.FamilyUnknown {
+		dst = wire.AppendString(append(dst, `,"family":`...), st.Family.String())
+	}
+	dst = wire.AppendInt(append(dst, `,"release":`...), st.Release)
+	dst = wire.AppendIntField(dst, `,"completion":`, st.Completion)
+	dst = wire.AppendIntField(dst, `,"response":`, st.Response())
+	dst = wire.AppendIntField(dst, `,"cancelled_at":`, st.CancelledAt)
+	dst = append(dst, `,"work":`...)
+	if st.Work == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = wire.AppendInts(dst, st.Work)
+	}
+	dst = wire.AppendInt(append(dst, `,"span":`...), int64(st.Span))
+	return append(dst, "}\n"...)
 }
 
-func toJobJSON(st sim.JobStatus) jobJSON {
-	j := jobJSON{
-		ID:          st.ID,
-		State:       st.Phase.String(),
-		Release:     st.Release,
-		Completion:  st.Completion,
-		Response:    st.Response(),
-		CancelledAt: st.CancelledAt,
-		Work:        st.Work,
-		Span:        st.Span,
-	}
-	if st.Family != sim.FamilyUnknown {
-		j.Family = st.Family.String()
-	}
-	return j
+// statusScratch is the pooled state of a status or cancel answer: the
+// job's work vector, copied out of the ID table, and the body written from
+// it.
+type statusScratch struct {
+	work []int
+	out  []byte
+}
+
+var statusPool = sync.Pool{New: func() any { return new(statusScratch) }}
+
+// reply writes st's status body with code 200, keeping the grown buffers
+// for the next answer.
+func (sc *statusScratch) reply(w http.ResponseWriter, st sim.JobStatus) {
+	sc.work = st.Work[:0]
+	sc.out = appendJobStatus(sc.out[:0], st)
+	writeBody(w, http.StatusOK, sc.out)
 }
 
 // Handler returns the service's HTTP API:
 //
 //	POST   /v1/jobs       submit a dag-encoded job      → 201 {id, release, shard}
 //	POST   /v1/jobs/batch submit a burst all-or-nothing → 201 {ids, shard}
-//	GET    /v1/jobs/{id}  job lifecycle status          → 200 jobJSON
-//	DELETE /v1/jobs/{id}  cancel a pending/active job   → 200 jobJSON
+//	GET    /v1/jobs/{id}  job lifecycle status          → 200 status
+//	DELETE /v1/jobs/{id}  cancel a pending/active job   → 200 status
 //	GET    /v1/events     SSE stream of step events (all shards)
 //	GET    /metrics       Prometheus text exposition
 //	GET    /healthz       liveness + service stats (always 200 while the
@@ -206,17 +219,22 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// jsonContentType is the Content-Type of every JSON answer, one slice
+// shared by all of them: Header().Set would allocate a fresh one per
+// response. Nothing in net/http writes into a header's value slice.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeCreated answers a submission with 201 and body, which is what
-// writeJSON would have written for the map of the same keys.
-func writeCreated(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
+// writeBody answers with code and a JSON body written by hand, which is
+// what writeJSON would have written for the value it spells.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
 	_, _ = w.Write(body)
 }
 
@@ -332,7 +350,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	out = wire.AppendInt(append(out, `,"release":`...), st.Release)
 	out = wire.AppendInt(append(out, `,"shard":`...), int64(ShardOf(id)))
 	sc.out = append(out, "}\n"...)
-	writeCreated(w, sc.out)
+	writeBody(w, http.StatusCreated, sc.out)
 }
 
 func (s *Service) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
@@ -367,7 +385,7 @@ func (s *Service) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	out := wire.AppendInts(append(sc.out[:0], `{"ids":`...), ids)
 	out = wire.AppendInt(append(out, `,"shard":`...), int64(ShardOf(ids[0])))
 	sc.out = append(out, "}\n"...)
-	writeCreated(w, sc.out)
+	writeBody(w, http.StatusCreated, sc.out)
 }
 
 // writeSubmitError maps admission errors onto HTTP responses, reporting
@@ -421,12 +439,14 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad job id %q", r.PathValue("id"))
 		return
 	}
-	st, ok := s.Job(id)
+	sc := statusPool.Get().(*statusScratch)
+	defer statusPool.Put(sc)
+	st, _, _, ok := s.lookup(id, sc.work)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no job %d", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, toJobJSON(st))
+	sc.reply(w, st)
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -435,21 +455,20 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad job id %q", r.PathValue("id"))
 		return
 	}
-	if _, ok := s.Job(id); !ok {
+	sc := statusPool.Get().(*statusScratch)
+	defer statusPool.Put(sc)
+	st, found, err := s.cancelJob(id, sc.work)
+	switch {
+	case !found:
 		writeError(w, http.StatusNotFound, "no job %d", id)
-		return
-	}
-	if err := s.Cancel(id); err != nil {
-		if errors.Is(err, ErrDegraded) || errors.Is(err, ErrFollower) || errors.Is(err, replicate.ErrLeaseExpired) {
-			w.Header().Set("Retry-After", s.retryAfterValue())
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
+	case errors.Is(err, ErrDegraded), errors.Is(err, ErrFollower), errors.Is(err, replicate.ErrLeaseExpired):
+		w.Header().Set("Retry-After", s.retryAfterValue())
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+	case err != nil:
 		writeError(w, http.StatusConflict, "%v", err)
-		return
+	default:
+		sc.reply(w, st)
 	}
-	st, _ := s.Job(id)
-	writeJSON(w, http.StatusOK, toJobJSON(st))
 }
 
 // handleEvents streams step events as Server-Sent Events until the client

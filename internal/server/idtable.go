@@ -89,9 +89,10 @@ func (t *idTable) put(id int, st sim.JobStatus) {
 	s.mu.Unlock()
 }
 
-// get returns a job's status by engine-local ID, with a fresh Work copy
-// (the status escapes to HTTP encoding, which outlives any lock).
-func (t *idTable) get(id int) (sim.JobStatus, bool) {
+// get returns a job's status by engine-local ID, its work vector copied
+// into work[:0] — the caller's memory, since the status outlives the
+// stripe lock. A nil work allocates a fresh copy.
+func (t *idTable) get(id int, work []int) (sim.JobStatus, bool) {
 	if id < 0 {
 		return sim.JobStatus{}, false
 	}
@@ -109,7 +110,7 @@ func (t *idTable) get(id int) (sim.JobStatus, bool) {
 		Family:      e.family,
 		Completion:  e.completion,
 		CancelledAt: e.cancelledAt,
-		Work:        append([]int(nil), s.work[slot*t.k:(slot+1)*t.k]...),
+		Work:        append(work[:0], s.work[slot*t.k:(slot+1)*t.k]...),
 		Span:        e.span,
 	}, true
 }

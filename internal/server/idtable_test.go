@@ -14,27 +14,27 @@ import (
 
 func TestIDTableLifecycle(t *testing.T) {
 	tab := newIDTable(2)
-	if _, ok := tab.get(0); ok {
+	if _, ok := tab.get(0, nil); ok {
 		t.Fatal("empty table reported a job")
 	}
 	tab.put(3, sim.JobStatus{Release: 5, Phase: sim.JobPending, Family: sim.FamilyProfile, Work: []int{4, 2}, Span: 3})
-	st, ok := tab.get(3)
+	st, ok := tab.get(3, nil)
 	if !ok || st.ID != 3 || st.Release != 5 || st.Phase != sim.JobPending || st.Work[0] != 4 || st.Work[1] != 2 || st.Span != 3 {
 		t.Fatalf("get after put: %+v ok=%v", st, ok)
 	}
 	// Neighboring IDs on the same stripe (3, 19, 35) and holes in between
 	// must stay independent.
 	tab.put(35, sim.JobStatus{Release: 9, Phase: sim.JobPending, Work: []int{1, 1}, Span: 1})
-	if _, ok := tab.get(19); ok {
+	if _, ok := tab.get(19, nil); ok {
 		t.Fatal("hole between sparse IDs reported a job")
 	}
 	tab.setActive(3)
 	tab.setDone(3, 12)
-	if st, _ := tab.get(3); st.Phase != sim.JobDone || st.Completion != 12 {
+	if st, _ := tab.get(3, nil); st.Phase != sim.JobDone || st.Completion != 12 {
 		t.Fatalf("after setDone: %+v", st)
 	}
 	tab.setCancelled(35, 7)
-	if st, _ := tab.get(35); st.Phase != sim.JobCancelled || st.CancelledAt != 7 {
+	if st, _ := tab.get(35, nil); st.Phase != sim.JobCancelled || st.CancelledAt != 7 {
 		t.Fatalf("after setCancelled: %+v", st)
 	}
 	if rel, ok := tab.release(3); !ok || rel != 5 {
@@ -45,11 +45,11 @@ func TestIDTableLifecycle(t *testing.T) {
 	}
 	// Transition writes on absent IDs are ignored, not materialized.
 	tab.setDone(100, 1)
-	if _, ok := tab.get(100); ok {
+	if _, ok := tab.get(100, nil); ok {
 		t.Fatal("setDone materialized an absent job")
 	}
 	tab.reset()
-	if _, ok := tab.get(3); ok {
+	if _, ok := tab.get(3, nil); ok {
 		t.Fatal("reset kept an entry")
 	}
 }

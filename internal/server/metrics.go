@@ -172,7 +172,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 			{"krad_tenant_in_flight", "One tenant leaf's admitted-but-unfinished jobs.", "gauge", func(ts TenantStats) any { return ts.InFlight }},
 			{"krad_tenant_usage", "One tenant leaf's exponentially decayed usage (task-steps, decayed per shard clock).", "gauge", func(ts TenantStats) any { return fmt.Sprintf("%g", ts.Usage) }},
 			{"krad_tenant_admitted_total", "Jobs admitted for one tenant leaf.", "counter", func(ts TenantStats) any { return ts.Admitted }},
-			{"krad_tenant_shed_total", "Submissions shed over fair-share quota for one tenant leaf (HTTP 429).", "counter", func(ts TenantStats) any { return ts.Shed }},
+			{"krad_tenant_shed_total", "Jobs shed over fair-share quota for one tenant leaf (HTTP 429); a shed batch counts each of its jobs.", "counter", func(ts TenantStats) any { return ts.Shed }},
 		}
 		for _, m := range perTenant {
 			for i, ts := range tenants {

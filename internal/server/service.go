@@ -303,7 +303,7 @@ func New(cfg Config) (*Service, error) {
 		// Arm each shard's ledger before journal replay, so replay can
 		// rebuild fair-share state alongside engine state.
 		for _, sh := range shards {
-			sh.armFair(fc.tree.HalfLife(), fc.tree.Default().Path)
+			sh.armFair(fc.tree.HalfLife(), fc.tree.Default().Path, fc.slots)
 		}
 	}
 	if cfg.Journal != nil {
@@ -541,24 +541,62 @@ func (s *Service) Cancel(id int) error {
 	return err
 }
 
+// cancelJob is DELETE's Cancel: one resolution serves the existence check,
+// the cancel and the answer, which is the job's status after the cancel
+// with its work vector appended to work. found is false for an ID naming
+// no job, which is checked before anything can refuse: DELETE answers it
+// 404 whatever the daemon's role.
+func (s *Service) cancelJob(id int, work []int) (st sim.JobStatus, found bool, err error) {
+	st, rid, sh, found := s.lookup(id, work)
+	if !found {
+		return st, false, nil
+	}
+	if s.Following() {
+		return st, true, ErrFollower
+	}
+	err = sh.cancel(LocalID(rid))
+	if err != nil && s.cfg.Steal {
+		// The job may have been stolen between the lookup and the cancel;
+		// re-resolve once and retry at its new home.
+		if rid2, sh2, ok := s.resolve(rid); ok && rid2 != rid {
+			rid, sh, err = rid2, sh2, sh2.cancel(LocalID(rid2))
+		}
+	}
+	if err != nil {
+		return st, true, err
+	}
+	st, _ = sh.job(LocalID(rid), st.Work[:0])
+	st.ID = id
+	return st, true, nil
+}
+
 // Job returns a job's lifecycle status; the returned ID is the namespaced
 // one the job was submitted under, even after the job moved shards
 // through work stealing.
 func (s *Service) Job(id int) (sim.JobStatus, bool) {
+	st, _, _, ok := s.lookup(id, nil)
+	return st, ok
+}
+
+// lookup is Job with the status's work vector appended to work (the HTTP
+// handlers pass pooled scratch), answering also the ID and the shard the
+// job resolved to.
+func (s *Service) lookup(id int, work []int) (sim.JobStatus, int, *shard, bool) {
 	rid, sh, ok := s.resolve(id)
 	if !ok {
-		return sim.JobStatus{}, false
+		return sim.JobStatus{}, 0, nil, false
 	}
-	st, ok := sh.job(LocalID(rid))
+	st, ok := sh.job(LocalID(rid), work)
 	if !ok && s.cfg.Steal {
 		if rid2, sh2, ok2 := s.resolve(rid); ok2 && rid2 != rid {
-			st, ok = sh2.job(LocalID(rid2))
+			rid, sh = rid2, sh2
+			st, ok = sh.job(LocalID(rid), work)
 		}
 	}
 	if ok {
 		st.ID = id
 	}
-	return st, ok
+	return st, rid, sh, ok
 }
 
 // Err returns the step loops' fatal errors, if any occurred (e.g. a

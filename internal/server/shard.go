@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"krad/internal/fairshare"
 	"krad/internal/journal"
 	"krad/internal/metrics"
 	"krad/internal/sched"
@@ -77,14 +76,11 @@ type shard struct {
 	loadPendWork  atomic.Int64
 
 	// fair, when set, enables the shard's slice of fair-share accounting
-	// (see fairness.go): per-leaf decayed usage on this shard's virtual
-	// clock, per-leaf in-flight counts and a job→leaf map, all mutated
+	// (see fairness.go): per-tenant decayed usage on this shard's virtual
+	// clock, per-tenant in-flight counts and a job→tenant map, all mutated
 	// under mu at the same points the journal records. Nil when fairness
 	// is off, so the fairness-free hot path allocates nothing.
-	fair         *shardFair
-	fairUsage    map[string]*fairshare.Usage
-	fairInFlight map[string]int
-	fairJobs     map[int]string
+	fair *shardFair
 
 	// jn, when set, is the shard's write-ahead journal (see journal.go):
 	// every mutation is appended and then applied under one lock
@@ -304,11 +300,12 @@ func (sh *shard) syncGaugesLocked() {
 	sh.loadPendWork.Store(sh.eng.PendingWork())
 }
 
-// job returns a job's lifecycle status by engine-local ID. It reads the
-// lock-striped index, never the shard lock: status queries stay fast
-// while the step loop holds mu through a long scheduling round.
-func (sh *shard) job(id int) (sim.JobStatus, bool) {
-	return sh.tab.get(id)
+// job returns a job's lifecycle status by engine-local ID, its work vector
+// appended to work. It reads the lock-striped index, never the shard lock:
+// status queries stay fast while the step loop holds mu through a long
+// scheduling round.
+func (sh *shard) job(id int, work []int) (sim.JobStatus, bool) {
+	return sh.tab.get(id, work)
 }
 
 // err returns the step loop's fatal error, if one occurred.

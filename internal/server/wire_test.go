@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,8 +12,12 @@ import (
 	"strings"
 	"testing"
 
+	"krad/internal/core"
 	"krad/internal/dag"
+	"krad/internal/moldable"
 	"krad/internal/profile"
+	"krad/internal/sched"
+	"krad/internal/sim"
 	"krad/internal/wire"
 )
 
@@ -242,4 +248,164 @@ func TestSubmitResponseMatchesWriteJSON(t *testing.T) {
 	if !shards[1] {
 		t.Fatal("no submission landed on shard 1; the test never saw a namespaced ID")
 	}
+}
+
+// jobJSON is the status body GET and DELETE /v1/jobs/{id} used to encode
+// through writeJSON, kept as appendJobStatus's oracle and as the tests'
+// decode target.
+type jobJSON struct {
+	ID          int    `json:"id"`
+	State       string `json:"state"`
+	Family      string `json:"family,omitempty"`
+	Release     int64  `json:"release"`
+	Completion  int64  `json:"completion,omitempty"`
+	Response    int64  `json:"response,omitempty"`
+	CancelledAt int64  `json:"cancelled_at,omitempty"`
+	Work        []int  `json:"work"`
+	Span        int    `json:"span"`
+}
+
+func toJobJSON(st sim.JobStatus) jobJSON {
+	j := jobJSON{
+		ID:          st.ID,
+		State:       st.Phase.String(),
+		Release:     st.Release,
+		Completion:  st.Completion,
+		Response:    st.Response(),
+		CancelledAt: st.CancelledAt,
+		Work:        st.Work,
+		Span:        st.Span,
+	}
+	if st.Family != sim.FamilyUnknown {
+		j.Family = st.Family.String()
+	}
+	return j
+}
+
+// statusOracle is what writeJSON wrote for st.
+func statusOracle(st sim.JobStatus) string {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, toJobJSON(st))
+	return rec.Body.String()
+}
+
+func checkStatus(t *testing.T, st sim.JobStatus) {
+	t.Helper()
+	if got, want := string(appendJobStatus(nil, st)), statusOracle(st); got != want {
+		t.Fatalf("%+v: appended\n %q\nwriteJSON wrote\n %q", st, got, want)
+	}
+}
+
+// TestJobStatusMatchesWriteJSON pins the hand-written status body against
+// writeJSON of the struct it replaced: every phase and family (and one
+// value past each), zero and non-zero completion, response (negative
+// too) and cancelled_at, nil, empty and filled work, namespaced IDs. Then
+// GET and DELETE through Handler() must answer the oracle's bytes for the
+// status Service.Job reports.
+func TestJobStatusMatchesWriteJSON(t *testing.T) {
+	phases := []sim.JobPhase{sim.JobPending, sim.JobActive, sim.JobDone, sim.JobCancelled, sim.JobStolen, 9}
+	families := []sim.RuntimeFamily{sim.FamilyUnknown, sim.FamilyProfile, sim.FamilyDAG, sim.FamilyMoldable, 7}
+	works := [][]int{nil, {}, {3, 0, 12}, {-1, 1 << 40}}
+	for _, ph := range phases {
+		for _, fam := range families {
+			for _, work := range works {
+				for _, times := range [][3]int64{{0, 0, 0}, {3, 0, 0}, {3, 17, 0}, {20, 17, 0}, {3, 0, 5}, {1 << 40, 1<<40 + 2, 1 << 41}} {
+					for _, id := range []int{0, 7, 1<<32 | 5} {
+						checkStatus(t, sim.JobStatus{
+							ID: id, Phase: ph, Family: fam, Work: work, Span: len(work) * 3,
+							Release: times[0], Completion: times[1], CancelledAt: times[2],
+						})
+					}
+				}
+			}
+		}
+	}
+
+	cfg := poolConfig(2, PlaceHash, 2, 4, 4)
+	cfg.NewScheduler = func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(2)) }
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainAndClose(t, svc)
+	mold, err := moldable.FromSpec(*moldBody("m").Mold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	serve := func(method string, id int) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, fmt.Sprintf("/v1/jobs/%d", id), nil))
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("%s %d: status %d, content type %q: %s", method, id, rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+		}
+		return rec
+	}
+	var ids []int
+	for _, key := range []string{"a", "b", "c", "d"} {
+		for _, spec := range []sim.JobSpec{
+			{Graph: dag.UniformChain(2, 3, 1)},
+			{Source: profile.MustNewRigid(2, "r", 2, 2, 3), Release: 1 << 20},
+			{Source: mold},
+		} {
+			id, err := svc.SubmitKeyed(key, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+	}
+	if _, err := svc.StepAll(2); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[sim.JobPhase]bool{}
+	for i, id := range ids {
+		if i%3 == 0 {
+			if _, err := svc.StepAll(4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, _ := svc.Job(id)
+		seen[st.Phase] = true
+		if rec := serve("GET", id); rec.Body.String() != statusOracle(st) {
+			t.Errorf("GET %d answered %q, writeJSON wrote %q", id, rec.Body, statusOracle(st))
+		}
+		if st.Phase == sim.JobDone {
+			continue
+		}
+		rec := serve("DELETE", id)
+		st, _ = svc.Job(id)
+		if st.Phase != sim.JobCancelled || rec.Body.String() != statusOracle(st) {
+			t.Errorf("DELETE %d answered %q, writeJSON writes %q for the cancelled job", id, rec.Body, statusOracle(st))
+		}
+	}
+	if !seen[sim.JobPending] || !seen[sim.JobActive] || !seen[sim.JobDone] {
+		t.Errorf("GETs saw phases %v, want pending, active and done", seen)
+	}
+}
+
+// FuzzJobStatusBody compares appendJobStatus with writeJSON over every
+// field of a status; work is a run of varints, or nil.
+func FuzzJobStatusBody(f *testing.F) {
+	f.Add(int64(0), 0, 0, int64(0), int64(0), int64(0), 0, []byte(nil), true)
+	f.Add(int64(1<<32|5), 2, 2, int64(3), int64(17), int64(0), 9, []byte{6, 0, 24}, false)
+	f.Add(int64(-1), 3, 4, int64(-3), int64(0), int64(1<<41), -2, []byte{}, false)
+	f.Fuzz(func(t *testing.T, id int64, phase, family int, release, completion, cancelledAt int64, span int, work []byte, nilWork bool) {
+		st := sim.JobStatus{
+			ID: int(id), Phase: sim.JobPhase(phase), Family: sim.RuntimeFamily(family),
+			Release: release, Completion: completion, CancelledAt: cancelledAt, Span: span,
+		}
+		if !nilWork {
+			st.Work = []int{}
+			for len(work) > 0 {
+				v, n := binary.Varint(work)
+				if n <= 0 {
+					break
+				}
+				st.Work = append(st.Work, int(v))
+				work = work[n:]
+			}
+		}
+		checkStatus(t, st)
+	})
 }
