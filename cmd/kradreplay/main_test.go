@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -350,58 +351,11 @@ func TestReplaySmokeRealKradd(t *testing.T) {
 	if os.Getenv("KRAD_REPLAY_SMOKE") != "1" {
 		t.Skip("set KRAD_REPLAY_SMOKE=1 to run the real-binary smoke test")
 	}
-	dir := t.TempDir()
-	kradd := filepath.Join(dir, "kradd")
-	replay := filepath.Join(dir, "kradreplay")
-	for bin, pkg := range map[string]string{kradd: "krad/cmd/kradd", replay: "krad/cmd/kradreplay"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("build %s: %v\n%s", pkg, err, out)
-		}
-	}
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-
-	jdir := filepath.Join(dir, "journal")
-	daemon := exec.Command(kradd,
-		"-addr", addr, "-caps", "8,8",
+	dir, kradd, replay, addr := realBinaries(t)
+	startKradd(t, kradd, addr, "-caps", "8,8",
 		"-queue", "200000", "-retire-done",
-		"-journal-dir", jdir, "-fsync", "interval", "-snapshot-every", "0")
-	daemon.Stdout = os.Stderr
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		daemon.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { daemon.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			daemon.Process.Kill()
-		}
-	}()
+		"-journal-dir", filepath.Join(dir, "journal"), "-fsync", "interval", "-snapshot-every", "0")
 	base := "http://" + addr
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("kradd never became ready")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
 
 	jobs := 20000
 	if v := os.Getenv("KRAD_REPLAY_SMOKE_JOBS"); v != "" {
@@ -436,4 +390,70 @@ func TestReplaySmokeRealKradd(t *testing.T) {
 	}
 	t.Logf("smoke: %d jobs, %.0f submit/s, drain %.0f jobs/s, %d fsyncs (%.1f%% of wall)",
 		rep.Accepted, rep.SubmitRate, rep.Drain.JobsPerSec, rep.Journal.Syncs, 100*rep.Journal.SyncShare)
+}
+
+// realBinaries builds kradd and kradreplay into a fresh directory, which it
+// returns for the run's journal and report too, and picks a free loopback
+// address for the daemon.
+func realBinaries(t *testing.T) (dir, kradd, replay, addr string) {
+	t.Helper()
+	dir = t.TempDir()
+	kradd = filepath.Join(dir, "kradd")
+	replay = filepath.Join(dir, "kradreplay")
+	for bin, pkg := range map[string]string{kradd: "krad/cmd/kradd", replay: "krad/cmd/kradreplay"} {
+		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
+		if err != nil {
+			t.Fatalf("build %s: %v\n%s", pkg, err, out)
+		}
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr = l.Addr().String()
+	l.Close()
+	return dir, kradd, replay, addr
+}
+
+// startKradd runs the kradd binary on addr with args and waits for /readyz
+// to answer 200. stop interrupts the daemon and waits for it to exit,
+// killing it after 30 s of draining; it also runs at cleanup, and calls
+// after the first do nothing.
+func startKradd(t *testing.T, bin, addr string, args ...string) (stop func()) {
+	t.Helper()
+	daemon := exec.Command(bin, append([]string{"-addr", addr}, args...)...)
+	daemon.Stdout = os.Stderr
+	daemon.Stderr = os.Stderr
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			daemon.Process.Signal(os.Interrupt)
+			done := make(chan struct{})
+			go func() { daemon.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				daemon.Process.Kill()
+				<-done
+			}
+		})
+	}
+	t.Cleanup(stop)
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		resp, err := http.Get("http://" + addr + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return stop
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("kradd never became ready")
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
 }

@@ -3,13 +3,13 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
-	"time"
+
+	"krad/internal/journal"
 )
 
 // TestStealSmokeRealKradd boots a real 8-shard kradd with -steal and
@@ -17,65 +17,22 @@ import (
 // carries a hot-tailed placement key, so a handful of shards soak the
 // load), and asserts full conservation — every accepted job drains,
 // zero errors — plus a non-zero steal counter proving the skew was
-// drained by peers, not just the hot shards. Gated behind
-// KRAD_STEAL_SMOKE=1 like the replay smoke: real binaries, real port.
+// drained by peers, not just the hot shards. It then restarts kradd
+// without -steal over the same journals: the daemon must come ready with
+// every job completed, and every stolen job's original ID must still
+// answer as done. Gated behind KRAD_STEAL_SMOKE=1 like the replay smoke:
+// real binaries, real port.
 func TestStealSmokeRealKradd(t *testing.T) {
 	if os.Getenv("KRAD_STEAL_SMOKE") != "1" {
 		t.Skip("set KRAD_STEAL_SMOKE=1 to run the steal smoke test")
 	}
-	dir := t.TempDir()
-	kradd := filepath.Join(dir, "kradd")
-	replay := filepath.Join(dir, "kradreplay")
-	for bin, pkg := range map[string]string{kradd: "krad/cmd/kradd", replay: "krad/cmd/kradreplay"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("build %s: %v\n%s", pkg, err, out)
-		}
-	}
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-
+	dir, kradd, replay, addr := realBinaries(t)
 	jdir := filepath.Join(dir, "journal")
-	daemon := exec.Command(kradd,
-		"-addr", addr, "-caps", "2,2",
-		"-shards", "8", "-steal", "-placement", "hash",
+	args := []string{"-caps", "2,2", "-shards", "8", "-placement", "hash",
 		"-queue", "200000", "-retire-done",
-		"-journal-dir", jdir, "-fsync", "interval", "-snapshot-every", "0")
-	daemon.Stdout = os.Stderr
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		daemon.Process.Signal(os.Interrupt)
-		done := make(chan struct{})
-		go func() { daemon.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			daemon.Process.Kill()
-		}
-	}()
+		"-journal-dir", jdir, "-fsync", "interval", "-snapshot-every", "0"}
+	stop := startKradd(t, kradd, addr, append(args, "-steal")...)
 	base := "http://" + addr
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("kradd never became ready")
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
 
 	jobs := 20000
 	if v := os.Getenv("KRAD_STEAL_SMOKE_JOBS"); v != "" {
@@ -113,23 +70,7 @@ func TestStealSmokeRealKradd(t *testing.T) {
 	}
 
 	// The skewed stream must actually have been rebalanced by stealing.
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health struct {
-		Stats struct {
-			Completed int64 `json:"completed"`
-			Steal     *struct {
-				Stolen   int64 `json:"stolen"`
-				StolenIn int64 `json:"stolen_in"`
-			} `json:"steal"`
-		} `json:"stats"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
+	health := stealHealth(t, base)
 	if health.Stats.Completed != int64(jobs) {
 		t.Fatalf("daemon completed %d, want %d", health.Stats.Completed, jobs)
 	}
@@ -142,4 +83,69 @@ func TestStealSmokeRealKradd(t *testing.T) {
 	}
 	t.Logf("steal smoke: %d jobs, %d stolen (%.1f%%), drain %.0f jobs/s",
 		jobs, st.Stolen, 100*float64(st.Stolen)/float64(jobs), rep.Drain.JobsPerSec)
+
+	// Restart without -steal: the steal records replay all the same. The
+	// thieves' admissions name each stolen job's original ID.
+	stop()
+	var stolen []int
+	wals, err := filepath.Glob(filepath.Join(jdir, "shard-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wal := range wals {
+		recs, err := journal.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			stolen = append(stolen, rec.From...)
+		}
+	}
+	if int64(len(stolen)) != st.StolenIn {
+		t.Fatalf("the journals name %d stolen jobs, the daemon counted %d", len(stolen), st.StolenIn)
+	}
+	startKradd(t, kradd, addr, args...)
+	if got := stealHealth(t, base).Stats.Completed; got != int64(jobs) {
+		t.Fatalf("steal-off restart completed %d, want %d", got, jobs)
+	}
+	for _, id := range stolen {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", base, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job struct {
+			State string `json:"state"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || job.State != "done" {
+			t.Fatalf("GET stolen job %d after the steal-off restart: %d %+v (%v), want 200 done", id, resp.StatusCode, job, err)
+		}
+	}
+	t.Logf("steal-off restart: %d stolen jobs answer done under their original IDs", len(stolen))
+}
+
+// stealHealthz is the slice of /healthz the steal smoke checks.
+type stealHealthz struct {
+	Stats struct {
+		Completed int64 `json:"completed"`
+		Steal     *struct {
+			Stolen   int64 `json:"stolen"`
+			StolenIn int64 `json:"stolen_in"`
+		} `json:"steal"`
+	} `json:"stats"`
+}
+
+func stealHealth(t *testing.T, base string) stealHealthz {
+	t.Helper()
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health stealHealthz
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	return health
 }

@@ -251,8 +251,8 @@ func (t *Tree) Lookup(path string) (*Leaf, bool) {
 //   - An exact leaf path resolves to that leaf.
 //   - A path extending an existing leaf resolves to that leaf (a
 //     configured tenant absorbs its unconfigured sub-paths).
-//   - A path naming an interior node resolves to that node's dynamic
-//     "default" child leaf.
+//   - A path naming an interior node resolves to that node's "default"
+//     child leaf, created dynamically if it does not exist yet.
 //   - Anything else creates a dynamic leaf along the path, until the
 //     MaxDynamicLeaves cap, after which unknown tenants collapse onto
 //     the default leaf.
@@ -306,7 +306,13 @@ walk:
 		}
 		return t.extend(n, prefix, rest)
 	}
-	// Path names an interior node: resolve to its dynamic default child.
+	// Path names an interior node: resolve to its default child leaf,
+	// created dynamically if it does not exist yet.
+	for _, c := range n.children {
+		if c.name == "default" && c.leaf != nil {
+			return c.leaf, nil
+		}
+	}
 	return t.extend(n, prefix, []string{"default"})
 }
 

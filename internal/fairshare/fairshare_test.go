@@ -327,6 +327,32 @@ func TestEnsureResolution(t *testing.T) {
 	}
 }
 
+// TestEnsureInteriorIdempotent: every header naming an interior node,
+// configured or dynamic, resolves to the same <node>/default leaf, and
+// only the first creates it.
+func TestEnsureInteriorIdempotent(t *testing.T) {
+	tr, err := New(Config{Nodes: []NodeConfig{
+		{Name: "acme", Children: []NodeConfig{{Name: "ml", Weight: 2}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Ensure("newco/batch") // makes newco a dynamic interior node
+	for _, interior := range []string{"acme", "newco"} {
+		before := len(tr.Leaves())
+		first, second := tr.Ensure(interior), tr.Ensure(interior)
+		if first.Path != interior+"/default" || !first.Dynamic {
+			t.Errorf("Ensure(%q) → %+v, want dynamic %s/default", interior, first, interior)
+		}
+		if second != first {
+			t.Errorf("second Ensure(%q) → %q, want the first call's %q", interior, second.Path, first.Path)
+		}
+		if n := len(tr.Leaves()) - before; n != 1 {
+			t.Errorf("two Ensure(%q) calls created %d leaves, want 1", interior, n)
+		}
+	}
+}
+
 // TestEnsureDynamicCap checks unknown tenants stop growing the tree at
 // MaxDynamicLeaves and collapse onto the default leaf.
 func TestEnsureDynamicCap(t *testing.T) {

@@ -99,13 +99,10 @@ func (sh *shard) replayLocked(rec *journal.Record) error {
 }
 
 // refuseTags rejects records this shard's configuration cannot account
-// for: applying a steal-tagged record with stealing off would drop the
-// redirects that keep stolen jobs' original IDs resolvable, and a
-// fairness-tagged one with fairness off would drop the tenant ledger.
+// for: a fairness-tagged one with fairness off would drop the tenant
+// ledger. Steal tags need no configuration — every shard keeps redirects
+// and feeds the steal ledger, stealing or not.
 func (sh *shard) refuseTags(rec *journal.Record) error {
-	if sh.ledger == nil && (rec.Type == journal.TypeSteal || len(rec.From) != 0 || rec.Steal != nil) {
-		return errors.New("is steal-tagged but stealing is disabled; refusing to drop redirect state (restart with -steal, or move the journal away)")
-	}
 	if sh.fair == nil && (rec.Type == journal.TypeFair || rec.Fair != nil || rec.Tenant != "") {
 		return errors.New("is fairness-tagged but fairness is disabled; refusing to drop tenant state (restart with -fairness, or move the journal away)")
 	}
@@ -211,11 +208,14 @@ func (sh *shard) Cancelled(id int) {
 
 // Stolen implements journal.Observer: the victim half of a steal. Each
 // withdrawn job's original ID redirects to its new home, so status and
-// cancel keep resolving (Service.resolve follows the chain).
+// cancel keep resolving (Service.resolve follows the chain). The job
+// leaves this shard's in-flight ledger, which only a fairness-enabled
+// restart over a steal journal has charged it to.
 func (sh *shard) Stolen(rec journal.Record, specs []sim.JobSpec) {
 	sh.out.withdrawn = specs
 	for k, id := range rec.IDs {
 		sh.tab.setRedirect(id, composeID(rec.To, rec.NBase+k))
+		sh.fairForgetLocked(id)
 		sh.retireLocked(id)
 	}
 	sh.ledger.stolen(sh.idx, rec, specs)

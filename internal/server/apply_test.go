@@ -301,11 +301,35 @@ func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) {
 	agree(pv, rv, true)
 	agree(fv, rv, false)
 	requireIdentical(t, restarted, follower)
+	if mode != "steal" {
+		return
+	}
+
+	// The same journals restarted without stealing replay the same steal
+	// records through the same hooks: only the Stats.Steal a steal-off
+	// service omits may differ.
+	drainlessClose(t, restarted)
+	offCfg := applyPathsConfig(pdir, mode, retire)
+	offCfg.Steal = false
+	off, err := New(offCfg)
+	if err != nil {
+		t.Fatalf("seed %d: steal-off restart over the primary's journal: %v", seed, err)
+	}
+	defer drainlessClose(t, off)
+	ov := snapshot("steal-off restart", off)
+	if ov.stats.Steal != nil {
+		t.Fatalf("seed %d: steal-off restart reports Stats.Steal %+v", seed, ov.stats.Steal)
+	}
+	ov.stats.Steal = rv.stats.Steal
+	agree(rv, ov, false)
+	requireIdentical(t, restarted, off)
+	requireSameRedirects(t, restarted, off)
 }
 
-// TestRefusedSnapshotChangesNothing feeds a steal-tagged snapshot to a
-// steal-off follower: the refusal must come before the ledger, the journal
-// file or the engine is touched, and the stream must carry on afterwards.
+// TestRefusedSnapshotChangesNothing feeds a follower a fair snapshot
+// accumulated under a half-life it was not configured with: the refusal
+// must come before the ledger, the journal file or the engine is touched,
+// and the stream must carry on afterwards.
 func TestRefusedSnapshotChangesNothing(t *testing.T) {
 	mk := func(follower bool) (*Service, string) {
 		cfg := fairConfig(1, 2)
@@ -337,7 +361,7 @@ func TestRefusedSnapshotChangesNothing(t *testing.T) {
 		Type:  journal.TypeSnap,
 		Snap:  &cp,
 		Seq:   follower.ReplicationSeqs()[0] + 3,
-		Fair:  &journal.FairState{V: 1, HalfLife: fairshare.DefaultHalfLife, Usage: map[string]fairshare.Usage{"ghost": {V: 99}}},
+		Fair:  &journal.FairState{V: 1, HalfLife: 2 * fairshare.DefaultHalfLife, Usage: map[string]fairshare.Usage{"ghost": {V: 99}}},
 		Steal: &journal.StealState{V: 1, In: 2},
 	}
 	wal := func() []byte {
@@ -348,8 +372,8 @@ func TestRefusedSnapshotChangesNothing(t *testing.T) {
 		return b
 	}
 	walBefore, statsBefore, ledgerBefore := wal(), follower.Stats(), snapshotLedger(follower.shards[0])
-	if err := follower.ApplyReplicatedSnap(0, rec); err == nil || !strings.Contains(err.Error(), "-steal") {
-		t.Fatalf("steal-tagged snapshot on a steal-off follower: %v, want a refusal naming -steal", err)
+	if err := follower.ApplyReplicatedSnap(0, rec); err == nil || !strings.Contains(err.Error(), "half-life") {
+		t.Fatalf("snapshot under another half-life: %v, want a refusal naming the half-life", err)
 	}
 	if !bytes.Equal(wal(), walBefore) {
 		t.Error("refused snapshot rewrote the follower's WAL")

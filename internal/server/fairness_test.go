@@ -618,16 +618,15 @@ func TestFairGateMatchesShares(t *testing.T) {
 							specs[i].Release = 1 << 30
 						}
 					}
-					// The oracle resolves the header, creating any dynamic
-					// leaf, and the batch goes in under the leaf's own path:
-					// Ensure on an interior node's path is not idempotent.
+					// The oracle resolves the header first, creating any
+					// dynamic leaf; the gate resolves it again to the same one.
 					fc := svc.fair
 					fc.mu.Lock()
 					leaf := fc.tree.Ensure(tenant)
 					states := fairStates(svc, leaf.Path)
 					fits := states[leaf.Path].InFlight+len(specs) <= fc.tree.Shares(states, cfg.MaxInFlight)[leaf.Path]
 					fc.mu.Unlock()
-					got, err := svc.SubmitBatchTenant(tenant, leaf.Path, specs)
+					got, err := svc.SubmitBatchTenant(tenant, tenant, specs)
 					if errors.Is(err, ErrOverQuota) == fits {
 						t.Fatalf("seed %d op %d: %d jobs for %q (%s): gate err %v, oracle fits=%v", seed, op, len(specs), tenant, leaf.Path, err, fits)
 					}

@@ -183,14 +183,12 @@ func (sh *shard) maybeCompact() {
 		st := sh.fairStateLocked()
 		rec.Fair = &st
 	}
-	if sh.ledger != nil {
-		// Steal state rides the snapshot the same way: the dropped records
-		// held the stolen-in count and the redirects that keep original IDs
-		// resolvable. Omitted while empty so a steal-enabled shard that
-		// never stole keeps byte-identical snapshots.
-		if redirs := sh.tab.redirects(); sh.stolenIn > 0 || len(redirs) > 0 {
-			rec.Steal = &journal.StealState{V: 1, In: sh.stolenIn, Redirects: redirs}
-		}
+	// Steal state rides the snapshot the same way: the dropped records held
+	// the stolen-in count and the redirects that keep original IDs
+	// resolvable. Omitted while empty so a shard that never took part in a
+	// steal keeps byte-identical snapshots.
+	if redirs := sh.tab.redirects(); sh.stolenIn > 0 || len(redirs) > 0 {
+		rec.Steal = &journal.StealState{V: 1, In: sh.stolenIn, Redirects: redirs}
 	}
 	if err := sh.jn.Compact(rec); err == nil {
 		sh.applied = 1 // the snapshot is now the whole logical sequence

@@ -105,12 +105,15 @@ type Config struct {
 	RetireDone bool
 	// Steal enables cross-shard work stealing: an idle shard's step loop
 	// pulls whole pending jobs off the peer with the deepest estimated
-	// backlog, journaled on both sides so replay and warm-standby followers
-	// rebuild the moves bit-identically, with the original namespaced IDs
+	// backlog, journaled on both sides, with the original namespaced IDs
 	// kept resolvable through redirects. It also upgrades "least-loaded"
 	// placement from in-flight counts to the estimated-remaining-work
-	// gauge. Mutually exclusive with Fairness (stolen jobs would escape
-	// their tenant's ledger). See steal.go.
+	// gauge, and adds Stats.Steal. Replay does not depend on it: every
+	// Service — restart, follower, steal-off — rebuilds journaled steals
+	// and repairs split pairs through the same apply hooks, and only a
+	// steal-enabled one starts steals of its own. Mutually exclusive with
+	// Fairness (stolen jobs would escape their tenant's ledger). See
+	// steal.go.
 	Steal bool
 	// Fairness, when set, enables hierarchical multi-tenant fair-share
 	// admission: submissions resolve their X-Krad-Tenant header through
@@ -205,7 +208,7 @@ type Service struct {
 	place     Placement
 	fan       *fanout
 	fair      *fairController // nil when fairness is off
-	ledger    *stealLedger    // nil when stealing is off
+	ledger    *stealLedger    // steal reconciliation, shared with every shard
 	schedName string
 	retryVals [4]string     // Retry-After values base..base+3s; base from StepEvery
 	retrySeq  atomic.Uint32 // round-robin cursor into retryVals
@@ -247,6 +250,7 @@ func New(cfg Config) (*Service, error) {
 	base := cfg.MaxInFlight / cfg.Shards
 	extra := cfg.MaxInFlight % cfg.Shards
 	shards := make([]*shard, cfg.Shards)
+	ledger := newStealLedger()
 	schedName := ""
 	for i := range shards {
 		simCfg := cfg.Sim
@@ -267,6 +271,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		sh.standby = cfg.Follower
 		sh.retireDone = cfg.RetireDone
+		sh.ledger = ledger
 		shards[i] = sh
 	}
 	s := &Service{
@@ -274,21 +279,16 @@ func New(cfg Config) (*Service, error) {
 		shards:    shards,
 		place:     place,
 		fan:       fan,
+		ledger:    ledger,
 		schedName: schedName,
 		follower:  cfg.Follower,
 	}
-	if cfg.Steal {
-		s.ledger = newStealLedger()
+	if cfg.Steal && len(shards) > 1 {
+		// One steal attempt per idle probe, driven from each shard's own
+		// step loop; a single-shard fleet has no victims.
 		for _, sh := range shards {
-			sh.ledger = s.ledger
-		}
-		if len(shards) > 1 {
-			// One steal attempt per idle probe, driven from each shard's own
-			// step loop; a single-shard fleet has no victims.
-			for _, sh := range shards {
-				sh := sh
-				sh.stealFn = func() bool { return s.stealFor(sh) }
-			}
+			sh := sh
+			sh.stealFn = func() bool { return s.stealFor(sh) }
 		}
 	}
 	for i := range s.retryVals {
@@ -444,9 +444,10 @@ func (s *Service) SubmitBatchTenant(key, tenant string, specs []sim.JobSpec) ([]
 
 // StepAll executes up to max virtual steps on every shard by direct
 // calls, returning the total executed across shards. It exists for
-// deterministic closed-loop drivers — cmd/kradfair — that never Start
-// the service and instead interleave submissions with hand-driven
-// stepping; on a started service it would race the step loops.
+// deterministic closed-loop drivers — the benchmark's workloads and the
+// fair-share closed-loop golden test — that never Start the service and
+// instead interleave submissions with hand-driven stepping; on a started
+// service it would race the step loops.
 func (s *Service) StepAll(max int64) (int64, error) {
 	var total int64
 	for _, sh := range s.shards {

@@ -52,9 +52,9 @@ type shard struct {
 	resp metrics.Hist
 
 	// Work stealing (see steal.go). ledger is the service-wide steal
-	// reconciliation ledger, shared by every shard; non-nil marks the shard
-	// part of a steal-enabled fleet, whose journal may carry steal records.
-	// stealFn, set by the service, attempts one steal on behalf of this
+	// reconciliation ledger, shared by every shard: any shard's journal may
+	// carry steal records, whether or not this service steals. stealFn,
+	// set by a steal-enabled service, attempts one steal on behalf of this
 	// shard and reports whether it moved work. stolenIn counts jobs this
 	// shard re-admitted from victims — kept out of submitted so external
 	// admission counters survive replay rebuilds (submitted = engine
@@ -313,14 +313,6 @@ func (sh *shard) err() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.stepErr
-}
-
-// inFlight returns the shard's pending + active job count (the placement
-// load signal).
-func (sh *shard) inFlight() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.eng.Remaining()
 }
 
 // view snapshots the shard's counters for aggregation and, under the same

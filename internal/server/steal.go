@@ -28,6 +28,11 @@ import (
 //
 // A crash can still land between the two records; reconcileSteals repairs
 // that at startup and at follower promotion, before any step loop runs.
+// Replay, the ledger and the repair belong to every Service: one built
+// without Config.Steal rebuilds journaled moves and repairs split pairs
+// exactly as a stealing one does — K-RAD's bounds hold shard by shard and
+// only unreleased jobs ever move, so no shard's schedule depends on who
+// stole — it just never starts a steal of its own.
 
 // stealProbeEvery bounds how long an idle steal-enabled shard parks
 // before re-probing for victims: work arriving at a peer never kicks this
@@ -218,9 +223,6 @@ func (s *Service) stealFor(thief *shard) bool {
 // that is a hard error, never a silent repair. Each repair is an ordinary
 // committed record, so its apply hooks settle the ledger entry it fixes.
 func (s *Service) reconcileSteals() error {
-	if s.ledger == nil {
-		return nil
-	}
 	// Snapshot under the ledger lock alone (lock order is shard.mu →
 	// ledger.mu), in deterministic ID order so repairs journal identically
 	// across identical crashes.

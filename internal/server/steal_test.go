@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -161,6 +163,18 @@ func requireRetiredOnVictim(t *testing.T, svc *Service, id int) {
 	defer sh.mu.Unlock()
 	if st, ok := sh.eng.JobRef(LocalID(id)); ok {
 		t.Fatalf("stolen job %d still held by its victim's engine: %+v", id, st)
+	}
+}
+
+// requireSameRedirects asserts two services' ID tables send every stolen
+// job's original ID to the same place.
+func requireSameRedirects(t *testing.T, a, b *Service) {
+	t.Helper()
+	for i := range a.shards {
+		ar, br := a.shards[i].tab.redirects(), b.shards[i].tab.redirects()
+		if !reflect.DeepEqual(ar, br) {
+			t.Fatalf("shard %d: redirects differ\n%v\n%v", i, ar, br)
+		}
 	}
 }
 
@@ -434,9 +448,9 @@ func TestStealCrashBetweenRecords(t *testing.T) {
 // half, cannot repair it (the job already ran) and refuses. The refusal
 // changes nothing on disk, so the journals stay recoverable by hand.
 //
-// ROADMAP item 3 (the binary codec, whose snapshot records which steal
-// pairs it settled) is the change that must flip this test to a clean
-// restart with 4 completed jobs.
+// ROADMAP item 3(iii), a snapshot that records which steal pairs it
+// settled, is the change that must flip this test to a clean restart with
+// 4 completed jobs.
 func TestStealHalfCompactedRefusesRestart(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -495,25 +509,106 @@ func TestStealHalfCompactedRefusesRestart(t *testing.T) {
 	}
 }
 
-// TestStealOffRestartRefusesStealJournal pins the mismatch error: a
-// journal holding steal records cannot replay on a steal-disabled build
-// (dropping the redirects would orphan every moved job's identity).
-func TestStealOffRestartRefusesStealJournal(t *testing.T) {
+// TestStealOffRestartReplaysStealJournal restarts journals holding a steal
+// pair, mid-run, on services that do not steal, one plain and one
+// fair-share, and holds each to what a stealing restart over the same
+// files builds: every job's status, the redirects and the Stats at
+// restart, and the engines once all three have stepped to idle. Only
+// Stats.Steal, which a steal-off service omits, differs. The fair-share
+// restart charges the victim's admissions to the default leaf and the
+// steal record takes the stolen ones off it again, so after the drain
+// nothing is left in flight.
+func TestStealOffRestartReplaysStealJournal(t *testing.T) {
 	cfg := journaledStealConfig(t, 2, 1, 1)
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitBurst(t, svc, 0, 4, 2, 0)
+	// The long job holds the victim's clock below the burst's release, so
+	// the burst is still pending when the thief comes.
+	long, err := svc.shards[0].submit("", sim.JobSpec{Graph: dag.UniformChain(1, 40, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := append(submitBurst(t, svc, 0, 6, 3, 100), composeID(0, long))
+	stepShard(t, svc, 0)
 	if !svc.stealFor(svc.shards[1]) {
 		t.Fatal("steal moved nothing")
 	}
+	stepShard(t, svc, 0)
+	stepShard(t, svc, 1)
 	drainlessClose(t, svc)
 
-	off := restartStealConfig(cfg)
-	off.Steal = false
-	if _, err := New(off); err == nil || !strings.Contains(err.Error(), "-steal") {
-		t.Fatalf("steal-off restart over a steal journal: %v, want an error naming -steal", err)
+	// Each restart runs over its own copy of the journals, so all three can
+	// step to idle side by side.
+	restart := func(steal, fair bool) *Service {
+		c := restartStealConfig(cfg)
+		c.Journal.Dir = t.TempDir()
+		for i := range c.Shards {
+			copyFile(t, shardJournalPath(cfg.Journal.Dir, i), shardJournalPath(c.Journal.Dir, i))
+		}
+		c.Steal = steal
+		if fair {
+			c.Fairness = &fairshare.Config{}
+		}
+		svc, err := New(c)
+		if err != nil {
+			t.Fatalf("steal=%v fairness=%v: restart over a steal journal: %v", steal, fair, err)
+		}
+		t.Cleanup(func() { drainlessClose(t, svc) })
+		return svc
+	}
+	on := restart(true, false)
+	offs := []*Service{restart(false, false), restart(false, true)}
+	agree := func(stage string) {
+		t.Helper()
+		want := comparableStats(on)
+		if want.Steal == nil || want.Steal.Stolen == 0 {
+			t.Fatalf("%s: stealing restart reports steal state %+v, want the replayed steal", stage, want.Steal)
+		}
+		for k, off := range offs {
+			got := comparableStats(off)
+			if got.Steal != nil {
+				t.Fatalf("%s: steal-off restart %d reports Stats.Steal %+v", stage, k, got.Steal)
+			}
+			got.Steal, got.Tenants = want.Steal, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: steal-off restart %d Stats\n got %+v\nwant %+v", stage, k, got, want)
+			}
+			for _, id := range ids {
+				a, aok := on.Job(id)
+				b, bok := off.Job(id)
+				if !aok || !bok || !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s: job %d: steal-off restart %d %+v (%v), stealing restart %+v (%v)", stage, id, k, b, bok, a, aok)
+				}
+			}
+			requireSameRedirects(t, on, off)
+		}
+	}
+	agree("at restart")
+	// Step only: a stealing restart left to drainManually would steal again.
+	for _, svc := range append([]*Service{on}, offs...) {
+		for {
+			n, err := svc.StepAll(stepBatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+		}
+	}
+	agree("drained")
+	if st := on.Stats(); st.Completed != int64(len(ids)) {
+		t.Fatalf("drained %d of %d jobs", st.Completed, len(ids))
+	}
+	for _, off := range offs {
+		requireIdentical(t, on, off)
+		for _, ts := range off.Stats().Tenants {
+			if ts.InFlight != 0 {
+				t.Fatalf("tenant %s has %d in flight after the drain", ts.Path, ts.InFlight)
+			}
+		}
 	}
 }
 
@@ -527,12 +622,21 @@ func TestStealFairnessMutuallyExclusive(t *testing.T) {
 }
 
 // TestStealReplicationAndPromotion streams a steal's record pair to a
-// warm standby: the follower's engines must track the primary
-// bit-identically, resolve original IDs through rebuilt redirects, and
-// finish the stolen work after promotion.
+// warm standby, stealing or not: the follower's engines must track the
+// primary bit-identically, resolve original IDs through rebuilt redirects,
+// and finish the stolen work after promotion.
 func TestStealReplicationAndPromotion(t *testing.T) {
+	for _, steal := range []bool{true, false} {
+		t.Run(fmt.Sprintf("follower steal=%v", steal), func(t *testing.T) {
+			stealReplicationAndPromotion(t, steal)
+		})
+	}
+}
+
+func stealReplicationAndPromotion(t *testing.T, followerSteals bool) {
 	fcfg := journaledStealConfig(t, 2, 1, 1)
 	fcfg.RetireDone = true
+	fcfg.Steal = followerSteals
 	follower, rcv, addr := startFollower(t, fcfg, 0)
 
 	pcfg := journaledStealConfig(t, 2, 1, 1)
@@ -554,8 +658,9 @@ func TestStealReplicationAndPromotion(t *testing.T) {
 	waitCaughtUp(t, primary, follower)
 	requireIdentical(t, primary, follower)
 
+	requireSameRedirects(t, primary, follower)
 	pst, fst := primary.Stats(), follower.Stats()
-	if fst.Steal == nil || *fst.Steal != *pst.Steal {
+	if followerSteals && (fst.Steal == nil || *fst.Steal != *pst.Steal) {
 		t.Fatalf("follower steal state %+v, primary %+v", fst.Steal, pst.Steal)
 	}
 	for _, id := range ids {
