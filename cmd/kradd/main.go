@@ -250,7 +250,7 @@ func main() {
 		log.Fatal("-replicate-to and -follow are mutually exclusive: a daemon is the primary or the standby, not both")
 	}
 	if (o.repTo != "" || o.follow != "") && o.journal == "" {
-		log.Fatal("replication requires -journal-dir: the journal is both the catch-up source (primary) and the durable apply log (follower)")
+		log.Fatal("replication requires -journal-dir: the journal is both what the primary ships and the durable apply log (follower)")
 	}
 	var fairCfg *fairshare.Config
 	if o.fair || o.fairCfg != "" {
@@ -332,18 +332,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Replication wiring: the sender attaches before Start and before the
-	// handler swap, so every committed record reaches the hook; records
-	// journaled before this instant (replayed history, the fairness head)
-	// are covered by seeding the sender's cursors from the journal.
+	// Replication wiring: the sender ships each shard's WAL and attaches
+	// before Start and before the handler swap, so every committed record
+	// wakes it; attaching reports what the journals already hold (replayed
+	// history, the fairness head).
 	var sender *replicate.Sender
 	var receiver *replicate.Receiver
 	if o.repTo != "" {
 		sender, err = replicate.NewSender(replicate.SenderConfig{
 			Addr:      o.repTo,
 			Epoch:     o.epoch,
-			Shards:    svc.Shards(),
-			CatchUp:   server.JournalCatchUp(o.journal),
+			WAL:       svc.JournalPaths(),
 			Heartbeat: o.repHB,
 			Lease:     o.lease,
 			Logf:      log.Printf,
@@ -351,7 +350,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sender.Seed(svc.ReplicationSeqs())
 		svc.SetReplicator(sender)
 		svc.SetReplicationStats(func() *server.ReplicationStats {
 			st := sender.Stats()

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -406,20 +408,26 @@ func realBinaries(t *testing.T) (dir, kradd, replay, addr string) {
 			t.Fatalf("build %s: %v\n%s", pkg, err, out)
 		}
 	}
+	return dir, kradd, replay, freeAddr(t)
+}
+
+// freeAddr picks a free loopback address.
+func freeAddr(t *testing.T) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr = l.Addr().String()
-	l.Close()
-	return dir, kradd, replay, addr
+	defer l.Close()
+	return l.Addr().String()
 }
 
 // startKradd runs the kradd binary on addr with args and waits for /readyz
-// to answer 200. stop interrupts the daemon and waits for it to exit,
-// killing it after 30 s of draining; it also runs at cleanup, and calls
+// to answer 200, or a standby's to say it is following. stop interrupts
+// the daemon and waits for it to exit, killing it after 30 s of draining,
+// or with kill set SIGKILLs it at once; it also runs at cleanup, and calls
 // after the first do nothing.
-func startKradd(t *testing.T, bin, addr string, args ...string) (stop func()) {
+func startKradd(t *testing.T, bin, addr string, args ...string) (stop func(kill bool)) {
 	t.Helper()
 	daemon := exec.Command(bin, append([]string{"-addr", addr}, args...)...)
 	daemon.Stdout = os.Stderr
@@ -428,9 +436,13 @@ func startKradd(t *testing.T, bin, addr string, args ...string) (stop func()) {
 		t.Fatal(err)
 	}
 	var once sync.Once
-	stop = func() {
+	stop = func(kill bool) {
 		once.Do(func() {
-			daemon.Process.Signal(os.Interrupt)
+			if kill {
+				daemon.Process.Kill()
+			} else {
+				daemon.Process.Signal(os.Interrupt)
+			}
 			done := make(chan struct{})
 			go func() { daemon.Wait(); close(done) }()
 			select {
@@ -441,13 +453,14 @@ func startKradd(t *testing.T, bin, addr string, args ...string) (stop func()) {
 			}
 		})
 	}
-	t.Cleanup(stop)
+	t.Cleanup(func() { stop(false) })
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		resp, err := http.Get("http://" + addr + "/readyz")
 		if err == nil {
+			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
+			if resp.StatusCode == http.StatusOK || strings.Contains(string(body), "following") {
 				return stop
 			}
 		}

@@ -86,7 +86,7 @@ func TestStealSmokeRealKradd(t *testing.T) {
 
 	// Restart without -steal: the steal records replay all the same. The
 	// thieves' admissions name each stolen job's original ID.
-	stop()
+	stop(false)
 	var stolen []int
 	wals, err := filepath.Glob(filepath.Join(jdir, "shard-*.wal"))
 	if err != nil {

@@ -7,47 +7,21 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"krad/internal/dag"
-	"krad/internal/sim"
 )
 
 // FuzzJournalDecode feeds arbitrary bytes — seeded with real journals,
-// truncations, and bit-flips — through the decoder. The invariants: never
-// panic, and every record returned must be CRC-valid and a strict prefix
-// of the frames actually present (no phantom records conjured from noise).
+// truncations, NUL fill and bit-flips — through the decoder. The
+// invariants: never panic, and every record returned must be CRC-valid and
+// a strict prefix of the frames actually present (no phantom records
+// conjured from noise). The same bytes, appended to a live file in two
+// writes split where the fuzzer says, must read alike through a Tail
+// (checkTail).
 func FuzzJournalDecode(f *testing.F) {
-	// Seed with a real journal.
-	dir := f.TempDir()
-	path := filepath.Join(dir, "seed.wal")
-	j, _, err := Open(path, Options{})
-	if err != nil {
-		f.Fatal(err)
+	for i, seed := range decodeSeeds(f) {
+		f.Add(seed, uint(i*7))
 	}
-	admit, err := AdmitRecord(0, []sim.JobSpec{{Graph: dag.UniformChain(1, 3, 1)}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, rec := range []Record{admit, StepRecord(1), CancelRecord(0), StepRecord(2)} {
-		if err := j.Append(rec); err != nil {
-			f.Fatal(err)
-		}
-	}
-	j.Close()
-	seed, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-3])
-	f.Add(seed[:len(magic)])
-	f.Add([]byte{})
-	f.Add([]byte("KRADWAL\x02garbage"))
-	flipped := append([]byte(nil), seed...)
-	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, split uint) {
+		checkTail(t, data, int(split%uint(len(data)+1)))
 		recs, _, err := decodeAll(data)
 		if err != nil {
 			return

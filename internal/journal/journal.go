@@ -223,9 +223,9 @@ func Open(path string, opts Options) (*Journal, []Record, error) {
 // ReadFile decodes the journal at path without opening it for append and
 // without repairing it: a torn tail is simply ignored. Because nothing is
 // truncated or locked, it is safe to call on a live journal that another
-// goroutine (or process) is appending to — replication catch-up reads the
-// primary's own WAL this way, and a record torn by a concurrent append
-// shows up on the next read. A missing file decodes as empty.
+// goroutine (or process) is appending to; a record torn by a concurrent
+// append shows up on the next read (Tail reads a live journal
+// incrementally). A missing file decodes as empty.
 func ReadFile(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -258,41 +258,13 @@ func decodeAll(data []byte) (recs []Record, goodLen int64, err error) {
 		return nil, 0, fmt.Errorf("%w: header %q", ErrVersion, data[:len(magic)])
 	}
 	off := int64(len(magic))
-	size := int64(len(data))
-	for off < size {
-		if size-off < headerLen {
-			// Partial frame header at EOF: the append was cut short.
-			return recs, off, nil
+	for {
+		payload, err := frameAt(data, off)
+		if err != nil {
+			return recs, off, fmt.Errorf("%w at offset %d (record %d)", err, off, len(recs))
 		}
-		length := int64(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if length == 0 {
-			// Appends write whole frames, and a real payload is never
-			// empty, so a zero length is NUL-fill — the block padding a
-			// crash leaves behind unflushed appends. That padding runs to
-			// EOF; a zero length with live bytes after it means the file
-			// was damaged in place.
-			if !zeroTail(data, off) {
-				return recs, off, fmt.Errorf("%w: zero-length frame at offset %d followed by data", ErrCorrupt, off)
-			}
+		if payload == nil {
 			return recs, off, nil
-		}
-		if length > maxRecordLen || off+headerLen+length > size {
-			// The declared payload overruns EOF: a torn append. (A huge
-			// garbage length always lands here — the file cannot contain
-			// it.)
-			return recs, off, nil
-		}
-		payload := data[off+headerLen : off+headerLen+length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			if off+headerLen+length == size {
-				// The final record's payload was torn mid-write.
-				return recs, off, nil
-			}
-			// Intact framing continues after this record, so the crash
-			// cannot explain the damage: refuse to silently forget an
-			// acknowledged mutation.
-			return recs, off, fmt.Errorf("%w: bad CRC at offset %d (record %d)", ErrCorrupt, off, len(recs))
 		}
 		rec, derr := decodeRecord(payload)
 		if derr != nil {
@@ -304,19 +276,52 @@ func decodeAll(data []byte) (recs []Record, goodLen int64, err error) {
 			return recs, off, fmt.Errorf("%w: offset %d: snapshot record %d is not at the journal head", ErrCorrupt, off, len(recs))
 		}
 		recs = append(recs, rec)
-		off += headerLen + length
+		off += headerLen + int64(len(payload))
 	}
-	return recs, off, nil
 }
 
-// zeroTail reports whether every byte from off to EOF is NUL.
-func zeroTail(data []byte, off int64) bool {
-	for _, b := range data[off:] {
-		if b != 0 {
-			return false
-		}
+// frameAt reads the frame at off of data, a journal image that ends where
+// the file does: the payload of a complete, CRC-valid frame; nil and no
+// error where no complete frame starts, which is the torn tail of an
+// append a crash (or, on a live file, a concurrent writer) cut short; and
+// ErrCorrupt where damage has intact data after it.
+func frameAt(data []byte, off int64) ([]byte, error) {
+	size := int64(len(data))
+	if size-off < headerLen {
+		// Partial frame header at EOF: the append was cut short.
+		return nil, nil
 	}
-	return true
+	length := int64(binary.LittleEndian.Uint32(data[off:]))
+	sum := binary.LittleEndian.Uint32(data[off+4:])
+	if length == 0 {
+		// Appends write whole frames, and a real payload is never empty, so
+		// a zero length is NUL-fill — the block padding a crash leaves
+		// behind unflushed appends. That padding runs to EOF; a zero length
+		// with live bytes after it means the file was damaged in place.
+		for _, b := range data[off:] {
+			if b != 0 {
+				return nil, fmt.Errorf("%w: zero-length frame followed by data", ErrCorrupt)
+			}
+		}
+		return nil, nil
+	}
+	if length > maxRecordLen || off+headerLen+length > size {
+		// The declared payload overruns EOF: a torn append. (A huge garbage
+		// length always lands here — the file cannot contain it.)
+		return nil, nil
+	}
+	payload := data[off+headerLen : off+headerLen+length]
+	if crc32.ChecksumIEEE(payload) != sum {
+		if off+headerLen+length == size {
+			// The final record's payload was torn mid-write.
+			return nil, nil
+		}
+		// Intact framing continues after this record, so the crash cannot
+		// explain the damage: refuse to silently forget an acknowledged
+		// mutation.
+		return nil, fmt.Errorf("%w: bad CRC", ErrCorrupt)
+	}
+	return payload, nil
 }
 
 // Path returns the journal's file path.

@@ -35,7 +35,7 @@ func mustAppend(t *testing.T, j *Journal, rec Record) {
 
 // testRecords is a representative mutation sequence: a single admit, a
 // batch, steps, and a cancel.
-func testRecords(t *testing.T) []Record {
+func testRecords(t testing.TB) []Record {
 	t.Helper()
 	admit, err := AdmitRecord(0, []sim.JobSpec{{Graph: dag.UniformChain(1, 3, 1)}})
 	if err != nil {

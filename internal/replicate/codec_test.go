@@ -3,6 +3,8 @@ package replicate
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"path/filepath"
 	"testing"
 
 	"krad/internal/journal"
@@ -56,5 +58,97 @@ func TestFrameGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		framesEqual(t, []Frame{back, oracle}, []Frame{f, f})
+	}
+
+	// Frames spliced from a WAL's payloads are the bytes WriteFrame writes
+	// for the records they decode to: TestRecordGolden's records, every
+	// type, as internal/journal's testdata/golden.wal holds them, the
+	// snapshot at its head.
+	wal := filepath.Join("..", "journal", "testdata", "golden.wal")
+	recs, err := journal.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := journal.OpenTail(wal, 1)
+	defer tail.Close()
+	cursor, head := int64(1), recs[0].Seq
+	for _, want := range []Frame{
+		{T: FrameSnap, Epoch: 9, Shard: 2, Seq: head, Recs: recs[:1]},
+		{T: FrameRecs, Epoch: 9, Shard: 2, Seq: head + 1, Recs: recs[1:]},
+	} {
+		got, err := appendWAL(nil, 9, 2, tail, &cursor, math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := writeFrame(t, want); !bytes.Equal(got, w) {
+			t.Errorf("%s frame spliced from the WAL:\n %q\nWriteFrame:\n %q", want.T, got, w)
+		}
+	}
+	if want := head + int64(len(recs)); cursor != want {
+		t.Errorf("cursor %d after the WAL, want %d", cursor, want)
+	}
+}
+
+// writeFrame returns f as WriteFrame writes it.
+func writeFrame(t *testing.T, f Frame) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := WriteFrame(&b, f); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestSnapshotEndsSplicedBatch: a snapshot the WAL reader reaches
+// mid-batch — two compactions renamed past a file it was still reading —
+// closes the recs frame, follows alone in its snap frame, and the next
+// batch resumes after it.
+func TestSnapshotEndsSplicedBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard-000.wal")
+	j, _, err := journal.Open(path, journal.Options{Sync: journal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	step := func(now int64) journal.Record {
+		rec := journal.StepRecord(now)
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	snap := func(seq int64) journal.Record {
+		rec := journal.Record{Type: journal.TypeSnap, Seq: seq, Snap: &sim.EngineCheckpoint{Now: seq, NextID: 1}}
+		if err := j.Compact(rec); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	r1, r2 := step(1), step(2)
+	tail := journal.OpenTail(path, 1)
+	defer tail.Close()
+	cursor := int64(1)
+	if got, err := appendWAL(nil, 1, 0, tail, &cursor, 0); err != nil || len(got) != 0 {
+		t.Fatalf("read %q (%v) past limit 0", got, err)
+	}
+	snap(2)
+	step(3)
+	s4 := snap(4)
+	r5 := step(5)
+	got, err := appendWAL(nil, 1, 0, tail, &cursor, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(writeFrame(t, Frame{T: FrameRecs, Epoch: 1, Seq: 1, Recs: []journal.Record{r1, r2}}),
+		writeFrame(t, Frame{T: FrameSnap, Epoch: 1, Seq: 4, Recs: []journal.Record{s4}})...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("spliced\n %q\nwant\n %q", got, want)
+	}
+	got, err = appendWAL(nil, 1, 0, tail, &cursor, 5)
+	if want := writeFrame(t, Frame{T: FrameRecs, Epoch: 1, Seq: 5, Recs: []journal.Record{r5}}); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("after the snapshot: spliced %q (%v), want %q", got, err, want)
+	}
+	if cursor != 6 {
+		t.Fatalf("cursor %d, want 6", cursor)
 	}
 }

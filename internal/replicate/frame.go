@@ -246,6 +246,20 @@ func (f *Frame) readJSON(s *wire.Scanner) error {
 }
 
 func (f *Frame) appendJSON(dst []byte) ([]byte, error) {
+	dst = f.appendHead(dst)
+	for i, r := range f.Recs {
+		var err error
+		if dst, err = journal.AppendRecord(recSep(dst, i), r); err != nil {
+			return nil, fmt.Errorf("replicate: %s frame record %d: %w", f.T, i, err)
+		}
+	}
+	return closeRecs(dst, len(f.Recs)), nil
+}
+
+// appendHead appends the frame's fields up to its records. The payload of
+// each record may follow, after recSep: encoded by journal.AppendRecord,
+// or spliced from a WAL that it wrote. closeRecs ends the frame.
+func (f *Frame) appendHead(dst []byte) []byte {
 	dst = append(dst, `{"t":`...)
 	dst = wire.AppendString(dst, string(f.T))
 	dst = append(dst, `,"epoch":`...)
@@ -256,19 +270,31 @@ func (f *Frame) appendJSON(dst []byte) ([]byte, error) {
 	if len(f.Next) != 0 {
 		dst = wire.AppendInts(append(dst, `,"next":`...), f.Next)
 	}
-	if len(f.Recs) != 0 {
-		sep := byte('[')
-		dst = append(dst, `,"recs":`...)
-		for i, r := range f.Recs {
-			var err error
-			if dst, err = journal.AppendRecord(append(dst, sep), r); err != nil {
-				return nil, fmt.Errorf("replicate: %s frame record %d: %w", f.T, i, err)
-			}
-			sep = ','
-		}
+	return dst
+}
+
+// recSep appends what precedes a frame's i-th record.
+func recSep(dst []byte, i int) []byte {
+	if i == 0 {
+		return append(dst, `,"recs":[`...)
+	}
+	return append(dst, ',')
+}
+
+// closeRecs ends a frame that holds n records.
+func closeRecs(dst []byte, n int) []byte {
+	if n != 0 {
 		dst = append(dst, ']')
 	}
-	return append(dst, '}'), nil
+	return append(dst, '}')
+}
+
+// seal fills in the length and CRC of the frame that starts at start of
+// buf and runs to its end.
+func seal(buf []byte, start int) {
+	payload := buf[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 }
 
 // WriteMagic opens a stream direction.
@@ -298,9 +324,7 @@ func WriteFrame(w io.Writer, f Frame) error {
 	if err != nil {
 		return err
 	}
-	payload := buf[frameHeaderLen:]
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
+	seal(buf, 0)
 	_, err = w.Write(buf)
 	return err
 }
@@ -332,46 +356,4 @@ func ReadFrame(br *bufio.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: bad CRC", ErrFrameCorrupt)
 	}
 	return DecodeFrame(payload)
-}
-
-// DecodeStream parses a captured stream image — magic followed by frames
-// — returning the intact frames and the byte length of the valid prefix.
-// It is the offline mirror of ReadFrame used by the torn-frame tests and
-// fuzzer: a frame cut short at the tail is reported by goodLen <
-// len(data) with a nil error (exactly a journal torn tail), while a
-// damaged frame is an error.
-func DecodeStream(data []byte) (frames []Frame, goodLen int64, err error) {
-	if len(data) < len(streamMagic) {
-		return nil, 0, nil
-	}
-	if string(data[:len(streamMagic)]) != string(streamMagic) {
-		return nil, 0, fmt.Errorf("%w: header %q", ErrStreamVersion, data[:len(streamMagic)])
-	}
-	off := int64(len(streamMagic))
-	size := int64(len(data))
-	for off < size {
-		if size-off < frameHeaderLen {
-			return frames, off, nil
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if length == 0 || length > maxFrameLen {
-			return frames, off, fmt.Errorf("%w: frame %d: length %d", ErrFrameCorrupt, len(frames), length)
-		}
-		if off+frameHeaderLen+length > size {
-			// Cut mid-frame: the tail the connection death left behind.
-			return frames, off, nil
-		}
-		payload := data[off+frameHeaderLen : off+frameHeaderLen+length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return frames, off, fmt.Errorf("%w: frame %d: bad CRC at offset %d", ErrFrameCorrupt, len(frames), off)
-		}
-		f, derr := DecodeFrame(payload)
-		if derr != nil {
-			return frames, off, fmt.Errorf("frame %d at offset %d: %w", len(frames), off, derr)
-		}
-		frames = append(frames, f)
-		off += frameHeaderLen + length
-	}
-	return frames, off, nil
 }

@@ -106,7 +106,7 @@ func TestTornFrameEveryPrefix(t *testing.T) {
 	full, ends := encodeStream(t, want)
 
 	for cut := 0; cut <= len(full); cut++ {
-		frames, goodLen, err := DecodeStream(full[:cut])
+		frames, goodLen, err := decodeStream(full[:cut])
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -167,7 +167,7 @@ func TestFrameCorruptionDetected(t *testing.T) {
 	for i := range full {
 		mut := bytes.Clone(full)
 		mut[i] ^= 0xff
-		frames, _, err := DecodeStream(mut)
+		frames, _, err := decodeStream(mut)
 		if err != nil {
 			continue
 		}
@@ -215,5 +215,32 @@ func TestReadMagicRejectsForeignStreams(t *testing.T) {
 	br := bytes.NewReader([]byte("KRADWAL\x01rest"))
 	if err := ReadMagic(br); !errors.Is(err, ErrStreamVersion) {
 		t.Fatalf("foreign magic: %v, want ErrStreamVersion", err)
+	}
+}
+
+// decodeStream reads a captured stream image — magic followed by frames
+// — through ReadMagic and ReadFrame, returning the intact frames and the
+// byte length of the valid prefix: a frame cut short at the tail is
+// reported by goodLen < len(data) with a nil error (exactly a journal torn
+// tail), while a damaged frame is an error.
+func decodeStream(data []byte) (frames []Frame, goodLen int64, err error) {
+	r := bytes.NewReader(data)
+	br := bufio.NewReader(r)
+	if err := ReadMagic(br); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, 0, nil
+		}
+		return nil, 0, err
+	}
+	for {
+		goodLen = int64(len(data) - r.Len() - br.Buffered())
+		f, err := ReadFrame(br)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return frames, goodLen, nil
+		}
+		if err != nil {
+			return frames, goodLen, err
+		}
+		frames = append(frames, f)
 	}
 }

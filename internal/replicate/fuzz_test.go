@@ -39,7 +39,7 @@ func FuzzReplicateFrame(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, goodLen, err := DecodeStream(data)
+		frames, goodLen, err := decodeStream(data)
 		if err != nil {
 			return
 		}

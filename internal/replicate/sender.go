@@ -28,33 +28,8 @@ var ErrLeaseExpired = errors.New("replicate: replication lease expired (follower
 // errStopped ends the run loop on Stop.
 var errStopped = errors.New("replicate: sender stopped")
 
-// SeqRecord is one sequenced committed record of a shard's stream. Seq is
-// the record's 1-based position in the shard's mutation sequence since
-// engine birth.
-type SeqRecord struct {
-	Seq int64
-	Rec journal.Record
-}
-
-// CatchUpFunc supplies the records a reconnecting follower is missing
-// when they have aged out of the in-memory send queue — in practice, a
-// read of the shard's own WAL file (see server.JournalCatchUp). It
-// returns the records with sequence numbers ≥ from, in order. If
-// compaction has folded records ≥ from into a snapshot, snap carries that
-// snapshot (its Seq is the cursor it covers through) and tail the records
-// after it; otherwise snap is nil. It runs on the sender's goroutine,
-// never under engine locks.
-type CatchUpFunc func(shard int, from int64) (snap *SeqRecord, tail []SeqRecord, err error)
-
-const (
-	// queueLen bounds the per-shard in-memory send queue. When a slow link
-	// lets a queue fill, it is dropped wholesale and the stream falls back
-	// to CatchUp — backpressure never reaches the commit path, by design: a
-	// warm standby must not be able to stall the primary.
-	queueLen = 1024
-	// batchMax caps records per recs frame.
-	batchMax = 256
-)
+// batchMax caps records per recs frame.
+const batchMax = 256
 
 // SenderConfig parameterizes a Sender.
 type SenderConfig struct {
@@ -62,10 +37,10 @@ type SenderConfig struct {
 	Addr string
 	// Epoch is this primary's replication epoch (≥ 1).
 	Epoch int64
-	// Shards is the fleet shard count; must match the follower's.
-	Shards int
-	// CatchUp reads aged-out records from durable storage. Required.
-	CatchUp CatchUpFunc
+	// WAL names each shard's journal file, in shard order: the records
+	// the sender ships, read as they land. Its length is the fleet shard
+	// count, which must match the follower's. Required.
+	WAL []string
 	// Heartbeat is the idle keepalive interval (and the base of the
 	// link-death detection deadlines). 0 means 1s.
 	Heartbeat time.Duration
@@ -100,30 +75,20 @@ type SenderStats struct {
 	// LagRecords is the total number of committed records the follower
 	// has not yet acknowledged, summed over shards.
 	LagRecords int64 `json:"lag_records"`
-	// QueueDrops counts whole-queue spills to CatchUp.
-	QueueDrops int64 `json:"queue_drops,omitempty"`
 	// LeaseExpired reports the lease gate currently refusing writes.
 	LeaseExpired bool `json:"lease_expired,omitempty"`
 }
 
-// sendQueue is one shard's bounded live tail. base is the sequence number
-// of buf[0]; the queue always holds a contiguous run ending at the
-// shard's last committed record.
-type sendQueue struct {
-	base int64
-	buf  []journal.Record
-}
-
-// Sender is the primary half of replication: it receives every committed
-// journal record via Committed (the server's shard commit hook), streams
-// them to the follower in order, and converts the follower's acks into a
-// liveness lease. See the package comment for the protocol.
+// Sender is the primary half of replication: woken by Committed (the
+// server's shard commit hook), it reads each shard's newly committed
+// records from the shard's WAL, streams them to the follower in order, and
+// converts the follower's acks into a liveness lease. See the package
+// comment for the protocol.
 type Sender struct {
 	cfg SenderConfig
 
 	mu         sync.Mutex
-	queues     []sendQueue
-	lastQueued []int64 // per shard, highest seq ever handed to Committed/Seed
+	committed  []int64 // per shard, the highest seq Committed reported
 	acked      []int64 // per shard, highest seq the follower acknowledged
 	conn       net.Conn
 	connected  bool
@@ -131,25 +96,24 @@ type Sender struct {
 	everAcked  bool
 	lastAck    time.Time
 	reconnects int64
-	drops      int64
 	fenced     bool
 	fencedBy   int64
+
+	out []byte // the frames being written (the stream goroutine's)
 
 	wake chan struct{}
 	stop chan struct{}
 	done chan struct{}
 }
 
-// NewSender builds a sender; call Seed (optional) then Start.
+// NewSender builds a sender; call Start once it is attached as the commit
+// hook.
 func NewSender(cfg SenderConfig) (*Sender, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("replicate: sender needs ≥ 1 shard, got %d", cfg.Shards)
+	if len(cfg.WAL) < 1 {
+		return nil, fmt.Errorf("replicate: sender needs ≥ 1 shard WAL")
 	}
 	if cfg.Epoch < 1 {
 		return nil, fmt.Errorf("replicate: sender epoch %d, want ≥ 1", cfg.Epoch)
-	}
-	if cfg.CatchUp == nil {
-		return nil, fmt.Errorf("replicate: sender needs a CatchUp source")
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
@@ -167,31 +131,14 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Sender{
-		cfg:        cfg,
-		queues:     make([]sendQueue, cfg.Shards),
-		lastQueued: make([]int64, cfg.Shards),
-		acked:      make([]int64, cfg.Shards),
-		wake:       make(chan struct{}, 1),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		cfg:       cfg,
+		committed: make([]int64, len(cfg.WAL)),
+		acked:     make([]int64, len(cfg.WAL)),
+		wake:      make(chan struct{}, 1),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	return s, nil
-}
-
-// Seed positions each shard's cursor at the sequence number its journal
-// already covers (server.Service.ReplicationSeqs at startup), so the sender knows those
-// records exist on disk without having seen them through Committed. Call
-// before Start.
-func (s *Sender) Seed(seqs []int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, seq := range seqs {
-		if i >= len(s.lastQueued) || seq <= s.lastQueued[i] {
-			continue
-		}
-		s.lastQueued[i] = seq
-		s.queues[i] = sendQueue{base: seq + 1}
-	}
 }
 
 // Start launches the connection loop.
@@ -225,35 +172,17 @@ func (s *Sender) Stop() {
 	<-s.done
 }
 
-// Committed is the shard commit hook: rec was journaled as the shard's
-// seq-th mutation. It must be cheap and non-blocking — it runs under the
-// shard lock — so it only appends to the bounded queue (or drops the
-// queue to the CatchUp path when full) and nudges the stream goroutine.
-func (s *Sender) Committed(shard int, seq int64, rec journal.Record) {
+// Committed is the shard commit hook: the shard's WAL now holds its seq-th
+// mutation (attaching the hook reports what the WAL already held). It runs
+// under the shard lock, so it only notes the seq and nudges the stream
+// goroutine, which reads the record from the WAL: nothing is copied, and
+// backpressure never reaches the commit path. No record past the highest
+// seq noted is shipped, so one the primary failed to commit never is.
+func (s *Sender) Committed(shard int, seq int64) {
 	s.mu.Lock()
-	if shard < 0 || shard >= len(s.queues) {
-		s.mu.Unlock()
-		return
+	if shard >= 0 && shard < len(s.committed) && seq > s.committed[shard] {
+		s.committed[shard] = seq
 	}
-	q := &s.queues[shard]
-	if seq != s.lastQueued[shard]+1 {
-		// A gap can only mean the hook and Seed disagree (e.g. records
-		// committed before Seed ran); resynchronize through CatchUp.
-		*q = sendQueue{base: seq}
-		s.drops++
-	}
-	if len(q.buf) >= queueLen {
-		// Full: spill wholesale. Dropping one-by-one would make overflow
-		// O(queue) per append inside the commit path; dropping all is
-		// O(1) and the disk has everything anyway.
-		*q = sendQueue{base: seq}
-		s.drops++
-	}
-	if len(q.buf) == 0 {
-		q.base = seq
-	}
-	q.buf = append(q.buf, rec)
-	s.lastQueued[shard] = seq
 	s.mu.Unlock()
 	select {
 	case s.wake <- struct{}{}:
@@ -288,10 +217,9 @@ func (s *Sender) Stats() SenderStats {
 		FencedBy:   s.fencedBy,
 		Connected:  s.connected,
 		Reconnects: s.reconnects,
-		QueueDrops: s.drops,
 	}
-	for i := range s.lastQueued {
-		if lag := s.lastQueued[i] - s.acked[i]; lag > 0 {
+	for i := range s.committed {
+		if lag := s.committed[i] - s.acked[i]; lag > 0 {
 			st.LagRecords += lag
 		}
 	}
@@ -380,7 +308,7 @@ func (s *Sender) serve(conn net.Conn) error {
 	if err := WriteMagic(conn); err != nil {
 		return fmt.Errorf("write magic: %w", err)
 	}
-	if err := WriteFrame(conn, Frame{T: FrameHello, Epoch: s.cfg.Epoch, Shards: s.cfg.Shards}); err != nil {
+	if err := WriteFrame(conn, Frame{T: FrameHello, Epoch: s.cfg.Epoch, Shards: len(s.cfg.WAL)}); err != nil {
 		return fmt.Errorf("write hello: %w", err)
 	}
 	br := bufio.NewReader(conn)
@@ -398,10 +326,15 @@ func (s *Sender) serve(conn net.Conn) error {
 	if f.T != FrameHelloAck {
 		return fmt.Errorf("handshake answered with %q, want hello-ack", f.T)
 	}
-	if len(f.Next) != s.cfg.Shards {
-		return fmt.Errorf("follower tracks %d shards, we run %d — refusing to replicate across configurations", len(f.Next), s.cfg.Shards)
+	if len(f.Next) != len(s.cfg.WAL) {
+		return fmt.Errorf("follower tracks %d shards, we run %d — refusing to replicate across configurations", len(f.Next), len(s.cfg.WAL))
 	}
 	cursors := append([]int64(nil), f.Next...)
+	tails := make([]*journal.Tail, len(cursors))
+	for i, path := range s.cfg.WAL {
+		tails[i] = journal.OpenTail(path, cursors[i])
+		defer tails[i].Close()
+	}
 
 	s.mu.Lock()
 	s.conn = conn
@@ -429,7 +362,7 @@ func (s *Sender) serve(conn net.Conn) error {
 	for {
 		sent := false
 		for shard := range cursors {
-			n, err := s.pump(conn, shard, &cursors[shard])
+			n, err := s.pump(conn, shard, tails[shard], &cursors[shard])
 			if err != nil {
 				return err
 			}
@@ -485,82 +418,72 @@ func (s *Sender) readAcks(conn net.Conn, br *bufio.Reader, out chan<- error) {
 	}
 }
 
-// pump ships the next batch of one shard's records, serving from the live
-// queue when it covers the cursor and from CatchUp (disk) when it does
-// not. Reports whether anything was sent.
-func (s *Sender) pump(conn net.Conn, shard int, cursor *int64) (bool, error) {
+// pump ships the next frames of one shard once the WAL holds records the
+// follower lacks. Reports whether anything was sent.
+func (s *Sender) pump(conn net.Conn, shard int, tail *journal.Tail, cursor *int64) (bool, error) {
 	s.mu.Lock()
-	lastQ := s.lastQueued[shard]
-	if *cursor > lastQ+1 {
-		s.mu.Unlock()
-		return false, fmt.Errorf("shard %d: follower wants seq %d but the primary has committed only %d — the follower is ahead (journals diverged; refusing to replicate)", shard, *cursor, lastQ)
+	committed := s.committed[shard]
+	s.mu.Unlock()
+	if *cursor > committed+1 {
+		return false, fmt.Errorf("shard %d: follower wants seq %d but the primary has committed only %d — the follower is ahead (journals diverged; refusing to replicate)", shard, *cursor, committed)
 	}
-	if *cursor > lastQ {
-		s.mu.Unlock()
+	if *cursor > committed {
 		return false, nil
 	}
-	q := &s.queues[shard]
-	if len(q.buf) > 0 && q.base <= *cursor {
-		off := int(*cursor - q.base)
-		n := len(q.buf) - off
-		if n > batchMax {
-			n = batchMax
-		}
-		recs := append([]journal.Record(nil), q.buf[off:off+n]...)
-		s.mu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.deadline()))
-		if err := WriteFrame(conn, Frame{T: FrameRecs, Epoch: s.cfg.Epoch, Shard: shard, Seq: *cursor, Recs: recs}); err != nil {
-			return false, fmt.Errorf("shard %d: write recs [%d,%d): %w", shard, *cursor, *cursor+int64(n), err)
-		}
-		*cursor += int64(n)
-		return true, nil
-	}
-	s.mu.Unlock()
-
-	// The queue no longer covers the cursor: read the shard's WAL.
 	from := *cursor
-	snap, tail, err := s.cfg.CatchUp(shard, from)
-	if err != nil {
-		return false, fmt.Errorf("shard %d: catch-up from seq %d: %w", shard, from, err)
+	out, err := appendWAL(s.out[:0], s.cfg.Epoch, shard, tail, cursor, committed)
+	s.out = out
+	if err != nil || len(out) == 0 {
+		// Nothing written yet: the record being read is still landing, and
+		// the next wake or heartbeat tick reads it again.
+		return false, err
 	}
-	sent := false
-	if snap != nil && snap.Rec.Seq >= from {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.deadline()))
-		if err := WriteFrame(conn, Frame{T: FrameSnap, Epoch: s.cfg.Epoch, Shard: shard, Seq: snap.Rec.Seq, Recs: []journal.Record{snap.Rec}}); err != nil {
-			return false, fmt.Errorf("shard %d: write snap through seq %d: %w", shard, snap.Rec.Seq, err)
-		}
-		*cursor = snap.Rec.Seq + 1
-		sent = true
+	_ = conn.SetWriteDeadline(time.Now().Add(s.deadline()))
+	if _, err := conn.Write(out); err != nil {
+		return false, fmt.Errorf("shard %d: write seqs [%d,%d): %w", shard, from, *cursor, err)
 	}
-	for i := 0; i < len(tail); {
-		if tail[i].Seq < *cursor {
-			i++
-			continue
+	return true, nil
+}
+
+// appendWAL appends to dst the next frames of shard's stream read from
+// tail, no record past seq limit: up to batchMax consecutive records in one
+// recs frame, each spliced in as the CRC-checked payload the WAL holds. A
+// head snapshot, there when compaction folded records the follower lacks,
+// ends the batch and follows alone in a snap frame. The bytes are those
+// WriteFrame writes for the same frames; cursor advances past what they
+// carry.
+func appendWAL(dst []byte, epoch int64, shard int, tail *journal.Tail, cursor *int64, limit int64) ([]byte, error) {
+	start, n := len(dst), 0
+	for n < batchMax {
+		e, ok, err := tail.Next(limit)
+		if err != nil {
+			return dst, fmt.Errorf("shard %d: read WAL at seq %d: %w", shard, *cursor, err)
 		}
-		if tail[i].Seq != *cursor {
-			return false, fmt.Errorf("shard %d: catch-up skipped from seq %d to %d", shard, *cursor, tail[i].Seq)
+		if !ok {
+			break
 		}
-		n := len(tail) - i
-		if n > batchMax {
-			n = batchMax
+		if e.Snap && n > 0 {
+			dst = closeRecs(dst, n)
+			seal(dst, start)
+			start, n = len(dst), 0
 		}
-		recs := make([]journal.Record, n)
-		for k := 0; k < n; k++ {
-			recs[k] = tail[i+k].Rec
+		if n == 0 {
+			f := Frame{T: FrameRecs, Epoch: epoch, Shard: shard, Seq: e.Seq}
+			if e.Snap {
+				f.T = FrameSnap
+			}
+			dst = f.appendHead(append(dst, make([]byte, frameHeaderLen)...))
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(s.deadline()))
-		if err := WriteFrame(conn, Frame{T: FrameRecs, Epoch: s.cfg.Epoch, Shard: shard, Seq: *cursor, Recs: recs}); err != nil {
-			return false, fmt.Errorf("shard %d: write catch-up recs at seq %d: %w", shard, *cursor, err)
+		dst = append(recSep(dst, n), e.Payload...)
+		n++
+		*cursor = e.Seq + 1
+		if e.Snap {
+			break
 		}
-		*cursor += int64(n)
-		i += n
-		sent = true
 	}
-	if !sent {
-		// Disk had nothing new for this cursor (an unsynced tail still
-		// sits only in the dropped queue). Drop the connection; the
-		// reconnect backoff gives the WAL time to sync.
-		return false, fmt.Errorf("shard %d: cannot serve seq %d from queue or WAL yet", shard, from)
+	if n > 0 {
+		dst = closeRecs(dst, n)
+		seal(dst, start)
 	}
-	return sent, nil
+	return dst, nil
 }

@@ -34,9 +34,10 @@ type applyOut struct {
 }
 
 // journalLocked makes rec durable, advances the replication cursor past it
-// and hands it to replication: the single append site. Without a journal
-// (a journal-free service, or startup replay before the journal is armed)
-// there is nothing to land and the cursor just counts. The first failure
+// and wakes replication, which reads it back from the WAL: the single
+// append site. Without a journal (a journal-free service, or startup
+// replay before the journal is armed) there is nothing to land and the
+// cursor just counts. The first failure
 // latches the journal (ErrDegraded from here on); the cursor only advances
 // past records that landed, so a follower never holds a record a restarted
 // primary would not re-derive. Both halves of a steal are forced to disk —
@@ -53,7 +54,7 @@ func (sh *shard) journalLocked(rec *journal.Record) error {
 	}
 	sh.repSeq++
 	if sh.rep != nil {
-		sh.rep.Committed(sh.idx, sh.repSeq, *rec)
+		sh.rep.Committed(sh.idx, sh.repSeq)
 	}
 	if rec.Type == journal.TypeSteal || len(rec.From) != 0 {
 		_ = sh.jn.Sync()
@@ -112,13 +113,12 @@ func (sh *shard) refuseTags(rec *journal.Record) error {
 // admitRecordLocked builds the record that admits specs at the engine's
 // next ID. tenant is the fair-share leaf ("" outside the fair gate); from,
 // when set, tags the thief half of a steal with the jobs' original
-// namespaced IDs. A client admission on a shard no replication sender
-// watches refills the per-shard scratch record — it only lives until
-// Append encodes it, which keeps the steady-state submit path
-// allocation-free; a sender retains committed records in its queue, so
-// with rep attached each admission builds a fresh one. Without a journal
-// nothing will ever encode the record, so it carries only what apply
-// reads: jobs of any shape stay admissible on a journal-free service.
+// namespaced IDs. A client admission refills the per-shard scratch record
+// — it only lives until Append encodes it (replication reads the record
+// back from the WAL), which keeps the steady-state submit path
+// allocation-free. Without a journal nothing will ever encode the record,
+// so it carries only what apply reads: jobs of any shape stay admissible
+// on a journal-free service.
 func (sh *shard) admitRecordLocked(specs []sim.JobSpec, tenant string, from []int) (*journal.Record, error) {
 	base := sh.eng.NextID()
 	rec := &sh.admitRec
@@ -129,10 +129,6 @@ func (sh *shard) admitRecordLocked(specs []sim.JobSpec, tenant string, from []in
 	case from != nil:
 		var fresh journal.Record
 		fresh, err = journal.StealAdmitRecord(base, specs, from)
-		rec = &fresh
-	case sh.rep != nil:
-		var fresh journal.Record
-		fresh, err = journal.AdmitRecord(base, specs)
 		rec = &fresh
 	default:
 		err = journal.AdmitRecordInto(rec, base, specs)

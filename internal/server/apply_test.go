@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -18,34 +19,40 @@ import (
 	"krad/internal/profile"
 	"krad/internal/sched"
 	"krad/internal/sim"
+	"krad/internal/wire"
 )
 
 // pullReplication brings a follower up to date with the journals under
-// pdir the way a reconnecting sender does: a snapshot frame when the
-// primary's compaction overtook the follower's cursor, then the numbered
-// tail. Synchronous and in-process, so scripts stay deterministic.
+// pdir the way a reconnecting sender does: a journal.Tail per shard from
+// the follower's cursor hands out a snapshot when the primary's compaction
+// overtook that cursor, then the numbered records. Synchronous and
+// in-process, so scripts stay deterministic.
 func pullReplication(t *testing.T, pdir string, follower *Service) {
 	t.Helper()
-	catchUp := JournalCatchUp(pdir)
 	for shard, next := range follower.NextSeqs() {
-		snap, tail, err := catchUp(shard, next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap != nil && snap.Seq >= next {
-			if err := follower.ApplyReplicatedSnap(shard, snap.Rec); err != nil {
-				t.Fatalf("shard %d: snapshot through seq %d: %v", shard, snap.Seq, err)
+		tail := journal.OpenTail(shardJournalPath(pdir, shard), next)
+		for {
+			e, ok, err := tail.Next(math.MaxInt64)
+			if err != nil {
+				t.Fatal(err)
 			}
-			next = snap.Seq + 1
-		}
-		for _, r := range tail {
-			if r.Seq < next {
-				continue
+			if !ok {
+				break
 			}
-			if err := follower.ApplyReplicated(shard, r.Seq, r.Rec); err != nil {
-				t.Fatalf("shard %d: seq %d (%s): %v", shard, r.Seq, r.Rec.Type, err)
+			var rec journal.Record
+			if err := wire.Decode(e.Payload, rec.ReadJSON); err != nil {
+				t.Fatalf("shard %d: seq %d: %v", shard, e.Seq, err)
+			}
+			if e.Snap {
+				err = follower.ApplyReplicatedSnap(shard, rec)
+			} else {
+				err = follower.ApplyReplicated(shard, e.Seq, rec)
+			}
+			if err != nil {
+				t.Fatalf("shard %d: seq %d (%s): %v", shard, e.Seq, rec.Type, err)
 			}
 		}
+		tail.Close()
 	}
 }
 
@@ -360,7 +367,7 @@ func TestRefusedSnapshotChangesNothing(t *testing.T) {
 	rec := journal.Record{
 		Type:  journal.TypeSnap,
 		Snap:  &cp,
-		Seq:   follower.ReplicationSeqs()[0] + 3,
+		Seq:   follower.NextSeqs()[0] + 2,
 		Fair:  &journal.FairState{V: 1, HalfLife: 2 * fairshare.DefaultHalfLife, Usage: map[string]fairshare.Usage{"ghost": {V: 99}}},
 		Steal: &journal.StealState{V: 1, In: 2},
 	}

@@ -149,7 +149,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 			metric("krad_replicate_lag_records", "Committed records the follower has not yet acknowledged, summed over shards.", "gauge", p.LagRecords, "")
 			metric("krad_replicate_reconnects_total", "Replication stream re-dials after the first successful handshake.", "counter", p.Reconnects, "")
 			metric("krad_replicate_fenced", "Whether this primary is fenced by a promoted follower (1) and refusing admissions.", "gauge", b2i(p.Fenced), "")
-			metric("krad_replicate_queue_drops_total", "Whole-queue spills from the in-memory send queue to WAL catch-up.", "counter", p.QueueDrops, "")
 		case rs.Follower != nil:
 			f := rs.Follower
 			metric("krad_replicate_epoch", "Replication epoch this daemon believes current.", "gauge", f.Epoch, "")

@@ -14,13 +14,14 @@ import (
 var ErrFollower = errors.New("server: standby follower — replicating from the primary, not accepting writes")
 
 // Replicator is the primary-side replication hook a Service drives: every
-// committed journal record is handed to Committed under the shard lock
-// (so it must be cheap and non-blocking — replicate.Sender queues and
-// returns), and WriteAllowed gates admissions behind epoch fencing and
-// the follower liveness lease. In practice this is a *replicate.Sender.
+// record a shard journals wakes Committed under the shard lock (so it
+// must be cheap and non-blocking — replicate.Sender notes the seq and
+// reads the record from the WAL on its own goroutine), and WriteAllowed
+// gates admissions behind epoch fencing and the follower liveness lease.
+// In practice this is a *replicate.Sender.
 type Replicator interface {
-	// Committed reports that rec was journaled as shard's seq-th mutation.
-	Committed(shard int, seq int64, rec journal.Record)
+	// Committed reports that shard's journal now holds its seq-th mutation.
+	Committed(shard int, seq int64)
 	// WriteAllowed reports whether this daemon may still act as primary:
 	// replicate.ErrFenced after a follower promoted past it,
 	// replicate.ErrLeaseExpired while the follower lease is blown.
@@ -37,17 +38,29 @@ type ReplicationStats struct {
 	Follower *replicate.ReceiverStats `json:"follower,omitempty"`
 }
 
-// SetReplicator attaches the primary-side replication hook to every
-// shard. Call before Start and before serving traffic (cmd/kradd wires
-// it right after New), so no committed record can slip past the hook —
-// records committed earlier are covered by seeding the sender from
-// ReplicationSeqs.
+// SetReplicator attaches the primary-side replication hook to every shard
+// and reports how far each shard's journal already reaches (replayed
+// history, the fairness head), so those records ship too. Call before
+// Start and before serving traffic (cmd/kradd wires it right after New).
 func (s *Service) SetReplicator(r Replicator) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.rep = r
+		r.Committed(sh.idx, sh.repSeq)
 		sh.mu.Unlock()
 	}
+}
+
+// JournalPaths names each shard's journal file, in shard order: the WAL a
+// replicate.Sender ships from. Nil without a journal.
+func (s *Service) JournalPaths() []string {
+	var paths []string
+	for _, sh := range s.shards {
+		if sh.jn != nil {
+			paths = append(paths, sh.jn.Path())
+		}
+	}
+	return paths
 }
 
 // SetReplicationStats registers the probe Stats and /metrics use to
@@ -109,26 +122,15 @@ func (s *Service) Following() bool {
 	return s.follower
 }
 
-// ReplicationSeqs reports, per shard, the sequence number of the last
-// committed mutation record (what the journal covers right now). A
-// primary seeds its replicate.Sender with this so the sender knows those
-// records are servable from disk without having seen them via Committed.
-func (s *Service) ReplicationSeqs() []int64 {
+// NextSeqs implements replicate.Applier: per shard, the next sequence
+// number this follower needs — one past the last committed mutation record
+// (what the journal covers right now).
+func (s *Service) NextSeqs() []int64 {
 	out := make([]int64, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		out[i] = sh.repSeq
+		out[i] = sh.repSeq + 1
 		sh.mu.Unlock()
-	}
-	return out
-}
-
-// NextSeqs implements replicate.Applier: per shard, the next sequence
-// number this follower needs.
-func (s *Service) NextSeqs() []int64 {
-	out := s.ReplicationSeqs()
-	for i := range out {
-		out[i]++
 	}
 	return out
 }
@@ -208,44 +210,4 @@ func (s *Service) ApplyReplicatedSnap(shard int, rec journal.Record) error {
 		return fmt.Errorf("server: shard %d: replicated snapshot: %w", shard, err)
 	}
 	return nil
-}
-
-// JournalCatchUp builds the replication catch-up source over a service's
-// journal directory: when a follower's cursor has aged out of the
-// sender's in-memory queue, the sender reads the shard's WAL file
-// (torn-tail tolerant, safe on the live file — appends hit the page
-// cache before any fsync) and reconstructs sequence numbers from the
-// head snapshot's stamped cursor.
-func JournalCatchUp(dir string) replicate.CatchUpFunc {
-	return func(shard int, from int64) (*replicate.SeqRecord, []replicate.SeqRecord, error) {
-		path := shardJournalPath(dir, shard)
-		recs, err := journal.ReadFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		// A snapshot head resumes the cursor it was stamped with and takes no
-		// number of its own; every later record counts one.
-		var snap *replicate.SeqRecord
-		var seq int64
-		i := 0
-		if len(recs) > 0 && recs[0].Type == journal.TypeSnap {
-			if recs[0].Seq == 0 {
-				// A snapshot compacted before replication existed carries no
-				// cursor, so the records it subsumed cannot be numbered and
-				// no follower can be seeded from it.
-				return nil, nil, fmt.Errorf("server: %s is headed by a snapshot without a replication cursor (compacted by a pre-replication build); the next compaction re-stamps it, or move the journal away to start fresh", path)
-			}
-			seq = recs[0].Seq
-			snap = &replicate.SeqRecord{Seq: seq, Rec: recs[0]}
-			i = 1
-		}
-		var tail []replicate.SeqRecord
-		for ; i < len(recs); i++ {
-			seq++
-			if seq >= from {
-				tail = append(tail, replicate.SeqRecord{Seq: seq, Rec: recs[i]})
-			}
-		}
-		return snap, tail, nil
-	}
 }

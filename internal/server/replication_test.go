@@ -16,6 +16,7 @@ import (
 
 	"krad/internal/core"
 	"krad/internal/dag"
+	"krad/internal/journal"
 	"krad/internal/replicate"
 	"krad/internal/sched"
 	"krad/internal/sim"
@@ -90,16 +91,15 @@ func startPrimary(t *testing.T, cfg Config) *Service {
 	return svc
 }
 
-// startSender wires a replication sender onto a primary Service: seeded
-// from the journal's current coverage, attached as the commit hook,
-// running with test-friendly timings. mut may tweak the config first.
-func startSender(t *testing.T, svc *Service, dir, addr string, mut func(*replicate.SenderConfig)) *replicate.Sender {
+// startSender wires a replication sender onto a primary Service: shipping
+// its journals, attached as the commit hook, running with test-friendly
+// timings. mut may tweak the config first.
+func startSender(t *testing.T, svc *Service, addr string, mut func(*replicate.SenderConfig)) *replicate.Sender {
 	t.Helper()
 	cfg := replicate.SenderConfig{
 		Addr:       addr,
 		Epoch:      1,
-		Shards:     svc.Shards(),
-		CatchUp:    JournalCatchUp(dir),
+		WAL:        svc.JournalPaths(),
 		Heartbeat:  20 * time.Millisecond,
 		MinBackoff: 2 * time.Millisecond,
 		MaxBackoff: 50 * time.Millisecond,
@@ -112,7 +112,6 @@ func startSender(t *testing.T, svc *Service, dir, addr string, mut func(*replica
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Seed(svc.ReplicationSeqs())
 	svc.SetReplicator(s)
 	s.Start()
 	t.Cleanup(s.Stop)
@@ -124,7 +123,7 @@ func startSender(t *testing.T, svc *Service, dir, addr string, mut func(*replica
 func waitCaughtUp(t *testing.T, primary, follower *Service) {
 	t.Helper()
 	waitFor(t, "follower catch-up", func() bool {
-		return reflect.DeepEqual(primary.ReplicationSeqs(), follower.ReplicationSeqs())
+		return reflect.DeepEqual(primary.NextSeqs(), follower.NextSeqs())
 	})
 }
 
@@ -189,7 +188,7 @@ func TestReplicationBitIdentity(t *testing.T) {
 	// loop that drains the short jobs fast-forwards the idle engine to the
 	// victim's release and completes it before the test can cancel it.
 	primary := newPrimary(t, pcfg)
-	startSender(t, primary, pdir, addr, nil)
+	startSender(t, primary, addr, nil)
 
 	var ids []int
 	for i := 0; i < 8; i++ {
@@ -244,7 +243,7 @@ func TestReplicationMidFrameCutResumes(t *testing.T) {
 	pcfg := replConfig(t)
 	pdir := pcfg.Journal.Dir
 	primary := startPrimary(t, pcfg)
-	sender := startSender(t, primary, pdir, addr, func(c *replicate.SenderConfig) {
+	sender := startSender(t, primary, addr, func(c *replicate.SenderConfig) {
 		dial := func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
 		c.Dial = replicate.FaultDialer(dial, func(attempt int) int64 {
 			// The handshake costs ~60 bytes; each budget lands the cut in
@@ -277,8 +276,8 @@ func TestReplicationMidFrameCutResumes(t *testing.T) {
 
 // TestReplicationCatchUpFromOffset attaches a fresh follower to a primary
 // that has been running alone: every record it needs predates the sender,
-// so the stream must come out of the primary's WAL, then hand off to the
-// live queue for new work.
+// so the stream must come out of the primary's WAL from its start, then
+// keep following it as new work lands.
 func TestReplicationCatchUpFromOffset(t *testing.T) {
 	pcfg := replConfig(t)
 	pdir := pcfg.Journal.Dir
@@ -293,12 +292,12 @@ func TestReplicationCatchUpFromOffset(t *testing.T) {
 	fcfg := replConfig(t)
 	fdir := fcfg.Journal.Dir
 	follower, _, addr := startFollower(t, fcfg, 0)
-	startSender(t, primary, pdir, addr, nil)
+	startSender(t, primary, addr, nil)
 	waitCaughtUp(t, primary, follower)
 	requireIdentical(t, primary, follower)
 	requireJournalPrefix(t, pdir, fdir)
 
-	// Live tail after catch-up: new work flows through the queue path.
+	// Live tail after catch-up: new work is read as it lands.
 	for i := 0; i < 4; i++ {
 		if _, err := primary.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 1, 1)}); err != nil {
 			t.Fatal(err)
@@ -316,7 +315,6 @@ func TestReplicationCatchUpFromOffset(t *testing.T) {
 func TestReplicationCatchUpFromSnapshot(t *testing.T) {
 	pcfg := replConfig(t)
 	pcfg.Journal.SnapshotEvery = 4
-	pdir := pcfg.Journal.Dir
 	primary := startPrimary(t, pcfg)
 	for i := 0; i < 8; i++ {
 		if _, err := primary.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 2, 1)}); err != nil {
@@ -328,7 +326,7 @@ func TestReplicationCatchUpFromSnapshot(t *testing.T) {
 
 	fcfg := replConfig(t)
 	follower, rcv, addr := startFollower(t, fcfg, 0)
-	startSender(t, primary, pdir, addr, nil)
+	startSender(t, primary, addr, nil)
 	waitCaughtUp(t, primary, follower)
 	// The receiver counts a frame after applying it, and a snapshot that
 	// covers the whole journal is the frame that completes the catch-up: the
@@ -357,7 +355,7 @@ func TestPromotionFencesPrimary(t *testing.T) {
 
 	pcfg := replConfig(t)
 	primary := startPrimary(t, pcfg)
-	sender := startSender(t, primary, pcfg.Journal.Dir, addr, nil)
+	sender := startSender(t, primary, addr, nil)
 
 	for i := 0; i < 4; i++ {
 		if _, err := primary.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 2, 1)}); err != nil {
@@ -415,9 +413,8 @@ func TestReplicationLeaseExpiryHeals(t *testing.T) {
 	follower, rcv, addr := startFollower(t, fcfg, 0)
 
 	pcfg := replConfig(t)
-	pdir := pcfg.Journal.Dir
 	primary := startPrimary(t, pcfg)
-	sender := startSender(t, primary, pdir, addr, func(c *replicate.SenderConfig) {
+	sender := startSender(t, primary, addr, func(c *replicate.SenderConfig) {
 		c.Lease = 150 * time.Millisecond
 	})
 
@@ -479,7 +476,7 @@ func TestReplicationMetricsExposition(t *testing.T) {
 
 	pcfg := replConfig(t)
 	primary := startPrimary(t, pcfg)
-	sender := startSender(t, primary, pcfg.Journal.Dir, addr, nil)
+	sender := startSender(t, primary, addr, nil)
 	primary.SetReplicationStats(func() *ReplicationStats {
 		st := sender.Stats()
 		return &ReplicationStats{Role: "primary", Primary: &st}
@@ -514,7 +511,6 @@ func TestReplicationMetricsExposition(t *testing.T) {
 		"krad_replicate_lag_records 0",
 		"# TYPE krad_replicate_reconnects_total counter",
 		"krad_replicate_fenced 0",
-		"# TYPE krad_replicate_queue_drops_total counter",
 	} {
 		if !strings.Contains(ptext, want) {
 			t.Errorf("primary /metrics missing %q", want)
@@ -541,8 +537,8 @@ func TestReplicationMetricsExposition(t *testing.T) {
 }
 
 // TestFollowerRefusesWrites pins the standby's read-only contract at the
-// Service layer: submissions and cancels refuse with ErrFollower until
-// promotion.
+// Service layer: submissions, and cancels of the jobs it replicated,
+// refuse with ErrFollower until promotion.
 func TestFollowerRefusesWrites(t *testing.T) {
 	cfg := replConfig(t)
 	cfg.Follower = true
@@ -551,6 +547,13 @@ func TestFollowerRefusesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer drainAndClose(t, svc)
+	rec, err := journal.AdmitRecord(0, []sim.JobSpec{{Graph: dag.Singleton(1, 1), Release: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.ApplyReplicated(0, 1, rec); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := svc.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); !errors.Is(err, ErrFollower) {
 		t.Fatalf("standby accepted a submission (err %v), want ErrFollower", err)
 	}
@@ -560,5 +563,32 @@ func TestFollowerRefusesWrites(t *testing.T) {
 	svc.Promote()
 	if _, err := svc.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); err != nil {
 		t.Fatalf("promoted service refused a submission: %v", err)
+	}
+}
+
+// TestFollowerCancelUnknownID: a standby answers Cancel of an ID that
+// names no job with "no job", as DELETE answers it 404, before its role
+// can refuse anything.
+func TestFollowerCancelUnknownID(t *testing.T) {
+	cfg := replConfig(t)
+	cfg.Follower = true
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainAndClose(t, svc)
+	if err := svc.Cancel(7); err == nil || errors.Is(err, ErrFollower) || !strings.Contains(err.Error(), "no job 7") {
+		t.Fatalf("standby Cancel of an unknown ID: %v, want no job 7", err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/7", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("standby DELETE of an unknown ID: %d, want 404", resp.StatusCode)
 	}
 }

@@ -522,31 +522,21 @@ func (s *Service) resolve(id int) (int, *shard, bool) {
 
 // Cancel withdraws a pending or active job; its processors are free from
 // the owning shard's next step. IDs of stolen jobs resolve through their
-// redirect chain to wherever the job lives now.
+// redirect chain to wherever the job lives now. It is DELETE without the
+// answer: an ID naming no job is refused as such whatever the daemon's
+// role.
 func (s *Service) Cancel(id int) error {
-	if s.Following() {
-		return ErrFollower
-	}
-	rid, sh, ok := s.resolve(id)
-	if !ok {
+	_, found, err := s.cancelJob(id, nil)
+	if !found {
 		return fmt.Errorf("server: no job %d", id)
-	}
-	err := sh.cancel(LocalID(rid))
-	if err != nil && s.cfg.Steal {
-		// The job may have been stolen between resolution and the cancel;
-		// re-resolve once and retry at its new home.
-		if rid2, sh2, ok := s.resolve(rid); ok && rid2 != rid {
-			return sh2.cancel(LocalID(rid2))
-		}
 	}
 	return err
 }
 
-// cancelJob is DELETE's Cancel: one resolution serves the existence check,
-// the cancel and the answer, which is the job's status after the cancel
-// with its work vector appended to work. found is false for an ID naming
-// no job, which is checked before anything can refuse: DELETE answers it
-// 404 whatever the daemon's role.
+// cancelJob is Cancel and DELETE: one resolution serves the existence
+// check, the cancel and the answer, which is the job's status after the
+// cancel with its work vector appended to work. found is false for an ID
+// naming no job, which is checked before anything can refuse.
 func (s *Service) cancelJob(id int, work []int) (st sim.JobStatus, found bool, err error) {
 	st, rid, sh, found := s.lookup(id, work)
 	if !found {

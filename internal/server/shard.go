@@ -100,7 +100,7 @@ type shard struct {
 	// own). applied counts records applied since the engine's birth or its
 	// last snapshot (which counts as one) — the pos argument journal.Apply
 	// needs.
-	// rep, when set, receives every committed record (primary mode) and
+	// rep, when set, is woken by every committed record (primary mode) and
 	// gates admissions behind fencing/lease checks. standby marks a
 	// follower shard at journal-attach time; repErr latches a follower
 	// that diverged from its primary's stream. newEngine rebuilds a fresh

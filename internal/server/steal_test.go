@@ -646,7 +646,7 @@ func stealReplicationAndPromotion(t *testing.T, followerSteals bool) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { drainlessClose(t, primary) })
-	startSender(t, primary, pcfg.Journal.Dir, addr, nil)
+	startSender(t, primary, addr, nil)
 
 	ids := submitBurst(t, primary, 0, 6, 3, 0)
 	if !primary.stealFor(primary.shards[1]) {

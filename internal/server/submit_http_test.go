@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"krad/internal/dag"
+	"krad/internal/journal"
 	"krad/internal/profile"
+	"krad/internal/replicate"
 	"krad/internal/sim"
 )
 
@@ -174,43 +176,97 @@ func TestPooledScratchIsolation(t *testing.T) {
 	}
 }
 
+// allocRow is one service a submit allocation pin measures.
+type allocRow struct {
+	name string
+	svc  *Service
+}
+
+// allocRows are the services the submit allocation pins measure, never
+// started (no step-loop goroutine polluting the count): in memory,
+// journaled, and journaled with a replication sender attached (never
+// started either, so Committed only notes the seq). The last two must
+// allocate alike — replication reads each record back from the WAL, so it
+// costs the submit path nothing.
+func allocRows(t *testing.T) []allocRow {
+	t.Helper()
+	var rows []allocRow
+	for _, name := range []string{"memory", "journaled", "replicated"} {
+		cfg := testConfig(2, 4, 4)
+		cfg.RetireDone = true
+		cfg.MaxInFlight = 1 << 20
+		if name != "memory" {
+			cfg.Journal = &JournalConfig{Dir: t.TempDir(), Sync: journal.SyncNever}
+		}
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Close(context.Background()) })
+		if name == "replicated" {
+			sender, err := replicate.NewSender(replicate.SenderConfig{Addr: "127.0.0.1:1", Epoch: 1, WAL: svc.JournalPaths()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.SetReplicator(sender)
+		}
+		rows = append(rows, allocRow{name, svc})
+	}
+	return rows
+}
+
+// leastAllocs is the least allocations of one call of f over several: one
+// that finds a scratch pool empty (as sync.Pool arranges at random under
+// the race detector) grows new scratch on top.
+func leastAllocs(f func()) float64 {
+	least := 1e9
+	for i := 0; i < 20; i++ {
+		least = min(least, testing.AllocsPerRun(1, f))
+	}
+	return least
+}
+
 // TestSubmitAllocsPinned pins the pooled submit path's per-request
 // allocation budget. The engine side is pinned at zero (recycled slots)
 // by the sim tests; here the whole HTTP handler — body buffering, JSON
 // decode, spec build, admission, response — must stay a small fixed
-// constant per request, independent of how many jobs came before.
+// constant per request, independent of how many jobs came before, and
+// replication must add nothing to it (allocRows).
 func TestSubmitAllocsPinned(t *testing.T) {
-	cfg := testConfig(2, 4, 4)
-	cfg.RetireDone = true
-	cfg.MaxInFlight = 1 << 20
-	svc, err := New(cfg) // never started: no step-loop goroutine polluting the count
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close(context.Background())
-	h := svc.Handler()
 	body := []byte(`{"rigid":{"k":2,"cat":1,"procs":2,"steps":3}}`)
-	rec := httptest.NewRecorder()
-	submit := func() {
-		req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec.Body.Reset()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusCreated {
-			t.Fatalf("submit status %d: %s", rec.Code, rec.Body)
+	var journaled float64
+	for _, row := range allocRows(t) {
+		h := row.svc.Handler()
+		rec := httptest.NewRecorder()
+		submit := func() {
+			req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			rec.Body.Reset()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusCreated {
+				t.Fatalf("%s: submit status %d: %s", row.name, rec.Code, rec.Body)
+			}
 		}
-	}
-	// Warm the scratch pool and amortize jobs-table growth.
-	for i := 0; i < 600; i++ {
-		submit()
-	}
-	avg := testing.AllocsPerRun(400, submit)
-	// 24 in practice (39 before the body and the response were written by
-	// hand): request/recorder scaffolding, MaxBytesReader, the decoded rigid
-	// job, admission. The bound is headroom over that constant, far below
-	// anything that scales with accumulated jobs.
-	if avg > 60 {
-		t.Fatalf("submit path allocates %.1f/op, want a small constant (≤60)", avg)
+		// Warm the scratch pool and amortize jobs-table growth.
+		for i := 0; i < 600; i++ {
+			submit()
+		}
+		avg := testing.AllocsPerRun(400, submit)
+		// 24 in practice (39 before the body and the response were written
+		// by hand): request/recorder scaffolding, MaxBytesReader, the decoded
+		// rigid job, admission. The bound is headroom over that constant, far
+		// below anything that scales with accumulated jobs.
+		if avg > 60 {
+			t.Fatalf("%s: submit path allocates %.1f/op, want a small constant (≤60)", row.name, avg)
+		}
+		switch least := leastAllocs(submit); row.name {
+		case "journaled":
+			journaled = least
+		case "replicated":
+			if least != journaled {
+				t.Fatalf("a replicated submit allocates %v, a journaled one %v", least, journaled)
+			}
+		}
 	}
 }
 
@@ -327,44 +383,43 @@ func TestSubmitAllocsPinnedGraph(t *testing.T) {
 
 // TestSubmitAllocsPinnedBatch does the same for the batch path: per-job
 // marginal cost must stay constant (pooled specs slice, pooled request
-// slots), so a 64-job batch stays within 64× the single-job constant.
+// slots), so a 64-job batch stays within 64× the single-job constant, and
+// replication must add nothing to it.
 func TestSubmitAllocsPinnedBatch(t *testing.T) {
-	cfg := testConfig(2, 4, 4)
-	cfg.RetireDone = true
-	cfg.MaxInFlight = 1 << 20
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close(context.Background())
-	h := svc.Handler()
 	var batch batchRequest
 	for i := 0; i < 64; i++ {
 		batch.Jobs = append(batch.Jobs, submitRequest{Rigid: profile.RigidSpec{K: 2, Cat: 2, Procs: 1, Steps: 2}})
 	}
 	body, _ := json.Marshal(batch)
-	rec := httptest.NewRecorder()
-	submit := func() {
-		req := httptest.NewRequest("POST", "/v1/jobs/batch", bytes.NewReader(body))
-		rec.Body.Reset()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusCreated {
-			t.Fatalf("batch status %d: %s", rec.Code, rec.Body)
+	var journaled float64
+	for _, row := range allocRows(t) {
+		h := row.svc.Handler()
+		rec := httptest.NewRecorder()
+		submit := func() {
+			req := httptest.NewRequest("POST", "/v1/jobs/batch", bytes.NewReader(body))
+			rec.Body.Reset()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusCreated {
+				t.Fatalf("%s: batch status %d: %s", row.name, rec.Code, rec.Body)
+			}
 		}
-	}
-	for i := 0; i < 300; i++ {
-		submit()
-	}
-	// The least of several requests: one that finds the scratch pool empty
-	// (as sync.Pool arranges at random under the race detector) grows new
-	// scratch on top. 274 at PR 25 (289 before), 338 under -race (361):
-	// four per job, all of them the engine's — the rigid job, its work
-	// vector, its runtime — and a fixed handler constant.
-	least := 1e9
-	for i := 0; i < 20; i++ {
-		least = min(least, testing.AllocsPerRun(1, submit))
-	}
-	if least > 350 {
-		t.Fatalf("batch path allocates %.1f/op for 64 jobs, want ≤350", least)
+		for i := 0; i < 300; i++ {
+			submit()
+		}
+		// About 274 (338 under -race): four per job, all of them the
+		// engine's — the rigid job, its work vector, its runtime — and a
+		// fixed handler constant.
+		least := leastAllocs(submit)
+		if least > 350 {
+			t.Fatalf("%s: batch path allocates %.1f/op for 64 jobs, want ≤350", row.name, least)
+		}
+		switch row.name {
+		case "journaled":
+			journaled = least
+		case "replicated":
+			if least != journaled {
+				t.Fatalf("a replicated batch allocates %v, a journaled one %v", least, journaled)
+			}
+		}
 	}
 }
