@@ -180,7 +180,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.lease, "lease", 0, "primary: refuse admissions once the follower has been silent this long (0 = no lease gating); set strictly below the follower's -promote-after")
 	fs.DurationVar(&o.repHB, "replicate-heartbeat", time.Second, "primary: idle keepalive interval on the replication stream")
 	fs.DurationVar(&o.promote, "promote-after", 0, "follower: self-promote after this much primary silence, once a primary has connected (0 = manual POST /v1/promote only)")
-	fs.BoolVar(&o.steal, "steal", false, "cross-shard work stealing: idle shards pull pending jobs off the deepest peer (journaled; incompatible with -fairness)")
+	fs.BoolVar(&o.steal, "steal", false, "cross-shard work stealing: idle shards pull pending jobs off the deepest peer (journaled)")
 	return o
 }
 

@@ -23,7 +23,7 @@ import (
 // maps and nested scheduler state would be most of a hand-written codec.
 
 var (
-	recordFields = []string{"t", "v", "base", "jobs", "id", "now", "n", "snap", "seq", "tenant", "fair", "ids", "to", "nbase", "from", "steal"}
+	recordFields = []string{"t", "v", "base", "jobs", "id", "now", "n", "snap", "seq", "tenant", "fair", "ids", "to", "nbase", "from", "tenants", "steal"}
 	jobFields    = []string{"release", "fam", "graph", "mold", "rigid"}
 	recordTypes  = []Type{TypeAdmit, TypeBatch, TypeCancel, TypeStep, TypeSteps, TypeSnap, TypeSteal, TypeFair}
 	familyTags   = []string{sim.FamilyMoldable.String(), sim.FamilyProfile.String()}
@@ -66,6 +66,8 @@ func (r *Record) ReadJSON(s *wire.Scanner) error {
 			return wire.ReadInt(s, "nbase", &r.NBase)
 		case "from":
 			return wire.ReadInts(s, "from", &r.From)
+		case "tenants":
+			return wire.Array(s, "tenants", &r.Tenants, func(v *string, s *wire.Scanner) error { return wire.ReadString(s, "tenants", v) })
 		case "steal":
 			return readCold(s, &r.Steal)
 		}
@@ -164,6 +166,15 @@ func (r *Record) appendJSON(dst []byte) ([]byte, error) {
 	dst = wire.AppendIntField(dst, `,"to":`, int64(r.To))
 	dst = wire.AppendIntField(dst, `,"nbase":`, int64(r.NBase))
 	dst = appendInts(dst, `,"from":`, r.From)
+	if len(r.Tenants) != 0 {
+		sep := byte('[')
+		dst = append(dst, `,"tenants":`...)
+		for _, t := range r.Tenants {
+			dst = wire.AppendString(append(dst, sep), t)
+			sep = ','
+		}
+		dst = append(dst, ']')
+	}
 	if dst, err = appendCold(dst, `,"steal":`, r.Steal); err != nil {
 		return dst, err
 	}

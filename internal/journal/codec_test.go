@@ -131,10 +131,10 @@ func goldenRecords(t testing.TB) map[string]Record {
 		"admit-rigid":  must(AdmitRecord(0, []sim.JobSpec{{Source: rigid}})),
 		"admit-mold":   {Type: TypeAdmit, V: recordVersion, Jobs: []JobRecord{{Fam: "moldable", Mold: &mold}}},
 		"batch-mixed":  must(AdmitRecord(11, mixed)),
-		"admit-steal":  must(StealAdmitRecord(5, mixed[:2], []int{1<<32 | 7, 9})),
+		"admit-steal":  stealAdmit(5, mixed[:2], []int{1<<32 | 7, 9}, nil),
 		"admit-tenant": tenant,
 		"cancel":       CancelRecord(4),
-		"step":         StepRecord(17),
+		"step":         StepsRecord(1, 17),
 		"steps":        StepsRecord(6, 23),
 		"steal":        StealRecord([]int{2, 5, 8}, 3, 40),
 		"fair":         FairRecord(fair),
@@ -144,11 +144,34 @@ func goldenRecords(t testing.TB) map[string]Record {
 	}
 }
 
+// stealAdmit builds the thief half of a steal as the server does.
+func stealAdmit(base int, specs []sim.JobSpec, from []int, tenants []string) Record {
+	var rec Record
+	if err := AdmitRecordInto(&rec, base, specs, from, tenants); err != nil {
+		panic(err)
+	}
+	return rec
+}
+
+// codecRecords is goldenRecords plus the shapes a steal beside fair share
+// writes, which testdata/golden.wal predates: a steal admission naming its
+// jobs' tenants, and a snap whose steal state names the pairs it settled.
+func codecRecords(t testing.TB) map[string]Record {
+	recs := goldenRecords(t)
+	rigid := profile.MustNewRigid(2, "r", 1, 2, 3)
+	recs["admit-steal-tenants"] = stealAdmit(5, []sim.JobSpec{{Graph: dag.Figure1(), Release: 3}, {Source: rigid}},
+		[]int{1<<32 | 7, 9}, []string{"acme/ml", ""})
+	recs["snap-origins"] = Record{Type: TypeSnap, Seq: 30,
+		Snap:  &sim.EngineCheckpoint{Now: 9, Makespan: 9, ExecTotal: []int64{1, 2}, NextID: 4},
+		Steal: &StealState{V: 1, In: 2, Origins: map[int]int{2: 1<<32 | 7, 3: 9}}}
+	return recs
+}
+
 // TestRecordGolden pins the hand-written record codec against
 // encoding/json: every record encodes to json.Marshal's bytes, and those
 // bytes decode to the value json.Unmarshal reads.
 func TestRecordGolden(t *testing.T) {
-	for name, rec := range goldenRecords(t) {
+	for name, rec := range codecRecords(t) {
 		got, err := encodeRecord(rec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -206,6 +229,8 @@ var recordSeeds = []string{
 		`{"cat":1,"work":2,"max":1,"curve":{"type":"powerlaw","alpha":1}}],"tasks":[null,{"work":9}],"edges":[[0,1]],"edges":[]}}]}`,
 	`{"t":"steal","v":2,"ids":[1,2,3],"ids":[null,5],"to":1,"nbase":4}`,
 	`{"t":"admit","v":2,"base":3,"from":[9],"jobs":[{"graph":{"k":1,"categories":[1]}}]}`,
+	`{"t":"batch","v":3,"base":3,"from":[9,1],"tenants":["a",null,"b"],"tenants":[null,""],"jobs":[{"graph":{"k":1,"categories":[1]}},{"graph":{"k":1,"categories":[1]}}]}`,
+	`{"t":"snap","seq":4,"snap":{"now":3,"exec_total":[1]},"steal":{"v":1,"in":1,"origins":{"0":7}}}`,
 	"{\"t\":\"admit\",\"tenant\":\"a\x5cu00e9\xff\x5cud83d\",\"jobs\":[{\"graph\":{\"k\":1,\"categories\":[1]}}]}",
 	`{"t":"fair","fair":{"v":1,"half_life":8,"usage":{"a":{"v":0.5,"as_of":3}},"jobs":{"4":"a"}},"fair":{"half_life":9}}`,
 	`{"t":"snap","seq":2,"snap":{"now":3,"exec_total":[1]},"steal":{"v":1,"redirects":{"1":7}},"snap":{"makespan":3}}`,
@@ -229,7 +254,7 @@ var recordSeeds = []string{
 // replaced: same verdict, same record, and the same bytes when either is
 // encoded again. Only a moldable edge that is not two integers may differ.
 func FuzzRecordCodec(f *testing.F) {
-	for _, rec := range goldenRecords(f) {
+	for _, rec := range codecRecords(f) {
 		payload, err := encodeRecord(rec)
 		if err != nil {
 			f.Fatal(err)
@@ -289,7 +314,7 @@ func TestJournalAppendAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []Record{StepRecord(5), rigid} {
+	for _, rec := range []Record{StepsRecord(1, 5), rigid} {
 		mustAppend(t, j, rec)
 		if avg := testing.AllocsPerRun(200, func() { mustAppend(t, j, rec) }); avg != 0 {
 			t.Errorf("%s record: %.1f allocations per append, want 0", rec.Type, avg)

@@ -251,6 +251,23 @@ func TestRecordValidationRejectsFamilyShapes(t *testing.T) {
 			"stray fields"},
 		{"no-payload", Record{Type: TypeAdmit, Jobs: []JobRecord{{}}},
 			"no graph"},
+		{"tenants-without-from", Record{Type: TypeAdmit, V: tenantsVersion,
+			Jobs: []JobRecord{{Graph: g}}, Tenants: []string{"a"}},
+			"1 steal tenants for 0 origin IDs"},
+		{"tenants-length-mismatch", Record{Type: TypeBatch, V: tenantsVersion,
+			Jobs: []JobRecord{{Graph: g}, {Graph: g}}, From: []int{1, 2}, Tenants: []string{"a"}},
+			"1 steal tenants for 2 origin IDs"},
+		{"tenant-and-tenants", Record{Type: TypeAdmit, V: tenantsVersion, Tenant: "a",
+			Jobs: []JobRecord{{Graph: g}}, From: []int{1}, Tenants: []string{"a"}},
+			"both a tenant and steal origins"},
+		{"tenants-at-version-2", Record{Type: TypeAdmit, V: recordVersion,
+			Jobs: []JobRecord{{Graph: g}}, From: []int{1}, Tenants: []string{"a"}},
+			"version 3 goes with tenants"},
+		{"version-3-without-tenants", Record{Type: TypeAdmit, V: tenantsVersion,
+			Jobs: []JobRecord{{Graph: g}}, From: []int{1}},
+			"version 3 goes with tenants"},
+		{"tenants-on-cancel", Record{Type: TypeCancel, ID: 1, Tenants: []string{"a"}},
+			"carries steal origins"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -36,7 +36,7 @@ func TestAppendENOSPCIsSticky(t *testing.T) {
 	var appended []Record
 	var failAt int = -1
 	for i := 0; i < 64; i++ {
-		rec := StepRecord(int64(i + 1))
+		rec := StepsRecord(1, int64(i+1))
 		if err := j.Append(rec); err != nil {
 			if !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("append %d failed with %v, want ENOSPC", i, err)
@@ -51,7 +51,7 @@ func TestAppendENOSPCIsSticky(t *testing.T) {
 	}
 	// The failure latches: later appends fail without touching the file,
 	// and the error keeps unwrapping to ENOSPC.
-	if err := j.Append(StepRecord(999)); !errors.Is(err, syscall.ENOSPC) {
+	if err := j.Append(StepsRecord(1, 999)); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append after trip: %v, want sticky ENOSPC", err)
 	}
 	if err := j.Err(); !errors.Is(err, syscall.ENOSPC) {
@@ -81,7 +81,7 @@ func TestAppendShortWriteTornFrame(t *testing.T) {
 
 	var appended []Record
 	for i := 0; i < 64; i++ {
-		rec := StepRecord(int64(i + 1))
+		rec := StepsRecord(1, int64(i+1))
 		if err := j.Append(rec); err != nil {
 			// A short write surfaces as io.ErrShortWrite wrapping the cause.
 			if !errors.Is(err, io.ErrShortWrite) && !errors.Is(err, syscall.ENOSPC) {
@@ -112,7 +112,7 @@ func TestCompactFailureLatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := j.Append(StepRecord(int64(i + 1))); err != nil {
+		if err := j.Append(StepsRecord(1, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestCloseFlushesIntervalTail(t *testing.T) {
 	// The first append syncs (lastSync is the zero time); the rest land
 	// inside the hour-long interval and stay buffered.
 	for i := 0; i < 5; i++ {
-		if err := j.Append(StepRecord(int64(i + 1))); err != nil {
+		if err := j.Append(StepsRecord(1, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func TestCloseReportsFailedFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := j.Append(StepRecord(int64(i + 1))); err != nil {
+		if err := j.Append(StepsRecord(1, int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}

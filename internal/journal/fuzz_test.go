@@ -56,7 +56,7 @@ func FuzzJournalDecode(f *testing.F) {
 func FuzzJournalOpen(f *testing.F) {
 	var b bytes.Buffer
 	b.Write(magic)
-	payload, err := encodeRecord(StepRecord(7))
+	payload, err := encodeRecord(StepsRecord(1, 7))
 	if err != nil {
 		f.Fatal(err)
 	}

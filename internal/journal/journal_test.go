@@ -50,11 +50,11 @@ func testRecords(t testing.TB) []Record {
 	}
 	return []Record{
 		admit,
-		StepRecord(1),
+		StepsRecord(1, 1),
 		batch,
-		StepRecord(2),
+		StepsRecord(1, 2),
 		CancelRecord(2),
-		StepRecord(3),
+		StepsRecord(1, 3),
 	}
 }
 
@@ -138,7 +138,7 @@ func TestTornTailEveryPrefix(t *testing.T) {
 		}
 		recordsEqual(t, recs, want[:wantN])
 		// The repaired journal must accept appends and survive a reopen.
-		mustAppend(t, j2, StepRecord(99))
+		mustAppend(t, j2, StepsRecord(1, 99))
 		if err := j2.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestCompactRewritesToSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustAppend(t, j, StepRecord(info.Step))
+		mustAppend(t, j, StepsRecord(1, info.Step))
 	}
 
 	cp, err := eng.Checkpoint()
@@ -269,7 +269,7 @@ func TestCompactRewritesToSnapshot(t *testing.T) {
 		t.Fatalf("post-compact stats %+v", st)
 	}
 	// Appends continue into the compacted file.
-	mustAppend(t, j, StepRecord(cp.Now+1))
+	mustAppend(t, j, StepsRecord(1, cp.Now+1))
 	j.Close()
 
 	_, recs, err := Open(path, Options{})
@@ -303,7 +303,7 @@ func TestCompactRewritesToSnapshot(t *testing.T) {
 func TestSnapshotNotAtHeadRejected(t *testing.T) {
 	path := tempJournal(t)
 	j, _ := mustOpen(t, path, Options{})
-	mustAppend(t, j, StepRecord(1))
+	mustAppend(t, j, StepsRecord(1, 1))
 	cp := sim.EngineCheckpoint{Now: 1}
 	mustAppend(t, j, Record{Type: TypeSnap, Snap: &cp})
 	j.Close()
@@ -343,7 +343,7 @@ func TestReplayRebuildsEngineExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustAppend(t, j, StepRecord(info.Step))
+		mustAppend(t, j, StepsRecord(1, info.Step))
 	}
 	if err := eng.Cancel(1); err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestReplayRebuildsEngineExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustAppend(t, j, StepRecord(info.Step))
+		mustAppend(t, j, StepsRecord(1, info.Step))
 	}
 	j.Close()
 
@@ -408,7 +408,7 @@ func TestReplayDetectsMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, StepRecord(info.Step))
+		recs = append(recs, StepsRecord(1, info.Step))
 	}
 
 	t.Run("id skew", func(t *testing.T) {
@@ -430,7 +430,7 @@ func TestReplayDetectsMismatch(t *testing.T) {
 		}
 	})
 	t.Run("step past idle", func(t *testing.T) {
-		extended := append(append([]Record(nil), recs...), StepRecord(999))
+		extended := append(append([]Record(nil), recs...), StepsRecord(1, 999))
 		if err := Replay(newEngine(), extended); err == nil {
 			t.Fatal("replay stepping an idle engine succeeded")
 		}
@@ -453,7 +453,7 @@ func TestSyncIntervalThrottles(t *testing.T) {
 	}
 	j, _ := mustOpen(t, path, opts)
 	for i := 0; i < 10; i++ {
-		mustAppend(t, j, StepRecord(int64(i+1)))
+		mustAppend(t, j, StepsRecord(1, int64(i+1)))
 	}
 	// First append syncs (lastSync is zero), the rest fall inside the
 	// hour-long interval.

@@ -71,24 +71,6 @@ type FairState struct {
 	Jobs map[int]string `json:"jobs,omitempty"`
 }
 
-// Clone deep-copies the ledger so journal payloads never alias live maps.
-func (f FairState) Clone() FairState {
-	out := FairState{V: f.V, HalfLife: f.HalfLife}
-	if f.Usage != nil {
-		out.Usage = make(map[string]fairshare.Usage, len(f.Usage))
-		for k, v := range f.Usage {
-			out.Usage[k] = v
-		}
-	}
-	if f.Jobs != nil {
-		out.Jobs = make(map[int]string, len(f.Jobs))
-		for k, v := range f.Jobs {
-			out.Jobs[k] = v
-		}
-	}
-	return out
-}
-
 // StealState is the work-stealing bookkeeping a snap record carries for
 // the server: compaction drops the steal/admit records the live state was
 // built from, so the checkpoint must carry what survives them.
@@ -103,19 +85,11 @@ type StealState struct {
 	// namespaced IDs they now live under, preserving status/cancel by the
 	// original ID across a restart that replays from this snapshot.
 	Redirects map[int]int `json:"redirects,omitempty"`
-}
-
-// Clone deep-copies the steal state so journal payloads never alias the
-// server's live redirect map.
-func (s StealState) Clone() StealState {
-	out := StealState{V: s.V, In: s.In}
-	if s.Redirects != nil {
-		out.Redirects = make(map[int]int, len(s.Redirects))
-		for k, v := range s.Redirects {
-			out.Redirects[k] = v
-		}
-	}
-	return out
+	// Origins maps shard-local IDs of jobs this shard admitted by a steal to
+	// their original namespaced IDs: the thief-side pairs the snapshot
+	// settled, so a victim whose steal record outlived the compaction is
+	// not mistaken for an orphan.
+	Origins map[int]int `json:"origins,omitempty"`
 }
 
 // JobRecord is one admitted job inside an admit/batch record. Release is
@@ -167,12 +141,17 @@ func (j JobRecord) spec() (sim.JobSpec, error) {
 // loudly on journals they cannot replay instead of misdecoding them.
 const recordVersion = 2
 
+// tenantsVersion is the version of a steal admission that carries its
+// jobs' tenants: a reader that predates the field refuses the record
+// instead of dropping the tenants.
+const tenantsVersion = 3
+
 // Record is one journaled engine mutation.
 type Record struct {
 	Type Type `json:"t"`
 	// V is the record encoding version: 0 (omitted) for the original
 	// shapes, recordVersion for admit/batch records carrying non-graph
-	// jobs.
+	// jobs or steal origins, tenantsVersion for those carrying tenants.
 	V int `json:"v,omitempty"`
 	// Base is the engine-assigned ID of the first admitted job (admit and
 	// batch records); replay cross-checks it against the IDs the engine
@@ -219,6 +198,10 @@ type Record struct {
 	// a steal: From[i] is job i's original namespaced ID on the victim.
 	// Forces V to recordVersion. Empty on client admissions.
 	From []int `json:"from,omitempty"`
+	// Tenants, beside From, names the fair-share leaf each stolen job was in
+	// flight under on the victim ("" for none); written only when one of
+	// them has a tenant, and then V is tenantsVersion.
+	Tenants []string `json:"tenants,omitempty"`
 	// Steal is the server's work-stealing bookkeeping (snap records written
 	// by a steal-enabled server that has stolen at least once).
 	Steal *StealState `json:"steal,omitempty"`
@@ -318,14 +301,20 @@ func (r Record) Validate() error {
 		if r.Seq != 0 {
 			return fmt.Errorf("journal: %s record carries a sequence cursor", r.Type)
 		}
-		if r.V != 0 && r.V != recordVersion {
-			return fmt.Errorf("journal: %s record version %d, want 0 or %d", r.Type, r.V, recordVersion)
+		if r.V != 0 && r.V != recordVersion && r.V != tenantsVersion {
+			return fmt.Errorf("journal: %s record version %d, want 0, %d or %d", r.Type, r.V, recordVersion, tenantsVersion)
+		}
+		if len(r.Tenants) != 0 && len(r.Tenants) != len(r.From) {
+			return fmt.Errorf("journal: %s record has %d steal tenants for %d origin IDs", r.Type, len(r.Tenants), len(r.From))
+		}
+		if (r.V == tenantsVersion) != (len(r.Tenants) != 0) {
+			return fmt.Errorf("journal: %s record has version %d and %d steal tenants; version %d goes with tenants", r.Type, r.V, len(r.Tenants), tenantsVersion)
 		}
 		if len(r.From) != 0 {
 			if len(r.From) != len(r.Jobs) {
 				return fmt.Errorf("journal: %s record has %d origin IDs for %d jobs", r.Type, len(r.From), len(r.Jobs))
 			}
-			if r.V != recordVersion {
+			if r.V < recordVersion {
 				return fmt.Errorf("journal: %s record carries steal origins but version is %d, want %d", r.Type, r.V, recordVersion)
 			}
 			if r.Tenant != "" {
@@ -359,14 +348,14 @@ func (r Record) Validate() error {
 				if j.Fam != sim.FamilyMoldable.String() {
 					return fmt.Errorf("journal: %s record job %d carries a moldable spec but family tag %q", r.Type, i, j.Fam)
 				}
-				if r.V != recordVersion {
+				if r.V < recordVersion {
 					return fmt.Errorf("journal: %s record job %d is moldable but record version is %d, want %d", r.Type, i, r.V, recordVersion)
 				}
 			case j.Rigid != nil:
 				if j.Fam != sim.FamilyProfile.String() {
 					return fmt.Errorf("journal: %s record job %d carries a rigid spec but family tag %q", r.Type, i, j.Fam)
 				}
-				if r.V != recordVersion {
+				if r.V < recordVersion {
 					return fmt.Errorf("journal: %s record job %d is rigid but record version is %d, want %d", r.Type, i, r.V, recordVersion)
 				}
 			default:
@@ -378,7 +367,7 @@ func (r Record) Validate() error {
 		}
 	} else if r.V != 0 && r.Type != TypeSteal {
 		return fmt.Errorf("journal: %s record carries stray fields", r.Type)
-	} else if len(r.From) != 0 {
+	} else if len(r.From) != 0 || len(r.Tenants) != 0 {
 		return fmt.Errorf("journal: %s record carries steal origins", r.Type)
 	}
 	return nil
@@ -393,7 +382,7 @@ func (r Record) Validate() error {
 // recordVersion.
 func AdmitRecord(base int, specs []sim.JobSpec) (Record, error) {
 	var rec Record
-	if err := AdmitRecordInto(&rec, base, specs); err != nil {
+	if err := AdmitRecordInto(&rec, base, specs, nil, nil); err != nil {
 		return Record{}, err
 	}
 	return rec, nil
@@ -404,8 +393,10 @@ func AdmitRecord(base int, specs []sim.JobSpec) (Record, error) {
 // previous call. The record's payload only lives until the caller encodes
 // it, so a server journaling every admission through one scratch Record
 // writes the steady-state submit path without per-admission allocation.
+// from and tenants, when set, tag the thief half of a steal (see From and
+// Tenants); the record refers to them, so they must outlive its encoding.
 // On error rec is left in an unspecified state and must not be encoded.
-func AdmitRecordInto(rec *Record, base int, specs []sim.JobSpec) error {
+func AdmitRecordInto(rec *Record, base int, specs []sim.JobSpec, from []int, tenants []string) error {
 	jobs := rec.Jobs
 	if cap(jobs) < len(specs) {
 		jobs = make([]JobRecord, len(specs))
@@ -445,7 +436,13 @@ func AdmitRecordInto(rec *Record, base int, specs []sim.JobSpec) error {
 			return fmt.Errorf("journal: job %d (family %q) is not journalable; need a dag graph, a moldable spec or a rigid spec", base+i, sim.FamilyOf(src))
 		}
 	}
-	*rec = Record{Type: typ, V: version, Base: base, Jobs: jobs}
+	switch {
+	case len(tenants) != 0:
+		version = tenantsVersion
+	case len(from) != 0:
+		version = recordVersion
+	}
+	*rec = Record{Type: typ, V: version, Base: base, Jobs: jobs, From: from, Tenants: tenants}
 	return nil
 }
 
@@ -460,35 +457,9 @@ func StealRecord(ids []int, to, nbase int) Record {
 	return Record{Type: TypeSteal, V: recordVersion, IDs: append([]int(nil), ids...), To: to, NBase: nbase}
 }
 
-// StealAdmitRecord builds the thief-side record for a committed cross-shard
-// steal: a normal admit/batch record for the re-admitted specs, tagged with
-// the jobs' original namespaced IDs so replay and reconciliation can tell
-// steal re-admissions from client submissions. from[i] is specs[i]'s
-// namespaced ID on the victim; the slice is copied.
-func StealAdmitRecord(base int, specs []sim.JobSpec, from []int) (Record, error) {
-	if len(from) != len(specs) {
-		return Record{}, fmt.Errorf("journal: steal admit has %d origin IDs for %d specs", len(from), len(specs))
-	}
-	rec, err := AdmitRecord(base, specs)
-	if err != nil {
-		return Record{}, err
-	}
-	rec.V = recordVersion
-	rec.From = append([]int(nil), from...)
-	return rec, nil
-}
-
-// StepRecord builds the record for one executed step ending at virtual
-// time now.
-func StepRecord(now int64) Record { return Record{Type: TypeStep, Now: now} }
-
 // FairRecord builds a fair-share ledger record (the head marker of a
-// fairness-enabled journal). The ledger is deep-copied so the caller's
-// live maps are never aliased by the journal.
-func FairRecord(st FairState) Record {
-	c := st.Clone()
-	return Record{Type: TypeFair, Fair: &c}
-}
+// fairness-enabled journal).
+func FairRecord(st FairState) Record { return Record{Type: TypeFair, Fair: &st} }
 
 // StepsRecord builds the record for n consecutive executed steps ending at
 // virtual time now. n == 1 degrades to a plain step record, so journals
@@ -496,7 +467,7 @@ func FairRecord(st FairState) Record {
 // readers whenever no batching actually happened.
 func StepsRecord(n, now int64) Record {
 	if n == 1 {
-		return StepRecord(now)
+		return Record{Type: TypeStep, Now: now}
 	}
 	return Record{Type: TypeSteps, Now: now, N: n}
 }

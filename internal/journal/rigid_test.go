@@ -91,13 +91,13 @@ func TestRigidJournalRoundTrip(t *testing.T) {
 func TestAdmitRecordIntoRecycles(t *testing.T) {
 	specs := []sim.JobSpec{{Source: profile.MustNewRigid(3, "a", 2, 3, 4), Release: 7}}
 	var rec Record
-	if err := AdmitRecordInto(&rec, 5, specs); err != nil {
+	if err := AdmitRecordInto(&rec, 5, specs, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	box, backing := rec.Jobs[0].Rigid, &rec.Jobs[0]
 
 	specs[0] = sim.JobSpec{Source: profile.MustNewRigid(3, "b", 1, 2, 2), Release: 9}
-	if err := AdmitRecordInto(&rec, 6, specs); err != nil {
+	if err := AdmitRecordInto(&rec, 6, specs, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Jobs[0].Rigid != box || &rec.Jobs[0] != backing {
@@ -120,7 +120,7 @@ func TestAdmitRecordIntoRecycles(t *testing.T) {
 	}
 
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := AdmitRecordInto(&rec, 6, specs); err != nil {
+		if err := AdmitRecordInto(&rec, 6, specs, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -136,7 +136,7 @@ func TestJournalSyncStats(t *testing.T) {
 	j, _ := mustOpen(t, path, Options{Sync: SyncAlways})
 	base := j.Stats().Syncs // Open syncs the fresh header outside the counters
 	for i := 0; i < 3; i++ {
-		mustAppend(t, j, StepRecord(int64(i+1)))
+		mustAppend(t, j, StepsRecord(1, int64(i+1)))
 	}
 	st := j.Stats()
 	if st.Syncs != base+3 {

@@ -111,7 +111,7 @@ func TestSnapshotEndsSplicedBatch(t *testing.T) {
 	}
 	defer j.Close()
 	step := func(now int64) journal.Record {
-		rec := journal.StepRecord(now)
+		rec := journal.StepsRecord(1, now)
 		if err := j.Append(rec); err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func testFrames(t *testing.T) []Frame {
 		}},
 		{T: FrameRecs, Epoch: 3, Shard: 0, Seq: 1, Recs: []journal.Record{
 			{Type: journal.TypeAdmit, Base: 0, Jobs: []journal.JobRecord{{Release: 2, Graph: g}}},
-			journal.StepRecord(1),
+			journal.StepsRecord(1, 1),
 			journal.StepsRecord(3, 4),
 			journal.CancelRecord(0),
 		}},
@@ -182,17 +182,17 @@ func TestValidateRejectsMalformedFrames(t *testing.T) {
 	g := testGraph()
 	bad := []Frame{
 		{T: "mystery", Epoch: 1},
-		{T: FrameHello, Epoch: 0, Shards: 1},                                            // missing epoch
-		{T: FrameHello, Epoch: 1},                                                       // missing shard count
-		{T: FrameHello, Epoch: 1, Shards: 2, Seq: 9},                                    // stray cursor
-		{T: FrameHelloAck, Epoch: 1},                                                    // no cursors
-		{T: FrameAck, Epoch: 1, Next: []int64{0}},                                       // cursor < 1
-		{T: FrameRecs, Epoch: 1, Seq: 1},                                                // no records
-		{T: FrameRecs, Epoch: 1, Seq: 0, Recs: []journal.Record{journal.StepRecord(1)}}, // missing seq
+		{T: FrameHello, Epoch: 0, Shards: 1},         // missing epoch
+		{T: FrameHello, Epoch: 1},                    // missing shard count
+		{T: FrameHello, Epoch: 1, Shards: 2, Seq: 9}, // stray cursor
+		{T: FrameHelloAck, Epoch: 1},                 // no cursors
+		{T: FrameAck, Epoch: 1, Next: []int64{0}},    // cursor < 1
+		{T: FrameRecs, Epoch: 1, Seq: 1},             // no records
+		{T: FrameRecs, Epoch: 1, Seq: 0, Recs: []journal.Record{journal.StepsRecord(1, 1)}}, // missing seq
 		{T: FrameRecs, Epoch: 1, Seq: 1, Recs: []journal.Record{
 			{Type: journal.TypeSnap, Snap: &sim.EngineCheckpoint{}},
 		}}, // snapshot smuggled into a recs frame
-		{T: FrameSnap, Epoch: 1, Seq: 3, Recs: []journal.Record{journal.StepRecord(1)}}, // not a snap record
+		{T: FrameSnap, Epoch: 1, Seq: 3, Recs: []journal.Record{journal.StepsRecord(1, 1)}}, // not a snap record
 		{T: FrameSnap, Epoch: 1, Seq: 3, Recs: []journal.Record{
 			{Type: journal.TypeSnap, Snap: &sim.EngineCheckpoint{}, Seq: 4},
 		}}, // cursor disagreement

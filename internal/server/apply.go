@@ -30,6 +30,7 @@ import (
 type applyOut struct {
 	ids       []int         // Admitted: the engine-assigned IDs
 	withdrawn []sim.JobSpec // Stolen: the specs the thief re-admits
+	tenants   []string      // Stolen: their fair-share leaves, nil if none
 	step      sim.StepInfo  // Stepped: engine-owned, valid until the next step
 }
 
@@ -111,29 +112,20 @@ func (sh *shard) refuseTags(rec *journal.Record) error {
 }
 
 // admitRecordLocked builds the record that admits specs at the engine's
-// next ID. tenant is the fair-share leaf ("" outside the fair gate); from,
-// when set, tags the thief half of a steal with the jobs' original
-// namespaced IDs. A client admission refills the per-shard scratch record
-// — it only lives until Append encodes it (replication reads the record
-// back from the WAL), which keeps the steady-state submit path
-// allocation-free. Without a journal nothing will ever encode the record,
-// so it carries only what apply reads: jobs of any shape stay admissible
-// on a journal-free service.
-func (sh *shard) admitRecordLocked(specs []sim.JobSpec, tenant string, from []int) (*journal.Record, error) {
+// next ID. tenant is the fair-share leaf ("" outside the fair gate); from
+// and tenants, when set, tag the thief half of a steal with the jobs'
+// original namespaced IDs and their leaves. The record is the per-shard
+// scratch record — it only lives until Append encodes it (replication
+// reads the record back from the WAL), which keeps the steady-state submit
+// path allocation-free. Without a journal nothing will ever encode the
+// record, so it carries only what apply reads: jobs of any shape stay
+// admissible on a journal-free service.
+func (sh *shard) admitRecordLocked(specs []sim.JobSpec, tenant string, from []int, tenants []string) (*journal.Record, error) {
 	base := sh.eng.NextID()
 	rec := &sh.admitRec
-	var err error
-	switch {
-	case sh.jn == nil:
-		*rec = journal.Record{Type: journal.TypeBatch, Base: base, From: from}
-	case from != nil:
-		var fresh journal.Record
-		fresh, err = journal.StealAdmitRecord(base, specs, from)
-		rec = &fresh
-	default:
-		err = journal.AdmitRecordInto(rec, base, specs)
-	}
-	if err != nil {
+	if sh.jn == nil {
+		*rec = journal.Record{Type: journal.TypeBatch, Base: base, From: from, Tenants: tenants}
+	} else if err := journal.AdmitRecordInto(rec, base, specs, from, tenants); err != nil {
 		return nil, err
 	}
 	rec.Tenant = tenant
@@ -161,13 +153,11 @@ func (sh *shard) checkFair(st journal.FairState) error {
 // Admitted implements journal.Observer. The jobs are indexed before the
 // lock drops, so a status query racing the submit response finds them
 // (JobRef's Work aliases engine memory; put copies it into the stripe
-// arena). The thief half of a steal counts as stolen-in, not submitted —
-// external admission counters must survive replay — and an orphan repair,
-// which re-admits on the victim itself, points the original ID back into
-// this shard. A client admission is charged to its tenant strictly after
-// it is durable, so the record sequence replays to the identical ledger;
-// records from before fairness existed (and callers that bypass the fair
-// gate) accrue to the default leaf.
+// arena). The thief half of a steal counts as stolen-in, not submitted,
+// and remembers each job's origin; an orphan repair, which re-admits on
+// the victim itself, points the original ID back into this shard. The
+// fair ledger accounts the admission strictly after it is durable, so the
+// record sequence replays to the identical ledger (fairAdmittedLocked).
 func (sh *shard) Admitted(rec journal.Record, specs []sim.JobSpec, ids []int) {
 	sh.out.ids = ids
 	for _, id := range ids {
@@ -176,27 +166,24 @@ func (sh *shard) Admitted(rec journal.Record, specs []sim.JobSpec, ids []int) {
 	}
 	if len(rec.From) != 0 {
 		sh.stolenIn += int64(len(ids))
+		if sh.origins == nil {
+			sh.origins = make(map[int]int)
+		}
 		for k, src := range rec.From {
+			sh.origins[ids[k]] = src
 			if ShardOf(src) == sh.idx {
 				sh.tab.setRedirect(LocalID(src), composeID(sh.idx, ids[k]))
 			}
 		}
 		sh.ledger.admitted(sh.idx, rec.From, ids)
-		return
 	}
-	sh.submitted += int64(len(ids))
 	if sh.fair != nil {
-		tenant := rec.Tenant
-		if tenant == "" {
-			tenant = sh.fair.defaultPath
-		}
-		sh.fairAccrueLocked(tenant, ids, specsCost(specs))
+		sh.fairAdmittedLocked(rec, specs, ids)
 	}
 }
 
 // Cancelled implements journal.Observer.
 func (sh *shard) Cancelled(id int) {
-	sh.cancelled++
 	sh.fairForgetLocked(id)
 	sh.tab.setCancelled(id, sh.eng.Now())
 	sh.retireLocked(id)
@@ -205,16 +192,21 @@ func (sh *shard) Cancelled(id int) {
 // Stolen implements journal.Observer: the victim half of a steal. Each
 // withdrawn job's original ID redirects to its new home, so status and
 // cancel keep resolving (Service.resolve follows the chain). The job
-// leaves this shard's in-flight ledger, which only a fairness-enabled
-// restart over a steal journal has charged it to.
+// leaves this shard's in-flight ledger, and the leaf it was in flight
+// under goes to the thief with it (out.tenants); its usage stays here.
 func (sh *shard) Stolen(rec journal.Record, specs []sim.JobSpec) {
-	sh.out.withdrawn = specs
+	sh.out.withdrawn, sh.out.tenants = specs, nil
 	for k, id := range rec.IDs {
 		sh.tab.setRedirect(id, composeID(rec.To, rec.NBase+k))
-		sh.fairForgetLocked(id)
+		if slot := sh.fairForgetLocked(id); slot >= 0 {
+			if sh.out.tenants == nil {
+				sh.out.tenants = make([]string, len(rec.IDs))
+			}
+			sh.out.tenants[k] = sh.fair.slots.path(slot)
+		}
 		sh.retireLocked(id)
 	}
-	sh.ledger.stolen(sh.idx, rec, specs)
+	sh.ledger.stolen(sh.idx, rec, specs, sh.out.tenants)
 }
 
 // Stepped implements journal.Observer, and is what the live step loop
@@ -231,17 +223,10 @@ func (sh *shard) Stepped(info sim.StepInfo) {
 		done, _ := sh.eng.Completion(id)
 		rel, _ := sh.tab.release(id)
 		sh.tab.setDone(id, done)
-		sh.observeResponseLocked(done - rel)
-		sh.completed++
+		sh.resp.Observe(float64(done - rel))
 		sh.fairForgetLocked(id)
 		sh.retireLocked(id)
 	}
-}
-
-// observeResponseLocked accounts one completed job's response time, for
-// the Stats summary and the /metrics histogram alike.
-func (sh *shard) observeResponseLocked(steps int64) {
-	sh.resp.Observe(float64(steps))
 }
 
 // retireLocked releases a terminal job's engine state once the index holds
@@ -314,21 +299,17 @@ func (sh *shard) restoreLocked(rec *journal.Record) error {
 		sh.setFairLocked(*rec.Fair)
 	}
 	sh.tab.reset()
-	sh.stolenIn = 0
+	sh.stolenIn, sh.origins = 0, nil
 	if rec.Steal != nil {
-		sh.stolenIn = rec.Steal.In
+		sh.stolenIn, sh.origins = rec.Steal.In, rec.Steal.Origins
 		for id, target := range rec.Steal.Redirects {
 			sh.tab.setRedirect(id, target)
 		}
 	}
-	// Lifecycle counters and the response histogram are durable state and
-	// come back from the engine; stolen-in admissions were journaled by
-	// steals, not clients. The index rebuilds from the same pass, and
-	// RetireDone then releases each terminal job's engine state.
+	// The response histogram is durable state and comes back from the
+	// engine. The index rebuilds from the same pass, and RetireDone then
+	// releases each terminal job's engine state.
 	snap := eng.Snapshot()
-	sh.submitted = int64(snap.Admitted) - sh.stolenIn
-	sh.completed = int64(snap.Completed)
-	sh.cancelled = int64(snap.Cancelled)
 	sh.resp = metrics.Hist{}
 	for id := 0; id < snap.Admitted; id++ {
 		st, ok := eng.JobRef(id)
@@ -341,7 +322,7 @@ func (sh *shard) restoreLocked(rec *journal.Record) error {
 			sh.tab.put(id, st)
 		}
 		if st.Phase == sim.JobDone {
-			sh.observeResponseLocked(st.Completion - st.Release)
+			sh.resp.Observe(float64(st.Completion - st.Release))
 		}
 		if st.Phase != sim.JobPending && st.Phase != sim.JobActive {
 			sh.retireLocked(id)

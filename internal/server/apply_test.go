@@ -65,14 +65,12 @@ func applyPathsConfig(dir string, mode string, retire bool) Config {
 	cfg.MaxInFlight = 512
 	cfg.RetireDone = retire
 	cfg.Journal = &JournalConfig{Dir: dir, SnapshotEvery: 1, Sync: journal.SyncNever} // equivalence, not durability: skip the fsyncs
-	switch mode {
-	case "fairness":
+	if strings.HasSuffix(mode, "fairness") {
 		cfg.Fairness = &fairshare.Config{HalfLife: 32, Nodes: []fairshare.NodeConfig{
 			{Name: "heavy", Weight: 2}, {Name: "light", Weight: 1},
 		}}
-	case "steal":
-		cfg.Steal = true
 	}
+	cfg.Steal = strings.HasPrefix(mode, "steal")
 	return cfg
 }
 
@@ -126,11 +124,11 @@ func applyScript(t *testing.T, seed int64, primary, follower *Service) (ids []in
 			// caught-up shard would rightly ignore the snapshot and keep its
 			// uncompacted WAL.
 			for _, sh := range primary.shards {
-				local, err := sh.submit("", spec())
+				local, err := sh.submitBatch("", []sim.JobSpec{spec()})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ids = append(ids, composeID(sh.idx, local))
+				ids = append(ids, composeID(sh.idx, local[0]))
 			}
 		}
 		if op == compactAt {
@@ -198,8 +196,8 @@ func comparableStats(svc *Service) Stats {
 // a primary, a follower fed by ApplyReplicated, and a fresh service over
 // the primary's journal must agree on Stats, every job's status through
 // redirects, tenant state and engine checkpoints, and the follower's WAL
-// must be a byte prefix of the primary's. Seed count from
-// KRAD_APPLY_SEEDS (default 10).
+// must be a byte prefix of the primary's. The modes cross fair share with
+// stealing. Seed count from KRAD_APPLY_SEEDS (default 10).
 func TestApplyPathsAgree(t *testing.T) {
 	seeds := 10
 	if v := os.Getenv("KRAD_APPLY_SEEDS"); v != "" {
@@ -209,20 +207,25 @@ func TestApplyPathsAgree(t *testing.T) {
 		}
 		seeds = n
 	}
-	for _, mode := range []string{"plain", "fairness", "steal"} {
+	for _, mode := range []string{"plain", "fairness", "steal", "steal+fairness"} {
 		for _, retire := range []bool{false, true} {
 			mode, retire := mode, retire
 			t.Run(fmt.Sprintf("%s/retire=%v", mode, retire), func(t *testing.T) {
 				t.Parallel()
+				var stolen int64
 				for seed := int64(1); seed <= int64(seeds); seed++ {
-					applyPathsAgree(t, mode, retire, seed)
+					stolen += applyPathsAgree(t, mode, retire, seed)
+				}
+				if strings.HasPrefix(mode, "steal") && stolen == 0 {
+					t.Fatal("the scripts stole nothing")
 				}
 			})
 		}
 	}
 }
 
-func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) {
+// applyPathsAgree runs one seed and returns how many jobs it stole.
+func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) int64 {
 	t.Helper()
 	pdir, fdir := t.TempDir(), t.TempDir()
 	primary, err := New(applyPathsConfig(pdir, mode, retire))
@@ -308,8 +311,8 @@ func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) {
 	agree(pv, rv, true)
 	agree(fv, rv, false)
 	requireIdentical(t, restarted, follower)
-	if mode != "steal" {
-		return
+	if !restarted.cfg.Steal {
+		return 0
 	}
 
 	// The same journals restarted without stealing replay the same steal
@@ -331,6 +334,7 @@ func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) {
 	agree(rv, ov, false)
 	requireIdentical(t, restarted, off)
 	requireSameRedirects(t, restarted, off)
+	return rv.stats.Steal.Stolen
 }
 
 // TestRefusedSnapshotChangesNothing feeds a follower a fair snapshot
@@ -414,7 +418,7 @@ func TestReplayStepBuildsNoEvent(t *testing.T) {
 	}
 	sh := svc.shards[0]
 	for i := 0; i < 600; i++ {
-		if _, err := sh.submit("", sim.JobSpec{Graph: dag.Singleton(1, 1)}); err != nil {
+		if _, err := sh.submitBatch("", []sim.JobSpec{{Graph: dag.Singleton(1, 1)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -426,7 +430,7 @@ func TestReplayStepBuildsNoEvent(t *testing.T) {
 		}
 	}
 	replayStep := func() {
-		rec := journal.StepRecord(sh.eng.Now() + 1)
+		rec := journal.StepsRecord(1, sh.eng.Now()+1)
 		if err := sh.replayLocked(&rec); err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +442,7 @@ func TestReplayStepBuildsNoEvent(t *testing.T) {
 	if replay := testing.AllocsPerRun(200, replayStep); replay != bare {
 		t.Fatalf("replaying a step record allocates %.1f per record, the bare engine step %.1f", replay, bare)
 	}
-	if sh.completed < 250 {
-		t.Fatalf("replayed steps completed %d jobs: the pin exercised no completions", sh.completed)
+	if done := sh.eng.Snapshot().Completed; done < 250 {
+		t.Fatalf("replayed steps completed %d jobs: the pin exercised no completions", done)
 	}
 }

@@ -189,10 +189,11 @@ func (s *Service) tenantStats() []TenantStats {
 // shardFair is the shard's slice of fair-share accounting, indexed by
 // tenant slot: the usage this shard charged each tenant, decayed on its
 // own virtual clock, and the tenant's jobs in flight here, plus each
-// in-flight job's slot. Only the apply hooks write it — Admitted, the
-// completions and cancellations that forget a job, and a fair or snap
-// record restoring it — all under the shard lock; the gate reads it under
-// the same lock.
+// in-flight job's slot. A stolen job is in flight on its thief, while the
+// usage its admission charged stays on the victim. Only the apply hooks
+// write it — Admitted, the completions, cancellations and steals that
+// forget a job, and a fair or snap record restoring it — all under the
+// shard lock; the gate reads it under the same lock.
 type shardFair struct {
 	halfLife    int64
 	defaultPath string
@@ -214,6 +215,14 @@ func (f *shardFair) leaf(slot int) *fairLeaf {
 		f.ledger = append(f.ledger, fairLeaf{})
 	}
 	return &f.ledger[slot]
+}
+
+// slot returns tenant's slot; "" is the default leaf.
+func (f *shardFair) slot(tenant string) int {
+	if tenant == "" {
+		tenant = f.defaultPath
+	}
+	return f.slots.of(tenant)
 }
 
 // armFair enables the shard's fair ledger. Called from New before any
@@ -241,35 +250,46 @@ func (sh *shard) fairCollect(leafSlot []int, states []fairshare.State) {
 	}
 }
 
-// fairAccrueLocked charges a committed admission to the tenant's ledger:
-// usage grows by cost at the shard's current step, the jobs are tracked
-// for in-flight accounting. Called with the shard lock held by the
-// Admitted apply hook (apply.go) on a fairness-enabled shard.
-func (sh *shard) fairAccrueLocked(tenant string, ids []int, cost float64) {
+// fairAdmittedLocked accounts a committed admission in the ledger: every
+// job is tracked in flight under its tenant's leaf, and a client admission
+// also charges its cost to that leaf's usage at the shard's current step.
+// The thief half of a steal charges nothing — the victim already did — and
+// takes each job's leaf from the record's Tenants. A job with no tenant (a
+// record from before fairness, a caller that bypassed the gate, a stolen
+// job its victim never tracked) is the default leaf's. Called with the
+// shard lock held by the Admitted apply hook on a fairness-enabled shard.
+func (sh *shard) fairAdmittedLocked(rec journal.Record, specs []sim.JobSpec, ids []int) {
 	f := sh.fair
-	slot := f.slots.of(tenant)
-	l := f.leaf(slot)
-	l.usage.Add(sh.eng.Now(), f.halfLife, cost)
-	l.charged = true
-	l.inFlight += len(ids)
-	for _, id := range ids {
+	slot := f.slot(rec.Tenant)
+	if len(rec.From) == 0 {
+		l := f.leaf(slot)
+		l.usage.Add(sh.eng.Now(), f.halfLife, specsCost(specs))
+		l.charged = true
+	}
+	for k, id := range ids {
+		if len(rec.Tenants) != 0 {
+			slot = f.slot(rec.Tenants[k])
+		}
 		f.jobs[id] = slot
+		f.leaf(slot).inFlight++
 	}
 }
 
-// fairForgetLocked drops a finished or cancelled job from the in-flight
-// ledger (accrued usage stays — it decays). Called with the shard lock
-// held; a no-op for jobs the ledger never tracked.
-func (sh *shard) fairForgetLocked(id int) {
+// fairForgetLocked drops a finished, cancelled or stolen job from the
+// in-flight ledger (accrued usage stays — it decays) and returns the slot
+// it was tracked under, or -1 for a job the ledger never tracked. Called
+// with the shard lock held.
+func (sh *shard) fairForgetLocked(id int) int {
 	if sh.fair == nil {
-		return
+		return -1
 	}
 	slot, ok := sh.fair.jobs[id]
 	if !ok {
-		return
+		return -1
 	}
 	delete(sh.fair.jobs, id)
 	sh.fair.ledger[slot].inFlight--
+	return slot
 }
 
 // fairStateLocked snapshots the shard's ledger for a journal record

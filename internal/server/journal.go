@@ -184,11 +184,12 @@ func (sh *shard) maybeCompact() {
 		rec.Fair = &st
 	}
 	// Steal state rides the snapshot the same way: the dropped records held
-	// the stolen-in count and the redirects that keep original IDs
-	// resolvable. Omitted while empty so a shard that never took part in a
-	// steal keeps byte-identical snapshots.
+	// the stolen-in count, the redirects that keep original IDs resolvable
+	// and the origins that tell a peer's lone half of a pair this snapshot
+	// settled from an orphan. Omitted while empty so a shard that never
+	// took part in a steal keeps byte-identical snapshots.
 	if redirs := sh.tab.redirects(); sh.stolenIn > 0 || len(redirs) > 0 {
-		rec.Steal = &journal.StealState{V: 1, In: sh.stolenIn, Redirects: redirs}
+		rec.Steal = &journal.StealState{V: 1, In: sh.stolenIn, Redirects: redirs, Origins: sh.origins}
 	}
 	if err := sh.jn.Compact(rec); err == nil {
 		sh.applied = 1 // the snapshot is now the whole logical sequence

@@ -74,9 +74,9 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	}{
 		{"krad_shard_steps_total", "Virtual steps executed by one shard.", "counter", func(v shardView) any { return v.steps }},
 		{"krad_shard_virtual_time", "One shard's virtual clock.", "gauge", func(v shardView) any { return v.snap.Now }},
-		{"krad_shard_jobs_submitted_total", "Jobs admitted to one shard.", "counter", func(v shardView) any { return v.submitted }},
-		{"krad_shard_jobs_completed_total", "Jobs completed on one shard.", "counter", func(v shardView) any { return v.completed }},
-		{"krad_shard_jobs_cancelled_total", "Jobs cancelled on one shard.", "counter", func(v shardView) any { return v.cancelled }},
+		{"krad_shard_jobs_submitted_total", "Jobs admitted to one shard.", "counter", func(v shardView) any { return int64(v.snap.Admitted) - v.stolenIn }},
+		{"krad_shard_jobs_completed_total", "Jobs completed on one shard.", "counter", func(v shardView) any { return v.snap.Completed }},
+		{"krad_shard_jobs_cancelled_total", "Jobs cancelled on one shard.", "counter", func(v shardView) any { return v.snap.Cancelled }},
 		{"krad_shard_jobs_rejected_total", "Submissions rejected by one shard's admission bound.", "counter", func(v shardView) any { return v.rejected }},
 		{"krad_shard_jobs_active", "Jobs currently executing on one shard.", "gauge", func(v shardView) any { return v.snap.Active }},
 		{"krad_shard_jobs_pending", "Admitted jobs awaiting release on one shard.", "gauge", func(v shardView) any { return v.snap.Pending }},

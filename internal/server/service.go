@@ -111,9 +111,9 @@ type Config struct {
 	// gauge, and adds Stats.Steal. Replay does not depend on it: every
 	// Service — restart, follower, steal-off — rebuilds journaled steals
 	// and repairs split pairs through the same apply hooks, and only a
-	// steal-enabled one starts steals of its own. Mutually exclusive with
-	// Fairness (stolen jobs would escape their tenant's ledger). See
-	// steal.go.
+	// steal-enabled one starts steals of its own. With Fairness, a stolen
+	// job stays in flight under its tenant on the thief while its usage
+	// stays where its admission charged it. See steal.go.
 	Steal bool
 	// Fairness, when set, enables hierarchical multi-tenant fair-share
 	// admission: submissions resolve their X-Krad-Tenant header through
@@ -236,9 +236,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Shards > 1 && cfg.NewScheduler == nil {
 		return nil, errors.New("server: Shards > 1 requires Config.NewScheduler — shards must not share one stateful scheduler instance")
 	}
-	if cfg.Steal && cfg.Fairness != nil {
-		return nil, errors.New("server: Steal and Fairness are mutually exclusive — a stolen job would escape its tenant's fair-share ledger")
-	}
 	place, err := NewPlacement(cfg.Placement)
 	if err != nil {
 		return nil, err
@@ -250,7 +247,7 @@ func New(cfg Config) (*Service, error) {
 	base := cfg.MaxInFlight / cfg.Shards
 	extra := cfg.MaxInFlight % cfg.Shards
 	shards := make([]*shard, cfg.Shards)
-	ledger := newStealLedger()
+	ledger := &stealLedger{out: make(map[int]stealOut), in: make(map[int]stealIn)}
 	schedName := ""
 	for i := range shards {
 		simCfg := cfg.Sim
@@ -377,26 +374,11 @@ func (s *Service) SubmitKeyed(key string, spec sim.JobSpec) (int, error) {
 // and an over-quota tenant is shed with ErrOverQuota. With fairness off
 // the tenant is ignored and the call is identical to SubmitKeyed.
 func (s *Service) SubmitTenant(key, tenant string, spec sim.JobSpec) (int, error) {
-	leafPath := ""
-	if s.fair != nil {
-		var err error
-		leafPath, err = s.fairAdmit(tenant, 1)
-		if err != nil {
-			return -1, err
-		}
-	}
-	sh, err := s.pick(key)
+	sh, ids, err := s.submit(key, tenant, []sim.JobSpec{spec})
 	if err != nil {
 		return -1, err
 	}
-	local, err := sh.submit(leafPath, spec)
-	if err != nil {
-		return -1, err
-	}
-	if s.fair != nil {
-		s.fair.recordAdmit(leafPath, 1)
-	}
-	return composeID(sh.idx, local), nil
+	return composeID(sh.idx, ids[0]), nil
 }
 
 // SubmitBatch admits every spec — or none — on a single shard chosen by
@@ -414,32 +396,43 @@ func (s *Service) SubmitBatchTenant(key, tenant string, specs []sim.JobSpec) ([]
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	leafPath := ""
-	if s.fair != nil {
-		var err error
-		leafPath, err = s.fairAdmit(tenant, len(specs))
-		if err != nil {
-			return nil, err
-		}
-	}
-	sh, err := s.pick(key)
+	sh, ids, err := s.submit(key, tenant, specs)
 	if err != nil {
 		return nil, err
-	}
-	// Copy: the shard normalizes zero releases in place.
-	own := append([]sim.JobSpec(nil), specs...)
-	ids, err := sh.submitBatch(leafPath, own)
-	if err != nil {
-		return nil, err
-	}
-	if s.fair != nil {
-		s.fair.recordAdmit(leafPath, len(ids))
 	}
 	out := make([]int, len(ids))
 	for i, id := range ids {
 		out[i] = composeID(sh.idx, id)
 	}
 	return out, nil
+}
+
+// submit is the one submission path: the fair-share gate, placement, the
+// shard's all-or-nothing admission of a copy of specs, and the tenant's
+// admitted tally. It returns the shard and the engine-local IDs.
+func (s *Service) submit(key, tenant string, specs []sim.JobSpec) (*shard, []int, error) {
+	leafPath := ""
+	if s.fair != nil {
+		var err error
+		leafPath, err = s.fairAdmit(tenant, len(specs))
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	sh, err := s.pick(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Copy: the shard normalizes zero releases in place.
+	own := append([]sim.JobSpec(nil), specs...)
+	ids, err := sh.submitBatch(leafPath, own)
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.fair != nil {
+		s.fair.recordAdmit(leafPath, len(ids))
+	}
+	return sh, ids, nil
 }
 
 // StepAll executes up to max virtual steps on every shard by direct
@@ -639,9 +632,9 @@ func (s *Service) collect() (Stats, []shardView, *metrics.Hist) {
 			st.Now = v.snap.Now
 		}
 		st.Steps += v.steps
-		st.Submitted += v.submitted
-		st.Completed += v.completed
-		st.Cancelled += v.cancelled
+		st.Submitted += int64(v.snap.Admitted) - v.stolenIn
+		st.Completed += int64(v.snap.Completed)
+		st.Cancelled += int64(v.snap.Cancelled)
 		st.Rejected += v.rejected
 		st.Active += v.snap.Active
 		st.Pending += v.snap.Pending

@@ -16,7 +16,7 @@ import (
 
 // shard is one independent scheduling engine and the goroutine that steps
 // it: the pre-sharding Service extracted whole. Each shard owns its own
-// sim.Engine, admission bound, lifecycle counters and response histogram;
+// sim.Engine, admission bound and response histogram;
 // the Service front-end routes submissions across shards and aggregates
 // their state. K-RAD's per-category analysis holds per machine, so every
 // shard preserves the paper's bounds independently.
@@ -36,16 +36,14 @@ type shard struct {
 	// sustained arrival streams (Config.RetireDone).
 	retireDone bool
 
-	mu        sync.Mutex // guards eng and the counters below
-	eng       *sim.Engine
-	started   bool
-	closed    bool
-	stepErr   error
-	steps     int64
-	submitted int64 // external admissions only; stolen-in jobs count in stolenIn
-	completed int64
-	cancelled int64
-	rejected  int64
+	mu      sync.Mutex // guards eng and the counters below
+	eng     *sim.Engine
+	started bool
+	closed  bool
+	stepErr error
+	steps   int64
+	// rejected counts refused submissions; the engine counts the rest.
+	rejected int64
 	// resp accumulates one response time per completed job in fixed space:
 	// exact N/Min/Max/Mean/StdDev and bucketed quantiles for Stats, and the
 	// counts /metrics folds into its power-of-two le series.
@@ -56,13 +54,15 @@ type shard struct {
 	// carry steal records, whether or not this service steals. stealFn,
 	// set by a steal-enabled service, attempts one steal on behalf of this
 	// shard and reports whether it moved work. stolenIn counts jobs this
-	// shard re-admitted from victims — kept out of submitted so external
-	// admission counters survive replay rebuilds (submitted = engine
-	// admitted − stolenIn). The scratch slices are stealFor's reusable
-	// buffers.
+	// shard re-admitted from victims, which are not client submissions
+	// (Stats.Submitted is the engine's admitted count minus stolenIn).
+	// origins maps each of those jobs' local ID to its original namespaced
+	// ID: a sparse map, since most jobs never move. The scratch slices are
+	// stealFor's reusable buffers.
 	ledger    *stealLedger
 	stealFn   func() bool
 	stolenIn  int64
+	origins   map[int]int
 	stealIDs  []int
 	stealFrom []int
 
@@ -120,16 +120,13 @@ type shard struct {
 // shardView is a locked snapshot of one shard's counters, taken for
 // Stats and /metrics aggregation.
 type shardView struct {
-	idx       int
-	snap      sim.EngineSnapshot
-	steps     int64
-	submitted int64
-	completed int64
-	cancelled int64
-	rejected  int64
-	stolenIn  int64
-	estWork   int64
-	stepErr   error
+	idx      int
+	snap     sim.EngineSnapshot
+	steps    int64
+	rejected int64
+	stolenIn int64
+	estWork  int64
+	stepErr  error
 }
 
 func newShard(idx int, simCfg sim.Config, mkSched func() sched.Scheduler, maxInFlight int, stepEvery time.Duration, fan *fanout) (*shard, error) {
@@ -176,16 +173,6 @@ func (sh *shard) start() {
 	go sh.loop()
 }
 
-// submit admits one job and returns its engine-local ID. tenant is the
-// resolved fair-share leaf path ("" outside the fair admission gate).
-func (sh *shard) submit(tenant string, spec sim.JobSpec) (int, error) {
-	ids, err := sh.submitBatch(tenant, []sim.JobSpec{spec})
-	if err != nil {
-		return -1, err
-	}
-	return ids[0], nil
-}
-
 // submitBatch admits every spec — or none — under one lock acquisition,
 // returning engine-local IDs. The whole batch is rejected with
 // ErrQueueFull when it does not fit the shard's admission bound, and each
@@ -220,19 +207,20 @@ func (sh *shard) submitLocked(tenant string, specs []sim.JobSpec) ([]int, error)
 			specs[i].Release = now
 		}
 	}
-	return sh.admitLocked(specs, tenant, nil)
+	return sh.admitLocked(specs, tenant, nil, nil)
 }
 
 // admitLocked is the admission pipeline past the gates, shared by client
 // submissions and the orphaned-steal repair (from tags the latter with the
-// job's original ID). Everything that can refuse runs before the record
-// exists: an invalid spec, or a job shape the journal cannot describe,
-// leaves no trace — no engine ID burned, nothing on disk.
-func (sh *shard) admitLocked(specs []sim.JobSpec, tenant string, from []int) ([]int, error) {
+// jobs' original IDs, tenants with their leaves). Everything that can
+// refuse runs before the record exists: an invalid spec, or a job shape
+// the journal cannot describe, leaves no trace — no engine ID burned,
+// nothing on disk.
+func (sh *shard) admitLocked(specs []sim.JobSpec, tenant string, from []int, tenants []string) ([]int, error) {
 	if err := sh.eng.CheckAdmit(specs); err != nil {
 		return nil, err
 	}
-	rec, err := sh.admitRecordLocked(specs, tenant, from)
+	rec, err := sh.admitRecordLocked(specs, tenant, from, tenants)
 	if err != nil {
 		return nil, err
 	}
@@ -323,16 +311,13 @@ func (sh *shard) view(resp *metrics.Hist) shardView {
 	defer sh.mu.Unlock()
 	resp.Merge(&sh.resp)
 	return shardView{
-		idx:       sh.idx,
-		snap:      sh.eng.Snapshot(),
-		steps:     sh.steps,
-		submitted: sh.submitted,
-		completed: sh.completed,
-		cancelled: sh.cancelled,
-		rejected:  sh.rejected,
-		stolenIn:  sh.stolenIn,
-		estWork:   sh.eng.EstWork(),
-		stepErr:   sh.stepErr,
+		idx:      sh.idx,
+		snap:     sh.eng.Snapshot(),
+		steps:    sh.steps,
+		rejected: sh.rejected,
+		stolenIn: sh.stolenIn,
+		estWork:  sh.eng.EstWork(),
+		stepErr:  sh.stepErr,
 	}
 }
 

@@ -20,11 +20,13 @@ import (
 // goes down the one mutation pipeline (apply.go) — so a live steal, restart
 // replay and a warm-standby follower build bit-identical state: the victim
 // commits a steal record (which jobs left, where they went), the thief an
-// admit record tagged with the jobs' original namespaced IDs
-// (journal.StealAdmitRecord). The victim's half is durable before the
-// thief's is built. The victim's ID table gains a redirect per stolen job,
-// so status and cancel by the original namespaced ID keep working
-// (Service.resolve follows the chain).
+// admit record tagged with the jobs' original namespaced IDs and, under
+// fair share, the leaves they were in flight under (journal.Record's From
+// and Tenants). The victim's half is durable before the thief's is built.
+// The victim's ID table gains a redirect per stolen job, so status and
+// cancel by the original namespaced ID keep working (Service.resolve
+// follows the chain); the thief remembers each job's origin, and a
+// snapshot carries both, so a compaction on either side settles the pair.
 //
 // A crash can still land between the two records; reconcileSteals repairs
 // that at startup and at follower promotion, before any step loop runs.
@@ -51,12 +53,14 @@ type stealIn struct {
 }
 
 // stealOut is the victim half of a steal (from its steal record): where
-// the job went and the original spec the thief was supposed to re-admit —
-// what an orphan repair needs.
+// the job went, and the original spec and fair-share leaf (tenants, nil
+// for none) the thief was supposed to re-admit — what an orphan repair
+// needs.
 type stealOut struct {
 	to      int
 	toLocal int
 	spec    sim.JobSpec
+	tenants []string
 }
 
 // stealLedger is the service-wide reconciliation ledger, keyed by the
@@ -73,12 +77,9 @@ type stealLedger struct {
 	in  map[int]stealIn  // thief half only: the jobs exist twice (duplicates)
 }
 
-func newStealLedger() *stealLedger {
-	return &stealLedger{out: make(map[int]stealOut), in: make(map[int]stealIn)}
-}
-
-// stolen folds a victim-side steal record into the ledger.
-func (l *stealLedger) stolen(victimIdx int, rec journal.Record, specs []sim.JobSpec) {
+// stolen folds a victim-side steal record into the ledger; tenants are
+// the jobs' leaves, nil if none had one.
+func (l *stealLedger) stolen(victimIdx int, rec journal.Record, specs []sim.JobSpec, tenants []string) {
 	l.mu.Lock()
 	for k, id := range rec.IDs {
 		src := composeID(victimIdx, id)
@@ -86,7 +87,11 @@ func (l *stealLedger) stolen(victimIdx int, rec journal.Record, specs []sim.JobS
 			delete(l.in, src)
 			continue
 		}
-		l.out[src] = stealOut{to: rec.To, toLocal: rec.NBase + k, spec: specs[k]}
+		o := stealOut{to: rec.To, toLocal: rec.NBase + k, spec: specs[k]}
+		if tenants != nil && tenants[k] != "" {
+			o.tenants = tenants[k : k+1]
+		}
+		l.out[src] = o
 	}
 	l.mu.Unlock()
 }
@@ -170,10 +175,10 @@ func (s *Service) stealFor(thief *shard) bool {
 	if victim.commitLocked(&vrec, nil) != nil {
 		return false
 	}
-	// Thief half: exactly the specs the victim gave up. Shard virtual clocks
-	// are independent and a release in the thief's past would be refused,
-	// so past releases move up to its clock; future ones (not-yet-due jobs)
-	// are preserved.
+	// Thief half: exactly the specs the victim gave up, under the leaves
+	// they were in flight under. Shard virtual clocks are independent and a
+	// release in the thief's past would be refused, so past releases move
+	// up to its clock; future ones (not-yet-due jobs) are preserved.
 	specs := victim.out.withdrawn
 	from := thief.stealFrom[:0]
 	now := thief.eng.Now()
@@ -184,27 +189,46 @@ func (s *Service) stealFor(thief *shard) bool {
 		from = append(from, composeID(victim.idx, ids[k]))
 	}
 	thief.stealFrom = from
-	arec, err := thief.admitRecordLocked(specs, "", from)
+	arec, err := thief.admitRecordLocked(specs, "", from, victim.out.tenants)
 	if err != nil {
 		// Unreachable: the victim journaled these very specs. Latch loudly —
 		// the victim's journal says the jobs moved here.
 		thief.stepErr = fmt.Errorf("server: shard %d: steal re-admit from shard %d: %v", thief.idx, victim.idx, err)
 		return false
 	}
-	// Like a steps record, the thief's half applies even when its append
-	// fails: the failure latches the thief's journal, so nothing later can
-	// interleave with the missing record, the jobs keep running from memory
-	// like all in-flight work on a degraded disk, and after a crash startup
-	// reconciliation finds the victim's record unmatched and re-homes the
-	// jobs there (orphan path).
-	_ = thief.journalLocked(arec)
+	var landed int64 // the thief journal's record count before its half
+	if thief.jn != nil {
+		landed = thief.jn.RecordsSinceCompact()
+	}
+	if thief.journalLocked(arec) != nil && thief.jn.RecordsSinceCompact() == landed {
+		// The thief's disk refused its half before the whole record was in
+		// the file (a torn tail is dropped at the next open), so the victim's
+		// steal record, which a victim compaction folds away, is the only
+		// durable trace of these jobs: make the orphan repair now, on the
+		// victim's disk, with the original specs the ledger kept. A record
+		// that landed and only failed its sync may replay, so it stands.
+		// Either way, if the victim refuses too, the jobs run from the
+		// thief's memory; its latched journal takes no later record.
+		orig := make([]sim.JobSpec, len(from))
+		s.ledger.mu.Lock()
+		for k, src := range from {
+			orig[k] = s.ledger.out[src].spec
+		}
+		s.ledger.mu.Unlock()
+		if victim.readmitLocked(from, orig, victim.out.tenants) == nil {
+			return false
+		}
+	}
 	return thief.applyLocked(arec, specs) == nil
 }
 
 // reconcileSteals repairs steals whose two journal records were split by
 // a crash. Runs after every shard's journal has replayed (startup) and at
-// follower promotion — always before any step loop can race it. Two
-// one-sided states exist:
+// follower promotion — always before any step loop can race it. A half
+// whose partner was folded into its shard's snapshot is no split: the
+// peer's compacted state names exactly that pair (the thief's origins, the
+// victim's redirects), and the half is settled as it stands. Two one-sided
+// states exist:
 //
 //   - Orphan: the victim's steal record is durable, the thief's admit
 //     record is not (the thief crashed before its append/sync). The jobs
@@ -269,23 +293,33 @@ func (s *Service) fixOrphanSteal(src int, out stealOut) error {
 	thief := s.shards[out.to]
 	thief.mu.Lock()
 	next := thief.eng.NextID()
+	origin, settled := thief.origins[out.toLocal]
 	thief.mu.Unlock()
+	if settled && origin == src {
+		return nil
+	}
 	if next > out.toLocal {
 		return fmt.Errorf("server: steal of job %d to shard %d diverged: the thief consumed local ID %d without the matching steal admission; refusing to serve diverged journals", src, out.to, out.toLocal)
 	}
 	victim.mu.Lock()
 	defer victim.mu.Unlock()
-	if !victim.journalHealthyLocked() {
-		return fmt.Errorf("server: shard %d: cannot repair orphaned steal of job %d: %w", victim.idx, src, ErrDegraded)
-	}
-	specs := []sim.JobSpec{out.spec}
-	if specs[0].Release < victim.eng.Now() {
-		specs[0].Release = victim.eng.Now()
-	}
-	if _, err := victim.admitLocked(specs, "", []int{src}); err != nil {
+	if err := victim.readmitLocked([]int{src}, []sim.JobSpec{out.spec}, out.tenants); err != nil {
 		return fmt.Errorf("server: shard %d: re-admit orphaned steal of job %d: %w", victim.idx, src, err)
 	}
 	return nil
+}
+
+// readmitLocked re-homes stolen jobs on the victim they were withdrawn
+// from, journaled as a steal admission: srcs are their original namespaced
+// IDs, specs their original specs, tenants their leaves (nil for none).
+// Releases in the victim's past move up to its clock. A degraded journal
+// refuses the admission's append (ErrDegraded) before anything changes.
+func (sh *shard) readmitLocked(srcs []int, specs []sim.JobSpec, tenants []string) error {
+	for k := range specs {
+		specs[k].Release = max(specs[k].Release, sh.eng.Now())
+	}
+	_, err := sh.admitLocked(specs, "", srcs, tenants)
+	return err
 }
 
 // fixDuplicateSteal withdraws the victim-side copy of a job whose steal
@@ -298,6 +332,11 @@ func (s *Service) fixDuplicateSteal(src int, in stealIn) error {
 	victim.mu.Lock()
 	defer victim.mu.Unlock()
 	local := LocalID(src)
+	// A lone victim self-re-admission settles nothing: its steal record
+	// precedes it in the same journal, so a thief admitted the job too.
+	if target, settled := victim.tab.redirect(local); settled && in.to != victim.idx && target == composeID(in.to, in.toLocal) {
+		return nil
+	}
 	if local >= victim.eng.NextID() {
 		// The victim's journal lost the admission itself: new admissions
 		// would reuse this local ID while the thief's copy runs under the
@@ -311,9 +350,6 @@ func (s *Service) fixDuplicateSteal(src int, in stealIn) error {
 			phase = st.Phase.String()
 		}
 		return fmt.Errorf("server: job %d is %s on shard %d but also admitted on shard %d by a steal; refusing to serve diverged journals", src, phase, victim.idx, in.to)
-	}
-	if !victim.journalHealthyLocked() {
-		return fmt.Errorf("server: shard %d: cannot repair duplicated steal of job %d: %w", victim.idx, src, ErrDegraded)
 	}
 	rec := journal.StealRecord([]int{local}, in.to, in.toLocal)
 	if err := victim.commitLocked(&rec, nil); err != nil {

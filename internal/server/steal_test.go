@@ -12,6 +12,7 @@ import (
 	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/fairshare"
+	"krad/internal/journal"
 	"krad/internal/sched"
 	"krad/internal/sim"
 )
@@ -49,13 +50,33 @@ func submitBurst(t *testing.T, svc *Service, shard, n, span int, release int64) 
 	t.Helper()
 	ids := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		id, err := svc.shards[shard].submit("", sim.JobSpec{Graph: dag.UniformChain(1, span, 1), Release: release})
+		local, err := svc.shards[shard].submitBatch("", []sim.JobSpec{{Graph: dag.UniformChain(1, span, 1), Release: release}})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		ids = append(ids, composeID(shard, id))
+		ids = append(ids, composeID(shard, local[0]))
 	}
 	return ids
+}
+
+// faultyShardDisk routes cfg's journal opens through journal.FaultFile with
+// an unbounded budget and returns a func yielding the one over shard's WAL,
+// as last opened, for the test to arm.
+func faultyShardDisk(cfg Config, shard int) func() *journal.FaultFile {
+	wal := shardJournalPath(cfg.Journal.Dir, shard)
+	var disk *journal.FaultFile
+	cfg.Journal.OpenAppend = func(path string) (journal.File, error) {
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		ff := &journal.FaultFile{F: f, N: 1 << 30}
+		if path == wal {
+			disk = ff
+		}
+		return ff, nil
+	}
+	return func() *journal.FaultFile { return disk }
 }
 
 // drainManually steps every shard (and lets every thief steal) until the
@@ -200,11 +221,11 @@ func TestStealConservation(t *testing.T) {
 		}
 		var ids []int
 		for _, spec := range specs() {
-			id, err := svc.shards[0].submit("", spec)
+			local, err := svc.shards[0].submitBatch("", []sim.JobSpec{spec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids = append(ids, composeID(0, id))
+			ids = append(ids, composeID(0, local[0]))
 		}
 		drainManually(t, svc)
 		phases := map[int]sim.JobPhase{}
@@ -281,12 +302,12 @@ func TestStealRestartReplaysExactly(t *testing.T) {
 	// A long immediate job keeps the victim's clock grinding below the
 	// burst's release, so the burst stays pending (and stealable) across
 	// steps — an idle engine would fast-forward straight to the release.
-	long, err := svc.shards[0].submit("", sim.JobSpec{Graph: dag.UniformChain(1, 40, 1)})
+	long, err := svc.shards[0].submitBatch("", []sim.JobSpec{{Graph: dag.UniformChain(1, 40, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := submitBurst(t, svc, 0, 6, 3, 100)
-	ids = append(ids, composeID(0, long))
+	ids = append(ids, composeID(0, long[0]))
 	stepShard(t, svc, 0) // some progress before the steal
 	stepShard(t, svc, 0)
 	if !svc.stealFor(svc.shards[1]) {
@@ -440,22 +461,223 @@ func TestStealCrashBetweenRecords(t *testing.T) {
 	})
 }
 
-// TestStealHalfCompactedRefusesRestart pins a known hole exactly as bad as
-// it is today: idle-point compaction folds one shard's half of a completed
-// steal into its snapshot while the peer's journal still holds the other
-// half as a record. The snapshot's StealState carries redirects and a
-// count, not which pairs it settled, so the next start sees an unmatched
-// half, cannot repair it (the job already ran) and refuses. The refusal
-// changes nothing on disk, so the journals stay recoverable by hand.
-//
-// ROADMAP item 3(iii), a snapshot that records which steal pairs it
-// settled, is the change that must flip this test to a clean restart with
-// 4 completed jobs.
-func TestStealHalfCompactedRefusesRestart(t *testing.T) {
+// TestStealThiefJournalFailureRehomesJobs: the thief's disk refuses its
+// half of a steal. When the write fails, no part of the record can replay,
+// so the victim re-admits the jobs at once on its own healthy disk; when
+// the whole record is written and only its sync fails, the record may
+// replay, so it stands and the thief keeps the jobs. Either way the victim
+// then compacts, folding its steal record away, and after a restart, in
+// either shard order and under fair share too, every original ID resolves
+// and completes exactly once.
+func TestStealThiefJournalFailureRehomesJobs(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		victim, thief int
+		syncFails     bool   // the whole record is written, its sync fails
+		tenant        string // the jobs' fair-share leaf; "" runs without fair share
+	}{
+		{"write fails", 0, 1, false, ""},
+		{"write fails, thief first", 1, 0, false, ""},
+		{"write fails under fair share", 0, 1, false, "a"},
+		{"sync fails", 0, 1, true, ""},
+		{"sync fails, thief first", 1, 0, true, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := journaledStealConfig(t, 2, 1, 1)
+			cfg.Journal.SnapshotEvery = 1
+			cfg.Journal.Sync = journal.SyncAlways
+			if tc.tenant != "" {
+				cfg.Fairness = &fairshare.Config{Nodes: []fairshare.NodeConfig{{Name: tc.tenant, Weight: 1}}}
+			}
+			thiefDisk := faultyShardDisk(cfg, tc.thief)
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []int
+			for i := 0; i < 4; i++ {
+				local, err := svc.shards[tc.victim].submitBatch(tc.tenant, []sim.JobSpec{{Graph: dag.UniformChain(1, 2, 1)}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, composeID(tc.victim, local[0]))
+			}
+			inFlight := func(svc *Service, want int) {
+				t.Helper()
+				for _, ts := range svc.Stats().Tenants {
+					if n := map[string]int{tc.tenant: want}[ts.Path]; ts.InFlight != n {
+						t.Fatalf("tenant %s has %d in flight, want %d", ts.Path, ts.InFlight, n)
+					}
+				}
+			}
+			if tc.syncFails {
+				thiefDisk().SyncBudget = 1 // the header's sync was the first
+			} else {
+				thiefDisk().N = 0 // the thief's next write fails
+			}
+			if moved := svc.stealFor(svc.shards[tc.thief]); moved != tc.syncFails {
+				t.Fatalf("steal reported moved=%v, want %v", moved, tc.syncFails)
+			}
+			st := svc.Stats()
+			if st.Pending != 4 || st.Submitted != 4 || st.Steal.Stolen == 0 || st.Steal.Stolen != st.Steal.StolenIn {
+				t.Fatalf("after the failed thief half: %+v steal %+v, want the 4 jobs pending once", st, st.Steal)
+			}
+			var kept int64 // the jobs the thief runs from memory
+			if tc.syncFails {
+				kept = st.Steal.Stolen
+			}
+			if n := svc.shards[tc.thief].loadRemaining.Load(); n != kept {
+				t.Fatalf("thief holds %d jobs after its failed half, want %d", n, kept)
+			}
+			inFlight(svc, 4)
+			for stepShard(t, svc, tc.victim) {
+			}
+			svc.shards[tc.victim].maybeCompact()
+			if svc.Stats().Journal.Compactions != 1 {
+				t.Fatal("the victim did not compact")
+			}
+			drainlessClose(t, svc)
+
+			c := restartStealConfig(cfg)
+			c.Fairness = cfg.Fairness
+			svc2, err := New(c)
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer drainlessClose(t, svc2)
+			drainManually(t, svc2)
+			if st := svc2.Stats(); st.Completed != 4 {
+				t.Fatalf("restarted fleet completed %d of 4", st.Completed)
+			}
+			for _, id := range ids {
+				if js, ok := svc2.Job(id); !ok || js.Phase != sim.JobDone {
+					t.Fatalf("job %d after restart: %+v ok=%v, want done", id, js, ok)
+				}
+			}
+			inFlight(svc2, 0)
+		})
+	}
+}
+
+// TestStealDoubleAdmissionRefusesRestart: journals that hold both a thief's
+// admission of stolen jobs and the victim's own re-admission of them would
+// run each job twice. The thief-failure path never writes both; should a
+// disk produce them anyway, the start refuses in either shard order.
+func TestStealDoubleAdmissionRefusesRestart(t *testing.T) {
+	for _, victim := range []int{0, 1} {
+		thief := 1 - victim
+		t.Run(fmt.Sprintf("victim=%d", victim), func(t *testing.T) {
+			cfg := journaledStealConfig(t, 2, 1, 1)
+			thiefDisk := faultyShardDisk(cfg, thief)
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := submitBurst(t, svc, victim, 4, 2, 0)
+			thiefDisk().N = 0
+			if svc.stealFor(svc.shards[thief]) {
+				t.Fatal("a steal whose thief half failed reports moved work")
+			}
+			drainlessClose(t, svc)
+			// The thief's admission, as if its failed write had landed after all.
+			specs := make([]sim.JobSpec, len(ids))
+			for k := range specs {
+				specs[k] = sim.JobSpec{Graph: dag.UniformChain(1, 2, 1)}
+			}
+			var rec journal.Record
+			if err := journal.AdmitRecordInto(&rec, 0, specs, ids, nil); err != nil {
+				t.Fatal(err)
+			}
+			j, _, err := journal.Open(shardJournalPath(cfg.Journal.Dir, thief), journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			svc2, err := New(restartStealConfig(cfg))
+			if err == nil {
+				drainlessClose(t, svc2)
+				t.Fatal("restart over a doubly admitted steal succeeded")
+			}
+			if !strings.Contains(err.Error(), "diverged") {
+				t.Fatalf("refusal %q, want the steal-divergence error", err)
+			}
+		})
+	}
+}
+
+// TestStealOrphanRepairKeepsTenant: a crash lost the thief's half of a
+// steal under fair share. The restart's orphan repair brings the jobs back
+// on the victim in flight under the tenant they were admitted under, and
+// they drain to none.
+func TestStealOrphanRepairKeepsTenant(t *testing.T) {
+	cfg := journaledStealConfig(t, 2, 1, 1)
+	cfg.Fairness = &fairshare.Config{Nodes: []fairshare.NodeConfig{{Name: "a", Weight: 1}}}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := svc.shards[0].submitBatch("a", []sim.JobSpec{{Graph: dag.UniformChain(1, 2, 1)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	thiefWAL := shardJournalPath(cfg.Journal.Dir, 1)
+	preSteal, err := os.ReadFile(thiefWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !svc.stealFor(svc.shards[1]) {
+		t.Fatal("steal moved nothing")
+	}
+	drainlessClose(t, svc)
+	if err := os.WriteFile(thiefWAL, preSteal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := restartStealConfig(cfg)
+	c.Fairness = cfg.Fairness
+	if svc, err = New(c); err != nil {
+		t.Fatalf("restart after a lost thief half: %v", err)
+	}
+	defer drainlessClose(t, svc)
+	inFlight := func(want int) {
+		t.Helper()
+		st := svc.Stats()
+		if st.Steal.Stolen == 0 || st.Steal.Stolen != st.Steal.StolenIn {
+			t.Fatalf("steal counters %+v, want a repaired steal", st.Steal)
+		}
+		for _, ts := range st.Tenants {
+			if n := map[string]int{"a": want}[ts.Path]; ts.InFlight != n {
+				t.Fatalf("tenant %s has %d in flight, want %d", ts.Path, ts.InFlight, n)
+			}
+		}
+	}
+	if n := svc.shards[0].loadRemaining.Load(); n != 4 {
+		t.Fatalf("victim holds %d jobs after the repair, want all 4", n)
+	}
+	inFlight(4)
+	drainManually(t, svc)
+	inFlight(0)
+}
+
+// TestStealHalfCompactedRestarts: idle-point compaction folds one shard's
+// half of a completed steal into its snapshot while the peer's journal
+// still holds the other half as a record. The snapshot names the pairs it
+// settled — the victim's redirects, the thief's origins — so the next start
+// takes the lone half as settled: 4 completed jobs, every original ID done.
+// A thief snapshot written before origins existed names no pair; over it
+// the start still refuses, and the refusal changes nothing on disk.
+func TestStealHalfCompactedRestarts(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		compact int // the shard whose half goes into a snapshot
-	}{{"thief compacted", 1}, {"victim compacted", 0}} {
+		compact int  // the shard whose half goes into a snapshot
+		origins bool // whether the thief's snapshot keeps its origins
+	}{{"thief compacted", 1, true}, {"victim compacted", 0, true}, {"thief compacted without origins", 1, false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := journaledStealConfig(t, 2, 1, 1)
 			cfg.Journal.SnapshotEvery = 1
@@ -463,7 +685,7 @@ func TestStealHalfCompactedRefusesRestart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			submitBurst(t, svc, 0, 4, 2, 0)
+			ids := submitBurst(t, svc, 0, 4, 2, 0)
 			if !svc.stealFor(svc.shards[1]) {
 				t.Fatal("steal moved nothing")
 			}
@@ -479,23 +701,40 @@ func TestStealHalfCompactedRefusesRestart(t *testing.T) {
 				t.Fatal("idle shard did not compact")
 			}
 			drainlessClose(t, svc)
-
 			wals := []string{shardJournalPath(cfg.Journal.Dir, 0), shardJournalPath(cfg.Journal.Dir, 1)}
+			if !tc.origins {
+				stripOrigins(t, wals[1])
+			}
 			var before [2][]byte
 			for i, p := range wals {
 				if before[i], err = os.ReadFile(p); err != nil {
 					t.Fatal(err)
 				}
 			}
+
 			svc2, err := New(restartStealConfig(cfg))
+			if tc.origins {
+				if err != nil {
+					t.Fatalf("restart over a half-compacted steal: %v", err)
+				}
+				defer drainlessClose(t, svc2)
+				if st := svc2.Stats(); st.Completed != 4 {
+					t.Fatalf("restarted with %d completed jobs, want 4", st.Completed)
+				}
+				for _, id := range ids {
+					if js, ok := svc2.Job(id); !ok || js.Phase != sim.JobDone {
+						t.Fatalf("job %d after restart: %+v ok=%v, want done", id, js, ok)
+					}
+				}
+				return
+			}
 			if err == nil {
 				drainlessClose(t, svc2)
-				t.Fatal("restart over a half-compacted steal succeeded: the hole is closed — flip this test to assert the clean restart (ROADMAP item 3)")
+				t.Fatal("restart over a thief snapshot without origins succeeded")
 			}
 			if !strings.Contains(err.Error(), "diverged") {
 				t.Fatalf("refusal %q, want the steal-divergence error", err)
 			}
-			t.Logf("refused: %v", err)
 			for i, p := range wals {
 				after, err := os.ReadFile(p)
 				if err != nil {
@@ -509,15 +748,39 @@ func TestStealHalfCompactedRefusesRestart(t *testing.T) {
 	}
 }
 
+// stripOrigins rewrites a journal that is one snapshot as the same
+// snapshot without the steal origins, as a build that predates them wrote.
+func stripOrigins(t *testing.T, path string) {
+	t.Helper()
+	recs, err := journal.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Steal == nil || len(recs[0].Steal.Origins) == 0 {
+		t.Fatalf("%s holds %d records, want one snapshot naming its steal origins", path, len(recs))
+	}
+	recs[0].Steal.Origins = nil
+	jn, _, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Compact(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStealOffRestartReplaysStealJournal restarts journals holding a steal
 // pair, mid-run, on services that do not steal, one plain and one
 // fair-share, and holds each to what a stealing restart over the same
 // files builds: every job's status, the redirects and the Stats at
 // restart, and the engines once all three have stepped to idle. Only
 // Stats.Steal, which a steal-off service omits, differs. The fair-share
-// restart charges the victim's admissions to the default leaf and the
-// steal record takes the stolen ones off it again, so after the drain
-// nothing is left in flight.
+// restart charges the victim's admissions to the default leaf, the steal
+// record takes the stolen ones off it and the thief's untagged admission
+// puts them back under it, so after the drain nothing is left in flight.
 func TestStealOffRestartReplaysStealJournal(t *testing.T) {
 	cfg := journaledStealConfig(t, 2, 1, 1)
 	svc, err := New(cfg)
@@ -526,11 +789,11 @@ func TestStealOffRestartReplaysStealJournal(t *testing.T) {
 	}
 	// The long job holds the victim's clock below the burst's release, so
 	// the burst is still pending when the thief comes.
-	long, err := svc.shards[0].submit("", sim.JobSpec{Graph: dag.UniformChain(1, 40, 1)})
+	long, err := svc.shards[0].submitBatch("", []sim.JobSpec{{Graph: dag.UniformChain(1, 40, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := append(submitBurst(t, svc, 0, 6, 3, 100), composeID(0, long))
+	ids := append(submitBurst(t, svc, 0, 6, 3, 100), composeID(0, long[0]))
 	stepShard(t, svc, 0)
 	if !svc.stealFor(svc.shards[1]) {
 		t.Fatal("steal moved nothing")
@@ -612,13 +875,113 @@ func TestStealOffRestartReplaysStealJournal(t *testing.T) {
 	}
 }
 
-// TestStealFairnessMutuallyExclusive pins the config guard.
-func TestStealFairnessMutuallyExclusive(t *testing.T) {
-	cfg := stealConfig(2, 1, 1)
-	cfg.Fairness = &fairshare.Config{}
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("Steal+Fairness accepted: %v", err)
+// TestStealWithFairness runs stealing beside fair share: a hot placement
+// key sends two tenants' jobs to one shard of three, the idle shards
+// steal, and after every steal each tenant's in-flight count equals its
+// jobs not yet terminal across the fleet; the drain leaves none in flight.
+// A restart from the full journals mid-run, and one from compacted
+// journals after the drain, rebuild the same tenant state and job
+// statuses.
+func TestStealWithFairness(t *testing.T) {
+	mk := func(dir string) Config {
+		cfg := stealConfig(3, 1, 1)
+		cfg.Placement = "hash"
+		cfg.MaxInFlight = 300
+		cfg.Fairness = &fairshare.Config{HalfLife: 16, Nodes: []fairshare.NodeConfig{{Name: "a", Weight: 2}, {Name: "b", Weight: 1}}}
+		cfg.Journal = &JournalConfig{Dir: dir, SnapshotEvery: 1}
+		return cfg
 	}
+	dir := t.TempDir()
+	svc, err := New(mk(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenantOf := map[int]string{}
+	for i := 0; i < 30; i++ {
+		tenant := []string{"a", "b"}[i%2]
+		// Spread releases keep jobs pending, and stealable, round after round.
+		id, err := svc.SubmitTenant("hot", tenant, sim.JobSpec{Graph: dag.UniformChain(1, 1+i%3, 1), Release: int64(i / 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenantOf[id] = tenant
+	}
+	inFlight := func(stage string, svc *Service) {
+		t.Helper()
+		want := map[string]int{}
+		for id, tenant := range tenantOf {
+			js, ok := svc.Job(id)
+			if !ok {
+				t.Fatalf("%s: job %d lost", stage, id)
+			}
+			if js.Phase == sim.JobPending || js.Phase == sim.JobActive {
+				want[tenant]++
+			}
+		}
+		for _, ts := range svc.Stats().Tenants {
+			if ts.InFlight != want[ts.Path] {
+				t.Fatalf("%s: tenant %s has %d in flight, %d of its jobs are not terminal", stage, ts.Path, ts.InFlight, want[ts.Path])
+			}
+		}
+	}
+	same := func(stage string, a, b *Service) {
+		t.Helper()
+		if at, bt := comparableStats(a).Tenants, comparableStats(b).Tenants; !reflect.DeepEqual(at, bt) {
+			t.Fatalf("%s: tenants\n%+v\nwant\n%+v", stage, bt, at)
+		}
+		for id := range tenantOf {
+			ja, _ := a.Job(id)
+			jb, ok := b.Job(id)
+			if !ok || ja.Phase != jb.Phase || ja.Release != jb.Release || ja.Completion != jb.Completion {
+				t.Fatalf("%s: job %d %+v (%v), want %+v", stage, id, jb, ok, ja)
+			}
+		}
+	}
+	restart := func(stage, from string) {
+		t.Helper()
+		to := t.TempDir()
+		for i := range svc.shards {
+			copyFile(t, shardJournalPath(from, i), shardJournalPath(to, i))
+		}
+		again, err := New(mk(to))
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		defer drainlessClose(t, again)
+		same(stage, svc, again)
+	}
+	for round := 0; ; round++ {
+		progress := false
+		for _, sh := range svc.shards {
+			if sh.stealFn() {
+				progress = true
+				inFlight("after a steal", svc)
+			}
+		}
+		for i := range svc.shards {
+			if stepShard(t, svc, i) {
+				progress = true
+			}
+		}
+		if round == 2 {
+			restart("restart mid-run", dir)
+		}
+		if !progress {
+			break
+		}
+	}
+	if st := svc.Stats(); st.Completed != int64(len(tenantOf)) || st.Steal.Stolen == 0 {
+		t.Fatalf("drained %d of %d jobs with %d stolen, want all and some stolen", st.Completed, len(tenantOf), st.Steal.Stolen)
+	}
+	inFlight("drained", svc)
+	for _, sh := range svc.shards {
+		sh.maybeCompact()
+	}
+	if n := svc.Stats().Journal.Compactions; n != int64(len(svc.shards)) {
+		t.Fatalf("%d of %d shards compacted", n, len(svc.shards))
+	}
+	restart("restart from compacted journals", dir)
+	drainlessClose(t, svc)
 }
 
 // TestStealReplicationAndPromotion streams a steal's record pair to a
