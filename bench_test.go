@@ -10,6 +10,7 @@ package krad_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"krad"
@@ -325,6 +326,70 @@ func BenchmarkEngineRound(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
 		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 	})
+}
+
+// BenchmarkEngineChurn measures a steady admit→complete stream — rigid 0.7,
+// chain DAG 0.2, moldable 0.1, eight admissions per four steps, the shape
+// of the benchmark's tenant_churn — with Retire off and on. One op is one
+// admitted job; heap-B/job is the live heap after GC per admitted job, so
+// anything a finished job still pins shows up there.
+func BenchmarkEngineChurn(b *testing.B) {
+	molds := krad.GenerateMoldable(krad.MoldableGenOpts{
+		K: 2, Jobs: 8, MinTasks: 3, MaxTasks: 8, MaxWork: 4, MaxProcs: 3, Seed: 7,
+	})
+	specs := make([]krad.JobSpec, 80)
+	for j := range specs {
+		switch {
+		case j%10 < 7:
+			specs[j] = krad.JobSpec{Source: profile.MustNewRigid(2, "r", krad.Category(1+j%2), 1+j%3, 2+j%5)}
+		case j%10 < 9:
+			specs[j] = krad.JobSpec{Graph: krad.RoundRobinChain(2, 3+j%6)}
+		default:
+			specs[j] = molds[j/10%len(molds)]
+		}
+	}
+	for _, retire := range []bool{false, true} {
+		b.Run(fmt.Sprintf("retire=%v", retire), func(b *testing.B) {
+			eng, err := krad.NewEngine(krad.Config{
+				K: 2, Caps: []int{16, 16}, Scheduler: krad.WithFloors(krad.NewKRAD(2)), MaxSteps: 1 << 60,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			base := ms.HeapAlloc
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				spec := specs[i%len(specs)]
+				spec.Release = eng.Now()
+				if _, err := eng.Admit(spec); err != nil {
+					b.Fatal(err)
+				}
+				if i%8 != 7 {
+					continue
+				}
+				info, err := eng.StepN(4)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, id := range info.Completed {
+					if retire {
+						if err := eng.Retire(id); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric((float64(ms.HeapAlloc)-float64(base))/float64(b.N), "heap-B/job")
+			runtime.KeepAlive(eng)
+		})
+	}
 }
 
 // BenchmarkEngineRun measures end-to-end simulation throughput.

@@ -88,13 +88,21 @@ type Instance struct {
 // graphs cause a panic because Instances are built from validated or
 // generator-produced graphs.
 func NewInstance(g *Graph, pick PickPolicy, seed int64) *Instance {
-	in := &Instance{
-		g:     g,
-		pick:  pick,
-		ready: make([][]TaskID, g.k),
-	}
+	return new(Instance).Reset(g, pick, seed)
+}
+
+// Reset re-arms in for a fresh run of g, reusing its buffers: the result
+// behaves exactly like NewInstance(g, pick, seed), whatever in ran before.
+// It returns in.
+func (in *Instance) Reset(g *Graph, pick PickPolicy, seed int64) *Instance {
+	n := g.NumTasks()
+	in.g, in.pick, in.heights, in.executed = g, pick, nil, 0
 	if pick == PickRandom {
-		in.rng = rand.New(rand.NewSource(seed))
+		if in.rng == nil {
+			in.rng = rand.New(rand.NewSource(seed))
+		} else {
+			in.rng.Seed(seed)
+		}
 	}
 	if pick == PickCPFirst || pick == PickCPLast {
 		h, err := g.heights()
@@ -103,9 +111,17 @@ func NewInstance(g *Graph, pick PickPolicy, seed int64) *Instance {
 		}
 		in.heights = h
 	}
-	in.indeg = make([]int32, g.NumTasks())
+	if cap(in.ready) < g.k {
+		in.ready = make([][]TaskID, g.k)
+	}
+	in.ready = in.ready[:g.k]
+	for c := range in.ready {
+		in.ready[c] = in.ready[c][:0]
+	}
+	in.pending = in.pending[:0]
+	in.indeg = resize(in.indeg, n)
 	maxIndeg := 0
-	for v := 0; v < g.NumTasks(); v++ {
+	for v := 0; v < n; v++ {
 		in.indeg[v] = int32(len(g.pred[v]))
 		if len(g.pred[v]) > maxIndeg {
 			maxIndeg = len(g.pred[v])
@@ -115,26 +131,41 @@ func NewInstance(g *Graph, pick PickPolicy, seed int64) *Instance {
 			in.ready[c-1] = append(in.ready[c-1], TaskID(v))
 		}
 	}
-	in.bindeg = make([]int32, g.NumTasks())
-	in.fblocked = make([]int32, maxIndeg+1)
-	in.minBlocked = 1
-	for v := 0; v < g.NumTasks(); v++ {
+	in.bindeg = resize(in.bindeg, n)
+	clear(in.bindeg)
+	in.fblocked = resize(in.fblocked, maxIndeg+1)
+	clear(in.fblocked)
+	in.nblocked, in.minBlocked = 0, 1
+	for v := 0; v < n; v++ {
 		if in.indeg[v] == 0 {
 			continue
 		}
-		n := int32(0)
+		b := int32(0)
 		for _, u := range g.pred[v] {
 			if in.indeg[u] > 0 {
-				n++
+				b++
 			}
 		}
-		in.bindeg[v] = n
-		if n == 0 {
+		in.bindeg[v] = b
+		if b == 0 {
 			in.fblocked[in.indeg[v]]++
 			in.nblocked++
 		}
 	}
 	return in
+}
+
+// Park drops the instance's references to its graph, keeping only its
+// buffers, so an instance waiting for Reset pins no job.
+func (in *Instance) Park() { in.g, in.heights = nil, nil }
+
+// resize returns s with length n, reusing its array when it is big enough.
+// The contents are not cleared.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // Graph returns the underlying K-DAG.

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -193,4 +194,79 @@ func TestPickRandomIsDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("same seed diverged at %d: %v vs %v", i, a, b)
 		}
 	}
+}
+
+// TestResetMatchesNewInstance leaves an instance mid-run on one graph,
+// parks it and resets it onto the next: under every pick policy its state
+// is field for field what NewInstance builds, and stepping both in lockstep
+// gives the same executed tasks and the same StableFor answers.
+func TestResetMatchesNewInstance(t *testing.T) {
+	graphs := []*Graph{
+		ForkJoin(2, 9, 1, 2, 1), Figure1(), BinaryReduction(2, 12, 2, 1),
+		RoundRobinChain(2, 5), ForkJoin(2, 4, 2, 1, 2), BinaryReduction(3, 7, 3, 1),
+	}
+	for _, pick := range []PickPolicy{PickFIFO, PickLIFO, PickRandom, PickCPFirst, PickCPLast} {
+		in := NewInstance(graphs[len(graphs)-1], pick, 99)
+		for i, g := range graphs {
+			// Leave the previous run mid-body: tasks executed, some still
+			// blocked, completions pending.
+			in.Execute(1, 1)
+			in.Execute(2, 2)
+			in.Park()
+			if in.g != nil || in.heights != nil {
+				t.Fatalf("%s: parked instance keeps its graph", pick)
+			}
+			seed := int64(i)
+			in.Reset(g, pick, seed)
+			fresh := NewInstance(g, pick, seed)
+			for step := 0; ; step++ {
+				if d := instanceDiff(in, fresh); d != "" {
+					t.Fatalf("%s, graph %d, step %d: reset instance differs from a new one in %s", pick, i, step, d)
+				}
+				per := []int{1 + step%3, 2, 1}
+				if a, b := in.StableFor(per), fresh.StableFor(per); a != b {
+					t.Fatalf("%s, graph %d, step %d: StableFor %d, fresh %d", pick, i, step, a, b)
+				}
+				if in.Done() || (i%2 == 1 && step == 2) {
+					break
+				}
+				for c := Category(1); int(c) <= g.K(); c++ {
+					a, b := in.Execute(c, per[c-1]), fresh.Execute(c, per[c-1])
+					if !slices.Equal(a, b) {
+						t.Fatalf("%s, graph %d, step %d: executed %v, fresh %v", pick, i, step, a, b)
+					}
+				}
+				in.Advance()
+				fresh.Advance()
+			}
+		}
+	}
+}
+
+// instanceDiff names the first field in which a and b differ, or "".
+func instanceDiff(a, b *Instance) string {
+	switch {
+	case a.g != b.g || a.pick != b.pick || a.executed != b.executed:
+		return "graph, policy or executed count"
+	case a.nblocked != b.nblocked || a.minBlocked != b.minBlocked:
+		return "frontier counters"
+	case !slices.Equal(a.indeg, b.indeg):
+		return "indeg"
+	case !slices.Equal(a.bindeg, b.bindeg):
+		return "bindeg"
+	case !slices.Equal(a.fblocked, b.fblocked):
+		return "fblocked"
+	case !slices.Equal(a.heights, b.heights):
+		return "heights"
+	case !slices.Equal(a.pending, b.pending):
+		return "pending"
+	case len(a.ready) != len(b.ready):
+		return "ready categories"
+	}
+	for c := range a.ready {
+		if !slices.Equal(a.ready[c], b.ready[c]) {
+			return "ready"
+		}
+	}
+	return ""
 }

@@ -255,6 +255,9 @@ func (r *runtime) LeapTasks(total []int) {
 	}
 }
 
+// Park implements sim.ReusableRuntime.
+func (r *runtime) Park() { r.job = nil }
+
 // Done implements sim.RuntimeJob.
 func (r *runtime) Done() bool { return r.executed == r.job.TotalTasks() }
 
@@ -280,9 +283,10 @@ func (r *runtime) RemainingWork() []int {
 }
 
 var (
-	_ sim.JobSource     = (*Job)(nil)
-	_ sim.FamilySource  = (*Job)(nil)
-	_ sim.WorkAppender  = (*Job)(nil)
-	_ sim.RuntimeReuser = (*Job)(nil)
-	_ sim.LeapRuntime   = (*runtime)(nil)
+	_ sim.JobSource       = (*Job)(nil)
+	_ sim.FamilySource    = (*Job)(nil)
+	_ sim.WorkAppender    = (*Job)(nil)
+	_ sim.RuntimeReuser   = (*Job)(nil)
+	_ sim.LeapRuntime     = (*runtime)(nil)
+	_ sim.ReusableRuntime = (*runtime)(nil)
 )

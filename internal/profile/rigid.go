@@ -249,6 +249,9 @@ func (r *rigidRuntime) LeapTasks(total []int) {
 	r.executed += v
 }
 
+// Park implements sim.ReusableRuntime.
+func (r *rigidRuntime) Park() { r.job = nil }
+
 // Done implements sim.RuntimeJob.
 func (r *rigidRuntime) Done() bool { return r.executed == r.job.procs*r.job.steps }
 
@@ -275,9 +278,10 @@ func (r *rigidRuntime) RemainingWork() []int {
 }
 
 var (
-	_ sim.JobSource     = (*Rigid)(nil)
-	_ sim.FamilySource  = (*Rigid)(nil)
-	_ sim.WorkAppender  = (*Rigid)(nil)
-	_ sim.RuntimeReuser = (*Rigid)(nil)
-	_ sim.LeapRuntime   = (*rigidRuntime)(nil)
+	_ sim.JobSource       = (*Rigid)(nil)
+	_ sim.FamilySource    = (*Rigid)(nil)
+	_ sim.WorkAppender    = (*Rigid)(nil)
+	_ sim.RuntimeReuser   = (*Rigid)(nil)
+	_ sim.LeapRuntime     = (*rigidRuntime)(nil)
+	_ sim.ReusableRuntime = (*rigidRuntime)(nil)
 )

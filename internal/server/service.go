@@ -94,14 +94,16 @@ type Config struct {
 	// RetireDone, when true, retires each job from its shard's engine once
 	// its terminal state (completed or cancelled) has been recorded in the
 	// shard's lock-striped status index: the engine recycles the job's
-	// state for a future admission, bounding engine memory under sustained
-	// million-job arrival streams, while status queries keep answering from
-	// the index. Retirement is a local memory optimization — IDs stay
-	// monotonic, journal replay is unaffected — but idle-point checkpoints
-	// become sparse, so a restart (or a replication follower restoring such
-	// a snapshot) no longer serves statuses for jobs retired before the
-	// checkpoint. Off by default: every behavior, checkpoint shape and
-	// per-job query then matches pre-retirement builds exactly.
+	// table entry (its jobState and work vector, about 250 bytes) for a
+	// future admission, while status queries keep answering from the
+	// index. The job's runtime is not part of it: every engine releases a
+	// terminal job's runtime, RetireDone or not. Retirement is a local
+	// memory optimization — IDs stay monotonic, journal replay is
+	// unaffected — but idle-point checkpoints become sparse, so a restart
+	// (or a replication follower restoring such a snapshot) no longer
+	// serves statuses for jobs retired before the checkpoint. Off by
+	// default: every behavior, checkpoint shape and per-job query then
+	// matches pre-retirement builds exactly.
 	RetireDone bool
 	// Steal enables cross-shard work stealing: an idle shard's step loop
 	// pulls whole pending jobs off the peer with the deepest estimated

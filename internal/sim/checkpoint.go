@@ -14,10 +14,10 @@ import (
 // treats it as "keep the full journal" rather than as a failure.
 var ErrCheckpointUnsupported = errors.New("sim: scheduler does not support state snapshots")
 
-// CheckpointJob is one terminal (done or cancelled) job's record inside an
-// EngineCheckpoint: enough to keep status queries and response accounting
-// working across a restore, with no runtime state — terminal jobs have
-// none.
+// CheckpointJob is one terminal (done, cancelled or stolen) job's record
+// inside an EngineCheckpoint: enough to keep status queries and response
+// accounting working across a restore, with no runtime state — every
+// engine releases a job's runtime at the step the job ends.
 type CheckpointJob struct {
 	ID          int      `json:"id"`
 	Release     int64    `json:"release"`

@@ -8,6 +8,36 @@ import (
 	"krad/internal/dag"
 )
 
+// DisableRecycling makes e park no released runtime, so every admission
+// mints a fresh one: the reference the recycling tests compare against.
+func (e *Engine) DisableRecycling() { e.noRecycle = true }
+
+// ParkedRuntimes returns the runtimes e holds for reuse.
+func (e *Engine) ParkedRuntimes() []RuntimeJob {
+	var out []RuntimeJob
+	for _, pool := range e.parked {
+		for _, rt := range pool {
+			out = append(out, rt)
+		}
+	}
+	return out
+}
+
+// TerminalHolding returns the IDs of terminal jobs whose state still holds
+// a runtime or a capability.
+func (e *Engine) TerminalHolding() []int {
+	var ids []int
+	for _, js := range e.jobs {
+		if js == nil || js.phase == JobPending || js.phase == JobActive {
+			continue
+		}
+		if js.rt != nil || js.caps != (runtimeCaps{}) {
+			ids = append(ids, js.id)
+		}
+	}
+	return ids
+}
+
 func TestResultJSONRoundTrip(t *testing.T) {
 	specs := []JobSpec{
 		{Graph: dag.ForkJoin(2, 4, 1, 2, 1)},

@@ -197,9 +197,10 @@ func (s EngineSnapshot) Utilization() []float64 {
 type jobState struct {
 	id      int
 	release int64
-	rt      RuntimeJob
-	// caps caches the runtime's optional capabilities (bound once at
-	// admission; see family.go) so hot paths never type-switch.
+	// rt is the job's runtime from admission until the step the job ends;
+	// caps caches its optional capabilities (bound once at admission; see
+	// family.go) so hot paths never type-switch. release clears both.
+	rt          RuntimeJob
 	caps        runtimeCaps
 	family      RuntimeFamily
 	work        []int
@@ -232,10 +233,21 @@ type Engine struct {
 	pendOff    int
 	active     []*jobState // released, unfinished; ascending ID
 	free       []*jobState // retired jobStates recycled by the next Admit
+	batch      []*jobState // AdmitBatch's prepared states, reused per call
 	remaining  int         // admitted − completed − cancelled − stolen
 	completedN int
 	cancelledN int
 	stolenN    int // jobs withdrawn by cross-shard work stealing
+
+	// parked holds released runtimes that their sources can reset in
+	// place, one pool per RuntimeFamily; parkedN counts all of them, and
+	// burst is the largest admission so far — one Admit, or one
+	// AdmitBatch's length — which bounds them (see release). noRecycle (set
+	// by tests only) parks nothing.
+	parked    [FamilyMoldable + 1][]ReusableRuntime
+	parkedN   int
+	burst     int
+	noRecycle bool
 
 	totalWork  int64 // total admitted unit tasks (feeds the runaway bound)
 	maxRelease int64
@@ -375,11 +387,12 @@ func (e *Engine) EstWork() int64 {
 // the past (release ≥ Now); a job released at r becomes schedulable at
 // step r+1.
 func (e *Engine) Admit(spec JobSpec) (int, error) {
-	js, tasks, err := e.prepare(spec, len(e.jobs))
+	js, err := e.prepare(spec, len(e.jobs))
 	if err != nil {
 		return -1, err
 	}
-	e.commit(js, tasks)
+	e.commit(js)
+	e.burst = max(e.burst, 1)
 	return js.id, nil
 }
 
@@ -393,25 +406,28 @@ func (e *Engine) AdmitBatch(specs []JobSpec) ([]int, error) {
 		return nil, nil
 	}
 	base := len(e.jobs)
-	states := make([]*jobState, len(specs))
-	taskCounts := make([]int, len(specs))
+	states := e.batch[:0]
 	for i, spec := range specs {
-		js, tasks, err := e.prepare(spec, base+i)
+		js, err := e.prepare(spec, base+i)
 		if err != nil {
-			// All-or-nothing: return already-prepared states to the free
-			// list (prepare may have popped them from it).
-			for _, prev := range states[:i] {
+			// All-or-nothing: park the prepared runtimes and return the
+			// states to the free list (prepare may have popped them from it).
+			for _, prev := range states {
+				e.release(prev)
 				e.free = append(e.free, prev)
 			}
+			e.batch = states
 			return nil, err
 		}
-		states[i], taskCounts[i] = js, tasks
+		states = append(states, js)
 	}
+	e.batch = states
 	ids := make([]int, len(specs))
 	for i, js := range states {
-		e.commit(js, taskCounts[i])
+		e.commit(js)
 		ids[i] = js.id
 	}
+	e.burst = max(e.burst, len(specs))
 	return ids, nil
 }
 
@@ -455,31 +471,29 @@ func errNoTaskIDs(id int, src JobSource) error {
 
 // prepare validates one spec against the engine's clock and configuration
 // and builds its jobState without touching engine state, so a batch can
-// validate every member before admitting any. Retired jobStates are
-// recycled from the free list: sources implementing WorkAppender and
-// RuntimeReuser make the steady-state admit→complete→retire→admit cycle
-// allocation-free.
-func (e *Engine) prepare(spec JobSpec, id int) (*jobState, int, error) {
+// validate every member before admitting any. Runtimes come from the
+// parked pool of the job's family when its source implements
+// RuntimeReuser, on every engine; jobStates come from the free list that
+// Retire fills. With both warm, and a source implementing WorkAppender, the
+// steady-state admit→complete→retire→admit cycle allocates nothing.
+func (e *Engine) prepare(spec JobSpec, id int) (*jobState, error) {
 	if err := e.checkAdmissible(spec, id); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	src := spec.source()
-	var js *jobState
-	if n := len(e.free); n > 0 {
-		js = e.free[n-1]
-		e.free = e.free[:n-1]
-	}
+	family := FamilyOf(src)
 	seed := e.cfg.Seed + int64(id)
 	var rt RuntimeJob
-	if js != nil && js.rt != nil {
-		if ru, ok := src.(RuntimeReuser); ok {
-			rt, _ = ru.ReuseRuntime(js.rt, e.cfg.Pick, seed)
-		}
+	if ru, ok := src.(RuntimeReuser); ok && e.pooled(family) {
+		rt = e.unpark(ru, family, seed)
 	}
 	if rt == nil {
 		rt = src.NewRuntime(e.cfg.Pick, seed)
 	}
-	if js != nil {
+	var js *jobState
+	if n := len(e.free); n > 0 {
+		js = e.free[n-1]
+		e.free = e.free[:n-1]
 		work := js.work[:0]
 		if wa, ok := src.(WorkAppender); ok {
 			work = wa.AppendWork(work)
@@ -498,24 +512,72 @@ func (e *Engine) prepare(spec JobSpec, id int) (*jobState, int, error) {
 		}
 	}
 	js.caps = bindCaps(rt)
-	js.family = FamilyOf(src)
+	js.family = family
 	if e.cfg.Trace >= TraceTasks && js.caps.task == nil {
+		e.release(js)
 		e.free = append(e.free, js)
-		return nil, 0, errNoTaskIDs(id, src)
+		return nil, errNoTaskIDs(id, src)
 	}
 	js.tasks = src.TotalTasks()
 	js.spec = spec
-	return js, js.tasks, nil
+	return js, nil
+}
+
+// pooled reports whether family f has a pool of parked runtimes.
+func (e *Engine) pooled(f RuntimeFamily) bool { return f >= 0 && int(f) < len(e.parked) }
+
+// unpark re-arms the newest parked runtime of family f for ru's job. It
+// returns nil when that pool is empty or ReuseRuntime refuses its top.
+func (e *Engine) unpark(ru RuntimeReuser, f RuntimeFamily, seed int64) RuntimeJob {
+	pool := e.parked[f]
+	n := len(pool)
+	if n == 0 {
+		return nil
+	}
+	rt, ok := ru.ReuseRuntime(pool[n-1], e.cfg.Pick, seed)
+	if !ok {
+		return nil
+	}
+	pool[n-1] = nil
+	e.parked[f] = pool[:n-1]
+	e.parkedN--
+	return rt
+}
+
+// release drops a job's runtime at the step the job ends, or when its
+// admission is refused, so no terminal job pins a runtime, graph or spec.
+// A runtime its source can reset in place is parked for the next admission
+// of its family while the pools hold fewer runtimes than the engine has
+// live (pending + active) jobs plus its largest admission; past that bound
+// a pool gives one back. The pools so shrink with the live set, and an idle
+// engine keeps enough for one more admission as large as any before it:
+// runtimes outlive a lull between bursts, not the peak of the live set.
+func (e *Engine) release(js *jobState) {
+	if p, ok := js.rt.(ReusableRuntime); ok && e.pooled(js.family) && !e.noRecycle && e.parkedN < e.remaining+e.burst {
+		p.Park()
+		e.parked[js.family] = append(e.parked[js.family], p)
+		e.parkedN++
+	} else if e.parkedN > e.remaining+e.burst {
+		for f, pool := range e.parked {
+			if n := len(pool); n > 0 {
+				pool[n-1] = nil
+				e.parked[f] = pool[:n-1]
+				e.parkedN--
+				break
+			}
+		}
+	}
+	js.rt, js.caps = nil, runtimeCaps{}
 }
 
 // commit registers a prepared jobState with the engine.
-func (e *Engine) commit(js *jobState, tasks int) {
+func (e *Engine) commit(js *jobState) {
 	e.jobs = append(e.jobs, js)
 	e.insertPending(js)
 	e.remaining++
-	e.totalWork += int64(tasks)
-	e.pendingWork += int64(tasks)
-	e.estWork += int64(tasks)
+	e.totalWork += int64(js.tasks)
+	e.pendingWork += int64(js.tasks)
+	e.estWork += int64(js.tasks)
 	if js.release > e.maxRelease {
 		e.maxRelease = js.release
 	}
@@ -559,6 +621,7 @@ func (e *Engine) Cancel(id int) error {
 	js.cancelledAt = e.now
 	e.remaining--
 	e.cancelledN++
+	e.release(js)
 	return nil
 }
 
@@ -586,6 +649,7 @@ func (e *Engine) Withdraw(id int) (JobSpec, error) {
 	js.cancelledAt = e.now
 	e.remaining--
 	e.stolenN++
+	e.release(js)
 	e.pendingWork -= int64(js.tasks)
 	e.estWork -= int64(js.tasks)
 	if e.estWork < 0 {
@@ -610,15 +674,18 @@ func (e *Engine) StealCandidates(buf []int, maxJobs int, targetWork int64) []int
 	return buf
 }
 
-// Retire forgets a terminal (completed or cancelled) job, recycling its
-// state for a future Admit. After Retire, Job(id) reports the job unknown
-// and the ID is never reassigned — IDs stay monotonic, so admission-order
-// reproducibility and journal replay are unaffected (retirement is a local
-// memory optimization, not a scheduling event, and is deliberately not
-// journaled). Long-running services retire jobs once their terminal status
-// has been recorded elsewhere, bounding engine memory under streams of
-// millions of jobs. Retired jobs are omitted from Result and Checkpoint;
-// aggregate counters (Snapshot, checkpoint totals) still include them.
+// Retire forgets a terminal (completed, cancelled or stolen) job, recycling
+// its job-table entry — the jobState and its work vector, about 250 bytes —
+// for a future Admit. The job's runtime is not part of it: every engine
+// already released that at the step the job ended. After Retire, Job(id)
+// reports the job unknown and the ID is never reassigned — IDs stay
+// monotonic, so admission-order reproducibility and journal replay are
+// unaffected (retirement is a local memory optimization, not a scheduling
+// event, and is deliberately not journaled). Long-running services retire
+// jobs once their terminal status has been recorded elsewhere, bounding
+// engine memory under streams of millions of jobs. Retired jobs are omitted
+// from Result and Checkpoint; aggregate counters (Snapshot, checkpoint
+// totals) still include them.
 func (e *Engine) Retire(id int) error {
 	if id < 0 || id >= len(e.jobs) || e.jobs[id] == nil {
 		return fmt.Errorf("sim: no job %d", id)
@@ -933,6 +1000,7 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 		e.doneIDs = append(e.doneIDs, j.id)
 		e.remaining--
 		e.completedN++
+		e.release(j)
 		e.dropSlot(i)
 		e.gone = append(e.gone, ti)
 	}
@@ -1241,8 +1309,9 @@ type engineOracle struct{ e *Engine }
 
 func (o engineOracle) RemainingWork(jobID int) []int {
 	js := o.e.jobs[jobID]
-	if js == nil {
-		return nil // retired; schedulers only query live jobs
+	if js == nil || js.rt == nil {
+		// Terminal or retired: the runtime is released and no work remains.
+		return make([]int, o.e.cfg.K)
 	}
 	return js.rt.RemainingWork()
 }

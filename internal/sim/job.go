@@ -65,13 +65,26 @@ type WorkAppender interface {
 
 // RuntimeReuser is an optional JobSource extension for allocation-free
 // admission: sources that can reset a previously-minted runtime in place
-// let the engine recycle a retired job's runtime allocation. ReuseRuntime
-// reports false when rt is not a matching runtime of this source's shape;
-// the engine then falls back to NewRuntime.
+// let the engine recycle the runtime of a job that ended. Every engine
+// releases a job's runtime at the step the job completes, is cancelled or
+// is withdrawn; a ReusableRuntime minted by a RuntimeReuser is parked in a
+// pool per RuntimeFamily, and the next admission of that family re-arms it
+// through ReuseRuntime. ReuseRuntime reports false when rt is not a
+// matching runtime of this source's shape; the engine then falls back to
+// NewRuntime.
 type RuntimeReuser interface {
 	JobSource
 	// ReuseRuntime resets rt for a fresh run of this job if possible.
 	ReuseRuntime(rt RuntimeJob, pick dag.PickPolicy, seed int64) (RuntimeJob, bool)
+}
+
+// ReusableRuntime is implemented by runtimes that the RuntimeReuser sources
+// of their family can reset in place: the engine parks only these.
+type ReusableRuntime interface {
+	RuntimeJob
+	// Park drops every reference to the job that ran — its source, graph
+	// or spec — keeping only buffers, so a parked runtime pins no job.
+	Park()
 }
 
 // TaskRuntime is implemented by runtimes that can report which concrete
@@ -148,6 +161,17 @@ func (s graphSource) NewRuntime(pick dag.PickPolicy, seed int64) RuntimeJob {
 	return &graphRuntime{inst: dag.NewInstance(s.g, pick, seed)}
 }
 
+// ReuseRuntime implements RuntimeReuser: any graph runtime resets in place,
+// whatever graph it previously ran.
+func (s graphSource) ReuseRuntime(rt RuntimeJob, pick dag.PickPolicy, seed int64) (RuntimeJob, bool) {
+	r, ok := rt.(*graphRuntime)
+	if !ok {
+		return nil, false
+	}
+	r.inst.Reset(s.g, pick, seed)
+	return r, true
+}
+
 // graphRuntime adapts *dag.Instance to TaskRuntime.
 type graphRuntime struct {
 	inst *dag.Instance
@@ -164,6 +188,7 @@ func (r *graphRuntime) Advance()             { r.inst.Advance() }
 func (r *graphRuntime) Done() bool           { return r.inst.Done() }
 func (r *graphRuntime) RemainingWork() []int { return r.inst.RemainingWork() }
 func (r *graphRuntime) RemainingSpan() int   { return r.inst.RemainingSpan() }
+func (r *graphRuntime) Park()                { r.inst.Park() }
 
 // LeapTasks implements LeapRuntime: each category's window total drains in
 // one ExecuteLeap call, then the single deferred Advance consumes the
@@ -184,8 +209,10 @@ func (r *graphRuntime) LeapTasks(total []int) {
 func (r *graphRuntime) StableFor(perStep []int) int64 { return r.inst.StableFor(perStep) }
 
 var (
-	_ JobSource     = graphSource{}
-	_ FamilySource  = graphSource{}
-	_ TaskRuntime   = (*graphRuntime)(nil)
-	_ StableRuntime = (*graphRuntime)(nil)
+	_ JobSource       = graphSource{}
+	_ FamilySource    = graphSource{}
+	_ RuntimeReuser   = graphSource{}
+	_ TaskRuntime     = (*graphRuntime)(nil)
+	_ StableRuntime   = (*graphRuntime)(nil)
+	_ ReusableRuntime = (*graphRuntime)(nil)
 )
