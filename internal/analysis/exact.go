@@ -61,21 +61,21 @@ func ExactMakespan(k int, caps []int, jobs []*dag.Graph) (int, error) {
 		return true
 	}
 
-	// ready lists the ready tasks of job i in state s, per category.
-	ready := func(g *dag.Graph, done uint64) [][]int {
-		out := make([][]int, k)
-		for id := 0; id < g.NumTasks(); id++ {
-			if done&(1<<id) != 0 {
-				continue
+	// preds[j][id] has a bit set for each predecessor of job j's task id.
+	preds := make([][]uint64, len(jobs))
+	for j, g := range jobs {
+		preds[j] = make([]uint64, g.NumTasks())
+		for u := 0; u < g.NumTasks(); u++ {
+			for _, v := range g.Successors(dag.TaskID(u)) {
+				preds[j][v] |= 1 << u
 			}
-			ok := true
-			for _, p := range g.Predecessors(dag.TaskID(id)) {
-				if done&(1<<p) == 0 {
-					ok = false
-					break
-				}
-			}
-			if ok {
+		}
+	}
+	// ready lists the ready tasks of job j in state done, per category.
+	ready := func(j int, done uint64) [][]int {
+		g, out := jobs[j], make([][]int, k)
+		for id, mask := range preds[j] {
+			if done&(1<<id) == 0 && done&mask == mask {
 				c := int(g.Category(dag.TaskID(id))) - 1
 				out[c] = append(out[c], id)
 			}
@@ -100,8 +100,8 @@ func ExactMakespan(k int, caps []int, jobs []*dag.Graph) (int, error) {
 			perCat := make([][][]slot, k) // category → choices → selected
 			for a := 0; a < k; a++ {
 				var pool []slot
-				for j, g := range jobs {
-					for _, id := range ready(g, s[j])[a] {
+				for j := range jobs {
+					for _, id := range ready(j, s[j])[a] {
 						pool = append(pool, slot{j, id})
 					}
 				}

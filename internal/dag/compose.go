@@ -45,7 +45,7 @@ func compose(mode string, graphs []*Graph, chain bool) (*Graph, error) {
 		if chain {
 			var sources []TaskID
 			for id := 0; id < g.NumTasks(); id++ {
-				if len(g.pred[id]) == 0 {
+				if g.indeg[id] == 0 {
 					sources = append(sources, offset+TaskID(id))
 				}
 			}

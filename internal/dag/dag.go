@@ -10,6 +10,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -29,8 +30,11 @@ type Graph struct {
 	name string
 	k    int
 	cats []Category
-	succ [][]TaskID
-	pred [][]TaskID
+	// The edges are stored forward only: succ lists each task's
+	// successors, indeg counts its predecessors. Unfolding a job reads
+	// nothing else of them.
+	succ  [][]TaskID
+	indeg []int32
 	// durs holds optional per-task durations (nil = all unit); see
 	// durations.go.
 	durs []int32
@@ -86,7 +90,7 @@ func (g *Graph) AddTask(c Category) TaskID {
 	id := TaskID(len(g.cats))
 	g.cats = append(g.cats, c)
 	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
+	g.indeg = append(g.indeg, 0)
 	g.hmemo.Store(nil)
 	return id
 }
@@ -120,7 +124,7 @@ func (g *Graph) AddEdge(u, v TaskID) error {
 		}
 	}
 	g.succ[u] = append(g.succ[u], v)
-	g.pred[v] = append(g.pred[v], u)
+	g.indeg[v]++
 	g.edges++
 	g.hmemo.Store(nil)
 	return nil
@@ -148,18 +152,28 @@ func (g *Graph) Category(id TaskID) Category { return g.cats[id] }
 // slice is owned by the graph and must not be modified.
 func (g *Graph) Successors(id TaskID) []TaskID { return g.succ[id] }
 
-// Predecessors returns the direct prerequisites of id. The returned slice
-// is owned by the graph and must not be modified.
-func (g *Graph) Predecessors(id TaskID) []TaskID { return g.pred[id] }
+// Predecessors returns the direct prerequisites of id in ascending ID
+// order, in a fresh slice the caller owns (nil if there are none). The
+// graph stores its edges forward only, so this scans every successor
+// list: O(tasks + edges). InDegree is the O(1) count.
+func (g *Graph) Predecessors(id TaskID) []TaskID {
+	var out []TaskID
+	for u, vs := range g.succ {
+		if slices.Contains(vs, id) {
+			out = append(out, TaskID(u))
+		}
+	}
+	return out
+}
 
-// InDegree returns the number of direct prerequisites of id.
-func (g *Graph) InDegree(id TaskID) int { return len(g.pred[id]) }
+// InDegree returns the number of direct prerequisites of id, in O(1).
+func (g *Graph) InDegree(id TaskID) int { return int(g.indeg[id]) }
 
 // Sources returns all tasks with no prerequisites, in ID order.
 func (g *Graph) Sources() []TaskID {
 	var out []TaskID
-	for id := range g.cats {
-		if len(g.pred[id]) == 0 {
+	for id, d := range g.indeg {
+		if d == 0 {
 			out = append(out, TaskID(id))
 		}
 	}
@@ -177,31 +191,29 @@ func (g *Graph) Sinks() []TaskID {
 	return out
 }
 
-// Clone returns a deep copy of the graph, its adjacency lists cut from one
+// Clone returns a deep copy of the graph, its successor lists cut from one
 // array the way a decoded graph's are (see UnmarshalJSON).
 func (g *Graph) Clone() *Graph {
 	c := &Graph{name: g.name, k: g.k, edges: g.edges}
 	c.cats = append([]Category(nil), g.cats...)
+	c.indeg = append([]int32(nil), g.indeg...)
 	c.durs = append([]int32(nil), g.durs...)
-	n := len(g.succ)
-	lists := make([][]TaskID, 2*n)
-	flat := make([]TaskID, 0, 2*g.edges)
-	for i, side := range [2][][]TaskID{g.succ, g.pred} {
-		for j, l := range side {
-			if len(l) > 0 {
-				flat = append(flat, l...)
-				lists[i*n+j] = flat[len(flat)-len(l) : len(flat) : len(flat)]
-			}
+	c.succ = make([][]TaskID, len(g.succ))
+	flat := make([]TaskID, 0, g.edges)
+	for u, l := range g.succ {
+		if len(l) > 0 {
+			flat = append(flat, l...)
+			c.succ[u] = flat[len(flat)-len(l) : len(flat) : len(flat)]
 		}
 	}
-	c.succ, c.pred = lists[:n:n], lists[n:]
 	return c
 }
 
 // Validate checks structural invariants: every category within [1, K],
-// predecessor/successor symmetry, and acyclicity. Builders in this package
-// always produce valid graphs; Validate exists for graphs assembled by hand
-// or decoded from external data.
+// every edge's target in range, every in-degree equal to the number of
+// edges that reach the task, and acyclicity — O(tasks + edges). Builders
+// in this package always produce valid graphs; Validate exists for graphs
+// assembled by hand or decoded from external data.
 func (g *Graph) Validate() error {
 	if g.k < 1 {
 		return fmt.Errorf("dag: graph %q has k=%d, need k ≥ 1", g.name, g.k)
@@ -211,21 +223,18 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dag: graph %q task %d has category %d out of range [1,%d]", g.name, id, c, g.k)
 		}
 	}
-	for u := range g.succ {
-		for _, v := range g.succ[u] {
+	reach := make([]int32, len(g.cats))
+	for _, vs := range g.succ {
+		for _, v := range vs {
 			if err := g.checkID(v); err != nil {
 				return err
 			}
-			found := false
-			for _, w := range g.pred[v] {
-				if w == TaskID(u) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("dag: graph %q edge %d→%d missing reverse link", g.name, u, v)
-			}
+			reach[v]++
+		}
+	}
+	for v, d := range g.indeg {
+		if d != reach[v] {
+			return fmt.Errorf("dag: graph %q task %d has in-degree %d but %d edges reach it", g.name, v, d, reach[v])
 		}
 	}
 	if _, err := g.TopoOrder(); err != nil {

@@ -304,13 +304,13 @@ func (sc *decodeScratch) build(g *Graph, name string, k64 int64) error {
 		}
 	}
 
-	// Degrees first, so that each task's lists can be cut to size.
+	// Degrees first, so that each task's list can be cut to size.
 	if cap(sc.count) < 2*n {
 		sc.count = make([]int32, 2*n)
 		sc.order = make([]TaskID, n)
 	}
-	count := sc.count[:2*n] // [:n] by source, [n:] by target
-	clear(count)
+	count, work := sc.count[:n], sc.count[n:2*n] // out- and in-degrees
+	clear(sc.count[:2*n])
 	for i := 0; i < len(edges); i += 2 {
 		u, v := edges[i], edges[i+1]
 		if u == v {
@@ -323,34 +323,31 @@ func (sc *decodeScratch) build(g *Graph, name string, k64 int64) error {
 			return fmt.Errorf("dag: task id %d out of range [0,%d) in graph %q", u, n, name)
 		}
 		count[u]++
-		count[n+int(v)]++
+		work[v]++
 	}
 
 	// Every list is a window of one array with its capacity cut to its
 	// length, so AddEdge's append on a decoded graph moves the list
 	// instead of writing into its neighbour's. The counts become cursors.
-	lists := make([][]TaskID, 2*n)
-	flat := make([]TaskID, len(edges))
+	succ := make([][]TaskID, n)
+	flat := make([]TaskID, len(edges)/2)
 	at := int32(0)
-	for i, deg := range count {
+	for u, deg := range count {
 		if deg > 0 {
-			lists[i] = flat[at : at+deg : at+deg]
+			succ[u] = flat[at : at+deg : at+deg]
 		}
-		count[i] = at
+		count[u] = at
 		at += deg
 	}
 	for i := 0; i < len(edges); i += 2 {
-		u, v := edges[i], edges[i+1]
-		flat[count[u]] = v
+		u := edges[i]
+		flat[count[u]] = edges[i+1]
 		count[u]++
-		flat[count[n+int(v)]] = u
-		count[n+int(v)]++
 	}
-	succ, pred := lists[:n:n], lists[n:]
 
 	// A duplicate is a successor reached twice from one source: stamp
 	// each task with the source that last reached it.
-	stamp, indeg := count[:n], count[n:]
+	stamp := count
 	clear(stamp)
 	for u, vs := range succ {
 		for _, v := range vs {
@@ -361,17 +358,19 @@ func (sc *decodeScratch) build(g *Graph, name string, k64 int64) error {
 		}
 	}
 
-	for v := range indeg {
-		indeg[v] = int32(len(pred[v]))
-	}
-	order := topoSort(succ, indeg, sc.order[:0])
+	// The graph's in-degrees and the height memo share one allocation;
+	// the sort consumes the scratch copy.
+	mem := make([]int32, 2*n)
+	indeg := mem[:n:n]
+	copy(indeg, work)
+	order := topoSort(succ, work, sc.order[:0])
 	if len(order) != n {
-		return cycleError(name, indeg)
+		return cycleError(name, work)
 	}
 
 	g.name, g.k, g.cats = name, k, append([]Category(nil), sc.cats...)
-	g.succ, g.pred, g.durs = succ, pred, nil
+	g.succ, g.indeg, g.durs = succ, indeg, nil
 	g.edges = len(edges) / 2
-	g.hmemo.Store(&heightsResult{h: heightsOver(succ, order)})
+	g.hmemo.Store(&heightsResult{h: heightsOver(succ, order, mem[n:])})
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -257,8 +259,9 @@ func TestJSONDeterministic(t *testing.T) {
 }
 
 // TestGraphDecodeAllocs pins the decode's allocation count as a constant:
-// the name, the categories, the list headers, the flat endpoint array, the
-// heights and their memo — however many tasks and edges there are. It
+// the name, the categories, the successor list headers, the flat endpoint
+// array, the in-degrees and heights (one array) and the memo — however
+// many tasks and edges there are. It
 // takes the least of several decodes: one that finds the scratch pool
 // empty (as sync.Pool arranges at random under the race detector) sizes
 // new scratch on top.
@@ -292,11 +295,38 @@ func TestDecodedGraphAddEdgeDoesNotAlias(t *testing.T) {
 	for _, h := range []*Graph{&g, want, orig} {
 		x := h.AddTask(2)
 		h.MustEdge(0, 5) // grows succ[0], whose window abuts succ[1]'s
-		h.MustEdge(4, x) // and pred of the new task, past the header array
-		h.MustEdge(3, 8) // grows pred[8], mid-array
+		h.MustEdge(4, x) // and succ[4], to a task whose in-degree is new
+		h.MustEdge(3, 8) // and succ[3], mid-array, raising 8's in-degree
 	}
 	sameGraph(t, &g, orig)
 	sameGraph(t, want, orig)
+}
+
+// TestGraphDecodeBytes pins what a decode of kdag_mix's mean graph
+// allocates, taking the least of several decodes as TestGraphDecodeAllocs
+// does: the edges are kept forward only, one endpoint per edge and one
+// list header per task, and the in-degrees share the heights' array.
+func TestGraphDecodeBytes(t *testing.T) {
+	data := benchGraphs[1].g.AppendJSON(nil) // mix212
+	var before, after runtime.MemStats
+	leastBytes, leastAllocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 20; i++ {
+		runtime.ReadMemStats(&before)
+		g := new(Graph)
+		err := g.UnmarshalJSON(data)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leastBytes = min(leastBytes, after.TotalAlloc-before.TotalAlloc)
+		leastAllocs = min(leastAllocs, after.Mallocs-before.Mallocs)
+	}
+	if leastBytes > 19500 {
+		t.Errorf("a decode of mix212 allocates %d B, want ≤ 19,500", leastBytes)
+	}
+	if leastAllocs != 7 {
+		t.Errorf("a decode of mix212 makes %d allocations, want 7", leastAllocs)
+	}
 }
 
 var benchGraphs = []struct {
@@ -307,8 +337,9 @@ var benchGraphs = []struct {
 	// kdag_mix's mean graph: 212 tasks, ~2,200 edges, ~20 KB.
 	{"mix212", MapReduce(3, 200, 10, 1, 2, 3, 1)},
 	// One task with 3,998 successors and one with 3,998 predecessors: the
-	// shape on which a per-edge duplicate scan of the source's list, or a
-	// reverse-link scan of the target's, is quadratic.
+	// shape on which a per-edge scan of either end's neighbours — the
+	// source's successors for a duplicate, the target's predecessors — is
+	// quadratic.
 	{"fanin4000", ForkJoin(3, 3998, 1, 2, 3)},
 }
 

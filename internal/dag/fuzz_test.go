@@ -80,7 +80,9 @@ func FuzzGraphJSON(f *testing.F) {
 
 // FuzzInstanceExecution drives a runtime instance with arbitrary
 // allotment sequences and checks it can never execute a task twice, exceed
-// the graph's task count, or break precedence.
+// the graph's task count, or break precedence, and that after every
+// Advance its frontier census is the one recounted from scratch over
+// predecessor lists.
 func FuzzInstanceExecution(f *testing.F) {
 	f.Add(int64(1), []byte{1, 2, 3, 0, 5})
 	f.Add(int64(42), []byte{0, 0, 0})
@@ -88,6 +90,7 @@ func FuzzInstanceExecution(f *testing.F) {
 		g := randomGraph(seed)
 		policy := PickPolicy(((int(seed) % 5) + 5) % 5)
 		in := NewInstance(g, policy, seed)
+		recount := NewRecount(g)
 		seen := make(map[TaskID]bool)
 		step := make(map[TaskID]int)
 		for i, b := range allots {
@@ -105,6 +108,10 @@ func FuzzInstanceExecution(f *testing.F) {
 				}
 			}
 			in.Advance()
+			got := CensusOf(in)
+			if d := got.Diff(recount.Census(got.Indeg)); d != "" {
+				t.Fatalf("step %d: the kept %s differs from its recount", i, d)
+			}
 		}
 		if in.Executed() != len(seen) {
 			t.Fatalf("Executed()=%d but %d unique tasks ran", in.Executed(), len(seen))

@@ -120,35 +120,28 @@ func (in *Instance) Reset(g *Graph, pick PickPolicy, seed int64) *Instance {
 	}
 	in.pending = in.pending[:0]
 	in.indeg = resize(in.indeg, n)
-	maxIndeg := 0
-	for v := 0; v < n; v++ {
-		in.indeg[v] = int32(len(g.pred[v]))
-		if len(g.pred[v]) > maxIndeg {
-			maxIndeg = len(g.pred[v])
-		}
-		if in.indeg[v] == 0 {
-			c := g.cats[v]
-			in.ready[c-1] = append(in.ready[c-1], TaskID(v))
-		}
-	}
+	copy(in.indeg, g.indeg)
 	in.bindeg = resize(in.bindeg, n)
 	clear(in.bindeg)
-	in.fblocked = resize(in.fblocked, maxIndeg+1)
-	clear(in.fblocked)
-	in.nblocked, in.minBlocked = 0, 1
-	for v := 0; v < n; v++ {
-		if in.indeg[v] == 0 {
+	maxIndeg := int32(0)
+	for u, d := range in.indeg {
+		maxIndeg = max(maxIndeg, d)
+		if d == 0 {
+			c := g.cats[u]
+			in.ready[c-1] = append(in.ready[c-1], TaskID(u))
 			continue
 		}
-		b := int32(0)
-		for _, u := range g.pred[v] {
-			if in.indeg[u] > 0 {
-				b++
-			}
+		// u is blocked: it is a blocked predecessor of each successor.
+		for _, v := range g.succ[u] {
+			in.bindeg[v]++
 		}
-		in.bindeg[v] = b
-		if b == 0 {
-			in.fblocked[in.indeg[v]]++
+	}
+	in.fblocked = resize(in.fblocked, int(maxIndeg)+1)
+	clear(in.fblocked)
+	in.nblocked, in.minBlocked = 0, 1
+	for v, d := range in.indeg {
+		if d > 0 && in.bindeg[v] == 0 {
+			in.fblocked[d]++
 			in.nblocked++
 		}
 	}

@@ -60,7 +60,7 @@ func (g *Graph) CriticalPath() []TaskID {
 	// to the successor with the greatest height.
 	var start TaskID = -1
 	for id := 0; id < g.NumTasks(); id++ {
-		if len(g.pred[id]) == 0 && (start < 0 || h[id] > h[start]) {
+		if g.indeg[id] == 0 && (start < 0 || h[id] > h[start]) {
 			start = TaskID(id)
 		}
 	}

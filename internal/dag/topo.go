@@ -7,10 +7,7 @@ import "fmt"
 // It returns an error naming one task on a cycle if the graph is cyclic.
 func (g *Graph) TopoOrder() ([]TaskID, error) {
 	n := g.NumTasks()
-	indeg := make([]int32, n)
-	for v := range indeg {
-		indeg[v] = int32(len(g.pred[v]))
-	}
+	indeg := append([]int32(nil), g.indeg...)
 	order := topoSort(g.succ, indeg, make([]TaskID, 0, n))
 	if len(order) != n {
 		return nil, cycleError(g.name, indeg)
@@ -47,7 +44,7 @@ func cycleError(name string, indeg []int32) error {
 			return fmt.Errorf("dag: graph %q has a cycle through task %d", name, v)
 		}
 	}
-	return fmt.Errorf("dag: graph %q has inconsistent predecessor lists", name)
+	return fmt.Errorf("dag: graph %q has inconsistent in-degrees", name)
 }
 
 // Levels partitions the tasks into precedence levels: level 0 holds the
@@ -101,12 +98,12 @@ func (g *Graph) computeHeights() ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return heightsOver(g.succ, order), nil
+	return heightsOver(g.succ, order, make([]int32, len(order))), nil
 }
 
-// heightsOver computes the heights from a topological order.
-func heightsOver(succ [][]TaskID, order []TaskID) []int32 {
-	h := make([]int32, len(order))
+// heightsOver computes the heights from a topological order into h, one
+// per task, and returns it.
+func heightsOver(succ [][]TaskID, order []TaskID, h []int32) []int32 {
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
 		best := int32(0)
