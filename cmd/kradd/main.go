@@ -63,8 +63,10 @@
 // by primary-silence timeout. Promotion bumps the replication epoch and
 // fences the old primary: a deposed primary that reconnects (or, with
 // -lease, merely loses its follower's acks) refuses admissions rather
-// than diverge. See internal/replicate for the protocol and the README's
-// "Replication & failover" section for the operational recipe.
+// than diverge. The epoch and the fence live in the journal directory, so
+// a fenced primary restarts fenced; to take leadership back, restart it
+// with -follow and promote it. See internal/replicate for the protocol and
+// the README's "Replication & failover" section for the recipe.
 //
 // With -step 0 the clock free-runs: steps execute as fast as the hardware
 // allows whenever work is queued, so submitted jobs drain immediately. A
@@ -150,7 +152,6 @@ type options struct {
 	fairCfg string
 	repTo   string
 	follow  string
-	epoch   int64
 	lease   time.Duration
 	repHB   time.Duration
 	promote time.Duration
@@ -176,7 +177,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.fairCfg, "fair-config", "", "queue-tree config file (implies -fairness): halflife, default and queue lines")
 	fs.StringVar(&o.repTo, "replicate-to", "", "primary: stream committed journal records to a follower kradd's -follow address (requires -journal-dir)")
 	fs.StringVar(&o.follow, "follow", "", "follower: run as a warm standby, accepting a primary's replication stream on this address (requires -journal-dir)")
-	fs.Int64Var(&o.epoch, "epoch", 1, "replication epoch; restart a deposed primary with a value above the promoted follower's to take leadership back")
 	fs.DurationVar(&o.lease, "lease", 0, "primary: refuse admissions once the follower has been silent this long (0 = no lease gating); set strictly below the follower's -promote-after")
 	fs.DurationVar(&o.repHB, "replicate-heartbeat", time.Second, "primary: idle keepalive interval on the replication stream")
 	fs.DurationVar(&o.promote, "promote-after", 0, "follower: self-promote after this much primary silence, once a primary has connected (0 = manual POST /v1/promote only)")
@@ -184,19 +184,15 @@ func registerFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-// dependents lists the flags that only mean something inside a mode another
-// flag turns on (any one of needs, non-empty); checkDependents refuses one
-// set without its mode, where it would otherwise be silently ignored.
-var dependents = []struct {
-	name  string
-	needs []string
-}{
-	{"fsync", []string{"journal-dir"}},
-	{"snapshot-every", []string{"journal-dir"}},
-	{"lease", []string{"replicate-to"}},
-	{"replicate-heartbeat", []string{"replicate-to"}},
-	{"promote-after", []string{"follow"}},
-	{"epoch", []string{"replicate-to", "follow"}},
+// dependents maps each flag that only means something inside a mode to the
+// flag that turns the mode on (non-empty); checkDependents refuses one set
+// without its mode, where it would otherwise be silently ignored.
+var dependents = map[string]string{
+	"fsync":               "journal-dir",
+	"snapshot-every":      "journal-dir",
+	"lease":               "replicate-to",
+	"replicate-heartbeat": "replicate-to",
+	"promote-after":       "follow",
 }
 
 // checkDependents walks the flags set on fs's command line and returns an
@@ -204,17 +200,8 @@ var dependents = []struct {
 func checkDependents(fs *flag.FlagSet) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
-		for _, d := range dependents {
-			if err != nil || d.name != f.Name {
-				continue
-			}
-			on := false
-			for _, mode := range d.needs {
-				on = on || fs.Lookup(mode).Value.String() != ""
-			}
-			if !on {
-				err = fmt.Errorf("-%s does nothing without -%s", d.name, strings.Join(d.needs, " or -"))
-			}
+		if mode, ok := dependents[f.Name]; ok && err == nil && fs.Lookup(mode).Value.String() == "" {
+			err = fmt.Errorf("-%s does nothing without -%s", f.Name, mode)
 		}
 	})
 	return err
@@ -251,6 +238,13 @@ func main() {
 	}
 	if (o.repTo != "" || o.follow != "") && o.journal == "" {
 		log.Fatal("replication requires -journal-dir: the journal is both what the primary ships and the durable apply log (follower)")
+	}
+	// The replication epoch and fence are state in the journal directory.
+	var epoch *replicate.EpochFile
+	if o.repTo != "" || o.follow != "" {
+		if epoch, err = replicate.OpenEpochFile(o.journal); err != nil {
+			log.Fatal(err)
+		}
 	}
 	var fairCfg *fairshare.Config
 	if o.fair || o.fairCfg != "" {
@@ -341,7 +335,7 @@ func main() {
 	if o.repTo != "" {
 		sender, err = replicate.NewSender(replicate.SenderConfig{
 			Addr:      o.repTo,
-			Epoch:     o.epoch,
+			Epoch:     epoch,
 			WAL:       svc.JournalPaths(),
 			Heartbeat: o.repHB,
 			Lease:     o.lease,
@@ -356,7 +350,7 @@ func main() {
 			return &server.ReplicationStats{Role: "primary", Primary: &st}
 		})
 		sender.Start()
-		log.Printf("replicating to %s (epoch %d, lease %v, heartbeat %v)", o.repTo, o.epoch, o.lease, o.repHB)
+		log.Printf("replicating to %s (epoch %d, fenced by %d, lease %v, heartbeat %v)", o.repTo, epoch.Current(), epoch.FencedBy(), o.lease, o.repHB)
 	}
 	if o.follow != "" {
 		ln, err := net.Listen("tcp", o.follow)
@@ -366,7 +360,7 @@ func main() {
 		receiver, err = replicate.NewReceiver(replicate.ReceiverConfig{
 			Listener:     ln,
 			Applier:      svc,
-			Epoch:        o.epoch,
+			Epoch:        epoch,
 			PromoteAfter: o.promote,
 			OnPromote: func(epoch int64) {
 				svc.Promote()
@@ -386,7 +380,7 @@ func main() {
 			}
 			return &server.ReplicationStats{Role: role, Follower: &st}
 		})
-		log.Printf("following: replication listener on %s (epoch %d, promote-after %v)", ln.Addr(), o.epoch, o.promote)
+		log.Printf("following: replication listener on %s (epoch %d, promote-after %v)", ln.Addr(), epoch.Current(), o.promote)
 	}
 
 	svc.Start()

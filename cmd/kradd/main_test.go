@@ -12,17 +12,19 @@ import (
 // wantFlags is kradd's whole flag surface, sorted. A flag added or removed
 // changes this list and README's table in the same commit.
 var wantFlags = []string{
-	"addr", "caps", "drain", "epoch", "fair-config", "fairness", "follow",
+	"addr", "caps", "drain", "fair-config", "fairness", "follow",
 	"fsync", "journal-dir", "lease", "placement", "pprof", "promote-after",
 	"queue", "replicate-heartbeat", "replicate-to", "retire-done", "shards",
 	"snapshot-every", "steal", "step",
 }
 
 // removedFlags became constants (or went with the behaviour; -k is the
-// length of -caps). A stale script naming one must fail at startup.
+// length of -caps; the epoch is state in the journal directory). A stale
+// script naming one must fail at startup.
 var removedFlags = []string{
 	"sched", "pick", "seed", "step-batch", "event-buffer", "fsync-interval",
 	"steal-max", "steal-idle", "replicate-queue", "fair-halflife", "k",
+	"epoch",
 }
 
 func newFlagSet() *flag.FlagSet {
@@ -32,7 +34,7 @@ func newFlagSet() *flag.FlagSet {
 	return fs
 }
 
-// TestFlagSet pins the flag surface (21 names), that README documents
+// TestFlagSet pins the flag surface (20 names), that README documents
 // every one of them as `-name`, and that each removed name is rejected.
 func TestFlagSet(t *testing.T) {
 	fs := newFlagSet()
@@ -67,8 +69,8 @@ func TestCheckDependents(t *testing.T) {
 	}{
 		{"", ""},
 		{"-journal-dir d -fsync interval -snapshot-every 0", ""},
-		{"-journal-dir d -replicate-to :1 -lease 3s -replicate-heartbeat 50ms -epoch 2", ""},
-		{"-journal-dir d -follow :1 -promote-after 5s -epoch 2", ""},
+		{"-journal-dir d -replicate-to :1 -lease 3s -replicate-heartbeat 50ms", ""},
+		{"-journal-dir d -follow :1 -promote-after 5s", ""},
 		{"-fsync never", "-journal-dir"},
 		{"-snapshot-every 5", "-journal-dir"},
 		{"-lease 3s", "-replicate-to"},
@@ -76,7 +78,6 @@ func TestCheckDependents(t *testing.T) {
 		{"-replicate-heartbeat 50ms", "-replicate-to"},
 		{"-promote-after 5s", "-follow"},
 		{"-journal-dir d -replicate-to :1 -promote-after 5s", "-follow"},
-		{"-epoch 2", "-replicate-to or -follow"},
 	} {
 		fs := newFlagSet()
 		if err := fs.Parse(strings.Fields(tc.argv)); err != nil {

@@ -538,38 +538,10 @@ func (j *Journal) Compact(rec Record) error {
 	if j.failed != nil {
 		return j.failed
 	}
-	tmp := j.path + ".compact"
 	// O_APPEND on a fresh file is plain sequential writing; reusing the
 	// injectable opener keeps compaction under fault tests too.
-	_ = os.Remove(tmp)
-	f, err := j.opts.openAppend(tmp)
+	f, err := replaceFile(j.path, j.path+".compact", frame, j.opts.openAppend, j.syncTimedLocked)
 	if err != nil {
-		j.failed = fmt.Errorf("journal: compact %s: %w", j.path, err)
-		return j.failed
-	}
-	if n, werr := f.Write(frame); werr != nil || n != len(frame) {
-		if werr == nil {
-			werr = io.ErrShortWrite
-		}
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		j.failed = fmt.Errorf("journal: compact %s: %w", j.path, werr)
-		return j.failed
-	}
-	if err := j.syncTimedLocked(f); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		j.failed = fmt.Errorf("journal: compact %s: sync: %w", j.path, err)
-		return j.failed
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		j.failed = fmt.Errorf("journal: compact %s: %w", j.path, err)
-		return j.failed
-	}
-	if err := syncDir(filepath.Dir(j.path)); err != nil {
-		_ = f.Close()
 		j.failed = fmt.Errorf("journal: compact %s: %w", j.path, err)
 		return j.failed
 	}
@@ -581,6 +553,51 @@ func (j *Journal) Compact(rec Record) error {
 	j.compactions++
 	j.lastSync = time.Now()
 	return nil
+}
+
+// WriteFileAtomic replaces path's contents with data the way Compact
+// replaces a journal: write a sibling temp file, fsync it, rename it over
+// path, fsync the directory. A crash leaves path holding the old bytes or
+// data, never a mix; an error means data may not be durable.
+func WriteFileAtomic(path string, data []byte) error {
+	var o Options
+	f, err := replaceFile(path, path+".tmp", data, o.openAppend, File.Sync)
+	if err != nil {
+		return fmt.Errorf("journal: replace %s: %w", path, err)
+	}
+	return f.Close()
+}
+
+// replaceFile writes data to tmp (opened by open, flushed by sync), renames
+// it over path and fsyncs the directory, returning the handle still open
+// on the renamed file. A failure before the rename removes tmp and leaves
+// path untouched.
+func replaceFile(path, tmp string, data []byte, open func(string) (File, error), sync func(File) error) (File, error) {
+	_ = os.Remove(tmp)
+	f, err := open(tmp)
+	if err != nil {
+		return nil, err
+	}
+	if n, werr := f.Write(data); werr != nil || n != len(data) {
+		if werr == nil {
+			werr = io.ErrShortWrite
+		}
+		err = werr
+	} else if serr := sync(f); serr != nil {
+		err = fmt.Errorf("sync: %w", serr)
+	} else {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = f.Close()
+		_ = os.Remove(tmp)
+		return nil, err
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // syncDir flushes a directory so a just-renamed entry survives power loss.

@@ -26,7 +26,9 @@
 // Split-brain safety comes from monotonic epochs: every frame carries the
 // sender's epoch, a follower promotes by bumping its epoch, and a primary
 // that ever observes a higher epoch fences itself permanently (refuses
-// admissions with a located error). See DESIGN.md §5.4.
+// admissions with a located error). Each node's epoch and fence live in an
+// EpochFile in its journal directory, so both survive restarts. See
+// DESIGN.md §5.4.
 package replicate
 
 import (

@@ -37,9 +37,10 @@ type ReceiverConfig struct {
 	Listener net.Listener
 	// Applier consumes the stream. Required.
 	Applier Applier
-	// Epoch is the follower's starting epoch; it adopts any higher epoch
-	// a primary presents, and promotion bumps it past everything seen.
-	Epoch int64
+	// Epoch is this node's durable epoch: the follower records any higher
+	// epoch a primary presents before acknowledging it, and promotion
+	// records a move past everything seen, a fence included. Required.
+	Epoch *EpochFile
 	// PromoteAfter, when positive, self-promotes the follower once a
 	// primary has been silent for this long — after having connected at
 	// least once, so a follower booting before its primary does not
@@ -48,7 +49,8 @@ type ReceiverConfig struct {
 	// only (POST /v1/promote).
 	PromoteAfter time.Duration
 	// OnPromote runs exactly once, synchronously, when the follower
-	// promotes (manually or by timeout), with the new epoch.
+	// promotes (manually or by timeout), with the new epoch, once that
+	// epoch is on disk.
 	OnPromote func(epoch int64)
 	// Logf receives lifecycle messages; nil discards them.
 	Logf func(format string, args ...any)
@@ -79,7 +81,6 @@ type Receiver struct {
 	cfg ReceiverConfig
 
 	mu        sync.Mutex
-	epoch     int64
 	promoted  bool
 	active    net.Conn // the connection currently allowed to apply
 	connects  int64
@@ -100,13 +101,13 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.Applier == nil {
 		return nil, fmt.Errorf("replicate: receiver needs an applier")
 	}
-	if cfg.Epoch < 1 {
-		return nil, fmt.Errorf("replicate: receiver epoch %d, want ≥ 1", cfg.Epoch)
+	if cfg.Epoch == nil {
+		return nil, fmt.Errorf("replicate: receiver needs an epoch file")
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	r := &Receiver{cfg: cfg, epoch: cfg.Epoch, done: make(chan struct{})}
+	r := &Receiver{cfg: cfg, done: make(chan struct{})}
 	go r.acceptLoop()
 	if cfg.PromoteAfter > 0 {
 		go r.promoteLoop()
@@ -128,21 +129,24 @@ func (r *Receiver) Close() {
 	<-r.done
 }
 
-// Promote flips the follower to primary: bump the epoch past everything
+// Promote flips the follower to primary: record an epoch past everything
 // seen, fence the current primary's stream if one is attached, and run
 // OnPromote. Idempotent — later calls return the promoted epoch without
-// side effects. The caller is responsible for actually starting to serve
-// (server.Service.Promote does, via OnPromote).
-func (r *Receiver) Promote() int64 {
+// side effects. If the epoch cannot be recorded the node stays a follower
+// and Promote returns the error. The caller is responsible for actually
+// starting to serve (server.Service.Promote does, via OnPromote).
+func (r *Receiver) Promote() (int64, error) {
 	r.mu.Lock()
 	if r.promoted {
-		e := r.epoch
 		r.mu.Unlock()
-		return e
+		return r.cfg.Epoch.Current(), nil
+	}
+	epoch, err := r.cfg.Epoch.Promote()
+	if err != nil {
+		r.mu.Unlock()
+		return 0, err
 	}
 	r.promoted = true
-	r.epoch++
-	epoch := r.epoch
 	conn := r.active
 	r.active = nil
 	r.mu.Unlock()
@@ -158,7 +162,7 @@ func (r *Receiver) Promote() int64 {
 	if r.cfg.OnPromote != nil {
 		r.cfg.OnPromote(epoch)
 	}
-	return epoch
+	return epoch, nil
 }
 
 // Promoted reports whether the follower has taken over, and at which
@@ -166,7 +170,7 @@ func (r *Receiver) Promote() int64 {
 func (r *Receiver) Promoted() (bool, int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.promoted, r.epoch
+	return r.promoted, r.cfg.Epoch.Current()
 }
 
 // Stats snapshots the receiver.
@@ -174,7 +178,7 @@ func (r *Receiver) Stats() ReceiverStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := ReceiverStats{
-		Epoch:     r.epoch,
+		Epoch:     r.cfg.Epoch.Current(),
 		Promoted:  r.promoted,
 		Connected: r.active != nil,
 		Connects:  r.connects,
@@ -227,7 +231,10 @@ func (r *Receiver) promoteLoop() {
 		r.mu.Unlock()
 		if fire {
 			r.cfg.Logf("replicate: no primary frames for %v (promote-after %v); assuming primary loss", silence.Round(time.Millisecond), r.cfg.PromoteAfter)
-			r.Promote()
+			if _, err := r.Promote(); err != nil {
+				r.cfg.Logf("replicate: self-promotion refused, still following: %v", err)
+				continue
+			}
 			return
 		}
 	}
@@ -257,14 +264,14 @@ func (r *Receiver) handle(conn net.Conn) {
 	}
 
 	r.mu.Lock()
+	epoch := r.cfg.Epoch.Current()
 	switch {
 	case r.closed:
 		r.mu.Unlock()
 		return
-	case r.promoted || hello.Epoch < r.epoch:
+	case r.promoted || hello.Epoch < epoch:
 		// A deposed primary (or one from a past epoch): fence it so it
 		// stops admitting, never ack it.
-		epoch := r.epoch
 		r.mu.Unlock()
 		r.cfg.Logf("replicate: fencing %s (its epoch %d, ours %d)", conn.RemoteAddr(), hello.Epoch, epoch)
 		_ = WriteMagic(conn)
@@ -275,9 +282,14 @@ func (r *Receiver) handle(conn net.Conn) {
 		r.cfg.Logf("replicate: %s runs %d shards, we run %d — refusing stream", conn.RemoteAddr(), hello.Shards, r.cfg.Applier.Shards())
 		return
 	}
-	if hello.Epoch > r.epoch {
-		r.epoch = hello.Epoch
+	// The adopted epoch is on disk before the hello-ack: a restart must
+	// still fence whatever this primary deposed.
+	if err := r.cfg.Epoch.Adopt(hello.Epoch); err != nil {
+		r.mu.Unlock()
+		r.cfg.Logf("replicate: %s: refusing stream: %v", conn.RemoteAddr(), err)
+		return
 	}
+	epoch = hello.Epoch
 	if r.active != nil {
 		// A newer primary connection replaces the old stream (e.g. the
 		// primary re-dialed before its dead conn timed out here).
@@ -287,7 +299,6 @@ func (r *Receiver) handle(conn net.Conn) {
 	r.connects++
 	r.ever = true
 	r.lastFrame = time.Now()
-	epoch := r.epoch
 	r.mu.Unlock()
 
 	drop := func() {
@@ -321,7 +332,7 @@ func (r *Receiver) handle(conn net.Conn) {
 			return
 		}
 		r.lastFrame = time.Now()
-		epoch = r.epoch
+		epoch = r.cfg.Epoch.Current()
 		r.mu.Unlock()
 		if f.Epoch < epoch {
 			_ = WriteFrame(conn, Frame{T: FrameFence, Epoch: epoch})

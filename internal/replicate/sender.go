@@ -15,8 +15,9 @@ import (
 // ErrFenced reports that this daemon observed a follower holding a higher
 // replication epoch: the follower was promoted, a split brain is one
 // acknowledged write away, and the deposed primary must refuse admissions
-// permanently (the latch is sticky — only a restart with a higher -epoch
-// clears it, which is an operator acknowledging the takeover).
+// permanently. The fence is recorded in the node's EpochFile, so it
+// survives a restart; only promoting the node again (which moves past the
+// fencing epoch) clears it.
 var ErrFenced = errors.New("replicate: fenced — a follower holds a higher epoch; this daemon is no longer primary")
 
 // ErrLeaseExpired reports that the follower has not acknowledged within
@@ -35,8 +36,9 @@ const batchMax = 256
 type SenderConfig struct {
 	// Addr is the follower's replication listen address.
 	Addr string
-	// Epoch is this primary's replication epoch (≥ 1).
-	Epoch int64
+	// Epoch is this node's durable epoch and fence: the sender announces
+	// its epoch and records a fence in it. Required.
+	Epoch *EpochFile
 	// WAL names each shard's journal file, in shard order: the records
 	// the sender ships, read as they land. Its length is the fleet shard
 	// count, which must match the follower's. Required.
@@ -63,8 +65,8 @@ type SenderConfig struct {
 
 // SenderStats is a point-in-time replication summary of the primary side.
 type SenderStats struct {
-	// Epoch is the configured epoch; Fenced/FencedBy report the sticky
-	// fence latch.
+	// Epoch is this node's epoch; Fenced/FencedBy report the sticky fence
+	// latch.
 	Epoch    int64 `json:"epoch"`
 	Fenced   bool  `json:"fenced,omitempty"`
 	FencedBy int64 `json:"fenced_by,omitempty"`
@@ -96,8 +98,6 @@ type Sender struct {
 	everAcked  bool
 	lastAck    time.Time
 	reconnects int64
-	fenced     bool
-	fencedBy   int64
 
 	out []byte // the frames being written (the stream goroutine's)
 
@@ -112,8 +112,8 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	if len(cfg.WAL) < 1 {
 		return nil, fmt.Errorf("replicate: sender needs ≥ 1 shard WAL")
 	}
-	if cfg.Epoch < 1 {
-		return nil, fmt.Errorf("replicate: sender epoch %d, want ≥ 1", cfg.Epoch)
+	if cfg.Epoch == nil {
+		return nil, fmt.Errorf("replicate: sender needs an epoch file")
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
@@ -194,11 +194,11 @@ func (s *Sender) Committed(shard int, seq int64) {
 // daemon may act as primary, ErrFenced after observing a higher epoch,
 // ErrLeaseExpired while the follower lease is blown.
 func (s *Sender) WriteAllowed() error {
+	if by := s.cfg.Epoch.FencedBy(); by != 0 {
+		return fmt.Errorf("%w (our epoch %d, follower epoch %d)", ErrFenced, s.cfg.Epoch.Current(), by)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fenced {
-		return fmt.Errorf("%w (our epoch %d, follower epoch %d)", ErrFenced, s.cfg.Epoch, s.fencedBy)
-	}
 	if s.cfg.Lease > 0 && s.everAcked {
 		if age := time.Since(s.lastAck); age > s.cfg.Lease {
 			return fmt.Errorf("%w: last ack %v ago, lease %v", ErrLeaseExpired, age.Round(time.Millisecond), s.cfg.Lease)
@@ -209,12 +209,13 @@ func (s *Sender) WriteAllowed() error {
 
 // Stats snapshots the sender.
 func (s *Sender) Stats() SenderStats {
+	fencedBy := s.cfg.Epoch.FencedBy()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := SenderStats{
-		Epoch:      s.cfg.Epoch,
-		Fenced:     s.fenced,
-		FencedBy:   s.fencedBy,
+		Epoch:      s.cfg.Epoch.Current(),
+		Fenced:     fencedBy != 0,
+		FencedBy:   fencedBy,
 		Connected:  s.connected,
 		Reconnects: s.reconnects,
 	}
@@ -229,15 +230,14 @@ func (s *Sender) Stats() SenderStats {
 	return st
 }
 
-// fence latches the sticky deposed-primary state.
+// fence records and latches the sticky deposed-primary state. The record
+// is written before WriteAllowed can see the latch, and a failed write
+// latches anyway.
 func (s *Sender) fence(epoch int64) {
-	s.mu.Lock()
-	if !s.fenced {
-		s.fenced = true
-		s.fencedBy = epoch
+	if err := s.cfg.Epoch.Fence(epoch); err != nil {
+		s.cfg.Logf("replicate: %v; fenced in memory only", err)
 	}
-	s.mu.Unlock()
-	s.cfg.Logf("replicate: fenced by follower epoch %d (our epoch %d); refusing admissions", epoch, s.cfg.Epoch)
+	s.cfg.Logf("replicate: fenced by follower epoch %d (our epoch %d); refusing admissions", epoch, s.cfg.Epoch.Current())
 }
 
 func (s *Sender) stopped() bool {
@@ -258,10 +258,7 @@ func (s *Sender) run() {
 		if s.stopped() {
 			return
 		}
-		s.mu.Lock()
-		fenced := s.fenced
-		s.mu.Unlock()
-		if fenced {
+		if s.cfg.Epoch.FencedBy() != 0 {
 			return
 		}
 		conn, err := s.cfg.Dial(s.cfg.Addr)
@@ -304,11 +301,12 @@ func (s *Sender) deadline() time.Duration {
 // serve runs one connection: handshake, then stream records, heartbeats
 // and catch-up until the link dies, the follower fences us, or Stop.
 func (s *Sender) serve(conn net.Conn) error {
+	epoch := s.cfg.Epoch.Current()
 	_ = conn.SetDeadline(time.Now().Add(s.deadline()))
 	if err := WriteMagic(conn); err != nil {
 		return fmt.Errorf("write magic: %w", err)
 	}
-	if err := WriteFrame(conn, Frame{T: FrameHello, Epoch: s.cfg.Epoch, Shards: len(s.cfg.WAL)}); err != nil {
+	if err := WriteFrame(conn, Frame{T: FrameHello, Epoch: epoch, Shards: len(s.cfg.WAL)}); err != nil {
 		return fmt.Errorf("write hello: %w", err)
 	}
 	br := bufio.NewReader(conn)
@@ -319,7 +317,7 @@ func (s *Sender) serve(conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("read hello-ack: %w", err)
 	}
-	if f.Epoch > s.cfg.Epoch {
+	if f.Epoch > epoch {
 		s.fence(f.Epoch)
 		return ErrFenced
 	}
@@ -352,17 +350,26 @@ func (s *Sender) serve(conn net.Conn) error {
 		s.reconnects++
 		s.mu.Unlock()
 	}()
-	s.cfg.Logf("replicate: streaming to %s (epoch %d, cursors %v)", s.cfg.Addr, s.cfg.Epoch, cursors)
+	s.cfg.Logf("replicate: streaming to %s (epoch %d, cursors %v)", s.cfg.Addr, epoch, cursors)
 
 	readerErr := make(chan error, 1)
-	go s.readAcks(conn, br, readerErr)
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		s.readAcks(conn, br, readerErr)
+	}()
+	// The ack reader may be recording a fence: wait for it, so nothing
+	// writes the epoch file once Stop has returned.
+	defer reader.Wait()
+	defer conn.Close()
 
 	ticker := time.NewTicker(s.cfg.Heartbeat)
 	defer ticker.Stop()
 	for {
 		sent := false
 		for shard := range cursors {
-			n, err := s.pump(conn, shard, tails[shard], &cursors[shard])
+			n, err := s.pump(conn, epoch, shard, tails[shard], &cursors[shard])
 			if err != nil {
 				return err
 			}
@@ -380,7 +387,7 @@ func (s *Sender) serve(conn net.Conn) error {
 		case <-s.wake:
 		case <-ticker.C:
 			_ = conn.SetWriteDeadline(time.Now().Add(s.deadline()))
-			if err := WriteFrame(conn, Frame{T: FrameHeartbeat, Epoch: s.cfg.Epoch}); err != nil {
+			if err := WriteFrame(conn, Frame{T: FrameHeartbeat, Epoch: epoch}); err != nil {
 				return fmt.Errorf("write heartbeat: %w", err)
 			}
 		}
@@ -420,7 +427,7 @@ func (s *Sender) readAcks(conn net.Conn, br *bufio.Reader, out chan<- error) {
 
 // pump ships the next frames of one shard once the WAL holds records the
 // follower lacks. Reports whether anything was sent.
-func (s *Sender) pump(conn net.Conn, shard int, tail *journal.Tail, cursor *int64) (bool, error) {
+func (s *Sender) pump(conn net.Conn, epoch int64, shard int, tail *journal.Tail, cursor *int64) (bool, error) {
 	s.mu.Lock()
 	committed := s.committed[shard]
 	s.mu.Unlock()
@@ -431,7 +438,7 @@ func (s *Sender) pump(conn net.Conn, shard int, tail *journal.Tail, cursor *int6
 		return false, nil
 	}
 	from := *cursor
-	out, err := appendWAL(s.out[:0], s.cfg.Epoch, shard, tail, cursor, committed)
+	out, err := appendWAL(s.out[:0], epoch, shard, tail, cursor, committed)
 	s.out = out
 	if err != nil || len(out) == 0 {
 		// Nothing written yet: the record being read is still landing, and

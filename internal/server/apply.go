@@ -250,7 +250,7 @@ func (sh *shard) stepEventLocked() Event {
 		Released:  sh.namespace(info.Released),
 		Completed: sh.namespace(info.Completed),
 		Active:    info.Active,
-		Pending:   sh.eng.Snapshot().Pending,
+		Pending:   sh.eng.Remaining() - info.Active, // Remaining = pending + active
 	}
 	if info.Steps > 1 {
 		ev.Steps = info.Steps

@@ -403,6 +403,63 @@ func TestRefusedSnapshotChangesNothing(t *testing.T) {
 	requireIdentical(t, primary, follower)
 }
 
+// TestStepEventCounts: each step event reports the shard's pending and
+// active counts as Stats does at that point, with jobs released in the
+// future still queued behind the running ones.
+func TestStepEventCounts(t *testing.T) {
+	svc, err := New(testConfig(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, cancel := svc.Subscribe()
+	defer cancel()
+	for i, release := range []int64{0, 0, 3, 5, 5, 9, 20} {
+		if _, err := svc.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 1+i%3, 1), Release: release}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sawPending := false
+	for stepShard(t, svc, 0) {
+		ev := <-events
+		st := svc.Stats()
+		if ev.Pending != st.Pending || ev.Active != st.Active {
+			t.Fatalf("step %d: event pending %d active %d, Stats pending %d active %d", ev.Step, ev.Pending, ev.Active, st.Pending, st.Active)
+		}
+		sawPending = sawPending || ev.Pending > 0
+	}
+	if !sawPending {
+		t.Fatal("no event saw a queued future release")
+	}
+}
+
+// TestStepAllocsPinned pins what the live step path allocates per step of
+// a running job that neither releases nor completes anything: the event's
+// copy of the executed counts, and nothing else.
+func TestStepAllocsPinned(t *testing.T) {
+	svc, err := New(testConfig(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 1000, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1), Release: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	sh := svc.shards[0]
+	step := func() {
+		if n, err := sh.stepN(1); err != nil || n != 1 {
+			t.Fatalf("stepN: %d steps (%v)", n, err)
+		}
+	}
+	for range 10 {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 1 {
+		t.Fatalf("a live step allocates %.1f, want 1 (the event's executed counts)", allocs)
+	}
+}
+
 // TestReplayStepBuildsNoEvent pins what startup replay pays per step
 // record: the engine step and the Stepped bookkeeping, and nothing for
 // subscribers — no Event, no namespaced ID copies — since nothing can be

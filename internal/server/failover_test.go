@@ -32,8 +32,9 @@ import (
 // drained state is exactly what replaying its journal in-process
 // produces, a cleanly handed-over follower is bit-identical to the
 // primary's full journal, and a fenced ex-primary refuses admissions with
-// a located error. Failover time and replication lag are reported per
-// scenario.
+// a located error, restarted with the same flags too, until it is
+// restarted as a follower and promoted past the fence. Failover time and
+// replication lag are reported per scenario.
 //
 // Gated behind KRAD_FAILOVER_MATRIX=1 (builds a binary, runs for
 // seconds); KRAD_FAILOVER_POINTS overrides the kill-point count.
@@ -228,23 +229,26 @@ func runFailoverLinkFaults(t *testing.T, bin string) {
 // a replication lease, the follower a promote-after timeout strictly
 // above it. Partitioning the link must first gate the primary's
 // admissions (lease expiry), then self-promote the follower; healing the
-// link must fence the ex-primary with a located 409.
+// link must fence the ex-primary with a located 409. The fence is on
+// disk: the ex-primary restarted with the same flags still answers 409,
+// and only restarting it with -follow and promoting it takes leadership
+// back, at an epoch above the one that fenced it.
 func runFailoverPromoteAfter(t *testing.T, bin string) {
 	pdir, fdir := t.TempDir(), t.TempDir()
 	pAddr, fAddr, repAddr := freeAddr(t), freeAddr(t), freeAddr(t)
 	client := &http.Client{Timeout: 2 * time.Second}
 
-	startDaemon(t, bin, "follower",
+	follower := startDaemon(t, bin, "follower",
 		"-addr", fAddr, "-caps", "2",
 		"-journal-dir", fdir, "-fsync", "always", "-snapshot-every", "0",
 		"-follow", repAddr, "-promote-after", "700ms", "-drain", "10s")
 	waitAlive(t, client, fAddr)
 	proxy := newLinkProxy(t, repAddr)
-	startDaemon(t, bin, "primary",
-		"-addr", pAddr, "-caps", "2",
+	primaryArgs := []string{"-addr", pAddr, "-caps", "2",
 		"-journal-dir", pdir, "-fsync", "always", "-snapshot-every", "0",
 		"-replicate-to", proxy.addr(), "-replicate-heartbeat", "50ms",
-		"-lease", "250ms", "-drain", "10s")
+		"-lease", "250ms", "-drain", "10s"}
+	primary := startDaemon(t, bin, "primary", primaryArgs...)
 	waitReady(t, pAddr)
 	waitFollowerAttached(t, client, fAddr)
 
@@ -284,6 +288,47 @@ func runFailoverPromoteAfter(t *testing.T, bin string) {
 		t.Fatalf("self-promoted follower refused a submission: status %d", status)
 	}
 	waitJobDone(t, client, fAddr, id)
+
+	// A supervisor restarts the ex-primary with byte-identical flags: it
+	// comes back fenced, and its first submission answers 409.
+	stopDaemon(t, primary)
+	primary = startDaemon(t, bin, "primary-restarted", primaryArgs...)
+	waitReady(t, pAddr)
+	if status, body := submitProbe(t, client, pAddr); status != http.StatusConflict || !strings.Contains(body, "fenced") {
+		t.Fatalf("restarted ex-primary answered %d %s, want 409 fenced", status, body)
+	}
+
+	// Takeover: stop the promoted node, bring the ex-primary back as a
+	// follower, and promote it past the epoch that fenced it.
+	stopDaemon(t, follower)
+	stopDaemon(t, primary)
+	startDaemon(t, bin, "ex-primary-follower",
+		"-addr", pAddr, "-caps", "2",
+		"-journal-dir", pdir, "-fsync", "always", "-snapshot-every", "0",
+		"-follow", freeAddr(t), "-drain", "10s")
+	waitFor(t, "ex-primary following", func() bool {
+		resp, err := client.Get("http://" + pAddr + "/readyz")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return strings.Contains(string(body), "following")
+	})
+	if epoch := promoteHTTP(t, client, pAddr); epoch <= 2 {
+		t.Fatalf("ex-primary promoted to epoch %d, want above the fencing epoch 2", epoch)
+	}
+	waitReady(t, pAddr)
+	if _, status := trySubmit(t, client, pAddr, dag.UniformChain(1, 2, 1)); status != http.StatusCreated {
+		t.Fatalf("re-promoted ex-primary refused a submission: status %d", status)
+	}
+}
+
+// stopDaemon SIGTERMs a daemon and waits for it to exit.
+func stopDaemon(t *testing.T, cmd *exec.Cmd) {
+	t.Helper()
+	_ = cmd.Process.Signal(syscall.SIGTERM)
+	_ = cmd.Wait()
 }
 
 // startDaemon launches kradd with the given args, captures its logs for
@@ -477,7 +522,8 @@ func diffJobsAgainstOracle(t *testing.T, client *http.Client, addr string, oracl
 	}
 }
 
-func promoteHTTP(t *testing.T, client *http.Client, addr string) {
+// promoteHTTP promotes a follower and returns its new epoch.
+func promoteHTTP(t *testing.T, client *http.Client, addr string) int64 {
 	t.Helper()
 	resp, err := client.Post("http://"+addr+"/v1/promote", "application/json", nil)
 	if err != nil {
@@ -488,6 +534,13 @@ func promoteHTTP(t *testing.T, client *http.Client, addr string) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("promote: status %d: %s", resp.StatusCode, body)
 	}
+	var out struct {
+		Epoch int64 `json:"epoch"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("promote: %v: %s", err, body)
+	}
+	return out.Epoch
 }
 
 // submitProbe posts a trivial job and returns status plus body — the

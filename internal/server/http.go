@@ -512,10 +512,11 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePromote flips a standby follower into the serving primary: the
-// registered promotion callback (replicate.Receiver.Promote) bumps the
-// epoch past everything seen, fences the old primary's stream, and
-// starts this daemon's step loops. Idempotent; 409 on a daemon that was
-// never configured as a follower.
+// registered promotion callback (replicate.Receiver.Promote) records an
+// epoch past every one this node has seen, fences the old primary's
+// stream, and starts this daemon's step loops. Idempotent; 409 on a daemon
+// that was never configured as a follower, 500 with the error when the
+// epoch cannot be recorded (the daemon stays a follower).
 func (s *Service) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	f := s.promoteFn
@@ -524,7 +525,11 @@ func (s *Service) handlePromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "not a replication follower: nothing to promote")
 		return
 	}
-	epoch := f()
+	epoch, err := f()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"promoted": true, "epoch": epoch})
 }
 

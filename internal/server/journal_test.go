@@ -9,11 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"krad/internal/baselines"
 	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/journal"
@@ -437,6 +439,59 @@ func TestCompactionBoundsReplay(t *testing.T) {
 	}
 	if id != 4 {
 		t.Fatalf("post-compaction submit got ID %d, want 4", id)
+	}
+}
+
+// TestCompactionOffWithoutSnapshotter: a scheduler that cannot snapshot
+// (no baseline implements sched.Snapshotter) turns idle-point compaction
+// off at the first attempt. The journal keeps every record, and a restart
+// replays all of them to the same Stats and job statuses.
+func TestCompactionOffWithoutSnapshotter(t *testing.T) {
+	cfg := journaledConfig(t, 1, 2)
+	cfg.Journal.SnapshotEvery = 1
+	cfg.NewScheduler = func() sched.Scheduler { return baselines.NewEQUI(1) }
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	var ids []int
+	for round := 1; round <= 3; round++ {
+		for i := 0; i < 4; i++ {
+			id, err := svc.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 2+(i+round)%3, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		waitFor(t, "idle", func() bool { return svc.Stats().Completed == int64(len(ids)) })
+	}
+	sh := svc.shards[0]
+	waitFor(t, "compaction turned off", func() bool {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.compactOff
+	})
+	if st := svc.Stats(); st.Journal.Compactions != 0 {
+		t.Fatalf("%d compactions under a scheduler that cannot snapshot", st.Journal.Compactions)
+	}
+	want := mustJSON(t, comparableStats(svc))
+	drainAndClose(t, svc)
+
+	again, err := New(journaledConfigFrom(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainAndClose(t, again)
+	if got := mustJSON(t, comparableStats(again)); !bytes.Equal(got, want) {
+		t.Fatalf("restart Stats %s, want %s", got, want)
+	}
+	for _, id := range ids {
+		w, _ := svc.Job(id)
+		g, ok := again.Job(id)
+		if !ok || !reflect.DeepEqual(g, w) {
+			t.Fatalf("job %d after restart: %+v (found %v), want %+v", id, g, ok, w)
+		}
 	}
 }
 

@@ -72,9 +72,11 @@ func (s *Service) SetReplicationStats(f func() *ReplicationStats) {
 }
 
 // SetPromote registers the callback POST /v1/promote triggers — the
-// replication receiver's Promote, which bumps the epoch, fences the old
-// primary and calls back into Service.Promote.
-func (s *Service) SetPromote(f func() int64) {
+// replication receiver's Promote, which records an epoch past every one
+// this node has seen, fences the old primary and calls back into
+// Service.Promote. An error (the epoch could not be recorded) leaves the
+// node a follower, and the request answers with it.
+func (s *Service) SetPromote(f func() (int64, error)) {
 	s.mu.Lock()
 	s.promoteFn = f
 	s.mu.Unlock()

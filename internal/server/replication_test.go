@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,7 +50,7 @@ func startFollower(t *testing.T, cfg Config, promoteAfter time.Duration) (*Servi
 	rcv, err := replicate.NewReceiver(replicate.ReceiverConfig{
 		Listener:     ln,
 		Applier:      svc,
-		Epoch:        1,
+		Epoch:        openEpoch(t, cfg.Journal.Dir),
 		PromoteAfter: promoteAfter,
 		OnPromote:    func(int64) { svc.Promote() },
 		Logf:         t.Logf,
@@ -65,6 +66,16 @@ func startFollower(t *testing.T, cfg Config, promoteAfter time.Duration) (*Servi
 		_ = svc.Close(ctx)
 	})
 	return svc, rcv, ln.Addr().String()
+}
+
+// openEpoch reads the replication epoch file of a journal directory.
+func openEpoch(t *testing.T, dir string) *replicate.EpochFile {
+	t.Helper()
+	e, err := replicate.OpenEpochFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // newPrimary builds a primary Service over its own journal dir without
@@ -98,7 +109,7 @@ func startSender(t *testing.T, svc *Service, addr string, mut func(*replicate.Se
 	t.Helper()
 	cfg := replicate.SenderConfig{
 		Addr:       addr,
-		Epoch:      1,
+		Epoch:      openEpoch(t, filepath.Dir(svc.JournalPaths()[0])),
 		WAL:        svc.JournalPaths(),
 		Heartbeat:  20 * time.Millisecond,
 		MinBackoff: 2 * time.Millisecond,
@@ -368,8 +379,8 @@ func TestPromotionFencesPrimary(t *testing.T) {
 		t.Fatalf("standby reports ready before promotion (%q)", why)
 	}
 
-	if epoch := rcv.Promote(); epoch != 2 {
-		t.Fatalf("promotion produced epoch %d, want 2", epoch)
+	if epoch, err := rcv.Promote(); err != nil || epoch != 2 {
+		t.Fatalf("promotion produced epoch %d (%v), want 2", epoch, err)
 	}
 	if follower.Following() {
 		t.Fatal("promoted follower still reports following")
@@ -399,8 +410,139 @@ func TestPromotionFencesPrimary(t *testing.T) {
 		return ok && st.Phase == sim.JobDone
 	})
 	// Promotion is idempotent and sticky.
-	if epoch := rcv.Promote(); epoch != 2 {
-		t.Fatalf("re-promotion moved the epoch to %d", epoch)
+	if epoch, err := rcv.Promote(); err != nil || epoch != 2 {
+		t.Fatalf("re-promotion moved the epoch to %d (%v)", epoch, err)
+	}
+
+	// The fence is on disk: the deposed primary, closed and re-opened with
+	// the same Config, journal directory and sender setup, refuses its
+	// first admission and its first cancel without meeting the follower.
+	sender.Stop()
+	drainAndClose(t, primary)
+	primary = newPrimary(t, pcfg)
+	sender = startSender(t, primary, addr, nil)
+	if _, err := primary.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); !errors.Is(err, replicate.ErrFenced) {
+		t.Fatalf("re-opened deposed primary accepted a submission (err %v), want ErrFenced", err)
+	}
+	if err := primary.Cancel(0); !errors.Is(err, replicate.ErrFenced) {
+		t.Fatalf("re-opened deposed primary accepted a cancel (err %v), want ErrFenced", err)
+	}
+	if st := sender.Stats(); !st.Fenced || st.FencedBy != 2 || st.Epoch != 1 {
+		t.Fatalf("re-opened sender stats %+v, want epoch 1 fenced by 2", st)
+	}
+
+	// Takeover: the fenced node restarted as a follower and promoted moves
+	// past the epoch that fenced it, and admits.
+	sender.Stop()
+	drainAndClose(t, primary)
+	again, rcv2, _ := startFollower(t, pcfg, 0)
+	if epoch, err := rcv2.Promote(); err != nil || epoch != 3 {
+		t.Fatalf("fenced node promoted to epoch %d (%v), want 3", epoch, err)
+	}
+	if _, err := again.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); err != nil {
+		t.Fatalf("promoted ex-primary refused a submission: %v", err)
+	}
+}
+
+// TestEpochSurvivesFollowerRestart: a follower keeps the epoch it adopted
+// and the one it was promoted to across restarts. Restarted as a follower
+// it refuses writes until promoted again, and each promotion moves past
+// every epoch the node has seen.
+func TestEpochSurvivesFollowerRestart(t *testing.T) {
+	pcfg := replConfig(t)
+	primary := startPrimary(t, pcfg)
+	// A primary that already took over twice holds epoch 3.
+	for range 2 {
+		if _, err := openEpoch(t, pcfg.Journal.Dir).Promote(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fcfg := replConfig(t)
+	follower, rcv, addr := startFollower(t, fcfg, 0)
+	sender := startSender(t, primary, addr, nil)
+	if _, err := primary.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 2, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "primary drain", func() bool { return primary.Stats().Completed == 1 })
+	waitCaughtUp(t, primary, follower)
+	if st := rcv.Stats(); st.Epoch != 3 {
+		t.Fatalf("follower epoch %d after the handshake, want the primary's 3", st.Epoch)
+	}
+	sender.Stop()
+
+	restart := func() {
+		rcv.Close()
+		drainAndClose(t, follower)
+		follower, rcv, _ = startFollower(t, fcfg, 0)
+	}
+	restart()
+	if epoch, err := rcv.Promote(); err != nil || epoch != 4 {
+		t.Fatalf("restarted follower promoted to epoch %d (%v), want 4", epoch, err)
+	}
+	restart()
+	if st := rcv.Stats(); st.Epoch != 4 || st.Promoted {
+		t.Fatalf("promoted node restarted with its follower flags: %+v, want a follower at epoch 4", st)
+	}
+	if _, err := follower.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); !errors.Is(err, ErrFollower) {
+		t.Fatalf("restarted follower accepted a submission (err %v), want ErrFollower", err)
+	}
+	if epoch, err := rcv.Promote(); err != nil || epoch != 5 {
+		t.Fatalf("second promotion to epoch %d (%v), want 5", epoch, err)
+	}
+	if _, err := follower.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); err != nil {
+		t.Fatalf("promoted follower refused a submission: %v", err)
+	}
+}
+
+// TestEpochWriteFailureFailsClosed puts a directory where each node's
+// epoch file goes. A primary that cannot record its fence is fenced all
+// the same, and a follower that cannot record its promotion stays a
+// follower while POST /v1/promote answers with the error.
+func TestEpochWriteFailureFailsClosed(t *testing.T) {
+	block := func(dir string) {
+		if err := os.Mkdir(filepath.Join(dir, replicate.EpochFileName), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fcfg := replConfig(t)
+	follower, rcv, addr := startFollower(t, fcfg, 0)
+	pcfg := replConfig(t)
+	primary := startPrimary(t, pcfg)
+	sender := startSender(t, primary, addr, nil)
+	block(pcfg.Journal.Dir)
+	waitFor(t, "follower attached", func() bool { return rcv.Stats().Connected })
+	if _, err := rcv.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "primary fenced", func() bool {
+		return errors.Is(sender.WriteAllowed(), replicate.ErrFenced)
+	})
+	if _, err := primary.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); !errors.Is(err, replicate.ErrFenced) {
+		t.Fatalf("primary with an unrecorded fence accepted a submission (err %v), want ErrFenced", err)
+	}
+	if _, err := follower.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); err != nil {
+		t.Fatalf("promoted follower refused a submission: %v", err)
+	}
+
+	scfg := replConfig(t)
+	standby, _, _ := startFollower(t, scfg, 0)
+	block(scfg.Journal.Dir)
+	ts := httptest.NewServer(standby.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/promote", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), replicate.EpochFileName) {
+		t.Fatalf("promotion with an unwritable epoch file answered %d %s, want 500 naming the file", resp.StatusCode, body)
+	}
+	if !standby.Following() {
+		t.Fatal("a refused promotion left the standby serving")
+	}
+	if _, err := standby.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); !errors.Is(err, ErrFollower) {
+		t.Fatalf("standby after a refused promotion accepted a submission (err %v), want ErrFollower", err)
 	}
 }
 
@@ -442,7 +584,7 @@ func TestReplicationLeaseExpiryHeals(t *testing.T) {
 	rcv2, err := replicate.NewReceiver(replicate.ReceiverConfig{
 		Listener: ln,
 		Applier:  follower,
-		Epoch:    1,
+		Epoch:    openEpoch(t, fcfg.Journal.Dir),
 		Logf:     t.Logf,
 	})
 	if err != nil {

@@ -219,7 +219,7 @@ type Service struct {
 	started   bool
 	closed    bool
 	follower  bool                     // standby: refuse writes, step loops down
-	promoteFn func() int64             // POST /v1/promote target (receiver.Promote)
+	promoteFn func() (int64, error)    // POST /v1/promote target (receiver.Promote)
 	repStats  func() *ReplicationStats // replication slice of Stats and /metrics
 }
 

@@ -1046,8 +1046,8 @@ func stealReplicationAndPromotion(t *testing.T, followerSteals bool) {
 
 	// Promote: reconciliation finds both halves present (no repair), the
 	// loops start, and the stolen work finishes under its original IDs.
-	if epoch := rcv.Promote(); epoch != 2 {
-		t.Fatalf("promotion epoch %d, want 2", epoch)
+	if epoch, err := rcv.Promote(); err != nil || epoch != 2 {
+		t.Fatalf("promotion epoch %d (%v), want 2", epoch, err)
 	}
 	waitFor(t, "promoted drain", func() bool { return follower.Stats().Completed == 6 })
 	for _, id := range ids {
