@@ -12,12 +12,19 @@ func (g *Graph) Work(c Category) int {
 }
 
 // WorkVector returns T1(Ji, α) for every α as a slice indexed by α−1.
-func (g *Graph) WorkVector() []int {
-	w := make([]int, g.k)
-	for _, cat := range g.cats {
-		w[cat-1]++
+func (g *Graph) WorkVector() []int { return g.AppendWork(make([]int, 0, g.k)) }
+
+// AppendWork appends T1(Ji, α) for every α to dst, indexed α−1 from
+// len(dst).
+func (g *Graph) AppendWork(dst []int) []int {
+	n := len(dst)
+	for i := 0; i < g.k; i++ {
+		dst = append(dst, 0)
 	}
-	return w
+	for _, cat := range g.cats {
+		dst[n+int(cat)-1]++
+	}
+	return dst
 }
 
 // TotalWork returns T1(Ji) = Σα T1(Ji, α), which equals the vertex count

@@ -233,6 +233,9 @@ func (j *Job) K() int { return j.k }
 // bound for the metrics package.
 func (j *Job) WorkVector() []int { return append([]int(nil), j.work...) }
 
+// AppendWork implements sim.WorkAppender.
+func (j *Job) AppendWork(dst []int) []int { return append(dst, j.work...) }
+
 // Span implements sim.JobSource: the optDur-weighted critical path.
 func (j *Job) Span() int { return j.span }
 
@@ -249,4 +252,4 @@ func (j *Job) NewRuntime(pick dag.PickPolicy, seed int64) sim.RuntimeJob {
 	return NewInstance(j, pick, seed)
 }
 
-var _ sim.JobSource = (*Job)(nil)
+var _ sim.WorkAppender = (*Job)(nil)

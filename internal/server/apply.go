@@ -152,8 +152,8 @@ func (sh *shard) checkFair(st journal.FairState) error {
 
 // Admitted implements journal.Observer. The jobs are indexed before the
 // lock drops, so a status query racing the submit response finds them
-// (JobRef's Work aliases engine memory; put copies it into the stripe
-// arena). The thief half of a steal counts as stolen-in, not submitted,
+// (JobRef's Work aliases engine memory; put copies it into the stripe's
+// table). The thief half of a steal counts as stolen-in, not submitted,
 // and remembers each job's origin; an orphan repair, which re-admits on
 // the victim itself, points the original ID back into this shard. The
 // fair ledger accounts the admission strictly after it is durable, so the
@@ -185,7 +185,7 @@ func (sh *shard) Admitted(rec journal.Record, specs []sim.JobSpec, ids []int) {
 // Cancelled implements journal.Observer.
 func (sh *shard) Cancelled(id int) {
 	sh.fairForgetLocked(id)
-	sh.tab.setCancelled(id, sh.eng.Now())
+	sh.tab.setPhase(id, sim.JobCancelled, sh.eng.Now())
 	sh.retireLocked(id)
 }
 
@@ -217,12 +217,11 @@ func (sh *shard) Stepped(info sim.StepInfo) {
 	sh.out.step = info
 	sh.steps += info.Steps
 	for _, id := range info.Released {
-		sh.tab.setActive(id)
+		sh.tab.setPhase(id, sim.JobActive, 0)
 	}
 	for _, id := range info.Completed {
 		done, _ := sh.eng.Completion(id)
-		rel, _ := sh.tab.release(id)
-		sh.tab.setDone(id, done)
+		rel := sh.tab.setPhase(id, sim.JobDone, done)
 		sh.resp.Observe(float64(done - rel))
 		sh.fairForgetLocked(id)
 		sh.retireLocked(id)

@@ -13,31 +13,16 @@ import (
 // compiles to a mask.
 const idStripes = 16
 
-// idEntry is one job's lifecycle status inside the index. The work vector
-// lives in the stripe's shared arena (slot*k..slot*k+k), not in the
-// entry: every job on a shard has the same K categories, so one growing
-// []int amortizes what would otherwise be a per-job allocation.
-type idEntry struct {
-	release     int64
-	completion  int64
-	cancelledAt int64
-	span        int
-	phase       sim.JobPhase
-	family      sim.RuntimeFamily
-	present     bool
-}
-
-// idStripe owns every ID congruent to its index mod idStripes, densely
-// packed at slot id/idStripes. Slots are append-grown; restoring from a
-// sparse (post-retirement) checkpoint leaves zero-value holes, which the
-// present flag distinguishes from real jobs.
+// idStripe owns every ID congruent to its index mod idStripes, at dense
+// index id/idStripes of its status table (sim.StatusTable: 41 bytes per
+// job at K=2, in pages that appends never move). Restoring from a sparse
+// (post-retirement) checkpoint leaves holes, which read as absent.
 type idStripe struct {
-	mu   sync.RWMutex
-	ents []idEntry
-	work []int // slot i's work vector at [i*k : (i+1)*k]
+	mu  sync.RWMutex
+	tab sim.StatusTable
 	// redir maps shard-local IDs of jobs stolen from this shard to the
 	// namespaced IDs they moved to. Lazily allocated: a shard that never
-	// loses a job pays nothing. A redirected ID's entry is absent (the job
+	// loses a job pays nothing. A redirected ID's record is absent (the job
 	// lives elsewhere now); the service follows the redirect chain.
 	redir map[int]int
 }
@@ -47,45 +32,37 @@ type idStripe struct {
 // lock. Writers — admission, the step loop's release/completion
 // accounting, cancellation, replay rebuild — all run under the shard lock
 // (one writer at a time) and additionally take the stripe write lock so
-// concurrent readers always observe a consistent entry. The table is
+// concurrent readers always observe a consistent record. The table is
 // purely derived state: it is never journaled, and a restart rebuilds it
 // from the replayed engine. With Config.RetireDone it outlives the
-// engine's own job table, serving terminal-status queries for jobs the
-// engine has already recycled.
+// engine's own status table, serving terminal-status queries for jobs the
+// engine has already retired.
 type idTable struct {
-	k       int
 	stripes [idStripes]idStripe
 }
 
-func newIDTable(k int) *idTable { return &idTable{k: k} }
+func newIDTable(k int) *idTable {
+	t := new(idTable)
+	for i := range t.stripes {
+		t.stripes[i].tab = sim.NewStatusTable(k)
+	}
+	return t
+}
 
 func (t *idTable) stripe(id int) (*idStripe, int) {
 	return &t.stripes[id&(idStripes-1)], id / idStripes
 }
 
 // put records a job's full status (admission and replay rebuild). The
-// Work slice is copied into the stripe arena, so callers may pass
-// engine-owned memory (sim.Engine.JobRef).
+// Work slice is copied, so callers may pass engine-owned memory
+// (sim.Engine.JobRef).
 func (t *idTable) put(id int, st sim.JobStatus) {
 	if id < 0 {
 		return
 	}
 	s, slot := t.stripe(id)
 	s.mu.Lock()
-	for len(s.ents) <= slot {
-		s.ents = append(s.ents, idEntry{})
-		s.work = append(s.work, make([]int, t.k)...)
-	}
-	s.ents[slot] = idEntry{
-		release:     st.Release,
-		completion:  st.Completion,
-		cancelledAt: st.CancelledAt,
-		span:        st.Span,
-		phase:       st.Phase,
-		family:      st.Family,
-		present:     true,
-	}
-	copy(s.work[slot*t.k:(slot+1)*t.k], st.Work)
+	s.tab.Put(slot, st)
 	s.mu.Unlock()
 }
 
@@ -99,40 +76,18 @@ func (t *idTable) get(id int, work []int) (sim.JobStatus, bool) {
 	s, slot := t.stripe(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if slot >= len(s.ents) || !s.ents[slot].present {
+	st, ok := s.tab.Get(slot)
+	if !ok {
 		return sim.JobStatus{}, false
 	}
-	e := s.ents[slot]
-	return sim.JobStatus{
-		ID:          id,
-		Release:     e.release,
-		Phase:       e.phase,
-		Family:      e.family,
-		Completion:  e.completion,
-		CancelledAt: e.cancelledAt,
-		Work:        append(work[:0], s.work[slot*t.k:(slot+1)*t.k]...),
-		Span:        e.span,
-	}, true
+	st.ID = id
+	st.Work = append(work[:0], st.Work...)
+	return st, true
 }
 
-// release returns a job's release time without copying its work vector —
-// the step loop's per-completion response accounting reads it on the hot
-// path.
-func (t *idTable) release(id int) (int64, bool) {
-	if id < 0 {
-		return 0, false
-	}
-	s, slot := t.stripe(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if slot >= len(s.ents) || !s.ents[slot].present {
-		return 0, false
-	}
-	return s.ents[slot].release, true
-}
-
-// phaseOf returns a job's phase and completion step — the cancellation
-// precheck, which must answer for jobs the engine has retired.
+// phaseOf returns a job's phase and end step (its completion step when
+// done) — the cancellation precheck, which must answer for jobs the engine
+// has retired.
 func (t *idTable) phaseOf(id int) (sim.JobPhase, int64, bool) {
 	if id < 0 {
 		return 0, 0, false
@@ -140,47 +95,23 @@ func (t *idTable) phaseOf(id int) (sim.JobPhase, int64, bool) {
 	s, slot := t.stripe(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if slot >= len(s.ents) || !s.ents[slot].present {
-		return 0, 0, false
-	}
-	return s.ents[slot].phase, s.ents[slot].completion, true
+	return s.tab.Phase(slot)
 }
 
-// setActive marks a released job active (step loop, under the shard
-// lock).
-func (t *idTable) setActive(id int) {
+// setPhase moves a job to phase with its end step (the step loop and
+// cancellation, under the shard lock) and returns its release time, which
+// the step loop's per-completion response accounting needs. Absent IDs
+// are left absent.
+func (t *idTable) setPhase(id int, phase sim.JobPhase, end int64) int64 {
 	s, slot := t.stripe(id)
 	s.mu.Lock()
-	if slot < len(s.ents) && s.ents[slot].present {
-		s.ents[slot].phase = sim.JobActive
-	}
+	release, _, _ := s.tab.SetPhase(slot, phase, end)
 	s.mu.Unlock()
-}
-
-// setDone marks a job completed at the given step.
-func (t *idTable) setDone(id int, completion int64) {
-	s, slot := t.stripe(id)
-	s.mu.Lock()
-	if slot < len(s.ents) && s.ents[slot].present {
-		s.ents[slot].phase = sim.JobDone
-		s.ents[slot].completion = completion
-	}
-	s.mu.Unlock()
-}
-
-// setCancelled marks a job cancelled at the given step.
-func (t *idTable) setCancelled(id int, at int64) {
-	s, slot := t.stripe(id)
-	s.mu.Lock()
-	if slot < len(s.ents) && s.ents[slot].present {
-		s.ents[slot].phase = sim.JobCancelled
-		s.ents[slot].cancelledAt = at
-	}
-	s.mu.Unlock()
+	return release
 }
 
 // setRedirect records that the job at shard-local id was stolen and now
-// lives under the namespaced target ID. The local entry is blanked (the
+// lives under the namespaced target ID. The local record is dropped (the
 // status truth moved with the job) and the redirect answers lookups by the
 // original ID from then on. Overwriting an existing redirect is legal —
 // startup reconciliation re-homes orphaned steals.
@@ -190,9 +121,7 @@ func (t *idTable) setRedirect(id, target int) {
 	}
 	s, slot := t.stripe(id)
 	s.mu.Lock()
-	if slot < len(s.ents) {
-		s.ents[slot] = idEntry{}
-	}
+	s.tab.Drop(slot)
 	if s.redir == nil {
 		s.redir = make(map[int]int)
 	}
@@ -232,15 +161,13 @@ func (t *idTable) redirects() map[int]int {
 	return out
 }
 
-// reset drops every entry (a replicated-snapshot reset rebuilds the table
-// wholesale from the restored engine). Backing arrays are kept; redirects
-// drop with the entries.
+// reset drops every record (a replicated-snapshot reset rebuilds the
+// table wholesale from the restored engine); redirects drop with them.
 func (t *idTable) reset() {
 	for i := range t.stripes {
 		s := &t.stripes[i]
 		s.mu.Lock()
-		s.ents = s.ents[:0]
-		s.work = s.work[:0]
+		s.tab.Reset()
 		s.redir = nil
 		s.mu.Unlock()
 	}

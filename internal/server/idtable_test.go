@@ -28,25 +28,24 @@ func TestIDTableLifecycle(t *testing.T) {
 	if _, ok := tab.get(19, nil); ok {
 		t.Fatal("hole between sparse IDs reported a job")
 	}
-	tab.setActive(3)
-	tab.setDone(3, 12)
+	tab.setPhase(3, sim.JobActive, 0)
+	if rel := tab.setPhase(3, sim.JobDone, 12); rel != 5 {
+		t.Fatalf("setPhase(3) returned release %d, want 5", rel)
+	}
 	if st, _ := tab.get(3, nil); st.Phase != sim.JobDone || st.Completion != 12 {
-		t.Fatalf("after setDone: %+v", st)
+		t.Fatalf("after setPhase(done): %+v", st)
 	}
-	tab.setCancelled(35, 7)
+	tab.setPhase(35, sim.JobCancelled, 7)
 	if st, _ := tab.get(35, nil); st.Phase != sim.JobCancelled || st.CancelledAt != 7 {
-		t.Fatalf("after setCancelled: %+v", st)
-	}
-	if rel, ok := tab.release(3); !ok || rel != 5 {
-		t.Fatalf("release(3) = %d, %v", rel, ok)
+		t.Fatalf("after setPhase(cancelled): %+v", st)
 	}
 	if ph, done, ok := tab.phaseOf(3); !ok || ph != sim.JobDone || done != 12 {
 		t.Fatalf("phaseOf(3) = %v, %d, %v", ph, done, ok)
 	}
 	// Transition writes on absent IDs are ignored, not materialized.
-	tab.setDone(100, 1)
+	tab.setPhase(100, sim.JobDone, 1)
 	if _, ok := tab.get(100, nil); ok {
-		t.Fatal("setDone materialized an absent job")
+		t.Fatal("setPhase materialized an absent job")
 	}
 	tab.reset()
 	if _, ok := tab.get(3, nil); ok {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/journal"
+	"krad/internal/moldable"
 	"krad/internal/profile"
 	"krad/internal/sched"
 	"krad/internal/sim"
@@ -601,4 +603,73 @@ func readyzCode(t *testing.T, base string) int {
 	}
 	resp.Body.Close()
 	return resp.StatusCode
+}
+
+// TestSnapshotRestartKeepsStatusBodies: a restart over a compacted journal
+// answers GET /v1/jobs/{id} with the bytes it answered before, for jobs of
+// every runtime family, done and cancelled — the snapshot carries each
+// job's family.
+func TestSnapshotRestartKeepsStatusBodies(t *testing.T) {
+	cfg := journaledConfig(t, 2, 4, 4)
+	cfg.Journal.SnapshotEvery = 1
+	cfg.NewScheduler = func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(2)) }
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mold, err := moldable.FromSpec(*moldBody("m").Mold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for _, spec := range []sim.JobSpec{
+		{Source: profile.MustNewRigid(2, "r", 1, 2, 3)},
+		{Graph: dag.ForkJoin(2, 4, 1, 2, 1)},
+		{Source: mold},
+		{Source: profile.MustNewRigid(2, "c", 2, 1, 4), Release: 40},
+	} {
+		id, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := svc.Cancel(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	for stepShard(t, svc, 0) {
+	}
+	svc.shards[0].maybeCompact()
+	if svc.Stats().Journal.Compactions == 0 {
+		t.Fatal("no compaction ran")
+	}
+	bodies := func(svc *Service) []string {
+		h := svc.Handler()
+		var out []string
+		for _, id := range ids {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/v1/jobs/%d", id), nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %d: %d %s", id, rec.Code, rec.Body)
+			}
+			out = append(out, rec.Body.String())
+		}
+		return out
+	}
+	before := bodies(svc)
+	for i, fam := range []string{"profile", "dag", "moldable", "profile"} {
+		if !strings.Contains(before[i], `"family":"`+fam+`"`) {
+			t.Fatalf("job %d answered %s before the restart; want family %s", ids[i], before[i], fam)
+		}
+	}
+	drainAndClose(t, svc)
+
+	svc2, err := New(journaledConfigFrom(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainAndClose(t, svc2)
+	if after := bodies(svc2); !reflect.DeepEqual(after, before) {
+		t.Fatalf("status bodies after a restart over the snapshot:\n%q\nwant\n%q", after, before)
+	}
 }

@@ -93,11 +93,12 @@ type Config struct {
 	Follower bool
 	// RetireDone, when true, retires each job from its shard's engine once
 	// its terminal state (completed or cancelled) has been recorded in the
-	// shard's lock-striped status index: the engine recycles the job's
-	// table entry (its jobState and work vector, about 250 bytes) for a
-	// future admission, while status queries keep answering from the
-	// index. The job's runtime is not part of it: every engine releases a
-	// terminal job's runtime, RetireDone or not. Retirement is a local
+	// shard's lock-striped status index: the engine drops the job's status
+	// record (25+8K bytes, 41 at K=2) and frees a status page once every
+	// job on it is retired, while status queries keep answering from the
+	// index, which keeps a record of the same size per job. The job's
+	// runtime and jobState are not part of it: every engine recycles those
+	// at the step the job ends, RetireDone or not. Retirement is a local
 	// memory optimization — IDs stay monotonic, journal replay is
 	// unaffected — but idle-point checkpoints become sparse, so a restart
 	// (or a replication follower restoring such a snapshot) no longer

@@ -19,13 +19,16 @@ var ErrCheckpointUnsupported = errors.New("sim: scheduler does not support state
 // accounting working across a restore, with no runtime state — every
 // engine releases a job's runtime at the step the job ends.
 type CheckpointJob struct {
-	ID          int      `json:"id"`
-	Release     int64    `json:"release"`
-	Phase       JobPhase `json:"phase"`
-	Completion  int64    `json:"completion,omitempty"`
-	CancelledAt int64    `json:"cancelled_at,omitempty"`
-	Work        []int    `json:"work"`
-	Span        int      `json:"span"`
+	ID      int      `json:"id"`
+	Release int64    `json:"release"`
+	Phase   JobPhase `json:"phase"`
+	// Family is the job's runtime family; omitted for FamilyUnknown, as
+	// in checkpoints written before it was carried.
+	Family      RuntimeFamily `json:"family,omitempty"`
+	Completion  int64         `json:"completion,omitempty"`
+	CancelledAt int64         `json:"cancelled_at,omitempty"`
+	Work        []int         `json:"work"`
+	Span        int           `json:"span"`
 }
 
 // EngineCheckpoint is the complete state of an idle engine: the clock, the
@@ -88,24 +91,26 @@ func (e *Engine) Checkpoint() (EngineCheckpoint, error) {
 		ExecTotal:  append([]int64(nil), e.execTotal...),
 		Overloaded: append([]bool(nil), e.overloaded...),
 		SchedState: state,
-		Jobs:       make([]CheckpointJob, 0, len(e.jobs)),
-		NextID:     len(e.jobs),
+		Jobs:       make([]CheckpointJob, 0, e.NextID()),
+		NextID:     e.NextID(),
 		Completed:  e.completedN,
 		Cancelled:  e.cancelledN,
 		Stolen:     e.stolenN,
 	}
-	for _, js := range e.jobs {
-		if js == nil {
+	for id := 0; id < e.NextID(); id++ {
+		st, ok := e.recs.Get(id)
+		if !ok {
 			continue // retired: only the aggregate counters carry over
 		}
 		cp.Jobs = append(cp.Jobs, CheckpointJob{
-			ID:          js.id,
-			Release:     js.release,
-			Phase:       js.phase,
-			Completion:  js.completed,
-			CancelledAt: js.cancelledAt,
-			Work:        append([]int(nil), js.work...),
-			Span:        js.span,
+			ID:          id,
+			Release:     st.Release,
+			Phase:       st.Phase,
+			Family:      st.Family,
+			Completion:  st.Completion,
+			CancelledAt: st.CancelledAt,
+			Work:        append([]int(nil), st.Work...),
+			Span:        st.Span,
 		})
 	}
 	return cp, nil
@@ -117,8 +122,8 @@ func (e *Engine) Checkpoint() (EngineCheckpoint, error) {
 // admissions after a restore receive the same IDs the pre-checkpoint
 // process would have assigned.
 func (e *Engine) Restore(cp EngineCheckpoint) error {
-	if e.now != 0 || len(e.jobs) != 0 {
-		return fmt.Errorf("sim: restore requires a fresh engine (clock %d, %d jobs admitted)", e.now, len(e.jobs))
+	if e.now != 0 || e.NextID() != 0 {
+		return fmt.Errorf("sim: restore requires a fresh engine (clock %d, %d jobs admitted)", e.now, e.NextID())
 	}
 	if cp.Now < 0 {
 		return fmt.Errorf("sim: checkpoint clock %d is negative", cp.Now)
@@ -148,6 +153,13 @@ func (e *Engine) Restore(cp EngineCheckpoint) error {
 		}
 		if len(j.Work) != e.cfg.K {
 			return fmt.Errorf("sim: checkpoint job %d has %d work categories for K=%d", j.ID, len(j.Work), e.cfg.K)
+		}
+		// A status keeps one end step, chosen by the phase.
+		if j.Phase == JobDone && (j.Completion < 1 || j.CancelledAt != 0) {
+			return fmt.Errorf("sim: checkpoint job %d is done with completion %d and cancelled_at %d, want completion ≥ 1 and no cancel", j.ID, j.Completion, j.CancelledAt)
+		}
+		if j.Phase != JobDone && j.Completion != 0 {
+			return fmt.Errorf("sim: checkpoint job %d is %s with completion %d, want 0", j.ID, j.Phase, j.Completion)
 		}
 	}
 	tableDone, tableCancelled, tableStolen := 0, 0, 0
@@ -192,18 +204,18 @@ func (e *Engine) Restore(cp EngineCheckpoint) error {
 	if cp.Overloaded != nil {
 		copy(e.overloaded, cp.Overloaded)
 	}
-	e.jobs = make([]*jobState, nextID)
 	for _, j := range cp.Jobs {
-		e.jobs[j.ID] = &jobState{
-			id:          j.ID,
-			release:     j.Release,
-			work:        append([]int(nil), j.Work...),
-			span:        j.Span,
-			phase:       j.Phase,
-			completed:   j.Completion,
-			cancelledAt: j.CancelledAt,
-		}
+		e.recs.Put(j.ID, JobStatus{
+			Release:     j.Release,
+			Phase:       j.Phase,
+			Family:      j.Family,
+			Completion:  j.Completion,
+			CancelledAt: j.CancelledAt,
+			Work:        j.Work,
+			Span:        j.Span,
+		})
 	}
+	e.recs.grow(nextID)
 	e.completedN = completedN
 	e.cancelledN = cancelledN
 	e.stolenN = stolenN

@@ -8,8 +8,9 @@ import (
 	"krad/internal/dag"
 )
 
-// DisableRecycling makes e park no released runtime, so every admission
-// mints a fresh one: the reference the recycling tests compare against.
+// DisableRecycling makes e park no released runtime and recycle no ended
+// job's state, so every admission mints both afresh: the reference the
+// recycling tests compare against.
 func (e *Engine) DisableRecycling() { e.noRecycle = true }
 
 // ParkedRuntimes returns the runtimes e holds for reuse.
@@ -23,15 +24,26 @@ func (e *Engine) ParkedRuntimes() []RuntimeJob {
 	return out
 }
 
-// TerminalHolding returns the IDs of terminal jobs whose state still holds
-// a runtime or a capability.
+// FreeStates returns how many ended jobs' states e holds for reuse.
+func (e *Engine) FreeStates() int { return len(e.free) }
+
+// Pages returns how many of t's pages are allocated.
+func (t *StatusTable) Pages() int {
+	n := 0
+	for _, p := range t.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TerminalHolding returns the IDs of ended jobs whose recycled state still
+// holds a runtime, a capability or a spec.
 func (e *Engine) TerminalHolding() []int {
 	var ids []int
-	for _, js := range e.jobs {
-		if js == nil || js.phase == JobPending || js.phase == JobActive {
-			continue
-		}
-		if js.rt != nil || js.caps != (runtimeCaps{}) {
+	for _, js := range e.free {
+		if js.rt != nil || js.caps != (runtimeCaps{}) || js.spec.Graph != nil || js.spec.Source != nil {
 			ids = append(ids, js.id)
 		}
 	}

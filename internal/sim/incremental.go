@@ -193,22 +193,18 @@ func (s EngineSnapshot) Utilization() []float64 {
 	return u
 }
 
-// jobState is the engine's bookkeeping for one job.
+// jobState is the engine's bookkeeping for one live (pending or active)
+// job; the job's status lives in the engine's StatusTable. At the step the
+// job ends, its jobState goes back onto the free list.
 type jobState struct {
 	id      int
 	release int64
 	// rt is the job's runtime from admission until the step the job ends;
 	// caps caches its optional capabilities (bound once at admission; see
 	// family.go) so hot paths never type-switch. release clears both.
-	rt          RuntimeJob
-	caps        runtimeCaps
-	family      RuntimeFamily
-	work        []int
-	span        int
-	tasks       int // src.TotalTasks(), cached for the work gauges
-	phase       JobPhase
-	completed   int64 // 0 while running (completion steps are ≥ 1)
-	cancelledAt int64
+	rt    RuntimeJob
+	caps  runtimeCaps
+	tasks int // src.TotalTasks(), cached for the work gauges
 	// spec is the original admission spec, retained only while the job is
 	// pending so Withdraw can hand it to another engine; cleared on
 	// release, cancellation and withdrawal so active jobs pin nothing.
@@ -222,8 +218,10 @@ type jobState struct {
 type Engine struct {
 	cfg Config
 
-	now  int64
-	jobs []*jobState // all admitted jobs, indexed by ID; nil once retired
+	now int64
+	// recs holds every admitted job's status, indexed by ID; Retire drops
+	// a record. Live jobs also have a jobState, in pending or active.
+	recs StatusTable
 	// pending holds admitted, not-yet-released jobs sorted by (release,
 	// ID); the live window is pending[pendOff:]. Releases advance pendOff
 	// instead of re-slicing so the backing array's capacity is recovered
@@ -232,7 +230,7 @@ type Engine struct {
 	pending    []*jobState
 	pendOff    int
 	active     []*jobState // released, unfinished; ascending ID
-	free       []*jobState // retired jobStates recycled by the next Admit
+	free       []*jobState // ended jobs' states, recycled by the next Admit
 	batch      []*jobState // AdmitBatch's prepared states, reused per call
 	remaining  int         // admitted − completed − cancelled − stolen
 	completedN int
@@ -242,8 +240,8 @@ type Engine struct {
 	// parked holds released runtimes that their sources can reset in
 	// place, one pool per RuntimeFamily; parkedN counts all of them, and
 	// burst is the largest admission so far — one Admit, or one
-	// AdmitBatch's length — which bounds them (see release). noRecycle (set
-	// by tests only) parks nothing.
+	// AdmitBatch's length — which bounds them and the free list (see
+	// release). noRecycle (set by tests only) parks and recycles nothing.
 	parked    [FamilyMoldable + 1][]ReusableRuntime
 	parkedN   int
 	burst     int
@@ -318,6 +316,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	cfg.Caps = append([]int(nil), cfg.Caps...)
 	e := &Engine{
 		cfg:         cfg,
+		recs:        NewStatusTable(cfg.K),
 		trace:       newTrace(cfg.Trace, cfg.K),
 		overloaded:  make([]bool, cfg.K),
 		execTotal:   make([]int64, cfg.K),
@@ -359,7 +358,7 @@ func (e *Engine) pendingLen() int { return len(e.pending) - e.pendOff }
 
 // NextID is the ID the next admission will receive. Monotonic; retirement
 // never lowers it.
-func (e *Engine) NextID() int { return len(e.jobs) }
+func (e *Engine) NextID() int { return e.recs.Len() }
 
 // PendingWork is the total task count of admitted, not-yet-released jobs —
 // the work a victim engine could donate to cross-shard stealing without
@@ -387,7 +386,7 @@ func (e *Engine) EstWork() int64 {
 // the past (release ≥ Now); a job released at r becomes schedulable at
 // step r+1.
 func (e *Engine) Admit(spec JobSpec) (int, error) {
-	js, err := e.prepare(spec, len(e.jobs))
+	js, err := e.prepare(spec, e.NextID())
 	if err != nil {
 		return -1, err
 	}
@@ -405,7 +404,7 @@ func (e *Engine) AdmitBatch(specs []JobSpec) ([]int, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	base := len(e.jobs)
+	base := e.NextID()
 	states := e.batch[:0]
 	for i, spec := range specs {
 		js, err := e.prepare(spec, base+i)
@@ -413,8 +412,8 @@ func (e *Engine) AdmitBatch(specs []JobSpec) ([]int, error) {
 			// All-or-nothing: park the prepared runtimes and return the
 			// states to the free list (prepare may have popped them from it).
 			for _, prev := range states {
-				e.release(prev)
-				e.free = append(e.free, prev)
+				e.release(prev, FamilyOf(prev.spec.source()))
+				e.recycle(prev)
 			}
 			e.batch = states
 			return nil, err
@@ -439,7 +438,7 @@ func (e *Engine) AdmitBatch(specs []JobSpec) ([]int, error) {
 // every other configuration allocates nothing.
 func (e *Engine) CheckAdmit(specs []JobSpec) error {
 	for i, spec := range specs {
-		id := len(e.jobs) + i
+		id := e.NextID() + i
 		if err := e.checkAdmissible(spec, id); err != nil {
 			return err
 		}
@@ -473,9 +472,10 @@ func errNoTaskIDs(id int, src JobSource) error {
 // and builds its jobState without touching engine state, so a batch can
 // validate every member before admitting any. Runtimes come from the
 // parked pool of the job's family when its source implements
-// RuntimeReuser, on every engine; jobStates come from the free list that
-// Retire fills. With both warm, and a source implementing WorkAppender, the
-// steady-state admit→complete→retire→admit cycle allocates nothing.
+// RuntimeReuser, and jobStates from the free list the ends of earlier jobs
+// fill, on every engine. With both warm, and a source implementing
+// WorkAppender, the steady-state admit→complete cycle allocates nothing
+// beyond a status page per 128 admissions.
 func (e *Engine) prepare(spec JobSpec, id int) (*jobState, error) {
 	if err := e.checkAdmissible(spec, id); err != nil {
 		return nil, err
@@ -494,28 +494,13 @@ func (e *Engine) prepare(spec JobSpec, id int) (*jobState, error) {
 	if n := len(e.free); n > 0 {
 		js = e.free[n-1]
 		e.free = e.free[:n-1]
-		work := js.work[:0]
-		if wa, ok := src.(WorkAppender); ok {
-			work = wa.AppendWork(work)
-		} else {
-			work = append(work, src.WorkVector()...)
-		}
-		*js = jobState{id: id, release: spec.Release, rt: rt, work: work, span: src.Span(), phase: JobPending}
 	} else {
-		js = &jobState{
-			id:      id,
-			release: spec.Release,
-			rt:      rt,
-			work:    src.WorkVector(),
-			span:    src.Span(),
-			phase:   JobPending,
-		}
+		js = new(jobState)
 	}
-	js.caps = bindCaps(rt)
-	js.family = family
+	*js = jobState{id: id, release: spec.Release, rt: rt, caps: bindCaps(rt)}
 	if e.cfg.Trace >= TraceTasks && js.caps.task == nil {
-		e.release(js)
-		e.free = append(e.free, js)
+		e.release(js, family)
+		e.recycle(js)
 		return nil, errNoTaskIDs(id, src)
 	}
 	js.tasks = src.TotalTasks()
@@ -546,16 +531,16 @@ func (e *Engine) unpark(ru RuntimeReuser, f RuntimeFamily, seed int64) RuntimeJo
 
 // release drops a job's runtime at the step the job ends, or when its
 // admission is refused, so no terminal job pins a runtime, graph or spec.
-// A runtime its source can reset in place is parked for the next admission
-// of its family while the pools hold fewer runtimes than the engine has
-// live (pending + active) jobs plus its largest admission; past that bound
-// a pool gives one back. The pools so shrink with the live set, and an idle
+// A runtime its source can reset in place is parked in the pool of its
+// family f while the pools hold fewer runtimes than the engine has live
+// (pending + active) jobs plus its largest admission; past that bound a
+// pool gives one back. The pools so shrink with the live set, and an idle
 // engine keeps enough for one more admission as large as any before it:
 // runtimes outlive a lull between bursts, not the peak of the live set.
-func (e *Engine) release(js *jobState) {
-	if p, ok := js.rt.(ReusableRuntime); ok && e.pooled(js.family) && !e.noRecycle && e.parkedN < e.remaining+e.burst {
+func (e *Engine) release(js *jobState, f RuntimeFamily) {
+	if p, ok := js.rt.(ReusableRuntime); ok && e.pooled(f) && !e.noRecycle && e.parkedN < e.remaining+e.burst {
 		p.Park()
-		e.parked[js.family] = append(e.parked[js.family], p)
+		e.parked[f] = append(e.parked[f], p)
 		e.parkedN++
 	} else if e.parkedN > e.remaining+e.burst {
 		for f, pool := range e.parked {
@@ -570,9 +555,37 @@ func (e *Engine) release(js *jobState) {
 	js.rt, js.caps = nil, runtimeCaps{}
 }
 
-// commit registers a prepared jobState with the engine.
+// recycle puts a released job's state on the free list for the next
+// admission while the list holds fewer states than the engine has live
+// jobs plus its largest admission — the pools' bound — and past that bound
+// gives one back.
+func (e *Engine) recycle(js *jobState) {
+	js.spec = JobSpec{}
+	switch n := len(e.free); {
+	case e.noRecycle:
+	case n < e.remaining+e.burst:
+		e.free = append(e.free, js)
+	case n > e.remaining+e.burst:
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	}
+}
+
+// end finishes a live job whose state has left pending and active: its
+// status record moves to phase at step at, and its runtime and jobState are
+// released for reuse.
+func (e *Engine) end(js *jobState, phase JobPhase, at int64) {
+	_, family, _ := e.recs.SetPhase(js.id, phase, at)
+	e.remaining--
+	e.release(js, family)
+	e.recycle(js)
+}
+
+// commit registers a prepared jobState with the engine: its status record
+// is written at its ID, and it joins the pending queue.
 func (e *Engine) commit(js *jobState) {
-	e.jobs = append(e.jobs, js)
+	src := js.spec.source()
+	e.recs.admit(js.id, js.release, src, FamilyOf(src))
 	e.insertPending(js)
 	e.remaining++
 	e.totalWork += int64(js.tasks)
@@ -588,25 +601,25 @@ func (e *Engine) commit(js *jobState) {
 // are available to the scheduler from the next step on. Completed or
 // already-cancelled jobs cannot be cancelled.
 func (e *Engine) Cancel(id int) error {
-	if id < 0 || id >= len(e.jobs) || e.jobs[id] == nil {
+	phase, done, ok := e.recs.Phase(id)
+	if !ok {
 		return fmt.Errorf("sim: no job %d", id)
 	}
-	js := e.jobs[id]
-	switch js.phase {
+	var js *jobState
+	switch phase {
 	case JobDone:
-		return fmt.Errorf("sim: job %d already completed at step %d", id, js.completed)
+		return fmt.Errorf("sim: job %d already completed at step %d", id, done)
 	case JobCancelled:
 		return fmt.Errorf("sim: job %d already cancelled", id)
 	case JobStolen:
 		return fmt.Errorf("sim: job %d was withdrawn by work stealing", id)
 	case JobPending:
-		live := removeJob(e.pending[e.pendOff:], js)
-		e.pending = e.pending[:e.pendOff+len(live)]
+		js = e.removePending(id)
 		e.pendingWork -= int64(js.tasks)
 		e.estWork -= int64(js.tasks)
-		js.spec = JobSpec{}
 	case JobActive:
 		i := e.activeIndex(id)
+		js = e.active[i]
 		e.dropSlot(i)
 		e.gone = append(e.gone[:0], int32(i))
 		e.removeSlots(e.gone)
@@ -617,11 +630,8 @@ func (e *Engine) Cancel(id int) error {
 			e.estWork = 0
 		}
 	}
-	js.phase = JobCancelled
-	js.cancelledAt = e.now
-	e.remaining--
 	e.cancelledN++
-	e.release(js)
+	e.end(js, JobCancelled, e.now)
 	return nil
 }
 
@@ -633,28 +643,23 @@ func (e *Engine) Cancel(id int) error {
 // cancel-here + admit-there. The job's phase becomes JobStolen — terminal
 // for this engine — and its ID is never reused.
 func (e *Engine) Withdraw(id int) (JobSpec, error) {
-	if id < 0 || id >= len(e.jobs) || e.jobs[id] == nil {
+	phase, _, ok := e.recs.Phase(id)
+	if !ok {
 		return JobSpec{}, fmt.Errorf("sim: no job %d", id)
 	}
-	js := e.jobs[id]
-	if js.phase != JobPending {
-		return JobSpec{}, fmt.Errorf("sim: job %d is %s; only pending jobs can be withdrawn", id, js.phase)
+	if phase != JobPending {
+		return JobSpec{}, fmt.Errorf("sim: job %d is %s; only pending jobs can be withdrawn", id, phase)
 	}
-	live := removeJob(e.pending[e.pendOff:], js)
-	e.pending = e.pending[:e.pendOff+len(live)]
+	js := e.removePending(id)
 	spec := js.spec
 	spec.Release = js.release
-	js.spec = JobSpec{}
-	js.phase = JobStolen
-	js.cancelledAt = e.now
-	e.remaining--
 	e.stolenN++
-	e.release(js)
 	e.pendingWork -= int64(js.tasks)
 	e.estWork -= int64(js.tasks)
 	if e.estWork < 0 {
 		e.estWork = 0
 	}
+	e.end(js, JobStolen, e.now)
 	return spec, nil
 }
 
@@ -674,80 +679,57 @@ func (e *Engine) StealCandidates(buf []int, maxJobs int, targetWork int64) []int
 	return buf
 }
 
-// Retire forgets a terminal (completed, cancelled or stolen) job, recycling
-// its job-table entry — the jobState and its work vector, about 250 bytes —
-// for a future Admit. The job's runtime is not part of it: every engine
-// already released that at the step the job ended. After Retire, Job(id)
-// reports the job unknown and the ID is never reassigned — IDs stay
-// monotonic, so admission-order reproducibility and journal replay are
-// unaffected (retirement is a local memory optimization, not a scheduling
-// event, and is deliberately not journaled). Long-running services retire
-// jobs once their terminal status has been recorded elsewhere, bounding
-// engine memory under streams of millions of jobs. Retired jobs are omitted
-// from Result and Checkpoint; aggregate counters (Snapshot, checkpoint
-// totals) still include them.
+// Retire forgets a terminal (completed, cancelled or stolen) job: its
+// status record, 25+8K bytes (41 at K=2), is dropped, and a status page is
+// freed once every ID on it has been retired, so an engine that retires
+// every terminal job keeps about nothing per job. The job's runtime and
+// jobState are not part of it: every engine recycled those at the step the
+// job ended. After Retire, Job(id) reports the job unknown and the ID is
+// never reassigned — IDs stay monotonic, so admission-order reproducibility
+// and journal replay are unaffected (retirement is a local memory
+// optimization, not a scheduling event, and is deliberately not
+// journaled). Long-running services retire jobs once their terminal status
+// has been recorded elsewhere, bounding engine memory under streams of
+// millions of jobs. Retired jobs are omitted from Result and Checkpoint;
+// aggregate counters (Snapshot, checkpoint totals) still include them.
 func (e *Engine) Retire(id int) error {
-	if id < 0 || id >= len(e.jobs) || e.jobs[id] == nil {
+	phase, _, ok := e.recs.Phase(id)
+	if !ok {
 		return fmt.Errorf("sim: no job %d", id)
 	}
-	js := e.jobs[id]
-	if js.phase != JobDone && js.phase != JobCancelled && js.phase != JobStolen {
-		return fmt.Errorf("sim: job %d is %s; only completed, cancelled or stolen jobs can be retired", id, js.phase)
+	if phase != JobDone && phase != JobCancelled && phase != JobStolen {
+		return fmt.Errorf("sim: job %d is %s; only completed, cancelled or stolen jobs can be retired", id, phase)
 	}
-	e.jobs[id] = nil
-	e.free = append(e.free, js)
+	e.recs.Drop(id)
 	return nil
 }
 
 // Job returns the status of an admitted job.
 func (e *Engine) Job(id int) (JobStatus, bool) {
-	if id < 0 || id >= len(e.jobs) || e.jobs[id] == nil {
-		return JobStatus{}, false
+	st, ok := e.recs.Get(id)
+	if ok {
+		st.Work = append([]int(nil), st.Work...)
 	}
-	js := e.jobs[id]
-	return JobStatus{
-		ID:          js.id,
-		Release:     js.release,
-		Phase:       js.phase,
-		Family:      js.family,
-		Completion:  js.completed,
-		CancelledAt: js.cancelledAt,
-		Work:        append([]int(nil), js.work...),
-		Span:        js.span,
-	}, true
+	return st, ok
 }
 
 // JobRef is Job without the defensive work-vector copy: the returned
-// status's Work aliases engine-owned memory that is recycled when the job
-// is retired, so callers must copy anything they retain past the call. It
-// exists for allocation-free status plumbing — a server rebuilding its
-// job-status index after replay reads every job through it without a
-// per-job allocation.
-func (e *Engine) JobRef(id int) (JobStatus, bool) {
-	if id < 0 || id >= len(e.jobs) || e.jobs[id] == nil {
-		return JobStatus{}, false
-	}
-	js := e.jobs[id]
-	return JobStatus{
-		ID:          js.id,
-		Release:     js.release,
-		Phase:       js.phase,
-		Family:      js.family,
-		Completion:  js.completed,
-		CancelledAt: js.cancelledAt,
-		Work:        js.work,
-		Span:        js.span,
-	}, true
-}
+// status's Work aliases the engine's status table, valid until the job is
+// retired, so callers must copy anything they retain past that. It exists
+// for allocation-free status plumbing — a server rebuilding its job-status
+// index after replay reads every job through it without a per-job
+// allocation.
+func (e *Engine) JobRef(id int) (JobStatus, bool) { return e.recs.Get(id) }
 
 // Completion returns the step a job finished at (0 while unfinished)
 // without copying its work vector — the allocation-free fast path for
 // per-completion accounting in serving loops.
 func (e *Engine) Completion(id int) (int64, bool) {
-	if id < 0 || id >= len(e.jobs) || e.jobs[id] == nil {
-		return 0, false
+	phase, end, ok := e.recs.Phase(id)
+	if phase != JobDone {
+		end = 0
 	}
-	return e.jobs[id].completed, true
+	return end, ok
 }
 
 // Snapshot summarizes the engine's current state.
@@ -756,7 +738,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		Now:           e.now,
 		K:             e.cfg.K,
 		Caps:          append([]int(nil), e.cfg.Caps...),
-		Admitted:      len(e.jobs),
+		Admitted:      e.NextID(),
 		Pending:       e.pendingLen(),
 		Active:        len(e.active),
 		Completed:     e.completedN,
@@ -825,7 +807,7 @@ func (e *Engine) stepN(budget int64) (StepInfo, error) {
 			js := e.pending[e.pendOff]
 			e.pending[e.pendOff] = nil
 			e.pendOff++
-			js.phase = JobActive
+			e.recs.SetPhase(js.id, JobActive, 0)
 			// Release hands the job's state to its runtime: it is no longer
 			// stealable, so drop the retained spec and its pending-work share.
 			e.pendingWork -= int64(js.tasks)
@@ -992,16 +974,13 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 			e.rereadSlot(i)
 			continue
 		}
-		j.completed = t
-		j.phase = JobDone
 		if t > e.makespan {
 			e.makespan = t
 		}
 		e.doneIDs = append(e.doneIDs, j.id)
-		e.remaining--
 		e.completedN++
-		e.release(j)
 		e.dropSlot(i)
+		e.end(j, JobDone, t)
 		e.gone = append(e.gone, ti)
 	}
 	if len(e.gone) > 0 {
@@ -1237,47 +1216,55 @@ func (e *Engine) Result() *Result {
 		Overloaded: append([]bool(nil), e.overloaded...),
 		Trace:      e.trace,
 	}
-	res.Jobs = make([]JobResult, 0, len(e.jobs))
-	for _, j := range e.jobs {
-		if j == nil {
+	res.Jobs = make([]JobResult, 0, e.NextID())
+	for id := 0; id < e.NextID(); id++ {
+		st, ok := e.recs.Get(id)
+		if !ok {
 			continue // retired
 		}
 		res.Jobs = append(res.Jobs, JobResult{
-			ID:         j.id,
-			Release:    j.release,
-			Completion: j.completed,
-			Work:       j.work,
-			Span:       j.span,
+			ID:         id,
+			Release:    st.Release,
+			Completion: st.Completion,
+			Work:       st.Work,
+			Span:       st.Span,
 		})
 	}
 	return res
 }
 
-// insertPending inserts into the pending queue, keeping (release, ID)
-// order — the stable-sort order Run admits in.
-func (e *Engine) insertPending(js *jobState) {
+// pendingIndex returns where (release, id) sits in the pending queue's
+// live window — the (release, ID) order Run admits in — as an index into
+// e.pending.
+func (e *Engine) pendingIndex(release int64, id int) int {
 	live := e.pending[e.pendOff:]
-	i := sort.Search(len(live), func(i int) bool {
+	return e.pendOff + sort.Search(len(live), func(i int) bool {
 		p := live[i]
-		if p.release != js.release {
-			return p.release > js.release
+		if p.release != release {
+			return p.release > release
 		}
-		return p.id > js.id
+		return p.id >= id
 	})
-	e.pending = append(e.pending, nil)
-	live = e.pending[e.pendOff:]
-	copy(live[i+1:], live[i:])
-	live[i] = js
 }
 
-// removeJob deletes js from a slice, preserving order.
-func removeJob(list []*jobState, js *jobState) []*jobState {
-	for i, p := range list {
-		if p == js {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
+// insertPending inserts into the pending queue, keeping (release, ID)
+// order.
+func (e *Engine) insertPending(js *jobState) {
+	i := e.pendingIndex(js.release, js.id)
+	e.pending = append(e.pending, nil)
+	copy(e.pending[i+1:], e.pending[i:])
+	e.pending[i] = js
+}
+
+// removePending takes the pending job id out of the queue and returns it.
+func (e *Engine) removePending(id int) *jobState {
+	rel, _ := e.recs.Release(id)
+	i := e.pendingIndex(rel, id)
+	js := e.pending[i]
+	n := copy(e.pending[i:], e.pending[i+1:])
+	e.pending[i+n] = nil
+	e.pending = e.pending[:i+n]
+	return js
 }
 
 // execute runs the touched slots' allotments in slot (ascending ID) order.
@@ -1308,18 +1295,22 @@ func (e *Engine) execute(t int64, touched []int32, allot [][]int) {
 type engineOracle struct{ e *Engine }
 
 func (o engineOracle) RemainingWork(jobID int) []int {
-	js := o.e.jobs[jobID]
-	if js == nil || js.rt == nil {
+	e := o.e
+	var js *jobState
+	switch phase, _, _ := e.recs.Phase(jobID); phase {
+	case JobActive:
+		js = e.active[e.activeIndex(jobID)]
+	case JobPending:
+		rel, _ := e.recs.Release(jobID)
+		js = e.pending[e.pendingIndex(rel, jobID)]
+	default:
 		// Terminal or retired: the runtime is released and no work remains.
-		return make([]int, o.e.cfg.K)
+		return make([]int, e.cfg.K)
 	}
 	return js.rt.RemainingWork()
 }
 
 func (o engineOracle) ReleaseTime(jobID int) int64 {
-	js := o.e.jobs[jobID]
-	if js == nil {
-		return 0
-	}
-	return js.release
+	rel, _ := o.e.recs.Release(jobID)
+	return rel
 }

@@ -150,12 +150,13 @@ type graphSource struct {
 // implicitly; the explicit form exists for mixed-source job sets.
 func GraphSource(g *dag.Graph) JobSource { return graphSource{g} }
 
-func (s graphSource) Name() string          { return s.g.Name() }
-func (s graphSource) K() int                { return s.g.K() }
-func (s graphSource) WorkVector() []int     { return s.g.WorkVector() }
-func (s graphSource) Span() int             { return s.g.Span() }
-func (s graphSource) TotalTasks() int       { return s.g.NumTasks() }
-func (s graphSource) Family() RuntimeFamily { return FamilyDAG }
+func (s graphSource) Name() string             { return s.g.Name() }
+func (s graphSource) K() int                   { return s.g.K() }
+func (s graphSource) WorkVector() []int        { return s.g.WorkVector() }
+func (s graphSource) AppendWork(d []int) []int { return s.g.AppendWork(d) }
+func (s graphSource) Span() int                { return s.g.Span() }
+func (s graphSource) TotalTasks() int          { return s.g.NumTasks() }
+func (s graphSource) Family() RuntimeFamily    { return FamilyDAG }
 
 func (s graphSource) NewRuntime(pick dag.PickPolicy, seed int64) RuntimeJob {
 	return &graphRuntime{inst: dag.NewInstance(s.g, pick, seed)}

@@ -219,8 +219,9 @@ func pinnedJob(v reflect.Value, path string, seen map[uintptr]bool) string {
 // TestTerminalJobsPinNothing drains a non-retiring engine over every runtime
 // family with cancels and withdrawals: after every operation no terminal job
 // holds a runtime or capability, no parked runtime reaches a graph, source
-// or spec, and the pools hold at most the engine's live jobs plus its
-// largest admission (the script admits at most three jobs at once).
+// or spec, and the pools and the free list of job states each hold at most
+// the engine's live jobs plus its largest admission (the script admits at
+// most three jobs at once).
 func TestTerminalJobsPinNothing(t *testing.T) {
 	eng, err := sim.NewEngine(releaseConfig(dag.PickFIFO))
 	if err != nil {
@@ -240,6 +241,9 @@ func TestTerminalJobsPinNothing(t *testing.T) {
 		if len(parked) > eng.Remaining()+maxBatch {
 			t.Fatalf("after %s at step %d: %d parked runtimes for %d live jobs", op, eng.Now(), len(parked), eng.Remaining())
 		}
+		if n := eng.FreeStates(); n > eng.Remaining()+maxBatch {
+			t.Fatalf("after %s at step %d: %d free job states for %d live jobs", op, eng.Now(), n, eng.Remaining())
+		}
 		maxParked = max(maxParked, len(parked))
 	})
 	if maxParked < 2 {
@@ -247,6 +251,9 @@ func TestTerminalJobsPinNothing(t *testing.T) {
 	}
 	if n := len(eng.ParkedRuntimes()); n > maxBatch {
 		t.Fatalf("idle engine keeps %d parked runtimes, want ≤ %d", n, maxBatch)
+	}
+	if n := eng.FreeStates(); n > maxBatch {
+		t.Fatalf("idle engine keeps %d free job states, want ≤ %d", n, maxBatch)
 	}
 	snap := eng.Snapshot()
 	if snap.Cancelled == 0 || snap.Stolen == 0 {
@@ -321,10 +328,11 @@ func TestRecycledRuntimesMatchFresh(t *testing.T) {
 	}
 }
 
-// TestRecycledAdmitAllocsNoRuntime pins runtime recycling without Retire: in
-// a warm admit→complete cycle of a rigid and a chain-DAG job beside a
-// long-running one, the only allocations are the two job-table entries (a
-// jobState and its work vector each); both runtimes come from the pools.
+// TestRecycledAdmitAllocsNoRuntime pins recycling without Retire: a warm
+// admit→complete cycle of a rigid and a chain-DAG job beside a long-running
+// one allocates nothing. Both runtimes come from the pools, both jobStates
+// from the free list, and both work vectors are written into the status
+// table, which allocates one page per 128 admissions.
 func TestRecycledAdmitAllocsNoRuntime(t *testing.T) {
 	eng, err := sim.NewEngine(sim.Config{
 		K: 2, Caps: []int{4, 4}, Scheduler: core.NewKRAD(2), Pick: dag.PickFIFO, MaxSteps: 1 << 40,
@@ -351,14 +359,11 @@ func TestRecycledAdmitAllocsNoRuntime(t *testing.T) {
 			}
 		}
 	}
-	// Warm past the measured window's job-table doublings (see
-	// TestEngineAdmitRecycledAllocsZero).
 	for i := 0; i < 600; i++ {
 		cycle()
 	}
-	const entries = 2 * 2
-	if avg := testing.AllocsPerRun(200, cycle); avg != entries {
-		t.Fatalf("warm admit→complete cycle allocates %.1f per run; want %d (job-table entries only)", avg, entries)
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("warm admit→complete cycle allocates %.1f per run; want 0", avg)
 	}
 }
 
@@ -411,4 +416,88 @@ type oracleSpy struct {
 func (s *oracleSpy) SetOracle(o sched.Oracle) {
 	s.oracle = o
 	s.SJF.SetOracle(o)
+}
+
+// TestRecycledJobStatesMatchFresh runs the release script with recycling on
+// and off — runtimes and ended jobs' states both — under every pick policy,
+// with and without retiring half the terminal jobs after every operation:
+// StepInfo streams, Result and Checkpoint bytes and every Job answer along
+// the way must be identical, so a recycled jobState is indistinguishable
+// from a fresh one.
+func TestRecycledJobStatesMatchFresh(t *testing.T) {
+	for _, retire := range []bool{false, true} {
+		for _, pick := range []dag.PickPolicy{dag.PickFIFO, dag.PickLIFO, dag.PickRandom, dag.PickCPFirst, dag.PickCPLast} {
+			t.Run(fmt.Sprintf("%s/retire=%v", pick, retire), func(t *testing.T) {
+				type outcome struct {
+					infos           []sim.StepInfo
+					res, cp, jobs   []byte
+					reused, retired int
+				}
+				run := func(recycle bool) outcome {
+					eng, err := sim.NewEngine(releaseConfig(pick))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !recycle {
+						eng.DisableRecycling()
+					}
+					var out outcome
+					var jobs bytes.Buffer
+					before := 0
+					out.infos = runReleaseScript(t, eng, func(op string) {
+						if n := eng.FreeStates(); op == "admit" && n < before {
+							out.reused += before - n
+						}
+						for id := 0; id < eng.NextID(); id++ {
+							st, ok := eng.Job(id)
+							fmt.Fprintf(&jobs, "%s %v %+v\n", op, ok, st)
+							if retire && ok && id%2 == 0 && st.Phase != sim.JobPending && st.Phase != sim.JobActive {
+								if err := eng.Retire(id); err != nil {
+									t.Fatal(err)
+								}
+								out.retired++
+							}
+						}
+						before = eng.FreeStates()
+					})
+					out.jobs = jobs.Bytes()
+					var res bytes.Buffer
+					if err := eng.Result().WriteJSON(&res); err != nil {
+						t.Fatal(err)
+					}
+					out.res = res.Bytes()
+					cp, err := eng.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out.cp, err = json.Marshal(cp); err != nil {
+						t.Fatal(err)
+					}
+					return out
+				}
+				on, off := run(true), run(false)
+				if on.reused == 0 {
+					t.Fatal("no admission reused an ended job's state")
+				}
+				if off.reused != 0 {
+					t.Fatalf("%d admissions reused a state with recycling off", off.reused)
+				}
+				if retire && on.retired == 0 {
+					t.Fatal("no job was retired")
+				}
+				if !reflect.DeepEqual(on.infos, off.infos) {
+					t.Fatal("StepInfo streams differ between recycled and fresh job states")
+				}
+				if !bytes.Equal(on.jobs, off.jobs) {
+					t.Fatal("Job answers differ between recycled and fresh job states")
+				}
+				if !bytes.Equal(on.res, off.res) {
+					t.Fatal("Result differs between recycled and fresh job states")
+				}
+				if !bytes.Equal(on.cp, off.cp) {
+					t.Fatal("Checkpoint differs between recycled and fresh job states")
+				}
+			})
+		}
+	}
 }

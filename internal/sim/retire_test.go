@@ -178,6 +178,12 @@ func TestRestoreRejectsBadSparseCheckpoints(t *testing.T) {
 		{"descending ids", sim.EngineCheckpoint{Jobs: []sim.CheckpointJob{{ID: 1, Phase: sim.JobDone, Completion: 1, Work: []int{1}, Span: 1}, job}, NextID: 2, Completed: 2}},
 		{"counters below table", sim.EngineCheckpoint{Jobs: []sim.CheckpointJob{job}, NextID: 2, Cancelled: 2}},
 		{"counters not covering", sim.EngineCheckpoint{Jobs: []sim.CheckpointJob{job}, NextID: 3, Completed: 1, Cancelled: 1}},
+		// A status keeps one end step, chosen by its phase.
+		{"done with a cancel step", sim.EngineCheckpoint{Jobs: []sim.CheckpointJob{{ID: 0, Phase: sim.JobDone, Completion: 1, CancelledAt: 1, Work: []int{1}, Span: 1}}, Completed: 1}},
+		{"done without completion", sim.EngineCheckpoint{Jobs: []sim.CheckpointJob{{ID: 0, Phase: sim.JobDone, Work: []int{1}, Span: 1}}, Completed: 1}},
+		{"done at a negative step", sim.EngineCheckpoint{Jobs: []sim.CheckpointJob{{ID: 0, Phase: sim.JobDone, Completion: -2, Work: []int{1}, Span: 1}}, Completed: 1}},
+		{"cancelled with a completion", sim.EngineCheckpoint{Jobs: []sim.CheckpointJob{{ID: 0, Phase: sim.JobCancelled, Completion: 1, CancelledAt: 1, Work: []int{1}, Span: 1}}, Cancelled: 1}},
+		{"stolen with a completion", sim.EngineCheckpoint{Jobs: []sim.CheckpointJob{{ID: 0, Phase: sim.JobStolen, Completion: 3, Work: []int{1}, Span: 1}}, Stolen: 1}},
 	}
 	for _, c := range cases {
 		eng, err := sim.NewEngine(cfg)
@@ -190,11 +196,12 @@ func TestRestoreRejectsBadSparseCheckpoints(t *testing.T) {
 	}
 }
 
-// TestEngineAdmitRecycledAllocsZero is the tentpole pin: once a retired
-// job slot exists, a full admit → drain → retire cycle of a rigid job
-// allocates nothing — the free list recycles the jobState, AppendWork the
-// work vector, ReuseRuntime the runtime. This is the steady state of a
-// long-running service under sustained arrival streams.
+// TestEngineAdmitRecycledAllocsZero pins the steady state of a long-running
+// service under sustained arrival streams: a full admit → drain → retire
+// cycle of a rigid job allocates nothing — the free list recycles the
+// jobState, AppendWork writes the work vector into the status table,
+// ReuseRuntime re-arms the runtime. The table allocates one page per 128
+// admissions, which AllocsPerRun's per-run average rounds away.
 func TestEngineAdmitRecycledAllocsZero(t *testing.T) {
 	const k = 3
 	eng, err := sim.NewEngine(sim.Config{
@@ -220,9 +227,6 @@ func TestEngineAdmitRecycledAllocsZero(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm: the jobs table only ever grows (IDs are monotonic), so push its
-	// capacity far enough past the measured window that the 201 measured
-	// admissions never cross an append doubling.
 	for i := 0; i < 600; i++ {
 		cycle()
 	}

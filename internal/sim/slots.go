@@ -353,8 +353,8 @@ func (e *Engine) checkSlots() error {
 	hard, soft, noLeap, floored := 0, 0, 0, 0
 	for i, j := range e.active {
 		v := e.views[i]
-		if v.ID != j.id || j.phase != JobActive {
-			return fmt.Errorf("sim: slot %d views job %d, holds job %d (%s)", i, v.ID, j.id, j.phase)
+		if phase, _, _ := e.recs.Phase(j.id); v.ID != j.id || phase != JobActive {
+			return fmt.Errorf("sim: slot %d views job %d, holds job %d (%s)", i, v.ID, j.id, phase)
 		}
 		if i > 0 && e.active[i-1].id >= j.id {
 			return fmt.Errorf("sim: slot %d job %d after job %d, want ascending IDs", i, j.id, e.active[i-1].id)
