@@ -37,8 +37,9 @@ func compose(mode string, graphs []*Graph, chain bool) (*Graph, error) {
 		for id := 0; id < g.NumTasks(); id++ {
 			out.AddTask(g.cats[id])
 		}
+		off, adj := g.csr()
 		for u := 0; u < g.NumTasks(); u++ {
-			for _, v := range g.succ[u] {
+			for _, v := range adj[off[u]:off[u+1]] {
 				out.MustEdge(offset+TaskID(u), offset+v)
 			}
 		}
@@ -56,7 +57,7 @@ func compose(mode string, graphs []*Graph, chain bool) (*Graph, error) {
 			}
 			prevSinks = prevSinks[:0]
 			for id := 0; id < g.NumTasks(); id++ {
-				if len(g.succ[id]) == 0 {
+				if off[id] == off[id+1] {
 					prevSinks = append(prevSinks, offset+TaskID(id))
 				}
 			}

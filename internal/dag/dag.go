@@ -11,6 +11,7 @@ package dag
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -30,21 +31,36 @@ type Graph struct {
 	name string
 	k    int
 	cats []Category
-	// The edges are stored forward only: succ lists each task's
-	// successors, indeg counts its predecessors. Unfolding a job reads
-	// nothing else of them.
-	succ  [][]TaskID
+	// The edges are stored forward only, in compressed sparse row form:
+	// task u's successors are adj[off[u]:off[u+1]] in insertion order,
+	// and indeg counts each task's predecessors. Unfolding a job reads
+	// nothing else of them. Every read goes through csr.
+	off   []int32
+	adj   []TaskID
 	indeg []int32
+	// build holds the edges of a graph that AddTask and AddEdge are
+	// building; nil for a graph decoded, cloned or never given a task.
+	build *builder
 	// durs holds optional per-task durations (nil = all unit); see
 	// durations.go.
 	durs []int32
-	// edge count, maintained incrementally.
-	edges int
 	// hmemo caches the static task heights (longest chain from each task),
 	// shared read-only by Span, CriticalPath, every Instance of this graph,
 	// and the CP pick policies. Mutators reset it; the atomic makes the
 	// post-build read path safe under concurrent queries.
 	hmemo atomic.Pointer[heightsResult]
+}
+
+// builder is the state of a graph being built: one successor list per
+// task, which AddEdge appends to, while compact is false. The first read
+// compacts the lists into off and adj under mu and publishes them by
+// setting compact, however many goroutines read at once; an AddTask or
+// AddEdge after that reopens them (see open).
+type builder struct {
+	mu      sync.Mutex
+	compact atomic.Bool
+	lists   [][]TaskID
+	edges   int
 }
 
 // heightsResult is the cached outcome of one heights computation.
@@ -78,7 +94,12 @@ func (g *Graph) K() int { return g.k }
 func (g *Graph) NumTasks() int { return len(g.cats) }
 
 // NumEdges returns the number of precedence edges.
-func (g *Graph) NumEdges() int { return g.edges }
+func (g *Graph) NumEdges() int {
+	if b := g.build; b != nil && !b.compact.Load() {
+		return b.edges
+	}
+	return len(g.adj)
+}
 
 // AddTask appends a new unit-time task of category c and returns its ID.
 // It panics if c is outside [1, K]; task insertion is a programming-time
@@ -87,9 +108,10 @@ func (g *Graph) AddTask(c Category) TaskID {
 	if c < 1 || int(c) > g.k {
 		panic(fmt.Sprintf("dag: AddTask category %d out of range [1,%d] in graph %q", c, g.k, g.name))
 	}
+	b := g.open()
 	id := TaskID(len(g.cats))
 	g.cats = append(g.cats, c)
-	g.succ = append(g.succ, nil)
+	b.lists = append(b.lists, nil)
 	g.indeg = append(g.indeg, 0)
 	g.hmemo.Store(nil)
 	return id
@@ -118,14 +140,13 @@ func (g *Graph) AddEdge(u, v TaskID) error {
 	if err := g.checkID(v); err != nil {
 		return err
 	}
-	for _, w := range g.succ[u] {
-		if w == v {
-			return fmt.Errorf("dag: duplicate edge %d→%d in graph %q", u, v, g.name)
-		}
+	b := g.open()
+	if slices.Contains(b.lists[u], v) {
+		return fmt.Errorf("dag: duplicate edge %d→%d in graph %q", u, v, g.name)
 	}
-	g.succ[u] = append(g.succ[u], v)
+	b.lists[u] = append(b.lists[u], v)
 	g.indeg[v]++
-	g.edges++
+	b.edges++
 	g.hmemo.Store(nil)
 	return nil
 }
@@ -138,6 +159,57 @@ func (g *Graph) MustEdge(u, v TaskID) {
 	}
 }
 
+// open returns the graph's builder with its lists holding the edges,
+// reopening them after a read compacted them: each a window of adj with
+// its capacity cut to its length, so that an append moves the list
+// instead of writing into the next one. A reopening costs O(tasks), once
+// per read that a mutation follows.
+func (g *Graph) open() *builder {
+	b := g.build
+	if b == nil {
+		b = new(builder)
+		g.build = b
+	} else if !b.compact.Load() {
+		return b
+	}
+	b.lists = make([][]TaskID, len(g.cats))
+	for u := range b.lists {
+		if lo, hi := g.off[u], g.off[u+1]; hi > lo {
+			b.lists[u] = g.adj[lo:hi:hi]
+		}
+	}
+	b.edges = len(g.adj)
+	g.off, g.adj = nil, nil
+	b.compact.Store(false)
+	return b
+}
+
+// csr returns the graph's successors in compressed sparse row form: task
+// u's are adj[off[u]:off[u+1]]. The arrays are owned by the graph.
+func (g *Graph) csr() ([]int32, []TaskID) {
+	if b := g.build; b != nil && !b.compact.Load() {
+		b.compactInto(g)
+	}
+	return g.off, g.adj
+}
+
+// compactInto is csr's slow path: it cuts g's lists into one array.
+func (b *builder) compactInto(g *Graph) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.compact.Load() {
+		return
+	}
+	off := make([]int32, len(g.cats)+1)
+	adj := make([]TaskID, 0, b.edges)
+	for u, vs := range b.lists {
+		adj = append(adj, vs...)
+		off[u+1] = int32(len(adj))
+	}
+	g.off, g.adj, b.lists = off, adj, nil
+	b.compact.Store(true)
+}
+
 func (g *Graph) checkID(id TaskID) error {
 	if id < 0 || int(id) >= len(g.cats) {
 		return fmt.Errorf("dag: task id %d out of range [0,%d) in graph %q", id, len(g.cats), g.name)
@@ -148,18 +220,27 @@ func (g *Graph) checkID(id TaskID) error {
 // Category returns the resource category of task id.
 func (g *Graph) Category(id TaskID) Category { return g.cats[id] }
 
-// Successors returns the tasks that directly depend on id. The returned
-// slice is owned by the graph and must not be modified.
-func (g *Graph) Successors(id TaskID) []TaskID { return g.succ[id] }
+// Successors returns the tasks that directly depend on id, in the order
+// their edges were added (nil if there are none). The returned slice is
+// owned by the graph and must not be modified.
+func (g *Graph) Successors(id TaskID) []TaskID {
+	off, adj := g.csr()
+	lo, hi := off[id], off[id+1]
+	if lo == hi {
+		return nil
+	}
+	return adj[lo:hi:hi]
+}
 
 // Predecessors returns the direct prerequisites of id in ascending ID
 // order, in a fresh slice the caller owns (nil if there are none). The
 // graph stores its edges forward only, so this scans every successor
 // list: O(tasks + edges). InDegree is the O(1) count.
 func (g *Graph) Predecessors(id TaskID) []TaskID {
+	off, adj := g.csr()
 	var out []TaskID
-	for u, vs := range g.succ {
-		if slices.Contains(vs, id) {
+	for u := range g.cats {
+		if slices.Contains(adj[off[u]:off[u+1]], id) {
 			out = append(out, TaskID(u))
 		}
 	}
@@ -182,30 +263,25 @@ func (g *Graph) Sources() []TaskID {
 
 // Sinks returns all tasks with no successors, in ID order.
 func (g *Graph) Sinks() []TaskID {
+	off, _ := g.csr()
 	var out []TaskID
 	for id := range g.cats {
-		if len(g.succ[id]) == 0 {
+		if off[id] == off[id+1] {
 			out = append(out, TaskID(id))
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of the graph, its successor lists cut from one
-// array the way a decoded graph's are (see UnmarshalJSON).
+// Clone returns a deep copy of the graph, compacted the way a decoded
+// graph is (see UnmarshalJSON).
 func (g *Graph) Clone() *Graph {
-	c := &Graph{name: g.name, k: g.k, edges: g.edges}
-	c.cats = append([]Category(nil), g.cats...)
-	c.indeg = append([]int32(nil), g.indeg...)
-	c.durs = append([]int32(nil), g.durs...)
-	c.succ = make([][]TaskID, len(g.succ))
-	flat := make([]TaskID, 0, g.edges)
-	for u, l := range g.succ {
-		if len(l) > 0 {
-			flat = append(flat, l...)
-			c.succ[u] = flat[len(flat)-len(l) : len(flat) : len(flat)]
-		}
-	}
+	off, adj := g.csr()
+	c := &Graph{name: g.name, k: g.k}
+	c.cats = slices.Clone(g.cats)
+	c.indeg = slices.Clone(g.indeg)
+	c.durs = slices.Clone(g.durs)
+	c.off, c.adj = slices.Clone(off), slices.Clone(adj)
 	return c
 }
 
@@ -223,14 +299,13 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dag: graph %q task %d has category %d out of range [1,%d]", g.name, id, c, g.k)
 		}
 	}
+	_, adj := g.csr()
 	reach := make([]int32, len(g.cats))
-	for _, vs := range g.succ {
-		for _, v := range vs {
-			if err := g.checkID(v); err != nil {
-				return err
-			}
-			reach[v]++
+	for _, v := range adj {
+		if err := g.checkID(v); err != nil {
+			return err
 		}
+		reach[v]++
 	}
 	for v, d := range g.indeg {
 		if d != reach[v] {
@@ -245,5 +320,5 @@ func (g *Graph) Validate() error {
 
 // String summarizes the graph.
 func (g *Graph) String() string {
-	return fmt.Sprintf("Graph(%q K=%d tasks=%d edges=%d)", g.name, g.k, g.NumTasks(), g.edges)
+	return fmt.Sprintf("Graph(%q K=%d tasks=%d edges=%d)", g.name, g.k, g.NumTasks(), g.NumEdges())
 }

@@ -32,7 +32,7 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	for n := len(g.cats); n >= 10; n /= 10 {
 		digits++
 	}
-	size := 64 + len(g.name) + 3*len(g.cats) + (2*digits+4)*g.edges
+	size := 64 + len(g.name) + 3*len(g.cats) + (2*digits+4)*g.NumEdges()
 	return g.AppendJSON(make([]byte, 0, size)), nil
 }
 
@@ -60,12 +60,13 @@ func (g *Graph) AppendJSON(dst []byte) []byte {
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"edges":`...)
-	if g.edges == 0 {
+	off, adj := g.csr()
+	if len(adj) == 0 {
 		return append(dst, "null}"...)
 	}
 	sep := byte('[')
-	for u, vs := range g.succ {
-		for _, v := range vs {
+	for u := range g.cats {
+		for _, v := range adj[off[u]:off[u+1]] {
 			dst = append(dst, sep, '[')
 			dst = wire.AppendUint(dst, uint64(u))
 			dst = append(dst, ',')
@@ -80,7 +81,7 @@ func (g *Graph) AppendJSON(dst []byte) []byte {
 // UnmarshalJSON decodes and validates a graph that is the whole of data
 // in one pass over the bytes and a few over the edges, so a malformed or
 // cyclic graph is rejected at decode time rather than detonating
-// mid-simulation. The adjacency lists are cut from one flat array, and the
+// mid-simulation. The graph is written compacted (see csr), and the
 // acyclicity check leaves the height memo filled, so admission's Span does
 // not sort the graph again. On error the receiver is unchanged.
 func (g *Graph) UnmarshalJSON(data []byte) error {
@@ -304,13 +305,17 @@ func (sc *decodeScratch) build(g *Graph, name string, k64 int64) error {
 		}
 	}
 
-	// Degrees first, so that each task's list can be cut to size.
+	// The graph's in-degrees, successor offsets and height memo share one
+	// allocation. Degrees first: out-degrees into the offsets, shifted by
+	// one, and in-degrees into the scratch copy the sort consumes.
+	mem := make([]int32, 3*n+1)
+	indeg, off, h := mem[:n:n], mem[n:2*n+1:2*n+1], mem[2*n+1:]
 	if cap(sc.count) < 2*n {
 		sc.count = make([]int32, 2*n)
 		sc.order = make([]TaskID, n)
 	}
-	count, work := sc.count[:n], sc.count[n:2*n] // out- and in-degrees
-	clear(sc.count[:2*n])
+	next, work := sc.count[:n], sc.count[n:2*n] // fill cursors, in-degrees
+	clear(work)
 	for i := 0; i < len(edges); i += 2 {
 		u, v := edges[i], edges[i+1]
 		if u == v {
@@ -322,35 +327,26 @@ func (sc *decodeScratch) build(g *Graph, name string, k64 int64) error {
 			}
 			return fmt.Errorf("dag: task id %d out of range [0,%d) in graph %q", u, n, name)
 		}
-		count[u]++
+		off[u+1]++
 		work[v]++
 	}
-
-	// Every list is a window of one array with its capacity cut to its
-	// length, so AddEdge's append on a decoded graph moves the list
-	// instead of writing into its neighbour's. The counts become cursors.
-	succ := make([][]TaskID, n)
-	flat := make([]TaskID, len(edges)/2)
-	at := int32(0)
-	for u, deg := range count {
-		if deg > 0 {
-			succ[u] = flat[at : at+deg : at+deg]
-		}
-		count[u] = at
-		at += deg
+	for u := range n {
+		off[u+1] += off[u]
 	}
+	copy(next, off)
+	adj := make([]TaskID, len(edges)/2)
 	for i := 0; i < len(edges); i += 2 {
 		u := edges[i]
-		flat[count[u]] = edges[i+1]
-		count[u]++
+		adj[next[u]] = edges[i+1]
+		next[u]++
 	}
 
 	// A duplicate is a successor reached twice from one source: stamp
 	// each task with the source that last reached it.
-	stamp := count
+	stamp := next
 	clear(stamp)
-	for u, vs := range succ {
-		for _, v := range vs {
+	for u := range n {
+		for _, v := range adj[off[u]:off[u+1]] {
 			if stamp[v] == int32(u)+1 {
 				return fmt.Errorf("dag: duplicate edge %d→%d in graph %q", u, v, name)
 			}
@@ -358,19 +354,14 @@ func (sc *decodeScratch) build(g *Graph, name string, k64 int64) error {
 		}
 	}
 
-	// The graph's in-degrees and the height memo share one allocation;
-	// the sort consumes the scratch copy.
-	mem := make([]int32, 2*n)
-	indeg := mem[:n:n]
 	copy(indeg, work)
-	order := topoSort(succ, work, sc.order[:0])
+	order := topoSort(off, adj, work, sc.order[:0])
 	if len(order) != n {
 		return cycleError(name, work)
 	}
 
 	g.name, g.k, g.cats = name, k, append([]Category(nil), sc.cats...)
-	g.succ, g.indeg, g.durs = succ, indeg, nil
-	g.edges = len(edges) / 2
-	g.hmemo.Store(&heightsResult{h: heightsOver(succ, order, mem[n:])})
+	g.off, g.adj, g.build, g.indeg, g.durs = off, adj, nil, indeg, nil
+	g.hmemo.Store(&heightsResult{h: heightsOver(off, adj, order, h)})
 	return nil
 }

@@ -26,8 +26,8 @@ type graphJSON struct {
 
 func oracleMarshal(g *Graph) []byte {
 	ej := graphJSON{Name: g.name, K: g.k, Cats: g.cats}
-	for u := range g.succ {
-		for _, v := range g.succ[u] {
+	for u := range g.cats {
+		for _, v := range g.Successors(TaskID(u)) {
 			ej.Edges = append(ej.Edges, [2]int32{int32(u), int32(v)})
 		}
 	}
@@ -304,8 +304,9 @@ func TestDecodedGraphAddEdgeDoesNotAlias(t *testing.T) {
 
 // TestGraphDecodeBytes pins what a decode of kdag_mix's mean graph
 // allocates, taking the least of several decodes as TestGraphDecodeAllocs
-// does: the edges are kept forward only, one endpoint per edge and one
-// list header per task, and the in-degrees share the heights' array.
+// does: the edges are kept forward only in CSR form, one endpoint per edge
+// and one offset per task, in the array that holds the in-degrees and the
+// heights.
 func TestGraphDecodeBytes(t *testing.T) {
 	data := benchGraphs[1].g.AppendJSON(nil) // mix212
 	var before, after runtime.MemStats
@@ -321,11 +322,11 @@ func TestGraphDecodeBytes(t *testing.T) {
 		leastBytes = min(leastBytes, after.TotalAlloc-before.TotalAlloc)
 		leastAllocs = min(leastAllocs, after.Mallocs-before.Mallocs)
 	}
-	if leastBytes > 19500 {
-		t.Errorf("a decode of mix212 allocates %d B, want ≤ 19,500", leastBytes)
+	if leastBytes > 14500 {
+		t.Errorf("a decode of mix212 allocates %d B, want ≤ 14,500", leastBytes)
 	}
-	if leastAllocs != 7 {
-		t.Errorf("a decode of mix212 makes %d allocations, want 7", leastAllocs)
+	if leastAllocs != 6 {
+		t.Errorf("a decode of mix212 makes %d allocations, want 6", leastAllocs)
 	}
 }
 

@@ -40,9 +40,9 @@ type Recount struct {
 
 // NewRecount builds g's predecessor lists, each in ascending order.
 func NewRecount(g *Graph) *Recount {
-	r := &Recount{pred: make([][]TaskID, len(g.succ))}
-	for u, vs := range g.succ {
-		for _, v := range vs {
+	r := &Recount{pred: make([][]TaskID, len(g.cats))}
+	for u := range g.cats {
+		for _, v := range g.Successors(TaskID(u)) {
 			r.pred[v] = append(r.pred[v], TaskID(u))
 			r.maxIndeg = max(r.maxIndeg, len(r.pred[v]))
 		}

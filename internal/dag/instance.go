@@ -1,10 +1,11 @@
 package dag
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // PickPolicy selects which ready tasks a job executes when its allotment is
@@ -58,6 +59,8 @@ func (p PickPolicy) String() string {
 // called at the step boundary.
 type Instance struct {
 	g        *Graph
+	off      []int32 // g's successor offsets and targets, cached (see csr)
+	adj      []TaskID
 	pick     PickPolicy
 	rng      *rand.Rand
 	indeg    []int32
@@ -79,8 +82,6 @@ type Instance struct {
 	fblocked   []int32
 	nblocked   int
 	minBlocked int32
-
-	sorter cpSorter // reusable CP-policy sorter (see order)
 }
 
 // NewInstance wraps g for execution under the given pick policy. seed is
@@ -97,6 +98,7 @@ func NewInstance(g *Graph, pick PickPolicy, seed int64) *Instance {
 func (in *Instance) Reset(g *Graph, pick PickPolicy, seed int64) *Instance {
 	n := g.NumTasks()
 	in.g, in.pick, in.heights, in.executed = g, pick, nil, 0
+	in.off, in.adj = g.csr()
 	if pick == PickRandom {
 		if in.rng == nil {
 			in.rng = rand.New(rand.NewSource(seed))
@@ -132,7 +134,7 @@ func (in *Instance) Reset(g *Graph, pick PickPolicy, seed int64) *Instance {
 			continue
 		}
 		// u is blocked: it is a blocked predecessor of each successor.
-		for _, v := range g.succ[u] {
+		for _, v := range in.adj[in.off[u]:in.off[u+1]] {
 			in.bindeg[v]++
 		}
 	}
@@ -150,7 +152,7 @@ func (in *Instance) Reset(g *Graph, pick PickPolicy, seed int64) *Instance {
 
 // Park drops the instance's references to its graph, keeping only its
 // buffers, so an instance waiting for Reset pins no job.
-func (in *Instance) Park() { in.g, in.heights = nil, nil }
+func (in *Instance) Park() { in.g, in.off, in.adj, in.heights = nil, nil, nil, nil }
 
 // resize returns s with length n, reusing its array when it is big enough.
 // The contents are not cleared.
@@ -257,34 +259,15 @@ func (in *Instance) order(q []TaskID) {
 		}
 	case PickRandom:
 		in.rng.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
-	case PickCPFirst, PickCPLast:
-		in.sorter.q, in.sorter.heights = q, in.heights
-		in.sorter.first = in.pick == PickCPFirst
-		sort.Stable(&in.sorter)
-		in.sorter.q, in.sorter.heights = nil, nil
+	case PickCPFirst:
+		h := in.heights
+		slices.SortStableFunc(q, func(a, b TaskID) int { return cmp.Compare(h[b], h[a]) })
+	case PickCPLast:
+		h := in.heights
+		slices.SortStableFunc(q, func(a, b TaskID) int { return cmp.Compare(h[a], h[b]) })
 	default:
 		panic(fmt.Sprintf("dag: unknown pick policy %d", in.pick))
 	}
-}
-
-// cpSorter is a reusable sort.Interface over a ready queue keyed by
-// remaining-chain height. The CP policies previously used sort.SliceStable,
-// whose per-call closure allocates; sorting through a struct the Instance
-// owns keeps ordering allocation-free. Stable sorting produces the same
-// canonical order either way.
-type cpSorter struct {
-	q       []TaskID
-	heights []int32
-	first   bool // longest chains first (PickCPFirst) vs last (PickCPLast)
-}
-
-func (s *cpSorter) Len() int      { return len(s.q) }
-func (s *cpSorter) Swap(i, j int) { s.q[i], s.q[j] = s.q[j], s.q[i] }
-func (s *cpSorter) Less(i, j int) bool {
-	if s.first {
-		return s.heights[s.q[i]] > s.heights[s.q[j]]
-	}
-	return s.heights[s.q[i]] < s.heights[s.q[j]]
 }
 
 // Advance ends the current time step: every task completed since the last
@@ -295,7 +278,7 @@ func (in *Instance) Advance() {
 		return
 	}
 	for _, u := range in.pending {
-		for _, v := range in.g.succ[u] {
+		for _, v := range in.adj[in.off[u]:in.off[u+1]] {
 			d := in.indeg[v]
 			if d <= 0 {
 				panic(fmt.Sprintf("dag: task %d in graph %q released more times than it has predecessors", v, in.g.name))
@@ -327,7 +310,7 @@ func (in *Instance) Advance() {
 func (in *Instance) promote(v TaskID) {
 	c := in.g.cats[v]
 	in.ready[c-1] = append(in.ready[c-1], v)
-	for _, w := range in.g.succ[v] {
+	for _, w := range in.adj[in.off[v]:in.off[v+1]] {
 		in.bindeg[w]--
 		if in.bindeg[w] == 0 {
 			d := in.indeg[w] // ≥ 1: the v→w edge is unconsumed until v executes

@@ -71,11 +71,12 @@ func (g *Graph) CriticalPath() []TaskID {
 			start = TaskID(id)
 		}
 	}
+	off, adj := g.csr()
 	path := []TaskID{start}
 	cur := start
-	for len(g.succ[cur]) > 0 {
+	for off[cur] < off[cur+1] {
 		next := TaskID(-1)
-		for _, v := range g.succ[cur] {
+		for _, v := range adj[off[cur]:off[cur+1]] {
 			if next < 0 || h[v] > h[next] {
 				next = v
 			}

@@ -41,8 +41,9 @@ func Stretch(g *Graph, factors []int) (*Graph, error) {
 		heads[id] = head
 		tails[id] = tail
 	}
+	off, adj := g.csr()
 	for u := 0; u < g.NumTasks(); u++ {
-		for _, v := range g.succ[u] {
+		for _, v := range adj[off[u]:off[u+1]] {
 			out.MustEdge(tails[u], heads[v])
 		}
 	}

@@ -7,8 +7,9 @@ import "fmt"
 // It returns an error naming one task on a cycle if the graph is cyclic.
 func (g *Graph) TopoOrder() ([]TaskID, error) {
 	n := g.NumTasks()
+	off, adj := g.csr()
 	indeg := append([]int32(nil), g.indeg...)
-	order := topoSort(g.succ, indeg, make([]TaskID, 0, n))
+	order := topoSort(off, adj, indeg, make([]TaskID, 0, n))
 	if len(order) != n {
 		return nil, cycleError(g.name, indeg)
 	}
@@ -20,14 +21,15 @@ func (g *Graph) TopoOrder() ([]TaskID, error) {
 // ID order initially and in completion order afterwards. indeg holds every
 // task's in-degree and is consumed; the tasks it leaves positive are on a
 // cycle or behind one, and are missing from the result.
-func topoSort(succ [][]TaskID, indeg []int32, order []TaskID) []TaskID {
+func topoSort(off []int32, adj []TaskID, indeg []int32, order []TaskID) []TaskID {
 	for v, d := range indeg {
 		if d == 0 {
 			order = append(order, TaskID(v))
 		}
 	}
 	for head := 0; head < len(order); head++ {
-		for _, v := range succ[order[head]] {
+		u := order[head]
+		for _, v := range adj[off[u]:off[u+1]] {
 			indeg[v]--
 			if indeg[v] == 0 {
 				order = append(order, v)
@@ -56,10 +58,11 @@ func (g *Graph) Levels() ([][]TaskID, error) {
 	if err != nil {
 		return nil, err
 	}
+	off, adj := g.csr()
 	depth := make([]int, g.NumTasks())
 	max := 0
 	for _, u := range order {
-		for _, v := range g.succ[u] {
+		for _, v := range adj[off[u]:off[u+1]] {
 			if d := depth[u] + 1; d > depth[v] {
 				depth[v] = d
 			}
@@ -98,16 +101,17 @@ func (g *Graph) computeHeights() ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return heightsOver(g.succ, order, make([]int32, len(order))), nil
+	off, adj := g.csr()
+	return heightsOver(off, adj, order, make([]int32, len(order))), nil
 }
 
 // heightsOver computes the heights from a topological order into h, one
 // per task, and returns it.
-func heightsOver(succ [][]TaskID, order []TaskID, h []int32) []int32 {
+func heightsOver(off []int32, adj []TaskID, order []TaskID, h []int32) []int32 {
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
 		best := int32(0)
-		for _, v := range succ[u] {
+		for _, v := range adj[off[u]:off[u+1]] {
 			if h[v] > best {
 				best = h[v]
 			}

@@ -87,26 +87,46 @@ type CurveSpec struct {
 // Curve decodes and validates the spec. Parameter ranges are chosen so
 // the decoded curve satisfies the model's assumptions by construction.
 func (cs CurveSpec) Curve() (Curve, error) {
+	if err := cs.validate(); err != nil {
+		return nil, err
+	}
+	if cs.Type == CurveAmdahl {
+		return Amdahl{Serial: cs.Serial}, nil
+	}
+	return PowerLaw{Alpha: cs.Alpha}, nil
+}
+
+// validate checks the spec's type and parameter ranges.
+func (cs CurveSpec) validate() error {
 	switch cs.Type {
 	case CurvePowerLaw:
 		if cs.Serial != 0 {
-			return nil, fmt.Errorf("powerlaw curve carries stray serial %v", cs.Serial)
+			return fmt.Errorf("powerlaw curve carries stray serial %v", cs.Serial)
 		}
 		if !(cs.Alpha > 0 && cs.Alpha <= 1) {
-			return nil, fmt.Errorf("powerlaw alpha %v out of range (0, 1]", cs.Alpha)
+			return fmt.Errorf("powerlaw alpha %v out of range (0, 1]", cs.Alpha)
 		}
-		return PowerLaw{Alpha: cs.Alpha}, nil
+		return nil
 	case CurveAmdahl:
 		if cs.Alpha != 0 {
-			return nil, fmt.Errorf("amdahl curve carries stray alpha %v", cs.Alpha)
+			return fmt.Errorf("amdahl curve carries stray alpha %v", cs.Alpha)
 		}
 		if !(cs.Serial >= 0 && cs.Serial <= 1) {
-			return nil, fmt.Errorf("amdahl serial fraction %v out of range [0, 1]", cs.Serial)
+			return fmt.Errorf("amdahl serial fraction %v out of range [0, 1]", cs.Serial)
 		}
-		return Amdahl{Serial: cs.Serial}, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("unknown curve type %q (have %s, %s)", cs.Type, CurvePowerLaw, CurveAmdahl)
+		return fmt.Errorf("unknown curve type %q (have %s, %s)", cs.Type, CurvePowerLaw, CurveAmdahl)
 	}
+}
+
+// Speedup returns s(p) for the curve a valid spec describes, computed as
+// its Curve computes it but without boxing the curve into an interface.
+func (cs CurveSpec) Speedup(p int) float64 {
+	if cs.Type == CurveAmdahl {
+		return Amdahl{Serial: cs.Serial}.Speedup(p)
+	}
+	return PowerLaw{Alpha: cs.Alpha}.Speedup(p)
 }
 
 // curveEps absorbs float rounding in the CheckCurve comparisons.
@@ -117,7 +137,13 @@ const curveEps = 1e-9
 // (concave), and s(p) ≤ p (no superlinear speedup). Spec-decoded curves
 // satisfy it by construction; the check exists for custom Curve
 // implementations and as the oracle of the curve test suite.
-func CheckCurve(c Curve, pmax int) error {
+func CheckCurve(c Curve, pmax int) error { return checkCurve(c, pmax) }
+
+// speeder is what the curve arithmetic needs of a curve: a Curve, or a
+// CurveSpec, which FromSpec evaluates without boxing it into one.
+type speeder interface{ Speedup(p int) float64 }
+
+func checkCurve[C speeder](c C, pmax int) error {
 	s1 := c.Speedup(1)
 	if math.IsNaN(s1) || math.Abs(s1-1) > curveEps {
 		return fmt.Errorf("s(1) = %v, want 1", s1)
@@ -142,7 +168,7 @@ func CheckCurve(c Curve, pmax int) error {
 
 // steps returns ceil(work / s(p)), the whole-step duration of a task of
 // the given serial work on p processors, never below 1.
-func steps(work int, c Curve, p int) int {
+func steps[C speeder](work int, c C, p int) int {
 	d := int(math.Ceil(float64(work) / c.Speedup(p)))
 	if d < 1 {
 		d = 1
@@ -157,7 +183,7 @@ func steps(work int, c Curve, p int) int {
 // them, which is what breaks the list-scheduling area argument — the
 // ½-efficiency cap is the standard molding rule in the moldable
 // scheduling literature.
-func usefulProcs(c Curve, max int) int {
+func usefulProcs[C speeder](c C, max int) int {
 	useful := 1
 	for p := 2; p <= max; p++ {
 		if 2*c.Speedup(p) < float64(p)-curveEps {

@@ -54,34 +54,58 @@ type Instance struct {
 // NewInstance creates a fresh runtime for j. pick orders the ready
 // frontier when slots are scarce; seed feeds PickRandom.
 func NewInstance(j *Job, pick dag.PickPolicy, seed int64) *Instance {
-	in := &Instance{
-		job:         j,
-		pick:        pick,
-		indeg:       make([]int32, j.NumTasks()),
-		ready:       make([][]int32, j.k),
-		inflight:    make([][]lease, j.k),
-		pinned:      make([]int, j.k),
-		readyUseful: make([]int, j.k),
-	}
+	return new(Instance).Reset(j, pick, seed)
+}
+
+// Reset re-arms in for a fresh run of j, reusing its buffers: the result
+// behaves exactly like NewInstance(j, pick, seed), whatever in ran before.
+// It returns in.
+func (in *Instance) Reset(j *Job, pick dag.PickPolicy, seed int64) *Instance {
+	in.job, in.pick, in.done = j, pick, 0
 	if pick == dag.PickRandom {
-		in.rng = rand.New(rand.NewSource(seed))
+		if in.rng == nil {
+			in.rng = rand.New(rand.NewSource(seed))
+		} else {
+			in.rng.Seed(seed)
+		}
 	}
-	copy(in.indeg, j.npred)
-	for v := 0; v < j.NumTasks(); v++ {
-		if in.indeg[v] == 0 {
-			a := int(j.cats[v]) - 1
+	in.indeg = append(in.indeg[:0], j.npred...)
+	in.ready = emptied(in.ready, j.k)
+	in.inflight = emptied(in.inflight, j.k)
+	in.pinned = append(in.pinned[:0], make([]int, j.k)...)
+	in.readyUseful = append(in.readyUseful[:0], make([]int, j.k)...)
+	in.finished = in.finished[:0]
+	for v, d := range in.indeg {
+		if d == 0 {
+			a := j.cats[v] - 1
 			in.ready[a] = append(in.ready[a], int32(v))
-			in.readyUseful[a] += j.useful[v]
+			in.readyUseful[a] += j.Useful(v)
 		}
 	}
 	return in
 }
 
+// emptied returns k empty queues, reusing qs and the arrays of its queues.
+func emptied[T any](qs [][]T, k int) [][]T {
+	if cap(qs) < k {
+		qs = append(qs[:cap(qs)], make([][]T, k-cap(qs))...)
+	}
+	qs = qs[:k]
+	for a := range qs {
+		qs[a] = qs[a][:0]
+	}
+	return qs
+}
+
+// Park implements sim.ReusableRuntime: it drops the instance's reference
+// to its job, keeping only buffers, so a parked instance pins no job.
+func (in *Instance) Park() { in.job = nil }
+
 // Desire implements sim.RuntimeJob: processors the job can use this step —
 // those pinned by in-flight leases plus the molding caps of the ready
 // frontier.
 func (in *Instance) Desire(c dag.Category) int {
-	if c < 1 || int(c) > in.job.k {
+	if c < 1 || int(c) > len(in.pinned) {
 		return 0
 	}
 	return in.pinned[c-1] + in.readyUseful[c-1]
@@ -90,7 +114,7 @@ func (in *Instance) Desire(c dag.Category) int {
 // Floor implements sim.FloorRuntime: processors pinned by in-flight
 // leases, which non-preemption forbids taking back this step.
 func (in *Instance) Floor(c dag.Category) int {
-	if c < 1 || int(c) > in.job.k {
+	if c < 1 || int(c) > len(in.pinned) {
 		return 0
 	}
 	return in.pinned[c-1]
@@ -102,7 +126,7 @@ func (in *Instance) Floor(c dag.Category) int {
 // means a non-floor-respecting scheduler was configured with moldable
 // jobs, which is a setup bug (use sched.WithFloors).
 func (in *Instance) Execute(c dag.Category, n int) int {
-	if c < 1 || int(c) > in.job.k || n <= 0 {
+	if c < 1 || int(c) > len(in.pinned) || n <= 0 {
 		if n <= 0 && in.Floor(c) > 0 {
 			panic(fmt.Sprintf("moldable: job %q category %d: allotment %d below floor %d — moldable jobs need a floor-respecting scheduler (sched.WithFloors)", in.job.Name(), c, n, in.Floor(c)))
 		}
@@ -141,12 +165,12 @@ func (in *Instance) Execute(c dag.Category, n int) int {
 		i := 0
 		for ; i < len(q) && slots > 0; i++ {
 			v := q[i]
-			u := in.job.useful[v]
+			u := in.job.Useful(int(v))
 			p := u
 			if p > slots {
 				p = slots
 			}
-			d := in.job.dur[v][p-1]
+			d := in.job.dur(v, p)
 			if d == 1 {
 				in.finished = append(in.finished, v)
 			} else {
@@ -210,12 +234,12 @@ func (in *Instance) Advance() {
 	}
 	in.done += len(f)
 	for _, u := range f {
-		for _, v := range in.job.succ[u] {
+		for _, v := range in.job.successors(u) {
 			in.indeg[v]--
 			if in.indeg[v] == 0 {
-				a := int(in.job.cats[v]) - 1
+				a := in.job.cats[v] - 1
 				in.ready[a] = append(in.ready[a], v)
-				in.readyUseful[a] += in.job.useful[v]
+				in.readyUseful[a] += in.job.Useful(int(v))
 			}
 		}
 	}
@@ -240,7 +264,7 @@ func (in *Instance) RemainingWork() []int {
 	}
 	for v := 0; v < in.job.NumTasks(); v++ {
 		if in.indeg[v] > 0 {
-			rem[int(in.job.cats[v])-1] += in.job.works[v]
+			rem[in.job.cats[v]-1] += in.job.works[v]
 		}
 	}
 	return rem
@@ -287,6 +311,7 @@ func (in *Instance) LeapHold(n int64) {
 }
 
 var (
-	_ sim.FloorRuntime = (*Instance)(nil)
-	_ sim.HoldRuntime  = (*Instance)(nil)
+	_ sim.FloorRuntime    = (*Instance)(nil)
+	_ sim.HoldRuntime     = (*Instance)(nil)
+	_ sim.ReusableRuntime = (*Instance)(nil)
 )

@@ -36,29 +36,31 @@ type Spec struct {
 // Job is a validated moldable job: tasks under precedence, each with a
 // concave speedup curve. It implements sim.JobSource; every derived
 // quantity (duration tables, molding caps, critical-path heights) is
-// precomputed here so Instance hot paths do no float math.
+// precomputed here so Instance hot paths do no float math. The per-task
+// tables are flat: FromSpec makes the same few allocations however many
+// tasks and edges the job has.
 type Job struct {
-	spec  Spec
-	name  string
-	k     int
-	cats  []dag.Category // per task
-	works []int          // per task: serial work
-	// useful[v] is the molding cap: the largest allotment the ½-efficiency
-	// policy will start task v on (see usefulProcs).
-	useful []int
-	// dur[v][p-1] = ceil(works[v] / s(p)) for p in 1..useful[v].
-	dur [][]int32
-	// optDur[v] = ceil(works[v] / s(Max)): the fastest any valid execution
-	// can run the task, which is what makes Span a true lower bound.
-	optDur []int32
-	// heights[v] is the optimistic critical-path length from v inclusive
-	// to a sink, in optDur units (CP pick policies sort by it).
-	heights []int32
-	succ    [][]int32
-	npred   []int32
-	work    []int // per category: Σ serial work
-	span    int
-	total   int
+	spec Spec
+	name string
+	k    int
+	// One []int holds, per task, cats (the category) and works (the serial
+	// work); then durAt; then work, per category: Σ serial work.
+	cats, works, durAt, work []int
+	// durs holds every task's duration table: task v on p processors, for
+	// p in 1..Useful(v), takes durs[durAt[v]+p-1] = ceil(works[v] / s(p))
+	// steps. durAt is the prefix sum of the molding caps, with n+1 entries.
+	durs []int32
+	// One []int32 holds the rest, per task. optDur[v] = ceil(works[v] /
+	// s(Max)) is the fastest any valid execution can run the task, which
+	// is what makes Span a true lower bound. heights[v] is the optimistic
+	// critical-path length from v inclusive to a sink, in optDur units (CP
+	// pick policies sort by it). npred[v] counts v's edges in, and v's
+	// successors are adj[off[v]:off[v+1]] in edge order, a duplicate edge
+	// once per copy.
+	optDur, heights, npred, off []int32
+	adj                         []int32
+	span                        int
+	total                       int
 }
 
 // FromSpec validates s and builds the Job. Errors locate the offending
@@ -70,18 +72,20 @@ func FromSpec(s Spec) (*Job, error) {
 	if len(s.Tasks) == 0 {
 		return nil, fmt.Errorf("moldable: job has no tasks")
 	}
+	n := len(s.Tasks)
+	ints := make([]int, 3*n+1+s.K)
+	mem := make([]int32, 4*n+1)
 	j := &Job{
 		name:    s.Name,
 		k:       s.K,
-		cats:    make([]dag.Category, len(s.Tasks)),
-		works:   make([]int, len(s.Tasks)),
-		useful:  make([]int, len(s.Tasks)),
-		dur:     make([][]int32, len(s.Tasks)),
-		optDur:  make([]int32, len(s.Tasks)),
-		heights: make([]int32, len(s.Tasks)),
-		succ:    make([][]int32, len(s.Tasks)),
-		npred:   make([]int32, len(s.Tasks)),
-		work:    make([]int, s.K),
+		cats:    ints[:n:n],
+		works:   ints[n : 2*n : 2*n],
+		durAt:   ints[2*n : 3*n+1 : 3*n+1],
+		work:    ints[3*n+1:],
+		optDur:  mem[:n:n],
+		heights: mem[n : 2*n : 2*n],
+		npred:   mem[2*n : 3*n : 3*n],
+		off:     mem[3*n:],
 	}
 	for v, ts := range s.Tasks {
 		if ts.Cat < 1 || ts.Cat > s.K {
@@ -96,37 +100,51 @@ func FromSpec(s Spec) (*Job, error) {
 		if ts.Max > maxTaskProcs {
 			return nil, fmt.Errorf("moldable: task %d: max processors %d exceeds the %d limit", v, ts.Max, maxTaskProcs)
 		}
-		curve, err := ts.Curve.Curve()
-		if err != nil {
+		if err := ts.Curve.validate(); err != nil {
 			return nil, fmt.Errorf("moldable: task %d: curve: %w", v, err)
 		}
-		if err := CheckCurve(curve, ts.Max); err != nil {
+		if err := checkCurve(ts.Curve, ts.Max); err != nil {
 			return nil, fmt.Errorf("moldable: task %d: curve: %w", v, err)
 		}
-		j.cats[v] = dag.Category(ts.Cat)
+		j.cats[v] = ts.Cat
 		j.works[v] = ts.Work
-		j.useful[v] = usefulProcs(curve, ts.Max)
-		tab := make([]int32, j.useful[v])
-		for p := 1; p <= j.useful[v]; p++ {
-			tab[p-1] = int32(steps(ts.Work, curve, p))
-		}
-		j.dur[v] = tab
-		j.optDur[v] = int32(steps(ts.Work, curve, ts.Max))
+		j.durAt[v+1] = j.durAt[v] + usefulProcs(ts.Curve, ts.Max)
+		j.optDur[v] = int32(steps(ts.Work, ts.Curve, ts.Max))
 		j.work[ts.Cat-1] += ts.Work
 		j.total += ts.Work
 	}
+	j.durs = make([]int32, j.durAt[n])
+	for v, ts := range s.Tasks {
+		tab := j.durs[j.durAt[v]:j.durAt[v+1]]
+		for p := range tab {
+			tab[p] = int32(steps(ts.Work, ts.Curve, p+1))
+		}
+	}
+	// Out-degrees into the offsets, shifted by one, then their prefix sums;
+	// the successors are placed in edge order behind cursors that start at
+	// each task's offset.
 	for i, e := range s.Edges {
 		u, v := e[0], e[1]
-		if u < 0 || u >= len(s.Tasks) || v < 0 || v >= len(s.Tasks) {
-			return nil, fmt.Errorf("moldable: edge %d: endpoints [%d, %d] out of range 0..%d", i, u, v, len(s.Tasks)-1)
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return nil, fmt.Errorf("moldable: edge %d: endpoints [%d, %d] out of range 0..%d", i, u, v, n-1)
 		}
 		if u == v {
 			return nil, fmt.Errorf("moldable: edge %d: self-loop on task %d", i, u)
 		}
-		j.succ[u] = append(j.succ[u], int32(v))
+		j.off[u+1]++
 		j.npred[v]++
 	}
-	if err := j.computeHeights(); err != nil {
+	for u := range n {
+		j.off[u+1] += j.off[u]
+	}
+	j.adj = make([]int32, len(s.Edges))
+	next := make([]int32, 2*n) // the cursors, then computeHeights' scratch
+	copy(next, j.off[:n])
+	for _, e := range s.Edges {
+		j.adj[next[e[0]]] = int32(e[1])
+		next[e[0]]++
+	}
+	if err := j.computeHeights(next); err != nil {
 		return nil, err
 	}
 	j.spec = cloneSpec(s)
@@ -156,12 +174,11 @@ func FromTimedGraph(g *dag.Graph) (*Job, error) {
 // task its optimistic critical-path height (optDur-weighted longest path
 // from the task, inclusive, to a sink). The job's Span is the maximum
 // height — a true makespan lower bound, since no execution can run any
-// path faster than its optDur sum.
-func (j *Job) computeHeights() error {
+// path faster than its optDur sum. scratch holds 2n values.
+func (j *Job) computeHeights(scratch []int32) error {
 	n := len(j.cats)
-	indeg := make([]int32, n)
+	indeg, order := scratch[:n], scratch[n:n]
 	copy(indeg, j.npred)
-	order := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
 			order = append(order, int32(v))
@@ -169,7 +186,7 @@ func (j *Job) computeHeights() error {
 	}
 	for i := 0; i < len(order); i++ {
 		u := order[i]
-		for _, v := range j.succ[u] {
+		for _, v := range j.successors(u) {
 			indeg[v]--
 			if indeg[v] == 0 {
 				order = append(order, v)
@@ -182,7 +199,7 @@ func (j *Job) computeHeights() error {
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
 		h := int32(0)
-		for _, w := range j.succ[v] {
+		for _, w := range j.successors(v) {
 			if j.heights[w] > h {
 				h = j.heights[w]
 			}
@@ -194,6 +211,12 @@ func (j *Job) computeHeights() error {
 	}
 	return nil
 }
+
+// successors returns task v's successors, in edge order.
+func (j *Job) successors(v int32) []int32 { return j.adj[j.off[v]:j.off[v+1]] }
+
+// dur returns task v's duration on p processors, 1 ≤ p ≤ Useful(v).
+func (j *Job) dur(v int32, p int) int32 { return j.durs[j.durAt[v]+p-1] }
 
 // cloneSpec deep-copies a spec so Job.Spec never aliases caller slices.
 func cloneSpec(s Spec) Spec {
@@ -214,7 +237,7 @@ func (j *Job) NumTasks() int { return len(j.cats) }
 
 // Useful returns the molding policy's processor cap for task v: the most
 // processors the ½-efficiency rule will start it on.
-func (j *Job) Useful(v int) int { return j.useful[v] }
+func (j *Job) Useful(v int) int { return j.durAt[v+1] - j.durAt[v] }
 
 // Name implements sim.JobSource.
 func (j *Job) Name() string {
@@ -252,4 +275,17 @@ func (j *Job) NewRuntime(pick dag.PickPolicy, seed int64) sim.RuntimeJob {
 	return NewInstance(j, pick, seed)
 }
 
-var _ sim.WorkAppender = (*Job)(nil)
+// ReuseRuntime implements sim.RuntimeReuser: any moldable runtime resets
+// in place, whatever job it previously ran.
+func (j *Job) ReuseRuntime(rt sim.RuntimeJob, pick dag.PickPolicy, seed int64) (sim.RuntimeJob, bool) {
+	in, ok := rt.(*Instance)
+	if !ok {
+		return nil, false
+	}
+	return in.Reset(j, pick, seed), true
+}
+
+var (
+	_ sim.WorkAppender  = (*Job)(nil)
+	_ sim.RuntimeReuser = (*Job)(nil)
+)

@@ -48,13 +48,17 @@ func mixedSpec(i int, molds []sim.JobSpec) sim.JobSpec {
 	}
 }
 
+// moldSpec returns the i-th job of the moldable-only release script.
+func moldSpec(i int, molds []sim.JobSpec) sim.JobSpec { return molds[i%len(molds)] }
+
 // maxBatch is the largest admission runReleaseScript makes.
 const maxBatch = 3
 
-// runReleaseScript drives eng through a fixed mix of admissions, steps,
-// cancels (pending and active) and withdrawals, then drains it. check runs
-// after every operation; the returned StepInfo stream is deep-copied.
-func runReleaseScript(t *testing.T, eng *sim.Engine, check func(op string)) []sim.StepInfo {
+// runReleaseScript drives eng through a fixed mix of admissions (the jobs
+// specAt returns), steps, cancels (pending and active) and withdrawals,
+// then drains it. check runs after every operation; the returned StepInfo
+// stream is deep-copied.
+func runReleaseScript(t *testing.T, eng *sim.Engine, specAt func(int, []sim.JobSpec) sim.JobSpec, check func(op string)) []sim.StepInfo {
 	t.Helper()
 	molds := moldable.Generate(moldable.GenOpts{K: 2, Jobs: 8, MinTasks: 3, MaxTasks: 8, MaxWork: 4, MaxProcs: 3, Seed: 3})
 	rng := rand.New(rand.NewSource(42))
@@ -83,7 +87,7 @@ func runReleaseScript(t *testing.T, eng *sim.Engine, check func(op string)) []si
 	for round := 0; round < 80; round++ {
 		specs := make([]sim.JobSpec, 1+rng.Intn(maxBatch))
 		for i := range specs {
-			specs[i] = mixedSpec(next, molds)
+			specs[i] = specAt(next, molds)
 			specs[i].Release = eng.Now() + int64(rng.Intn(4))
 			next++
 		}
@@ -125,7 +129,7 @@ func runReleaseScript(t *testing.T, eng *sim.Engine, check func(op string)) []si
 		}
 		if round%13 == 6 {
 			// A refused batch: its valid first member's runtime is released.
-			bad := []sim.JobSpec{mixedSpec(next, molds), {Graph: dag.RoundRobinChain(2, 2), Release: -1}}
+			bad := []sim.JobSpec{specAt(next, molds), {Graph: dag.RoundRobinChain(2, 2), Release: -1}}
 			bad[0].Release = eng.Now()
 			if _, err := eng.AdmitBatch(bad); err == nil {
 				t.Fatal("batch with a negative release admitted")
@@ -228,7 +232,7 @@ func TestTerminalJobsPinNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxParked := 0
-	runReleaseScript(t, eng, func(op string) {
+	runReleaseScript(t, eng, mixedSpec, func(op string) {
 		if ids := eng.TerminalHolding(); len(ids) > 0 {
 			t.Fatalf("after %s at step %d: terminal jobs %v still hold a runtime", op, eng.Now(), ids)
 		}
@@ -262,67 +266,83 @@ func TestTerminalJobsPinNothing(t *testing.T) {
 }
 
 // TestRecycledRuntimesMatchFresh runs one script with runtime recycling on
-// and off under every pick policy: StepInfo streams, Result and Checkpoint
-// bytes must be identical, so a recycled runtime is indistinguishable from a
-// fresh one.
+// and off under every pick policy, over every runtime family and over
+// moldable jobs alone: StepInfo streams, Result and Checkpoint bytes must
+// be identical, so a recycled runtime is indistinguishable from a fresh
+// one.
 func TestRecycledRuntimesMatchFresh(t *testing.T) {
+	rows := []struct {
+		name   string
+		specAt func(int, []sim.JobSpec) sim.JobSpec
+	}{{"mixed", mixedSpec}, {"moldable", moldSpec}}
 	for _, pick := range []dag.PickPolicy{dag.PickFIFO, dag.PickLIFO, dag.PickRandom, dag.PickCPFirst, dag.PickCPLast} {
 		t.Run(pick.String(), func(t *testing.T) {
-			run := func(recycle bool) ([]sim.StepInfo, []byte, []byte, int) {
-				eng, err := sim.NewEngine(releaseConfig(pick))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !recycle {
-					eng.DisableRecycling()
-				}
-				reused, before := 0, 0
-				infos := runReleaseScript(t, eng, func(op string) {
-					n := len(eng.ParkedRuntimes())
-					if op == "admit" && n < before {
-						reused += before - n
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					run := func(recycle bool) ([]sim.StepInfo, []byte, []byte, int, int) {
+						eng, err := sim.NewEngine(releaseConfig(pick))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !recycle {
+							eng.DisableRecycling()
+						}
+						reused, reusedMolds, before, beforeMolds := 0, 0, 0, 0
+						infos := runReleaseScript(t, eng, row.specAt, func(op string) {
+							parked := eng.ParkedRuntimes()
+							molds := 0
+							for _, rt := range parked {
+								if _, ok := rt.(*moldable.Instance); ok {
+									molds++
+								}
+							}
+							if op == "admit" {
+								reused += max(before-len(parked), 0)
+								reusedMolds += max(beforeMolds-molds, 0)
+							}
+							before, beforeMolds = len(parked), molds
+						})
+						var res bytes.Buffer
+						if err := eng.Result().WriteJSON(&res); err != nil {
+							t.Fatal(err)
+						}
+						cp, err := eng.Checkpoint()
+						if err != nil {
+							t.Fatal(err)
+						}
+						cpb, err := json.Marshal(cp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return infos, res.Bytes(), cpb, reused, reusedMolds
 					}
-					before = n
+					onInfo, onRes, onCP, reused, reusedMolds := run(true)
+					offInfo, offRes, offCP, _, _ := run(false)
+					if reused == 0 || reusedMolds == 0 {
+						t.Fatalf("admissions reused %d parked runtimes, %d of them moldable; want both > 0", reused, reusedMolds)
+					}
+					var leaps int64
+					for _, info := range onInfo {
+						leaps += info.LeapSteps
+					}
+					if leaps == 0 && pick != dag.PickLIFO && pick != dag.PickRandom {
+						t.Fatal("no step leapt; the script does not reach StableFor")
+					}
+					if !reflect.DeepEqual(onInfo, offInfo) {
+						for i := 0; i < min(len(onInfo), len(offInfo)); i++ {
+							if !reflect.DeepEqual(onInfo[i], offInfo[i]) {
+								t.Fatalf("StepInfo %d differs: recycled %+v, fresh %+v", i, onInfo[i], offInfo[i])
+							}
+						}
+						t.Fatalf("StepInfo streams differ in length: %d vs %d", len(onInfo), len(offInfo))
+					}
+					if !bytes.Equal(onRes, offRes) {
+						t.Fatal("Result differs between recycled and fresh runtimes")
+					}
+					if !bytes.Equal(onCP, offCP) {
+						t.Fatal("Checkpoint differs between recycled and fresh runtimes")
+					}
 				})
-				var res bytes.Buffer
-				if err := eng.Result().WriteJSON(&res); err != nil {
-					t.Fatal(err)
-				}
-				cp, err := eng.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cpb, err := json.Marshal(cp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return infos, res.Bytes(), cpb, reused
-			}
-			onInfo, onRes, onCP, reused := run(true)
-			offInfo, offRes, offCP, _ := run(false)
-			if reused == 0 {
-				t.Fatal("no admission reused a parked runtime")
-			}
-			var leaps int64
-			for _, info := range onInfo {
-				leaps += info.LeapSteps
-			}
-			if leaps == 0 && pick != dag.PickLIFO && pick != dag.PickRandom {
-				t.Fatal("no step leapt; the script does not reach StableFor")
-			}
-			if !reflect.DeepEqual(onInfo, offInfo) {
-				for i := 0; i < min(len(onInfo), len(offInfo)); i++ {
-					if !reflect.DeepEqual(onInfo[i], offInfo[i]) {
-						t.Fatalf("StepInfo %d differs: recycled %+v, fresh %+v", i, onInfo[i], offInfo[i])
-					}
-				}
-				t.Fatalf("StepInfo streams differ in length: %d vs %d", len(onInfo), len(offInfo))
-			}
-			if !bytes.Equal(onRes, offRes) {
-				t.Fatal("Result differs between recycled and fresh runtimes")
-			}
-			if !bytes.Equal(onCP, offCP) {
-				t.Fatal("Checkpoint differs between recycled and fresh runtimes")
 			}
 		})
 	}
@@ -444,7 +464,7 @@ func TestRecycledJobStatesMatchFresh(t *testing.T) {
 					var out outcome
 					var jobs bytes.Buffer
 					before := 0
-					out.infos = runReleaseScript(t, eng, func(op string) {
+					out.infos = runReleaseScript(t, eng, mixedSpec, func(op string) {
 						if n := eng.FreeStates(); op == "admit" && n < before {
 							out.reused += before - n
 						}
