@@ -140,7 +140,6 @@ type options struct {
 	caps    string
 	step    time.Duration
 	queue   int
-	retire  bool
 	drain   time.Duration
 	shard   int
 	place   string
@@ -165,7 +164,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.caps, "caps", "4,4,4", "per-category processor counts, comma-separated; their number is K")
 	fs.DurationVar(&o.step, "step", 0, "wall-clock duration of one virtual step (0 = free-running)")
 	fs.IntVar(&o.queue, "queue", 256, "admission bound: max in-flight (pending + active) jobs")
-	fs.BoolVar(&o.retire, "retire-done", false, "drop terminal jobs' status records from the engine (41 B each at K=2; emptied pages are freed); statuses served from the ID index's own 41 B record (every engine recycles a finished job's runtime and state either way)")
 	fs.DurationVar(&o.drain, "drain", 30*time.Second, "max time to drain in-flight jobs at shutdown")
 	fs.IntVar(&o.shard, "shards", 1, "number of independent engine shards")
 	fs.StringVar(&o.place, "placement", server.PlaceRoundRobin, "shard placement policy: round-robin, hash, least-loaded")
@@ -316,7 +314,6 @@ func main() {
 		Journal:      journalCfg,
 		Fairness:     fairCfg,
 		Follower:     o.follow != "",
-		RetireDone:   o.retire,
 		Steal:        o.steal,
 	})
 	if err != nil {

@@ -14,17 +14,18 @@ import (
 var wantFlags = []string{
 	"addr", "caps", "drain", "fair-config", "fairness", "follow",
 	"fsync", "journal-dir", "lease", "placement", "pprof", "promote-after",
-	"queue", "replicate-heartbeat", "replicate-to", "retire-done", "shards",
+	"queue", "replicate-heartbeat", "replicate-to", "shards",
 	"snapshot-every", "steal", "step",
 }
 
 // removedFlags became constants (or went with the behaviour; -k is the
-// length of -caps; the epoch is state in the journal directory). A stale
-// script naming one must fail at startup.
+// length of -caps; the epoch is state in the journal directory; a shard
+// keeps one status table, so there is nothing for -retire-done to drop). A
+// stale script naming one must fail at startup.
 var removedFlags = []string{
 	"sched", "pick", "seed", "step-batch", "event-buffer", "fsync-interval",
 	"steal-max", "steal-idle", "replicate-queue", "fair-halflife", "k",
-	"epoch",
+	"epoch", "retire-done",
 }
 
 func newFlagSet() *flag.FlagSet {
@@ -34,8 +35,9 @@ func newFlagSet() *flag.FlagSet {
 	return fs
 }
 
-// TestFlagSet pins the flag surface (20 names), that README documents
-// every one of them as `-name`, and that each removed name is rejected.
+// TestFlagSet pins the flag surface (19 names), that README documents
+// every one of them as `-name` and runs kradd with no other, and that each
+// removed name is rejected.
 func TestFlagSet(t *testing.T) {
 	fs := newFlagSet()
 	var got []string
@@ -50,6 +52,18 @@ func TestFlagSet(t *testing.T) {
 	for _, name := range got {
 		if !strings.Contains(string(readme), "`-"+name+"`") {
 			t.Errorf("README.md never mentions `-%s`", name)
+		}
+	}
+	cmds := readmeKraddCommands(string(readme))
+	if len(cmds) == 0 {
+		t.Error("README.md's code blocks run kradd nowhere")
+	}
+	for _, cmd := range cmds {
+		for _, arg := range cmd {
+			name, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+			if strings.HasPrefix(arg, "-") && fs.Lookup(name) == nil {
+				t.Errorf("README.md runs kradd with -%s, which it does not have: %s", name, strings.Join(cmd, " "))
+			}
 		}
 	}
 	for _, name := range removedFlags {
@@ -91,4 +105,55 @@ func TestCheckDependents(t *testing.T) {
 			t.Errorf("%q: got %v, want a refusal naming %s", tc.argv, err, tc.needs)
 		}
 	}
+}
+
+// readmeKraddCommands returns the arguments of every kradd command line in
+// README's code blocks: the words after a word naming kradd (`kradd`,
+// `./cmd/kradd`, `/tmp/kradd`), joined across trailing backslashes, up to
+// a shell operator or a comment.
+func readmeKraddCommands(readme string) [][]string {
+	var cmds [][]string
+	var cur []string
+	inBlock, inCmd := false, false
+	for _, line := range strings.Split(readme, "\n") {
+		if strings.HasPrefix(line, "```") {
+			inBlock, inCmd = !inBlock, false
+			continue
+		}
+		if !inBlock {
+			continue
+		}
+		if i := strings.Index(line, "#"); i >= 0 {
+			line = line[:i]
+		}
+		words := strings.Fields(line)
+		more := len(words) > 0 && words[len(words)-1] == "\\"
+		if more {
+			words = words[:len(words)-1]
+		}
+		if !inCmd {
+			cur = nil
+			for i, w := range words {
+				if w == "kradd" || strings.HasSuffix(w, "/kradd") {
+					inCmd, words = true, words[i+1:]
+					break
+				}
+			}
+		}
+		if !inCmd {
+			continue
+		}
+		for _, w := range words {
+			if w == "&" || w == "|" || w == "&&" || w == ";" || strings.HasPrefix(w, ">") {
+				more = false
+				break
+			}
+			cur = append(cur, w)
+		}
+		if !more {
+			cmds = append(cmds, cur)
+			inCmd = false
+		}
+	}
+	return cmds
 }

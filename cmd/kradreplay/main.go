@@ -35,7 +35,7 @@
 //
 // Examples:
 //
-//	kradd -addr :8080 -caps 16,16,16 -queue 100000 -retire-done &
+//	kradd -addr :8080 -caps 16,16,16 -queue 100000 &
 //	kradreplay -addr http://localhost:8080 -jobs 1000000 -workers 16
 //	kradreplay -addr http://localhost:8080 -trace kth_sp2.swf -timescale 60
 //	kradreplay -addr http://localhost:8080 -jobs 50000 -rate 5000 -arrivals poisson

@@ -104,7 +104,6 @@ func selfHost(t *testing.T, k int, caps []int) string {
 		Sim:          sim.Config{K: k, Caps: caps, Pick: dag.PickFIFO},
 		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(k)) },
 		MaxInFlight:  1 << 18,
-		RetireDone:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +195,6 @@ func TestRunBackpressure(t *testing.T) {
 		Sim:          sim.Config{K: 1, Caps: []int{2}, Pick: dag.PickFIFO},
 		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(1)) },
 		MaxInFlight:  4,
-		RetireDone:   true,
 		// Paced stepping: free-running would drain the 4-slot queue
 		// faster than 8 workers can fill it and no 503 would ever fire.
 		StepEvery: 2 * time.Millisecond,
@@ -240,7 +238,6 @@ func TestRunTenants(t *testing.T) {
 		Sim:          sim.Config{K: 1, Caps: []int{2}},
 		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(1)) },
 		MaxInFlight:  6,
-		RetireDone:   true,
 		Fairness:     &fairshare.Config{},
 		StepEvery:    2 * time.Millisecond, // paced, as in TestRunBackpressure
 	})
@@ -296,7 +293,6 @@ func TestRunRetriesConnErrors(t *testing.T) {
 	svc, err := server.New(server.Config{
 		Sim:          sim.Config{K: 1, Caps: []int{4}},
 		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(1)) },
-		RetireDone:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +351,7 @@ func TestReplaySmokeRealKradd(t *testing.T) {
 	}
 	dir, kradd, replay, addr := realBinaries(t)
 	startKradd(t, kradd, addr, "-caps", "8,8",
-		"-queue", "200000", "-retire-done",
+		"-queue", "200000",
 		"-journal-dir", filepath.Join(dir, "journal"), "-fsync", "interval", "-snapshot-every", "0")
 	base := "http://" + addr
 

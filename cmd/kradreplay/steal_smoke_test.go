@@ -47,7 +47,7 @@ func TestStealSmokeRealKradd(t *testing.T) {
 func stealSmoke(t *testing.T, dir, kradd, replay, addr string, jobs int, mode []string, tenants int) {
 	jdir := filepath.Join(dir, "journal")
 	args := append([]string{"-caps", "2,2", "-shards", "8", "-placement", "hash",
-		"-queue", "200000", "-retire-done",
+		"-queue", "200000",
 		"-journal-dir", jdir, "-fsync", "interval", "-snapshot-every", "0"}, mode...)
 	stop := startKradd(t, kradd, addr, append(args, "-steal")...)
 	base := "http://" + addr

@@ -150,20 +150,15 @@ func (sh *shard) checkFair(st journal.FairState) error {
 	return nil
 }
 
-// Admitted implements journal.Observer. The jobs are indexed before the
-// lock drops, so a status query racing the submit response finds them
-// (JobRef's Work aliases engine memory; put copies it into the stripe's
-// table). The thief half of a steal counts as stolen-in, not submitted,
-// and remembers each job's origin; an orphan repair, which re-admits on
-// the victim itself, points the original ID back into this shard. The
-// fair ledger accounts the admission strictly after it is durable, so the
-// record sequence replays to the identical ledger (fairAdmittedLocked).
+// Admitted implements journal.Observer. The engine has written the jobs'
+// statuses, so a status query racing the submit response finds them. The
+// thief half of a steal counts as stolen-in, not submitted, and remembers
+// each job's origin; an orphan repair, which re-admits on the victim
+// itself, points the original ID back into this shard. The fair ledger
+// accounts the admission strictly after it is durable, so the record
+// sequence replays to the identical ledger (fairAdmittedLocked).
 func (sh *shard) Admitted(rec journal.Record, specs []sim.JobSpec, ids []int) {
 	sh.out.ids = ids
-	for _, id := range ids {
-		st, _ := sh.eng.JobRef(id)
-		sh.tab.put(id, st)
-	}
 	if len(rec.From) != 0 {
 		sh.stolenIn += int64(len(ids))
 		if sh.origins == nil {
@@ -172,7 +167,7 @@ func (sh *shard) Admitted(rec journal.Record, specs []sim.JobSpec, ids []int) {
 		for k, src := range rec.From {
 			sh.origins[ids[k]] = src
 			if ShardOf(src) == sh.idx {
-				sh.tab.setRedirect(LocalID(src), composeID(sh.idx, ids[k]))
+				sh.redir.Store(LocalID(src), composeID(sh.idx, ids[k]))
 			}
 		}
 		sh.ledger.admitted(sh.idx, rec.From, ids)
@@ -185,8 +180,6 @@ func (sh *shard) Admitted(rec journal.Record, specs []sim.JobSpec, ids []int) {
 // Cancelled implements journal.Observer.
 func (sh *shard) Cancelled(id int) {
 	sh.fairForgetLocked(id)
-	sh.tab.setPhase(id, sim.JobCancelled, sh.eng.Now())
-	sh.retireLocked(id)
 }
 
 // Stolen implements journal.Observer: the victim half of a steal. Each
@@ -197,42 +190,28 @@ func (sh *shard) Cancelled(id int) {
 func (sh *shard) Stolen(rec journal.Record, specs []sim.JobSpec) {
 	sh.out.withdrawn, sh.out.tenants = specs, nil
 	for k, id := range rec.IDs {
-		sh.tab.setRedirect(id, composeID(rec.To, rec.NBase+k))
+		sh.redir.Store(id, composeID(rec.To, rec.NBase+k))
 		if slot := sh.fairForgetLocked(id); slot >= 0 {
 			if sh.out.tenants == nil {
 				sh.out.tenants = make([]string, len(rec.IDs))
 			}
 			sh.out.tenants[k] = sh.fair.slots.path(slot)
 		}
-		sh.retireLocked(id)
 	}
 	sh.ledger.stolen(sh.idx, rec, specs, sh.out.tenants)
 }
 
 // Stepped implements journal.Observer, and is what the live step loop
-// calls after its engine-first StepN: release and completion bookkeeping
-// off the index and the engine's no-copy completion lookup, so the
-// steady-state step path allocates nothing per completion.
+// calls after its engine-first StepN: completion bookkeeping off the
+// engine's no-copy status lookup, so the steady-state step path allocates
+// nothing per completion.
 func (sh *shard) Stepped(info sim.StepInfo) {
 	sh.out.step = info
 	sh.steps += info.Steps
-	for _, id := range info.Released {
-		sh.tab.setPhase(id, sim.JobActive, 0)
-	}
 	for _, id := range info.Completed {
-		done, _ := sh.eng.Completion(id)
-		rel := sh.tab.setPhase(id, sim.JobDone, done)
-		sh.resp.Observe(float64(done - rel))
+		st, _ := sh.eng.JobRef(id)
+		sh.resp.Observe(float64(st.Completion - st.Release))
 		sh.fairForgetLocked(id)
-		sh.retireLocked(id)
-	}
-}
-
-// retireLocked releases a terminal job's engine state once the index holds
-// its status (Config.RetireDone).
-func (sh *shard) retireLocked(id int) {
-	if sh.retireDone {
-		_ = sh.eng.Retire(id)
 	}
 }
 
@@ -292,39 +271,29 @@ func (sh *shard) restoreLocked(rec *journal.Record) error {
 	}
 
 	sh.eng = eng
+	sh.statuses.Store(eng)
 	sh.repSeq = rec.Seq
 	sh.applied = 1
 	if rec.Fair != nil {
 		sh.setFairLocked(*rec.Fair)
 	}
-	sh.tab.reset()
+	sh.redir.Range(func(id, _ any) bool {
+		sh.redir.Delete(id)
+		return true
+	})
 	sh.stolenIn, sh.origins = 0, nil
 	if rec.Steal != nil {
 		sh.stolenIn, sh.origins = rec.Steal.In, rec.Steal.Origins
 		for id, target := range rec.Steal.Redirects {
-			sh.tab.setRedirect(id, target)
+			sh.redir.Store(id, target)
 		}
 	}
 	// The response histogram is durable state and comes back from the
-	// engine. The index rebuilds from the same pass, and RetireDone then
-	// releases each terminal job's engine state.
-	snap := eng.Snapshot()
+	// engine.
 	sh.resp = metrics.Hist{}
-	for id := 0; id < snap.Admitted; id++ {
-		st, ok := eng.JobRef(id)
-		if !ok {
-			continue // retired before the checkpoint: status is gone for good
-		}
-		if st.Phase != sim.JobStolen {
-			// A stolen job's redirect is its status truth; the stale local
-			// entry stays out of the index so lookups follow it.
-			sh.tab.put(id, st)
-		}
-		if st.Phase == sim.JobDone {
+	for id := 0; id < eng.NextID(); id++ {
+		if st, ok := eng.JobRef(id); ok && st.Phase == sim.JobDone {
 			sh.resp.Observe(float64(st.Completion - st.Release))
-		}
-		if st.Phase != sim.JobPending && st.Phase != sim.JobActive {
-			sh.retireLocked(id)
 		}
 	}
 	sh.syncGaugesLocked()

@@ -77,9 +77,8 @@ func applyPathsConfig(dir string, mode string, retire bool) Config {
 // applyScript drives one seeded op script — rigid, DAG and moldable
 // admits, batches, cancels, hand-driven steps, one compaction and (on a
 // steal-enabled fleet) steals — against primary, pulling follower along.
-// It returns every acknowledged ID and the subset already terminal when
-// the journals were compacted.
-func applyScript(t *testing.T, seed int64, primary, follower *Service) (ids []int, compacted map[int]bool) {
+// It returns every acknowledged ID.
+func applyScript(t *testing.T, seed int64, primary, follower *Service) (ids []int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pdir := primary.cfg.Journal.Dir
@@ -135,10 +134,6 @@ func applyScript(t *testing.T, seed int64, primary, follower *Service) (ids []in
 			// Before any steal: compaction drops one shard's half of a steal
 			// pair while its peer's journal keeps the other.
 			drain()
-			compacted = map[int]bool{}
-			for _, id := range ids {
-				compacted[id] = true // idle fleet: everything so far is terminal
-			}
 			for _, sh := range primary.shards {
 				sh.maybeCompact()
 			}
@@ -178,7 +173,7 @@ func applyScript(t *testing.T, seed int64, primary, follower *Service) (ids []in
 	}
 	drain()
 	pullReplication(t, pdir, follower)
-	return ids, compacted
+	return ids
 }
 
 // comparableStats strips what is process-local by design: step and
@@ -197,7 +192,9 @@ func comparableStats(svc *Service) Stats {
 // the primary's journal must agree on Stats, every job's status through
 // redirects, tenant state and engine checkpoints, and the follower's WAL
 // must be a byte prefix of the primary's. The modes cross fair share with
-// stealing. Seed count from KRAD_APPLY_SEEDS (default 10).
+// stealing; each runs with Config.RetireDone off and on, and the rows with
+// it on must agree just as strictly, since the field is ignored. Seed
+// count from KRAD_APPLY_SEEDS (default 10).
 func TestApplyPathsAgree(t *testing.T) {
 	seeds := 10
 	if v := os.Getenv("KRAD_APPLY_SEEDS"); v != "" {
@@ -239,7 +236,7 @@ func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) int64 {
 		t.Fatal(err)
 	}
 	defer drainlessClose(t, follower)
-	ids, compacted := applyScript(t, seed, primary, follower)
+	ids := applyScript(t, seed, primary, follower)
 
 	type view struct {
 		name  string
@@ -255,29 +252,14 @@ func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) int64 {
 		}
 		return v
 	}
-	agree := func(a, b view, viaSnapshot bool) {
+	agree := func(a, b view) {
 		t.Helper()
-		as, bs := a.stats, b.stats
-		if viaSnapshot && retire {
-			// A sparse checkpoint carries retired jobs as counters only, so a
-			// service restored from one has neither their statuses nor their
-			// response samples; the live primary still does.
-			as.Response, bs.Response = b.stats.Response, b.stats.Response
-		}
-		if !reflect.DeepEqual(as, bs) {
-			t.Fatalf("seed %d: %s and %s disagree on Stats\n%s: %+v\n%s: %+v", seed, a.name, b.name, a.name, as, b.name, bs)
+		if !reflect.DeepEqual(a.stats, b.stats) {
+			t.Fatalf("seed %d: %s and %s disagree on Stats\n%s: %+v\n%s: %+v", seed, a.name, b.name, a.name, a.stats, b.name, b.stats)
 		}
 		for _, id := range ids {
-			aj, bj := a.jobs[id], b.jobs[id]
-			if viaSnapshot && compacted[id] {
-				if retire {
-					continue
-				}
-				// Checkpoints do not carry the runtime family.
-				aj.Family, bj.Family = 0, 0
-			}
-			if !reflect.DeepEqual(aj, bj) {
-				t.Fatalf("seed %d: job %d: %s %+v, %s %+v", seed, id, a.name, a.jobs[id], b.name, b.jobs[id])
+			if aj, bj := a.jobs[id], b.jobs[id]; !reflect.DeepEqual(aj, bj) {
+				t.Fatalf("seed %d: job %d: %s %+v, %s %+v", seed, id, a.name, aj, b.name, bj)
 			}
 		}
 	}
@@ -285,7 +267,7 @@ func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) int64 {
 	if len(pv.jobs) != len(ids) {
 		t.Fatalf("seed %d: primary resolves %d of %d acknowledged IDs", seed, len(pv.jobs), len(ids))
 	}
-	agree(pv, fv, true)
+	agree(pv, fv)
 	requireIdentical(t, primary, follower)
 	for i := range primary.shards {
 		pb, err := os.ReadFile(shardJournalPath(pdir, i))
@@ -308,8 +290,8 @@ func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) int64 {
 	}
 	defer drainlessClose(t, restarted)
 	rv := snapshot("restart", restarted)
-	agree(pv, rv, true)
-	agree(fv, rv, false)
+	agree(pv, rv)
+	agree(fv, rv)
 	requireIdentical(t, restarted, follower)
 	if !restarted.cfg.Steal {
 		return 0
@@ -331,7 +313,7 @@ func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) int64 {
 		t.Fatalf("seed %d: steal-off restart reports Stats.Steal %+v", seed, ov.stats.Steal)
 	}
 	ov.stats.Steal = rv.stats.Steal
-	agree(rv, ov, false)
+	agree(rv, ov)
 	requireIdentical(t, restarted, off)
 	requireSameRedirects(t, restarted, off)
 	return rv.stats.Steal.Stolen
@@ -468,7 +450,6 @@ func TestStepAllocsPinned(t *testing.T) {
 func TestReplayStepBuildsNoEvent(t *testing.T) {
 	cfg := testConfig(1, 1)
 	cfg.MaxInFlight = 1024
-	cfg.RetireDone = true
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

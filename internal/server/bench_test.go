@@ -114,12 +114,10 @@ func BenchmarkAdmitBurst(b *testing.B) {
 }
 
 // benchSubmitService builds an unstarted single-shard service sized for
-// submit-path benchmarks: RetireDone keeps per-job state recyclable and
-// the in-flight bound never bites.
+// submit-path benchmarks: the in-flight bound never bites.
 func benchSubmitService(b *testing.B) *Service {
 	b.Helper()
 	cfg := testConfig(2, 4, 4)
-	cfg.RetireDone = true
 	cfg.MaxInFlight = 1 << 30
 	svc, err := New(cfg)
 	if err != nil {

@@ -172,8 +172,8 @@ func appendJobStatus(dst []byte, st sim.JobStatus) []byte {
 }
 
 // statusScratch is the pooled state of a status or cancel answer: the
-// job's work vector, copied out of the ID table, and the body written from
-// it.
+// job's work vector, copied out of the engine's status table, and the body
+// written from it.
 type statusScratch struct {
 	work []int
 	out  []byte

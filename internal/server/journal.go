@@ -190,7 +190,7 @@ func (sh *shard) maybeCompact() {
 	// and the origins that tell a peer's lone half of a pair this snapshot
 	// settled from an orphan. Omitted while empty so a shard that never
 	// took part in a steal keeps byte-identical snapshots.
-	if redirs := sh.tab.redirects(); sh.stolenIn > 0 || len(redirs) > 0 {
+	if redirs := sh.redirects(); sh.stolenIn > 0 || len(redirs) > 0 {
 		rec.Steal = &journal.StealState{V: 1, In: sh.stolenIn, Redirects: redirs, Origins: sh.origins}
 	}
 	if err := sh.jn.Compact(rec); err == nil {

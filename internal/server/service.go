@@ -91,20 +91,11 @@ type Config struct {
 	// reached through replicate.Receiver's OnPromote — lifts the gate and
 	// starts the loops. See internal/replicate for the wire protocol.
 	Follower bool
-	// RetireDone, when true, retires each job from its shard's engine once
-	// its terminal state (completed or cancelled) has been recorded in the
-	// shard's lock-striped status index: the engine drops the job's status
-	// record (25+8K bytes, 41 at K=2) and frees a status page once every
-	// job on it is retired, while status queries keep answering from the
-	// index, which keeps a record of the same size per job. The job's
-	// runtime and jobState are not part of it: every engine recycles those
-	// at the step the job ends, RetireDone or not. Retirement is a local
-	// memory optimization — IDs stay monotonic, journal replay is
-	// unaffected — but idle-point checkpoints become sparse, so a restart
-	// (or a replication follower restoring such a snapshot) no longer
-	// serves statuses for jobs retired before the checkpoint. Off by
-	// default: every behavior, checkpoint shape and per-job query then
-	// matches pre-retirement builds exactly.
+	// RetireDone is ignored. A shard keeps one status record per job, in
+	// its engine, which is also the index status queries read; there is no
+	// second copy left to retire.
+	//
+	// Deprecated: setting it has no effect.
 	RetireDone bool
 	// Steal enables cross-shard work stealing: an idle shard's step loop
 	// pulls whole pending jobs off the peer with the deepest estimated
@@ -270,7 +261,6 @@ func New(cfg Config) (*Service, error) {
 			schedName = sh.eng.SchedulerName()
 		}
 		sh.standby = cfg.Follower
-		sh.retireDone = cfg.RetireDone
 		sh.ledger = ledger
 		shards[i] = sh
 	}
@@ -510,7 +500,7 @@ func (s *Service) resolve(id int) (int, *shard, bool) {
 		if !ok {
 			return 0, nil, false
 		}
-		if target, ok := sh.tab.redirect(LocalID(id)); ok {
+		if target, ok := sh.redirect(LocalID(id)); ok {
 			id = target
 			continue
 		}

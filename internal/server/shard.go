@@ -26,15 +26,17 @@ type shard struct {
 	stepEvery   time.Duration
 	fan         *fanout
 
-	// tab is the shard's lock-striped job-status index (idtable.go):
-	// status reads go through it without touching mu, so GET/DELETE
-	// lookups never contend with the step loop. Written under mu at every
-	// committed mutation; reads are guarded by the stripe locks alone.
-	tab *idTable
-	// retireDone, when set, retires each job from the engine once its
-	// terminal state is recorded in tab, bounding engine memory under
-	// sustained arrival streams (Config.RetireDone).
-	retireDone bool
+	// statuses publishes eng to status readers, who hold no lock: GET and
+	// DELETE lookups read the engine's own status table through
+	// sim.Engine.ReadJob and never wait for a scheduling round. A
+	// snapshot restore that replaces eng republishes it.
+	statuses atomic.Pointer[sim.Engine]
+	// redir maps shard-local IDs of jobs stolen from this shard to the
+	// namespaced IDs they moved to; Service.resolve follows the chain. A
+	// key is written when its job is stolen, and again only when startup
+	// repair re-homes an orphaned steal, so a shard that never lost a job
+	// answers every lookup without a lock.
+	redir sync.Map
 
 	mu      sync.Mutex // guards eng and the counters below
 	eng     *sim.Engine
@@ -144,18 +146,19 @@ func newShard(idx int, simCfg sim.Config, mkSched func() sched.Scheduler, maxInF
 	if err != nil {
 		return nil, err
 	}
-	return &shard{
+	sh := &shard{
 		idx:         idx,
 		maxInFlight: maxInFlight,
 		stepEvery:   stepEvery,
 		fan:         fan,
-		tab:         newIDTable(simCfg.K),
 		eng:         eng,
 		newEngine:   newEngine,
 		wake:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
-	}, nil
+	}
+	sh.statuses.Store(eng)
+	return sh, nil
 }
 
 // start launches the step loop. Extra calls are no-ops, as is starting a
@@ -257,17 +260,15 @@ func (sh *shard) cancel(id int) error {
 			return fmt.Errorf("shard %d: %w", sh.idx, err)
 		}
 	}
-	// Validate against the status index, which — unlike the engine under
-	// RetireDone — still remembers retired jobs. The error texts mirror
-	// sim.Engine.Cancel exactly, so callers see the engine's canonical
-	// wording whether or not the job's state has been recycled. Once the
-	// cancel record is appended, applying it must not fail.
-	switch ph, done, ok := sh.tab.phaseOf(id); {
-	case !ok:
+	// Validate first, in sim.Engine.Cancel's wording: once the cancel
+	// record is appended, applying it must not fail. A job stolen from
+	// this shard is not here (its redirect is its status).
+	switch st, ok := sh.eng.JobRef(id); {
+	case !ok || st.Phase == sim.JobStolen:
 		return fmt.Errorf("sim: no job %d", id)
-	case ph == sim.JobDone:
-		return fmt.Errorf("sim: job %d already completed at step %d", id, done)
-	case ph == sim.JobCancelled:
+	case st.Phase == sim.JobDone:
+		return fmt.Errorf("sim: job %d already completed at step %d", id, st.Completion)
+	case st.Phase == sim.JobCancelled:
 		return fmt.Errorf("sim: job %d already cancelled", id)
 	}
 	if !sh.journalHealthyLocked() {
@@ -289,11 +290,38 @@ func (sh *shard) syncGaugesLocked() {
 }
 
 // job returns a job's lifecycle status by engine-local ID, its work vector
-// appended to work. It reads the lock-striped index, never the shard lock:
-// status queries stay fast while the step loop holds mu through a long
-// scheduling round.
+// appended to work. It reads the published engine's status table, never
+// the shard lock: status queries stay fast while the step loop holds mu
+// through a long scheduling round. A job stolen from this shard reads as
+// absent, since its redirect answers for it.
 func (sh *shard) job(id int, work []int) (sim.JobStatus, bool) {
-	return sh.tab.get(id, work)
+	st, ok := sh.statuses.Load().ReadJob(id, work)
+	return st, ok && st.Phase != sim.JobStolen
+}
+
+// redirect returns where the job at shard-local id moved to, if it was
+// stolen from this shard.
+func (sh *shard) redirect(id int) (int, bool) {
+	target, ok := sh.redir.Load(id)
+	if !ok {
+		return 0, false
+	}
+	return target.(int), true
+}
+
+// redirects copies every redirect (nil when there are none): the steal
+// state a journal snapshot carries so compaction does not forget where
+// stolen jobs went.
+func (sh *shard) redirects() map[int]int {
+	var out map[int]int
+	sh.redir.Range(func(id, target any) bool {
+		if out == nil {
+			out = make(map[int]int)
+		}
+		out[id.(int)] = target.(int)
+		return true
+	})
+	return out
 }
 
 // err returns the step loop's fatal error, if one occurred.

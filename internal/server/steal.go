@@ -23,10 +23,10 @@ import (
 // admit record tagged with the jobs' original namespaced IDs and, under
 // fair share, the leaves they were in flight under (journal.Record's From
 // and Tenants). The victim's half is durable before the thief's is built.
-// The victim's ID table gains a redirect per stolen job, so status and
-// cancel by the original namespaced ID keep working (Service.resolve
-// follows the chain); the thief remembers each job's origin, and a
-// snapshot carries both, so a compaction on either side settles the pair.
+// The victim gains a redirect per stolen job, so status and cancel by the
+// original namespaced ID keep working (Service.resolve follows the chain);
+// the thief remembers each job's origin, and a snapshot carries both, so a
+// compaction on either side settles the pair.
 //
 // A crash can still land between the two records; reconcileSteals repairs
 // that at startup and at follower promotion, before any step loop runs.
@@ -334,7 +334,7 @@ func (s *Service) fixDuplicateSteal(src int, in stealIn) error {
 	local := LocalID(src)
 	// A lone victim self-re-admission settles nothing: its steal record
 	// precedes it in the same journal, so a thief admitted the job too.
-	if target, settled := victim.tab.redirect(local); settled && in.to != victim.idx && target == composeID(in.to, in.toLocal) {
+	if target, settled := victim.redirect(local); settled && in.to != victim.idx && target == composeID(in.to, in.toLocal) {
 		return nil
 	}
 	if local >= victim.eng.NextID() {

@@ -110,7 +110,6 @@ func drainManually(t *testing.T, svc *Service) {
 // redirect chain.
 func TestStealMovesPendingWork(t *testing.T) {
 	cfg := stealConfig(2, 1, 1)
-	cfg.RetireDone = true
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,11 +145,11 @@ func TestStealMovesPendingWork(t *testing.T) {
 		if js.ID != id {
 			t.Fatalf("job %d reports ID %d", id, js.ID)
 		}
-		if _, moved := svc.shards[0].tab.redirect(LocalID(id)); moved {
+		if _, moved := svc.shards[0].redirect(LocalID(id)); moved {
 			if stolen < 0 {
 				stolen = id
 			}
-			requireRetiredOnVictim(t, svc, id)
+			requireStolenOnVictim(t, svc, id)
 		}
 	}
 	if stolen < 0 {
@@ -174,25 +173,28 @@ func TestStealMovesPendingWork(t *testing.T) {
 	}
 }
 
-// requireRetiredOnVictim asserts that, under RetireDone, the shard a job was
-// stolen from no longer holds its engine state — the answer a live steal, a
-// restart and a follower must all give.
-func requireRetiredOnVictim(t *testing.T, svc *Service, id int) {
+// requireStolenOnVictim asserts that the shard a job was stolen from keeps
+// only its stolen record, which status reads pass over for the redirect —
+// the answer a live steal, a restart and a follower must all give.
+func requireStolenOnVictim(t *testing.T, svc *Service, id int) {
 	t.Helper()
 	sh := svc.shards[ShardOf(id)]
+	if st, ok := sh.job(LocalID(id), nil); ok {
+		t.Fatalf("stolen job %d still answers on its victim: %+v", id, st)
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if st, ok := sh.eng.JobRef(LocalID(id)); ok {
-		t.Fatalf("stolen job %d still held by its victim's engine: %+v", id, st)
+	if st, ok := sh.eng.JobRef(LocalID(id)); !ok || st.Phase != sim.JobStolen {
+		t.Fatalf("stolen job %d on its victim's engine: %+v ok=%v, want its stolen record", id, st, ok)
 	}
 }
 
-// requireSameRedirects asserts two services' ID tables send every stolen
+// requireSameRedirects asserts two services' shards send every stolen
 // job's original ID to the same place.
 func requireSameRedirects(t *testing.T, a, b *Service) {
 	t.Helper()
 	for i := range a.shards {
-		ar, br := a.shards[i].tab.redirects(), b.shards[i].tab.redirects()
+		ar, br := a.shards[i].redirects(), b.shards[i].redirects()
 		if !reflect.DeepEqual(ar, br) {
 			t.Fatalf("shard %d: redirects differ\n%v\n%v", i, ar, br)
 		}
@@ -998,12 +1000,10 @@ func TestStealReplicationAndPromotion(t *testing.T) {
 
 func stealReplicationAndPromotion(t *testing.T, followerSteals bool) {
 	fcfg := journaledStealConfig(t, 2, 1, 1)
-	fcfg.RetireDone = true
 	fcfg.Steal = followerSteals
 	follower, rcv, addr := startFollower(t, fcfg, 0)
 
 	pcfg := journaledStealConfig(t, 2, 1, 1)
-	pcfg.RetireDone = true
 	primary, err := New(pcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1038,9 +1038,9 @@ func stealReplicationAndPromotion(t *testing.T, followerSteals bool) {
 		if got.Phase != want.Phase || got.Release != want.Release {
 			t.Fatalf("job %d: follower %+v, primary %+v", id, got, want)
 		}
-		if _, moved := primary.shards[0].tab.redirect(LocalID(id)); moved {
-			requireRetiredOnVictim(t, primary, id)
-			requireRetiredOnVictim(t, follower, id)
+		if _, moved := primary.shards[0].redirect(LocalID(id)); moved {
+			requireStolenOnVictim(t, primary, id)
+			requireStolenOnVictim(t, follower, id)
 		}
 	}
 

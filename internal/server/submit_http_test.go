@@ -193,7 +193,6 @@ func allocRows(t *testing.T) []allocRow {
 	var rows []allocRow
 	for _, name := range []string{"memory", "journaled", "replicated"} {
 		cfg := testConfig(2, 4, 4)
-		cfg.RetireDone = true
 		cfg.MaxInFlight = 1 << 20
 		if name != "memory" {
 			cfg.Journal = &JournalConfig{Dir: t.TempDir(), Sync: journal.SyncNever}
@@ -348,7 +347,6 @@ func TestStatusAllocsPinned(t *testing.T) {
 // each at PR 25, 48 and 49 at PR 24, 178 and 952 before it.
 func TestSubmitAllocsPinnedGraph(t *testing.T) {
 	cfg := testConfig(2, 4, 4)
-	cfg.RetireDone = true
 	cfg.MaxInFlight = 1 << 20
 	svc, err := New(cfg)
 	if err != nil {

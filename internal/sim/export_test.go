@@ -27,12 +27,23 @@ func (e *Engine) ParkedRuntimes() []RuntimeJob {
 // FreeStates returns how many ended jobs' states e holds for reuse.
 func (e *Engine) FreeStates() int { return len(e.free) }
 
+// StatusTable is the engine's status table, for tests of it alone.
+type StatusTable = statusTable
+
+// NewStatusTable returns an empty table for K categories.
+func NewStatusTable(k int) *StatusTable { return &statusTable{k: k} }
+
+// Load is the concurrent reader's Get (Engine.ReadJob).
+func (t *StatusTable) Load(i int, work []int) (JobStatus, bool) { return t.load(i, work) }
+
 // Pages returns how many of t's pages are allocated.
 func (t *StatusTable) Pages() int {
 	n := 0
-	for _, p := range t.pages {
-		if p != nil {
-			n++
+	if d := t.dir.Load(); d != nil {
+		for i := range d.pages {
+			if d.pages[i].Load() != nil {
+				n++
+			}
 		}
 	}
 	return n

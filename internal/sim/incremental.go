@@ -194,7 +194,7 @@ func (s EngineSnapshot) Utilization() []float64 {
 }
 
 // jobState is the engine's bookkeeping for one live (pending or active)
-// job; the job's status lives in the engine's StatusTable. At the step the
+// job; the job's status lives in the engine's status table. At the step the
 // job ends, its jobState goes back onto the free list.
 type jobState struct {
 	id      int
@@ -214,14 +214,15 @@ type jobState struct {
 // Engine is the incremental form of the simulator: the same machine Run
 // drives, but with jobs admitted (and cancelled) while the clock runs.
 // An Engine is NOT goroutine-safe — callers that share one across
-// goroutines must serialize access (internal/server does).
+// goroutines must serialize access (internal/server does). ReadJob alone
+// may run beside that one writer.
 type Engine struct {
 	cfg Config
 
 	now int64
 	// recs holds every admitted job's status, indexed by ID; Retire drops
 	// a record. Live jobs also have a jobState, in pending or active.
-	recs StatusTable
+	recs statusTable
 	// pending holds admitted, not-yet-released jobs sorted by (release,
 	// ID); the live window is pending[pendOff:]. Releases advance pendOff
 	// instead of re-slicing so the backing array's capacity is recovered
@@ -316,7 +317,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	cfg.Caps = append([]int(nil), cfg.Caps...)
 	e := &Engine{
 		cfg:         cfg,
-		recs:        NewStatusTable(cfg.K),
+		recs:        statusTable{k: cfg.K},
 		trace:       newTrace(cfg.Trace, cfg.K),
 		overloaded:  make([]bool, cfg.K),
 		execTotal:   make([]int64, cfg.K),
@@ -688,10 +689,11 @@ func (e *Engine) StealCandidates(buf []int, maxJobs int, targetWork int64) []int
 // never reassigned — IDs stay monotonic, so admission-order reproducibility
 // and journal replay are unaffected (retirement is a local memory
 // optimization, not a scheduling event, and is deliberately not
-// journaled). Long-running services retire jobs once their terminal status
-// has been recorded elsewhere, bounding engine memory under streams of
-// millions of jobs. Retired jobs are omitted from Result and Checkpoint;
-// aggregate counters (Snapshot, checkpoint totals) still include them.
+// journaled). A caller that keeps no use for a finished job's status may
+// retire it, bounding engine memory under streams of millions of jobs;
+// internal/server does not, since this table is its status index. Retired
+// jobs are omitted from Result and Checkpoint; aggregate counters
+// (Snapshot, checkpoint totals) still include them.
 func (e *Engine) Retire(id int) error {
 	phase, _, ok := e.recs.Phase(id)
 	if !ok {
@@ -716,21 +718,15 @@ func (e *Engine) Job(id int) (JobStatus, bool) {
 // JobRef is Job without the defensive work-vector copy: the returned
 // status's Work aliases the engine's status table, valid until the job is
 // retired, so callers must copy anything they retain past that. It exists
-// for allocation-free status plumbing — a server rebuilding its job-status
-// index after replay reads every job through it without a per-job
-// allocation.
+// for allocation-free status plumbing in the engine's own goroutine.
 func (e *Engine) JobRef(id int) (JobStatus, bool) { return e.recs.Get(id) }
 
-// Completion returns the step a job finished at (0 while unfinished)
-// without copying its work vector — the allocation-free fast path for
-// per-completion accounting in serving loops.
-func (e *Engine) Completion(id int) (int64, bool) {
-	phase, end, ok := e.recs.Phase(id)
-	if phase != JobDone {
-		end = 0
-	}
-	return end, ok
-}
+// ReadJob is Job for any goroutine: the one Engine method that may run
+// while another goroutine admits, steps or cancels. The record is read
+// whole under its status page's read lock, and its work vector is copied
+// into work[:0] (a nil work allocates). A server answers status queries
+// through it without waiting for a scheduling round.
+func (e *Engine) ReadJob(id int, work []int) (JobStatus, bool) { return e.recs.load(id, work) }
 
 // Snapshot summarizes the engine's current state.
 func (e *Engine) Snapshot() EngineSnapshot {

@@ -48,8 +48,8 @@ func TestRetireLifecycle(t *testing.T) {
 	if _, ok := eng.Job(id); ok {
 		t.Fatalf("retired job still visible")
 	}
-	if _, ok := eng.Completion(id); ok {
-		t.Fatalf("retired job still has a completion")
+	if _, ok := eng.ReadJob(id, nil); ok {
+		t.Fatalf("retired job still visible to readers")
 	}
 	if err := eng.Retire(id); err == nil {
 		t.Fatalf("double retire accepted")

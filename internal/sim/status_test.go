@@ -3,6 +3,7 @@ package sim_test
 import (
 	"encoding/json"
 	"reflect"
+	"sync"
 	"testing"
 
 	"krad/internal/dag"
@@ -72,10 +73,58 @@ func TestStatusTable(t *testing.T) {
 	if tab.Pages() != pages-1 {
 		t.Fatal("dropping the records of the unfilled last page freed it")
 	}
-	tab.Reset()
-	if _, ok := tab.Get(200); ok || tab.Len() != 0 || tab.Pages() != 0 {
-		t.Fatal("Reset kept records")
+	buf := make([]int, 0, 2)
+	if st, ok := tab.Load(200, buf); !ok || st.ID != 200 || st.Completion != 201 || &st.Work[0] != &buf[:1][0] || !reflect.DeepEqual(st.Work, []int{200, 200}) {
+		t.Fatalf("Load(200) = %+v, %v; want the record with its work in the caller's buffer", st, ok)
 	}
+	if _, ok := tab.Load(5, nil); ok {
+		t.Fatal("Load found a dropped record")
+	}
+}
+
+// TestStatusTableReadersBesideWriter runs Load from several goroutines
+// while one writer admits, moves and drops records across many directory
+// growths; under -race it checks the locking, and every read must see a
+// whole record: a release, end step and work vector written together.
+func TestStatusTableReadersBesideWriter(t *testing.T) {
+	const n = 20_000
+	tab := sim.NewStatusTable(2)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var work []int
+			for i := g; ; i = (i*31 + 7) % n {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st, ok := tab.Load(i, work)
+				if !ok {
+					continue
+				}
+				work = st.Work
+				if st.Release != int64(i) || st.Work[0] != i || st.Work[1] != 2*i || (st.Phase == sim.JobDone && st.Completion != int64(i)+3) {
+					t.Errorf("torn record %d: %+v", i, st)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < n; i++ {
+		tab.Put(i, sim.JobStatus{Release: int64(i), Phase: sim.JobPending, Work: []int{i, 2 * i}, Span: 1})
+		if i >= 50 {
+			tab.SetPhase(i-50, sim.JobDone, int64(i-50)+3)
+		}
+		if i >= 300 && i%2 == 0 {
+			tab.Drop(i - 300)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestCheckpointKeepsFamily: every runtime family, done and cancelled,
