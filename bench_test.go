@@ -262,10 +262,12 @@ func BenchmarkKRADAllot(b *testing.B) {
 // the active=N variants no job completes while the clock runs and every
 // category is overloaded, so each round is RAD's round-robin branch — 48
 // processors handed out whatever the queue length — and ns/round should be
-// flat in N. Those jobs never finish, so they never reach the removal path:
-// the drain variant runs the benchmark's overload_drain population (4,000
-// rigid jobs, 1–4 processors, 8–63 steps) from release to idle, completions,
-// slot-table slides and cycle-completing rounds included.
+// flat in N. Those jobs never finish, so they never leave a hole in the slot
+// table: the drain=N variants run the benchmark's overload_drain population
+// (rigid jobs, 1–4 processors, 8–63 steps; 4,000 of them in the benchmark)
+// at N jobs from release to idle, completions, compactions and
+// cycle-completing rounds included. Every round hands out the same 48
+// processors, so ns/round should not grow with N either.
 func BenchmarkEngineRound(b *testing.B) {
 	newEngine := func(b *testing.B, specs []krad.JobSpec) *krad.Engine {
 		eng, err := krad.NewEngine(krad.Config{
@@ -300,32 +302,34 @@ func BenchmarkEngineRound(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
 		})
 	}
-	b.Run("drain", func(b *testing.B) {
-		specs := make([]krad.JobSpec, 4000)
-		for j := range specs {
-			c := j / 3
-			specs[j] = krad.JobSpec{Source: profile.MustNewRigid(3, "ovl", krad.Category(1+j%3), 1+c%4, 8+(c/4)%56)}
-		}
-		b.ReportAllocs()
-		var rounds int64
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			eng := newEngine(b, specs)
-			b.StartTimer()
-			for {
-				info, err := eng.Step()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if info.Idle {
-					break
-				}
-				rounds++
+	for _, jobs := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprintf("drain=%d", jobs), func(b *testing.B) {
+			specs := make([]krad.JobSpec, jobs)
+			for j := range specs {
+				c := j / 3
+				specs[j] = krad.JobSpec{Source: profile.MustNewRigid(3, "ovl", krad.Category(1+j%3), 1+c%4, 8+(c/4)%56)}
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
-		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-	})
+			b.ReportAllocs()
+			var rounds int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := newEngine(b, specs)
+				b.StartTimer()
+				for {
+					info, err := eng.Step()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if info.Idle {
+						break
+					}
+					rounds++
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		})
+	}
 }
 
 // BenchmarkEngineChurn measures a steady admit→complete stream — rigid 0.7,

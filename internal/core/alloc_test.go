@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"krad/internal/sched"
@@ -181,5 +182,32 @@ func TestRADRestoreGrowsStampOnce(t *testing.T) {
 	}
 	if !bytes.Equal(again, data) {
 		t.Fatal("snapshot bytes changed across restore")
+	}
+}
+
+// TestRADSlidingWindowGrowsStampGeometrically: a streaming round-robin run —
+// a 40-job window sliding one ID per round over 8 processors — raises the
+// largest ID every round. The mark slice's capacity grows geometrically, so
+// 80,000 such rounds make a few dozen allocations, not one copy of the
+// whole slice per new ID; its length stays exactly the largest ID seen.
+func TestRADSlidingWindowGrowsStampGeometrically(t *testing.T) {
+	const window, p, rounds = 40, 8, 80000
+	r := NewRAD()
+	jobs := make([]sched.CatJob, window)
+	dst := make([]int, window)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for s := 0; s < rounds; s++ {
+		for i := range jobs {
+			jobs[i] = sched.CatJob{ID: s + i, Desire: 1}
+		}
+		r.AllotInto(int64(s+1), jobs, p, dst)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 64 {
+		t.Fatalf("%d sliding round-robin rounds made %d allocations; want at most 64", rounds, n)
+	}
+	if want := rounds + window - 1; len(r.stamp) != want {
+		t.Fatalf("stamp len %d after the run, want exactly %d", len(r.stamp), want)
 	}
 }

@@ -66,13 +66,20 @@ func (r *RAD) marked(id int) bool {
 	return id >= 0 && id < len(r.stamp) && r.stamp[id] == r.gen
 }
 
-// growStamp makes stamp hold every ID below n — exactly, with no spare
-// capacity, so its size never depends on the order IDs were marked in.
+// growStamp makes stamp hold every ID below n. Its length is exactly the
+// largest ID seen plus one, so what it holds never depends on the order IDs
+// were marked in; its capacity doubles, so a stream whose largest ID rises
+// every round (a sliding round-robin window) copies the slice O(log n)
+// times, not once per new ID. A first growth from empty is exact.
 func (r *RAD) growStamp(n int) {
-	if n > len(r.stamp) {
-		grown := make([]uint64, n)
-		copy(grown, r.stamp)
-		r.stamp = grown
+	if l := len(r.stamp); n > l {
+		if n > cap(r.stamp) {
+			grown := make([]uint64, l, max(n, 2*cap(r.stamp)))
+			copy(grown, r.stamp)
+			r.stamp = grown
+		}
+		r.stamp = r.stamp[:n]
+		clear(r.stamp[l:])
 	}
 }
 

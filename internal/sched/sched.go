@@ -217,12 +217,32 @@ func ValidateAllotments(jobs []JobView, caps []int, allot [][]int) error {
 	if len(allot) != len(jobs) {
 		return fmt.Errorf("sched: %d allotment rows for %d jobs", len(allot), len(jobs))
 	}
+	return validateRows(jobs, caps, allot, len(allot), nil)
+}
+
+// ValidateAllotmentRows is ValidateAllotments over the rows of allot that
+// rows lists, for a caller that knows every other row is zero and belongs
+// to a job without floors: such a row meets every condition and adds
+// nothing to a column sum. The conditions and messages are the same, and
+// nothing is copied. allot and jobs are indexed alike.
+func ValidateAllotmentRows(jobs []JobView, caps []int, allot [][]int, rows []int32) error {
+	return validateRows(jobs, caps, allot, len(rows), rows)
+}
+
+// validateRows checks n rows of allot: rows[r] when rows is not nil,
+// otherwise the first n.
+func validateRows(jobs []JobView, caps []int, allot [][]int, n int, rows []int32) error {
 	var small [16]int
 	sums := small[:min(len(caps), len(small))]
 	if len(caps) > len(small) {
 		sums = make([]int, len(caps))
 	}
-	for i, row := range allot {
+	for r := 0; r < n; r++ {
+		i := r
+		if rows != nil {
+			i = int(rows[r])
+		}
+		row := allot[i]
 		if len(row) != len(caps) {
 			return fmt.Errorf("sched: job %d allotment row has %d categories, want %d", jobs[i].ID, len(row), len(caps))
 		}

@@ -67,7 +67,7 @@ type EngineCheckpoint struct {
 // the trace is not carried across a restore.
 func (e *Engine) Checkpoint() (EngineCheckpoint, error) {
 	if !e.Idle() {
-		return EngineCheckpoint{}, fmt.Errorf("sim: checkpoint requires an idle engine (%d pending, %d active)", e.pendingLen(), len(e.active))
+		return EngineCheckpoint{}, fmt.Errorf("sim: checkpoint requires an idle engine (%d pending, %d active)", e.pendingLen(), e.live)
 	}
 	if e.cfg.Trace != TraceNone {
 		return EngineCheckpoint{}, fmt.Errorf("sim: checkpoint requires TraceNone (trace state is not restorable)")

@@ -13,6 +13,18 @@ import (
 // recycling tests compare against.
 func (e *Engine) DisableRecycling() { e.noRecycle = true }
 
+// SlotIDs returns the job ID in each slot of e's slot table, -1 for a hole.
+func (e *Engine) SlotIDs() []int {
+	ids := make([]int, len(e.active))
+	for i, j := range e.active {
+		ids[i] = -1
+		if j != nil {
+			ids[i] = j.id
+		}
+	}
+	return ids
+}
+
 // ParkedRuntimes returns the runtimes e holds for reuse.
 func (e *Engine) ParkedRuntimes() []RuntimeJob {
 	var out []RuntimeJob

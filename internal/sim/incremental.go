@@ -230,7 +230,8 @@ type Engine struct {
 	// nothing.
 	pending    []*jobState
 	pendOff    int
-	active     []*jobState // released, unfinished; ascending ID
+	active     []*jobState // the slot table's jobs: released, unfinished, ascending ID; nil in a hole
+	live       int         // slots of active that hold a job
 	free       []*jobState // ended jobs' states, recycled by the next Admit
 	batch      []*jobState // AdmitBatch's prepared states, reused per call
 	remaining  int         // admitted − completed − cancelled − stolen
@@ -274,25 +275,23 @@ type Engine struct {
 
 	// The slot table (slots.go): per-slot arrays parallel to active, and
 	// the aggregates over them, maintained incrementally instead of being
-	// rebuilt every round.
+	// rebuilt every round. A hole's rows are zero and its view keeps the ID
+	// of the job that left it.
 	views       []sched.JobView // what the scheduler sees; slot i is active[i]
 	desire      []int           // flat desire rows; views[i].Desire is row i
 	floor       []int           // flat floor rows; nil until a floor-bearing job is released
 	flags       []uint8         // slotHeld | slotSoftUnheld | slotHardFloor | slotNoLeap | slotFloored
 	allot       [][]int         // the allotment rows applyGrants writes; zero between rounds
 	allotBack   []int
-	activeCount []int           // per category: slots with desire > 0
-	hardFloors  int             // slots flagged slotHardFloor
-	softUnheld  int             // slots flagged slotSoftUnheld
-	noLeap      int             // slots flagged slotNoLeap
-	floored     int             // slots flagged slotFloored
-	changed     []bool          // per category: did refreshSlot's last re-read change that entry
-	heads       []int           // per category: applyGrants' position in that category's grants,
-	nextID      []int           // and the job ID there
-	touched     []int32         // slots with a non-zero allotment row this round, ascending
-	gone        []int32         // slots completed this round (or the one cancelled), ascending
-	checkViews  []sched.JobView // the touched slots' views and rows, gathered
-	checkRows   [][]int         // for ValidateAllotments
+	activeCount []int   // per category: slots with desire > 0
+	hardFloors  int     // slots flagged slotHardFloor
+	softUnheld  int     // slots flagged slotSoftUnheld
+	noLeap      int     // slots flagged slotNoLeap
+	floored     int     // slots flagged slotFloored
+	changed     []bool  // per category: did refreshSlot's last re-read change that entry
+	heads       []int   // per category: applyGrants' position in that category's grants,
+	nextID      []int   // and the job ID there
+	touched     []int32 // slots with a non-zero allotment row this round, ascending
 	slotOracle  func(error)
 
 	// Reused per-round buffers.
@@ -352,7 +351,7 @@ func (e *Engine) Remaining() int { return e.remaining }
 
 // Idle reports whether the engine has nothing to do: no active jobs and no
 // pending releases.
-func (e *Engine) Idle() bool { return len(e.active) == 0 && e.pendingLen() == 0 }
+func (e *Engine) Idle() bool { return e.live == 0 && e.pendingLen() == 0 }
 
 // pendingLen is the number of admitted, not-yet-released jobs.
 func (e *Engine) pendingLen() int { return len(e.pending) - e.pendOff }
@@ -602,14 +601,14 @@ func (e *Engine) commit(js *jobState) {
 // are available to the scheduler from the next step on. Completed or
 // already-cancelled jobs cannot be cancelled.
 func (e *Engine) Cancel(id int) error {
-	phase, done, ok := e.recs.Phase(id)
+	phase, end, ok := e.recs.Phase(id)
 	if !ok {
 		return fmt.Errorf("sim: no job %d", id)
 	}
 	var js *jobState
 	switch phase {
 	case JobDone:
-		return fmt.Errorf("sim: job %d already completed at step %d", id, done)
+		return fmt.Errorf("sim: job %d already completed at step %d", id, end)
 	case JobCancelled:
 		return fmt.Errorf("sim: job %d already cancelled", id)
 	case JobStolen:
@@ -619,11 +618,10 @@ func (e *Engine) Cancel(id int) error {
 		e.pendingWork -= int64(js.tasks)
 		e.estWork -= int64(js.tasks)
 	case JobActive:
-		i := e.activeIndex(id)
-		js = e.active[i]
-		e.dropSlot(i)
-		e.gone = append(e.gone[:0], int32(i))
-		e.removeSlots(e.gone)
+		// An active job's end field is its slot.
+		js = e.active[end]
+		e.dropSlot(int(end))
+		e.closeHoles()
 		for _, w := range js.rt.RemainingWork() {
 			e.estWork -= int64(w)
 		}
@@ -736,7 +734,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		Caps:          append([]int(nil), e.cfg.Caps...),
 		Admitted:      e.NextID(),
 		Pending:       e.pendingLen(),
-		Active:        len(e.active),
+		Active:        e.live,
 		Completed:     e.completedN,
 		Cancelled:     e.cancelledN,
 		Stolen:        e.stolenN,
@@ -803,12 +801,11 @@ func (e *Engine) stepN(budget int64) (StepInfo, error) {
 			js := e.pending[e.pendOff]
 			e.pending[e.pendOff] = nil
 			e.pendOff++
-			e.recs.SetPhase(js.id, JobActive, 0)
 			// Release hands the job's state to its runtime: it is no longer
 			// stealable, so drop the retained spec and its pending-work share.
 			e.pendingWork -= int64(js.tasks)
 			js.spec = JobSpec{}
-			e.insertActive(js)
+			e.insertActive(js) // and moves its record to JobActive
 			e.callRel = append(e.callRel, js.id)
 		}
 		if e.pendOff == len(e.pending) {
@@ -816,7 +813,7 @@ func (e *Engine) stepN(budget int64) (StepInfo, error) {
 			e.pending = e.pending[:0]
 			e.pendOff = 0
 		}
-		if len(e.active) == 0 {
+		if e.live == 0 {
 			// Idle interval: fast-forward to the next release (the loop's
 			// t = now+1 then lands on release+1).
 			e.now = e.pending[e.pendOff].release
@@ -844,7 +841,7 @@ func (e *Engine) stepN(budget int64) (StepInfo, error) {
 		Idle:      steps == 0,
 		Steps:     steps,
 		LeapSteps: leaps,
-		Active:    len(e.active),
+		Active:    e.live,
 	}
 	if steps > 0 {
 		info.Executed = e.callExec
@@ -874,7 +871,10 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 			e.slotOracle(fmt.Errorf("step %d: %w", t, err))
 		}
 	}
-	n := len(e.active)
+	if e.cfg.Observer != nil {
+		e.compact() // the observer reads the views densely
+	}
+	n, live := len(e.active), e.live
 	overloadNow := false
 	for a, c := range e.activeCount {
 		if c > e.cfg.Caps[a] {
@@ -897,21 +897,17 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 		e.cfg.Observer(t, e.views, allot)
 	}
 	if e.cfg.ValidateAllotments {
-		// Rows of zeros for floor-free jobs satisfy every Section 2
-		// condition and add nothing to a column sum, so checking the
-		// touched rows checks the matrix. Two cases go to the validator
-		// whole: every row touched (nothing to leave out), and a job that
-		// pins processors handed a row of zeros (for the validator to name).
-		views, rows := e.views, allot
-		if len(touched) < n && e.flooredAmong(touched) == e.floored {
-			views, rows = e.checkViews[:0], e.checkRows[:0]
-			for _, i := range touched {
-				views = append(views, e.views[i])
-				rows = append(rows, allot[i])
-			}
-			e.checkViews, e.checkRows = views, rows
+		// Rows of zeros for floor-free jobs and holes satisfy every Section 2
+		// condition and add nothing to a column sum, so checking the touched
+		// rows, in place, checks the matrix. A job that pins processors handed
+		// a row of zeros sends the matrix to the validator whole, for it to
+		// name.
+		if e.flooredAmong(touched) == e.floored {
+			err = sched.ValidateAllotmentRows(e.views, e.cfg.Caps, allot, touched)
+		} else {
+			err = sched.ValidateAllotments(e.views, e.cfg.Caps, allot)
 		}
-		if err := sched.ValidateAllotments(views, e.cfg.Caps, rows); err != nil {
+		if err != nil {
 			e.clearAllot(n)
 			return 0, fmt.Errorf("sim: step %d: %w", t, err)
 		}
@@ -959,9 +955,9 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	}
 
 	// Step boundary: detect completions among the touched slots, re-read
-	// the survivors, and hand the rows back zeroed.
+	// the survivors, hand the rows back zeroed, and leave a hole where a
+	// job finished.
 	e.doneIDs = e.doneIDs[:0]
-	e.gone = e.gone[:0]
 	for _, ti := range touched {
 		i := int(ti)
 		clear(allot[i])
@@ -977,23 +973,23 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 		e.completedN++
 		e.dropSlot(i)
 		e.end(j, JobDone, t)
-		e.gone = append(e.gone, ti)
 	}
-	if len(e.gone) > 0 {
-		e.removeSlots(e.gone)
+	if len(e.doneIDs) > 0 {
+		e.closeHoles()
 		e.callDone = append(e.callDone, e.doneIDs...)
 	}
-	e.trace.endStep(t, n, len(e.doneIDs))
+	e.trace.endStep(t, live, len(e.doneIDs))
 	return 1, nil
 }
 
 // applyGrants merges the scheduler's per-category grants, each ascending
 // by job ID, into the engine's allotment rows and returns the slots written —
-// the round's touched list, ascending. Slots ascend with IDs, so each job is
-// looked for from where the last was found, galloping: O(log gap) per job,
-// not O(log n).
+// the round's touched list, ascending. Each job's status record holds its
+// slot, so a grant costs one lookup whatever the size of the table. The
+// merged IDs must ascend strictly: live slots ascend with IDs, so the
+// touched list then does too.
 func (e *Engine) applyGrants(grants [][]sched.CatGrant) ([]int32, error) {
-	k, n := e.cfg.K, len(e.views)
+	k := e.cfg.K
 	if len(grants) != k {
 		return nil, fmt.Errorf("scheduler %q granted in %d categories, want %d", e.cfg.Scheduler.Name(), len(grants), k)
 	}
@@ -1006,7 +1002,7 @@ func (e *Engine) applyGrants(grants [][]sched.CatGrant) ([]int32, error) {
 			next[a] = g[0].ID
 		}
 	}
-	for lo := 0; ; lo++ {
+	for prev := -1; ; {
 		id := none
 		for _, x := range next {
 			id = min(id, x)
@@ -1014,26 +1010,13 @@ func (e *Engine) applyGrants(grants [][]sched.CatGrant) ([]int32, error) {
 		if id == none {
 			break
 		}
-		if lo >= n || e.views[lo].ID != id {
-			hi := lo
-			for step := 1; hi < n && e.views[hi].ID < id; step <<= 1 {
-				lo = hi + 1
-				hi += step
-			}
-			hi = min(hi, n)
-			for lo < hi {
-				if mid := int(uint(lo+hi) >> 1); e.views[mid].ID < id {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo == n || e.views[lo].ID != id {
-				e.touched = touched
-				return nil, fmt.Errorf("scheduler %q granted processors to job %d, which is not active (or not in ascending ID order)", e.cfg.Scheduler.Name(), id)
-			}
+		i, ok := e.recs.activeSlot(id)
+		if !ok || id <= prev {
+			e.touched = touched
+			return nil, fmt.Errorf("scheduler %q granted processors to job %d, which is not active (or not in ascending ID order)", e.cfg.Scheduler.Name(), id)
 		}
-		row := e.allot[lo]
+		prev = id
+		row := e.allot[i]
 		for a, x := range next {
 			if x != id {
 				continue
@@ -1045,7 +1028,7 @@ func (e *Engine) applyGrants(grants [][]sched.CatGrant) ([]int32, error) {
 				next[a] = g[h+1].ID
 			}
 		}
-		touched = append(touched, int32(lo))
+		touched = append(touched, int32(i))
 	}
 	e.touched = touched
 	return touched, nil
@@ -1110,6 +1093,9 @@ func (e *Engine) tryLeap(t int64, allot [][]int, budget int64, overloadNow bool)
 		// one processor the rotating DEQ remainder may add on later covered
 		// steps (the Stable contract's per-step bound).
 		for i, j := range e.active {
+			if j == nil {
+				continue // a hole
+			}
 			if e.flags[i]&slotHeld != 0 {
 				hf := j.caps.hold.HoldFor()
 				if hf <= 0 {
@@ -1153,15 +1139,6 @@ func (e *Engine) tryLeap(t int64, allot [][]int, budget int64, overloadNow bool)
 // sums equal step t's (the stability contract) — feed the trace rows at
 // TraceSteps, so the result is bit-identical to single-stepping.
 func (e *Engine) leapRound(t int64, allot [][]int, n int64) {
-	totals := e.leapBuf.Shape(len(e.views), e.cfg.K)
-	e.stable.LeapTotals(t, e.views, e.cfg.Caps, n, totals)
-	for i, j := range e.active {
-		if e.flags[i]&slotHeld != 0 {
-			j.caps.hold.LeapHold(n)
-		} else {
-			j.caps.leap.LeapTasks(totals[i])
-		}
-	}
 	// Per-step category totals: column sums of the step-t matrix, constant
 	// across the window.
 	for a := range e.stepExec {
@@ -1170,6 +1147,18 @@ func (e *Engine) leapRound(t int64, allot [][]int, n int64) {
 	for _, row := range allot {
 		for a, v := range row {
 			e.stepExec[a] += v
+		}
+	}
+	e.clearAllot(len(allot))
+	// LeapTotals reads the views densely: close the holes, rows zero.
+	e.compact()
+	totals := e.leapBuf.Shape(len(e.views), e.cfg.K)
+	e.stable.LeapTotals(t, e.views, e.cfg.Caps, n, totals)
+	for i, j := range e.active {
+		if e.flags[i]&slotHeld != 0 {
+			j.caps.hold.LeapHold(n)
+		} else {
+			j.caps.leap.LeapTasks(totals[i])
 		}
 	}
 	for a, c := range e.stepExec {
@@ -1183,7 +1172,7 @@ func (e *Engine) leapRound(t int64, allot [][]int, n int64) {
 	if e.trace.level >= TraceSteps {
 		for s := t; s < t+n; s++ {
 			e.trace.recordCounts(s, e.stepExec)
-			e.trace.endStep(s, len(e.active), 0)
+			e.trace.endStep(s, e.live, 0)
 		}
 	}
 	e.now = t + n - 1
@@ -1191,7 +1180,6 @@ func (e *Engine) leapRound(t int64, allot [][]int, n int64) {
 	for i := range e.active {
 		e.rereadSlot(i)
 	}
-	e.clearAllot(len(e.active))
 }
 
 // Result assembles the run outcome from the jobs admitted so far: makespan,
@@ -1295,7 +1283,8 @@ func (o engineOracle) RemainingWork(jobID int) []int {
 	var js *jobState
 	switch phase, _, _ := e.recs.Phase(jobID); phase {
 	case JobActive:
-		js = e.active[e.activeIndex(jobID)]
+		i, _ := e.recs.activeSlot(jobID)
+		js = e.active[i]
 	case JobPending:
 		rel, _ := e.recs.Release(jobID)
 		js = e.pending[e.pendingIndex(rel, jobID)]

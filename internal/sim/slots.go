@@ -16,12 +16,22 @@ import (
 // allotment row) are re-read from the runtimes, so a round costs the
 // processors it hands out plus what changed, not the jobs that wait.
 //
+// A job that ends leaves a hole: its slot stays where it is, with a nil job,
+// a zero desire row, no floor, flags 0 and a zero allotment row, so a
+// completion moves nothing. compact closes every hole in one pass once they
+// are a fixed share of the table (closeHoles), and before anything that
+// reads the table densely: an event-leap, an Observer, an insert below the
+// highest ID, growth. Live slots ascend by ID, and so do the IDs the views
+// of the holes keep. An active job's status record holds its slot
+// (statusTable.activeSlot), so a grant finds its row without a search.
+//
 // That is sound because of the idle-step law in the RuntimeJob contract: a job
 // that executes nothing in a step does not change Desire, Floor, Done or
 // hold state in that step. The invariant between rounds is therefore
 //
-//	views[i].Desire/Floor, flags[i] == a fresh read of active[i].rt
+//	views[i].Desire/Floor, flags[i] == a fresh read of active[i].rt (zero for a hole)
 //	activeCount, hardFloors, softUnheld, noLeap, floored == sums over the slots
+//	live == the slots that are not holes
 //	allot rows == all zero
 //
 // and checkSlots (the test oracle behind CheckSlots) restates it densely.
@@ -46,11 +56,12 @@ const (
 // growSlots makes room for n slots. Storage is sized to the active set, not
 // to the admitted one: pending jobs own no slot. Rows are fixed to their
 // position — views[i].Desire is always desire[i*k:(i+1)*k] — so moving a
-// slot copies contents and never re-points a slice.
+// slot copies contents and never re-points a slice. insertActive closes the
+// holes first, so only live slots are copied.
 func (e *Engine) growSlots(n int) {
 	k := e.cfg.K
 	c := n + n/2 + 8
-	live := len(e.views)
+	used := len(e.views)
 
 	desire := make([]int, c*k)
 	copy(desire, e.desire)
@@ -60,12 +71,12 @@ func (e *Engine) growSlots(n int) {
 	for i := range views {
 		views[i].Desire = desire[i*k : (i+1)*k : (i+1)*k]
 	}
-	e.views = views[:live]
+	e.views = views[:used]
 	if e.floor != nil {
 		e.floor = nil
 		e.growFloors()
 	}
-	flags := make([]uint8, live, c)
+	flags := make([]uint8, used, c)
 	copy(flags, e.flags)
 	e.flags = flags
 	// Rows are all zero between rounds, so there is nothing to copy.
@@ -92,14 +103,32 @@ func (e *Engine) growFloors() {
 	e.floor = floor
 }
 
+// Holes are closed once they are a quarter of the table and at least
+// minHoles: a completion then costs O(1) amortized, and a table that holds
+// few jobs is not compacted for each one that ends.
+const (
+	holeShare = 4
+	minHoles  = 32
+)
+
 // insertActive gives a released job its slot, keeping ascending ID order —
-// the order the Scheduler contract requires views in. Releases normally
+// the order the Scheduler contract requires views in — and writes the slot
+// into its status record with the move to JobActive. Releases normally
 // arrive in ID order, so this is an append; a job admitted late with an
-// early release shifts the slots above it up by one.
+// early release closes the holes and shifts the slots above it up by one.
 func (e *Engine) insertActive(js *jobState) {
 	n := len(e.active)
+	if n > 0 && e.views[n-1].ID > js.id {
+		e.compact()
+		n = len(e.active)
+	}
 	if n == cap(e.views) {
-		e.growSlots(n + 1)
+		// Full: close the holes, and grow only when live jobs fill the
+		// table, so it is never larger than one without holes.
+		e.compact()
+		if n = len(e.active); n == cap(e.views) {
+			e.growSlots(n + 1)
+		}
 	}
 	if js.caps.floor != nil && e.floor == nil {
 		e.growFloors()
@@ -108,13 +137,15 @@ func (e *Engine) insertActive(js *jobState) {
 	e.views = e.views[:n+1]
 	e.flags = e.flags[:n+1]
 	i := n
-	if n > 0 && e.active[n-1].id > js.id {
+	if n > 0 && e.views[n-1].ID > js.id {
 		i = sort.Search(n, func(i int) bool { return e.active[i].id > js.id })
 		for x := n; x > i; x-- {
 			e.moveSlot(x, x-1)
 		}
 		e.active[i] = js
 	}
+	e.live++
+	e.recs.SetPhase(js.id, JobActive, int64(i))
 	v := &e.views[i]
 	v.ID, v.Floor = js.id, nil
 	for a := range v.Desire {
@@ -128,11 +159,13 @@ func (e *Engine) insertActive(js *jobState) {
 	e.resetChanged()
 }
 
-// moveSlot copies slot src over slot dst (insertActive's shift; removeSlots
-// moves whole runs). Allotment rows are not moved: they are zero whenever
-// slots move.
+// moveSlot copies live slot src over slot dst (compaction, insertActive's
+// shift) and writes dst into the job's status record. Allotment rows are
+// not moved: they are zero whenever slots move.
 func (e *Engine) moveSlot(dst, src int) {
-	e.active[dst] = e.active[src]
+	j := e.active[src]
+	e.active[dst] = j
+	e.recs.setSlot(j.id, dst)
 	fl := e.flags[src]
 	e.flags[dst] = fl
 	d, s := &e.views[dst], &e.views[src]
@@ -149,6 +182,36 @@ func (e *Engine) moveSlot(dst, src int) {
 		d.Floor = row
 	} else if d.Floor != nil {
 		d.Floor = nil
+	}
+}
+
+// compact closes every hole, sliding each live slot down to the first free
+// position below it. It runs while the allotment rows are zero.
+func (e *Engine) compact() {
+	n := len(e.active)
+	if e.live == n {
+		return
+	}
+	w := 0
+	for i, j := range e.active {
+		if j == nil {
+			continue
+		}
+		if w != i {
+			e.moveSlot(w, i)
+		}
+		w++
+	}
+	clear(e.active[w:n])
+	e.active = e.active[:w]
+	e.views = e.views[:w]
+	e.flags = e.flags[:w]
+}
+
+// closeHoles compacts the table once its holes reach their share of it.
+func (e *Engine) closeHoles() {
+	if n, h := len(e.active), len(e.active)-e.live; h >= minHoles && h*holeShare >= n {
+		e.compact()
 	}
 }
 
@@ -260,9 +323,9 @@ func (e *Engine) countFlags(fl uint8, by int) {
 	}
 }
 
-// dropSlot withdraws slot i's contributions from the aggregates and tells the
-// scheduler its job is gone; the slot itself stays in place until removeSlots
-// closes the gap.
+// dropSlot withdraws slot i's contributions from the aggregates, tells the
+// scheduler its job is gone and leaves a hole in its place: no job, a zero
+// desire row, no floor, no flags.
 func (e *Engine) dropSlot(i int) {
 	v := &e.views[i]
 	for a, d := range v.Desire {
@@ -271,46 +334,12 @@ func (e *Engine) dropSlot(i int) {
 		}
 	}
 	e.countFlags(e.flags[i], -1)
-	v.Floor = nil
 	e.delta.JobGone(v.ID, v.Desire)
-}
-
-// removeSlots deletes the given slots (ascending; their contributions
-// already withdrawn by dropSlot), sliding the survivors above the first of
-// them down over the gaps: each run of survivors between two gaps moves with
-// one copy per flat array. A view's Desire stays pinned to its row, so only
-// its ID moves; floor rows move, and views are re-pointed at them, only while
-// some survivor carries floors (dropSlot cleared the views of those that
-// left). Runs only when a round completed something or a job was cancelled.
-func (e *Engine) removeSlots(gone []int32) {
-	n, k := len(e.active), e.cfg.K
-	w := int(gone[0])
-	for g, from := range gone {
-		lo, hi := int(from)+1, n
-		if g+1 < len(gone) {
-			hi = int(gone[g+1])
-		}
-		copy(e.active[w:], e.active[lo:hi])
-		copy(e.flags[w:], e.flags[lo:hi])
-		copy(e.desire[w*k:], e.desire[lo*k:hi*k])
-		for i := lo; i < hi; i++ {
-			e.views[w+i-lo].ID = e.views[i].ID
-		}
-		if e.floored > 0 {
-			copy(e.floor[w*k:], e.floor[lo*k:hi*k])
-			for i := w; i < w+hi-lo; i++ {
-				e.views[i].Floor = nil
-				if e.flags[i]&slotFloored != 0 {
-					e.views[i].Floor = e.floor[i*k : (i+1)*k : (i+1)*k]
-				}
-			}
-		}
-		w += hi - lo
-	}
-	clear(e.active[w:n])
-	e.active = e.active[:w]
-	e.views = e.views[:w]
-	e.flags = e.flags[:w]
+	clear(v.Desire)
+	v.Floor = nil
+	e.flags[i] = 0
+	e.active[i] = nil
+	e.live--
 }
 
 // flooredAmong counts the listed slots whose view carries floors.
@@ -326,19 +355,15 @@ func (e *Engine) flooredAmong(slots []int32) int {
 	return c
 }
 
-// activeIndex returns the slot of the active job with the given ID.
-func (e *Engine) activeIndex(id int) int {
-	return sort.Search(len(e.active), func(i int) bool { return e.active[i].id >= id })
-}
-
 // clearAllot zeroes the allotment rows of the first n slots.
 func (e *Engine) clearAllot(n int) { clear(e.allotBack[:n*e.cfg.K]) }
 
 // CheckSlots installs the slot table's test oracle: at the start of every
-// scheduling round the engine compares each cached view, floor, held flag
-// and aggregate against fresh Desire/Floor reads from every active runtime
-// and hands any disagreement to report. It makes every round O(active jobs)
-// again and exists for the equivalence suites; product code never calls it.
+// scheduling round the engine compares each cached view, floor, held flag,
+// hole, status record and aggregate against fresh Desire/Floor reads from
+// every active runtime and hands any disagreement to report. It makes every
+// round O(active jobs) again and exists for the equivalence suites; product
+// code never calls it.
 func (e *Engine) CheckSlots(report func(error)) { e.slotOracle = report }
 
 // checkSlots is the dense restatement of the slot-table invariant: what the
@@ -347,20 +372,38 @@ func (e *Engine) CheckSlots(report func(error)) { e.slotOracle = report }
 func (e *Engine) checkSlots() error {
 	k := e.cfg.K
 	if len(e.views) != len(e.active) || len(e.flags) != len(e.active) {
-		return fmt.Errorf("sim: slot table has %d views, %d flags for %d active jobs", len(e.views), len(e.flags), len(e.active))
+		return fmt.Errorf("sim: slot table has %d views, %d flags for %d slots", len(e.views), len(e.flags), len(e.active))
 	}
 	count := make([]int, k)
-	hard, soft, noLeap, floored := 0, 0, 0, 0
+	live, hard, soft, noLeap, floored := 0, 0, 0, 0, 0
 	for i, j := range e.active {
 		v := e.views[i]
-		if phase, _, _ := e.recs.Phase(j.id); v.ID != j.id || phase != JobActive {
-			return fmt.Errorf("sim: slot %d views job %d, holds job %d (%s)", i, v.ID, j.id, phase)
-		}
-		if i > 0 && e.active[i-1].id >= j.id {
-			return fmt.Errorf("sim: slot %d job %d after job %d, want ascending IDs", i, j.id, e.active[i-1].id)
+		if i > 0 && e.views[i-1].ID >= v.ID {
+			return fmt.Errorf("sim: slot %d views job %d after job %d, want ascending IDs", i, v.ID, e.views[i-1].ID)
 		}
 		if len(v.Desire) != k || &v.Desire[0] != &e.desire[i*k] {
 			return fmt.Errorf("sim: slot %d desire row is not row %d of the table", i, i)
+		}
+		for a, x := range e.allot[i] {
+			if x != 0 {
+				return fmt.Errorf("sim: slot %d (job %d) category %d allotment row holds %d between rounds", i, v.ID, a+1, x)
+			}
+		}
+		if j == nil {
+			for a, d := range v.Desire {
+				if d != 0 {
+					return fmt.Errorf("sim: hole %d category %d holds desire %d", i, a+1, d)
+				}
+			}
+			if v.Floor != nil || e.flags[i] != 0 {
+				return fmt.Errorf("sim: hole %d carries floors: %v, flags %#x", i, v.Floor != nil, e.flags[i])
+			}
+			continue
+		}
+		live++
+		if slot, ok := e.recs.activeSlot(j.id); v.ID != j.id || !ok || slot != i {
+			phase, _, _ := e.recs.Phase(j.id)
+			return fmt.Errorf("sim: slot %d views job %d, holds job %d (%s, record says slot %d)", i, v.ID, j.id, phase, slot)
 		}
 		for a := 0; a < k; a++ {
 			want := j.rt.Desire(dag.Category(a + 1))
@@ -412,11 +455,9 @@ func (e *Engine) checkSlots() error {
 		if !held && j.caps.leap == nil {
 			noLeap++
 		}
-		for a, x := range e.allot[i] {
-			if x != 0 {
-				return fmt.Errorf("sim: job %d category %d allotment row holds %d between rounds", j.id, a+1, x)
-			}
-		}
+	}
+	if live != e.live {
+		return fmt.Errorf("sim: %d live slots, the table counts %d", live, e.live)
 	}
 	for a := range count {
 		if count[a] != e.activeCount[a] {

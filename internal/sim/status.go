@@ -23,13 +23,13 @@ const (
 )
 
 // statusTable is the compact storage of job statuses by dense index: for
-// each, the release r, one end step (the completion step of a done job, the
-// cancel or withdrawal step of a cancelled or stolen one, 0 otherwise), the
-// span T∞(J), one byte packing phase, family and a present bit, and the K
-// work counts T1(J,α) — 25+8K bytes, 41 at K=2. The engine keeps every
-// admitted job's status here, indexed by ID, and it is the only copy: a
-// server reads it through Engine.ReadJob. A family outside 0..7 is stored as
-// FamilyUnknown.
+// each, the release r, one end field (the completion step of a done job,
+// the cancel or withdrawal step of a cancelled or stolen one, the engine's
+// slot for an active one, 0 for a pending one), the span T∞(J), one byte
+// packing phase, family and a present bit, and the K work counts T1(J,α) —
+// 25+8K bytes, 41 at K=2. The engine keeps every admitted job's status
+// here, indexed by ID, and it is the only copy: a server reads it through
+// Engine.ReadJob. A family outside 0..7 is stored as FamilyUnknown.
 //
 // Records live in fixed pages allocated on first write, so an index range
 // nothing was written to costs a nil pointer, and a full page whose records
@@ -218,9 +218,9 @@ func (t *statusTable) Release(i int) (int64, bool) {
 	return p.release[o], true
 }
 
-// Phase returns the phase at index i and its end step: the completion step
-// of a done job, the cancel or withdrawal step of a cancelled or stolen
-// one, 0 otherwise.
+// Phase returns the phase at index i and its end field: the completion
+// step of a done job, the cancel or withdrawal step of a cancelled or
+// stolen one, the slot of an active one (activeSlot), 0 for a pending one.
 func (t *statusTable) Phase(i int) (JobPhase, int64, bool) {
 	p, o, ok := t.present(i)
 	if !ok {
@@ -229,9 +229,9 @@ func (t *statusTable) Phase(i int) (JobPhase, int64, bool) {
 	return JobPhase(p.bits[o] & statusPhaseBits), p.end[o], true
 }
 
-// SetPhase moves the record at index i to phase with the given end step
-// and returns its release and family. An absent index is left absent, and
-// ok is false.
+// SetPhase moves the record at index i to phase with the given end field
+// (the slot, for JobActive) and returns its release and family. An absent
+// index is left absent, and ok is false.
 func (t *statusTable) SetPhase(i int, phase JobPhase, end int64) (release int64, family RuntimeFamily, ok bool) {
 	p, o, ok := t.present(i)
 	if !ok {
@@ -242,6 +242,26 @@ func (t *statusTable) SetPhase(i int, phase JobPhase, end int64) (release int64,
 	p.end[o] = end
 	p.mu.Unlock()
 	return p.release[o], RuntimeFamily(p.bits[o] & statusFamilyBits >> statusFamShift), true
+}
+
+// activeSlot returns the engine's slot for index i when it holds an active
+// job. While a job is active its end field holds the slot: the field means
+// nothing else until the job ends, and get never reads it for an active
+// job, so no reader sees it.
+func (t *statusTable) activeSlot(i int) (int, bool) {
+	p, o, ok := t.present(i)
+	if !ok || JobPhase(p.bits[o]&statusPhaseBits) != JobActive {
+		return 0, false
+	}
+	return int(p.end[o]), true
+}
+
+// setSlot records that the active job at index i moved to slot s.
+func (t *statusTable) setSlot(i, s int) {
+	p := t.page(i)
+	p.mu.Lock()
+	p.end[i%statusPageSize] = int64(s)
+	p.mu.Unlock()
 }
 
 // Drop removes the record at index i. Once every index of a full page has
