@@ -152,7 +152,6 @@ type options struct {
 	repTo   string
 	follow  string
 	lease   time.Duration
-	repHB   time.Duration
 	promote time.Duration
 	steal   bool
 }
@@ -176,7 +175,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.repTo, "replicate-to", "", "primary: stream committed journal records to a follower kradd's -follow address (requires -journal-dir)")
 	fs.StringVar(&o.follow, "follow", "", "follower: run as a warm standby, accepting a primary's replication stream on this address (requires -journal-dir)")
 	fs.DurationVar(&o.lease, "lease", 0, "primary: refuse admissions once the follower has been silent this long (0 = no lease gating); set strictly below the follower's -promote-after")
-	fs.DurationVar(&o.repHB, "replicate-heartbeat", time.Second, "primary: idle keepalive interval on the replication stream")
 	fs.DurationVar(&o.promote, "promote-after", 0, "follower: self-promote after this much primary silence, once a primary has connected (0 = manual POST /v1/promote only)")
 	fs.BoolVar(&o.steal, "steal", false, "cross-shard work stealing: idle shards pull pending jobs off the deepest peer (journaled)")
 	return o
@@ -186,11 +184,10 @@ func registerFlags(fs *flag.FlagSet) *options {
 // flag that turns the mode on (non-empty); checkDependents refuses one set
 // without its mode, where it would otherwise be silently ignored.
 var dependents = map[string]string{
-	"fsync":               "journal-dir",
-	"snapshot-every":      "journal-dir",
-	"lease":               "replicate-to",
-	"replicate-heartbeat": "replicate-to",
-	"promote-after":       "follow",
+	"fsync":          "journal-dir",
+	"snapshot-every": "journal-dir",
+	"lease":          "replicate-to",
+	"promote-after":  "follow",
 }
 
 // checkDependents walks the flags set on fs's command line and returns an
@@ -331,12 +328,11 @@ func main() {
 	var receiver *replicate.Receiver
 	if o.repTo != "" {
 		sender, err = replicate.NewSender(replicate.SenderConfig{
-			Addr:      o.repTo,
-			Epoch:     epoch,
-			WAL:       svc.JournalPaths(),
-			Heartbeat: o.repHB,
-			Lease:     o.lease,
-			Logf:      log.Printf,
+			Addr:  o.repTo,
+			Epoch: epoch,
+			WAL:   svc.JournalPaths(),
+			Lease: o.lease,
+			Logf:  log.Printf,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -347,7 +343,7 @@ func main() {
 			return &server.ReplicationStats{Role: "primary", Primary: &st}
 		})
 		sender.Start()
-		log.Printf("replicating to %s (epoch %d, fenced by %d, lease %v, heartbeat %v)", o.repTo, epoch.Current(), epoch.FencedBy(), o.lease, o.repHB)
+		log.Printf("replicating to %s (epoch %d, fenced by %d, lease %v)", o.repTo, epoch.Current(), epoch.FencedBy(), o.lease)
 	}
 	if o.follow != "" {
 		ln, err := net.Listen("tcp", o.follow)

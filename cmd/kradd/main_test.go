@@ -14,18 +14,19 @@ import (
 var wantFlags = []string{
 	"addr", "caps", "drain", "fair-config", "fairness", "follow",
 	"fsync", "journal-dir", "lease", "placement", "pprof", "promote-after",
-	"queue", "replicate-heartbeat", "replicate-to", "shards",
+	"queue", "replicate-to", "shards",
 	"snapshot-every", "steal", "step",
 }
 
 // removedFlags became constants (or went with the behaviour; -k is the
 // length of -caps; the epoch is state in the journal directory; a shard
-// keeps one status table, so there is nothing for -retire-done to drop). A
-// stale script naming one must fail at startup.
+// keeps one status table, so there is nothing for -retire-done to drop; the
+// replication heartbeat follows from -lease). A stale script naming one must
+// fail at startup.
 var removedFlags = []string{
 	"sched", "pick", "seed", "step-batch", "event-buffer", "fsync-interval",
 	"steal-max", "steal-idle", "replicate-queue", "fair-halflife", "k",
-	"epoch", "retire-done",
+	"epoch", "retire-done", "replicate-heartbeat",
 }
 
 func newFlagSet() *flag.FlagSet {
@@ -35,7 +36,7 @@ func newFlagSet() *flag.FlagSet {
 	return fs
 }
 
-// TestFlagSet pins the flag surface (19 names), that README documents
+// TestFlagSet pins the flag surface (18 names), that README documents
 // every one of them as `-name` and runs kradd with no other, and that each
 // removed name is rejected.
 func TestFlagSet(t *testing.T) {
@@ -83,13 +84,12 @@ func TestCheckDependents(t *testing.T) {
 	}{
 		{"", ""},
 		{"-journal-dir d -fsync interval -snapshot-every 0", ""},
-		{"-journal-dir d -replicate-to :1 -lease 3s -replicate-heartbeat 50ms", ""},
+		{"-journal-dir d -replicate-to :1 -lease 3s", ""},
 		{"-journal-dir d -follow :1 -promote-after 5s", ""},
 		{"-fsync never", "-journal-dir"},
 		{"-snapshot-every 5", "-journal-dir"},
 		{"-lease 3s", "-replicate-to"},
 		{"-journal-dir d -follow :1 -lease 3s", "-replicate-to"},
-		{"-replicate-heartbeat 50ms", "-replicate-to"},
 		{"-promote-after 5s", "-follow"},
 		{"-journal-dir d -replicate-to :1 -promote-after 5s", "-follow"},
 	} {

@@ -270,7 +270,7 @@ var (
 	_ sched.Clairvoyant       = (*SJF)(nil)
 	_ sched.CategoryScheduler = deqOnly{}
 	_ sched.CategoryScheduler = (*rrOnly)(nil)
-	_ sched.CategoryCompleter = (*rrOnly)(nil)
+	_ sched.Completer         = (*rrOnly)(nil)
 	_ sched.CategoryScheduler = equi{}
 	_ sched.CategoryScheduler = fcfs{}
 	_ sched.CategoryScheduler = greedyDesire{}

@@ -270,10 +270,10 @@ func (r *RAD) Allot(t int64, jobs []sched.CatJob, p int) []int {
 }
 
 // AllotInto is Allot writing into caller-owned storage: dst must have
-// len(jobs) entries and is fully overwritten. It implements
-// sched.CategoryIntoAllotter as an adapter onto AllotDelta: the jobs that
-// entered or left since the previous call are worked out from the IDs it was
-// handed then. PerCategory does not come through here.
+// len(jobs) entries and is fully overwritten. It is an adapter onto
+// AllotDelta: the jobs that entered or left since the previous call are
+// worked out from the IDs it was handed then. PerCategory does not come
+// through here.
 func (r *RAD) AllotInto(t int64, jobs []sched.CatJob, p int, dst []int) {
 	clear(dst)
 	o := 0
@@ -383,9 +383,8 @@ func (r *RAD) RestoreState(data []byte) error {
 
 var (
 	_ sched.CategoryScheduler     = (*RAD)(nil)
-	_ sched.CategoryCompleter     = (*RAD)(nil)
-	_ sched.CategorySnapshotter   = (*RAD)(nil)
-	_ sched.CategoryIntoAllotter  = (*RAD)(nil)
+	_ sched.Completer             = (*RAD)(nil)
+	_ sched.Snapshotter           = (*RAD)(nil)
 	_ sched.CategoryDeltaAllotter = (*RAD)(nil)
 	_ sched.CategoryStable        = (*RAD)(nil)
 )

@@ -142,6 +142,6 @@ func NewRandomKRAD(k int, seed int64) *sched.PerCategory {
 
 var (
 	_ sched.CategoryScheduler = (*RandomRAD)(nil)
-	_ sched.CategoryCompleter = (*RandomRAD)(nil)
+	_ sched.Completer         = (*RandomRAD)(nil)
 	_ sched.CategoryStable    = (*RandomRAD)(nil)
 )

@@ -74,12 +74,3 @@ func MustSeries(graphs ...*Graph) *Graph {
 	}
 	return g
 }
-
-// MustParallel is Parallel panicking on error.
-func MustParallel(graphs ...*Graph) *Graph {
-	g, err := Parallel(graphs...)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}

@@ -55,27 +55,5 @@ func (g *Graph) Duration(id TaskID) int {
 // can be paused and resumed; contrast with moldable.FromTimedGraph, which
 // models non-preemptive execution of the same graph.
 func ExpandDurations(g *Graph) *Graph {
-	out := New(g.k).Named(g.name + "-expanded")
-	heads := make([]TaskID, g.NumTasks())
-	tails := make([]TaskID, g.NumTasks())
-	for id := 0; id < g.NumTasks(); id++ {
-		c := g.cats[id]
-		d := g.Duration(TaskID(id))
-		head := out.AddTask(c)
-		tail := head
-		for i := 1; i < d; i++ {
-			next := out.AddTask(c)
-			out.MustEdge(tail, next)
-			tail = next
-		}
-		heads[id] = head
-		tails[id] = tail
-	}
-	off, adj := g.csr()
-	for u := 0; u < g.NumTasks(); u++ {
-		for _, v := range adj[off[u]:off[u+1]] {
-			out.MustEdge(tails[u], heads[v])
-		}
-	}
-	return out
+	return chains(g, g.name+"-expanded", func(id int) int { return g.Duration(TaskID(id)) })
 }

@@ -25,15 +25,21 @@ func Stretch(g *Graph, factors []int) (*Graph, error) {
 			return nil, fmt.Errorf("dag: Stretch factor for category %d is %d, need ≥ 1", a+1, f)
 		}
 	}
-	out := New(g.k).Named(g.name + "-stretched")
+	return chains(g, g.name+"-stretched", func(id int) int { return factors[g.cats[id]-1] }), nil
+}
+
+// chains is the expansion Stretch and ExpandDurations share: task id
+// becomes a chain of length(id) unit tasks of its category, entered at its
+// head and left from its tail.
+func chains(g *Graph, name string, length func(id int) int) *Graph {
+	out := New(g.k).Named(name)
 	heads := make([]TaskID, g.NumTasks())
 	tails := make([]TaskID, g.NumTasks())
 	for id := 0; id < g.NumTasks(); id++ {
 		c := g.cats[id]
-		f := factors[c-1]
 		head := out.AddTask(c)
 		tail := head
-		for i := 1; i < f; i++ {
+		for i, n := 1, length(id); i < n; i++ {
 			next := out.AddTask(c)
 			out.MustEdge(tail, next)
 			tail = next
@@ -47,7 +53,7 @@ func Stretch(g *Graph, factors []int) (*Graph, error) {
 			out.MustEdge(tails[u], heads[v])
 		}
 	}
-	return out, nil
+	return out
 }
 
 // MustStretch is Stretch panicking on error, for deterministic pipelines.

@@ -44,7 +44,10 @@ type SenderConfig struct {
 	// count, which must match the follower's. Required.
 	WAL []string
 	// Heartbeat is the idle keepalive interval (and the base of the
-	// link-death detection deadlines). 0 means 1s.
+	// link-death detection deadlines). An idle follower acks once per
+	// heartbeat and only acks renew the lease, so with a Lease it must be
+	// at most Lease/2: one late ack then never blows a healthy link's
+	// lease. 0 means 1s, or Lease/4 when that is shorter.
 	Heartbeat time.Duration
 	// Lease, when positive, gates admissions on follower liveness: if no
 	// ack arrives within Lease of the previous one, WriteAllowed returns
@@ -117,6 +120,11 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
+		if cfg.Lease > 0 {
+			cfg.Heartbeat = min(cfg.Heartbeat, max(cfg.Lease/4, time.Millisecond))
+		}
+	} else if cfg.Lease > 0 && cfg.Heartbeat > cfg.Lease/2 {
+		return nil, fmt.Errorf("replicate: sender Heartbeat %v is above half its Lease %v — idle acks come once per heartbeat and would let the lease expire on a healthy link", cfg.Heartbeat, cfg.Lease)
 	}
 	if cfg.MinBackoff <= 0 {
 		cfg.MinBackoff = 50 * time.Millisecond

@@ -50,7 +50,7 @@ type CatGrant struct {
 // tells the scheduler who entered and who left it; AllotDelta appends to out
 // the non-zero allotments over that list, ascending by ID, and returns it.
 // JobLeft keeps the job's cross-step state — it may re-enter; JobsDone
-// (CategoryCompleter) is what forgets it, and only ever follows JobLeft.
+// (Completer) is what forgets it, and only ever follows JobLeft.
 type CategoryDeltaAllotter interface {
 	JobEntered(id int)
 	JobLeft(id int)

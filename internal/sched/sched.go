@@ -128,12 +128,6 @@ type IntoAllotter interface {
 	AllotInto(t int64, jobs []JobView, caps []int, dst [][]int)
 }
 
-// CategoryIntoAllotter mirrors IntoAllotter for per-category schedulers:
-// dst has len(jobs) entries and is fully overwritten.
-type CategoryIntoAllotter interface {
-	AllotInto(t int64, jobs []CatJob, p int, dst []int)
-}
-
 // Matrix is a reusable allotment matrix backed by a single flat []int, for
 // hot paths that hand an IntoAllotter or Stable.LeapTotals a zeroed
 // destination every step without allocating.
@@ -182,12 +176,6 @@ type Completer interface {
 // RestoreState must accept exactly what SnapshotState produced and may
 // assume a freshly constructed receiver.
 type Snapshotter interface {
-	SnapshotState() ([]byte, error)
-	RestoreState([]byte) error
-}
-
-// CategorySnapshotter mirrors Snapshotter for per-category schedulers.
-type CategorySnapshotter interface {
 	SnapshotState() ([]byte, error)
 	RestoreState([]byte) error
 }
@@ -282,11 +270,6 @@ type CategoryScheduler interface {
 	Allot(t int64, jobs []CatJob, p int) []int
 }
 
-// CategoryCompleter mirrors Completer for per-category schedulers.
-type CategoryCompleter interface {
-	JobsDone(ids []int)
-}
-
 // PerCategory lifts K independent CategoryScheduler instances (one per
 // resource category) into a full Scheduler. This is exactly the structure
 // of K-RAD: "assigns one RAD scheduler to each category α of processors".
@@ -296,12 +279,12 @@ type CategoryCompleter interface {
 // and JobGone (DeltaAllotter) rather than rebuilt from the views each step.
 // A category scheduler that implements CategoryDeltaAllotter is told who
 // enters and leaves its list and answers with its non-zero grants; any other
-// is handed the list through its dense Allot/AllotInto.
+// is handed the list through its dense Allot.
 type PerCategory struct {
 	name  string
 	cats  []CategoryScheduler
 	delta []CategoryDeltaAllotter // delta[a] is cats[a]'s delta form, nil without one
-	done  []CategoryCompleter     // the category schedulers that want JobsDone
+	done  []Completer             // the category schedulers that want JobsDone
 	lists [][]CatJob
 	hint  []int // per category: where the last lookup landed (see FindCatJob)
 
@@ -325,7 +308,7 @@ func NewPerCategory(name string, cats []CategoryScheduler) *PerCategory {
 	}
 	for a, c := range cats {
 		p.delta[a], _ = c.(CategoryDeltaAllotter)
-		if cc, ok := c.(CategoryCompleter); ok {
+		if cc, ok := c.(Completer); ok {
 			p.done = append(p.done, cc)
 		}
 	}
@@ -334,10 +317,6 @@ func NewPerCategory(name string, cats []CategoryScheduler) *PerCategory {
 
 // Name returns the composite scheduler's name.
 func (p *PerCategory) Name() string { return p.name }
-
-// Category returns the scheduler responsible for category α (1-based),
-// mainly for tests and ablations.
-func (p *PerCategory) Category(alpha int) CategoryScheduler { return p.cats[alpha-1] }
 
 // Allot is the dense entry: the allotment matrix over jobs, one row per job,
 // freshly allocated (callers may retain it). See AllotInto.
@@ -420,11 +399,8 @@ func (p *PerCategory) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
 		if d := p.delta[a]; d != nil {
 			g = d.AllotDelta(t, l, caps[a], g)
 		} else {
-			var out []int
-			if ia, ok := c.(CategoryIntoAllotter); ok {
-				out = p.outBuf(len(l))
-				ia.AllotInto(t, l, caps[a], out)
-			} else if out = c.Allot(t, l, caps[a]); len(out) != len(l) {
+			out := c.Allot(t, l, caps[a])
+			if len(out) != len(l) {
 				panic(fmt.Sprintf("sched: category %d scheduler %q returned %d allotments for %d jobs", a+1, c.Name(), len(out), len(l)))
 			}
 			for j, v := range out {
@@ -436,14 +412,6 @@ func (p *PerCategory) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
 		p.grants[a] = g
 	}
 	return p.grants, nil
-}
-
-// outBuf returns the per-category result scratch resliced to n entries.
-func (p *PerCategory) outBuf(n int) []int {
-	if cap(p.catOut) < n {
-		p.catOut = make([]int, n, n*2+8)
-	}
-	return p.catOut[:n]
 }
 
 // StableHorizon implements Stable: the composite is stable for as long as
@@ -474,7 +442,10 @@ func (p *PerCategory) StableHorizon() int64 {
 func (p *PerCategory) LeapTotals(t int64, jobs []JobView, caps []int, n int64, dst [][]int) {
 	for a, c := range p.cats {
 		l := p.lists[a]
-		out := p.outBuf(len(l))
+		if cap(p.catOut) < len(l) {
+			p.catOut = make([]int, len(l), 2*len(l)+8)
+		}
+		out := p.catOut[:len(l)]
 		clear(out)
 		c.(CategoryStable).LeapTotals(t, l, caps[a], n, out)
 		i := 0
@@ -493,12 +464,12 @@ func (p *PerCategory) LeapTotals(t int64, jobs []JobView, caps []int, n int64, d
 func (p *PerCategory) JobsDone(ids []int) { p.dense.done(p, ids) }
 
 // SnapshotState captures every per-category scheduler's state, failing if
-// any category scheduler does not implement CategorySnapshotter — partial
+// any category scheduler does not implement Snapshotter — partial
 // checkpoints would silently desynchronize replay.
 func (p *PerCategory) SnapshotState() ([]byte, error) {
 	states := make([][]byte, len(p.cats))
 	for i, c := range p.cats {
-		cs, ok := c.(CategorySnapshotter)
+		cs, ok := c.(Snapshotter)
 		if !ok {
 			return nil, fmt.Errorf("sched: category %d scheduler %q does not support state snapshots", i+1, c.Name())
 		}
@@ -522,7 +493,7 @@ func (p *PerCategory) RestoreState(data []byte) error {
 		return fmt.Errorf("sched: state has %d categories, scheduler %q has %d", len(states), p.name, len(p.cats))
 	}
 	for i, c := range p.cats {
-		cs, ok := c.(CategorySnapshotter)
+		cs, ok := c.(Snapshotter)
 		if !ok {
 			return fmt.Errorf("sched: category %d scheduler %q does not support state snapshots", i+1, c.Name())
 		}

@@ -67,9 +67,6 @@ func TestPerCategoryProjection(t *testing.T) {
 	if s.Name() != "combo" {
 		t.Errorf("Name = %q", s.Name())
 	}
-	if s.Category(1) != a || s.Category(2) != b {
-		t.Error("Category accessor wrong")
-	}
 	jobs := []JobView{
 		{ID: 0, Desire: []int{1, 0}},
 		{ID: 1, Desire: []int{0, 2}},

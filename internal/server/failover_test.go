@@ -87,7 +87,7 @@ func runFailoverKill(t *testing.T, bin string, killAfterMillis int64) {
 	primary := startDaemon(t, bin, "primary",
 		"-addr", pAddr, "-caps", "2",
 		"-journal-dir", pdir, "-fsync", "always", "-snapshot-every", "0",
-		"-replicate-to", repAddr, "-replicate-heartbeat", "50ms", "-drain", "10s")
+		"-replicate-to", repAddr, "-drain", "10s")
 	waitReady(t, pAddr)
 	waitFollowerAttached(t, client, fAddr)
 
@@ -165,7 +165,7 @@ func runFailoverLinkFaults(t *testing.T, bin string) {
 	primary := startDaemon(t, bin, "primary",
 		"-addr", pAddr, "-caps", "2",
 		"-journal-dir", pdir, "-fsync", "always", "-snapshot-every", "0",
-		"-replicate-to", proxy.addr(), "-replicate-heartbeat", "50ms", "-drain", "10s")
+		"-replicate-to", proxy.addr(), "-drain", "10s")
 	waitReady(t, pAddr)
 	waitFollowerAttached(t, client, fAddr)
 
@@ -246,8 +246,7 @@ func runFailoverPromoteAfter(t *testing.T, bin string) {
 	proxy := newLinkProxy(t, repAddr)
 	primaryArgs := []string{"-addr", pAddr, "-caps", "2",
 		"-journal-dir", pdir, "-fsync", "always", "-snapshot-every", "0",
-		"-replicate-to", proxy.addr(), "-replicate-heartbeat", "50ms",
-		"-lease", "250ms", "-drain", "10s"}
+		"-replicate-to", proxy.addr(), "-lease", "250ms", "-drain", "10s"}
 	primary := startDaemon(t, bin, "primary", primaryArgs...)
 	waitReady(t, pAddr)
 	waitFollowerAttached(t, client, fAddr)

@@ -527,7 +527,7 @@ func (s *Service) handlePromote(w http.ResponseWriter, r *http.Request) {
 	}
 	epoch, err := f()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"promoted": true, "epoch": epoch})

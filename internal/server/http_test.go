@@ -391,3 +391,23 @@ func TestHTTPErrorPaths(t *testing.T) {
 		t.Errorf("state %q after cancel", st.State)
 	}
 }
+
+// TestPromoteErrorKeepsPercent: a failed promotion answers 500 with the
+// callback's message verbatim, not read as a format string.
+func TestPromoteErrorKeepsPercent(t *testing.T) {
+	svc, ts := startHTTPClock(t, testConfig(1, 1), false)
+	const msg = "epoch file replication-epoch: device 100% full"
+	svc.SetPromote(func() (int64, error) { return 0, fmt.Errorf("%s", msg) })
+	resp, err := http.Post(ts.URL+"/v1/promote", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || body.Error != msg {
+		t.Errorf("promote answered %d %q, want 500 %q", resp.StatusCode, body.Error, msg)
+	}
+}

@@ -267,8 +267,9 @@ func TestDegradedDiskShedsAdmissionsKeepsScheduling(t *testing.T) {
 	// (re-derived by stepping, since tail steps after the failure were
 	// unjournaled), the shed one never existed.
 	svc2, err := New(Config{
-		Sim:     cfg.Sim,
-		Journal: &JournalConfig{Dir: cfg.Journal.Dir},
+		Sim:          cfg.Sim,
+		NewScheduler: cfg.NewScheduler,
+		Journal:      &JournalConfig{Dir: cfg.Journal.Dir},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +324,7 @@ func TestDegradedAdmissionRollsBackCleanly(t *testing.T) {
 		t.Fatal("fault never tripped")
 	}
 	drainlessClose(t, svc)
-	svc2, err := New(Config{Sim: cfg.Sim, Journal: &JournalConfig{Dir: cfg.Journal.Dir}})
+	svc2, err := New(Config{Sim: cfg.Sim, NewScheduler: cfg.NewScheduler, Journal: &JournalConfig{Dir: cfg.Journal.Dir}})
 	if err != nil {
 		t.Fatal(err)
 	}

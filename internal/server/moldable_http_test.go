@@ -18,7 +18,7 @@ import (
 // moldTestConfig is testConfig with the floor layer moldable jobs need.
 func moldTestConfig(k int, caps ...int) Config {
 	cfg := testConfig(k, caps...)
-	cfg.Sim.Scheduler = sched.WithFloors(core.NewKRAD(k))
+	cfg.NewScheduler = func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(k)) }
 	return cfg
 }
 

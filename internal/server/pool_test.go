@@ -93,10 +93,13 @@ func TestPlacementPolicies(t *testing.T) {
 }
 
 func TestNewRequiresSchedulerFactoryForShards(t *testing.T) {
-	cfg := testConfig(2, 2, 2)
-	cfg.Shards = 3
-	if _, err := New(cfg); err == nil {
-		t.Fatal("Shards=3 without NewScheduler accepted — shards would share one stateful scheduler")
+	for _, shards := range []int{1, 3} {
+		cfg := testConfig(2, 2, 2)
+		cfg.Shards = shards
+		cfg.NewScheduler = nil
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "NewScheduler") {
+			t.Fatalf("Shards=%d without NewScheduler: err = %v, want one naming NewScheduler — engines would share one stateful scheduler", shards, err)
+		}
 	}
 }
 

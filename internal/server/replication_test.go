@@ -734,3 +734,116 @@ func TestFollowerCancelUnknownID(t *testing.T) {
 		t.Fatalf("standby DELETE of an unknown ID: %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestFollowerSnapshotGetsFreshScheduler hands a follower, by hand, the
+// records a primary journals around a compaction: an admit and a step
+// (job 0 active on the follower), then the snapshot the drained primary
+// compacted to, then the next admit and step. The snapshot rebuilds the
+// follower's engine, and the rebuilt engine must get a scheduler of its
+// own: one that still lists job 0 as α-active grants it processors, and
+// the next step diverges.
+func TestFollowerSnapshotGetsFreshScheduler(t *testing.T) {
+	pcfg := journaledConfig(t, 1, 2)
+	pcfg.Journal.SnapshotEvery = 1
+	primary := newPrimary(t, pcfg)
+	fcfg := journaledConfig(t, 1, 2)
+	fcfg.Follower = true
+	follower := newPrimary(t, fcfg)
+	wal := shardJournalPath(pcfg.Journal.Dir, 0)
+	var seq int64
+	ship := func() {
+		t.Helper()
+		recs, err := journal.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs[0].Type == journal.TypeSnap && recs[0].Seq > seq {
+			if err := follower.ApplyReplicatedSnap(0, recs[0]); err != nil {
+				t.Fatal(err)
+			}
+			seq = recs[0].Seq
+		}
+		base := int64(0)
+		if recs[0].Type == journal.TypeSnap {
+			base, recs = recs[0].Seq, recs[1:]
+		}
+		for i, rec := range recs {
+			if s := base + int64(i) + 1; s > seq {
+				if err := follower.ApplyReplicated(0, s, rec); err != nil {
+					t.Fatal(err)
+				}
+				seq = s
+			}
+		}
+	}
+	submitStep := func() {
+		t.Helper()
+		if _, err := primary.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 4, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := primary.StepAll(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submitStep()
+	ship()
+	if st, _ := follower.Job(0); st.Phase != sim.JobActive {
+		t.Fatalf("follower job 0 is %v before the snapshot, want active", st.Phase)
+	}
+	for primary.Stats().Completed < 1 {
+		if _, err := primary.StepAll(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	primary.shards[0].maybeCompact()
+	if primary.Stats().Journal.Compactions != 1 {
+		t.Fatal("primary did not compact")
+	}
+	submitStep()
+	ship()
+	for primary.Stats().Completed < 2 {
+		if _, err := primary.StepAll(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ship()
+	requireIdentical(t, primary, follower)
+}
+
+// TestLeaseHoldsOnIdleLink: a sender whose Lease is shorter than the
+// default one-second heartbeat derives its heartbeat from the lease, so a
+// caught-up, healthy, idle follower renews it in time and no admission
+// probe is refused. A heartbeat set above half the lease is refused.
+func TestLeaseHoldsOnIdleLink(t *testing.T) {
+	fcfg := replConfig(t)
+	follower, _, addr := startFollower(t, fcfg, 0)
+	pcfg := replConfig(t)
+	primary := startPrimary(t, pcfg)
+	sender := startSender(t, primary, addr, func(c *replicate.SenderConfig) {
+		c.Heartbeat, c.Lease = 0, 300*time.Millisecond
+	})
+	if _, err := primary.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 2, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "primary drain", func() bool { return primary.Stats().Completed == 1 })
+	waitCaughtUp(t, primary, follower)
+	refused := 0
+	for i := 0; i < 40; i++ {
+		time.Sleep(50 * time.Millisecond)
+		if err := sender.WriteAllowed(); err != nil {
+			refused++
+			t.Log(err)
+		}
+	}
+	if refused > 0 {
+		t.Errorf("%d of 40 WriteAllowed probes refused on a healthy idle link", refused)
+	}
+
+	_, err := replicate.NewSender(replicate.SenderConfig{
+		Addr: addr, Epoch: openEpoch(t, t.TempDir()), WAL: primary.JournalPaths(),
+		Heartbeat: time.Second, Lease: 300 * time.Millisecond,
+	})
+	if err == nil || !strings.Contains(err.Error(), "Heartbeat") {
+		t.Errorf("NewSender took a 1s heartbeat under a 300ms lease: err = %v", err)
+	}
+}

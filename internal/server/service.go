@@ -41,7 +41,8 @@ var (
 
 // Config parameterizes a Service.
 type Config struct {
-	// Sim is the engine configuration: machine shape, scheduler, policies.
+	// Sim is the engine configuration: machine shape and policies. Its
+	// Scheduler is ignored: every engine's comes from NewScheduler.
 	// Trace should normally stay sim.TraceNone for long-running services —
 	// traces grow without bound. Every shard gets an identical machine;
 	// shard i's engine seed is offset so PickRandom streams do not repeat
@@ -53,11 +54,12 @@ type Config struct {
 	// front-end. 0 or 1 means a single engine, which is observationally
 	// identical to the pre-sharding service.
 	Shards int
-	// NewScheduler constructs one scheduler per shard. Required when
-	// Shards > 1: schedulers are stateful (K-RAD's round-robin queue,
-	// clairvoyant oracles), so independent step loops must not share one
-	// instance. When set it overrides Sim.Scheduler; with a single shard
-	// it may stay nil and Sim.Scheduler is used as-is.
+	// NewScheduler constructs a fresh scheduler for every engine: one per
+	// shard at New, and one more each time a snapshot rebuilds a shard's
+	// engine (a journal headed by a snapshot, a follower's snapshot frame).
+	// Required: schedulers are stateful (K-RAD's α-active lists and
+	// round-robin marks, clairvoyant oracles), so no two engines may share
+	// one, and Snapshotter.RestoreState assumes a fresh receiver.
 	NewScheduler func() sched.Scheduler
 	// Placement names the shard-routing policy: "round-robin" (default),
 	// "hash" (client-keyed affinity), or "least-loaded" (fewest in-flight).
@@ -227,8 +229,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Shards > 1 && cfg.NewScheduler == nil {
-		return nil, errors.New("server: Shards > 1 requires Config.NewScheduler — shards must not share one stateful scheduler instance")
+	if cfg.NewScheduler == nil {
+		return nil, errors.New("server: Config.NewScheduler is nil — every engine needs a fresh scheduler of its own")
 	}
 	place, err := NewPlacement(cfg.Placement)
 	if err != nil {
@@ -250,9 +252,6 @@ func New(cfg Config) (*Service, error) {
 		if i < extra {
 			share++
 		}
-		// Scheduler construction happens exactly once per shard, inside
-		// newShard's engine factory — NewScheduler side-effects (tests count
-		// invocations to plant per-shard behaviour) must see one call each.
 		sh, err := newShard(i, simCfg, cfg.NewScheduler, share, cfg.StepEvery, fan)
 		if err != nil {
 			return nil, err

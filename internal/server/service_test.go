@@ -18,9 +18,9 @@ import (
 func testConfig(k int, caps ...int) Config {
 	return Config{
 		Sim: sim.Config{
-			K: k, Caps: caps, Scheduler: core.NewKRAD(k),
-			Pick: dag.PickFIFO, ValidateAllotments: true,
+			K: k, Caps: caps, Pick: dag.PickFIFO, ValidateAllotments: true,
 		},
+		NewScheduler: func() sched.Scheduler { return core.NewKRAD(k) },
 	}
 }
 
@@ -192,7 +192,7 @@ func TestSlowSubscriberDropsEvents(t *testing.T) {
 func TestServiceSurvivesBrokenScheduler(t *testing.T) {
 	cfg := testConfig(1, 1)
 	cfg.Sim.MaxSteps = 8 // trip the runaway guard quickly
-	cfg.Sim.Scheduler = idleScheduler{}
+	cfg.NewScheduler = func() sched.Scheduler { return idleScheduler{} }
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -132,14 +132,11 @@ type shardView struct {
 }
 
 func newShard(idx int, simCfg sim.Config, mkSched func() sched.Scheduler, maxInFlight int, stepEvery time.Duration, fan *fanout) (*shard, error) {
-	// newEngine must yield an engine Restore accepts (fresh, with its own
-	// scheduler instance when a factory exists) — snapshot application on a
-	// replication follower rebuilds the engine wholesale.
+	// newEngine yields an engine Restore accepts: fresh, with a fresh
+	// scheduler — restoreLocked rebuilds the engine wholesale.
 	newEngine := func() (*sim.Engine, error) {
 		c := simCfg
-		if mkSched != nil {
-			c.Scheduler = mkSched()
-		}
+		c.Scheduler = mkSched()
 		return sim.NewEngine(c)
 	}
 	eng, err := newEngine()
