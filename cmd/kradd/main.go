@@ -19,7 +19,7 @@
 //	kradd -addr :8080 -caps 4,4,4 -step 50ms -queue 256
 //	kradd -addr :8080 -shards 4 -placement hash -queue 1024
 //	kradd -addr :8080 -journal-dir /var/lib/kradd -fsync always
-//	kradd -addr :8080 -fair-config queues.conf
+//	kradd -addr :8080 -fairness=queues.conf
 //
 // With -journal-dir set, every committed mutation is write-ahead-journaled
 // (one file per shard) and replayed on startup, so a crash or restart
@@ -28,11 +28,17 @@
 // trade-off (always, interval, never); -snapshot-every bounds replay time
 // by compacting each journal to one snapshot record at idle points. A
 // journal the daemon cannot replay (corrupt interior record, version
-// mismatch, wrong shard count) is a fatal startup error — kradd exits
-// non-zero naming the file, offset and record rather than serving silently
-// forgotten state. The listener comes up before replay, answering
-// /healthz 200 and /readyz 503 so orchestrators keep the pod alive while
-// long replays run.
+// mismatch) is a fatal startup error — kradd exits non-zero naming the
+// file, offset and record rather than serving silently forgotten state.
+// The listener comes up before replay, answering /healthz 200 and
+// /readyz 503 so orchestrators keep the pod alive while long replays run.
+//
+// The fleet's shape — -caps (and so K), -shards, and -fairness with its
+// half-life — is state: the first start records it in the journal
+// directory's fleet-shape file, a restart takes every shape flag it is not
+// given from there (`kradd -journal-dir D` plus policy flags restarts a
+// fleet), and one that contradicts the file is refused. To reshape a
+// directory, move its files away.
 //
 // With -shards N the daemon runs N independent simulation engines behind
 // one admission front-end; -placement picks how submissions are routed
@@ -40,24 +46,22 @@
 // -caps and -queue keep their meaning: caps describe each shard's
 // machine, and the queue bound is shared across the fleet.
 //
-// With -fairness (or -fair-config) submissions are gated by multi-tenant
-// fair share: the X-Krad-Tenant header resolves to a queue-tree leaf, the
-// admission bound is divided over the active leaves by deserved quota and
-// over-quota weight, and an over-quota tenant is shed with 429 +
-// Retry-After while under-quota tenants keep admitting. -fair-config
-// names a queue-tree file (halflife/default/queue lines — see README);
-// without one every tenant header gets a dynamically created equal-weight
-// leaf. The file's halflife line sets the usage decay half-life in
-// virtual steps (fairshare.DefaultHalfLife without one). Tenant identity
-// and usage ride the journal, so a fairness-enabled daemon restarts with
-// its ledger intact — and refuses to replay a fairness-tagged journal
-// with fairness off (or under a different half-life) rather than silently
-// dropping tenant state.
+// With -fairness submissions are gated by multi-tenant fair share: the
+// X-Krad-Tenant header resolves to a queue-tree leaf, the admission bound
+// is divided over the active leaves by deserved quota and over-quota
+// weight, and an over-quota tenant is shed with 429 + Retry-After while
+// under-quota tenants keep admitting. -fairness=FILE names a queue-tree
+// file (halflife/default/queue lines — see README); bare -fairness is the
+// built-in tree, where every tenant header gets a dynamically created
+// equal-weight leaf. The file's halflife line sets the usage decay
+// half-life in virtual steps (fairshare.DefaultHalfLife without one).
+// Tenant identity and usage ride the journal, so a fairness-enabled daemon
+// restarts with its ledger intact.
 //
 // With -replicate-to, every committed journal record additionally streams
 // to a warm-standby kradd started with -follow (both ends need
-// -journal-dir and identical engine configuration). The follower applies
-// the records through the same replay path a crash-restart uses, so its
+// -journal-dir and the same fleet shape, which the handshake compares).
+// The follower applies the records through the same replay path a crash-restart uses, so its
 // engines track the primary bit-identically; it answers /readyz 503
 // "following" until promoted by POST /v1/promote or, with -promote-after,
 // by primary-silence timeout. Promotion bumps the replication epoch and
@@ -147,8 +151,7 @@ type options struct {
 	fsync   string
 	snap    int64
 	pprof   bool
-	fair    bool
-	fairCfg string
+	fair    fairFlag
 	repTo   string
 	follow  string
 	lease   time.Duration
@@ -170,14 +173,92 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.fsync, "fsync", "always", "journal fsync policy: always, interval, never")
 	fs.Int64Var(&o.snap, "snapshot-every", 10000, "compact a shard journal after this many records at an idle point (0 = never)")
 	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
-	fs.BoolVar(&o.fair, "fairness", false, "gate admission by multi-tenant fair share (X-Krad-Tenant header)")
-	fs.StringVar(&o.fairCfg, "fair-config", "", "queue-tree config file (implies -fairness): halflife, default and queue lines")
+	fs.Var(&o.fair, "fairness", "gate admission by multi-tenant fair share (X-Krad-Tenant header): bare for the built-in queue tree, =FILE for a queue-tree file (halflife, default and queue lines), =false for off")
 	fs.StringVar(&o.repTo, "replicate-to", "", "primary: stream committed journal records to a follower kradd's -follow address (requires -journal-dir)")
 	fs.StringVar(&o.follow, "follow", "", "follower: run as a warm standby, accepting a primary's replication stream on this address (requires -journal-dir)")
 	fs.DurationVar(&o.lease, "lease", 0, "primary: refuse admissions once the follower has been silent this long (0 = no lease gating); set strictly below the follower's -promote-after")
 	fs.DurationVar(&o.promote, "promote-after", 0, "follower: self-promote after this much primary silence, once a primary has connected (0 = manual POST /v1/promote only)")
 	fs.BoolVar(&o.steal, "steal", false, "cross-shard work stealing: idle shards pull pending jobs off the deepest peer (journaled)")
 	return o
+}
+
+// fairFlag is -fairness's value: "" (off), "true" (bare: the built-in
+// queue tree) or a queue-tree file. It is one flag, not a switch plus a
+// file, because an empty tree file already is the built-in tree.
+type fairFlag string
+
+func (f *fairFlag) IsBoolFlag() bool { return true }
+
+func (f *fairFlag) String() string { return string(*f) }
+
+func (f *fairFlag) Set(v string) error {
+	if v == "false" {
+		v = ""
+	}
+	*f = fairFlag(v)
+	return nil
+}
+
+// config reads the queue tree the flag names, nil when fair share is off.
+func (f fairFlag) config() (*fairshare.Config, error) {
+	var c fairshare.Config
+	switch f {
+	case "":
+		return nil, nil
+	case "true":
+		return &c, nil
+	}
+	r, err := os.Open(string(f))
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	if c, err = fairshare.ParseConfig(r); err != nil {
+		return nil, fmt.Errorf("-fairness=%s: %v", f, err)
+	}
+	return &c, nil
+}
+
+// fleet is what kradd's shape flags resolve to.
+type fleet struct {
+	caps   []int
+	shards int
+	fair   *fairshare.Config
+}
+
+// resolveFleet reads the shape flags — -caps, -shards, -fairness — and
+// takes each one the command line did not give from the journal
+// directory's shape file, if it has one. A given flag stands: server.New
+// refuses one the file contradicts. A recorded fairness comes back over
+// the built-in queue tree, since only its half-life is shape.
+func resolveFleet(fs *flag.FlagSet, o *options) (fleet, *journal.Shape, error) {
+	var f fleet
+	var rec *journal.Shape
+	var err error
+	if o.journal != "" {
+		if rec, err = journal.ReadShape(o.journal); err != nil {
+			return fleet{}, nil, err
+		}
+	}
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if rec != nil && !given["caps"] {
+		f.caps = rec.Caps
+	} else if f.caps, err = parseInts(o.caps); err != nil {
+		return fleet{}, nil, fmt.Errorf("-caps must be a comma-separated list of integers: %v", err)
+	}
+	f.shards = o.shard
+	if rec != nil && !given["shards"] {
+		f.shards = rec.Shards
+	}
+	if rec != nil && !given["fairness"] {
+		if rec.HalfLife > 0 {
+			f.fair = &fairshare.Config{HalfLife: rec.HalfLife}
+		}
+	} else if f.fair, err = o.fair.config(); err != nil {
+		return fleet{}, nil, err
+	}
+	return f, rec, nil
 }
 
 // dependents maps each flag that only means something inside a mode to the
@@ -207,15 +288,20 @@ func main() {
 	log.SetPrefix("kradd: ")
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-
-	caps, err := parseInts(o.caps)
-	if err != nil {
-		log.Fatalf("-caps must be a comma-separated list of integers: %v", err)
+	if flag.NArg() > 0 {
+		log.Fatalf("unexpected argument %q (a queue-tree file is given as -fairness=FILE)", flag.Arg(0))
 	}
-	k := len(caps)
 	if err := checkDependents(flag.CommandLine); err != nil {
 		log.Fatal(err)
 	}
+	f, recorded, err := resolveFleet(flag.CommandLine, o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if recorded != nil {
+		log.Printf("fleet shape recorded in %s: %s", journal.ShapePath(o.journal), recorded)
+	}
+	caps, k := f.caps, len(f.caps)
 	var journalCfg *server.JournalConfig
 	if o.journal != "" {
 		policy, err := journal.ParseSyncPolicy(o.fsync)
@@ -240,27 +326,6 @@ func main() {
 		if epoch, err = replicate.OpenEpochFile(o.journal); err != nil {
 			log.Fatal(err)
 		}
-	}
-	var fairCfg *fairshare.Config
-	if o.fair || o.fairCfg != "" {
-		var c fairshare.Config
-		if o.fairCfg != "" {
-			f, err := os.Open(o.fairCfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			c, err = fairshare.ParseConfig(f)
-			_ = f.Close()
-			if err != nil {
-				log.Fatalf("-fair-config %s: %v", o.fairCfg, err)
-			}
-		}
-		fairCfg = &c
-		hl := c.HalfLife
-		if hl == 0 {
-			hl = fairshare.DefaultHalfLife
-		}
-		log.Printf("fair-share admission enabled (half-life=%d steps, config=%q)", hl, o.fairCfg)
 	}
 
 	// The listener comes up before the service: journal replay can take a
@@ -301,7 +366,7 @@ func main() {
 		Sim:         sim.Config{K: k, Caps: caps, ValidateAllotments: true},
 		MaxInFlight: o.queue,
 		StepEvery:   o.step,
-		Shards:      o.shard,
+		Shards:      f.shards,
 		Placement:   o.place,
 		// One K-RAD per shard: it carries per-engine state. Moldable jobs
 		// pin processors non-preemptively, so it is floor-respecting; for
@@ -309,15 +374,19 @@ func main() {
 		// snapshots/restores byte-identically to the unwrapped scheduler.
 		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(k)) },
 		Journal:      journalCfg,
-		Fairness:     fairCfg,
+		Fairness:     f.fair,
 		Follower:     o.follow != "",
 		Steal:        o.steal,
 	})
 	if err != nil {
 		// A journal that cannot be replayed (corrupt record, version
-		// mismatch, shard-count mismatch) lands here: exit non-zero with
+		// mismatch, another fleet shape) lands here: exit non-zero with
 		// the located error instead of serving forgotten state.
 		log.Fatal(err)
+	}
+
+	if hl := svc.Shape().HalfLife; hl > 0 {
+		log.Printf("fair-share admission enabled (half-life=%d steps, queue tree %q)", hl, o.fair)
 	}
 
 	// Replication wiring: the sender ships each shard's WAL and attaches
@@ -330,6 +399,7 @@ func main() {
 		sender, err = replicate.NewSender(replicate.SenderConfig{
 			Addr:  o.repTo,
 			Epoch: epoch,
+			Shape: svc.Shape(),
 			WAL:   svc.JournalPaths(),
 			Lease: o.lease,
 			Logf:  log.Printf,
@@ -383,7 +453,7 @@ func main() {
 	defer cancel()
 
 	log.Printf("listening on %s (K=%d caps=%v step=%v queue=%d shards=%d placement=%s)",
-		o.addr, k, caps, o.step, o.queue, o.shard, o.place)
+		o.addr, k, caps, o.step, o.queue, f.shards, o.place)
 
 	select {
 	case err := <-errCh:

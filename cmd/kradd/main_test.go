@@ -12,7 +12,7 @@ import (
 // wantFlags is kradd's whole flag surface, sorted. A flag added or removed
 // changes this list and README's table in the same commit.
 var wantFlags = []string{
-	"addr", "caps", "drain", "fair-config", "fairness", "follow",
+	"addr", "caps", "drain", "fairness", "follow",
 	"fsync", "journal-dir", "lease", "placement", "pprof", "promote-after",
 	"queue", "replicate-to", "shards",
 	"snapshot-every", "steal", "step",
@@ -21,12 +21,12 @@ var wantFlags = []string{
 // removedFlags became constants (or went with the behaviour; -k is the
 // length of -caps; the epoch is state in the journal directory; a shard
 // keeps one status table, so there is nothing for -retire-done to drop; the
-// replication heartbeat follows from -lease). A stale script naming one must
-// fail at startup.
+// replication heartbeat follows from -lease; a queue-tree file is
+// -fairness=FILE). A stale script naming one must fail at startup.
 var removedFlags = []string{
 	"sched", "pick", "seed", "step-batch", "event-buffer", "fsync-interval",
 	"steal-max", "steal-idle", "replicate-queue", "fair-halflife", "k",
-	"epoch", "retire-done", "replicate-heartbeat",
+	"epoch", "retire-done", "replicate-heartbeat", "fair-config",
 }
 
 func newFlagSet() *flag.FlagSet {
@@ -36,7 +36,7 @@ func newFlagSet() *flag.FlagSet {
 	return fs
 }
 
-// TestFlagSet pins the flag surface (18 names), that README documents
+// TestFlagSet pins the flag surface (17 names), that README documents
 // every one of them as `-name` and runs kradd with no other, and that each
 // removed name is rejected.
 func TestFlagSet(t *testing.T) {
@@ -71,6 +71,31 @@ func TestFlagSet(t *testing.T) {
 		fs := newFlagSet()
 		if err := fs.Parse([]string{"-" + name, "1"}); err == nil {
 			t.Errorf("removed flag -%s still parses", name)
+		}
+	}
+}
+
+// TestFairnessFlag: bare -fairness is the built-in tree, =FILE a tree
+// file, =false off; a file given as a separate word is left over as an
+// argument, which kradd refuses.
+func TestFairnessFlag(t *testing.T) {
+	for _, tc := range []struct {
+		argv string
+		want fairFlag
+		args int
+	}{
+		{"", "", 0},
+		{"-fairness", "true", 0},
+		{"-fairness=queues.conf", "queues.conf", 0},
+		{"-fairness=queues.conf -fairness=false", "", 0},
+		{"-fairness queues.conf", "true", 1},
+	} {
+		fs := newFlagSet()
+		if err := fs.Parse(strings.Fields(tc.argv)); err != nil {
+			t.Fatalf("%q: %v", tc.argv, err)
+		}
+		if got := *fs.Lookup("fairness").Value.(*fairFlag); got != tc.want || fs.NArg() != tc.args {
+			t.Errorf("%q: %q with %d arguments left, want %q with %d", tc.argv, got, fs.NArg(), tc.want, tc.args)
 		}
 	}
 }

@@ -112,7 +112,7 @@ func TestEpochFileWriteFailure(t *testing.T) {
 // nullApplier is a one-shard follower that has applied nothing.
 type nullApplier struct{}
 
-func (nullApplier) Shards() int                                      { return 1 }
+func (nullApplier) Shape() journal.Shape                             { return journal.Shape{Caps: []int{1}, Shards: 1} }
 func (nullApplier) NextSeqs() []int64                                { return []int64{1} }
 func (nullApplier) ApplyReplicated(int, int64, journal.Record) error { return nil }
 func (nullApplier) ApplyReplicatedSnap(int, journal.Record) error    { return nil }
@@ -155,7 +155,7 @@ func TestReceiverFailsClosedOnEpochWrite(t *testing.T) {
 	if err := WriteMagic(conn); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(conn, Frame{T: FrameHello, Epoch: 3, Shards: 1}); err != nil {
+	if err := WriteFrame(conn, Frame{T: FrameHello, Epoch: 3, Shape: &journal.Shape{Caps: []int{1}, Shards: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ReadMagic(bufio.NewReader(conn)); err == nil {

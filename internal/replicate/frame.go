@@ -71,12 +71,14 @@ type FrameType string
 
 const (
 	// FrameHello opens a primary→follower stream: it carries the
-	// primary's epoch and shard count. The follower answers with
+	// primary's epoch and fleet shape. The follower answers with
 	// FrameHelloAck or FrameFence.
 	FrameHello FrameType = "hello"
-	// FrameHelloAck is the follower's answer: its epoch and, per shard,
-	// the next sequence number it wants (Next). The primary resumes each
-	// shard's stream from exactly there.
+	// FrameHelloAck is the follower's answer: its epoch, its fleet shape
+	// and, per shard, the next sequence number it wants (Next). The
+	// primary resumes each shard's stream from exactly there — if the
+	// shapes agree; a follower that refuses the primary's shape sends its
+	// own so the primary can say why, and hangs up.
 	FrameHelloAck FrameType = "hello-ack"
 	// FrameRecs carries a batch of consecutive committed records of one
 	// shard; Seq is the sequence number of the first.
@@ -105,9 +107,9 @@ type Frame struct {
 	T FrameType `json:"t"`
 	// Epoch is the sender's replication epoch; every frame carries it.
 	Epoch int64 `json:"epoch"`
-	// Shards is the fleet shard count (hello frames); both sides must
-	// agree or replay would diverge.
-	Shards int `json:"shards,omitempty"`
+	// Shape is the sender's fleet shape (hello and hello-ack frames); the
+	// two sides must agree or replay would diverge.
+	Shape *journal.Shape `json:"shape,omitempty"`
 	// Shard is the shard index the records belong to (recs/snap frames).
 	Shard int `json:"shard,omitempty"`
 	// Seq is the sequence number of the first record (recs frames) or the
@@ -126,11 +128,19 @@ func (f Frame) Validate() error {
 	if f.Epoch < 1 {
 		return fmt.Errorf("replicate: %s frame carries epoch %d, want ≥ 1", f.T, f.Epoch)
 	}
+	// The handshake, and nothing else, carries a shape.
+	switch handshake := f.T == FrameHello || f.T == FrameHelloAck; {
+	case handshake && f.Shape == nil:
+		return fmt.Errorf("replicate: %s frame carries no shape", f.T)
+	case handshake:
+		if err := f.Shape.Validate(); err != nil {
+			return fmt.Errorf("replicate: %s frame: %w", f.T, err)
+		}
+	case f.Shape != nil:
+		return fmt.Errorf("replicate: %s frame carries stray fields", f.T)
+	}
 	switch f.T {
 	case FrameHello:
-		if f.Shards < 1 {
-			return fmt.Errorf("replicate: hello frame carries %d shards, want ≥ 1", f.Shards)
-		}
 		if f.Shard != 0 || f.Seq != 0 || len(f.Next) != 0 || len(f.Recs) != 0 {
 			return fmt.Errorf("replicate: hello frame carries stray fields")
 		}
@@ -143,7 +153,7 @@ func (f Frame) Validate() error {
 				return fmt.Errorf("replicate: %s frame shard %d wants sequence %d, want ≥ 1", f.T, i, n)
 			}
 		}
-		if f.Shards != 0 || f.Shard != 0 || f.Seq != 0 || len(f.Recs) != 0 {
+		if f.Shard != 0 || f.Seq != 0 || len(f.Recs) != 0 {
 			return fmt.Errorf("replicate: %s frame carries stray fields", f.T)
 		}
 	case FrameRecs:
@@ -156,7 +166,7 @@ func (f Frame) Validate() error {
 		if f.Seq < 1 {
 			return fmt.Errorf("replicate: recs frame starts at sequence %d, want ≥ 1", f.Seq)
 		}
-		if f.Shards != 0 || len(f.Next) != 0 {
+		if len(f.Next) != 0 {
 			return fmt.Errorf("replicate: recs frame carries stray fields")
 		}
 		for i, r := range f.Recs {
@@ -174,11 +184,11 @@ func (f Frame) Validate() error {
 		if f.Seq != f.Recs[0].Seq {
 			return fmt.Errorf("replicate: snap frame cursor %d disagrees with its record's cursor %d", f.Seq, f.Recs[0].Seq)
 		}
-		if f.Shards != 0 || len(f.Next) != 0 {
+		if len(f.Next) != 0 {
 			return fmt.Errorf("replicate: snap frame carries stray fields")
 		}
 	case FrameHeartbeat, FrameFence:
-		if f.Shards != 0 || f.Shard != 0 || f.Seq != 0 || len(f.Next) != 0 || len(f.Recs) != 0 {
+		if f.Shard != 0 || f.Seq != 0 || len(f.Next) != 0 || len(f.Recs) != 0 {
 			return fmt.Errorf("replicate: %s frame carries stray fields", f.T)
 		}
 	default:
@@ -221,7 +231,7 @@ func DecodeFrame(payload []byte) (Frame, error) {
 // codec (journal.AppendRecord, Record.ReadJSON): the bytes on the stream
 // are the ones json.Marshal wrote.
 
-var frameFields = []string{"t", "epoch", "shards", "shard", "seq", "next", "recs"}
+var frameFields = []string{"t", "epoch", "shape", "shard", "seq", "next", "recs"}
 
 var frameTypes = []FrameType{FrameHello, FrameHelloAck, FrameRecs, FrameSnap, FrameHeartbeat, FrameAck, FrameFence}
 
@@ -232,8 +242,8 @@ func (f *Frame) readJSON(s *wire.Scanner) error {
 			return wire.ReadString(s, "t", &f.T, frameTypes...)
 		case "epoch":
 			return wire.ReadInt(s, "epoch", &f.Epoch)
-		case "shards":
-			return wire.ReadInt(s, "shards", &f.Shards)
+		case "shape":
+			return wire.Ptr(s, &f.Shape, (*journal.Shape).ReadJSON)
 		case "shard":
 			return wire.ReadInt(s, "shard", &f.Shard)
 		case "seq":
@@ -266,7 +276,9 @@ func (f *Frame) appendHead(dst []byte) []byte {
 	dst = wire.AppendString(dst, string(f.T))
 	dst = append(dst, `,"epoch":`...)
 	dst = wire.AppendInt(dst, f.Epoch)
-	dst = wire.AppendIntField(dst, `,"shards":`, int64(f.Shards))
+	if f.Shape != nil {
+		dst = f.Shape.AppendJSON(append(dst, `,"shape":`...))
+	}
 	dst = wire.AppendIntField(dst, `,"shard":`, int64(f.Shard))
 	dst = wire.AppendIntField(dst, `,"seq":`, f.Seq)
 	if len(f.Next) != 0 {

@@ -21,8 +21,8 @@ func testFrames(t *testing.T) []Frame {
 	g := testGraph()
 	cp := sim.EngineCheckpoint{Now: 7, Makespan: 7, SchedState: []byte(`{"x":1}`)}
 	return []Frame{
-		{T: FrameHello, Epoch: 3, Shards: 2},
-		{T: FrameHelloAck, Epoch: 3, Next: []int64{1, 5}},
+		{T: FrameHello, Epoch: 3, Shape: &journal.Shape{Caps: []int{4, 2}, Shards: 2, HalfLife: 64}},
+		{T: FrameHelloAck, Epoch: 3, Shape: &journal.Shape{Caps: []int{4, 2}, Shards: 2}, Next: []int64{1, 5}},
 		{T: FrameSnap, Epoch: 3, Shard: 1, Seq: 4, Recs: []journal.Record{
 			{Type: journal.TypeSnap, Snap: &cp, Seq: 4},
 		}},
@@ -180,14 +180,19 @@ func TestFrameCorruptionDetected(t *testing.T) {
 
 func TestValidateRejectsMalformedFrames(t *testing.T) {
 	g := testGraph()
+	shape2 := &journal.Shape{Caps: []int{4}, Shards: 2}
 	bad := []Frame{
 		{T: "mystery", Epoch: 1},
-		{T: FrameHello, Epoch: 0, Shards: 1},         // missing epoch
-		{T: FrameHello, Epoch: 1},                    // missing shard count
-		{T: FrameHello, Epoch: 1, Shards: 2, Seq: 9}, // stray cursor
-		{T: FrameHelloAck, Epoch: 1},                 // no cursors
-		{T: FrameAck, Epoch: 1, Next: []int64{0}},    // cursor < 1
-		{T: FrameRecs, Epoch: 1, Seq: 1},             // no records
+		{T: FrameHello, Epoch: 0, Shape: shape2},                                            // missing epoch
+		{T: FrameHello, Epoch: 1},                                                           // missing shape
+		{T: FrameHello, Epoch: 1, Shape: &journal.Shape{Caps: []int{4}}},                    // no shards
+		{T: FrameHello, Epoch: 1, Shape: &journal.Shape{Caps: []int{0}, Shards: 1}},         // empty category
+		{T: FrameHello, Epoch: 1, Shape: shape2, Seq: 9},                                    // stray cursor
+		{T: FrameHelloAck, Epoch: 1, Shape: shape2},                                         // no cursors
+		{T: FrameHelloAck, Epoch: 1, Next: []int64{1}},                                      // missing shape
+		{T: FrameAck, Epoch: 1, Shape: shape2, Next: []int64{1}},                            // stray shape
+		{T: FrameAck, Epoch: 1, Next: []int64{0}},                                           // cursor < 1
+		{T: FrameRecs, Epoch: 1, Seq: 1},                                                    // no records
 		{T: FrameRecs, Epoch: 1, Seq: 0, Recs: []journal.Record{journal.StepsRecord(1, 1)}}, // missing seq
 		{T: FrameRecs, Epoch: 1, Seq: 1, Recs: []journal.Record{
 			{Type: journal.TypeSnap, Snap: &sim.EngineCheckpoint{}},

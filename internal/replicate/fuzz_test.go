@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+
+	"krad/internal/journal"
 )
 
 // FuzzReplicateFrame feeds arbitrary bytes — seeded with a real frame
@@ -18,8 +20,8 @@ func FuzzReplicateFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, fr := range []Frame{
-		{T: FrameHello, Epoch: 1, Shards: 2},
-		{T: FrameHelloAck, Epoch: 1, Next: []int64{1, 1}},
+		{T: FrameHello, Epoch: 1, Shape: &journal.Shape{Caps: []int{2, 1}, Shards: 2, HalfLife: 8}},
+		{T: FrameHelloAck, Epoch: 1, Shape: &journal.Shape{Caps: []int{2, 1}, Shards: 2}, Next: []int64{1, 1}},
 		{T: FrameHeartbeat, Epoch: 1},
 		{T: FrameAck, Epoch: 1, Next: []int64{4, 1}},
 		{T: FrameFence, Epoch: 2},

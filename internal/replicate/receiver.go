@@ -17,8 +17,8 @@ import (
 // (the receiver serializes across connections); an error refuses the
 // record, which withholds the ack and drops the connection.
 type Applier interface {
-	// Shards is the fleet shard count.
-	Shards() int
+	// Shape is the follower's fleet shape, which a primary's must equal.
+	Shape() journal.Shape
 	// NextSeqs reports, per shard, the next sequence number the follower
 	// needs (applied-through + 1).
 	NextSeqs() []int64
@@ -78,7 +78,8 @@ type ReceiverStats struct {
 // stream, applies records through the Applier in order, acks, and owns
 // the promotion decision. See the package comment for the protocol.
 type Receiver struct {
-	cfg ReceiverConfig
+	cfg   ReceiverConfig
+	shape journal.Shape // the Applier's, read once
 
 	mu        sync.Mutex
 	promoted  bool
@@ -107,7 +108,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	r := &Receiver{cfg: cfg, done: make(chan struct{})}
+	r := &Receiver{cfg: cfg, shape: cfg.Applier.Shape(), done: make(chan struct{})}
 	go r.acceptLoop()
 	if cfg.PromoteAfter > 0 {
 		go r.promoteLoop()
@@ -263,6 +264,8 @@ func (r *Receiver) handle(conn net.Conn) {
 		return
 	}
 
+	shapeErr := hello.Shape.Compare(r.shape, "primary", "follower")
+
 	r.mu.Lock()
 	epoch := r.cfg.Epoch.Current()
 	switch {
@@ -277,9 +280,13 @@ func (r *Receiver) handle(conn net.Conn) {
 		_ = WriteMagic(conn)
 		_ = WriteFrame(conn, Frame{T: FrameFence, Epoch: epoch})
 		return
-	case hello.Shards != r.cfg.Applier.Shards():
+	case shapeErr != nil:
+		// Refused, not adopted: this node's journals were written on its
+		// own shape. The primary hears that shape, so it can say why too.
 		r.mu.Unlock()
-		r.cfg.Logf("replicate: %s runs %d shards, we run %d — refusing stream", conn.RemoteAddr(), hello.Shards, r.cfg.Applier.Shards())
+		r.cfg.Logf("replicate: refusing stream from %s: shape mismatch: %v", conn.RemoteAddr(), shapeErr)
+		_ = WriteMagic(conn)
+		_ = WriteFrame(conn, Frame{T: FrameHelloAck, Epoch: epoch, Shape: &r.shape, Next: r.cfg.Applier.NextSeqs()})
 		return
 	}
 	// The adopted epoch is on disk before the hello-ack: a restart must
@@ -313,7 +320,7 @@ func (r *Receiver) handle(conn net.Conn) {
 	if err := WriteMagic(conn); err != nil {
 		return
 	}
-	ack := Frame{T: FrameHelloAck, Epoch: epoch, Next: r.cfg.Applier.NextSeqs()}
+	ack := Frame{T: FrameHelloAck, Epoch: epoch, Shape: &r.shape, Next: r.cfg.Applier.NextSeqs()}
 	if err := WriteFrame(conn, ack); err != nil {
 		return
 	}
@@ -342,8 +349,8 @@ func (r *Receiver) handle(conn net.Conn) {
 		switch f.T {
 		case FrameHeartbeat:
 		case FrameRecs:
-			if f.Shard >= r.cfg.Applier.Shards() {
-				r.cfg.Logf("replicate: %s: recs for shard %d of %d", conn.RemoteAddr(), f.Shard, r.cfg.Applier.Shards())
+			if f.Shard >= r.shape.Shards {
+				r.cfg.Logf("replicate: %s: recs for shard %d of %d", conn.RemoteAddr(), f.Shard, r.shape.Shards)
 				return
 			}
 			for i, rec := range f.Recs {
@@ -357,8 +364,8 @@ func (r *Receiver) handle(conn net.Conn) {
 				r.mu.Unlock()
 			}
 		case FrameSnap:
-			if f.Shard >= r.cfg.Applier.Shards() {
-				r.cfg.Logf("replicate: %s: snap for shard %d of %d", conn.RemoteAddr(), f.Shard, r.cfg.Applier.Shards())
+			if f.Shard >= r.shape.Shards {
+				r.cfg.Logf("replicate: %s: snap for shard %d of %d", conn.RemoteAddr(), f.Shard, r.shape.Shards)
 				return
 			}
 			if err := r.cfg.Applier.ApplyReplicatedSnap(f.Shard, f.Recs[0]); err != nil {

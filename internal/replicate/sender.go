@@ -39,9 +39,12 @@ type SenderConfig struct {
 	// Epoch is this node's durable epoch and fence: the sender announces
 	// its epoch and records a fence in it. Required.
 	Epoch *EpochFile
-	// WAL names each shard's journal file, in shard order: the records
-	// the sender ships, read as they land. Its length is the fleet shard
-	// count, which must match the follower's. Required.
+	// Shape is the primary's fleet shape, which the follower's must
+	// equal. Required.
+	Shape journal.Shape
+	// WAL names each shard's journal file, in shard order, one per
+	// Shape.Shards: the records the sender ships, read as they land.
+	// Required.
 	WAL []string
 	// Heartbeat is the idle keepalive interval (and the base of the
 	// link-death detection deadlines). An idle follower acks once per
@@ -112,8 +115,11 @@ type Sender struct {
 // NewSender builds a sender; call Start once it is attached as the commit
 // hook.
 func NewSender(cfg SenderConfig) (*Sender, error) {
-	if len(cfg.WAL) < 1 {
-		return nil, fmt.Errorf("replicate: sender needs ≥ 1 shard WAL")
+	if err := cfg.Shape.Validate(); err != nil {
+		return nil, fmt.Errorf("replicate: sender: %w", err)
+	}
+	if len(cfg.WAL) != cfg.Shape.Shards {
+		return nil, fmt.Errorf("replicate: sender has %d shard WALs for %d shards", len(cfg.WAL), cfg.Shape.Shards)
 	}
 	if cfg.Epoch == nil {
 		return nil, fmt.Errorf("replicate: sender needs an epoch file")
@@ -314,7 +320,7 @@ func (s *Sender) serve(conn net.Conn) error {
 	if err := WriteMagic(conn); err != nil {
 		return fmt.Errorf("write magic: %w", err)
 	}
-	if err := WriteFrame(conn, Frame{T: FrameHello, Epoch: epoch, Shards: len(s.cfg.WAL)}); err != nil {
+	if err := WriteFrame(conn, Frame{T: FrameHello, Epoch: epoch, Shape: &s.cfg.Shape}); err != nil {
 		return fmt.Errorf("write hello: %w", err)
 	}
 	br := bufio.NewReader(conn)
@@ -332,8 +338,8 @@ func (s *Sender) serve(conn net.Conn) error {
 	if f.T != FrameHelloAck {
 		return fmt.Errorf("handshake answered with %q, want hello-ack", f.T)
 	}
-	if len(f.Next) != len(s.cfg.WAL) {
-		return fmt.Errorf("follower tracks %d shards, we run %d — refusing to replicate across configurations", len(f.Next), len(s.cfg.WAL))
+	if err := s.cfg.Shape.Compare(*f.Shape, "primary", "follower"); err != nil {
+		return fmt.Errorf("shape mismatch: %v — refusing to replicate across shapes", err)
 	}
 	cursors := append([]int64(nil), f.Next...)
 	tails := make([]*journal.Tail, len(cursors))

@@ -102,8 +102,11 @@ func (sh *shard) replayLocked(rec *journal.Record) error {
 
 // refuseTags rejects records this shard's configuration cannot account
 // for: a fairness-tagged one with fairness off would drop the tenant
-// ledger. Steal tags need no configuration — every shard keeps redirects
-// and feeds the steal ledger, stealing or not.
+// ledger. Only a directory without a shape file can get here with one —
+// New refuses a fairness-off start on a directory recorded with fairness,
+// and the hello a follower whose shape is not its primary's. Steal tags
+// need no configuration — every shard keeps redirects and feeds the steal
+// ledger, stealing or not.
 func (sh *shard) refuseTags(rec *journal.Record) error {
 	if sh.fair == nil && (rec.Type == journal.TypeFair || rec.Fair != nil || rec.Tenant != "") {
 		return errors.New("is fairness-tagged but fairness is disabled; refusing to drop tenant state (restart with -fairness, or move the journal away)")

@@ -415,8 +415,8 @@ func TestStepEventCounts(t *testing.T) {
 }
 
 // TestStepAllocsPinned pins what the live step path allocates per step of
-// a running job that neither releases nor completes anything: the event's
-// copy of the executed counts, and nothing else.
+// a running job that neither releases nor completes anything: nothing,
+// since with no subscriber no event is built.
 func TestStepAllocsPinned(t *testing.T) {
 	svc, err := New(testConfig(1, 2))
 	if err != nil {
@@ -437,8 +437,54 @@ func TestStepAllocsPinned(t *testing.T) {
 	for range 10 {
 		step()
 	}
-	if allocs := testing.AllocsPerRun(200, step); allocs != 1 {
-		t.Fatalf("a live step allocates %.1f, want 1 (the event's executed counts)", allocs)
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("a live step with no subscriber allocates %.1f, want 0", allocs)
+	}
+}
+
+// TestSubscribedStepEvents: with a subscriber, the live step path and a
+// follower's replicated one publish identical events, one per step record,
+// and only steps publish.
+func TestSubscribedStepEvents(t *testing.T) {
+	pcfg := journaledConfig(t, 2, 2, 1)
+	pcfg.Shards = 2
+	primary := newPrimary(t, pcfg)
+	fcfg := journaledConfigFrom(pcfg)
+	fcfg.Journal.Dir = t.TempDir()
+	fcfg.Follower = true
+	follower := newPrimary(t, fcfg)
+	pev, pcancel := primary.Subscribe()
+	defer pcancel()
+	fev, fcancel := follower.Subscribe()
+	defer fcancel()
+
+	for i := 0; i < 6; i++ {
+		if _, err := primary.Submit(sim.JobSpec{Graph: dag.RoundRobinChain(2, 2+i%3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records := 0
+	for idx := range primary.shards {
+		for stepShard(t, primary, idx) {
+			records++
+		}
+	}
+	if records == 0 {
+		t.Fatal("no step executed")
+	}
+	pullReplication(t, pcfg.Journal.Dir, follower)
+	for i := 0; i < records; i++ {
+		p, f := <-pev, <-fev
+		if !reflect.DeepEqual(p, f) {
+			t.Fatalf("event %d: primary %+v, follower %+v", i, p, f)
+		}
+	}
+	select {
+	case ev := <-pev:
+		t.Fatalf("primary published an extra event %+v", ev)
+	case ev := <-fev:
+		t.Fatalf("follower published an extra event %+v", ev)
+	default:
 	}
 }
 

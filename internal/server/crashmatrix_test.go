@@ -67,7 +67,7 @@ func TestCrashMatrix(t *testing.T) {
 func runCrashPoint(t *testing.T, bin string, killAfterMillis int64) {
 	dir := t.TempDir()
 	addr := freeAddr(t)
-	daemon := startKradd(t, bin, dir, addr)
+	daemon := startKradd(t, bin, dir, addr, "-caps", "2")
 
 	// Burst submissions until the daemon dies under us, recording every
 	// acknowledged (201) ID. The killer fires mid-burst after a random
@@ -127,7 +127,8 @@ burst:
 		t.Fatalf("journal holds %d admissions but %d were acknowledged", snap.Admitted, len(acked))
 	}
 
-	// Restart over the same directory and let it drain.
+	// Restart over the same directory, with no shape flag: the directory's
+	// fleet-shape file, not kradd's default caps, must shape the replay.
 	daemon2 := startKradd(t, bin, dir, addr)
 	waitDrained(t, client, addr)
 	stats := fetchStats(t, client, addr)
@@ -164,13 +165,15 @@ burst:
 	}
 }
 
-func startKradd(t *testing.T, bin, dir, addr string) *exec.Cmd {
+// startKradd runs kradd over dir with the harness's policy flags and
+// shape, any shape flags.
+func startKradd(t *testing.T, bin, dir, addr string, shape ...string) *exec.Cmd {
 	t.Helper()
-	cmd := exec.Command(bin,
-		"-addr", addr, "-caps", "2",
+	cmd := exec.Command(bin, append([]string{
+		"-addr", addr,
 		"-journal-dir", dir, "-fsync", "always", "-snapshot-every", "0",
 		"-drain", "10s",
-	)
+	}, shape...)...)
 	var logs bytes.Buffer
 	cmd.Stdout = &logs
 	cmd.Stderr = &logs

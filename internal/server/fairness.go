@@ -49,6 +49,22 @@ func newFairController(cfg fairshare.Config) (*fairController, error) {
 	}, nil
 }
 
+// ensureLeaves gives every tenant the shard ledgers have numbered a tree
+// leaf, in slot order. Dynamic leaves live only in the tree, which no
+// journal records, so a restart or a promoted follower grows them back from
+// the replayed records rather than leaving tenants with jobs in flight out
+// of the division until they submit again.
+func (fc *fairController) ensureLeaves() {
+	fc.slots.mu.Lock()
+	paths := append([]string(nil), fc.slots.paths...)
+	fc.slots.mu.Unlock()
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	for _, p := range paths {
+		fc.tree.Ensure(p)
+	}
+}
+
 // recordAdmit counts a committed admission against the leaf.
 func (fc *fairController) recordAdmit(path string, n int) {
 	fc.mu.Lock()

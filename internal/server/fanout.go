@@ -1,12 +1,18 @@
 package server
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // fanout is the pool-wide event bus: every shard's step loop publishes
 // into it, every subscriber reads a merged stream. Slow subscribers lose
 // events (counted) rather than ever blocking a step loop.
 type fanout struct {
 	buf int
+	// n counts subscribers, written under mu and read without it: a step
+	// builds its event only when someone can receive it.
+	n atomic.Int32
 
 	mu      sync.Mutex
 	subs    map[int]chan Event
@@ -33,17 +39,24 @@ func (f *fanout) subscribe() (<-chan Event, func()) {
 	id := f.next
 	f.next++
 	f.subs[id] = ch
+	f.n.Add(1)
 	f.mu.Unlock()
 	cancel := func() {
 		f.mu.Lock()
 		if c, ok := f.subs[id]; ok {
 			delete(f.subs, id)
+			f.n.Add(-1)
 			close(c)
 		}
 		f.mu.Unlock()
 	}
 	return ch, cancel
 }
+
+// subscribed reports whether anyone is subscribed. A subscription that
+// lands after it answered false misses that one event, as it would have
+// had it landed after the publish.
+func (f *fanout) subscribed() bool { return f.n.Load() != 0 }
 
 // publish fans an event out to every subscriber, dropping (and counting)
 // on full buffers.
@@ -74,5 +87,6 @@ func (f *fanout) close() {
 		delete(f.subs, id)
 		close(ch)
 	}
+	f.n.Store(0)
 	f.mu.Unlock()
 }

@@ -71,24 +71,43 @@ func shardJournalPath(dir string, i int) string {
 }
 
 // openJournals opens (and replays) one journal per shard, attaching each
-// to its shard. Any failure — unreadable file, corrupt non-tail record,
-// replay divergence, stray journals from a larger fleet — is returned as
-// a located error so the caller (cmd/kradd) can exit non-zero instead of
-// serving silently forgotten state.
-func (s *Service) openJournals(jc *JournalConfig) error {
-	if err := os.MkdirAll(jc.Dir, 0o755); err != nil {
-		return fmt.Errorf("server: journal dir %s: %w", jc.Dir, err)
-	}
-	// A journal dir written by a larger fleet means the missing shards'
-	// acknowledged jobs would silently vanish: refuse to start.
-	strays, err := filepath.Glob(filepath.Join(jc.Dir, "shard-*.wal"))
+// to its shard, and reports whether the directory's shape file is to be
+// (re)written once the start succeeds. A directory replays only on the
+// shape it recorded (a restart may turn fairness on), checked before any
+// file changes; one without a shape file keeps the stray-journal scan.
+// Any failure — unreadable file, corrupt non-tail record, replay
+// divergence, another shape — is returned as a located error so the
+// caller (cmd/kradd) can exit non-zero instead of serving silently
+// forgotten state.
+func (s *Service) openJournals(jc *JournalConfig) (record bool, err error) {
+	recorded, err := journal.ReadShape(jc.Dir)
 	if err != nil {
-		return fmt.Errorf("server: scan journal dir %s: %w", jc.Dir, err)
+		return false, fmt.Errorf("server: %w", err)
 	}
-	for _, p := range strays {
-		var idx int
-		if _, err := fmt.Sscanf(filepath.Base(p), "shard-%d.wal", &idx); err == nil && idx >= len(s.shards) {
-			return fmt.Errorf("server: journal %s belongs to shard %d but the service runs %d shard(s); refusing to drop its jobs (restart with the original -shards, or move the file away)", p, idx, len(s.shards))
+	if recorded != nil {
+		given := s.shape
+		if recorded.HalfLife == 0 {
+			given.HalfLife = 0
+		}
+		if err := recorded.Compare(given, "recorded", "given"); err != nil {
+			return false, fmt.Errorf("server: %s: %v; refusing to replay its journals on another shape (start with the recorded shape, or move the directory's files away to reshape it)", journal.ShapePath(jc.Dir), err)
+		}
+	}
+	if err := os.MkdirAll(jc.Dir, 0o755); err != nil {
+		return false, fmt.Errorf("server: journal dir %s: %w", jc.Dir, err)
+	}
+	if recorded == nil {
+		// A journal dir written by a larger fleet means the missing shards'
+		// acknowledged jobs would silently vanish: refuse to start.
+		strays, err := filepath.Glob(filepath.Join(jc.Dir, "shard-*.wal"))
+		if err != nil {
+			return false, fmt.Errorf("server: scan journal dir %s: %w", jc.Dir, err)
+		}
+		for _, p := range strays {
+			var idx int
+			if _, err := fmt.Sscanf(filepath.Base(p), "shard-%d.wal", &idx); err == nil && idx >= len(s.shards) {
+				return false, fmt.Errorf("server: journal %s belongs to shard %d but the service runs %d shard(s); refusing to drop its jobs (restart with the original -shards, or move the file away)", p, idx, len(s.shards))
+			}
 		}
 	}
 	// The shards replay in order on the caller's goroutine, the only one
@@ -97,10 +116,10 @@ func (s *Service) openJournals(jc *JournalConfig) error {
 	opts := journal.Options{Sync: jc.Sync, Interval: jc.SyncInterval, OpenAppend: jc.OpenAppend}
 	for _, sh := range s.shards {
 		if err := sh.attachJournal(jc, opts); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	return recorded == nil || recorded.HalfLife != s.shape.HalfLife, nil
 }
 
 // attachJournal opens the shard's journal and replays each record through
@@ -214,11 +233,8 @@ func (s *Service) Ready() (bool, string) {
 		return false, "following (standby) — replicating from the primary; POST /v1/promote to take over"
 	}
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		jn := sh.jn
-		sh.mu.Unlock()
-		if jn != nil {
-			if err := jn.Err(); err != nil {
+		if sh.jn != nil {
+			if err := sh.jn.Err(); err != nil {
 				return false, fmt.Sprintf("shard %d journal degraded: %v", sh.idx, err)
 			}
 		}
@@ -235,13 +251,10 @@ func (s *Service) journalStats() *JournalStats {
 	}
 	js := &JournalStats{Dir: s.cfg.Journal.Dir, Sync: s.cfg.Journal.Sync.String()}
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		jn := sh.jn
-		sh.mu.Unlock()
-		if jn == nil {
+		if sh.jn == nil {
 			continue
 		}
-		st := jn.Stats()
+		st := sh.jn.Stats()
 		js.Records += st.Records
 		js.Appended += st.Appended
 		js.Compactions += st.Compactions

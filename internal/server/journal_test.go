@@ -383,21 +383,32 @@ func TestNonJournalableSubmitLeavesNoTrace(t *testing.T) {
 func TestJournalRefusesShardShrink(t *testing.T) {
 	cfg := journaledConfig(t, 1, 2)
 	cfg.Shards = 2
-	cfg.NewScheduler = func() sched.Scheduler { return core.NewKRAD(cfg.Sim.K) }
 	svc, err := New(cfg)
 	if err != nil {
-		t.Skipf("sharded journal config rejected: %v", err)
-	}
-	if _, err := svc.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); err != nil {
 		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := svc.Submit(sim.JobSpec{Graph: dag.Singleton(1, 1)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	drainAndClose(t, svc)
 
 	shrunk := journaledConfigFrom(cfg)
 	shrunk.Shards = 1
-	shrunk.NewScheduler = nil
-	if _, err := New(shrunk); err == nil {
-		t.Fatal("New accepted a journal dir written by a larger fleet")
+	// The shape file refuses first, naming itself and both counts.
+	_, err = New(shrunk)
+	if want := journal.ShapePath(cfg.Journal.Dir) + ": shards differs: recorded 2, given 1"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("shrunk restart: %v, want a refusal containing %q", err, want)
+	}
+	// Without it (a directory from before shapes were recorded), the scan
+	// for stray journals refuses, naming the shard the fleet would drop.
+	if err := os.Remove(journal.ShapePath(cfg.Journal.Dir)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(shrunk)
+	if want := "shard-001.wal belongs to shard 1 but the service runs 1 shard(s)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("shrunk restart without a shape file: %v, want a refusal containing %q", err, want)
 	}
 }
 

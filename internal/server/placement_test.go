@@ -37,3 +37,26 @@ func TestLeastLoadedTieBreak(t *testing.T) {
 		})
 	}
 }
+
+// TestPickAllocsPinned: policies that read no load cost a submission no
+// allocation for the loads vector, at any shard count.
+func TestPickAllocsPinned(t *testing.T) {
+	for _, policy := range []string{PlaceRoundRobin, PlaceHash} {
+		cfg := testConfig(1, 2)
+		cfg.Shards = 4
+		cfg.Placement = policy
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"", "tenant-a"} {
+			if allocs := testing.AllocsPerRun(100, func() {
+				if _, err := svc.pick(key); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s pick (key %q) over 4 shards allocates %.1f, want 0", policy, key, allocs)
+			}
+		}
+	}
+}

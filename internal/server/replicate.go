@@ -110,6 +110,9 @@ func (s *Service) Promote() {
 			sh.mu.Unlock()
 		}
 	}
+	if s.fair != nil {
+		s.fair.ensureLeaves()
+	}
 	if started {
 		for _, sh := range s.shards {
 			sh.start()
@@ -154,7 +157,7 @@ func (s *Service) ApplyReplicated(shard int, seq int64, rec journal.Record) erro
 	sh := s.shards[shard]
 	sh.mu.Lock()
 	err := sh.applyReplicatedLocked(seq, &rec)
-	stepped := err == nil && (rec.Type == journal.TypeStep || rec.Type == journal.TypeSteps)
+	stepped := err == nil && (rec.Type == journal.TypeStep || rec.Type == journal.TypeSteps) && sh.fan.subscribed()
 	var ev Event
 	if stepped {
 		ev = sh.stepEventLocked()

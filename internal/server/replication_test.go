@@ -110,6 +110,7 @@ func startSender(t *testing.T, svc *Service, addr string, mut func(*replicate.Se
 	cfg := replicate.SenderConfig{
 		Addr:       addr,
 		Epoch:      openEpoch(t, filepath.Dir(svc.JournalPaths()[0])),
+		Shape:      svc.Shape(),
 		WAL:        svc.JournalPaths(),
 		Heartbeat:  20 * time.Millisecond,
 		MinBackoff: 2 * time.Millisecond,
@@ -840,7 +841,7 @@ func TestLeaseHoldsOnIdleLink(t *testing.T) {
 	}
 
 	_, err := replicate.NewSender(replicate.SenderConfig{
-		Addr: addr, Epoch: openEpoch(t, t.TempDir()), WAL: primary.JournalPaths(),
+		Addr: addr, Epoch: openEpoch(t, t.TempDir()), Shape: primary.Shape(), WAL: primary.JournalPaths(),
 		Heartbeat: time.Second, Lease: 300 * time.Millisecond,
 	})
 	if err == nil || !strings.Contains(err.Error(), "Heartbeat") {

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"krad/internal/fairshare"
+	"krad/internal/journal"
 	"krad/internal/metrics"
 	"krad/internal/sched"
 	"krad/internal/sim"
@@ -202,9 +203,11 @@ type Service struct {
 	cfg       Config
 	shards    []*shard
 	place     Placement
+	noLoads   []int // all zero, one per shard: what a policy that reads no load is handed
 	fan       *fanout
 	fair      *fairController // nil when fairness is off
 	ledger    *stealLedger    // steal reconciliation, shared with every shard
+	shape     journal.Shape   // what the journal directory records and the hello compares
 	schedName string
 	retryVals [4]string     // Retry-After values base..base+3s; base from StepEvery
 	retrySeq  atomic.Uint32 // round-robin cursor into retryVals
@@ -267,6 +270,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:       cfg,
 		shards:    shards,
 		place:     place,
+		noLoads:   make([]int, len(shards)),
 		fan:       fan,
 		ledger:    ledger,
 		schedName: schedName,
@@ -295,10 +299,15 @@ func New(cfg Config) (*Service, error) {
 			sh.armFair(fc.tree.HalfLife(), fc.tree.Default().Path, fc.slots)
 		}
 	}
+	s.shape = journal.Shape{Caps: append([]int(nil), cfg.Sim.Caps...), Shards: cfg.Shards}
+	if s.fair != nil {
+		s.shape.HalfLife = s.fair.tree.HalfLife()
+	}
+	record := false
 	if cfg.Journal != nil {
 		// Replays each shard's journal through its fresh engine before any
 		// step loop exists; a corrupt or mismatched journal fails New.
-		err = s.openJournals(cfg.Journal)
+		record, err = s.openJournals(cfg.Journal)
 	}
 	if err == nil && !cfg.Follower {
 		// Repair steals split by a crash, now that every shard's journal has
@@ -306,6 +315,12 @@ func New(cfg Config) (*Service, error) {
 		// to Promote: its ledger fills from the replicated stream and its
 		// engines must not mutate outside it until then.
 		err = s.reconcileSteals()
+	}
+	if err == nil && s.fair != nil && !cfg.Follower {
+		s.fair.ensureLeaves()
+	}
+	if err == nil && record {
+		err = journal.WriteShape(cfg.Journal.Dir, s.shape)
 	}
 	if err != nil {
 		// A failed start closes what it opened; its own error is the report.
@@ -342,6 +357,10 @@ func (s *Service) Start() {
 
 // Shards returns the number of engines behind the front-end.
 func (s *Service) Shards() int { return len(s.shards) }
+
+// Shape returns the fleet's shape: what its journal directory records and
+// what the replication hello compares. Its Caps must not be modified.
+func (s *Service) Shape() journal.Shape { return s.shape }
 
 // Submit admits a job via the placement policy (with no affinity key) and
 // returns its namespaced ID. A zero Release means "now" (the owning
@@ -461,6 +480,10 @@ func (s *Service) pick(key string) (*shard, error) {
 	}
 	if len(s.shards) == 1 {
 		return s.shards[0], nil
+	}
+	if _, ok := s.place.(leastLoaded); !ok {
+		// Round-robin and hash read only the shard count.
+		return s.shards[s.place.Pick(key, s.noLoads)], nil
 	}
 	// Loads come from the shards' lock-free gauges, so placement never
 	// contends with the step loops. With stealing on, "least-loaded" reads

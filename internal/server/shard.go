@@ -89,7 +89,9 @@ type shard struct {
 	// acquisition (apply.go), so the journal's record order IS the engine's
 	// mutation order. compactEvery and compactOff govern idle-point
 	// snapshot compaction. admitRec is admitRecordLocked's scratch record;
-	// out is what the last apply handed back.
+	// out is what the last apply handed back. jn itself is set once, by
+	// attachJournal inside New, before the shard is visible to any other
+	// goroutine, and never again: reading the pointer needs no lock.
 	jn           *journal.Journal
 	compactEvery int64
 	compactOff   bool
@@ -380,13 +382,10 @@ func (sh *shard) close(ctx context.Context) error {
 // silently swallowing it would let a dirty interval-fsync tail vanish
 // with a clean exit status.
 func (sh *shard) closeJournal() error {
-	sh.mu.Lock()
-	jn := sh.jn
-	sh.mu.Unlock()
-	if jn == nil {
+	if sh.jn == nil {
 		return nil
 	}
-	if err := jn.Close(); err != nil {
+	if err := sh.jn.Close(); err != nil {
 		return fmt.Errorf("shard %d: close journal: %w", sh.idx, err)
 	}
 	return nil
@@ -410,9 +409,9 @@ func (sh *shard) stepOnce() (bool, error) {
 
 // stepN executes up to max engine steps under ONE lock acquisition and
 // ONE journal append: the clock advances (leaping where the engine proves
-// it safe), counters update, and a single aggregated event fans out with
-// namespaced job IDs. It reports 0 without stepping when the engine is
-// idle or a previous step failed fatally.
+// it safe), counters update, and — when anyone is subscribed — a single
+// aggregated event fans out with namespaced job IDs. It reports 0 without
+// stepping when the engine is idle or a previous step failed fatally.
 func (sh *shard) stepN(max int64) (int64, error) {
 	sh.mu.Lock()
 	if sh.stepErr != nil {
@@ -443,10 +442,16 @@ func (sh *shard) stepN(max int64) (int64, error) {
 	sh.Stepped(info)
 	sh.applied++
 	sh.syncGaugesLocked()
-	ev := sh.stepEventLocked()
+	var ev Event
+	subscribed := sh.fan.subscribed()
+	if subscribed {
+		ev = sh.stepEventLocked()
+	}
 	sh.mu.Unlock()
 
-	sh.fan.publish(ev)
+	if subscribed {
+		sh.fan.publish(ev)
+	}
 	return info.Steps, nil
 }
 

@@ -203,7 +203,7 @@ func allocRows(t *testing.T) []allocRow {
 		}
 		t.Cleanup(func() { svc.Close(context.Background()) })
 		if name == "replicated" {
-			sender, err := replicate.NewSender(replicate.SenderConfig{Addr: "127.0.0.1:1", Epoch: openEpoch(t, cfg.Journal.Dir), WAL: svc.JournalPaths()})
+			sender, err := replicate.NewSender(replicate.SenderConfig{Addr: "127.0.0.1:1", Epoch: openEpoch(t, cfg.Journal.Dir), Shape: svc.Shape(), WAL: svc.JournalPaths()})
 			if err != nil {
 				t.Fatal(err)
 			}
