@@ -267,7 +267,11 @@ func BenchmarkKRADAllot(b *testing.B) {
 // (rigid jobs, 1–4 processors, 8–63 steps; 4,000 of them in the benchmark)
 // at N jobs from release to idle, completions, compactions and
 // cycle-completing rounds included. Every round hands out the same 48
-// processors, so ns/round should not grow with N either.
+// processors, so ns/round should not grow with N either. A rigid job never
+// leaves its category, so the reenter=N variant drains N profile jobs whose
+// phases alternate between two categories: each phase change takes the job
+// out of one category's α-active list and back into the other's, where it
+// refills the hole it left there, if that is still open.
 func BenchmarkEngineRound(b *testing.B) {
 	newEngine := func(b *testing.B, specs []krad.JobSpec) *krad.Engine {
 		eng, err := krad.NewEngine(krad.Config{
@@ -302,6 +306,27 @@ func BenchmarkEngineRound(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
 		})
 	}
+	drain := func(b *testing.B, specs []krad.JobSpec) {
+		b.ReportAllocs()
+		var rounds int64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			eng := newEngine(b, specs)
+			b.StartTimer()
+			for {
+				info, err := eng.Step()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if info.Idle {
+					break
+				}
+				rounds++
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
+		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	}
 	for _, jobs := range []int{1000, 4000, 16000} {
 		b.Run(fmt.Sprintf("drain=%d", jobs), func(b *testing.B) {
 			specs := make([]krad.JobSpec, jobs)
@@ -309,27 +334,21 @@ func BenchmarkEngineRound(b *testing.B) {
 				c := j / 3
 				specs[j] = krad.JobSpec{Source: profile.MustNewRigid(3, "ovl", krad.Category(1+j%3), 1+c%4, 8+(c/4)%56)}
 			}
-			b.ReportAllocs()
-			var rounds int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng := newEngine(b, specs)
-				b.StartTimer()
-				for {
-					info, err := eng.Step()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if info.Idle {
-						break
-					}
-					rounds++
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
-			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			drain(b, specs)
 		})
 	}
+	b.Run("reenter=4000", func(b *testing.B) {
+		specs := make([]krad.JobSpec, 4000)
+		for j := range specs {
+			phases := make([]profile.Phase, 6)
+			for p := range phases {
+				phases[p].Tasks = make([]int, 3)
+				phases[p].Tasks[(j+p%2)%3] = 2 + (j/3+p)%6
+			}
+			specs[j] = krad.JobSpec{Source: profile.MustNew(3, "alt", phases)}
+		}
+		drain(b, specs)
+	})
 }
 
 // BenchmarkEngineChurn measures a steady admit→complete stream — rigid 0.7,

@@ -128,7 +128,7 @@ func TestRADRoundRobinCycleGrowsStampOnce(t *testing.T) {
 	var r *RAD
 	avg := testing.AllocsPerRun(5, func() {
 		r = NewRAD()
-		r.ids, r.grants = warm.ids[:0], warm.grants[:0]
+		r.grants = warm.grants[:0]
 		for s := int64(1); s <= n/p; s++ { // 85 steps mark 4,080 jobs
 			r.AllotInto(s, jobs, p, dst)
 		}

@@ -93,19 +93,29 @@ func DeqInto(allot, scratch, desires []int, p, rot int) []int {
 }
 
 // deqStableHorizon reports how many additional consecutive steps a DEQ
-// partition over jobs (the α-active set, positive desires) stays in
-// closed form under the engine's leap law: the active set does not change
-// and every job's desire shrinks by exactly its allotment per step. That
-// holds while every job remains strictly deprived — each then receives
-// the equal share ⌊p/n⌋, plus possibly one rotated remainder processor
-// (which moves with t but is exactly accounted by deqLeapTotals). The
-// horizon keeps every job deprived at every covered step AND strictly
-// positive after the last one (so no completion or phase boundary is
-// crossed mid-leap), using the worst-case per-step decrement share+1 when
-// a remainder exists. No jobs (or no processors) means the all-zero
-// output repeats indefinitely: sched.Unbounded.
+// partition over jobs (the α-active list; an entry with Desire 0 is a hole
+// and counts for nothing) stays in closed form under the engine's leap law:
+// the active set does not change and every job's desire shrinks by exactly
+// its allotment per step. That holds while every job remains strictly
+// deprived — each then receives the equal share ⌊p/n⌋, plus possibly one
+// rotated remainder processor (which moves with t but is exactly accounted
+// by deqLeapTotals). The horizon keeps every job deprived at every covered
+// step AND strictly positive after the last one (so no completion or phase
+// boundary is crossed mid-leap), using the worst-case per-step decrement
+// share+1 when a remainder exists. No jobs (or no processors) means the
+// all-zero output repeats indefinitely: sched.Unbounded.
 func deqStableHorizon(jobs []sched.CatJob, p int) int64 {
-	n := len(jobs)
+	n, least := 0, 0
+	for _, j := range jobs {
+		if j.Desire > 0 { // a Desire of 0 is a hole
+			if j.Desire <= p/len(jobs) {
+				return 0 // below the slack of any n ≤ len(jobs)
+			}
+			if n++; n == 1 || j.Desire < least {
+				least = j.Desire
+			}
+		}
+	}
 	if n == 0 || p <= 0 {
 		return sched.Unbounded
 	}
@@ -115,21 +125,15 @@ func deqStableHorizon(jobs []sched.CatJob, p int) int64 {
 	share, extra := p/n, p%n
 	// dec is the most a desire can drop per step; slack is the minimum
 	// entry desire that keeps a job deprived through the step and above
-	// zero after it.
+	// zero after it. The horizon is the least desire's.
 	dec, slack := share, share+1
 	if extra > 0 {
 		dec, slack = share+1, share+2
 	}
-	h := sched.Unbounded
-	for _, j := range jobs {
-		if j.Desire < slack {
-			return 0
-		}
-		if hj := int64((j.Desire - slack) / dec); hj < h {
-			h = hj
-		}
+	if least < slack {
+		return 0
 	}
-	return h
+	return int64((least - slack) / dec)
 }
 
 // deqLeapTotals accumulates into dst (len(jobs), zeroed by the caller)

@@ -38,9 +38,13 @@ type RAD struct {
 	// marked — except the late entrants: jobs that joined the category
 	// below the cursor, unmarked, after it had passed. Figure 2's Q is late
 	// followed by the list from cursor on, Q′ the rest of the list below
-	// cursor, both in ID order with nothing tested per job.
+	// cursor, both in ID order.
 	cursor int
-	late   []int // ascending IDs
+	late   sched.IDList
+	// live counts the α-active jobs and nqp the marked ones (|Q′|), as they
+	// enter, leave and are marked, since the list a round is handed holds
+	// holes; cp is where the cursor fell in the last one.
+	live, nqp, cp int
 	// rot rotates which marked jobs receive the cycle-completing "bonus"
 	// service (the move from Q′ to Q below). Figure 2 leaves the choice
 	// unspecified; rotating it keeps long-run service counts equal instead
@@ -50,9 +54,8 @@ type RAD struct {
 	// StableHorizon.
 	horizon int64
 	// Scratch reused across rounds; each round clobbers all of it.
-	q, desires, deqAllot, deqScratch, order []int
-	// The dense entry's memory: the IDs it was last handed, and its grants.
-	ids    []int
+	q, qp, desires, deqAllot, deqScratch []int
+	// The dense entry's grants.
 	grants []sched.CatGrant
 }
 
@@ -96,37 +99,33 @@ func (r *RAD) mark(id int) {
 // sets so idle categories do not allocate every step.
 var emptyAllot = []int{}
 
-// growInts returns buf resliced to length n, reallocating only when the
-// capacity is insufficient.
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n, n+n/2+8)
-	}
-	return buf[:n]
-}
-
 // JobEntered implements sched.CategoryDeltaAllotter: a job that joins
 // unmarked below the cursor is a late entrant.
 func (r *RAD) JobEntered(id int) {
-	if id < r.cursor && !r.marked(id) {
-		if i, in := slices.BinarySearch(r.late, id); !in {
-			r.late = slices.Insert(r.late, i, id)
-		}
+	r.live++
+	switch {
+	case r.marked(id):
+		r.nqp++
+	case id < r.cursor:
+		r.late.Insert(id)
 	}
 }
 
 // JobLeft implements sched.CategoryDeltaAllotter. The job's mark stays: it
 // is what the job re-enters with.
 func (r *RAD) JobLeft(id int) {
-	if id < r.cursor && !r.marked(id) {
-		if i, in := slices.BinarySearch(r.late, id); in {
-			r.late = slices.Delete(r.late, i, i+1)
-		}
+	r.live--
+	switch {
+	case r.marked(id):
+		r.nqp--
+	case id < r.cursor:
+		r.late.Delete(id)
 	}
 }
 
 // AllotDelta implements the RAD procedure of Figure 2 for one category, over
-// the α-active list it is handed (ascending ID = queue order):
+// the α-active list it is handed (ascending ID = queue order; an entry with
+// Desire 0 is a hole and is passed over):
 //
 //	Q  ← unmarked α-active jobs
 //	Q′ ← marked α-active jobs
@@ -136,22 +135,23 @@ func (r *RAD) JobLeft(id int) {
 //	              processors over Q with DEQ, and unmark all jobs (the
 //	              round-robin cycle, if any, is complete)
 //
-// A round-robin round costs O(P), a cycle-completing round O(P log P), a
-// DEQ round O(|jobs|) ≤ O(P).
+// A round-robin round costs O(P) plus the holes it passes; a cycle-completing
+// round O(P log P), plus a walk below the cursor if it draws on Q′ — O(P) per
+// round of the cycle; a DEQ round O(|jobs|), holes included.
 func (r *RAD) AllotDelta(t int64, jobs []sched.CatJob, p int, out []sched.CatGrant) []sched.CatGrant {
-	if len(jobs) == 0 || p <= 0 {
+	if r.live == 0 || p <= 0 {
 		// No jobs (or no processors): the all-zero output repeats as long
 		// as the inputs do.
 		r.horizon = sched.Unbounded
 		return out
 	}
-	// Q′ is the list below the cursor minus the late entrants.
-	cp := 0
+	cp := 0 // where the cursor falls in jobs: near where it fell last round
 	if r.cursor > 0 {
-		cp, _ = sched.FindCatJob(jobs, len(jobs), r.cursor)
+		cp, _ = sched.FindCatJob(jobs, r.cp, r.cursor)
 	}
-	nqp := cp - len(r.late)
-	nq := len(jobs) - nqp
+	r.cp = cp
+	nq := r.live - r.nqp
+	late := r.late.Jobs()
 	if nq > p {
 		// ROUND-ROBIN: first P jobs of Q get one processor each, marked.
 		// Mid-cycle state changes every step, so never leap over it.
@@ -159,102 +159,102 @@ func (r *RAD) AllotDelta(t int64, jobs []sched.CatJob, p int, out []sched.CatGra
 		// Jobs arrive in ascending ID: one growth covers the whole cycle,
 		// instead of one reallocation per newly marked ID.
 		r.growStamp(jobs[len(jobs)-1].ID + 1)
-		n := min(p, len(r.late))
-		for _, id := range r.late[:n] {
-			out = append(out, sched.CatGrant{ID: id, N: 1})
-			r.mark(id)
+		n := 0
+		for i := 0; n < p && i < len(late); i++ {
+			if r.late.In(i) {
+				out = append(out, sched.CatGrant{ID: late[i].ID, N: 1})
+				r.mark(late[i].ID)
+				n++
+			}
 		}
-		r.late = r.late[:copy(r.late, r.late[n:])]
-		for _, j := range jobs[cp : cp+p-n] {
-			out = append(out, sched.CatGrant{ID: j.ID, N: 1})
-			r.mark(j.ID)
+		for x := len(out) - 1; x >= len(out)-n; x-- { // the last first: the list moves once
+			r.late.Delete(out[x].ID)
 		}
+		for i := cp; n < p; i++ {
+			if jobs[i].Desire > 0 {
+				out = append(out, sched.CatGrant{ID: jobs[i].ID, N: 1})
+				r.mark(jobs[i].ID)
+				n++
+			}
+		}
+		r.nqp += p
 		return out
 	}
 	// Cycle completes this step. Q, as positions in jobs: the late entrants,
-	// then everything from the cursor on.
-	q := r.q[:0]
-	for i, id := range r.late {
-		i, _ = sched.FindCatJob(jobs[:cp], i, id)
-		q = append(q, i)
+	// then the α-active jobs from the cursor on.
+	q, at := r.q[:0], 0
+	for i, j := range late {
+		if r.late.In(i) {
+			at, _ = sched.FindCatJob(jobs[:cp], at, j.ID)
+			q = append(q, at)
+		}
 	}
+	nl := len(q)
 	for i := cp; i < len(jobs); i++ {
-		q = append(q, i)
+		if jobs[i].Desire > 0 {
+			q = append(q, i)
+		}
 	}
 	// Fill Q from Q′ so no processor idles. The jobs moved over are chosen
-	// round-robin across cycles (see rot): rot indexes Q′ by position, and
-	// the k-th member of Q′ is the k-th position below the cursor that is
-	// not a late entrant's.
-	need := min(p-nq, nqp)
-	wrap := len(q) + need // where in q the jobs taken after wrapping around Q′'s end start
-	if need > 0 {
-		latePos := q[:len(r.late)]
-		m := r.rot % nqp
-		wrap = len(q) + min(need, nqp-m)
-		pos, li := m, 0
-		for li < len(latePos) && latePos[li] <= pos {
-			pos++
-			li++
-		}
-		for taken := 0; taken < need; taken++ {
-			q = append(q, pos)
-			m++
-			pos++
-			if m == nqp {
-				m, pos, li = 0, 0, 0
-			}
-			for li < len(latePos) && latePos[li] == pos {
-				pos++
-				li++
+	// round-robin across cycles (see rot): rot indexes Q′, the marked
+	// α-active jobs in ID order.
+	wrap := len(q) // where in q the jobs taken after wrapping around Q′'s end start
+	if need := min(p-nq, r.nqp); need > 0 {
+		qp := r.qp[:0]
+		for i, j := range jobs[:cp] {
+			if j.Desire > 0 && r.marked(j.ID) {
+				qp = append(qp, i)
 			}
 		}
+		r.qp = qp
+		m := r.rot % len(qp)
+		e := min(m+need, len(qp))
+		q = append(q, qp[m:e]...)
+		wrap = len(q)
+		q = append(q, qp[:need-(e-m)]...)
 		r.rot += need
 	}
 	r.q = q
 	// Leap safety: with no marks at entry this call was pure DEQ and left
 	// the marks and rotation untouched, so the horizon is DEQ's. A cycle
 	// completion (marks present) mutates rot — settle one step at a time.
-	if nqp == 0 {
+	if r.nqp == 0 {
 		r.horizon = deqStableHorizon(jobs, p)
 	} else {
 		r.horizon = 0
 	}
-	desires := growInts(r.desires, len(q))
-	for j, i := range q {
-		desires[j] = jobs[i].Desire
+	desires := r.desires[:0]
+	for _, i := range q {
+		desires = append(desires, jobs[i].Desire)
 	}
 	r.desires = desires
-	r.deqAllot = growInts(r.deqAllot, len(q))
-	r.deqScratch = growInts(r.deqScratch, len(q))
+	r.deqAllot = slices.Grow(r.deqAllot[:0], len(q))[:len(q)]
+	r.deqScratch = slices.Grow(r.deqScratch[:0], len(q))[:len(q)]
 	allot := DeqInto(r.deqAllot, r.deqScratch, desires, p, int(t))
 	// DEQ's order put the jobs moved over last; the grants go out by ID.
 	// Below the cursor the late entrants merge with the jobs moved over —
 	// the ones taken after the wrap first — and then comes the rest of Q.
-	order := r.order[:0]
-	x := 0
-	for _, run := range [2][2]int{{wrap, len(q)}, {nq, wrap}} {
-		for y := run[0]; y < run[1]; y++ {
-			for ; x < len(r.late) && q[x] < q[y]; x++ {
-				order = append(order, x)
-			}
-			order = append(order, y)
-		}
-	}
-	r.order = order
-	for _, j := range order {
+	emit := func(j int) {
 		if a := allot[j]; a != 0 {
 			out = append(out, sched.CatGrant{ID: jobs[q[j]].ID, N: a})
 		}
 	}
-	for ; x < nq; x++ {
-		if a := allot[x]; a != 0 {
-			out = append(out, sched.CatGrant{ID: jobs[q[x]].ID, N: a})
+	x := 0
+	for _, run := range [2][2]int{{wrap, len(q)}, {nq, wrap}} {
+		for y := run[0]; y < run[1]; y++ {
+			for ; x < nl && q[x] < q[y]; x++ {
+				emit(x)
+			}
+			emit(y)
 		}
+	}
+	for ; x < nq; x++ {
+		emit(x)
 	}
 	// Unmark all jobs: a new cycle starts next step if still overloaded.
 	r.gen++
-	r.cursor = 0
-	r.late = r.late[:0]
+	r.cursor, r.nqp = 0, 0
+	r.late.Clear()
 	return out
 }
 
@@ -271,28 +271,16 @@ func (r *RAD) Allot(t int64, jobs []sched.CatJob, p int) []int {
 
 // AllotInto is Allot writing into caller-owned storage: dst must have
 // len(jobs) entries and is fully overwritten. It is an adapter onto
-// AllotDelta: the jobs that entered or left since the previous call are
-// worked out from the IDs it was handed then. PerCategory does not come
-// through here.
+// AllotDelta that derives the late entrants and the counts afresh from jobs,
+// as Figure 2 derives Q and Q′. PerCategory does not come through here.
 func (r *RAD) AllotInto(t int64, jobs []sched.CatJob, p int, dst []int) {
 	clear(dst)
-	o := 0
+	r.late.Clear()
+	r.live, r.nqp = 0, 0
 	for _, j := range jobs {
-		for ; o < len(r.ids) && r.ids[o] < j.ID; o++ {
-			r.JobLeft(r.ids[o])
-		}
-		if o < len(r.ids) && r.ids[o] == j.ID {
-			o++
-		} else {
+		if j.Desire > 0 {
 			r.JobEntered(j.ID)
 		}
-	}
-	for ; o < len(r.ids); o++ {
-		r.JobLeft(r.ids[o])
-	}
-	r.ids = r.ids[:0]
-	for _, j := range jobs {
-		r.ids = append(r.ids, j.ID)
 	}
 	r.grants = r.AllotDelta(t, jobs, p, r.grants[:0])
 	i := 0
@@ -321,16 +309,10 @@ func (r *RAD) LeapTotals(t int64, jobs []sched.CatJob, p int, n int64, dst []int
 
 // JobsDone drops marks of completed jobs so state cannot grow without
 // bound across long online runs. Under PerCategory the job has already left
-// the list (JobLeft); a caller of the dense entry may report a job done while
-// still listing it, so it is made to leave first.
+// the list (JobLeft); a caller of the dense entry that keeps listing it has
+// it re-enter unmarked on the next call.
 func (r *RAD) JobsDone(ids []int) {
 	for _, id := range ids {
-		if len(r.ids) > 0 {
-			if i, in := slices.BinarySearch(r.ids, id); in {
-				r.ids = slices.Delete(r.ids, i, i+1)
-				r.JobLeft(id)
-			}
-		}
 		if id >= 0 && id < len(r.stamp) {
 			r.stamp[id] = 0
 		}
@@ -363,7 +345,8 @@ func (r *RAD) RestoreState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("core: decode rad state: %w", err)
 	}
-	r.gen, r.cursor, r.late, r.ids = 1, 0, r.late[:0], r.ids[:0]
+	r.gen, r.cursor, r.live, r.nqp = 1, 0, 0, 0
+	r.late.Clear()
 	clear(r.stamp)
 	top := -1
 	for _, id := range st.Marked {

@@ -130,8 +130,8 @@ func TestHoldWindow(t *testing.T) {
 // same job.
 func TestLeapHoldEquivalence(t *testing.T) {
 	spec := moldable.Spec{K: 2, Name: "held", Tasks: []moldable.TaskSpec{
-		{Cat: 1, Work: 120, Max: 4, Curve: pl(1)},               // 30 steps on 4
-		{Cat: 2, Work: 90, Max: 16, Curve: pl(0.5)},             // useful 4: 45 steps
+		{Cat: 1, Work: 120, Max: 4, Curve: pl(1)},   // 30 steps on 4
+		{Cat: 2, Work: 90, Max: 16, Curve: pl(0.5)}, // useful 4: 45 steps
 		{Cat: 1, Work: 40, Max: 2, Curve: moldable.CurveSpec{Type: moldable.CurveAmdahl, Serial: 0.2}},
 	}, Edges: [][2]int{{0, 2}, {1, 2}}}
 	j := mustJob(t, spec)

@@ -268,6 +268,7 @@ func (s *Sender) stopped() bool {
 func (s *Sender) run() {
 	defer close(s.done)
 	backoff := s.cfg.MinBackoff
+	refused := "" // the last handshake failure logged; cleared by a stream
 	for {
 		if s.stopped() {
 			return
@@ -277,13 +278,19 @@ func (s *Sender) run() {
 		}
 		conn, err := s.cfg.Dial(s.cfg.Addr)
 		if err == nil {
-			err = s.serve(conn)
+			var streamed bool
+			streamed, err = s.serve(conn)
 			_ = conn.Close()
-			if errors.Is(err, errStopped) || errors.Is(err, ErrFenced) {
+			switch {
+			case errors.Is(err, errStopped) || errors.Is(err, ErrFenced):
 				return
+			case streamed: // only a stream that was made resets the backoff
+				s.cfg.Logf("replicate: stream to %s broke: %v", s.cfg.Addr, err)
+				backoff, refused = s.cfg.MinBackoff, ""
+			case err.Error() != refused:
+				refused = err.Error()
+				s.cfg.Logf("replicate: handshake with %s failed: %v", s.cfg.Addr, err)
 			}
-			s.cfg.Logf("replicate: stream to %s broke: %v", s.cfg.Addr, err)
-			backoff = s.cfg.MinBackoff
 		} else {
 			s.cfg.Logf("replicate: dial %s: %v", s.cfg.Addr, err)
 		}
@@ -313,33 +320,34 @@ func (s *Sender) deadline() time.Duration {
 }
 
 // serve runs one connection: handshake, then stream records, heartbeats
-// and catch-up until the link dies, the follower fences us, or Stop.
-func (s *Sender) serve(conn net.Conn) error {
+// and catch-up until the link dies, the follower fences us, or Stop. It
+// reports whether the follower accepted the hello, so a stream was made.
+func (s *Sender) serve(conn net.Conn) (streamed bool, err error) {
 	epoch := s.cfg.Epoch.Current()
 	_ = conn.SetDeadline(time.Now().Add(s.deadline()))
 	if err := WriteMagic(conn); err != nil {
-		return fmt.Errorf("write magic: %w", err)
+		return false, fmt.Errorf("write magic: %w", err)
 	}
 	if err := WriteFrame(conn, Frame{T: FrameHello, Epoch: epoch, Shape: &s.cfg.Shape}); err != nil {
-		return fmt.Errorf("write hello: %w", err)
+		return false, fmt.Errorf("write hello: %w", err)
 	}
 	br := bufio.NewReader(conn)
 	if err := ReadMagic(br); err != nil {
-		return fmt.Errorf("read magic: %w", err)
+		return false, fmt.Errorf("read magic: %w", err)
 	}
 	f, err := ReadFrame(br)
 	if err != nil {
-		return fmt.Errorf("read hello-ack: %w", err)
+		return false, fmt.Errorf("read hello-ack: %w", err)
 	}
 	if f.Epoch > epoch {
 		s.fence(f.Epoch)
-		return ErrFenced
+		return false, ErrFenced
 	}
 	if f.T != FrameHelloAck {
-		return fmt.Errorf("handshake answered with %q, want hello-ack", f.T)
+		return false, fmt.Errorf("handshake answered with %q, want hello-ack", f.T)
 	}
 	if err := s.cfg.Shape.Compare(*f.Shape, "primary", "follower"); err != nil {
-		return fmt.Errorf("shape mismatch: %v — refusing to replicate across shapes", err)
+		return false, fmt.Errorf("shape mismatch: %v — refusing to replicate across shapes", err)
 	}
 	cursors := append([]int64(nil), f.Next...)
 	tails := make([]*journal.Tail, len(cursors))
@@ -385,7 +393,7 @@ func (s *Sender) serve(conn net.Conn) error {
 		for shard := range cursors {
 			n, err := s.pump(conn, epoch, shard, tails[shard], &cursors[shard])
 			if err != nil {
-				return err
+				return true, err
 			}
 			sent = sent || n
 		}
@@ -395,14 +403,14 @@ func (s *Sender) serve(conn net.Conn) error {
 		}
 		select {
 		case <-s.stop:
-			return errStopped
+			return true, errStopped
 		case err := <-readerErr:
-			return err
+			return true, err
 		case <-s.wake:
 		case <-ticker.C:
 			_ = conn.SetWriteDeadline(time.Now().Add(s.deadline()))
 			if err := WriteFrame(conn, Frame{T: FrameHeartbeat, Epoch: epoch}); err != nil {
-				return fmt.Errorf("write heartbeat: %w", err)
+				return true, fmt.Errorf("write heartbeat: %w", err)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -49,6 +48,8 @@ type CatGrant struct {
 // PerCategory owns the α-active list (ascending ID, desires current) and
 // tells the scheduler who entered and who left it; AllotDelta appends to out
 // the non-zero allotments over that list, ascending by ID, and returns it.
+// The list keeps a hole where a job left: an entry with Desire 0, which
+// keeps its ID and is to be passed over.
 // JobLeft keeps the job's cross-step state — it may re-enter; JobsDone
 // (Completer) is what forgets it, and only ever follows JobLeft.
 type CategoryDeltaAllotter interface {
@@ -57,69 +58,31 @@ type CategoryDeltaAllotter interface {
 	AllotDelta(t int64, jobs []CatJob, p int, out []CatGrant) []CatGrant
 }
 
-// FindCatJob returns the position of id in jobs (ascending ID) or the
-// position it would be inserted at, and whether it is there. A release is
-// the highest ID yet, so the end is tried first; otherwise the search
-// gallops forward from hint — calls within a round come in ascending ID, so
-// successive lookups land next to each other — and falls back to a binary
-// search of the part below it.
-func FindCatJob(jobs []CatJob, hint, id int) (int, bool) {
-	lo, hi := 0, len(jobs)
-	if hi == 0 || jobs[hi-1].ID < id {
-		return hi, false
-	}
-	if hint < hi {
-		if jobs[hint].ID > id {
-			hi = hint
-		} else {
-			lo = hint
-			for step := 1; lo+step < hi; step <<= 1 {
-				if jobs[lo+step].ID > id {
-					hi = lo + step
-					break
-				}
-				lo += step
-			}
-		}
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if jobs[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(jobs) && jobs[lo].ID == id
-}
-
-// denseEntry is the adapter behind the dense Allot/AllotInto entries of the
-// delta-driven schedulers: it remembers the views of the previous call, turns
-// the difference into JobChanged calls, and scatters the grants into the
-// caller's matrix. It costs O(n·K) per call — what projecting the views used
-// to — and exists for callers that know only the dense contract: a decorator
+// denseEntry is the dense entry — Allot, AllotInto and JobsDone — of the
+// delta-driven schedulers, which embed it: it reports every job it is handed
+// to d, and every job it was handed last time and is not now as gone, then
+// scatters the grants into the caller's matrix. A report of rows d already
+// holds changes nothing, so a call costs O(n·K), what projecting the views
+// used to. It serves callers that know only the dense contract: a decorator
 // around the scheduler, the baselines' harnesses, tests.
 type denseEntry struct {
-	k      int
-	floors bool       // some view has carried floors: floor rows are kept from then on
-	last   denseViews // the previous call's views
-	spare  denseViews // the call before's storage, the next call's
+	d          DeltaAllotter
+	last, next []int // the previous call's IDs, and the next call's storage
 }
 
-// denseViews is the part of a []JobView the adapter compares: IDs, desire
-// rows (K per job), and floor rows (K per job, meaningful where hasFl).
-type denseViews struct {
-	ids    []int
-	desire []int
-	floor  []int
-	hasFl  []bool
+// Allot implements Scheduler: AllotInto on a freshly allocated matrix.
+func (s *denseEntry) Allot(t int64, jobs []JobView, caps []int) [][]int {
+	var m Matrix
+	dst := m.Shape(len(jobs), len(caps))
+	s.AllotInto(t, jobs, caps, dst)
+	return dst
 }
 
-// allot is AllotInto for d: sync the views, run the round, scatter. The dense
-// contract has no error to return, so a failed round panics.
-func (s *denseEntry) allot(d DeltaAllotter, t int64, jobs []JobView, caps []int, dst [][]int) {
-	s.sync(d, jobs, len(caps))
-	all, err := d.AllotDelta(t, caps)
+// AllotInto implements IntoAllotter: sync the views, run the round, scatter.
+// The dense contract has no error to return, so a failed round panics.
+func (s *denseEntry) AllotInto(t int64, jobs []JobView, caps []int, dst [][]int) {
+	s.sync(jobs)
+	all, err := s.d.AllotDelta(t, caps)
 	if err != nil {
 		panic(err)
 	}
@@ -132,67 +95,31 @@ func (s *denseEntry) allot(d DeltaAllotter, t int64, jobs []JobView, caps []int,
 	}
 }
 
-// sync walks jobs against the previous call's, both ascending by ID, tells d
-// about every job whose rows differ, is new, or is no longer there, and keeps
-// jobs as the next call's memory.
-func (s *denseEntry) sync(d DeltaAllotter, jobs []JobView, k int) {
-	s.k = k
-	old := &s.last
-	if !s.floors {
-		for i := range jobs {
-			if jobs[i].Floor != nil {
-				s.floors = true
-				old.floor = make([]int, len(old.ids)*k)
-				old.hasFl = make([]bool, len(old.ids))
-				break
-			}
-		}
-	}
-	now := denseViews{s.spare.ids[:0], s.spare.desire[:0], s.spare.floor[:0], s.spare.hasFl[:0]}
-	o := 0 // next job of the previous call
+// sync reports jobs to d, and the jobs of the previous call that are no
+// longer there; both lists ascend by ID.
+func (s *denseEntry) sync(jobs []JobView) {
+	prev, now, o := s.last, s.next[:0], 0
 	for i := range jobs {
 		v := &jobs[i]
-		for ; o < len(old.ids) && old.ids[o] < v.ID; o++ {
-			d.JobChanged(old.ids[o], nil, nil, nil)
+		for ; o < len(prev) && prev[o] < v.ID; o++ {
+			s.d.JobChanged(prev[o], nil, nil, nil)
 		}
-		same := o < len(old.ids) && old.ids[o] == v.ID
-		if same {
-			for a, x := range old.desire[o*k : (o+1)*k] {
-				if v.Desire[a] != x {
-					same = false
-					break
-				}
-			}
-			if same && s.floors {
-				same = old.hasFl[o] == (v.Floor != nil) && (v.Floor == nil || slices.Equal(old.floor[o*k:(o+1)*k], v.Floor[:k]))
-			}
+		if o < len(prev) && prev[o] == v.ID {
 			o++
 		}
-		if !same {
-			d.JobChanged(v.ID, v.Desire, v.Floor, nil)
-		}
-		now.ids = append(now.ids, v.ID)
-		now.desire = append(now.desire, v.Desire[:k]...)
-		if s.floors {
-			now.hasFl = append(now.hasFl, v.Floor != nil)
-			now.floor = append(now.floor, v.Floor...)
-			now.floor = slices.Grow(now.floor, k)[:len(now.ids)*k] // a nil Floor's row is never read
-		}
+		now = append(now, v.ID)
+		s.d.JobChanged(v.ID, v.Desire, v.Floor, nil)
 	}
-	for ; o < len(old.ids); o++ {
-		d.JobChanged(old.ids[o], nil, nil, nil)
+	for _, id := range prev[o:] {
+		s.d.JobChanged(id, nil, nil, nil)
 	}
-	s.last, s.spare = now, s.last
+	s.last, s.next = now, prev
 }
 
-// done is JobsDone for d. A job the caller keeps listing after reporting it
-// done is a new job to d, so what is remembered of it is made to differ.
-func (s *denseEntry) done(d DeltaAllotter, ids []int) {
+// JobsDone implements Completer; a job listed again is a new job to d.
+func (s *denseEntry) JobsDone(ids []int) {
 	for _, id := range ids {
-		if i, ok := slices.BinarySearch(s.last.ids, id); ok {
-			s.last.desire[i*s.k] = -1
-		}
-		d.JobGone(id, nil)
+		s.d.JobGone(id, nil)
 	}
 }
 
@@ -214,51 +141,33 @@ func FromDense(s Scheduler) DeltaAllotter {
 }
 
 type fromDense struct {
-	s     Scheduler
-	into  IntoAllotter
-	done  Completer
-	k     int
-	ids   []int
-	rows  []int     // 2K per job: its desire row, then its floor row
-	hasFl []bool    // per job: the floor row is reported, not padding
-	views []JobView // the last round's, rebuilt from ids and rows
+	s    Scheduler
+	into IntoAllotter
+	done Completer
+	// The active jobs, each with its desire row then its floor row, flagged
+	// where the floor row is reported rather than padding.
+	jobs  IDList
+	views []JobView // the last round's, rebuilt from jobs
 	mat   Matrix
 	out   [][]CatGrant
 	oneID [1]int
 }
 
 func (d *fromDense) JobChanged(id int, desire, floor []int, _ []bool) {
-	i, in := slices.BinarySearch(d.ids, id)
 	if desire == nil {
-		if in {
-			d.remove(i)
-		}
+		d.jobs.Delete(id)
 		return
 	}
-	k := len(desire)
-	if !in {
-		d.k = k
-		d.ids = slices.Insert(d.ids, i, id)
-		d.hasFl = slices.Insert(d.hasFl, i, false)
-		// Room for both rows; what they hold is written below.
-		d.rows = slices.Insert(slices.Insert(d.rows, i*2*k, desire...), i*2*k, desire...)
-	}
-	row := d.rows[i*2*k : (i+1)*2*k]
+	d.jobs.w = 2 * len(desire)
+	i, _ := d.jobs.Insert(id)
+	row := d.jobs.Row(i)
 	copy(row, desire)
-	copy(row[k:], floor)
-	d.hasFl[i] = floor != nil
-}
-
-func (d *fromDense) remove(i int) {
-	d.ids = slices.Delete(d.ids, i, i+1)
-	d.hasFl = slices.Delete(d.hasFl, i, i+1)
-	d.rows = slices.Delete(d.rows, i*2*d.k, (i+1)*2*d.k)
+	copy(row[len(desire):], floor)
+	d.jobs.SetFlag(i, floor != nil)
 }
 
 func (d *fromDense) JobGone(id int, _ []int) {
-	if i, in := slices.BinarySearch(d.ids, id); in {
-		d.remove(i)
-	}
+	d.jobs.Delete(id)
 	if d.done != nil {
 		d.oneID[0] = id
 		d.done.JobsDone(d.oneID[:])
@@ -266,12 +175,15 @@ func (d *fromDense) JobGone(id int, _ []int) {
 }
 
 func (d *fromDense) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
-	k := d.k
+	k := d.jobs.w / 2
 	d.views = d.views[:0]
-	for i, id := range d.ids {
-		row := d.rows[i*2*k : (i+1)*2*k]
-		v := JobView{ID: id, Desire: row[:k:k]}
-		if d.hasFl[i] {
+	for i, j := range d.jobs.Jobs() {
+		if !d.jobs.In(i) {
+			continue
+		}
+		row := d.jobs.Row(i)
+		v := JobView{ID: j.ID, Desire: row[:k:k]}
+		if d.jobs.Flagged(i) {
 			v.Floor = row[k:]
 		}
 		d.views = append(d.views, v)

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // WithFloors makes any scheduler valid for non-preemptive jobs: every
 // job's allotment floor (processors pinned by in-flight multi-step tasks)
@@ -27,26 +24,23 @@ import (
 // lost reallocation freedom costs against the paper's bounds.
 //
 // The layer is delta-driven (DeltaAllotter): it keeps the floor-bearing jobs
-// — usually few, never more than there are processors pinned — in an
-// ID-sorted list with their floor rows, and the pinned-processor sums and the
-// pinned/unheld counts as aggregates over it, so a round never scans the
-// views. The inner scheduler is driven through its own delta form with the
-// residual desires; one that has none enters through FromDense.
+// — usually few, never more than there are processors pinned — in an IDList
+// with their floor rows, and the pinned-processor sums and the unheld count
+// as aggregates over it, so a round never scans the views. The inner
+// scheduler is driven through its own delta form with the residual desires;
+// one that has none enters through FromDense. The dense entry is denseEntry.
 type floored struct {
 	inner Scheduler
 	delta DeltaAllotter // inner's delta form: inner itself, or FromDense(inner)
 
-	// The floor-bearing jobs (Floor != nil), ascending by ID: their floor
-	// rows, and whether some desire exceeds its floor (not held).
-	k      int
-	ids    []int
-	rows   []int // K per job
-	unheld []bool
-	// Aggregates over them: processors pinned per category, jobs with any
-	// floor > 0, jobs not held.
-	pinned  []int
-	nPinned int
-	nUnheld int
+	// The floor-bearing jobs (Floor != nil), with their floor rows, flagged
+	// where some desire exceeds its floor (not held).
+	floors IDList
+	// Aggregates over them: processors pinned per category and in all, jobs
+	// not held.
+	pinned    []int
+	pinnedAll int
+	nUnheld   int
 
 	// Scratch reused across calls, so the engine's allocation-free hot
 	// path stays allocation-free through the wrapper.
@@ -54,12 +48,13 @@ type floored struct {
 	capsBuf  []int
 	out      [][]CatGrant
 	merged   [][]CatGrant
-	dense    denseEntry
+	denseEntry
 }
 
 // WithFloors wraps inner; see the type comment.
 func WithFloors(inner Scheduler) Scheduler {
 	f := &floored{inner: inner}
+	f.denseEntry.d = f
 	if f.delta, _ = inner.(DeltaAllotter); f.delta == nil {
 		f.delta = FromDense(inner)
 	}
@@ -69,36 +64,6 @@ func WithFloors(inner Scheduler) Scheduler {
 // Name implements Scheduler.
 func (f *floored) Name() string { return f.inner.Name() + "+floors" }
 
-// Allot implements Scheduler. The result is freshly allocated; hot paths
-// use AllotInto or the delta form.
-func (f *floored) Allot(t int64, jobs []JobView, caps []int) [][]int {
-	var m Matrix
-	dst := m.Shape(len(jobs), len(caps))
-	f.AllotInto(t, jobs, caps, dst)
-	return dst
-}
-
-// AllotInto implements IntoAllotter as an adapter onto the delta form
-// (denseEntry); the engine drives JobChanged/JobGone/AllotDelta directly.
-func (f *floored) AllotInto(t int64, jobs []JobView, caps []int, dst [][]int) {
-	f.dense.allot(f, t, jobs, caps, dst)
-}
-
-// withdraw takes floor-bearing job i's contributions out of the aggregates.
-func (f *floored) withdraw(i int) {
-	any := false
-	for a, fl := range f.rows[i*f.k : (i+1)*f.k] {
-		f.pinned[a] -= fl
-		any = any || fl > 0
-	}
-	if any {
-		f.nPinned--
-	}
-	if f.unheld[i] {
-		f.nUnheld--
-	}
-}
-
 // JobChanged implements DeltaAllotter: a floor-bearing job's row and
 // contributions are replaced, and the inner scheduler sees the residual
 // desire — desire minus floor, clamped at zero, so a held job vanishes from
@@ -107,70 +72,69 @@ func (f *floored) JobChanged(id int, desire, floor []int, changed []bool) {
 	if desire == nil {
 		floor = nil // out of the active set: nothing pinned either
 	}
-	i, in := slices.BinarySearch(f.ids, id)
-	if !in && floor == nil {
-		f.delta.JobChanged(id, desire, nil, changed)
-		return
-	}
-	if in {
-		f.withdraw(i)
-	}
+	i, in := f.withdraw(id)
 	if floor == nil {
-		f.remove(i)
+		if in {
+			f.floors.Delete(id)
+		}
 		f.delta.JobChanged(id, desire, nil, changed)
 		return
 	}
 	k := len(floor)
-	if !in {
-		f.k = k
-		f.ids = slices.Insert(f.ids, i, id)
-		f.unheld = slices.Insert(f.unheld, i, false)
-		f.rows = slices.Insert(f.rows, i*k, floor...)
-		for len(f.pinned) < k {
-			f.pinned = append(f.pinned, 0)
-			f.residual = append(f.residual, 0)
-		}
+	for len(f.pinned) < k {
+		f.pinned = append(f.pinned, 0)
+		f.residual = append(f.residual, 0)
 	}
-	any, unheld := false, false
-	row, residual := f.rows[i*k:(i+1)*k], f.residual[:k]
+	if f.floors.w = k; !in {
+		i, _ = f.floors.Insert(id)
+	}
+	unheld := false
+	row, residual := f.floors.Row(i), f.residual[:k]
 	for a, fl := range floor {
 		row[a] = fl
 		f.pinned[a] += fl
-		any = any || fl > 0
+		f.pinnedAll += fl
 		unheld = unheld || desire[a] > fl
 		residual[a] = max(desire[a]-fl, 0)
-	}
-	if any {
-		f.nPinned++
 	}
 	if unheld {
 		f.nUnheld++
 	}
-	f.unheld[i] = unheld
+	f.floors.SetFlag(i, unheld)
 	f.delta.JobChanged(id, residual, nil, changed)
 }
 
 // JobGone implements DeltaAllotter. A residual desire is positive only where
 // the desire is, so the hint passes through as it is.
 func (f *floored) JobGone(id int, desire []int) {
-	if i, in := slices.BinarySearch(f.ids, id); in {
-		f.withdraw(i)
-		f.remove(i)
+	if _, in := f.withdraw(id); in {
+		f.floors.Delete(id)
 	}
 	f.delta.JobGone(id, desire)
 }
 
-// remove deletes floor-bearing job i, its contributions already withdrawn.
-func (f *floored) remove(i int) {
-	f.ids = slices.Delete(f.ids, i, i+1)
-	f.rows = slices.Delete(f.rows, i*f.k, (i+1)*f.k)
-	f.unheld = slices.Delete(f.unheld, i, i+1)
+// withdraw takes floor-bearing job id's contributions, if it is one, out of
+// the aggregates, and returns its position in the list.
+func (f *floored) withdraw(id int) (i int, in bool) {
+	if f.floors.live == 0 { // most rounds: no job pins anything
+		return 0, false
+	}
+	if i, in = f.floors.Find(id); in {
+		for a, fl := range f.floors.Row(i) {
+			f.pinned[a] -= fl
+			f.pinnedAll -= fl
+		}
+		if f.floors.Flagged(i) {
+			f.nUnheld--
+		}
+	}
+	return i, in
 }
 
 // residualCaps returns the capacities the inner scheduler partitions: caps
 // minus the pinned processors.
 func (f *floored) residualCaps(caps []int) []int {
-	if f.nPinned == 0 {
+	if f.pinnedAll == 0 {
 		return caps
 	}
 	rc := append(f.capsBuf[:0], caps...)
@@ -189,7 +153,7 @@ func (f *floored) residualCaps(caps []int) []int {
 // merged into one.
 func (f *floored) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
 	g, err := f.delta.AllotDelta(t, f.residualCaps(caps))
-	if err != nil || f.nPinned == 0 {
+	if err != nil || f.pinnedAll == 0 {
 		return g, err
 	}
 	k := len(caps)
@@ -202,10 +166,10 @@ func (f *floored) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
 			continue
 		}
 		m, i := f.merged[a][:0], 0
-		for j, id := range f.ids {
-			fl := f.rows[j*k+a]
+		for j, e := range f.floors.Jobs() {
+			fl, id := f.floors.Row(j)[a], e.ID
 			if fl == 0 {
-				continue
+				continue // holes included
 			}
 			for ; i < len(inner) && inner[i].ID < id; i++ {
 				m = append(m, inner[i])
@@ -229,7 +193,7 @@ func (f *floored) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
 // separately bounds the window by each held job's HoldFor). A round with
 // an unheld floor reports 0.
 func (f *floored) StableHorizon() int64 {
-	if f.nPinned > 0 && f.nUnheld > 0 {
+	if f.pinnedAll > 0 && f.nUnheld > 0 {
 		return 0
 	}
 	if s, ok := f.inner.(Stable); ok {
@@ -250,23 +214,22 @@ func (f *floored) LeapTotals(t int64, jobs []JobView, caps []int, n int64, dst [
 		residual = di.views
 	}
 	f.inner.(Stable).LeapTotals(t, residual, f.residualCaps(caps), n, dst)
-	if f.nPinned == 0 {
+	if f.pinnedAll == 0 {
 		return
 	}
-	k := len(caps)
 	i := 0
-	for j, id := range f.ids {
-		for jobs[i].ID != id {
+	for j, e := range f.floors.Jobs() {
+		if !f.floors.In(j) {
+			continue
+		}
+		for jobs[i].ID != e.ID {
 			i++
 		}
-		for a, fl := range f.rows[j*k : (j+1)*k] {
+		for a, fl := range f.floors.Row(j) {
 			dst[i][a] += fl * int(n)
 		}
 	}
 }
-
-// JobsDone implements Completer for callers of the dense entry.
-func (f *floored) JobsDone(ids []int) { f.dense.done(f, ids) }
 
 // SnapshotState forwards to the inner scheduler: the wrapper itself holds
 // no cross-step state (the floor list mirrors the active jobs' current rows
@@ -291,7 +254,6 @@ func (f *floored) RestoreState(data []byte) error {
 }
 
 var (
-	_ Scheduler     = (*floored)(nil)
 	_ IntoAllotter  = (*floored)(nil)
 	_ DeltaAllotter = (*floored)(nil)
 	_ Stable        = (*floored)(nil)

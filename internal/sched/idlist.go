@@ -1,0 +1,159 @@
+package sched
+
+// CompactDue is the one hole rule of the engine's slot table and IDList: a
+// table of n entries, live of them not holes, closes its holes once they are
+// a quarter of it and at least 32, so a departure costs O(1) amortized.
+func CompactDue(n, live int) bool { return n-live >= 32 && 4*(n-live) >= n }
+
+// IDList is a list of entries in ascending ID order — arrival order, the
+// queue order RAD serves. An entry is a CatJob (its ID and a value), a row
+// of w ints and a flag. Deleting an entry inside the list leaves a hole: it
+// keeps its ID, so the order and every other position stay, and reads value
+// 0, a zero row and no flag. An ID that comes back refills its own hole in
+// O(1), and the holes are closed in one pass when CompactDue says so. The
+// zero value is empty, with w = 0; a client in this package may set w.
+type IDList struct {
+	jobs  []CatJob
+	rows  []int
+	flags []uint8 // inList, and flagged where the client set it; 0 in a hole
+	w     int
+	live  int
+	hint  int // where the last search landed (see FindCatJob)
+}
+
+const inList, flagged uint8 = 1, 2
+
+// Jobs returns the entries, holes included; a client may write live values.
+func (l *IDList) Jobs() []CatJob { return l.jobs }
+
+// In reports whether position i holds a live entry.
+func (l *IDList) In(i int) bool { return l.flags[i] != 0 }
+
+// Row returns position i's row.
+func (l *IDList) Row(i int) []int { return l.rows[i*l.w : (i+1)*l.w : (i+1)*l.w] }
+
+// Flagged reports position i's flag.
+func (l *IDList) Flagged(i int) bool { return l.flags[i]&flagged != 0 }
+
+// SetFlag sets live position i's flag to on.
+func (l *IDList) SetFlag(i int, on bool) {
+	l.flags[i] = inList
+	if on {
+		l.flags[i] |= flagged
+	}
+}
+
+// Find returns the position of id's live entry and true, or false.
+func (l *IDList) Find(id int) (int, bool) {
+	i, in := FindCatJob(l.jobs, l.hint, id)
+	l.hint = i
+	return i, in && l.flags[i] != 0
+}
+
+// Insert returns id's position and whether it was not live before; if not,
+// it is now, with value 0, a zero row and no flag. An ID above every other
+// is appended; one below takes its own hole, or the entries above it move up
+// by one.
+func (l *IDList) Insert(id int) (int, bool) {
+	i, in := FindCatJob(l.jobs, l.hint, id)
+	l.hint = i
+	switch {
+	case in && l.flags[i] != 0:
+		return i, false
+	case in:
+	default: // append, and move what lies above i up by one
+		l.jobs, l.flags = append(l.jobs, CatJob{}), append(l.flags, 0)
+		l.rows = append(l.rows, make([]int, l.w)...)
+		copy(l.jobs[i+1:], l.jobs[i:])
+		copy(l.flags[i+1:], l.flags[i:])
+		copy(l.rows[(i+1)*l.w:], l.rows[i*l.w:])
+	}
+	l.jobs[i], l.flags[i] = CatJob{ID: id}, inList
+	clear(l.Row(i))
+	l.live++
+	return i, true
+}
+
+// Delete deletes id's live entry, and reports whether there was one. The
+// entry becomes a hole; holes at either end are dropped, so a short list
+// whose oldest entries leave first is not mostly holes, and the rest are
+// closed when CompactDue says so. Positions are stale after it.
+func (l *IDList) Delete(id int) bool {
+	i, in := l.Find(id)
+	if !in {
+		return false
+	}
+	l.jobs[i].Desire, l.flags[i] = 0, 0
+	clear(l.Row(i))
+	l.live--
+	lo, hi := 0, len(l.jobs)
+	for ; lo < hi && l.flags[lo] == 0; lo++ {
+	}
+	for ; hi > lo && l.flags[hi-1] == 0; hi-- {
+	}
+	if lo > 0 {
+		copy(l.jobs, l.jobs[lo:hi])
+		copy(l.flags, l.flags[lo:hi])
+		copy(l.rows, l.rows[lo*l.w:hi*l.w])
+	}
+	n := hi - lo
+	if l.jobs, l.flags, l.rows = l.jobs[:n], l.flags[:n], l.rows[:n*l.w]; CompactDue(n, l.live) {
+		l.Compact()
+	}
+	return true
+}
+
+// Compact closes every hole, sliding each live entry down to the first
+// free position below it.
+func (l *IDList) Compact() {
+	w := 0
+	for i, f := range l.flags {
+		if f != 0 {
+			l.jobs[w], l.flags[w] = l.jobs[i], f
+			copy(l.rows[w*l.w:(w+1)*l.w], l.Row(i))
+			w++
+		}
+	}
+	l.jobs, l.flags, l.rows, l.hint = l.jobs[:w], l.flags[:w], l.rows[:w*l.w], 0
+}
+
+// Clear empties the list, keeping its storage.
+func (l *IDList) Clear() {
+	l.jobs, l.flags, l.rows, l.live, l.hint = l.jobs[:0], l.flags[:0], l.rows[:0], 0, 0
+}
+
+// FindCatJob returns the position of id in jobs (ascending ID) or the
+// position it would be inserted at, and whether it is there. A release is
+// the highest ID yet, so the end is tried first; otherwise the search
+// gallops forward from hint — calls within a round come in ascending ID, so
+// successive lookups land next to each other — and falls back to a binary
+// search of the part below it.
+func FindCatJob(jobs []CatJob, hint, id int) (int, bool) {
+	lo, hi := 0, len(jobs)
+	if hi == 0 || jobs[hi-1].ID < id {
+		return hi, false
+	}
+	if hint < hi {
+		if jobs[hint].ID > id {
+			hi = hint
+		} else {
+			lo = hint
+			for step := 1; lo+step < hi; step <<= 1 {
+				if jobs[lo+step].ID > id {
+					hi = lo + step
+					break
+				}
+				lo += step
+			}
+		}
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if jobs[mid].ID < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(jobs) && jobs[lo].ID == id
+}

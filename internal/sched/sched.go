@@ -16,6 +16,8 @@
 // WithFloors, PerCategory and core.RAD implement it, and their dense entries
 // are adapters onto it; a scheduler with only the dense entry is driven
 // through FromDense. There is one implementation either way.
+// The delta layers keep their jobs in IDLists, which leave a hole where a job
+// left: in a category's α-active list, an entry with Desire 0.
 package sched
 
 import (
@@ -275,25 +277,25 @@ type CategoryScheduler interface {
 // of K-RAD: "assigns one RAD scheduler to each category α of processors".
 //
 // It keeps the K α-active projections persistent: lists[α−1] holds the jobs
-// with positive desire in category α, ascending by ID, edited by JobChanged
-// and JobGone (DeltaAllotter) rather than rebuilt from the views each step.
-// A category scheduler that implements CategoryDeltaAllotter is told who
-// enters and leaves its list and answers with its non-zero grants; any other
-// is handed the list through its dense Allot.
+// with positive desire in category α, ascending by ID, their desires as the
+// values, edited by JobChanged and JobGone (DeltaAllotter) rather than
+// rebuilt from the views each step; a job that leaves a category leaves a
+// hole (Desire 0) there. A category scheduler that implements
+// CategoryDeltaAllotter is told who enters and leaves its list and is handed
+// it holes and all; any other is handed it compacted, as is LeapTotals.
 type PerCategory struct {
 	name  string
 	cats  []CategoryScheduler
 	delta []CategoryDeltaAllotter // delta[a] is cats[a]'s delta form, nil without one
 	done  []Completer             // the category schedulers that want JobsDone
-	lists [][]CatJob
-	hint  []int // per category: where the last lookup landed (see FindCatJob)
+	lists []IDList
 
 	// Scratch reused across rounds (single-simulation use only, like the
 	// category schedulers themselves).
 	grants [][]CatGrant
 	catOut []int
 	oneID  [1]int
-	dense  denseEntry
+	denseEntry
 }
 
 // NewPerCategory builds a Scheduler from per-category schedulers. The slice
@@ -302,10 +304,10 @@ func NewPerCategory(name string, cats []CategoryScheduler) *PerCategory {
 	p := &PerCategory{
 		name: name, cats: cats,
 		delta:  make([]CategoryDeltaAllotter, len(cats)),
-		lists:  make([][]CatJob, len(cats)),
-		hint:   make([]int, len(cats)),
+		lists:  make([]IDList, len(cats)),
 		grants: make([][]CatGrant, len(cats)),
 	}
+	p.denseEntry.d = p
 	for a, c := range cats {
 		p.delta[a], _ = c.(CategoryDeltaAllotter)
 		if cc, ok := c.(Completer); ok {
@@ -317,21 +319,6 @@ func NewPerCategory(name string, cats []CategoryScheduler) *PerCategory {
 
 // Name returns the composite scheduler's name.
 func (p *PerCategory) Name() string { return p.name }
-
-// Allot is the dense entry: the allotment matrix over jobs, one row per job,
-// freshly allocated (callers may retain it). See AllotInto.
-func (p *PerCategory) Allot(t int64, jobs []JobView, caps []int) [][]int {
-	var m Matrix
-	allot := m.Shape(len(jobs), len(caps))
-	p.AllotInto(t, jobs, caps, allot)
-	return allot
-}
-
-// AllotInto implements IntoAllotter as an adapter onto the delta form
-// (denseEntry); the engine drives JobChanged/JobGone/AllotDelta directly.
-func (p *PerCategory) AllotInto(t int64, jobs []JobView, caps []int, dst [][]int) {
-	p.dense.allot(p, t, jobs, caps, dst)
-}
 
 // JobChanged implements DeltaAllotter: per category, the job is inserted
 // into, updated in or removed from the α-active list according to its desire
@@ -352,25 +339,17 @@ func (p *PerCategory) JobChanged(id int, desire, _ []int, changed []bool) {
 // setDesire makes job id's entry in category a's list read d: inserted,
 // updated, or — at zero — removed.
 func (p *PerCategory) setDesire(a, id, d int) {
-	l := p.lists[a]
-	i, in := FindCatJob(l, p.hint[a], id)
-	p.hint[a] = i
-	switch {
-	case in && d > 0:
-		l[i].Desire = d
-	case in:
-		p.lists[a] = append(l[:i], l[i+1:]...)
-		if p.delta[a] != nil {
-			p.delta[a].JobLeft(id)
+	l, cd := &p.lists[a], p.delta[a]
+	if d == 0 {
+		if l.Delete(id) && cd != nil {
+			cd.JobLeft(id)
 		}
-	case d > 0:
-		l = append(l, CatJob{})
-		copy(l[i+1:], l[i:])
-		l[i] = CatJob{ID: id, Desire: d}
-		p.lists[a] = l
-		if p.delta[a] != nil {
-			p.delta[a].JobEntered(id)
-		}
+		return
+	}
+	i, added := l.Insert(id)
+	l.Jobs()[i].Desire = d
+	if added && cd != nil {
+		cd.JobEntered(id)
 	}
 }
 
@@ -395,10 +374,12 @@ func (p *PerCategory) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
 		return nil, fmt.Errorf("sched: PerCategory %q built for K=%d but given %d capacities", p.name, len(p.cats), len(caps))
 	}
 	for a, c := range p.cats {
-		l, g := p.lists[a], p.grants[a][:0]
+		l, g := &p.lists[a], p.grants[a][:0]
 		if d := p.delta[a]; d != nil {
-			g = d.AllotDelta(t, l, caps[a], g)
+			g = d.AllotDelta(t, l.Jobs(), caps[a], g)
 		} else {
+			l.Compact()
+			l := l.Jobs()
 			out := c.Allot(t, l, caps[a])
 			if len(out) != len(l) {
 				panic(fmt.Sprintf("sched: category %d scheduler %q returned %d allotments for %d jobs", a+1, c.Name(), len(out), len(l)))
@@ -434,14 +415,15 @@ func (p *PerCategory) StableHorizon() int64 {
 	return h
 }
 
-// LeapTotals implements Stable over the α-active lists — by the Stable
-// contract jobs are the views of the round just allotted, so the lists are
-// their projection and jobs only places each total in its row. Only called
-// when StableHorizon reported ≥ n−1, which implies every category
-// implements CategoryStable.
+// LeapTotals implements Stable over the α-active lists, compacted — by the
+// Stable contract jobs are the views of the round just allotted, so the
+// lists are their projection and jobs only places each total in its row.
+// Only called when StableHorizon reported ≥ n−1, which implies every
+// category implements CategoryStable.
 func (p *PerCategory) LeapTotals(t int64, jobs []JobView, caps []int, n int64, dst [][]int) {
 	for a, c := range p.cats {
-		l := p.lists[a]
+		p.lists[a].Compact()
+		l := p.lists[a].Jobs()
 		if cap(p.catOut) < len(l) {
 			p.catOut = make([]int, len(l), 2*len(l)+8)
 		}
@@ -459,9 +441,6 @@ func (p *PerCategory) LeapTotals(t int64, jobs []JobView, caps []int, n int64, d
 		}
 	}
 }
-
-// JobsDone implements Completer for callers of the dense entry.
-func (p *PerCategory) JobsDone(ids []int) { p.dense.done(p, ids) }
 
 // SnapshotState captures every per-category scheduler's state, failing if
 // any category scheduler does not implement Snapshotter — partial

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,10 +234,25 @@ func (l *logSink) find(sub string) string {
 	return ""
 }
 
+func (l *logSink) count(sub string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, line := range l.lines {
+		if strings.Contains(line, sub) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestHelloRefusesOtherShape: a follower on other caps is refused at the
 // hello by both sides — the receiver logs the primary's shape against its
 // own and applies nothing, the sender hears the follower's shape and
-// refuses to stream — and neither adopts the other's shape or epoch.
+// refuses to stream — and neither adopts the other's shape or epoch. The
+// sender keeps retrying, but a refused hello backs off like a failed dial:
+// its dials stay within what the backoff series allows, and it logs the
+// refusal once.
 func TestHelloRefusesOtherShape(t *testing.T) {
 	primary := newPrimary(t, replConfig(t))
 	if _, err := primary.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 3, 1)}); err != nil {
@@ -260,7 +276,15 @@ func TestHelloRefusesOtherShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rcv.Close()
-	sender := startSender(t, primary, ln.Addr().String(), func(c *replicate.SenderConfig) { c.Logf = slog.logf })
+	var dials atomic.Int64
+	start := time.Now()
+	sender := startSender(t, primary, ln.Addr().String(), func(c *replicate.SenderConfig) {
+		c.Logf = slog.logf
+		c.Dial = func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			return net.Dial("tcp", addr)
+		}
+	})
 
 	const want = "caps differs: primary 2, follower 1"
 	waitFor(t, "both sides to refuse the hello", func() bool {
@@ -277,9 +301,23 @@ func TestHelloRefusesOtherShape(t *testing.T) {
 	if got, _ := journal.ReadShape(fcfg.Journal.Dir); got == nil || !reflect.DeepEqual(got.Caps, []int{1}) {
 		t.Errorf("follower's recorded shape %+v, want its own caps [1]", got)
 	}
-	// Give the sender a moment to retry: it must keep refusing.
-	time.Sleep(20 * time.Millisecond)
+	// Give the sender time to retry: it must keep refusing, and back off.
+	time.Sleep(300 * time.Millisecond)
 	if sender.Stats().Connected {
 		t.Error("sender reports a connected stream to a follower of another shape")
+	}
+	n, elapsed := dials.Load(), time.Since(start)
+	// Dial i+1 comes at least half of backoff i after dial i, the backoff
+	// doubling from startSender's 2 ms to its 50 ms cap.
+	most := 1
+	for b, at := 2*time.Millisecond, time.Millisecond; at <= elapsed; at += b / 2 {
+		most++
+		b = min(2*b, 50*time.Millisecond)
+	}
+	if n > int64(most) {
+		t.Errorf("sender dialled %d times in %v; a backoff from 2 ms to 50 ms allows at most %d", n, elapsed, most)
+	}
+	if got := slog.count(want); got != 1 {
+		t.Errorf("sender logged the refusal %d times, want once", got)
 	}
 }

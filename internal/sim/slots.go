@@ -103,14 +103,6 @@ func (e *Engine) growFloors() {
 	e.floor = floor
 }
 
-// Holes are closed once they are a quarter of the table and at least
-// minHoles: a completion then costs O(1) amortized, and a table that holds
-// few jobs is not compacted for each one that ends.
-const (
-	holeShare = 4
-	minHoles  = 32
-)
-
 // insertActive gives a released job its slot, keeping ascending ID order —
 // the order the Scheduler contract requires views in — and writes the slot
 // into its status record with the move to JobActive. Releases normally
@@ -208,9 +200,9 @@ func (e *Engine) compact() {
 	e.flags = e.flags[:w]
 }
 
-// closeHoles compacts the table once its holes reach their share of it.
+// closeHoles compacts the table once its holes are due (sched.CompactDue).
 func (e *Engine) closeHoles() {
-	if n, h := len(e.active), len(e.active)-e.live; h >= minHoles && h*holeShare >= n {
+	if sched.CompactDue(len(e.active), e.live) {
 		e.compact()
 	}
 }
