@@ -160,9 +160,9 @@ func moldableBenchSpecs(jobs int, seed int64) []krad.JobSpec {
 	})
 }
 
-// BenchmarkMoldableEngine measures a pure-moldable population behind the
-// floor layer: long non-preemptive leases are the hold-law event-leap's
-// target, so most virtual steps should be leapt.
+// BenchmarkMoldableEngine measures a pure-moldable population, whose floors
+// the engine grants: long non-preemptive leases are the hold-law
+// event-leap's target, so most virtual steps should be leapt.
 func BenchmarkMoldableEngine(b *testing.B) {
 	specs := moldableBenchSpecs(16, 3)
 	tasks := 0
@@ -172,7 +172,7 @@ func BenchmarkMoldableEngine(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := krad.Run(krad.Config{
-			K: 2, Caps: []int{12, 12}, Scheduler: krad.WithFloors(krad.NewKRAD(2)),
+			K: 2, Caps: []int{12, 12}, Scheduler: krad.NewKRAD(2),
 		}, specs); err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func BenchmarkMixedFamilyEngine(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := krad.Run(krad.Config{
-			K: 2, Caps: []int{48, 48}, Scheduler: krad.WithFloors(krad.NewKRAD(2)),
+			K: 2, Caps: []int{48, 48}, Scheduler: krad.NewKRAD(2),
 		}, specs); err != nil {
 			b.Fatal(err)
 		}
@@ -257,8 +257,8 @@ func BenchmarkKRADAllot(b *testing.B) {
 }
 
 // BenchmarkEngineRound measures one scheduling round of the engine kradd
-// ships (K-RAD behind the floor layer, allotment validation on) against the
-// size of the active set: K=3, 16 processors per category, rigid jobs. In
+// ships (K-RAD, allotment validation on) against the size of the active
+// set: K=3, 16 processors per category, rigid jobs. In
 // the active=N variants no job completes while the clock runs and every
 // category is overloaded, so each round is RAD's round-robin branch — 48
 // processors handed out whatever the queue length — and ns/round should be
@@ -275,7 +275,7 @@ func BenchmarkKRADAllot(b *testing.B) {
 func BenchmarkEngineRound(b *testing.B) {
 	newEngine := func(b *testing.B, specs []krad.JobSpec) *krad.Engine {
 		eng, err := krad.NewEngine(krad.Config{
-			K: 3, Caps: []int{16, 16, 16}, Scheduler: krad.WithFloors(krad.NewKRAD(3)),
+			K: 3, Caps: []int{16, 16, 16}, Scheduler: krad.NewKRAD(3),
 			ValidateAllotments: true, MaxSteps: 1 << 60,
 		})
 		if err != nil {
@@ -374,7 +374,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 	for _, retire := range []bool{false, true} {
 		b.Run(fmt.Sprintf("retire=%v", retire), func(b *testing.B) {
 			eng, err := krad.NewEngine(krad.Config{
-				K: 2, Caps: []int{16, 16}, Scheduler: krad.WithFloors(krad.NewKRAD(2)), MaxSteps: 1 << 60,
+				K: 2, Caps: []int{16, 16}, Scheduler: krad.NewKRAD(2), MaxSteps: 1 << 60,
 			})
 			if err != nil {
 				b.Fatal(err)

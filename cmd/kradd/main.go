@@ -368,11 +368,9 @@ func main() {
 		StepEvery:   o.step,
 		Shards:      f.shards,
 		Placement:   o.place,
-		// One K-RAD per shard: it carries per-engine state. Moldable jobs
-		// pin processors non-preemptively, so it is floor-respecting; for
-		// unit-task workloads the wrapper is the identity, and it
-		// snapshots/restores byte-identically to the unwrapped scheduler.
-		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(k)) },
+		// One K-RAD per shard: it carries per-engine state. The floors that
+		// moldable jobs pin are the engine's to grant.
+		NewScheduler: func() sched.Scheduler { return core.NewKRAD(k) },
 		Journal:      journalCfg,
 		Fairness:     f.fair,
 		Follower:     o.follow != "",

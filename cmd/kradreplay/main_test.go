@@ -102,7 +102,7 @@ func selfHost(t *testing.T, k int, caps []int) string {
 	t.Helper()
 	svc, err := server.New(server.Config{
 		Sim:          sim.Config{K: k, Caps: caps, Pick: dag.PickFIFO},
-		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(k)) },
+		NewScheduler: func() sched.Scheduler { return core.NewKRAD(k) },
 		MaxInFlight:  1 << 18,
 	})
 	if err != nil {
@@ -193,7 +193,7 @@ func TestRunSWFTrace(t *testing.T) {
 func TestRunBackpressure(t *testing.T) {
 	svc, err := server.New(server.Config{
 		Sim:          sim.Config{K: 1, Caps: []int{2}, Pick: dag.PickFIFO},
-		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(1)) },
+		NewScheduler: func() sched.Scheduler { return core.NewKRAD(1) },
 		MaxInFlight:  4,
 		// Paced stepping: free-running would drain the 4-slot queue
 		// faster than 8 workers can fill it and no 503 would ever fire.
@@ -236,7 +236,7 @@ func TestRunBackpressure(t *testing.T) {
 func TestRunTenants(t *testing.T) {
 	svc, err := server.New(server.Config{
 		Sim:          sim.Config{K: 1, Caps: []int{2}},
-		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(1)) },
+		NewScheduler: func() sched.Scheduler { return core.NewKRAD(1) },
 		MaxInFlight:  6,
 		Fairness:     &fairshare.Config{},
 		StepEvery:    2 * time.Millisecond, // paced, as in TestRunBackpressure
@@ -292,7 +292,7 @@ func TestRunTenants(t *testing.T) {
 func TestRunRetriesConnErrors(t *testing.T) {
 	svc, err := server.New(server.Config{
 		Sim:          sim.Config{K: 1, Caps: []int{4}},
-		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(1)) },
+		NewScheduler: func() sched.Scheduler { return core.NewKRAD(1) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,6 @@ import (
 	"krad/internal/metrics"
 	"krad/internal/moldable"
 	"krad/internal/profile"
-	"krad/internal/sched"
 	"krad/internal/sim"
 	"krad/internal/wire"
 	"krad/internal/workload"
@@ -104,14 +103,6 @@ func main() {
 	scheduler, err := analysis.NewScheduler(*schedFlag, k)
 	if err != nil {
 		log.Fatal(err)
-	}
-	// Moldable jobs pin processors non-preemptively; any job set containing
-	// them needs a floor-respecting scheduler.
-	for _, s := range specs {
-		if s.Source != nil && sim.FamilyOf(s.Source) == sim.FamilyMoldable {
-			scheduler = sched.WithFloors(scheduler)
-			break
-		}
 	}
 	pick, err := parsePick(*pickFlag)
 	if err != nil {

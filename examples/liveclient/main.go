@@ -134,7 +134,7 @@ func finished(base string, caps []int, id int) row {
 func selfHost() string {
 	svc, err := server.New(server.Config{
 		Sim:          sim.Config{K: 2, Caps: []int{4, 2}, ValidateAllotments: true},
-		NewScheduler: func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(2)) },
+		NewScheduler: func() sched.Scheduler { return core.NewKRAD(2) },
 		StepEvery:    5 * time.Millisecond,
 	})
 	if err != nil {

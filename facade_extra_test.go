@@ -62,7 +62,7 @@ func TestNonPreemptiveThroughFacade(t *testing.T) {
 	}
 	res, err := krad.Run(krad.Config{
 		K: 1, Caps: []int{2},
-		Scheduler:          krad.WithFloors(krad.NewKRAD(1)),
+		Scheduler:          krad.NewKRAD(1),
 		ValidateAllotments: true,
 	}, []krad.JobSpec{{Source: krad.TimedGraphSource(g)}})
 	if err != nil {

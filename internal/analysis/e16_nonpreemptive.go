@@ -21,7 +21,7 @@ import (
 //     result is an ordinary K-DAG and Theorem 3 applies verbatim;
 //   - non-preemptive: the same durations as moldable jobs with Max = 1
 //     (moldable.FromTimedGraph), where a started task pins its processor,
-//     under K-RAD wrapped in sched.WithFloors.
+//     under K-RAD, with the floors granted by the engine.
 //
 // Ratios are against the duration-weighted Section 4 lower bound.
 // Measured shape (a reproduction finding worth stating): preemptive ratios
@@ -63,7 +63,7 @@ func e16(t *Table, opts Options) error {
 			s     sched.Scheduler
 		}{
 			{"preemptive (expanded)", preemptive, core.NewKRAD(k)},
-			{"non-preemptive (floors)", nonpre, sched.WithFloors(core.NewKRAD(k))},
+			{"non-preemptive (floors)", nonpre, core.NewKRAD(k)},
 		} {
 			res, err := run(sim.Config{Caps: caps, Scheduler: m.s}, m.specs)
 			if err != nil {

@@ -2,6 +2,12 @@ package analysis
 
 import (
 	"testing"
+
+	"krad/internal/dag"
+	"krad/internal/moldable"
+	"krad/internal/profile"
+	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 func TestNewSchedulerKnownNames(t *testing.T) {
@@ -39,5 +45,44 @@ func TestSchedulerNamesSortedAndComplete(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Errorf("missing schedulers: %v", want)
+	}
+}
+
+// TestEverySchedulerRunsMixedFamilies runs every registered scheduler, as
+// the registry builds it, on kradsim's `-family mixed -jobs 30` set (seed 1,
+// caps 4,4,4): K-DAGs, profile jobs and moldable jobs whose started tasks pin
+// processors, with allotment validation on. The engine grants the floors, so
+// no scheduler needs a wrapper, and the clairvoyant one keeps its oracle.
+// The makespans are the ones each scheduler gave when it had to be wrapped
+// in a floor layer; sjf-oracle, which that layer hid from its oracle, could
+// not run then.
+func TestEverySchedulerRunsMixedFamilies(t *testing.T) {
+	const k = 3
+	dags, err := workload.Mix{K: k, Jobs: 10, MinSize: 4, MaxSize: 60, Seed: 1}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	profs, err := profile.Generate(profile.GenOpts{K: k, Jobs: 10, MinPhases: 2, MaxPhases: 8, MaxParallelism: 60, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	molds := moldable.Generate(moldable.GenOpts{K: k, Jobs: 10, MinTasks: 4, MaxTasks: 60, Seed: 3})
+	specs := append(append(dags, profs...), molds...)
+	want := map[string]int64{
+		"deq-only": 716, "equi": 677, "fcfs": 767, "gang": 1120, "greedy-desire": 775,
+		"k-rad": 676, "k-rad-random": 673, "laps": 665, "rr-only": 775, "sjf-oracle": 763,
+	}
+	for _, name := range SchedulerNames() {
+		res, err := sim.Run(sim.Config{
+			K: k, Caps: []int{4, 4, 4}, Scheduler: mustScheduler(name, k),
+			Pick: dag.PickFIFO, Seed: 1, ValidateAllotments: true,
+		}, specs)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if res.Makespan != want[name] {
+			t.Errorf("%s: makespan %d, want %d", name, res.Makespan, want[name])
+		}
 	}
 }

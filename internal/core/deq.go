@@ -3,7 +3,11 @@
 // K-RAD — one RAD per resource category (Figure 2 of the paper).
 package core
 
-import "krad/internal/sched"
+import (
+	"slices"
+
+	"krad/internal/sched"
+)
 
 // Deq distributes p processors among jobs with the given positive desires,
 // following the recursive DEQ procedure of Figure 2:
@@ -92,36 +96,27 @@ func DeqInto(allot, scratch, desires []int, p, rot int) []int {
 	return allot
 }
 
-// deqStableHorizon reports how many additional consecutive steps a DEQ
-// partition over jobs (the α-active list; an entry with Desire 0 is a hole
-// and counts for nothing) stays in closed form under the engine's leap law:
-// the active set does not change and every job's desire shrinks by exactly
-// its allotment per step. That holds while every job remains strictly
-// deprived — each then receives the equal share ⌊p/n⌋, plus possibly one
-// rotated remainder processor (which moves with t but is exactly accounted
-// by deqLeapTotals). The horizon keeps every job deprived at every covered
-// step AND strictly positive after the last one (so no completion or phase
-// boundary is crossed mid-leap), using the worst-case per-step decrement
-// share+1 when a remainder exists. No jobs (or no processors) means the
-// all-zero output repeats indefinitely: sched.Unbounded.
-func deqStableHorizon(jobs []sched.CatJob, p int) int64 {
-	n, least := 0, 0
-	for _, j := range jobs {
-		if j.Desire > 0 { // a Desire of 0 is a hole
-			if j.Desire <= p/len(jobs) {
-				return 0 // below the slack of any n ≤ len(jobs)
-			}
-			if n++; n == 1 || j.Desire < least {
-				least = j.Desire
-			}
-		}
-	}
+// deqHorizon reports how many additional consecutive steps a DEQ partition
+// over jobs with these desires (all positive) stays in closed form under the
+// engine's leap law: the active set does not change and every job's desire
+// shrinks by exactly its allotment per step. That holds while every job
+// remains strictly deprived — each then receives the equal share ⌊p/n⌋,
+// plus possibly one rotated remainder processor (which moves with t but is
+// exactly accounted by deqLeapTotals). The horizon keeps every job deprived
+// at every covered step AND strictly positive after the last one (so no
+// completion or phase boundary is crossed mid-leap), using the worst-case
+// per-step decrement share+1 when a remainder exists. No jobs (or no
+// processors) means the all-zero output repeats indefinitely:
+// sched.Unbounded.
+func deqHorizon(desires []int, p int) int64 {
+	n := len(desires)
 	if n == 0 || p <= 0 {
 		return sched.Unbounded
 	}
 	if n > p {
 		return 0
 	}
+	least := slices.Min(desires)
 	share, extra := p/n, p%n
 	// dec is the most a desire can drop per step; slack is the minimum
 	// entry desire that keeps a job deprived through the step and above

@@ -49,7 +49,7 @@ func TestDeqLeapTotalsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDeqStableHorizonSafe verifies the horizon's promise: for every step
+// TestDeqStableHorizonSafe verifies deqHorizon's promise: for every step
 // of the vouched window plus the entry step, all jobs stay strictly
 // deprived (each step is the all-deprived branch) and every desire stays
 // strictly positive after the window — no completion or phase boundary
@@ -58,21 +58,17 @@ func TestDeqStableHorizonSafe(t *testing.T) {
 	for _, nj := range []int{1, 2, 3, 5, 8} {
 		for _, p := range []int{1, 3, 8, 17, 64} {
 			for _, d0 := range []int{1, 2, 3, 10, 65, 1000} {
-				jobs := make([]sched.CatJob, nj)
-				for i := range jobs {
+				desires := make([]int, nj)
+				for i := range desires {
 					// Slightly staggered desires exercise the min.
-					jobs[i] = sched.CatJob{ID: i, Desire: d0 + i}
+					desires[i] = d0 + i
 				}
-				h := deqStableHorizon(jobs, p)
+				h := deqHorizon(desires, p)
 				if h == 0 {
 					continue
 				}
 				if h == sched.Unbounded {
 					t.Fatalf("nj=%d p=%d d0=%d: Unbounded horizon with jobs present", nj, p, d0)
-				}
-				desires := make([]int, nj)
-				for i := range desires {
-					desires[i] = jobs[i].Desire
 				}
 				fair := p / nj
 				for s := int64(0); s <= h; s++ {
@@ -93,4 +89,34 @@ func TestDeqStableHorizonSafe(t *testing.T) {
 			}
 		}
 	}
+}
+
+// deqStableHorizon is the DEQ horizon over an α-active list as RAD computed
+// it before it read the desires its DEQ round gathers: a walk of the list,
+// holes (Desire 0) passed over. The Figure 2 transcription (figure2_test.go)
+// reports it, so TestQuickRADMatchesFigure2 holds RAD's horizon to it.
+func deqStableHorizon(jobs []sched.CatJob, p int) int64 {
+	n, least := 0, 0
+	for _, j := range jobs {
+		if j.Desire > 0 {
+			if n++; n == 1 || j.Desire < least {
+				least = j.Desire
+			}
+		}
+	}
+	if n == 0 || p <= 0 {
+		return sched.Unbounded
+	}
+	if n > p {
+		return 0
+	}
+	share, extra := p/n, p%n
+	dec, slack := share, share+1
+	if extra > 0 {
+		dec, slack = share+1, share+2
+	}
+	if least < slack {
+		return 0
+	}
+	return int64((least - slack) / dec)
 }

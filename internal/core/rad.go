@@ -107,7 +107,7 @@ func (r *RAD) JobEntered(id int) {
 	case r.marked(id):
 		r.nqp++
 	case id < r.cursor:
-		r.late.Insert(id)
+		r.late.Insert(id, 1)
 	}
 }
 
@@ -161,7 +161,7 @@ func (r *RAD) AllotDelta(t int64, jobs []sched.CatJob, p int, out []sched.CatGra
 		r.growStamp(jobs[len(jobs)-1].ID + 1)
 		n := 0
 		for i := 0; n < p && i < len(late); i++ {
-			if r.late.In(i) {
+			if late[i].Desire != 0 {
 				out = append(out, sched.CatGrant{ID: late[i].ID, N: 1})
 				r.mark(late[i].ID)
 				n++
@@ -183,8 +183,8 @@ func (r *RAD) AllotDelta(t int64, jobs []sched.CatJob, p int, out []sched.CatGra
 	// Cycle completes this step. Q, as positions in jobs: the late entrants,
 	// then the α-active jobs from the cursor on.
 	q, at := r.q[:0], 0
-	for i, j := range late {
-		if r.late.In(i) {
+	for _, j := range late {
+		if j.Desire != 0 {
 			at, _ = sched.FindCatJob(jobs[:cp], at, j.ID)
 			q = append(q, at)
 		}
@@ -215,19 +215,20 @@ func (r *RAD) AllotDelta(t int64, jobs []sched.CatJob, p int, out []sched.CatGra
 		r.rot += need
 	}
 	r.q = q
-	// Leap safety: with no marks at entry this call was pure DEQ and left
-	// the marks and rotation untouched, so the horizon is DEQ's. A cycle
-	// completion (marks present) mutates rot — settle one step at a time.
-	if r.nqp == 0 {
-		r.horizon = deqStableHorizon(jobs, p)
-	} else {
-		r.horizon = 0
-	}
 	desires := r.desires[:0]
 	for _, i := range q {
 		desires = append(desires, jobs[i].Desire)
 	}
 	r.desires = desires
+	// Leap safety: with no marks at entry this call was pure DEQ over every
+	// α-active job and left the marks and rotation untouched, so the
+	// horizon is DEQ's. A cycle completion (marks present) mutates rot —
+	// settle one step at a time.
+	if r.nqp == 0 {
+		r.horizon = deqHorizon(desires, p)
+	} else {
+		r.horizon = 0
+	}
 	r.deqAllot = slices.Grow(r.deqAllot[:0], len(q))[:len(q)]
 	r.deqScratch = slices.Grow(r.deqScratch[:0], len(q))[:len(q)]
 	allot := DeqInto(r.deqAllot, r.deqScratch, desires, p, int(t))

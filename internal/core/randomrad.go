@@ -97,14 +97,14 @@ func (r *RandomRAD) Allot(t int64, jobs []sched.CatJob, p int) []int {
 	}
 	// Same leap-safety rule as RAD: stable only when this step was pure
 	// DEQ over a mark-free queue (the rng is untouched on this branch).
-	if len(qp) == 0 {
-		r.horizon = deqStableHorizon(jobs, p)
-	} else {
-		r.horizon = 0
-	}
 	desires := make([]int, len(q))
 	for j, i := range q {
 		desires[j] = jobs[i].Desire
+	}
+	if len(qp) == 0 {
+		r.horizon = deqHorizon(desires, p)
+	} else {
+		r.horizon = 0
 	}
 	for j, a := range Deq(desires, p, int(t)) {
 		allot[q[j]] = a

@@ -13,8 +13,8 @@ import "fmt"
 //     file adds optional per-task durations to Graph; such a graph runs
 //     as a moldable job whose tasks take at most one processor
 //     (moldable.FromTimedGraph), which exposes in-flight tasks as
-//     allotment floors (see sched.WithFloors); experiment E16 measures
-//     the cost.
+//     allotment floors, which the engine (internal/sim) grants under any
+//     scheduler; experiment E16 measures the cost.
 //
 // A Graph without SetDuration calls behaves exactly as before.
 

@@ -10,7 +10,6 @@ import (
 	"krad/internal/dag"
 	"krad/internal/moldable"
 	"krad/internal/profile"
-	"krad/internal/sched"
 	"krad/internal/sim"
 )
 
@@ -38,12 +37,11 @@ func moldJob(t *testing.T, name string, tasks int) *moldable.Job {
 	return j
 }
 
-// moldEngine builds an engine able to run moldable jobs (K-RAD behind the
-// floor layer).
+// moldEngine builds an engine running moldable jobs under K-RAD.
 func moldEngine(t *testing.T) *sim.Engine {
 	t.Helper()
 	eng, err := sim.NewEngine(sim.Config{
-		K: 2, Caps: []int{4, 4}, Scheduler: sched.WithFloors(core.NewKRAD(2)),
+		K: 2, Caps: []int{4, 4}, Scheduler: core.NewKRAD(2),
 		Pick: dag.PickFIFO,
 	})
 	if err != nil {

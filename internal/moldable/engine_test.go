@@ -10,22 +10,21 @@ import (
 	"krad/internal/dag"
 	"krad/internal/moldable"
 	"krad/internal/profile"
-	"krad/internal/sched"
 	"krad/internal/sim"
 )
 
 // These tests live in package moldable_test rather than internal/sim's
 // suite because sim's tests cannot import moldable (moldable imports sim).
 // They are the engine-level half of the family contract: moldable jobs
-// run through the ordinary Step/StepN loop behind sched.WithFloors, leap
+// run through the ordinary Step/StepN loop, which grants their floors, leap
 // through held phases via the hold law, and stay bit-identical between
 // every stepping mode.
 
-// moldCfg is the canonical moldable engine configuration: K-RAD wrapped
-// in the floor layer (moldable jobs pin processors non-preemptively).
+// moldCfg is the canonical moldable engine configuration: K-RAD, with the
+// floors moldable jobs pin granted by the engine.
 func moldCfg(k int, caps []int, pick dag.PickPolicy, seed int64, noLeap bool) sim.Config {
 	return sim.Config{
-		K: k, Caps: caps, Scheduler: sched.WithFloors(core.NewKRAD(k)),
+		K: k, Caps: caps, Scheduler: core.NewKRAD(k),
 		Pick: pick, Seed: seed, Trace: sim.TraceSteps,
 		ValidateAllotments: true, NoLeap: noLeap,
 	}
@@ -348,8 +347,8 @@ func TestTimedGraphLeapsUnderHoldLaw(t *testing.T) {
 	}
 }
 
-// TestMoldableStepAllocsZero pins the held-phase single-step path — floor
-// projection in WithFloors, the hold detection scan, lease countdown — at
+// TestMoldableStepAllocsZero pins the held-phase single-step path — the
+// engine's floor grants, the hold detection scan, lease countdown — at
 // zero steady-state allocations, the moldable analogue of sim's
 // TestEngineStepAllocsZero.
 func TestMoldableStepAllocsZero(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/moldable"
-	"krad/internal/sched"
 	"krad/internal/sim"
 )
 
@@ -78,7 +77,7 @@ func FuzzMoldableSpec(f *testing.F) {
 		}
 		res, err := sim.Run(sim.Config{
 			K: job.K(), Caps: caps,
-			Scheduler:          sched.WithFloors(core.NewKRAD(job.K())),
+			Scheduler:          core.NewKRAD(job.K()),
 			Pick:               dag.PickFIFO,
 			ValidateAllotments: true,
 		}, []sim.JobSpec{{Source: job}})

@@ -24,8 +24,8 @@ type lease struct {
 // tasks in pick order, each molded to p = min(useful, slots) processors
 // for ceil(work / s(p)) non-preemptive steps.
 //
-// Instance implements sim.FloorRuntime (pair it with sched.WithFloors)
-// and sim.HoldRuntime: a held phase — every frontier task in flight,
+// Instance implements sim.FloorRuntime (the engine grants its floors) and
+// sim.HoldRuntime: a held phase — every frontier task in flight,
 // nothing ready — keeps desires pinned at the floors, and HoldFor
 // reports how long, so the engine can event-leap across it.
 type Instance struct {
@@ -123,19 +123,19 @@ func (in *Instance) Floor(c dag.Category) int {
 // Execute implements sim.RuntimeJob: progress every in-flight α-lease by
 // one step, then mold and start ready tasks into the leftover slots. It
 // returns the processors used and panics if n is below the floor — that
-// means a non-floor-respecting scheduler was configured with moldable
-// jobs, which is a setup bug (use sched.WithFloors).
+// means a driver other than sim's engine, which grants every floor, broke
+// the floor contract, which is a setup bug.
 func (in *Instance) Execute(c dag.Category, n int) int {
 	if c < 1 || int(c) > len(in.pinned) || n <= 0 {
 		if n <= 0 && in.Floor(c) > 0 {
-			panic(fmt.Sprintf("moldable: job %q category %d: allotment %d below floor %d — moldable jobs need a floor-respecting scheduler (sched.WithFloors)", in.job.Name(), c, n, in.Floor(c)))
+			panic(fmt.Sprintf("moldable: job %q category %d: allotment %d below floor %d — the driver must grant every floor, as sim.Engine does", in.job.Name(), c, n, in.Floor(c)))
 		}
 		return 0
 	}
 	a := int(c) - 1
 	fl := in.pinned[a]
 	if n < fl {
-		panic(fmt.Sprintf("moldable: job %q category %d: allotment %d below floor %d — moldable jobs need a floor-respecting scheduler (sched.WithFloors)", in.job.Name(), c, n, fl))
+		panic(fmt.Sprintf("moldable: job %q category %d: allotment %d below floor %d — the driver must grant every floor, as sim.Engine does", in.job.Name(), c, n, fl))
 	}
 	used := fl
 	// Progress in-flight leases; finishing tasks free their processors at

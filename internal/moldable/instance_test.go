@@ -73,7 +73,7 @@ func TestInstanceMoldsGreedily(t *testing.T) {
 
 // TestExecuteBelowFloorPanics pins the setup-bug guard: once a lease is in
 // flight, offering fewer processors than the floor must panic with a
-// message pointing at sched.WithFloors.
+// message that names the engine's floor contract.
 func TestExecuteBelowFloorPanics(t *testing.T) {
 	j := mustJob(t, chainSpec(1, 1, 1, 16, 4))
 	in := moldable.NewInstance(j, dag.PickFIFO, 0)
@@ -86,7 +86,7 @@ func TestExecuteBelowFloorPanics(t *testing.T) {
 				if r == nil {
 					t.Fatalf("Execute(%d) below floor 4 did not panic", n)
 				}
-				if !strings.Contains(r.(string), "below floor") || !strings.Contains(r.(string), "WithFloors") {
+				if !strings.Contains(r.(string), "below floor") || !strings.Contains(r.(string), "grant every floor") {
 					t.Fatalf("panic %q does not explain the floor contract", r)
 				}
 			}()

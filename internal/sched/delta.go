@@ -7,27 +7,26 @@ import (
 
 // DeltaAllotter is the delta-driven form of a Scheduler: instead of being
 // handed every active job's view each step, the scheduler is told what
-// changed — JobChanged when a job enters the active set or its rows differ
-// from what it last reported, JobGone when it finishes or is cancelled — and
-// AllotDelta returns only the jobs that receive processors. A round then
-// costs the processors handed out plus the changes since the last round, not
-// the jobs that wait. It is the only form the engine drives, from the slot
-// table's three writers; WithFloors, PerCategory and core.RAD implement it,
-// and their dense Allot/AllotInto entries are adapters onto it (denseEntry);
-// any other Scheduler enters through FromDense. One value serves one driver:
-// either the delta calls or the dense entry, never both.
+// changed — JobChanged when a job enters the active set or its desire row
+// differs from what it last reported, JobGone when it finishes or is
+// cancelled — and AllotDelta returns only the jobs that receive processors.
+// A round then costs the processors handed out plus the changes since the
+// last round, not the jobs that wait. It is the only form the engine drives,
+// from the slot table's three writers; PerCategory and core.RAD implement
+// it, and their dense Allot/AllotInto entries are adapters onto it
+// (denseEntry); any other Scheduler enters through FromDense. One value
+// serves one driver: either the delta calls or the dense entry, never both.
 type DeltaAllotter interface {
-	// JobChanged reports job id's current desire and floor rows (len K;
-	// floor nil for a job that pins nothing). A nil desire means the job left
-	// the active set but may return — its cross-step state (round-robin
-	// marks) is kept. changed, when not nil, vouches that the rows differ
-	// from the job's last report only in the categories it flags, so the
-	// others need no lookup. Nothing passed is retained.
-	JobChanged(id int, desire, floor []int, changed []bool)
+	// JobChanged reports job id's current desire row (len K). A nil desire
+	// means the job left the active set but may return — its cross-step
+	// state (round-robin marks) is kept. changed, when not nil, vouches that
+	// the row differs from the job's last report only in the categories it
+	// flags, so the others need no lookup. Nothing passed is retained.
+	JobChanged(id int, desire []int, changed []bool)
 	// JobGone reports that job id finished or was cancelled: every trace of
 	// it is dropped. It subsumes Completer.JobsDone for that job. desire,
-	// when not nil, is the desire row the job last reported: it is looked
-	// for only in the categories where that is positive.
+	// when not nil, is positive wherever the row the job last reported is:
+	// the job is looked for only in those categories.
 	JobGone(id int, desire []int)
 	// AllotDelta returns step t's allotment over the jobs reported so far,
 	// one list per category (index α−1): the jobs that receive α-processors
@@ -64,7 +63,8 @@ type CategoryDeltaAllotter interface {
 // scatters the grants into the caller's matrix. A report of rows d already
 // holds changes nothing, so a call costs O(n·K), what projecting the views
 // used to. It serves callers that know only the dense contract: a decorator
-// around the scheduler, the baselines' harnesses, tests.
+// around the scheduler, the baselines' harnesses, tests. Floors are not its
+// business: a view's Floor is not read.
 type denseEntry struct {
 	d          DeltaAllotter
 	last, next []int // the previous call's IDs, and the next call's storage
@@ -102,16 +102,16 @@ func (s *denseEntry) sync(jobs []JobView) {
 	for i := range jobs {
 		v := &jobs[i]
 		for ; o < len(prev) && prev[o] < v.ID; o++ {
-			s.d.JobChanged(prev[o], nil, nil, nil)
+			s.d.JobChanged(prev[o], nil, nil)
 		}
 		if o < len(prev) && prev[o] == v.ID {
 			o++
 		}
 		now = append(now, v.ID)
-		s.d.JobChanged(v.ID, v.Desire, v.Floor, nil)
+		s.d.JobChanged(v.ID, v.Desire, nil)
 	}
 	for _, id := range prev[o:] {
-		s.d.JobChanged(id, nil, nil, nil)
+		s.d.JobChanged(id, nil, nil)
 	}
 	s.last, s.next = now, prev
 }
@@ -126,13 +126,12 @@ func (s *denseEntry) JobsDone(ids []int) {
 // FromDense is the delta form of a Scheduler that knows only the dense
 // contract — the baselines, Quantized, decorators, caller-written schedulers.
 // It is the one adapter in that direction: sim.NewEngine wraps any scheduler
-// that is not a DeltaAllotter in it, and WithFloors a dense inner. It keeps
-// the rows such a scheduler wants current from the delta calls and hands them
-// over whole each round, as views that read exactly like the engine's slot
-// table: every active job, ascending ID, zero-desire rows included, Floor
-// where the job reported one. AllotDelta calls AllotInto when s has it and
-// Allot otherwise; a matrix with the wrong number of rows or a row of the
-// wrong width is an error naming s. JobGone forwards to Completer.JobsDone.
+// that is not a DeltaAllotter in it. It keeps the rows such a scheduler wants
+// current from the delta calls and hands them over whole each round, as views
+// of every active job, ascending ID, zero-desire rows included, with no
+// Floor. AllotDelta calls AllotInto when s has it and Allot otherwise; a
+// matrix with the wrong number of rows or a row of the wrong width is an
+// error naming s. JobGone forwards to Completer.JobsDone.
 func FromDense(s Scheduler) DeltaAllotter {
 	d := &fromDense{s: s}
 	d.into, _ = s.(IntoAllotter)
@@ -144,8 +143,7 @@ type fromDense struct {
 	s    Scheduler
 	into IntoAllotter
 	done Completer
-	// The active jobs, each with its desire row then its floor row, flagged
-	// where the floor row is reported rather than padding.
+	// The active jobs, each with value 1 and its desire row.
 	jobs  IDList
 	views []JobView // the last round's, rebuilt from jobs
 	mat   Matrix
@@ -153,17 +151,14 @@ type fromDense struct {
 	oneID [1]int
 }
 
-func (d *fromDense) JobChanged(id int, desire, floor []int, _ []bool) {
+func (d *fromDense) JobChanged(id int, desire []int, _ []bool) {
 	if desire == nil {
 		d.jobs.Delete(id)
 		return
 	}
-	d.jobs.w = 2 * len(desire)
-	i, _ := d.jobs.Insert(id)
-	row := d.jobs.Row(i)
-	copy(row, desire)
-	copy(row[len(desire):], floor)
-	d.jobs.SetFlag(i, floor != nil)
+	d.jobs.w = len(desire)
+	i, _ := d.jobs.Insert(id, 1)
+	copy(d.jobs.Row(i), desire)
 }
 
 func (d *fromDense) JobGone(id int, _ []int) {
@@ -175,18 +170,11 @@ func (d *fromDense) JobGone(id int, _ []int) {
 }
 
 func (d *fromDense) AllotDelta(t int64, caps []int) ([][]CatGrant, error) {
-	k := d.jobs.w / 2
 	d.views = d.views[:0]
 	for i, j := range d.jobs.Jobs() {
-		if !d.jobs.In(i) {
-			continue
+		if j.Desire != 0 {
+			d.views = append(d.views, JobView{ID: j.ID, Desire: d.jobs.Row(i)})
 		}
-		row := d.jobs.Row(i)
-		v := JobView{ID: j.ID, Desire: row[:k:k]}
-		if d.jobs.Flagged(i) {
-			v.Floor = row[k:]
-		}
-		d.views = append(d.views, v)
 	}
 	var rows [][]int
 	if d.into != nil {

@@ -4,51 +4,17 @@ import (
 	"testing"
 )
 
+// TestWithFloorsIdentityWithoutFloors: the deprecated wrapper hands its
+// scheduler back, capabilities and name included — the engine grants floors.
 func TestWithFloorsIdentityWithoutFloors(t *testing.T) {
 	inner := &countingSched{}
 	f := WithFloors(inner)
-	jobs := []JobView{{ID: 0, Desire: []int{3}}, {ID: 1, Desire: []int{3}}}
-	allot := f.Allot(1, jobs, []int{2})
-	if allot[0][0] != 1 || allot[1][0] != 1 {
-		t.Errorf("identity path wrong: %v", allot)
+	if f != Scheduler(inner) {
+		t.Fatalf("WithFloors wrapped its scheduler: %T", f)
 	}
-	if f.Name() != "counting+floors" {
+	if f.Name() != "counting" {
 		t.Errorf("Name = %q", f.Name())
 	}
-}
-
-func TestWithFloorsGrantsFloorsFirst(t *testing.T) {
-	inner := &countingSched{}
-	f := WithFloors(inner)
-	jobs := []JobView{
-		{ID: 0, Desire: []int{4}, Floor: []int{3}},
-		{ID: 1, Desire: []int{4}},
-	}
-	caps := []int{4}
-	allot := f.Allot(1, jobs, caps)
-	if err := ValidateAllotments(jobs, caps, allot); err != nil {
-		t.Fatal(err)
-	}
-	if allot[0][0] < 3 {
-		t.Errorf("floor not granted: %v", allot)
-	}
-	// Residual capacity 1 went through the inner scheduler (one each in
-	// ID order; inner gives 1 per job until out).
-	total := allot[0][0] + allot[1][0]
-	if total > 4 {
-		t.Errorf("capacity exceeded: %v", allot)
-	}
-}
-
-func TestWithFloorsPanicsWhenFloorsExceedCapacity(t *testing.T) {
-	f := WithFloors(&countingSched{})
-	jobs := []JobView{{ID: 0, Desire: []int{5}, Floor: []int{5}}}
-	defer func() {
-		if recover() == nil {
-			t.Error("impossible floors accepted")
-		}
-	}()
-	f.Allot(1, jobs, []int{3})
 }
 
 func TestWithFloorsForwardsCompletions(t *testing.T) {

@@ -6,69 +6,53 @@ package sched
 func CompactDue(n, live int) bool { return n-live >= 32 && 4*(n-live) >= n }
 
 // IDList is a list of entries in ascending ID order — arrival order, the
-// queue order RAD serves. An entry is a CatJob (its ID and a value), a row
-// of w ints and a flag. Deleting an entry inside the list leaves a hole: it
+// queue order RAD serves. An entry is a CatJob (its ID and a non-zero value)
+// and a row of w ints. Deleting an entry inside the list leaves a hole: it
 // keeps its ID, so the order and every other position stay, and reads value
-// 0, a zero row and no flag. An ID that comes back refills its own hole in
-// O(1), and the holes are closed in one pass when CompactDue says so. The
-// zero value is empty, with w = 0; a client in this package may set w.
+// 0 and a zero row. An ID that comes back refills its own hole in O(1), and
+// the holes are closed in one pass when CompactDue says so. The zero value
+// is empty, with w = 0; a client in this package may set w.
 type IDList struct {
-	jobs  []CatJob
-	rows  []int
-	flags []uint8 // inList, and flagged where the client set it; 0 in a hole
-	w     int
-	live  int
-	hint  int // where the last search landed (see FindCatJob)
+	jobs []CatJob
+	rows []int
+	w    int
+	live int
+	hint int // where the last search landed (see FindCatJob)
 }
 
-const inList, flagged uint8 = 1, 2
-
-// Jobs returns the entries, holes included; a client may write live values.
+// Jobs returns the entries, holes (value 0) included; a client may write a
+// live entry's value, never to 0.
 func (l *IDList) Jobs() []CatJob { return l.jobs }
-
-// In reports whether position i holds a live entry.
-func (l *IDList) In(i int) bool { return l.flags[i] != 0 }
 
 // Row returns position i's row.
 func (l *IDList) Row(i int) []int { return l.rows[i*l.w : (i+1)*l.w : (i+1)*l.w] }
-
-// Flagged reports position i's flag.
-func (l *IDList) Flagged(i int) bool { return l.flags[i]&flagged != 0 }
-
-// SetFlag sets live position i's flag to on.
-func (l *IDList) SetFlag(i int, on bool) {
-	l.flags[i] = inList
-	if on {
-		l.flags[i] |= flagged
-	}
-}
 
 // Find returns the position of id's live entry and true, or false.
 func (l *IDList) Find(id int) (int, bool) {
 	i, in := FindCatJob(l.jobs, l.hint, id)
 	l.hint = i
-	return i, in && l.flags[i] != 0
+	return i, in && l.jobs[i].Desire != 0
 }
 
-// Insert returns id's position and whether it was not live before; if not,
-// it is now, with value 0, a zero row and no flag. An ID above every other
-// is appended; one below takes its own hole, or the entries above it move up
-// by one.
-func (l *IDList) Insert(id int) (int, bool) {
+// Insert makes id's entry read v, which is not 0, and returns its position
+// and whether it was not live before; if not, its row is now zero. An ID
+// above every other is appended; one below takes its own hole, or the
+// entries above it move up by one.
+func (l *IDList) Insert(id, v int) (int, bool) {
 	i, in := FindCatJob(l.jobs, l.hint, id)
 	l.hint = i
 	switch {
-	case in && l.flags[i] != 0:
+	case in && l.jobs[i].Desire != 0:
+		l.jobs[i].Desire = v
 		return i, false
 	case in:
 	default: // append, and move what lies above i up by one
-		l.jobs, l.flags = append(l.jobs, CatJob{}), append(l.flags, 0)
+		l.jobs = append(l.jobs, CatJob{})
 		l.rows = append(l.rows, make([]int, l.w)...)
 		copy(l.jobs[i+1:], l.jobs[i:])
-		copy(l.flags[i+1:], l.flags[i:])
 		copy(l.rows[(i+1)*l.w:], l.rows[i*l.w:])
 	}
-	l.jobs[i], l.flags[i] = CatJob{ID: id}, inList
+	l.jobs[i] = CatJob{ID: id, Desire: v}
 	clear(l.Row(i))
 	l.live++
 	return i, true
@@ -83,21 +67,20 @@ func (l *IDList) Delete(id int) bool {
 	if !in {
 		return false
 	}
-	l.jobs[i].Desire, l.flags[i] = 0, 0
+	l.jobs[i].Desire = 0
 	clear(l.Row(i))
 	l.live--
 	lo, hi := 0, len(l.jobs)
-	for ; lo < hi && l.flags[lo] == 0; lo++ {
+	for ; lo < hi && l.jobs[lo].Desire == 0; lo++ {
 	}
-	for ; hi > lo && l.flags[hi-1] == 0; hi-- {
+	for ; hi > lo && l.jobs[hi-1].Desire == 0; hi-- {
 	}
 	if lo > 0 {
 		copy(l.jobs, l.jobs[lo:hi])
-		copy(l.flags, l.flags[lo:hi])
 		copy(l.rows, l.rows[lo*l.w:hi*l.w])
 	}
 	n := hi - lo
-	if l.jobs, l.flags, l.rows = l.jobs[:n], l.flags[:n], l.rows[:n*l.w]; CompactDue(n, l.live) {
+	if l.jobs, l.rows = l.jobs[:n], l.rows[:n*l.w]; CompactDue(n, l.live) {
 		l.Compact()
 	}
 	return true
@@ -107,19 +90,19 @@ func (l *IDList) Delete(id int) bool {
 // free position below it.
 func (l *IDList) Compact() {
 	w := 0
-	for i, f := range l.flags {
-		if f != 0 {
-			l.jobs[w], l.flags[w] = l.jobs[i], f
+	for i, j := range l.jobs {
+		if j.Desire != 0 {
+			l.jobs[w] = j
 			copy(l.rows[w*l.w:(w+1)*l.w], l.Row(i))
 			w++
 		}
 	}
-	l.jobs, l.flags, l.rows, l.hint = l.jobs[:w], l.flags[:w], l.rows[:w*l.w], 0
+	l.jobs, l.rows, l.hint = l.jobs[:w], l.rows[:w*l.w], 0
 }
 
 // Clear empties the list, keeping its storage.
 func (l *IDList) Clear() {
-	l.jobs, l.flags, l.rows, l.live, l.hint = l.jobs[:0], l.flags[:0], l.rows[:0], 0, 0
+	l.jobs, l.rows, l.live, l.hint = l.jobs[:0], l.rows[:0], 0, 0
 }
 
 // FindCatJob returns the position of id in jobs (ascending ID) or the

@@ -9,21 +9,20 @@ import (
 
 // idEntry is what the model remembers of one live entry.
 type idEntry struct {
-	val  int
-	row  []int
-	flag bool
+	val int
+	row []int
 }
 
 // checkIDList restates the list's invariants densely against the model of
 // its live entries: IDs ascend, holes included; a hole reads as absent to
-// every client — not In, not Found, value 0, a zero row, no flag; no hole
-// is at either end; every live entry holds what was written to it; the live
-// count is right; and the holes are never due, since a Delete that makes
-// them due closes them.
+// every client — not Found, value 0, a zero row; no hole is at either end;
+// every live entry holds what was written to it, a value that is not 0;
+// the live count is right; and the holes are never due, since a Delete that
+// makes them due closes them.
 func checkIDList(l *IDList, model map[int]idEntry) error {
 	jobs := l.Jobs()
-	if len(l.flags) != len(jobs) || len(l.rows) != len(jobs)*l.w {
-		return fmt.Errorf("%d entries, %d flags, %d row ints at width %d", len(jobs), len(l.flags), len(l.rows), l.w)
+	if len(l.rows) != len(jobs)*l.w {
+		return fmt.Errorf("%d entries, %d row ints at width %d", len(jobs), len(l.rows), l.w)
 	}
 	live := 0
 	for i, j := range jobs {
@@ -31,19 +30,19 @@ func checkIDList(l *IDList, model map[int]idEntry) error {
 			return fmt.Errorf("position %d holds ID %d after ID %d, want ascending IDs", i, j.ID, jobs[i-1].ID)
 		}
 		_, found := l.Find(j.ID)
-		if !l.In(i) {
-			if _, ok := model[j.ID]; ok || found || j.Desire != 0 || l.Flagged(i) || slices.ContainsFunc(l.Row(i), func(x int) bool { return x != 0 }) {
-				return fmt.Errorf("hole %d (ID %d) reads as present: model %v, found %v, value %d, flag %v, row %v", i, j.ID, ok, found, j.Desire, l.Flagged(i), l.Row(i))
+		e, ok := model[j.ID]
+		if !ok {
+			if found || j.Desire != 0 || slices.ContainsFunc(l.Row(i), func(x int) bool { return x != 0 }) {
+				return fmt.Errorf("hole %d (ID %d) reads as present: found %v, value %d, row %v", i, j.ID, found, j.Desire, l.Row(i))
 			}
 			continue
 		}
 		live++
-		e, ok := model[j.ID]
-		if !ok || !found || j.Desire != e.val || l.Flagged(i) != e.flag || !slices.Equal(l.Row(i), e.row) {
-			return fmt.Errorf("entry %d (ID %d) reads value %d, flag %v, row %v, found %v; model %v %+v", i, j.ID, j.Desire, l.Flagged(i), l.Row(i), found, ok, e)
+		if !found || j.Desire != e.val || !slices.Equal(l.Row(i), e.row) {
+			return fmt.Errorf("entry %d (ID %d) reads value %d, row %v, found %v; model %+v", i, j.ID, j.Desire, l.Row(i), found, e)
 		}
 	}
-	if n := len(jobs); n > 0 && (!l.In(0) || !l.In(n-1)) {
+	if n := len(jobs); n > 0 && (jobs[0].Desire == 0 || jobs[n-1].Desire == 0) {
 		return fmt.Errorf("a hole at an end of the %d entries", n)
 	}
 	if live != l.live || live != len(model) {
@@ -57,8 +56,8 @@ func checkIDList(l *IDList, model map[int]idEntry) error {
 
 // TestIDListChurn drives IDLists of widths 0 to 3 through random inserts —
 // new IDs above every other, IDs coming back to their own holes, IDs below
-// the highest — deletes, row, value and flag writes, compactions and
-// clears, checking the list densely after every operation, and that a
+// the highest, live IDs given a new value — deletes, row and value writes,
+// compactions and clears, checking the list densely after every operation, and that a
 // Delete drops the holes at the ends and compacts exactly when the holes
 // left are due.
 func TestIDListChurn(t *testing.T) {
@@ -89,17 +88,21 @@ func TestIDListChurn(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					id = rng.Intn(next) // a job coming back, or one below the highest
 				}
-				what = fmt.Sprintf("insert %d", id)
-				i, added := l.Insert(id)
-				if _, was := model[id]; was == added {
+				v := 1 + rng.Intn(9)
+				what = fmt.Sprintf("insert %d with value %d", id, v)
+				i, added := l.Insert(id, v)
+				e, was := model[id]
+				if was == added {
 					t.Fatalf("seed %d op %d: %s: added %v, but it was live: %v", seed, op, what, added, was)
 				}
 				if l.Jobs()[i].ID != id {
 					t.Fatalf("seed %d op %d: %s: position %d holds ID %d", seed, op, what, i, l.Jobs()[i].ID)
 				}
 				if added {
-					model[id] = idEntry{row: make([]int, l.w)}
+					e.row = make([]int, l.w)
 				}
+				e.val = v
+				model[id] = e
 			case r < del && len(model) > 0:
 				id := pick()
 				what = fmt.Sprintf("delete %d", id)
@@ -111,9 +114,10 @@ func TestIDListChurn(t *testing.T) {
 				// and the rest are closed once they are a quarter of the
 				// list and at least 32.
 				lo, hi := 0, len(l.Jobs())
-				for ; lo < hi && (lo == i || !l.In(lo)); lo++ {
+				jobs := l.Jobs()
+				for ; lo < hi && (lo == i || jobs[lo].Desire == 0); lo++ {
 				}
-				for ; hi > lo && (hi-1 == i || !l.In(hi-1)); hi-- {
+				for ; hi > lo && (hi-1 == i || jobs[hi-1].Desire == 0); hi-- {
 				}
 				n, h := hi-lo, hi-lo-(l.live-1)
 				due := h >= 32 && 4*h >= n
@@ -131,13 +135,12 @@ func TestIDListChurn(t *testing.T) {
 				id := pick()
 				what = fmt.Sprintf("write %d", id)
 				i, _ := l.Find(id)
-				e := idEntry{val: 1 + rng.Intn(9), row: make([]int, l.w), flag: rng.Intn(2) == 0}
+				e := idEntry{val: 1 + rng.Intn(9), row: make([]int, l.w)}
 				for a := range e.row {
 					e.row[a] = rng.Intn(5)
 				}
 				l.Jobs()[i].Desire = e.val
 				copy(l.Row(i), e.row)
-				l.SetFlag(i, e.flag)
 				model[id] = e
 			case rng.Intn(3) > 0:
 				what = "compact"

@@ -13,11 +13,18 @@
 // what the baselines, Quantized, decorators and caller-written schedulers
 // implement. The delta one — DeltaAllotter — is told only what changed since
 // the last step and returns only the grants; it is the one the engine drives.
-// WithFloors, PerCategory and core.RAD implement it, and their dense entries
-// are adapters onto it; a scheduler with only the dense entry is driven
-// through FromDense. There is one implementation either way.
+// PerCategory and core.RAD implement it, and their dense entries are
+// adapters onto it; a scheduler with only the dense entry is driven through
+// FromDense. There is one implementation either way.
 // The delta layers keep their jobs in IDLists, which leave a hole where a job
 // left: in a category's α-active list, an entry with Desire 0.
+//
+// Floors — processors that started non-preemptive tasks pin — are not a
+// scheduler's business. The engine (internal/sim) grants them itself: it
+// reports each job's residual desire, max(desire − floor, 0), hands the
+// scheduler the capacity left once the floors are pinned, and adds the
+// floors to what the scheduler grants. Every scheduler therefore runs
+// non-preemptive jobs as it is.
 package sched
 
 import (
@@ -37,8 +44,9 @@ type JobView struct {
 	// Floor[α−1] is the job's non-preemptive allotment floor: processors
 	// occupied by in-flight multi-step tasks that cannot be taken away
 	// this step. Nil for unit-task jobs (every floor zero). Valid
-	// allotments satisfy allot ≥ floor; use WithFloors to make any
-	// scheduler floor-respecting.
+	// allotments satisfy allot ≥ floor. The engine's views carry it and
+	// the engine grants it (see the package comment); the views it hands a
+	// scheduler carry none.
 	Floor []int
 }
 
@@ -50,6 +58,12 @@ func (j JobView) TotalDesire() int {
 	}
 	return n
 }
+
+// WithFloors returns s.
+//
+// Deprecated: the engine grants every floor itself (see the package
+// comment), so every scheduler runs non-preemptive jobs as it is.
+func WithFloors(s Scheduler) Scheduler { return s }
 
 // Scheduler computes processor allotments each step.
 type Scheduler interface {
@@ -103,9 +117,9 @@ const Unbounded int64 = math.MaxInt64
 // Law (b) is the DRAIN law — the contract unit-task runtimes satisfy. Its
 // complement, the HOLD law (a job whose desire is pinned at its
 // non-preemptive floor receives exactly the floor each covered step), is
-// not part of this interface: WithFloors layers it on top by projecting
-// held jobs out of the inner scheduler's view and re-adding their frozen
-// floors, so inner implementations only ever reason about draining jobs.
+// not part of this interface: a held job's residual desire is zero, so the
+// scheduler never sees it, and the engine advances it by its frozen floors.
+// Implementations only ever reason about draining jobs.
 type Stable interface {
 	StableHorizon() int64
 	LeapTotals(t int64, jobs []JobView, caps []int, n int64, dst [][]int)
@@ -322,8 +336,8 @@ func (p *PerCategory) Name() string { return p.name }
 
 // JobChanged implements DeltaAllotter: per category, the job is inserted
 // into, updated in or removed from the α-active list according to its desire
-// there. Floors are not this layer's business (see WithFloors).
-func (p *PerCategory) JobChanged(id int, desire, _ []int, changed []bool) {
+// there.
+func (p *PerCategory) JobChanged(id int, desire []int, changed []bool) {
 	for a := range p.cats {
 		if changed != nil && !changed[a] {
 			continue
@@ -346,9 +360,7 @@ func (p *PerCategory) setDesire(a, id, d int) {
 		}
 		return
 	}
-	i, added := l.Insert(id)
-	l.Jobs()[i].Desire = d
-	if added && cd != nil {
+	if _, added := l.Insert(id, d); added && cd != nil {
 		cd.JobEntered(id)
 	}
 }

@@ -56,12 +56,11 @@ func pullReplication(t *testing.T, pdir string, follower *Service) {
 	}
 }
 
-// applyPathsConfig is a journaled two-shard fleet whose scheduler carries
-// floors (moldable jobs) and snapshots its state (compaction).
+// applyPathsConfig is a journaled two-shard fleet whose scheduler snapshots
+// its state (compaction).
 func applyPathsConfig(dir string, mode string, retire bool) Config {
 	cfg := testConfig(2, 3, 2)
 	cfg.Shards = 2
-	cfg.NewScheduler = func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(2)) }
 	cfg.MaxInFlight = 512
 	cfg.RetireDone = retire
 	cfg.Journal = &JournalConfig{Dir: dir, SnapshotEvery: 1, Sync: journal.SyncNever} // equivalence, not durability: skip the fsyncs

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"krad/internal/baselines"
-	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/journal"
 	"krad/internal/moldable"
@@ -624,7 +623,6 @@ func readyzCode(t *testing.T, base string) int {
 func TestSnapshotRestartKeepsStatusBodies(t *testing.T) {
 	cfg := journaledConfig(t, 2, 4, 4)
 	cfg.Journal.SnapshotEvery = 1
-	cfg.NewScheduler = func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(2)) }
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,19 +8,10 @@ import (
 	"strings"
 	"testing"
 
-	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/moldable"
-	"krad/internal/sched"
 	"krad/internal/sim"
 )
-
-// moldTestConfig is testConfig with the floor layer moldable jobs need.
-func moldTestConfig(k int, caps ...int) Config {
-	cfg := testConfig(k, caps...)
-	cfg.NewScheduler = func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(k)) }
-	return cfg
-}
 
 // moldBody builds a valid two-category moldable submission body.
 func moldBody(name string) submitRequest {
@@ -64,7 +55,7 @@ func postBody(t *testing.T, url, path string, body any) (int, map[string]any) {
 // submit a moldable spec over HTTP, watch it run to completion on a live
 // step loop, and read its family tag back from the status endpoint.
 func TestHTTPSubmitMoldable(t *testing.T) {
-	_, ts := startHTTP(t, moldTestConfig(2, 3, 3))
+	_, ts := startHTTP(t, testConfig(2, 3, 3))
 
 	code, out := postBody(t, ts.URL, "/v1/jobs", moldBody("api-mold"))
 	if code != http.StatusCreated {
@@ -95,7 +86,7 @@ const twoTasks = `{"cat":1,"work":1,"max":1,"curve":{"type":"powerlaw","alpha":1
 // curves and ill-formed bodies must name the offending task and never
 // reach the engine.
 func TestHTTPSubmitMoldableValidation(t *testing.T) {
-	_, ts := startHTTP(t, moldTestConfig(2, 3, 3))
+	_, ts := startHTTP(t, testConfig(2, 3, 3))
 	badCurve := moldBody("bad")
 	badCurve.Mold.Tasks[1].Curve = moldable.CurveSpec{Type: moldable.CurvePowerLaw, Alpha: 1.7}
 	both := moldBody("both")
@@ -144,7 +135,7 @@ func TestHTTPSubmitMoldableValidation(t *testing.T) {
 // moldable job; both must admit atomically and run to completion through
 // the same engine.
 func TestHTTPBatchMixedFamilies(t *testing.T) {
-	_, ts := startHTTP(t, moldTestConfig(2, 3, 3))
+	_, ts := startHTTP(t, testConfig(2, 3, 3))
 	batch := batchRequest{Jobs: []submitRequest{
 		{Graph: dag.UniformChain(2, 4, 1)},
 		moldBody("batched-mold"),
@@ -195,7 +186,7 @@ func TestHTTPBatchMixedFamilies(t *testing.T) {
 // after which every job's state must be reconstructed bit-identically
 // from the versioned admit records.
 func TestRestartReplaysMoldable(t *testing.T) {
-	cfg := moldTestConfig(2, 3, 3)
+	cfg := testConfig(2, 3, 3)
 	cfg.Journal = &JournalConfig{Dir: t.TempDir()}
 	svc, err := New(cfg)
 	if err != nil {
@@ -230,7 +221,7 @@ func TestRestartReplaysMoldable(t *testing.T) {
 	}
 	drainAndClose(t, svc)
 
-	restarted := moldTestConfig(2, 3, 3)
+	restarted := testConfig(2, 3, 3)
 	restarted.Journal = &JournalConfig{Dir: cfg.Journal.Dir}
 	svc2, err := New(restarted)
 	if err != nil {

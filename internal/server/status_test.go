@@ -12,12 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/journal"
 	"krad/internal/moldable"
 	"krad/internal/profile"
-	"krad/internal/sched"
 	"krad/internal/sim"
 )
 
@@ -288,7 +286,6 @@ func statusAgreesFourWays(t *testing.T, retire bool) {
 	config := func(dir string) Config {
 		cfg := testConfig(2, 3, 2)
 		cfg.Shards = 2
-		cfg.NewScheduler = func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(2)) }
 		cfg.MaxInFlight = 512
 		cfg.RetireDone = retire
 		cfg.Journal = &JournalConfig{Dir: dir, SnapshotEvery: 1, Sync: journal.SyncNever}

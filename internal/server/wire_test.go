@@ -12,11 +12,9 @@ import (
 	"strings"
 	"testing"
 
-	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/moldable"
 	"krad/internal/profile"
-	"krad/internal/sched"
 	"krad/internal/sim"
 	"krad/internal/wire"
 )
@@ -322,7 +320,6 @@ func TestJobStatusMatchesWriteJSON(t *testing.T) {
 	}
 
 	cfg := poolConfig(2, PlaceHash, 2, 4, 4)
-	cfg.NewScheduler = func() sched.Scheduler { return sched.WithFloors(core.NewKRAD(2)) }
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

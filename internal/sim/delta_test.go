@@ -6,8 +6,8 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
-	"strings"
 	"testing"
 
 	"krad/internal/core"
@@ -18,8 +18,8 @@ import (
 	"krad/internal/sim"
 )
 
-// shipped is the capability set of sched.WithFloors(core.NewKRAD(k)) that a
-// caller-written decorator knows about.
+// shipped is the capability set of core.NewKRAD(k) that a caller-written
+// decorator knows about.
 type shipped interface {
 	sched.Scheduler
 	sched.IntoAllotter
@@ -31,22 +31,36 @@ type shipped interface {
 // denseStack hides the shipped stack behind its dense contract, exactly like
 // the benchmark's timing decorator: the engine binds IntoAllotter, Stable and
 // Completer, never sees the delta form, and the stack's dense entries adapt.
-type denseStack struct{ s shipped }
+// It holds the engine to the Stable contract: LeapTotals must be handed the
+// views and capacities of the round's own AllotInto call.
+type denseStack struct {
+	s    shipped
+	t    *testing.T
+	jobs []sched.JobView // a deep copy of the last AllotInto's views
+	caps []int
+}
 
-func (d denseStack) Name() string { return d.s.Name() }
-func (d denseStack) Allot(t int64, jobs []sched.JobView, caps []int) [][]int {
+func (d *denseStack) Name() string { return d.s.Name() }
+func (d *denseStack) Allot(t int64, jobs []sched.JobView, caps []int) [][]int {
 	return d.s.Allot(t, jobs, caps)
 }
-func (d denseStack) AllotInto(t int64, jobs []sched.JobView, caps []int, dst [][]int) {
+func (d *denseStack) AllotInto(t int64, jobs []sched.JobView, caps []int, dst [][]int) {
+	d.jobs, d.caps = d.jobs[:0], slices.Clone(caps)
+	for _, j := range jobs {
+		d.jobs = append(d.jobs, sched.JobView{ID: j.ID, Desire: slices.Clone(j.Desire), Floor: slices.Clone(j.Floor)})
+	}
 	d.s.AllotInto(t, jobs, caps, dst)
 }
-func (d denseStack) StableHorizon() int64 { return d.s.StableHorizon() }
-func (d denseStack) LeapTotals(t int64, jobs []sched.JobView, caps []int, n int64, dst [][]int) {
+func (d *denseStack) StableHorizon() int64 { return d.s.StableHorizon() }
+func (d *denseStack) LeapTotals(t int64, jobs []sched.JobView, caps []int, n int64, dst [][]int) {
+	if !reflect.DeepEqual(jobs, d.jobs) || !slices.Equal(caps, d.caps) {
+		d.t.Errorf("step %d: LeapTotals handed %v on caps %v; the round allotted %v on caps %v", t, jobs, caps, d.jobs, d.caps)
+	}
 	d.s.LeapTotals(t, jobs, caps, n, dst)
 }
-func (d denseStack) JobsDone(ids []int)             { d.s.JobsDone(ids) }
-func (d denseStack) SnapshotState() ([]byte, error) { return d.s.SnapshotState() }
-func (d denseStack) RestoreState(b []byte) error    { return d.s.RestoreState(b) }
+func (d *denseStack) JobsDone(ids []int)             { d.s.JobsDone(ids) }
+func (d *denseStack) SnapshotState() ([]byte, error) { return d.s.SnapshotState() }
+func (d *denseStack) RestoreState(b []byte) error    { return d.s.RestoreState(b) }
 
 // deltaSpecs draws an overloaded mixed population: rigid jobs, multi-category
 // DAG jobs whose desire in a category drops to zero and returns (barrier
@@ -128,10 +142,9 @@ func deltaMatchesDense(t *testing.T, seed int64) {
 	}
 	single := rng.Intn(3) == 0 // Step by Step rather than chunked StepN
 
-	stackA := sched.WithFloors(core.NewKRAD(k)).(shipped)
-	stackB := sched.WithFloors(core.NewKRAD(k)).(shipped)
+	stackA, stackB := core.NewKRAD(k), core.NewKRAD(k)
 	cfgA, cfgB := cfg, cfg
-	cfgA.Scheduler, cfgB.Scheduler = stackA, denseStack{stackB}
+	cfgA.Scheduler, cfgB.Scheduler = stackA, &denseStack{s: stackB, t: t}
 	a, b := admitInOrder(t, cfgA, specs), admitInOrder(t, cfgB, specs)
 
 	cancels := rng.Intn(4)
@@ -229,7 +242,7 @@ func TestEngineMakesNoDenseSchedulerCall(t *testing.T) {
 	for a := range cats {
 		cats[a] = countingCat{core.NewRAD(), &catDense, &catDelta, &catLeaps}
 	}
-	stack := sched.WithFloors(countingStack{sched.NewPerCategory("k-rad", cats), &stackDense})
+	stack := countingStack{sched.NewPerCategory("k-rad", cats), &stackDense}
 
 	rng := rand.New(rand.NewSource(7))
 	specs := moldable.Generate(moldable.GenOpts{K: k, Jobs: 12, MinTasks: 2, MaxTasks: 8, MaxWork: 60, MaxProcs: 3, MaxArrival: 10, Seed: 7})
@@ -258,36 +271,13 @@ func TestEngineMakesNoDenseSchedulerCall(t *testing.T) {
 		t.Fatal("no category scheduler was driven through its delta form")
 	}
 	if catDense != 0 || stackDense != 0 {
-		t.Fatalf("dense scheduler calls: %d on category schedulers, %d on the stack under the floor layer; want none", catDense, stackDense)
+		t.Fatalf("dense scheduler calls: %d on category schedulers, %d on the stack; want none", catDense, stackDense)
 	}
 	if (leapt > 0) != (catLeaps > 0) {
 		t.Fatalf("%d leapt steps but %d LeapTotals calls", leapt, catLeaps)
 	}
 	if leapt == 0 {
 		t.Fatal("the tail never leapt: the LeapTotals exception is not exercised")
-	}
-}
-
-// TestValidateAllotmentsNamesStarvedFloorOnDeltaPath: the delta path hands
-// the validator the granted rows only, but a job that pins processors and
-// was granted nothing must still be named — here by K-RAD without the floor
-// layer, whose round-robin passes the pinned job over.
-func TestValidateAllotmentsNamesStarvedFloorOnDeltaPath(t *testing.T) {
-	g := dag.Singleton(1, 1)
-	g.SetDuration(0, 3)
-	pinned, err := moldable.FromTimedGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []sim.JobSpec{
-		{Source: pinned},
-		{Graph: dag.UniformChain(1, 5, 1)},
-		{Graph: dag.UniformChain(1, 5, 1)},
-	}
-	cfg := sim.Config{K: 1, Caps: []int{1}, Scheduler: core.NewKRAD(1), ValidateAllotments: true}
-	_, err = sim.Run(cfg, specs)
-	if err == nil || !strings.Contains(err.Error(), "job 0 category 1 allotment 0 below non-preemptive floor 1") {
-		t.Errorf("starved floor not caught: %v", err)
 	}
 }
 
@@ -301,7 +291,7 @@ func TestDeltaRoundAllocsZeroAt4096(t *testing.T) {
 		specs[j] = sim.JobSpec{Source: profile.MustNewRigid(k, "r", dag.Category(1+j%k), 1+(j/k)%4, 1<<40)}
 	}
 	eng, err := sim.NewEngine(sim.Config{
-		K: k, Caps: []int{16, 16, 16}, Scheduler: sched.WithFloors(core.NewKRAD(k)),
+		K: k, Caps: []int{16, 16, 16}, Scheduler: core.NewKRAD(k),
 		ValidateAllotments: true, MaxSteps: 1 << 60,
 	})
 	if err != nil {
@@ -341,7 +331,7 @@ func TestSchedulerStateBoundedByActiveSet(t *testing.T) {
 		return m.HeapAlloc
 	}
 	base := heap()
-	stack := sched.WithFloors(core.NewKRAD(k))
+	stack := core.NewKRAD(k)
 	eng, err := sim.NewEngine(sim.Config{K: k, Caps: []int{4096, 4096}, Scheduler: stack, ValidateAllotments: true})
 	if err != nil {
 		t.Fatal(err)

@@ -46,22 +46,16 @@ func (r *viewRecorder) check(t int64, jobs []sched.JobView) {
 			continue
 		}
 		v := sched.JobView{ID: id, Desire: make([]int, r.k)}
-		floor, pins := make([]int, r.k), false
 		for a := range v.Desire {
 			v.Desire[a] = spy.rt.Desire(dag.Category(a + 1))
 			if fr, ok := spy.rt.(sim.FloorRuntime); ok {
-				floor[a] = fr.Floor(dag.Category(a + 1))
-				pins = pins || floor[a] > 0
+				v.Desire[a] = max(v.Desire[a]-fr.Floor(dag.Category(a+1)), 0)
 			}
-		}
-		if pins {
-			v.Floor = floor
 		}
 		want = append(want, v)
 	}
 	same := slices.EqualFunc(jobs, want, func(a, b sched.JobView) bool {
-		return a.ID == b.ID && slices.Equal(a.Desire, b.Desire) &&
-			(a.Floor == nil) == (b.Floor == nil) && slices.Equal(a.Floor, b.Floor)
+		return a.ID == b.ID && slices.Equal(a.Desire, b.Desire) && a.Floor == nil
 	})
 	if !same {
 		r.errs = append(r.errs, fmt.Errorf("step %d: handed %v, the runtimes read %v", t, jobs, want))
@@ -88,10 +82,11 @@ func (r viewRecorderInto) AllotInto(t int64, jobs []sched.JobView, caps []int, d
 
 // TestFromDenseSeesSlotTableViews: a dense scheduler under sim.NewEngine is
 // handed, every round, exactly what a fresh read of the active runtimes gives
-// — ascending ID, zero-desire rows included, Floor only while the job pins
-// something — across releases below the highest active ID, cancels of active
-// and pending jobs, completions, and moldable jobs whose floor comes and
-// goes; and it hears JobsDone once for every job that left the active set.
+// — ascending ID, zero-desire rows included, each desire less the job's
+// floor and no Floor, since the engine grants floors itself — across
+// releases below the highest active ID, cancels of active and pending jobs,
+// completions, and moldable jobs whose floor comes and goes; and it hears
+// JobsDone once for every job that left the active set.
 func TestFromDenseSeesSlotTableViews(t *testing.T) {
 	const k = 2
 	timed := dag.UniformChain(k, 3, 1)
@@ -115,7 +110,7 @@ func TestFromDenseSeesSlotTableViews(t *testing.T) {
 		{profile.MustNewRigid(k, "tail", 2, 1, 12), 3},
 	}
 	for _, into := range []bool{false, true} {
-		rec := &viewRecorder{Scheduler: sched.WithFloors(core.NewKRAD(k)), k: k}
+		rec := &viewRecorder{Scheduler: core.NewKRAD(k), k: k}
 		var s sched.Scheduler = rec
 		if into {
 			s = viewRecorderInto{rec}

@@ -269,7 +269,8 @@ type Engine struct {
 	// delta is told of every change by the slot table's writers (slots.go)
 	// and asked for grants — cfg.Scheduler itself, or sched.FromDense around
 	// one that knows only the dense contract. stable is cfg.Scheduler's own
-	// report either way: FromDense hands it views that read like e.views.
+	// report either way: FromDense hands it views of the residual desires,
+	// which leapRound rebuilds for LeapTotals.
 	delta  sched.DeltaAllotter
 	stable sched.Stable
 
@@ -280,14 +281,17 @@ type Engine struct {
 	views       []sched.JobView // what the scheduler sees; slot i is active[i]
 	desire      []int           // flat desire rows; views[i].Desire is row i
 	floor       []int           // flat floor rows; nil until a floor-bearing job is released
-	flags       []uint8         // slotHeld | slotSoftUnheld | slotHardFloor | slotNoLeap | slotFloored
+	flags       []uint8         // slotHeld | slotSoftUnheld | slotHardFloor | slotNoLeap
 	allot       [][]int         // the allotment rows applyGrants writes; zero between rounds
 	allotBack   []int
 	activeCount []int   // per category: slots with desire > 0
 	hardFloors  int     // slots flagged slotHardFloor
 	softUnheld  int     // slots flagged slotSoftUnheld
 	noLeap      int     // slots flagged slotNoLeap
-	floored     int     // slots flagged slotFloored
+	pinned      []int   // per category: Σ floors over the slots
+	floorIDs    []int   // the jobs whose view carries floors, ascending
+	residual    []int   // the residual desire row report hands the scheduler
+	resCaps     []int   // caps − pinned, what the scheduler partitions
 	changed     []bool  // per category: did refreshSlot's last re-read change that entry
 	heads       []int   // per category: applyGrants' position in that category's grants,
 	nextID      []int   // and the job ID there
@@ -295,10 +299,12 @@ type Engine struct {
 	slotOracle  func(error)
 
 	// Reused per-round buffers.
-	leapBuf    sched.Matrix // totals buffer for event-leaps
-	doneIDs    []int        // completions of the current round
-	stepExec   []int        // tasks executed in the current round, per category
-	perStepBuf []int        // per-step allotment bound passed to StableRuntime
+	leapBuf    sched.Matrix    // totals buffer for event-leaps
+	leapViews  []sched.JobView // the residual views LeapTotals reads under floors
+	zeros      []int           // a held job's residual desire row
+	doneIDs    []int           // completions of the current round
+	stepExec   []int           // tasks executed in the current round, per category
+	perStepBuf []int           // per-step allotment bound passed to StableRuntime
 
 	// Per-call accumulators for StepN (a call may span many rounds).
 	callExec []int
@@ -324,6 +330,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		callExec:    make([]int, cfg.K),
 		perStepBuf:  make([]int, cfg.K),
 		activeCount: make([]int, cfg.K),
+		pinned:      make([]int, cfg.K),
+		residual:    make([]int, cfg.K),
+		resCaps:     make([]int, cfg.K),
+		zeros:       make([]int, cfg.K),
 		changed:     make([]bool, cfg.K),
 		heads:       make([]int, cfg.K),
 		nextID:      make([]int, cfg.K),
@@ -885,7 +895,11 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 
 	allot := e.allot[:n]
 	var touched []int32
-	grants, err := e.delta.AllotDelta(t, e.cfg.Caps)
+	var grants [][]sched.CatGrant
+	caps, err := e.residualCaps()
+	if err == nil {
+		grants, err = e.delta.AllotDelta(t, caps)
+	}
 	if err == nil {
 		touched, err = e.applyGrants(grants)
 	}
@@ -897,17 +911,11 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 		e.cfg.Observer(t, e.views, allot)
 	}
 	if e.cfg.ValidateAllotments {
-		// Rows of zeros for floor-free jobs and holes satisfy every Section 2
+		// Every job that pins processors is touched, and the rows of zeros
+		// left — floor-free jobs and holes — satisfy every Section 2
 		// condition and add nothing to a column sum, so checking the touched
-		// rows, in place, checks the matrix. A job that pins processors handed
-		// a row of zeros sends the matrix to the validator whole, for it to
-		// name.
-		if e.flooredAmong(touched) == e.floored {
-			err = sched.ValidateAllotmentRows(e.views, e.cfg.Caps, allot, touched)
-		} else {
-			err = sched.ValidateAllotments(e.views, e.cfg.Caps, allot)
-		}
-		if err != nil {
+		// rows, in place, checks the matrix.
+		if err = sched.ValidateAllotmentRows(e.views, e.cfg.Caps, allot, touched); err != nil {
 			e.clearAllot(n)
 			return 0, fmt.Errorf("sim: step %d: %w", t, err)
 		}
@@ -924,7 +932,7 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	// the blocking reason otherwise.
 	if budget > 1 {
 		if m := e.tryLeap(t, allot, budget, overloadNow); m > 1 {
-			e.leapRound(t, allot, m)
+			e.leapRound(t, caps, allot, m)
 			return m, nil
 		}
 	}
@@ -982,18 +990,33 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	return 1, nil
 }
 
+// residualCaps returns the capacities the scheduler partitions: caps less
+// the processors the floors pin. Floors above a capacity are an error.
+func (e *Engine) residualCaps() ([]int, error) {
+	if len(e.floorIDs) == 0 {
+		return e.cfg.Caps, nil
+	}
+	for a, c := range e.cfg.Caps {
+		if e.resCaps[a] = c - e.pinned[a]; e.resCaps[a] < 0 {
+			return nil, fmt.Errorf("category %d floors pin %d processors, capacity %d", a+1, e.pinned[a], c)
+		}
+	}
+	return e.resCaps, nil
+}
+
 // applyGrants merges the scheduler's per-category grants, each ascending
-// by job ID, into the engine's allotment rows and returns the slots written —
-// the round's touched list, ascending. Each job's status record holds its
-// slot, so a grant costs one lookup whatever the size of the table. The
-// merged IDs must ascend strictly: live slots ascend with IDs, so the
-// touched list then does too.
+// by job ID, and the floor-bearing jobs' floor rows into the engine's
+// allotment rows and returns the slots written — the round's touched list,
+// ascending. Each job's status record holds its slot, so a grant costs one
+// lookup whatever the size of the table. The merged IDs must ascend
+// strictly: live slots ascend with IDs, so the touched list then does too.
 func (e *Engine) applyGrants(grants [][]sched.CatGrant) ([]int32, error) {
 	k := e.cfg.K
 	if len(grants) != k {
 		return nil, fmt.Errorf("scheduler %q granted in %d categories, want %d", e.cfg.Scheduler.Name(), len(grants), k)
 	}
-	// next[a] is the job ID at the head of category a's grants.
+	// next[a] is the job ID at the head of category a's grants, and
+	// nextFloor the one at the head of floorIDs.
 	const none = int(^uint(0) >> 1)
 	touched, heads, next := e.touched[:0], e.heads, e.nextID
 	for a, g := range grants {
@@ -1002,8 +1025,12 @@ func (e *Engine) applyGrants(grants [][]sched.CatGrant) ([]int32, error) {
 			next[a] = g[0].ID
 		}
 	}
+	floors, nextFloor := e.floorIDs, none
+	if len(floors) > 0 {
+		nextFloor = floors[0]
+	}
 	for prev := -1; ; {
-		id := none
+		id := nextFloor
 		for _, x := range next {
 			id = min(id, x)
 		}
@@ -1026,6 +1053,14 @@ func (e *Engine) applyGrants(grants [][]sched.CatGrant) ([]int32, error) {
 			heads[a], next[a] = h+1, none
 			if h+1 < len(g) {
 				next[a] = g[h+1].ID
+			}
+		}
+		if id == nextFloor {
+			for a, f := range e.views[i].Floor {
+				row[a] += f
+			}
+			if floors, nextFloor = floors[1:], none; len(floors) > 0 {
+				nextFloor = floors[0]
 			}
 		}
 		touched = append(touched, int32(i))
@@ -1138,7 +1173,7 @@ func (e *Engine) tryLeap(t int64, allot [][]int, budget int64, overloadNow bool)
 // (LeapTasks); per-step execution counts — every covered step's column
 // sums equal step t's (the stability contract) — feed the trace rows at
 // TraceSteps, so the result is bit-identical to single-stepping.
-func (e *Engine) leapRound(t int64, allot [][]int, n int64) {
+func (e *Engine) leapRound(t int64, caps []int, allot [][]int, n int64) {
 	// Per-step category totals: column sums of the step-t matrix, constant
 	// across the window.
 	for a := range e.stepExec {
@@ -1150,10 +1185,24 @@ func (e *Engine) leapRound(t int64, allot [][]int, n int64) {
 		}
 	}
 	e.clearAllot(len(allot))
-	// LeapTotals reads the views densely: close the holes, rows zero.
+	// LeapTotals reads the views densely: close the holes, rows zero. It is
+	// handed what the round's scheduler call was: caps, the residual
+	// capacities, and views in which every job that pins processors — held,
+	// for a leap to be tried — desires nothing. The held rows advance by
+	// LeapHold.
 	e.compact()
+	jobs := e.views
+	if len(e.floorIDs) > 0 {
+		jobs = append(e.leapViews[:0], e.views...)
+		for i, v := range jobs {
+			if v.Floor != nil {
+				jobs[i] = sched.JobView{ID: v.ID, Desire: e.zeros}
+			}
+		}
+		e.leapViews = jobs
+	}
 	totals := e.leapBuf.Shape(len(e.views), e.cfg.K)
-	e.stable.LeapTotals(t, e.views, e.cfg.Caps, n, totals)
+	e.stable.LeapTotals(t, jobs, caps, n, totals)
 	for i, j := range e.active {
 		if e.flags[i]&slotHeld != 0 {
 			j.caps.hold.LeapHold(n)

@@ -133,9 +133,10 @@ type StableRuntime interface {
 
 // FloorRuntime is implemented by non-preemptive runtimes whose in-flight
 // multi-step tasks pin processors: Floor reports how many α-processors
-// the job must keep this step. The engine forwards floors to the
-// scheduler through sched.JobView; pair such jobs with a floor-respecting
-// scheduler (sched.WithFloors).
+// the job must keep this step. The engine grants floors itself, under any
+// scheduler: the scheduler sees the job's residual desire, desire − floor,
+// and the capacity the floors leave, and the engine adds the floors to its
+// grants. Views (Config.Observer) carry them as sched.JobView.Floor.
 type FloorRuntime interface {
 	RuntimeJob
 	Floor(c dag.Category) int

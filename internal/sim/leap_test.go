@@ -468,7 +468,7 @@ func TestFloorsWithoutHoldBlockLeaps(t *testing.T) {
 		{Source: profile.MustNew(1, "p", []profile.Phase{{Tasks: []int{3000}}})},
 	}
 	eng := admitAll(t, sim.Config{
-		K: 1, Caps: []int{8}, Scheduler: sched.WithFloors(core.NewKRAD(1)), ValidateAllotments: true,
+		K: 1, Caps: []int{8}, Scheduler: core.NewKRAD(1), ValidateAllotments: true,
 	}, specs)
 	if err := advanceTo(eng, 400); err != nil {
 		t.Fatal(err)

@@ -17,11 +17,11 @@ import (
 	"krad/internal/sim"
 )
 
-// releaseConfig is the machine the release tests run on: K=2 with a
-// floor-respecting K-RAD, since the script admits moldable jobs.
+// releaseConfig is the machine the release tests run on: K=2 under K-RAD;
+// the script admits moldable jobs, whose floors the engine grants.
 func releaseConfig(pick dag.PickPolicy) sim.Config {
 	return sim.Config{
-		K: 2, Caps: []int{6, 4}, Scheduler: sched.WithFloors(core.NewKRAD(2)),
+		K: 2, Caps: []int{6, 4}, Scheduler: core.NewKRAD(2),
 		Pick: pick, Seed: 5, ValidateAllotments: true,
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"krad/internal/dag"
@@ -15,6 +16,12 @@ import (
 // is made (e.delta), and only the slots the round touched (non-zero
 // allotment row) are re-read from the runtimes, so a round costs the
 // processors it hands out plus what changed, not the jobs that wait.
+//
+// The table also grants the floors — processors that started
+// non-preemptive tasks pin — so no scheduler has to: a slot reports its
+// residual desire, max(desire − floor, 0), the scheduler partitions the
+// capacity the floors leave (pinned), and every floor-bearing job
+// (floorIDs) gains its floor row on top of its grants.
 //
 // A job that ends leaves a hole: its slot stays where it is, with a nil job,
 // a zero desire row, no floor, flags 0 and a zero allotment row, so a
@@ -30,7 +37,8 @@ import (
 // hold state in that step. The invariant between rounds is therefore
 //
 //	views[i].Desire/Floor, flags[i] == a fresh read of active[i].rt (zero for a hole)
-//	activeCount, hardFloors, softUnheld, noLeap, floored == sums over the slots
+//	activeCount, hardFloors, softUnheld, noLeap, pinned == sums over the slots
+//	floorIDs == the IDs of the slots whose view carries floors, ascending
 //	live == the slots that are not holes
 //	allot rows == all zero
 //
@@ -49,8 +57,6 @@ const (
 	slotHardFloor
 	// slotNoLeap: neither held nor drain-law leapable.
 	slotNoLeap
-	// slotFloored: the view carries floors (some floor > 0).
-	slotFloored
 )
 
 // growSlots makes room for n slots. Storage is sized to the active set, not
@@ -147,8 +153,7 @@ func (e *Engine) insertActive(js *jobState) {
 	e.refreshSlot(i)
 	// Read against a row of zeros — what a job not yet active reports — so
 	// the flagged categories are the ones it enters.
-	e.delta.JobChanged(js.id, v.Desire, v.Floor, e.changed)
-	e.resetChanged()
+	e.report(i)
 }
 
 // moveSlot copies live slot src over slot dst (compaction, insertActive's
@@ -165,7 +170,7 @@ func (e *Engine) moveSlot(dst, src int) {
 	for a, v := range s.Desire {
 		d.Desire[a] = v
 	}
-	if fl&slotFloored != 0 {
+	if s.Floor != nil {
 		k := e.cfg.K
 		row := e.floor[dst*k : (dst+1)*k : (dst+1)*k]
 		for a, v := range s.Floor {
@@ -210,11 +215,24 @@ func (e *Engine) closeHoles() {
 // rereadSlot is refreshSlot for a slot the scheduler already knows: it is
 // told only when a row actually changed.
 func (e *Engine) rereadSlot(i int) {
-	if !e.refreshSlot(i) {
-		return
+	if e.refreshSlot(i) {
+		e.report(i)
 	}
+}
+
+// report tells the scheduler slot i's residual desire — its desire less its
+// floor, at least 0 — flagging what refreshSlot flagged: a residual entry
+// moves only where the desire or the floor does.
+func (e *Engine) report(i int) {
 	v := &e.views[i]
-	e.delta.JobChanged(v.ID, v.Desire, v.Floor, e.changed)
+	d := v.Desire
+	if v.Floor != nil {
+		d = e.residual
+		for a, f := range v.Floor {
+			d[a] = max(v.Desire[a]-f, 0)
+		}
+	}
+	e.delta.JobChanged(v.ID, d, e.changed)
 	e.resetChanged()
 }
 
@@ -229,9 +247,10 @@ func (e *Engine) resetChanged() {
 }
 
 // refreshSlot re-reads slot i's desires, floors and leap classification
-// from its runtime and folds the difference into the aggregates. It reports
-// whether the rows the scheduler sees — desire, floor — changed, and flags
-// in e.changed (clear on entry; the caller clears it again) which categories
+// from its runtime and folds the difference into the aggregates, pinned and
+// floorIDs included. It reports whether the desire or floor row changed —
+// what the residual row the scheduler sees is made of — and flags in
+// e.changed (clear on entry; the caller clears it again) which categories
 // did.
 func (e *Engine) refreshSlot(i int) (changed bool) {
 	j := e.active[i]
@@ -256,33 +275,36 @@ func (e *Engine) refreshSlot(i int) (changed bool) {
 	if j.caps.floor != nil {
 		k := e.cfg.K
 		row := e.floor[i*k : (i+1)*k : (i+1)*k]
-		any, pinned := false, true
+		was := v.Floor != nil
+		any, atFloor := false, true
 		for a := range row {
-			now := j.caps.floor.Floor(dag.Category(a + 1))
+			now, old := j.caps.floor.Floor(dag.Category(a+1)), 0
 			// The row is this slot's last read only while the view carries
 			// it; otherwise every floor was zero.
-			if was := v.Floor != nil; was && now != row[a] || !was && now != 0 {
+			if was {
+				old = row[a]
+			}
+			if now != old {
 				changed, e.changed[a] = true, true
+				e.pinned[a] += now - old
 			}
 			row[a] = now
-			if row[a] > 0 {
-				any = true
-			}
-			if row[a] != d[a] {
-				pinned = false
-			}
+			any = any || now > 0
+			atFloor = atFloor && now == d[a]
 		}
 		v.Floor = nil
 		if any {
 			v.Floor = row
-			fl = slotFloored
+		}
+		if any != was {
+			e.setFloored(v.ID, any)
 		}
 		switch {
 		case j.caps.hold == nil:
 			if any {
 				fl |= slotHardFloor
 			}
-		case any && pinned:
+		case any && atFloor:
 			fl |= slotHeld
 		default:
 			fl |= slotSoftUnheld
@@ -310,20 +332,34 @@ func (e *Engine) countFlags(fl uint8, by int) {
 	if fl&slotNoLeap != 0 {
 		e.noLeap += by
 	}
-	if fl&slotFloored != 0 {
-		e.floored += by
+}
+
+// setFloored adds job id to floorIDs, or takes it out.
+func (e *Engine) setFloored(id int, on bool) {
+	i, _ := slices.BinarySearch(e.floorIDs, id)
+	if on {
+		e.floorIDs = slices.Insert(e.floorIDs, i, id)
+	} else {
+		e.floorIDs = slices.Delete(e.floorIDs, i, i+1)
 	}
 }
 
 // dropSlot withdraws slot i's contributions from the aggregates, tells the
 // scheduler its job is gone and leaves a hole in its place: no job, a zero
-// desire row, no floor, no flags.
+// desire row, no floor, no flags. The desire row is a valid hint for JobGone:
+// it is positive wherever the residual row last reported is.
 func (e *Engine) dropSlot(i int) {
 	v := &e.views[i]
 	for a, d := range v.Desire {
 		if d > 0 {
 			e.activeCount[a]--
 		}
+	}
+	if v.Floor != nil {
+		for a, f := range v.Floor {
+			e.pinned[a] -= f
+		}
+		e.setFloored(v.ID, false)
 	}
 	e.countFlags(e.flags[i], -1)
 	e.delta.JobGone(v.ID, v.Desire)
@@ -332,19 +368,6 @@ func (e *Engine) dropSlot(i int) {
 	e.flags[i] = 0
 	e.active[i] = nil
 	e.live--
-}
-
-// flooredAmong counts the listed slots whose view carries floors.
-func (e *Engine) flooredAmong(slots []int32) int {
-	c := 0
-	if e.floored > 0 {
-		for _, i := range slots {
-			if e.flags[i]&slotFloored != 0 {
-				c++
-			}
-		}
-	}
-	return c
 }
 
 // clearAllot zeroes the allotment rows of the first n slots.
@@ -366,8 +389,9 @@ func (e *Engine) checkSlots() error {
 	if len(e.views) != len(e.active) || len(e.flags) != len(e.active) {
 		return fmt.Errorf("sim: slot table has %d views, %d flags for %d slots", len(e.views), len(e.flags), len(e.active))
 	}
-	count := make([]int, k)
-	live, hard, soft, noLeap, floored := 0, 0, 0, 0, 0
+	count, pinned := make([]int, k), make([]int, k)
+	var floorIDs []int
+	live, hard, soft, noLeap := 0, 0, 0, 0
 	for i, j := range e.active {
 		v := e.views[i]
 		if i > 0 && e.views[i-1].ID >= v.ID {
@@ -432,11 +456,14 @@ func (e *Engine) checkSlots() error {
 				hard++
 			}
 		}
-		if any != (v.Floor != nil) || any != (e.flags[i]&slotFloored != 0) {
-			return fmt.Errorf("sim: job %d pins processors: %v, view carries floors: %v, flagged: %v", j.id, any, v.Floor != nil, e.flags[i]&slotFloored != 0)
+		if any != (v.Floor != nil) {
+			return fmt.Errorf("sim: job %d pins processors: %v, view carries floors: %v", j.id, any, v.Floor != nil)
 		}
 		if any {
-			floored++
+			floorIDs = append(floorIDs, j.id)
+			for a, f := range v.Floor {
+				pinned[a] += f
+			}
 			if &v.Floor[0] != &e.floor[i*k] {
 				return fmt.Errorf("sim: slot %d floor row is not row %d of the table", i, i)
 			}
@@ -456,9 +483,12 @@ func (e *Engine) checkSlots() error {
 			return fmt.Errorf("sim: category %d has %d desiring jobs, aggregate says %d", a+1, count[a], e.activeCount[a])
 		}
 	}
-	if hard != e.hardFloors || soft != e.softUnheld || noLeap != e.noLeap || floored != e.floored {
-		return fmt.Errorf("sim: aggregates hard/soft/noleap/floored = %d/%d/%d/%d, table says %d/%d/%d/%d",
-			hard, soft, noLeap, floored, e.hardFloors, e.softUnheld, e.noLeap, e.floored)
+	if hard != e.hardFloors || soft != e.softUnheld || noLeap != e.noLeap {
+		return fmt.Errorf("sim: aggregates hard/soft/noleap = %d/%d/%d, table says %d/%d/%d",
+			hard, soft, noLeap, e.hardFloors, e.softUnheld, e.noLeap)
+	}
+	if !slices.Equal(pinned, e.pinned) || !slices.Equal(floorIDs, e.floorIDs) {
+		return fmt.Errorf("sim: floors pin %v on jobs %v, the table says %v on jobs %v", pinned, floorIDs, e.pinned, e.floorIDs)
 	}
 	return nil
 }

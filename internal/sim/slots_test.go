@@ -101,10 +101,10 @@ func TestSlotHolesChurn(t *testing.T) {
 		stack shipped
 	}
 	build := func(name string, dense, noRecycle bool) variant {
-		stack := sched.WithFloors(core.NewKRAD(k)).(shipped)
+		stack := core.NewKRAD(k)
 		var s sched.Scheduler = stack
 		if dense {
-			s = denseStack{stack}
+			s = &denseStack{s: stack, t: t}
 		}
 		eng, err := sim.NewEngine(sim.Config{K: k, Caps: []int{3, 2}, Scheduler: s, ValidateAllotments: true})
 		if err != nil {

@@ -155,8 +155,10 @@ var (
 	// NewQuantized wraps any scheduler to recompute allotments only every
 	// L steps (the two-level deployment model; see experiment E13).
 	NewQuantized = sched.NewQuantized
-	// WithFloors makes any scheduler valid for non-preemptive jobs whose
-	// in-flight tasks pin processors (see TimedGraphSource).
+	// WithFloors returns its scheduler.
+	//
+	// Deprecated: the engine grants the floors of non-preemptive jobs (see
+	// TimedGraphSource) under any scheduler.
 	WithFloors = sched.WithFloors
 )
 
@@ -221,8 +223,8 @@ type JobSource = sim.JobSource
 var GraphSource = sim.GraphSource
 
 // TimedGraphSource wraps a duration-annotated K-DAG for non-preemptive
-// execution (pair the run's scheduler with WithFloors): a moldable job
-// whose tasks each hold one processor for their duration. It panics on a
+// execution: a moldable job whose tasks each hold one processor for their
+// duration, which the engine grants under any scheduler. It panics on a
 // graph FromSpec rejects (no tasks, or a cycle).
 func TimedGraphSource(g *Graph) JobSource {
 	j, err := moldable.FromTimedGraph(g)
@@ -260,8 +262,9 @@ var (
 
 // Moldable jobs: tasks under precedence that pick a processor count once
 // at start, run non-preemptively under a concave speedup curve, and plug
-// into the engine as the third runtime family (internal/moldable). Pair
-// runs containing moldable jobs with WithFloors.
+// into the engine as the third runtime family (internal/moldable). The
+// engine grants the processors their started tasks pin, under any
+// scheduler.
 type (
 	// MoldableJob is a validated moldable-task job (a JobSource).
 	MoldableJob = moldable.Job
