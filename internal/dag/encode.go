@@ -116,13 +116,38 @@ func (g *Graph) read(s *wire.Scanner, whole bool) error {
 }
 
 // decodeScratch is what a decode needs and no decoded graph keeps: the
-// fields as parsed, before their final size is known, and the counters and
-// queue of the validation passes.
+// fields as parsed, before their final size is known, the counters and
+// queue of the validation passes, and a record form's varint bytes.
 type decodeScratch struct {
 	cats  []Category
 	edges []TaskID // endpoints in input order: u0, v0, u1, v1, …
 	count []int32
 	order []TaskID
+	raw   []byte
+}
+
+// size makes room for the counters and queue of an n-task graph.
+func (sc *decodeScratch) size(n int) {
+	if cap(sc.count) < 2*n {
+		sc.count = make([]int32, 2*n)
+		sc.order = make([]TaskID, n)
+	}
+}
+
+// finish checks that the graph with these successors and in-degrees is
+// acyclic and, if it is, makes g that graph with its height memo filled
+// into h. The scratch must be sized for the graph's tasks.
+func (sc *decodeScratch) finish(g *Graph, name string, k int, cats []Category, indeg, off []int32, adj []TaskID, h []int32) error {
+	work := sc.count[len(indeg) : 2*len(indeg)]
+	copy(work, indeg)
+	order := topoSort(off, adj, work, sc.order[:0])
+	if len(order) != len(indeg) {
+		return cycleError(name, work)
+	}
+	g.name, g.k, g.cats = name, k, cats
+	g.off, g.adj, g.build, g.indeg, g.durs = off, adj, nil, indeg, nil
+	g.hmemo.Store(&heightsResult{h: heightsOver(off, adj, order, h)})
+	return nil
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
@@ -307,15 +332,11 @@ func (sc *decodeScratch) build(g *Graph, name string, k64 int64) error {
 
 	// The graph's in-degrees, successor offsets and height memo share one
 	// allocation. Degrees first: out-degrees into the offsets, shifted by
-	// one, and in-degrees into the scratch copy the sort consumes.
+	// one, and in-degrees.
 	mem := make([]int32, 3*n+1)
 	indeg, off, h := mem[:n:n], mem[n:2*n+1:2*n+1], mem[2*n+1:]
-	if cap(sc.count) < 2*n {
-		sc.count = make([]int32, 2*n)
-		sc.order = make([]TaskID, n)
-	}
-	next, work := sc.count[:n], sc.count[n:2*n] // fill cursors, in-degrees
-	clear(work)
+	sc.size(n)
+	next := sc.count[:n] // fill cursors
 	for i := 0; i < len(edges); i += 2 {
 		u, v := edges[i], edges[i+1]
 		if u == v {
@@ -328,7 +349,7 @@ func (sc *decodeScratch) build(g *Graph, name string, k64 int64) error {
 			return fmt.Errorf("dag: task id %d out of range [0,%d) in graph %q", u, n, name)
 		}
 		off[u+1]++
-		work[v]++
+		indeg[v]++
 	}
 	for u := range n {
 		off[u+1] += off[u]
@@ -353,15 +374,5 @@ func (sc *decodeScratch) build(g *Graph, name string, k64 int64) error {
 			stamp[v] = int32(u) + 1
 		}
 	}
-
-	copy(indeg, work)
-	order := topoSort(off, adj, work, sc.order[:0])
-	if len(order) != n {
-		return cycleError(name, work)
-	}
-
-	g.name, g.k, g.cats = name, k, append([]Category(nil), sc.cats...)
-	g.off, g.adj, g.build, g.indeg, g.durs = off, adj, nil, indeg, nil
-	g.hmemo.Store(&heightsResult{h: heightsOver(off, adj, order, h)})
-	return nil
+	return sc.finish(g, name, k, append([]Category(nil), sc.cats...), indeg, off, adj, h)
 }

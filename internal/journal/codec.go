@@ -13,14 +13,18 @@ import (
 
 // A record's payload is the JSON encoding/json gives Record, written and
 // read by hand on internal/wire's scanner: byte for byte what json.Marshal
-// wrote, value for value what json.Unmarshal read, so journals and
-// replication frames from either build are interchangeable. Graphs, molds
-// and rigid specs are written and read in place by their own packages; the
-// payload never exists apart from the frame it is written into. The three
-// sub-values no job travels in — the engine checkpoint, the fair ledger,
-// the steal bookkeeping — are handed to encoding/json on their own bytes:
-// they are written once per compaction or per fairness journal, and their
-// maps and nested scheduler state would be most of a hand-written codec.
+// wrote, value for value what json.Unmarshal read, with one exception. The
+// graphs of a csrVersion record are in their record form
+// (dag.Graph.AppendRecord, about a sixth of the JSON form's bytes and read
+// back without parsing text); those of older versions are JSON, and are
+// written back as JSON, so every journal re-encodes to its own bytes.
+// Graphs, molds and rigid specs are written and read in place by their own
+// packages; the payload never exists apart from the frame it is written
+// into. The three sub-values no job travels in — the engine checkpoint,
+// the fair ledger, the steal bookkeeping — are handed to encoding/json on
+// their own bytes: they are written once per compaction or per fairness
+// journal, and their maps and nested scheduler state would be most of a
+// hand-written codec.
 
 var (
 	recordFields = []string{"t", "v", "base", "jobs", "id", "now", "n", "snap", "seq", "tenant", "fair", "ids", "to", "nbase", "from", "tenants", "steal"}
@@ -33,6 +37,9 @@ var (
 // struct: a key present overwrites its field, an absent key or a null
 // leaves a scalar as it was, and a repeated key decodes into what the
 // first occurrence left. It does not validate; see Validate.
+//
+// A record's graphs are read in the form that the version read before
+// them names: the writer puts the version first.
 func (r *Record) ReadJSON(s *wire.Scanner) error {
 	return s.Object("record", func(key []byte) error {
 		switch wire.Field(key, recordFields) {
@@ -43,6 +50,9 @@ func (r *Record) ReadJSON(s *wire.Scanner) error {
 		case "base":
 			return wire.ReadInt(s, "base", &r.Base)
 		case "jobs":
+			if r.V >= csrVersion {
+				return wire.Array(s, "jobs", &r.Jobs, (*JobRecord).readRecord)
+			}
 			return wire.Array(s, "jobs", &r.Jobs, (*JobRecord).readJSON)
 		case "id":
 			return wire.ReadInt(s, "id", &r.ID)
@@ -75,7 +85,12 @@ func (r *Record) ReadJSON(s *wire.Scanner) error {
 	})
 }
 
-func (j *JobRecord) readJSON(s *wire.Scanner) error {
+// readJSON reads a job whose graph is in the JSON form, readRecord one
+// whose graph is in the record form.
+func (j *JobRecord) readJSON(s *wire.Scanner) error   { return j.read(s, (*dag.Graph).ReadJSON) }
+func (j *JobRecord) readRecord(s *wire.Scanner) error { return j.read(s, (*dag.Graph).ReadRecord) }
+
+func (j *JobRecord) read(s *wire.Scanner, graph func(*dag.Graph, *wire.Scanner) error) error {
 	return s.Object("job", func(key []byte) error {
 		switch wire.Field(key, jobFields) {
 		case "release":
@@ -83,7 +98,7 @@ func (j *JobRecord) readJSON(s *wire.Scanner) error {
 		case "fam":
 			return wire.ReadString(s, "fam", &j.Fam, familyTags...)
 		case "graph":
-			return wire.Ptr(s, &j.Graph, (*dag.Graph).ReadJSON)
+			return wire.Ptr(s, &j.Graph, graph)
 		case "mold":
 			return wire.Ptr(s, &j.Mold, (*moldable.Spec).ReadJSON)
 		case "rigid":
@@ -141,7 +156,7 @@ func (r *Record) appendJSON(dst []byte) ([]byte, error) {
 		sep := byte('[')
 		dst = append(dst, `,"jobs":`...)
 		for i := range r.Jobs {
-			if dst, err = r.Jobs[i].appendJSON(append(dst, sep)); err != nil {
+			if dst, err = r.Jobs[i].appendJSON(append(dst, sep), r.V >= csrVersion); err != nil {
 				return dst, err
 			}
 			sep = ','
@@ -181,16 +196,19 @@ func (r *Record) appendJSON(dst []byte) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-func (j *JobRecord) appendJSON(dst []byte) ([]byte, error) {
+// appendJSON appends the job, its graph in the record form if csr is set.
+func (j *JobRecord) appendJSON(dst []byte, csr bool) ([]byte, error) {
 	dst = append(dst, `{"release":`...)
 	dst = wire.AppendInt(dst, j.Release)
 	if j.Fam != "" {
 		dst = append(dst, `,"fam":`...)
 		dst = wire.AppendString(dst, j.Fam)
 	}
-	if j.Graph != nil {
-		dst = append(dst, `,"graph":`...)
-		dst = j.Graph.AppendJSON(dst)
+	switch {
+	case j.Graph != nil && csr:
+		dst = j.Graph.AppendRecord(append(dst, `,"graph":`...))
+	case j.Graph != nil:
+		dst = j.Graph.AppendJSON(append(dst, `,"graph":`...))
 	}
 	if j.Mold != nil {
 		var err error

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -71,6 +72,103 @@ func sameRecord(t testing.TB, got, want Record) {
 			t.Fatalf("job %d:\n %+v\nwant\n %+v", i, gj, wj)
 		}
 	}
+}
+
+// csrForm reports whether r's graphs are in the record form, which
+// encoding/json can neither write nor read: it skips the form's keys and
+// reads an edgeless graph of the same name and K. Such a record is held
+// to the oracle in outline only, and its graphs to their JSON form by
+// internal/dag's FuzzGraphRecord.
+func csrForm(r Record) bool {
+	return r.V >= csrVersion && slices.ContainsFunc(r.Jobs, func(j JobRecord) bool { return j.Graph != nil })
+}
+
+// outline returns r with each graph cut down to the name and K that
+// encoding/json reads of its record form.
+func outline(r Record) Record {
+	r.Jobs = slices.Clone(r.Jobs)
+	for i, j := range r.Jobs {
+		if j.Graph != nil {
+			r.Jobs[i].Graph = dag.New(j.Graph.K()).Named(j.Graph.Name())
+		}
+	}
+	return r
+}
+
+// checkCSRRecord is the check for a record in the record form that the
+// codec accepted as got and encoding/json as want: the two agree but for
+// the graphs' tasks and edges, and got encodes to bytes that decode to
+// got again and encode to themselves.
+func checkCSRRecord(t testing.TB, got, want Record) {
+	t.Helper()
+	sameRecord(t, outline(got), outline(want))
+	payload, err := encodeRecord(got)
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	back, err := decodeRecord(payload)
+	if err != nil {
+		t.Fatalf("own encoding rejected: %v\n%s", err, payload)
+	}
+	sameRecord(t, back, got)
+	if again, _ := encodeRecord(back); !bytes.Equal(again, payload) {
+		t.Fatalf("decode∘encode wrote\n %s\nwant\n %s", again, payload)
+	}
+}
+
+// versionAfterJobs reports whether a record's keys name a version after
+// jobs that carry a graph. The codec reads a graph in the form the version
+// before it names, encoding/json in none, and each writes it in the form
+// the last version names; the record is malformed either way, as the
+// writer puts the version first, and the two may judge it differently.
+// A version after jobs with no graph is held to the oracle like any other.
+func versionAfterJobs(data []byte) bool {
+	d := json.NewDecoder(bytes.NewReader(data))
+	if t, err := d.Token(); err != nil || t != json.Delim('{') {
+		return false
+	}
+	graph := false
+	for d.More() {
+		t, err := d.Token()
+		if err != nil {
+			return false
+		}
+		var value json.RawMessage
+		if d.Decode(&value) != nil {
+			return false
+		}
+		switch key, _ := t.(string); {
+		case strings.EqualFold(key, "jobs"):
+			graph = graph || holdsGraph(value)
+		case strings.EqualFold(key, "v") && graph:
+			return true
+		}
+	}
+	return false
+}
+
+// holdsGraph reports whether a jobs value has a job with a graph key, in
+// any case, whose value is not null.
+func holdsGraph(jobs json.RawMessage) bool {
+	var list []map[string]json.RawMessage
+	if json.Unmarshal(jobs, &list) != nil {
+		return false
+	}
+	for _, job := range list {
+		for key, v := range job {
+			if strings.EqualFold(key, "graph") && string(v) != "null" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// graphFormError reports whether err is a graph's record-form reader
+// refusing what it read: the one thing the codec may refuse in a record
+// that encoding/json accepts with a graph at the record form's version.
+func graphFormError(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "dag: decode record: ")
 }
 
 func sameGraph(t testing.TB, got, want *dag.Graph) {
@@ -155,7 +253,9 @@ func stealAdmit(base int, specs []sim.JobSpec, from []int, tenants []string) Rec
 
 // codecRecords is goldenRecords plus the shapes a steal beside fair share
 // writes, which testdata/golden.wal predates: a steal admission naming its
-// jobs' tenants, and a snap whose steal state names the pairs it settled.
+// jobs' tenants, and a snap whose steal state names the pairs it settled;
+// and the graph admissions at the versions before csrVersion, which are
+// written as they were, with their graphs in the JSON form.
 func codecRecords(t testing.TB) map[string]Record {
 	recs := goldenRecords(t)
 	rigid := profile.MustNewRigid(2, "r", 1, 2, 3)
@@ -164,17 +264,38 @@ func codecRecords(t testing.TB) map[string]Record {
 	recs["snap-origins"] = Record{Type: TypeSnap, Seq: 30,
 		Snap:  &sim.EngineCheckpoint{Now: 9, Makespan: 9, ExecTotal: []int64{1, 2}, NextID: 4},
 		Steal: &StealState{V: 1, In: 2, Origins: map[int]int{2: 1<<32 | 7, 3: 9}}}
+	for name, v := range map[string]int{"admit-graph": 0, "admit-tenant": 0, "batch-mixed": recordVersion,
+		"admit-steal": recordVersion, "admit-steal-tenants": tenantsVersion} {
+		rec := recs[name]
+		rec.V = v
+		recs[name+"-v"+strconv.Itoa(v)] = rec
+	}
 	return recs
 }
 
 // TestRecordGolden pins the hand-written record codec against
 // encoding/json: every record encodes to json.Marshal's bytes, and those
-// bytes decode to the value json.Unmarshal reads.
+// bytes decode to the value json.Unmarshal reads. A record in the record
+// form is held to the oracle in outline (checkCSRRecord) and its graphs
+// to the ones it was built from.
 func TestRecordGolden(t *testing.T) {
 	for name, rec := range codecRecords(t) {
 		got, err := encodeRecord(rec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if csrForm(rec) {
+			back, err := decodeRecord(got)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameRecord(t, back, rec)
+			oracle, err := oracleDecode(got)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+			checkCSRRecord(t, back, oracle)
+			continue
 		}
 		want, err := json.Marshal(rec)
 		if err != nil {
@@ -234,6 +355,23 @@ var recordSeeds = []string{
 	"{\"t\":\"admit\",\"tenant\":\"a\x5cu00e9\xff\x5cud83d\",\"jobs\":[{\"graph\":{\"k\":1,\"categories\":[1]}}]}",
 	`{"t":"fair","fair":{"v":1,"half_life":8,"usage":{"a":{"v":0.5,"as_of":3}},"jobs":{"4":"a"}},"fair":{"half_life":9}}`,
 	`{"t":"snap","seq":2,"snap":{"now":3,"exec_total":[1]},"steal":{"v":1,"redirects":{"1":7}},"snap":{"makespan":3}}`,
+	// The record form, and records at its version with no graph.
+	`{"t":"admit","v":4,"jobs":[{"release":0,"graph":{"name":"d","k":2,"n":3,"csr":"AQICAQEABAEC"}}]}`,
+	`{"t":"batch","v":4,"base":3,"from":[9,1],"jobs":[{"graph":{"k":1,"n":1,"csr":"AQA"}},{"release":2,"graph":{"k":1,"n":2,"csr":"AQEBAAI"}}]}`,
+	` { "V" : 4 , "JOBS" : [ { "Graph" : {"k":1,"n":1,"csr":"AQA"} , "extra":[{"a":null}] } ] , "T" : "admit" , "x":1.5e3 } `,
+	`{"t":"admit","v":4,"jobs":[{"release":4,"fam":"profile","rigid":{"k":2,"name":"r","cat":1,"procs":2,"steps":3}}]}`,
+	`{"t":"batch","v":4,"base":0,"jobs":[{"graph":{"k":1,"n":1,"csr":"AQA"}},{"release":1,"fam":"profile","rigid":{"k":2,"cat":1,"procs":1,"steps":1}}]}`,
+	// Rejected by the codec, accepted by encoding/json: a record form that
+	// is not as the writer writes it, and a JSON graph at the record form's
+	// version.
+	`{"t":"admit","v":4,"jobs":[{"release":0,"graph":{"k":1, "n":1,"csr":"AQA"}}]}`,
+	`{"t":"admit","v":4,"jobs":[{"release":0,"graph":{"k":1,"n":1,"csr":"AQAA"}}]}`,
+	`{"t":"admit","v":4,"jobs":[{"graph":{"k":1,"categories":[1]}}]}`,
+	// A version after the jobs, which the two may judge differently.
+	`{"t":"admit","jobs":[{"graph":{"k":1,"categories":[1]}}],"v":4}`,
+	`{"t":"admit","v":4,"jobs":[{"graph":{"k":1,"n":1,"csr":"AQA"}}],"v":0}`,
+	`{"t":"admit","v":7,"joBs":[{"grAph":{"k":1}}],"v":0}`,
+	`{"t":"admit","v":4,"jobs":[{"fam":"profile","rigid":{"k":2,"cat":1,"procs":1,"steps":1}}],"v":2}`,
 	// Rejected by both.
 	`{"t":"step","now":1.0}`,
 	`{"t":"step","now":"1"}`,
@@ -270,8 +408,15 @@ func FuzzRecordCodec(f *testing.F) {
 		switch {
 		case err != nil && oerr != nil:
 			return
-		case moldEdgeShape(err):
+		case moldEdgeShape(err), versionAfterJobs(data):
 			return
+		case oerr == nil && csrForm(want):
+			if err == nil {
+				checkCSRRecord(t, got, want)
+			} else if !graphFormError(err) {
+				t.Fatalf("rejected what the oracle accepts, not for a graph's form: %v", err)
+			}
+			return // the codec is stricter about the form than the oracle can tell
 		case err != nil:
 			t.Fatalf("rejected what the oracle accepts: %v", err)
 		case oerr != nil:
@@ -287,15 +432,24 @@ func FuzzRecordCodec(f *testing.F) {
 }
 
 // TestRecordSeedsAgree runs the fuzz seeds' checks as a plain test and
-// pins that the licensed disagreement is exactly the malformed edges.
+// pins that the licensed disagreements are exactly the malformed edges,
+// the record forms the oracle cannot read, and versions after the jobs.
 func TestRecordSeedsAgree(t *testing.T) {
 	for _, s := range recordSeeds {
 		got, err := decodeRecord([]byte(s))
 		want, oerr := oracleDecode([]byte(s))
 		switch {
+		case versionAfterJobs([]byte(s)):
+			// Licensed: a graph read in one form and written in another.
 		case moldEdgeShape(err):
 			if oerr != nil {
 				t.Errorf("%.60s: the oracle rejects a malformed edge too: %v", s, oerr)
+			}
+		case oerr == nil && csrForm(want):
+			if err == nil {
+				checkCSRRecord(t, got, want)
+			} else if !graphFormError(err) {
+				t.Errorf("%.60s: rejected, not for a graph's form: %v", s, err)
 			}
 		case (err == nil) != (oerr == nil):
 			t.Errorf("%.60s: verdict %v, oracle %v", s, err, oerr)
@@ -306,7 +460,8 @@ func TestRecordSeedsAgree(t *testing.T) {
 }
 
 // TestJournalAppendAllocs: a record is encoded into the journal's own
-// frame buffer, so a steady-state append allocates nothing.
+// frame buffer, a graph's varints included, so a steady-state append
+// allocates nothing.
 func TestJournalAppendAllocs(t *testing.T) {
 	j, _ := mustOpen(t, tempJournal(t), Options{Sync: SyncNever})
 	defer j.Close()
@@ -314,7 +469,11 @@ func TestJournalAppendAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []Record{StepsRecord(1, 5), rigid} {
+	graph, err := AdmitRecord(1, []sim.JobSpec{{Graph: dag.MapReduce(3, 200, 10, 1, 2, 3, 1), Release: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{StepsRecord(1, 5), rigid, graph} {
 		mustAppend(t, j, rec)
 		if avg := testing.AllocsPerRun(200, func() { mustAppend(t, j, rec) }); avg != 0 {
 			t.Errorf("%s record: %.1f allocations per append, want 0", rec.Type, avg)
@@ -324,7 +483,7 @@ func TestJournalAppendAllocs(t *testing.T) {
 
 // TestRecordDecodeAllocs: decoding a graph record is one budget whatever
 // the graph's size — the record's own few allocations plus the graph
-// decoder's seven.
+// reader's six (BenchmarkGraphRecord in internal/dag).
 func TestRecordDecodeAllocs(t *testing.T) {
 	for _, n := range []int{50, 400, 4000} {
 		payload, err := encodeRecord(must(AdmitRecord(0, []sim.JobSpec{{Graph: dag.ForkJoin(3, n-2, 1, 2, 3)}})))

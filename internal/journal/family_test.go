@@ -51,10 +51,11 @@ func moldEngine(t *testing.T) *sim.Engine {
 }
 
 // TestGraphRecordsKeepLegacyEncoding is the backward-compat contract in
-// the byte domain: admit/batch records for graph-backed jobs must encode
-// without any of the PR's new keys (v, fam, mold), so journals written by
-// this build and a pre-family build are interchangeable for graph
-// workloads.
+// the byte domain: an admit/batch record of graph-backed jobs at the
+// original version encodes without any key that came later (v, fam, mold,
+// the record form's n and csr), so a journal of a pre-family build
+// re-encodes to its own bytes. This build writes such records at
+// csrVersion, with the graphs in the record form.
 func TestGraphRecordsKeepLegacyEncoding(t *testing.T) {
 	rec, err := AdmitRecord(0, []sim.JobSpec{
 		{Graph: dag.UniformChain(1, 3, 1)},
@@ -63,11 +64,15 @@ func TestGraphRecordsKeepLegacyEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rec.V != csrVersion {
+		t.Fatalf("graph record written at version %d, want %d", rec.V, csrVersion)
+	}
+	rec.V = 0
 	payload, err := encodeRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"v"`, `"fam"`, `"mold"`} {
+	for _, key := range []string{`"v"`, `"fam"`, `"mold"`, `"n"`, `"csr"`} {
 		if bytes.Contains(payload, []byte(key)) {
 			t.Errorf("graph-backed record payload contains %s: %s", key, payload)
 		}
@@ -155,8 +160,8 @@ func TestMoldableJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.V != recordVersion {
-		t.Fatalf("mixed batch record version %d, want %d", rec.V, recordVersion)
+	if rec.V != csrVersion {
+		t.Fatalf("mixed batch record version %d, want %d", rec.V, csrVersion)
 	}
 	mustAppend(t, j, rec)
 	for live.Remaining() > 0 {
@@ -173,8 +178,8 @@ func TestMoldableJournalRoundTrip(t *testing.T) {
 	j2, recovered := mustOpen(t, path, Options{})
 	defer j2.Close()
 	got := recovered[0]
-	if got.V != recordVersion {
-		t.Fatalf("recovered record version %d, want %d", got.V, recordVersion)
+	if got.V != csrVersion {
+		t.Fatalf("recovered record version %d, want %d", got.V, csrVersion)
 	}
 	if got.Jobs[0].Fam != "moldable" || got.Jobs[0].Mold == nil || got.Jobs[1].Fam != "" || got.Jobs[1].Graph == nil {
 		t.Fatalf("recovered job records lost family tags: %+v", got.Jobs)

@@ -99,8 +99,9 @@ type StealState struct {
 // Exactly one of Graph, Mold and Rigid is set. Graph-backed jobs omit
 // Fam — the original record shape — so journals from family-less builds
 // decode and re-encode byte-identically. Non-graph jobs carry their
-// runtime-family tag in Fam and force the enclosing Record's V to
-// recordVersion.
+// runtime-family tag in Fam and need the enclosing Record's V to be
+// recordVersion or later. The graph is in the JSON form in records before
+// csrVersion and in the record form from it on.
 type JobRecord struct {
 	Release int64 `json:"release"`
 	// Fam is the runtime-family tag ("moldable" for moldable specs,
@@ -146,12 +147,22 @@ const recordVersion = 2
 // instead of dropping the tenants.
 const tenantsVersion = 3
 
+// csrVersion is the version of every admit and batch record this build
+// writes, whatever its jobs and tags: its graphs are in the record form
+// (dag.Graph.AppendRecord). A reader that predates the form refuses the
+// record instead of skipping the form's keys and admitting an edgeless
+// graph, so an older follower refuses such frames loudly.
+const csrVersion = 4
+
 // Record is one journaled engine mutation.
 type Record struct {
 	Type Type `json:"t"`
 	// V is the record encoding version: 0 (omitted) for the original
 	// shapes, recordVersion for admit/batch records carrying non-graph
-	// jobs or steal origins, tenantsVersion for those carrying tenants.
+	// jobs or steal origins and for steal records, tenantsVersion for
+	// admissions carrying steal tenants, and csrVersion for every admit
+	// and batch record this build writes. The first three are read and
+	// written as they were.
 	V int `json:"v,omitempty"`
 	// Base is the engine-assigned ID of the first admitted job (admit and
 	// batch records); replay cross-checks it against the IDs the engine
@@ -196,11 +207,12 @@ type Record struct {
 	NBase int `json:"nbase,omitempty"`
 	// From tags a thief-side admit/batch record as the re-admission half of
 	// a steal: From[i] is job i's original namespaced ID on the victim.
-	// Forces V to recordVersion. Empty on client admissions.
+	// Needs V ≥ recordVersion. Empty on client admissions.
 	From []int `json:"from,omitempty"`
 	// Tenants, beside From, names the fair-share leaf each stolen job was in
 	// flight under on the victim ("" for none); written only when one of
-	// them has a tenant, and then V is tenantsVersion.
+	// them has a tenant. Needs V ≥ tenantsVersion, and a tenantsVersion
+	// record has them.
 	Tenants []string `json:"tenants,omitempty"`
 	// Steal is the server's work-stealing bookkeeping (snap records written
 	// by a steal-enabled server that has stolen at least once).
@@ -301,13 +313,13 @@ func (r Record) Validate() error {
 		if r.Seq != 0 {
 			return fmt.Errorf("journal: %s record carries a sequence cursor", r.Type)
 		}
-		if r.V != 0 && r.V != recordVersion && r.V != tenantsVersion {
-			return fmt.Errorf("journal: %s record version %d, want 0, %d or %d", r.Type, r.V, recordVersion, tenantsVersion)
+		if r.V != 0 && r.V != recordVersion && r.V != tenantsVersion && r.V != csrVersion {
+			return fmt.Errorf("journal: %s record version %d, want 0, %d, %d or %d", r.Type, r.V, recordVersion, tenantsVersion, csrVersion)
 		}
 		if len(r.Tenants) != 0 && len(r.Tenants) != len(r.From) {
 			return fmt.Errorf("journal: %s record has %d steal tenants for %d origin IDs", r.Type, len(r.Tenants), len(r.From))
 		}
-		if (r.V == tenantsVersion) != (len(r.Tenants) != 0) {
+		if r.V == tenantsVersion && len(r.Tenants) == 0 || r.V < tenantsVersion && len(r.Tenants) != 0 {
 			return fmt.Errorf("journal: %s record has version %d and %d steal tenants; version %d goes with tenants", r.Type, r.V, len(r.Tenants), tenantsVersion)
 		}
 		if len(r.From) != 0 {
@@ -377,9 +389,7 @@ func (r Record) Validate() error {
 // job as TypeAdmit, several as TypeBatch. base is the first assigned
 // engine-local ID; specs must carry a replayable description — a dag
 // graph, a moldable spec or a rigid spec — with normalized (absolute)
-// release times. All-graph admissions keep the original unversioned
-// encoding; a non-graph job anywhere in the batch bumps the record to
-// recordVersion.
+// release times. The record is csrVersion, whatever its jobs.
 func AdmitRecord(base int, specs []sim.JobSpec) (Record, error) {
 	var rec Record
 	if err := AdmitRecordInto(&rec, base, specs, nil, nil); err != nil {
@@ -407,7 +417,6 @@ func AdmitRecordInto(rec *Record, base int, specs []sim.JobSpec, from []int, ten
 	if len(specs) == 1 {
 		typ = TypeAdmit
 	}
-	version := 0
 	for i, s := range specs {
 		// Pointer boxes from the previous use of this slot, read before the
 		// slot is overwritten so they can be refilled instead of reallocated.
@@ -424,25 +433,17 @@ func AdmitRecordInto(rec *Record, base int, specs []sim.JobSpec, from []int, ten
 			}
 			*moldBox = src.Spec()
 			jobs[i] = JobRecord{Release: s.Release, Fam: sim.FamilyMoldable.String(), Mold: moldBox}
-			version = recordVersion
 		case *profile.Rigid:
 			if rigidBox == nil {
 				rigidBox = new(profile.RigidSpec)
 			}
 			*rigidBox = src.Spec()
 			jobs[i] = JobRecord{Release: s.Release, Fam: sim.FamilyProfile.String(), Rigid: rigidBox}
-			version = recordVersion
 		default:
 			return fmt.Errorf("journal: job %d (family %q) is not journalable; need a dag graph, a moldable spec or a rigid spec", base+i, sim.FamilyOf(src))
 		}
 	}
-	switch {
-	case len(tenants) != 0:
-		version = tenantsVersion
-	case len(from) != 0:
-		version = recordVersion
-	}
-	*rec = Record{Type: typ, V: version, Base: base, Jobs: jobs, From: from, Tenants: tenants}
+	*rec = Record{Type: typ, V: csrVersion, Base: base, Jobs: jobs, From: from, Tenants: tenants}
 	return nil
 }
 

@@ -44,8 +44,8 @@ func TestRigidJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.V != recordVersion {
-		t.Fatalf("rigid batch record version %d, want %d", rec.V, recordVersion)
+	if rec.V != csrVersion {
+		t.Fatalf("rigid batch record version %d, want %d", rec.V, csrVersion)
 	}
 	mustAppend(t, j, rec)
 	for live.Remaining() > 0 {

@@ -13,12 +13,15 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden.wal from goldenRecords")
+var update = flag.Bool("update", false, "rewrite testdata/golden-csr.wal from goldenRecords")
 
-// TestGoldenWAL pins testdata/golden.wal, the WAL the replication frame
-// golden test splices from: TestRecordGolden's records, the snapshot at
-// the head and the rest by name, as Compact and Append write them.
-// Regenerate it with -update after a change that moves a golden record.
+// TestGoldenWAL pins the two WALs the replication frame golden test splices
+// from. testdata/golden-csr.wal holds TestRecordGolden's records, the
+// snapshot at the head and the rest by name, as Compact and Append write
+// them; regenerate it with -update after a change that moves a golden
+// record. testdata/golden.wal holds them as builds before the record form
+// wrote them, graphs in the JSON form, and is never regenerated: it must
+// read, and re-encode to its own bytes, as it is.
 func TestGoldenWAL(t *testing.T) {
 	path := tempJournal(t)
 	j, _ := mustOpen(t, path, Options{Sync: SyncNever})
@@ -43,7 +46,7 @@ func TestGoldenWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "golden.wal")
+	golden := filepath.Join("testdata", "golden-csr.wal")
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -55,6 +58,26 @@ func TestGoldenWAL(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("the golden records write %d bytes unlike %s's %d (rerun with -update if a golden record moved on purpose)", len(got), golden, len(want))
+	}
+
+	old := filepath.Join("testdata", "golden.wal")
+	want, err = os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldRecs, err := ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = slices.Clone(magic)
+	for _, rec := range oldRecs {
+		if rec.V >= csrVersion {
+			t.Fatalf("%s holds a version %d record", old, rec.V)
+		}
+		got = append(got, frame(t, rec)...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s's %d records re-encode to %d bytes, not its %d", old, len(oldRecs), len(got), len(want))
 	}
 }
 

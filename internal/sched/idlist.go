@@ -29,9 +29,24 @@ func (l *IDList) Row(i int) []int { return l.rows[i*l.w : (i+1)*l.w : (i+1)*l.w]
 
 // Find returns the position of id's live entry and true, or false.
 func (l *IDList) Find(id int) (int, bool) {
+	i, in := l.search(id)
+	return i, in && l.jobs[i].Desire != 0
+}
+
+// search returns the position of id's entry, or the one it would be
+// inserted at, and whether it is there. Calls within a round come in
+// ascending ID, so most land on the entry after the last one's, or on
+// that one again: those two are tried before FindCatJob.
+func (l *IDList) search(id int) (int, bool) {
+	for i := l.hint; i < len(l.jobs) && i <= l.hint+1; i++ {
+		if l.jobs[i].ID == id {
+			l.hint = i
+			return i, true
+		}
+	}
 	i, in := FindCatJob(l.jobs, l.hint, id)
 	l.hint = i
-	return i, in && l.jobs[i].Desire != 0
+	return i, in
 }
 
 // Insert makes id's entry read v, which is not 0, and returns its position
@@ -39,8 +54,7 @@ func (l *IDList) Find(id int) (int, bool) {
 // above every other is appended; one below takes its own hole, or the
 // entries above it move up by one.
 func (l *IDList) Insert(id, v int) (int, bool) {
-	i, in := FindCatJob(l.jobs, l.hint, id)
-	l.hint = i
+	i, in := l.search(id)
 	switch {
 	case in && l.jobs[i].Desire != 0:
 		l.jobs[i].Desire = v
