@@ -390,7 +390,7 @@ func main() {
 	// Replication wiring: the sender ships each shard's WAL and attaches
 	// before Start and before the handler swap, so every committed record
 	// wakes it; attaching reports what the journals already hold (replayed
-	// history, the fairness head).
+	// history).
 	var sender *replicate.Sender
 	var receiver *replicate.Receiver
 	if o.repTo != "" {

@@ -94,9 +94,6 @@ func (d *daemon) get(t *testing.T, path string) []byte {
 
 // stats is the daemon's Stats without what is process-local by design:
 // step and rejection counts, journal I/O, per-tenant admission tallies.
-// Tenants are keyed by path: a restart grows dynamic leaves back in the
-// order the shards replay them, which need not be the order the tenants
-// first submitted in.
 func (d *daemon) stats(t *testing.T) map[string]any {
 	t.Helper()
 	var payload struct {
@@ -110,14 +107,11 @@ func (d *daemon) stats(t *testing.T) map[string]any {
 		delete(st, k)
 	}
 	tenants, _ := st["tenants"].([]any)
-	byPath := make(map[string]any, len(tenants))
 	for _, ten := range tenants {
 		ten := ten.(map[string]any)
 		delete(ten, "admitted")
 		delete(ten, "shed")
-		byPath[ten["path"].(string)] = ten
 	}
-	st["tenants"] = byPath
 	return st
 }
 
@@ -133,7 +127,8 @@ func freeAddr(t *testing.T) string {
 
 // TestRestartWithJournalDirAlone: a two-shard fleet on caps 3,2 with fair
 // share under a half-life of 64 restarts from `-journal-dir` alone with
-// the same Stats and every job's status byte for byte, and a restart that
+// the same Stats, tenants in the same order though they first submitted out
+// of path order, and every job's status byte for byte, and a restart that
 // gives other caps is refused naming the shape file and both values.
 func TestRestartWithJournalDirAlone(t *testing.T) {
 	dir := t.TempDir()
@@ -149,7 +144,7 @@ func TestRestartWithJournalDirAlone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("X-Krad-Tenant", fmt.Sprint("team-", i%3))
+		req.Header.Set("X-Krad-Tenant", fmt.Sprint("team-", 2-i%3))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -172,7 +167,7 @@ func TestRestartWithJournalDirAlone(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if want["shards"] != float64(2) || len(want["tenants"].(map[string]any)) != 4 {
+	if want["shards"] != float64(2) || len(want["tenants"].([]any)) != 4 {
 		t.Fatalf("first start's stats %v: want 2 shards and four tenant leaves", want)
 	}
 	jobs := make(map[int]string)

@@ -8,28 +8,31 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestReplicationSmokeRealKradd runs a real 2-shard primary that ships
-// its WALs (-replicate-to, compacting every 2000 records) to a real
-// standby, SIGKILLs the standby mid-stream and restarts it over its own
-// journal, and replays a mixed stream through the primary. After the
-// drain the primary must report no replication lag and the standby every
-// shard's clock and admission and completion counts the primary has;
-// promoted, the standby must answer every accepted ID as done. Gated
-// behind KRAD_REPLICATION_SMOKE=1 like the replay smoke: real binaries,
-// real ports.
+// TestReplicationSmokeRealKradd runs a real 2-shard primary with fair
+// share that ships its WALs (-replicate-to, compacting every 2000 records)
+// to a real standby, SIGKILLs the standby mid-stream and restarts it over
+// its own journal, and replays a mixed stream over three tenants through
+// the primary. After the drain the primary must report no replication lag
+// and the standby every shard's clock and admission and completion counts
+// the primary has, and, before promotion, the primary's tenant in-flight,
+// share and usage series, labels and order included; promoted, the
+// standby must answer every accepted ID as done. Gated behind
+// KRAD_REPLICATION_SMOKE=1 like the replay smoke: real binaries, real
+// ports.
 func TestReplicationSmokeRealKradd(t *testing.T) {
 	if os.Getenv("KRAD_REPLICATION_SMOKE") != "1" {
 		t.Skip("set KRAD_REPLICATION_SMOKE=1 to run the replication smoke test")
 	}
 	dir, kradd, replay, addr := realBinaries(t)
 	faddr, repAddr := freeAddr(t), freeAddr(t)
-	engine := []string{"-caps", "8,8", "-shards", "2", "-queue", "200000"}
+	engine := []string{"-caps", "8,8", "-shards", "2", "-queue", "200000", "-fairness"}
 	follower := append([]string{"-follow", repAddr, "-journal-dir", filepath.Join(dir, "follower")}, engine...)
 	stopFollower := startKradd(t, kradd, faddr, follower...)
 	startKradd(t, kradd, addr, append([]string{"-replicate-to", repAddr,
@@ -43,7 +46,7 @@ func TestReplicationSmokeRealKradd(t *testing.T) {
 	outPath := filepath.Join(dir, "report.json")
 	cmd := exec.Command(replay,
 		"-addr", base, "-jobs", fmt.Sprint(jobs),
-		"-mix", "rigid=0.8,dag=0.1,mold=0.1", "-workers", "8", "-batch", "16",
+		"-mix", "rigid=0.8,dag=0.1,mold=0.1", "-workers", "8", "-batch", "16", "-tenants", "3",
 		"-drain-timeout", "5m", "-out", outPath)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
@@ -95,6 +98,10 @@ func TestReplicationSmokeRealKradd(t *testing.T) {
 	}
 	if len(ids) != jobs {
 		t.Fatalf("the shards admitted %d jobs, want %d", len(ids), jobs)
+	}
+	pten, sten := tenantSeries(t, base), tenantSeries(t, fbase)
+	if len(pten) < 3*4 || !slices.Equal(sten, pten) {
+		t.Fatalf("tenant series before promotion:\nstandby %q\nprimary %q", sten, pten)
 	}
 
 	resp, err := http.Post(fbase+"/v1/promote", "application/json", nil)
@@ -155,18 +162,43 @@ func waitSubmitted(t *testing.T, base string, n int) {
 // scrape reads the daemon's /metrics into series → value.
 func scrape(t *testing.T, base string) map[string]string {
 	t.Helper()
+	out := map[string]string{}
+	for _, line := range samples(t, base) {
+		if i := strings.LastIndexByte(line, ' '); i > 0 {
+			out[line[:i]] = line[i+1:]
+		}
+	}
+	return out
+}
+
+// tenantSeries returns the daemon's per-tenant in-flight, share and usage
+// samples in exposition order.
+func tenantSeries(t *testing.T, base string) []string {
+	t.Helper()
+	var out []string
+	for _, line := range samples(t, base) {
+		for _, name := range []string{"krad_tenant_in_flight{", "krad_tenant_share{", "krad_tenant_usage{"} {
+			if strings.HasPrefix(line, name) {
+				out = append(out, line)
+			}
+		}
+	}
+	return out
+}
+
+// samples returns the daemon's /metrics sample lines, comments left out.
+func samples(t *testing.T, base string) []string {
+	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	out := map[string]string{}
+	var out []string
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		if line := sc.Text(); !strings.HasPrefix(line, "#") {
-			if i := strings.LastIndexByte(line, ' '); i > 0 {
-				out[line[:i]] = line[i+1:]
-			}
+			out = append(out, line)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -28,8 +28,10 @@ package fairshare
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // DefaultHalfLife is the usage decay half-life, in virtual steps, when a
@@ -91,7 +93,9 @@ type Leaf struct {
 }
 
 // Index is the leaf's position in Leaves(), which is where Share reads
-// its State. A leaf keeps its index for the tree's lifetime.
+// its State. Leaves are numbered in creation order from 0, and a leaf
+// keeps its index for the tree's lifetime, so a caller can keep per-leaf
+// state in slices indexed by it.
 func (l *Leaf) Index() int { return l.index }
 
 // State is one leaf's live inputs to a rebalance.
@@ -117,19 +121,27 @@ type node struct {
 	pos      int // index in parent.children
 	children []*node
 	leaf     *Leaf // non-nil iff len(children) == 0
+	late     bool  // created after New: ordered by name among its late siblings
 }
 
-// Tree is the compiled queue tree. It is not goroutine-safe, Shares and
-// Share included (they divide on the tree's own scratch): the owner (the
-// server's fairness controller) serializes access.
+// Tree is the compiled queue tree. It is safe for concurrent use: every
+// method that reads or grows it takes the tree's lock, which is innermost
+// (nothing is locked under it), so callers may hold their own locks.
+//
+// A node created after New sits among its siblings by name, after the
+// ones New built, so the tree's shape, and with it every division, does
+// not depend on the order tenants first appeared in.
 type Tree struct {
 	halfLife int64
 	root     *node
-	leaves   map[string]*Leaf
-	order    []*Leaf // registration order: config first, then dynamic
 	def      *Leaf
-	dynamic  int
-	div      divider
+	static   int // leaves New built; 0 while it builds
+
+	mu      sync.Mutex
+	leaves  map[string]*Leaf
+	order   []*Leaf // creation order: index order
+	dynamic int
+	div     divider
 }
 
 // New compiles a Config into a Tree, creating the default leaf if the
@@ -161,6 +173,7 @@ func New(cfg Config) (*Tree, error) {
 		return nil, fmt.Errorf("fairshare: default leaf: %w", err)
 	}
 	t.def = def
+	t.static = len(t.order)
 	return t, nil
 }
 
@@ -188,8 +201,16 @@ func (t *Tree) build(parent *node, prefix string, nc NodeConfig, dynamic bool) e
 		priority: nc.Priority,
 		parent:   parent,
 		pos:      len(parent.children),
+		late:     t.static > 0,
 	}
 	parent.children = append(parent.children, n)
+	if n.late {
+		// Bubble n down past the late siblings that sort after it.
+		for i := n.pos; i > 0 && parent.children[i-1].late && parent.children[i-1].name > n.name; i-- {
+			parent.children[i-1], parent.children[i] = n, parent.children[i-1]
+			parent.children[i].pos, n.pos = i, i-1
+		}
+	}
 	if len(nc.Children) == 0 {
 		n.leaf = &Leaf{
 			Path:     path,
@@ -233,12 +254,30 @@ func (t *Tree) HalfLife() int64 { return t.halfLife }
 // Default returns the leaf for requests without a tenant header.
 func (t *Tree) Default() *Leaf { return t.def }
 
-// Leaves returns every leaf in deterministic order (configuration order,
-// then dynamic creation order).
-func (t *Tree) Leaves() []*Leaf { return t.order }
+// Leaves returns every leaf in index order: the ones New built in
+// configuration order, then the rest in creation order. The slice is a
+// snapshot; leaves created later are not in it.
+func (t *Tree) Leaves() []*Leaf {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.order[:len(t.order):len(t.order)]
+}
+
+// Listing returns every leaf in listing order: the ones New built in
+// configuration order, then every later one by path. Unlike index order,
+// it does not depend on the order tenants first appeared in.
+func (t *Tree) Listing() []*Leaf {
+	t.mu.Lock()
+	out := slices.Clone(t.order)
+	t.mu.Unlock()
+	slices.SortFunc(out[t.static:], func(a, b *Leaf) int { return strings.Compare(a.Path, b.Path) })
+	return out
+}
 
 // Lookup returns the leaf with the exact path, if one exists.
 func (t *Tree) Lookup(path string) (*Leaf, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	l, ok := t.leaves[path]
 	return l, ok
 }
@@ -261,6 +300,8 @@ func (t *Tree) Lookup(path string) (*Leaf, bool) {
 // default leaf rather than erroring: the header is client-controlled and
 // admission must stay cheap.
 func (t *Tree) Ensure(path string) *Leaf {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	l, err := t.ensure(path)
 	if err != nil || l == nil {
 		return t.def
@@ -346,6 +387,8 @@ func (t *Tree) extend(n *node, prefix string, segs []string) (*Leaf, error) {
 // weight at every level. The result is deterministic: shares depend only
 // on (tree, states, capacity), never on map iteration order.
 func (t *Tree) Shares(states map[string]State, capacity int) map[string]int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make(map[string]int, len(t.leaves))
 	for path := range t.leaves {
 		out[path] = 0
@@ -368,6 +411,8 @@ func (t *Tree) Shares(states map[string]State, capacity int) map[string]int {
 // child leading to l is divided further. It allocates nothing once the
 // tree's scratch has grown to the tree.
 func (t *Tree) Share(l *Leaf, states []State, capacity int) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	path := t.div.path[:0]
 	for n := l.n; n != t.root; n = n.parent {
 		path = append(path, n)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -284,6 +286,65 @@ func TestRebalanceDeterminism(t *testing.T) {
 
 // TestEnsureResolution pins header → leaf resolution: exact paths,
 // sub-path absorption, interior nodes, dynamic creation, junk fallback.
+// TestLateNodesInNameOrder: leaves created after New, in any order, give
+// the same tree (each late node among its siblings by name, after the
+// ones New built), the same listing and the same shares, while each leaf
+// keeps the index of its creation.
+func TestLateNodesInNameOrder(t *testing.T) {
+	cfg := Config{Nodes: []NodeConfig{
+		{Name: "zeta", Children: []NodeConfig{{Name: "prod", Weight: 2}}},
+		{Name: "acme", Weight: 1},
+	}}
+	paths := []string{"team-b", "zeta/ml", "team-a", "zeta/cv", "zeta/ab", "beta/x", "beta/a"}
+	build := func(order []string) (shape string, listing []string, shares map[string]int) {
+		tr, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range order {
+			tr.Ensure(p)
+		}
+		for i, l := range tr.Leaves()[tr.static:] {
+			if l.Path != order[i] {
+				t.Fatalf("leaf %d is %s, want %s: indices follow creation", tr.static+i, l.Path, order[i])
+			}
+		}
+		var b strings.Builder
+		var walk func(n *node)
+		walk = func(n *node) {
+			for i, c := range n.children {
+				if c.pos != i {
+					t.Fatalf("%s at %d records pos %d", c.path, i, c.pos)
+				}
+				b.WriteString(c.path + " ")
+				walk(c)
+			}
+		}
+		walk(tr.root)
+		for _, l := range tr.Listing() {
+			listing = append(listing, l.Path)
+		}
+		states := map[string]State{}
+		for i, p := range paths {
+			states[p] = State{InFlight: 1, Usage: 0.1 * float64(i+1)}
+		}
+		return b.String(), listing, tr.Shares(states, 17)
+	}
+	shape, listing, shares := build(paths)
+	if want := "zeta zeta/prod zeta/ab zeta/cv zeta/ml acme default beta beta/a beta/x team-a team-b "; shape != want {
+		t.Errorf("tree %q, want %q", shape, want)
+	}
+	if want := []string{"zeta/prod", "acme", "default", "beta/a", "beta/x", "team-a", "team-b", "zeta/ab", "zeta/cv", "zeta/ml"}; !slices.Equal(listing, want) {
+		t.Errorf("listing %q, want %q", listing, want)
+	}
+	rev := slices.Clone(paths)
+	slices.Reverse(rev)
+	rshape, rlisting, rshares := build(rev)
+	if rshape != shape || !slices.Equal(rlisting, listing) || !reflect.DeepEqual(rshares, shares) {
+		t.Errorf("reverse creation order: tree %q, listing %q, shares %v; forward %q, %q, %v", rshape, rlisting, rshares, shape, listing, shares)
+	}
+}
+
 func TestEnsureResolution(t *testing.T) {
 	tr, err := New(Config{Nodes: []NodeConfig{
 		{Name: "acme", Children: []NodeConfig{

@@ -235,7 +235,7 @@ func goldenRecords(t testing.TB) map[string]Record {
 		"step":         StepsRecord(1, 17),
 		"steps":        StepsRecord(6, 23),
 		"steal":        StealRecord([]int{2, 5, 8}, 3, 40),
-		"fair":         FairRecord(fair),
+		"fair":         {Type: TypeFair, Fair: &fair},
 		"snap": {Type: TypeSnap, Seq: 12, Fair: &fair,
 			Snap:  &sim.EngineCheckpoint{Now: 7, Makespan: 7, ExecTotal: []int64{3, 4}, SchedState: []byte(`{"x":1}`), NextID: 3},
 			Steal: &StealState{V: 1, In: 2, Redirects: map[int]int{1: 1<<32 | 4}}},

@@ -45,13 +45,14 @@ const (
 	// tagged with From. Steal records are version-2: pre-steal readers fail
 	// loudly instead of misreplaying.
 	TypeSteal Type = "steal"
-	// TypeFair marks a fairness-enabled journal and carries the fair-share
-	// ledger (usage accumulators, in-flight job→tenant map, half-life). It
-	// is written as the head record of a fresh fairness-enabled journal;
-	// compaction instead attaches the ledger to the snap record. The engine
-	// ignores fair records — they exist for the server's replay observer,
-	// which rebuilds bit-identical fair-share state from them plus the
-	// tenant tags on admit records.
+	// TypeFair carries a fair-share ledger (usage accumulators, in-flight
+	// job→tenant map, half-life). Earlier builds wrote one as the head
+	// record of every fresh fairness-enabled journal, to declare the
+	// half-life; the directory's fleet shape (Shape) records it now, and
+	// nothing writes fair records any more. They are still read: the
+	// server's replay observer checks the half-life and restores the
+	// ledger. Compaction attaches the ledger to the snap record instead.
+	// The engine ignores fair records.
 	TypeFair Type = "fair"
 )
 
@@ -457,10 +458,6 @@ func CancelRecord(id int) Record { return Record{Type: TypeCancel, ID: id} }
 func StealRecord(ids []int, to, nbase int) Record {
 	return Record{Type: TypeSteal, V: recordVersion, IDs: append([]int(nil), ids...), To: to, NBase: nbase}
 }
-
-// FairRecord builds a fair-share ledger record (the head marker of a
-// fairness-enabled journal).
-func FairRecord(st FairState) Record { return Record{Type: TypeFair, Fair: &st} }
 
 // StepsRecord builds the record for n consecutive executed steps ending at
 // virtual time now. n == 1 degrades to a plain step record, so journals

@@ -35,9 +35,9 @@ func Replay(eng *sim.Engine, recs []Record) error {
 // hooks through Apply, which is what makes the three bit-identical. Every
 // hook runs after the engine committed the corresponding mutation.
 type Observer interface {
-	// Fair restores a journaled fair-share ledger (the head fair record).
-	// An error aborts the apply — e.g. the journal's half-life does not
-	// match the server's configuration.
+	// Fair restores a journaled fair-share ledger (the head fair record
+	// earlier builds wrote). An error aborts the apply — e.g. the journal's
+	// half-life does not match the server's configuration.
 	Fair(st FairState) error
 	// Admitted runs after an admit/batch record applied: specs are the
 	// admitted jobs and ids the engine-assigned IDs (ids[0] cross-checked

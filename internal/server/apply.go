@@ -11,8 +11,7 @@ import (
 
 // The one mutation pipeline. A shard is a pure function of its committed
 // record sequence, so every mutation — a client's admit or cancel, either
-// half of a steal, a steal repair, the fair head record — takes a
-// replication follower's order:
+// half of a steal, a steal repair — takes a replication follower's order:
 //
 //	validate without mutating → build the journal.Record →
 //	append + replicate (journalLocked) → apply (applyLocked)
@@ -135,8 +134,9 @@ func (sh *shard) admitRecordLocked(specs []sim.JobSpec, tenant string, from []in
 	return rec, nil
 }
 
-// Fair implements journal.Observer: the head fair record restores the
-// ledger it declares.
+// Fair implements journal.Observer: it restores the ledger a fair record
+// declares, the head record earlier builds wrote on every fresh
+// fairness-enabled journal.
 func (sh *shard) Fair(st journal.FairState) error {
 	if err := sh.checkFair(st); err != nil {
 		return err
@@ -194,11 +194,11 @@ func (sh *shard) Stolen(rec journal.Record, specs []sim.JobSpec) {
 	sh.out.withdrawn, sh.out.tenants = specs, nil
 	for k, id := range rec.IDs {
 		sh.redir.Store(id, composeID(rec.To, rec.NBase+k))
-		if slot := sh.fairForgetLocked(id); slot >= 0 {
+		if leaf := sh.fairForgetLocked(id); leaf != nil {
 			if sh.out.tenants == nil {
 				sh.out.tenants = make([]string, len(rec.IDs))
 			}
-			sh.out.tenants[k] = sh.fair.slots.path(slot)
+			sh.out.tenants[k] = leaf.Path
 		}
 	}
 	sh.ledger.stolen(sh.idx, rec, specs, sh.out.tenants)

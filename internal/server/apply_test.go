@@ -81,7 +81,10 @@ func applyScript(t *testing.T, seed int64, primary, follower *Service) (ids []in
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pdir := primary.cfg.Journal.Dir
-	tenants := []string{"heavy", "light", ""}
+	// Dynamic leaves first seen out of path order: the restart and the
+	// follower create them in replay order and must still list them as the
+	// primary does.
+	tenants := []string{"heavy", "light", "", "team-b", "team-a", "acme/ml"}
 	spec := func() sim.JobSpec {
 		var s sim.JobSpec
 		switch rng.Intn(3) {
@@ -142,7 +145,7 @@ func applyScript(t *testing.T, seed int64, primary, follower *Service) (ids []in
 		}
 		switch k := rng.Intn(10); {
 		case k < 4:
-			id, err := primary.SubmitTenant("", tenants[rng.Intn(3)], spec())
+			id, err := primary.SubmitTenant("", tenants[rng.Intn(len(tenants))], spec())
 			if err != nil {
 				t.Fatalf("op %d: submit: %v", op, err)
 			}
@@ -152,7 +155,7 @@ func applyScript(t *testing.T, seed int64, primary, follower *Service) (ids []in
 			for i := range batch {
 				batch[i] = spec()
 			}
-			got, err := primary.SubmitBatchTenant("", tenants[rng.Intn(3)], batch)
+			got, err := primary.SubmitBatchTenant("", tenants[rng.Intn(len(tenants))], batch)
 			if err != nil {
 				t.Fatalf("op %d: batch: %v", op, err)
 			}

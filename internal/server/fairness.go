@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"krad/internal/fairshare"
@@ -17,58 +18,45 @@ import (
 // reserved for other tenants.
 var ErrOverQuota = errors.New("server: tenant over fair-share quota")
 
-// fairController owns the queue tree and the per-tenant admission
-// counters. The tree is not goroutine-safe, so every resolution and
-// rebalance runs under mu; the usage ledgers themselves live per shard
-// (each under its shard's lock and virtual clock) and are aggregated
-// here at rebalance time.
+// fairController owns the queue tree, the one tenant table: every
+// shard's ledger, the gate's inputs and Stats.Tenants are indexed by
+// Leaf.Index(). The usage ledgers themselves live per shard (each under
+// its shard's lock and virtual clock) and are aggregated here at rebalance
+// time; mu serializes the gate's scratch and the per-leaf tallies. The
+// tree has its own lock, innermost: the apply hooks take it under a shard
+// lock to resolve a record's tenant, so the gate takes it only to resolve
+// and to divide, never while it collects the shard ledgers.
 type fairController struct {
-	mu       sync.Mutex
-	tree     *fairshare.Tree
-	admitted map[string]int64 // leaf path → jobs admitted
-	shed     map[string]int64 // leaf path → jobs shed over quota
-
-	// slots numbers the tenant paths the shards' ledgers are indexed by;
-	// leafSlot is each tree leaf's slot, by leaf index, and states the
-	// gate's per-leaf inputs, refilled on every call.
-	slots    *tenantSlots
-	leafSlot []int
-	states   []fairshare.State
+	mu      sync.Mutex
+	tree    *fairshare.Tree
+	tallies []tally           // by leaf index
+	states  []fairshare.State // the gate's per-leaf inputs, refilled on every call
 }
+
+// tally counts one leaf's jobs admitted and shed over quota by this
+// process.
+type tally struct{ admitted, shed int64 }
 
 func newFairController(cfg fairshare.Config) (*fairController, error) {
 	tree, err := fairshare.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &fairController{
-		tree:     tree,
-		admitted: make(map[string]int64),
-		shed:     make(map[string]int64),
-		slots:    &tenantSlots{index: make(map[string]int)},
-	}, nil
+	return &fairController{tree: tree}, nil
 }
 
-// ensureLeaves gives every tenant the shard ledgers have numbered a tree
-// leaf, in slot order. Dynamic leaves live only in the tree, which no
-// journal records, so a restart or a promoted follower grows them back from
-// the replayed records rather than leaving tenants with jobs in flight out
-// of the division until they submit again.
-func (fc *fairController) ensureLeaves() {
-	fc.slots.mu.Lock()
-	paths := append([]string(nil), fc.slots.paths...)
-	fc.slots.mu.Unlock()
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	for _, p := range paths {
-		fc.tree.Ensure(p)
+// tally returns l's counters, growing the table to it. Callers hold mu.
+func (fc *fairController) tally(l *fairshare.Leaf) *tally {
+	for len(fc.tallies) <= l.Index() {
+		fc.tallies = append(fc.tallies, tally{})
 	}
+	return &fc.tallies[l.Index()]
 }
 
 // recordAdmit counts a committed admission against the leaf.
-func (fc *fairController) recordAdmit(path string, n int) {
+func (fc *fairController) recordAdmit(l *fairshare.Leaf, n int) {
 	fc.mu.Lock()
-	fc.admitted[path] += int64(n)
+	fc.tally(l).admitted += int64(n)
 	fc.mu.Unlock()
 }
 
@@ -79,79 +67,41 @@ func (fc *fairController) recordAdmit(path string, n int) {
 // would take the leaf's in-flight work past its share. Only the share of
 // the requesting leaf is computed: Tree.Share divides down its ancestor
 // path alone, which gives what the full division (Tree.Shares) gives that
-// leaf. Returns the resolved leaf path for downstream accounting. Only
-// called when fairness is enabled.
+// leaf. Returns the resolved leaf for downstream accounting. Only called
+// when fairness is enabled.
 //
 // Concurrent submissions may both pass the gate before either lands on a
 // shard — the transient overshoot is bounded by the caller count and the
 // per-shard admission bound still caps the fleet total.
-func (s *Service) fairAdmit(tenant string, n int) (string, error) {
+func (s *Service) fairAdmit(tenant string, n int) (*fairshare.Leaf, error) {
 	fc := s.fair
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	leaf := fc.tree.Ensure(tenant)
-	states := s.fairInputs()
+	states := s.fairInputs(leaf.Index() + 1)
 	states[leaf.Index()].Requesting = true
 	if states[leaf.Index()].InFlight+n > fc.tree.Share(leaf, states, s.cfg.MaxInFlight) {
-		fc.shed[leaf.Path] += int64(n)
-		return "", fmt.Errorf("%w: %s", ErrOverQuota, leaf.Path)
+		fc.tally(leaf).shed += int64(n)
+		return nil, fmt.Errorf("%w: %s", ErrOverQuota, leaf.Path)
 	}
-	return leaf.Path, nil
+	return leaf, nil
 }
 
-// fairInputs gathers every tree leaf's fleet-wide live state from the
-// shards' ledgers, indexed like the tree's leaves: in-flight counts sum,
-// usage sums in shard order with each shard's accumulator decayed to that
-// shard's own virtual clock. Callers hold fc.mu (lock order: controller,
-// then each shard briefly); the result is the controller's scratch, valid
-// until the next call.
-func (s *Service) fairInputs() []fairshare.State {
+// fairInputs gathers the leaves' fleet-wide live state from the shards'
+// ledgers, indexed by leaf index and covering at least the first n leaves:
+// in-flight counts sum, usage sums in shard order with each shard's
+// accumulator decayed to that shard's own virtual clock. A leaf past the
+// result reads as idle. Callers hold fc.mu (lock order: controller, then
+// each shard briefly); the result is the controller's scratch, valid until
+// the next call.
+func (s *Service) fairInputs(n int) []fairshare.State {
 	fc := s.fair
-	leaves := fc.tree.Leaves()
-	for i := len(fc.leafSlot); i < len(leaves); i++ {
-		fc.leafSlot = append(fc.leafSlot, fc.slots.of(leaves[i].Path))
-	}
-	if cap(fc.states) < len(leaves) {
-		fc.states = make([]fairshare.State, len(leaves))
-	}
-	fc.states = fc.states[:len(leaves)]
+	fc.states = slices.Grow(fc.states[:0], n)[:n]
 	clear(fc.states)
 	for _, sh := range s.shards {
-		sh.fairCollect(fc.leafSlot, fc.states)
+		fc.states = sh.fairCollect(fc.states)
 	}
 	return fc.states
-}
-
-// tenantSlots numbers tenant paths fleet-wide in first-seen order. Every
-// shard's ledger is a slice indexed by slot, so the gate reads one tenant
-// across shards at one index. Paths are never forgotten: they are queue-tree
-// leaves, bounded by the tree's dynamic-leaf cap. Its lock is taken by the
-// apply hooks under a shard lock and by the gate under the controller lock,
-// and nothing is locked under it.
-type tenantSlots struct {
-	mu    sync.Mutex
-	index map[string]int
-	paths []string
-}
-
-// of returns path's slot, numbering it if it is new.
-func (ts *tenantSlots) of(path string) int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	slot, ok := ts.index[path]
-	if !ok {
-		slot = len(ts.paths)
-		ts.index[path] = slot
-		ts.paths = append(ts.paths, path)
-	}
-	return slot
-}
-
-// path returns the path numbered slot.
-func (ts *tenantSlots) path(slot int) string {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.paths[slot]
 }
 
 // TenantStats is one fair-share leaf's slice of Stats.Tenants.
@@ -170,9 +120,11 @@ type TenantStats struct {
 	Shed     int64 `json:"shed"`
 }
 
-// tenantStats snapshots per-tenant fair-share state in deterministic leaf
-// order, or nil when fairness is off — keeping the fairness-off Stats
-// encoding bit-identical to pre-fairness builds.
+// tenantStats snapshots per-tenant fair-share state in the tree's listing
+// order (the leaves fairshare.New builds, then the rest by path, so the
+// list does not depend on the order tenants first appeared in), or nil
+// when fairness is off — keeping the fairness-off Stats encoding
+// bit-identical to pre-fairness builds.
 func (s *Service) tenantStats() []TenantStats {
 	fc := s.fair
 	if fc == nil {
@@ -180,42 +132,43 @@ func (s *Service) tenantStats() []TenantStats {
 	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	flat := s.fairInputs()
-	leaves := fc.tree.Leaves()
+	leaves := fc.tree.Listing()
+	flat := s.fairInputs(len(leaves))
 	states := make(map[string]fairshare.State, len(leaves))
-	for i, l := range leaves {
-		states[l.Path] = flat[i]
+	for _, l := range leaves {
+		states[l.Path] = flat[l.Index()]
 	}
 	shares := fc.tree.Shares(states, s.cfg.MaxInFlight)
 	out := make([]TenantStats, 0, len(leaves))
-	for i, l := range leaves {
-		st := flat[i]
+	for _, l := range leaves {
+		st, tl := states[l.Path], fc.tally(l)
 		out = append(out, TenantStats{
 			Path:     l.Path,
 			InFlight: st.InFlight,
 			Share:    shares[l.Path],
 			Usage:    st.Usage,
-			Admitted: fc.admitted[l.Path],
-			Shed:     fc.shed[l.Path],
+			Admitted: tl.admitted,
+			Shed:     tl.shed,
 		})
 	}
 	return out
 }
 
-// shardFair is the shard's slice of fair-share accounting, indexed by
-// tenant slot: the usage this shard charged each tenant, decayed on its
-// own virtual clock, and the tenant's jobs in flight here, plus each
-// in-flight job's slot. A stolen job is in flight on its thief, while the
-// usage its admission charged stays on the victim. Only the apply hooks
-// write it — Admitted, the completions, cancellations and steals that
-// forget a job, and a fair or snap record restoring it — all under the
-// shard lock; the gate reads it under the same lock.
+// shardFair is the shard's slice of fair-share accounting, indexed by leaf
+// index: the usage this shard charged each tenant, decayed on its own
+// virtual clock, and the tenant's jobs in flight here, plus each in-flight
+// job's leaf. A stolen job is in flight on its thief, while the usage its
+// admission charged stays on the victim. Only the apply hooks write it —
+// Admitted, the completions, cancellations and steals that forget a job,
+// and a fair or snap record restoring it — all under the shard lock; the
+// gate reads it under the same lock. A record's tenant resolves through
+// the tree, so replay and a follower create each dynamic leaf the live
+// gate did.
 type shardFair struct {
-	halfLife    int64
-	defaultPath string
-	slots       *tenantSlots
-	ledger      []fairLeaf
-	jobs        map[int]int // in-flight job → slot
+	tree     *fairshare.Tree
+	halfLife int64
+	ledger   []fairLeaf
+	jobs     map[int]*fairshare.Leaf // in-flight job → its leaf
 }
 
 // fairLeaf is one tenant's part of a shard ledger.
@@ -225,45 +178,39 @@ type fairLeaf struct {
 	inFlight int
 }
 
-// leaf returns slot's entry, growing the ledger to it.
-func (f *shardFair) leaf(slot int) *fairLeaf {
-	for len(f.ledger) <= slot {
+// leaf returns l's entry, growing the ledger to it.
+func (f *shardFair) leaf(l *fairshare.Leaf) *fairLeaf {
+	for len(f.ledger) <= l.Index() {
 		f.ledger = append(f.ledger, fairLeaf{})
 	}
-	return &f.ledger[slot]
-}
-
-// slot returns tenant's slot; "" is the default leaf.
-func (f *shardFair) slot(tenant string) int {
-	if tenant == "" {
-		tenant = f.defaultPath
-	}
-	return f.slots.of(tenant)
+	return &f.ledger[l.Index()]
 }
 
 // armFair enables the shard's fair ledger. Called from New before any
 // step loop or journal replay exists, so no locking is needed.
-func (sh *shard) armFair(halfLife int64, defaultPath string, slots *tenantSlots) {
-	sh.fair = &shardFair{halfLife: halfLife, defaultPath: defaultPath, slots: slots, jobs: make(map[int]int)}
+func (sh *shard) armFair(tree *fairshare.Tree) {
+	sh.fair = &shardFair{tree: tree, halfLife: tree.HalfLife(), jobs: make(map[int]*fairshare.Leaf)}
 }
 
-// fairCollect adds the shard's ledger into states, the tree leaf i reading
-// slot leafSlot[i], with usage decayed to this shard's current virtual
-// step. A leaf the shard never charged adds nothing.
-func (sh *shard) fairCollect(leafSlot []int, states []fairshare.State) {
+// fairCollect adds the shard's ledger into states, indexed by leaf index,
+// with usage decayed to this shard's current virtual step, and returns
+// states grown to cover the ledger. A leaf the shard never charged adds
+// nothing.
+func (sh *shard) fairCollect(states []fairshare.State) []fairshare.State {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	now, ledger := sh.eng.Now(), sh.fair.ledger
-	for i, slot := range leafSlot {
-		if slot >= len(ledger) {
-			continue
-		}
-		l := &ledger[slot]
+	for len(states) < len(ledger) {
+		states = append(states, fairshare.State{})
+	}
+	for i := range ledger {
+		l := &ledger[i]
 		if l.usage.V != 0 {
 			states[i].Usage += l.usage.At(now, sh.fair.halfLife)
 		}
 		states[i].InFlight += l.inFlight
 	}
+	return states
 }
 
 // fairAdmittedLocked accounts a committed admission in the ledger: every
@@ -276,36 +223,36 @@ func (sh *shard) fairCollect(leafSlot []int, states []fairshare.State) {
 // shard lock held by the Admitted apply hook on a fairness-enabled shard.
 func (sh *shard) fairAdmittedLocked(rec journal.Record, specs []sim.JobSpec, ids []int) {
 	f := sh.fair
-	slot := f.slot(rec.Tenant)
+	leaf := f.tree.Ensure(rec.Tenant)
 	if len(rec.From) == 0 {
-		l := f.leaf(slot)
+		l := f.leaf(leaf)
 		l.usage.Add(sh.eng.Now(), f.halfLife, specsCost(specs))
 		l.charged = true
 	}
 	for k, id := range ids {
 		if len(rec.Tenants) != 0 {
-			slot = f.slot(rec.Tenants[k])
+			leaf = f.tree.Ensure(rec.Tenants[k])
 		}
-		f.jobs[id] = slot
-		f.leaf(slot).inFlight++
+		f.jobs[id] = leaf
+		f.leaf(leaf).inFlight++
 	}
 }
 
 // fairForgetLocked drops a finished, cancelled or stolen job from the
-// in-flight ledger (accrued usage stays — it decays) and returns the slot
-// it was tracked under, or -1 for a job the ledger never tracked. Called
+// in-flight ledger (accrued usage stays — it decays) and returns the leaf
+// it was tracked under, or nil for a job the ledger never tracked. Called
 // with the shard lock held.
-func (sh *shard) fairForgetLocked(id int) int {
+func (sh *shard) fairForgetLocked(id int) *fairshare.Leaf {
 	if sh.fair == nil {
-		return -1
+		return nil
 	}
-	slot, ok := sh.fair.jobs[id]
+	leaf, ok := sh.fair.jobs[id]
 	if !ok {
-		return -1
+		return nil
 	}
 	delete(sh.fair.jobs, id)
-	sh.fair.ledger[slot].inFlight--
-	return slot
+	sh.fair.ledger[leaf.Index()].inFlight--
+	return leaf
 }
 
 // fairStateLocked snapshots the shard's ledger for a journal record
@@ -313,18 +260,19 @@ func (sh *shard) fairForgetLocked(id int) int {
 func (sh *shard) fairStateLocked() journal.FairState {
 	f := sh.fair
 	st := journal.FairState{V: 1, HalfLife: f.halfLife}
-	for slot, l := range f.ledger {
+	leaves := f.tree.Leaves()
+	for i, l := range f.ledger {
 		if l.charged {
 			if st.Usage == nil {
 				st.Usage = make(map[string]fairshare.Usage)
 			}
-			st.Usage[f.slots.path(slot)] = l.usage
+			st.Usage[leaves[i].Path] = l.usage
 		}
 	}
 	if len(f.jobs) > 0 {
 		st.Jobs = make(map[int]string, len(f.jobs))
-		for id, slot := range f.jobs {
-			st.Jobs[id] = f.slots.path(slot)
+		for id, leaf := range f.jobs {
+			st.Jobs[id] = leaf.Path
 		}
 	}
 	return st
@@ -335,14 +283,14 @@ func (sh *shard) setFairLocked(st journal.FairState) {
 	f := sh.fair
 	clear(f.ledger)
 	for path, u := range st.Usage {
-		l := f.leaf(f.slots.of(path))
+		l := f.leaf(f.tree.Ensure(path))
 		l.usage, l.charged = u, true
 	}
-	f.jobs = make(map[int]int, len(st.Jobs))
+	f.jobs = make(map[int]*fairshare.Leaf, len(st.Jobs))
 	for id, tenant := range st.Jobs {
-		slot := f.slots.of(tenant)
-		f.jobs[id] = slot
-		f.leaf(slot).inFlight++
+		leaf := f.tree.Ensure(tenant)
+		f.jobs[id] = leaf
+		f.leaf(leaf).inFlight++
 	}
 }
 

@@ -317,17 +317,17 @@ func snapshotLedger(sh *shard) fairLedger {
 		inFlight: map[string]int{},
 		jobs:     map[int]string{},
 	}
-	f := sh.fair
-	for slot, e := range f.ledger {
+	f, leaves := sh.fair, sh.fair.tree.Leaves()
+	for i, e := range f.ledger {
 		if e.charged {
-			l.usage[f.slots.path(slot)] = [2]uint64{math.Float64bits(e.usage.V), uint64(e.usage.AsOf)}
+			l.usage[leaves[i].Path] = [2]uint64{math.Float64bits(e.usage.V), uint64(e.usage.AsOf)}
 		}
 		if e.inFlight != 0 {
-			l.inFlight[f.slots.path(slot)] = e.inFlight
+			l.inFlight[leaves[i].Path] = e.inFlight
 		}
 	}
-	for k, slot := range f.jobs {
-		l.jobs[k] = f.slots.path(slot)
+	for k, leaf := range f.jobs {
+		l.jobs[k] = leaf.Path
 	}
 	return l
 }
@@ -532,18 +532,18 @@ func fairStates(s *Service, requesting string) map[string]fairshare.State {
 	states := make(map[string]fairshare.State)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		f, now := sh.fair, sh.eng.Now()
-		for slot, e := range f.ledger {
+		f, now, leaves := sh.fair, sh.eng.Now(), sh.fair.tree.Leaves()
+		for i, e := range f.ledger {
 			if e.charged {
-				st := states[f.slots.path(slot)]
+				st := states[leaves[i].Path]
 				st.Usage += e.usage.At(now, f.halfLife)
-				states[f.slots.path(slot)] = st
+				states[leaves[i].Path] = st
 			}
 		}
-		for _, slot := range f.jobs {
-			st := states[f.slots.path(slot)]
+		for _, leaf := range f.jobs {
+			st := states[leaf.Path]
 			st.InFlight++
-			states[f.slots.path(slot)] = st
+			states[leaf.Path] = st
 		}
 		sh.mu.Unlock()
 	}

@@ -153,18 +153,6 @@ func (sh *shard) attachJournal(jc *JournalConfig, opts journal.Options) error {
 	sh.steps = 0
 	sh.jn = jn
 	sh.compactEvery = jc.SnapshotEvery
-	if sh.fair != nil && jn.RecordsSinceCompact() == 0 && !sh.standby {
-		// Head marker on a fresh fairness-enabled journal: declares the
-		// half-life so later replays cross-check decay math before
-		// accruing anything under the wrong curve. A standby follower skips
-		// it — its journal head must be the primary's own head record,
-		// replicated like everything else, or the two journals diverge at
-		// sequence 1.
-		rec := journal.FairRecord(sh.fairStateLocked())
-		if err := sh.commitLocked(&rec, nil); err != nil {
-			return fmt.Errorf("server: shard %d: replay %s: write fair head record: %w", sh.idx, path, err)
-		}
-	}
 	return nil
 }
 

@@ -166,7 +166,7 @@ func (f countedFile) Sync() error {
 
 // TestStartupDrivesHooksOnOneGoroutine: New calls a fleet's schedulers and
 // journal files from the caller's goroutine only — the fresh journals'
-// headers and fair-share head records as they are written, and the
+// headers as they are written, and the
 // scheduler as a restart replays steps — so a caller may share state
 // between shards' hooks without a lock.
 func TestStartupDrivesHooksOnOneGoroutine(t *testing.T) {

@@ -40,8 +40,8 @@ type ReplicationStats struct {
 
 // SetReplicator attaches the primary-side replication hook to every shard
 // and reports how far each shard's journal already reaches (replayed
-// history, the fairness head), so those records ship too. Call before
-// Start and before serving traffic (cmd/kradd wires it right after New).
+// history), so those records ship too. Call before Start and before
+// serving traffic (cmd/kradd wires it right after New).
 func (s *Service) SetReplicator(r Replicator) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -109,9 +109,6 @@ func (s *Service) Promote() {
 			}
 			sh.mu.Unlock()
 		}
-	}
-	if s.fair != nil {
-		s.fair.ensureLeaves()
 	}
 	if started {
 		for _, sh := range s.shards {

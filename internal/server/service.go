@@ -181,8 +181,10 @@ type Stats struct {
 	// wire) when journaling is disabled, keeping the journal-free Stats
 	// encoding bit-identical to builds before durability existed.
 	Journal *JournalStats `json:"journal,omitempty"`
-	// Tenants is per-leaf fair-share state in deterministic leaf order;
-	// nil (omitted on the wire) when fairness is disabled, keeping the
+	// Tenants is per-leaf fair-share state: the configured leaves and the
+	// default leaf in configuration order, then every dynamic leaf by
+	// path, the same in every process over the same journals. Nil
+	// (omitted on the wire) when fairness is disabled, keeping the
 	// fairness-free Stats encoding bit-identical to earlier builds.
 	Tenants []TenantStats `json:"tenants,omitempty"`
 	// Replication reports the daemon's replication role and stream state;
@@ -262,7 +264,6 @@ func New(cfg Config) (*Service, error) {
 		if i == 0 {
 			schedName = sh.eng.SchedulerName()
 		}
-		sh.standby = cfg.Follower
 		sh.ledger = ledger
 		shards[i] = sh
 	}
@@ -296,7 +297,7 @@ func New(cfg Config) (*Service, error) {
 		// Arm each shard's ledger before journal replay, so replay can
 		// rebuild fair-share state alongside engine state.
 		for _, sh := range shards {
-			sh.armFair(fc.tree.HalfLife(), fc.tree.Default().Path, fc.slots)
+			sh.armFair(fc.tree)
 		}
 	}
 	s.shape = journal.Shape{Caps: append([]int(nil), cfg.Sim.Caps...), Shards: cfg.Shards}
@@ -315,9 +316,6 @@ func New(cfg Config) (*Service, error) {
 		// to Promote: its ledger fills from the replicated stream and its
 		// engines must not mutate outside it until then.
 		err = s.reconcileSteals()
-	}
-	if err == nil && s.fair != nil && !cfg.Follower {
-		s.fair.ensureLeaves()
 	}
 	if err == nil && record {
 		err = journal.WriteShape(cfg.Journal.Dir, s.shape)
@@ -425,13 +423,14 @@ func (s *Service) SubmitBatchTenant(key, tenant string, specs []sim.JobSpec) ([]
 // shard's all-or-nothing admission of a copy of specs, and the tenant's
 // admitted tally. It returns the shard and the engine-local IDs.
 func (s *Service) submit(key, tenant string, specs []sim.JobSpec) (*shard, []int, error) {
+	var leaf *fairshare.Leaf
 	leafPath := ""
 	if s.fair != nil {
 		var err error
-		leafPath, err = s.fairAdmit(tenant, len(specs))
-		if err != nil {
+		if leaf, err = s.fairAdmit(tenant, len(specs)); err != nil {
 			return nil, nil, err
 		}
+		leafPath = leaf.Path
 	}
 	sh, err := s.pick(key)
 	if err != nil {
@@ -444,7 +443,7 @@ func (s *Service) submit(key, tenant string, specs []sim.JobSpec) (*shard, []int
 		return nil, nil, err
 	}
 	if s.fair != nil {
-		s.fair.recordAdmit(leafPath, len(ids))
+		s.fair.recordAdmit(leaf, len(ids))
 	}
 	return sh, ids, nil
 }

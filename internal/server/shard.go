@@ -105,15 +105,14 @@ type shard struct {
 	// last snapshot (which counts as one) — the pos argument journal.Apply
 	// needs.
 	// rep, when set, is woken by every committed record (primary mode) and
-	// gates admissions behind fencing/lease checks. standby marks a
-	// follower shard at journal-attach time; repErr latches a follower
-	// that diverged from its primary's stream. newEngine rebuilds a fresh
-	// engine (fresh scheduler instance included) for snapshot restores.
+	// gates admissions behind fencing/lease checks. repErr latches a
+	// follower that diverged from its primary's stream. newEngine rebuilds a
+	// fresh engine (fresh scheduler instance included) for snapshot
+	// restores.
 	rep       Replicator
 	repSeq    int64
 	applied   int64
 	repErr    error
-	standby   bool
 	newEngine func() (*sim.Engine, error)
 
 	wake chan struct{}

@@ -155,11 +155,6 @@ var (
 	// NewQuantized wraps any scheduler to recompute allotments only every
 	// L steps (the two-level deployment model; see experiment E13).
 	NewQuantized = sched.NewQuantized
-	// WithFloors returns its scheduler.
-	//
-	// Deprecated: the engine grants the floors of non-preemptive jobs (see
-	// TimedGraphSource) under any scheduler.
-	WithFloors = sched.WithFloors
 )
 
 // Simulation types (internal/sim).
