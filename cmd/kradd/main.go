@@ -363,7 +363,7 @@ func main() {
 	svc, err := server.New(server.Config{
 		// Tasks are picked FIFO (the zero Pick): the paper's bounds hold for
 		// every pick policy, and kradsim is the tool that compares them.
-		Sim:         sim.Config{K: k, Caps: caps, ValidateAllotments: true},
+		Sim:         sim.Config{K: k, Caps: caps},
 		MaxInFlight: o.queue,
 		StepEvery:   o.step,
 		Shards:      f.shards,

@@ -124,7 +124,7 @@ func main() {
 	}
 	res, err := sim.Run(sim.Config{
 		K: k, Caps: caps, Scheduler: scheduler, Pick: pick, Seed: *seedFlag,
-		Trace: level, ValidateAllotments: true,
+		Trace: level,
 	}, specs)
 	if err != nil {
 		log.Fatal(err)

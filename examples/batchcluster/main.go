@@ -37,7 +37,7 @@ func main() {
 
 	res, err := krad.Run(krad.Config{
 		K: k, Caps: caps, Scheduler: krad.NewKRAD(k),
-		Pick: krad.PickFIFO, ValidateAllotments: true,
+		Pick: krad.PickFIFO,
 	}, specs)
 	if err != nil {
 		log.Fatal(err)

@@ -56,7 +56,7 @@ func main() {
 	for _, name := range []string{"k-rad", "deq-only", "rr-only", "equi", "fcfs"} {
 		s := scheduler(name, K)
 		res, err := krad.Run(krad.Config{
-			K: K, Caps: caps, Scheduler: s, Pick: krad.PickFIFO, ValidateAllotments: true,
+			K: K, Caps: caps, Scheduler: s, Pick: krad.PickFIFO,
 		}, specs)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)

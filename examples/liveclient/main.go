@@ -133,7 +133,7 @@ func finished(base string, caps []int, id int) row {
 // returns its base URL.
 func selfHost() string {
 	svc, err := server.New(server.Config{
-		Sim:          sim.Config{K: 2, Caps: []int{4, 2}, ValidateAllotments: true},
+		Sim:          sim.Config{K: 2, Caps: []int{4, 2}},
 		NewScheduler: func() sched.Scheduler { return core.NewKRAD(2) },
 		StepEvery:    5 * time.Millisecond,
 	})

@@ -46,8 +46,7 @@ func main() {
 		}
 		res, err := krad.Run(krad.Config{
 			K: K, Caps: caps, Scheduler: s, Pick: krad.PickFIFO,
-			ValidateAllotments: true,
-			MaxSteps:           (l + 4) * (4*totalWork + 64),
+			MaxSteps: (l + 4) * (4*totalWork + 64),
 		}, specs)
 		if err != nil {
 			log.Fatal(err)

@@ -45,12 +45,11 @@ func main() {
 	}
 
 	res, err := krad.Run(krad.Config{
-		K:                  K,
-		Caps:               caps,
-		Scheduler:          krad.NewKRAD(K),
-		Pick:               krad.PickFIFO,
-		Trace:              krad.TraceTasks,
-		ValidateAllotments: true,
+		K:         K,
+		Caps:      caps,
+		Scheduler: krad.NewKRAD(K),
+		Pick:      krad.PickFIFO,
+		Trace:     krad.TraceTasks,
 	}, specs)
 	if err != nil {
 		log.Fatal(err)

@@ -73,7 +73,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := krad.Run(krad.Config{
-			K: K, Caps: caps, Scheduler: s, ValidateAllotments: true,
+			K: K, Caps: caps, Scheduler: s,
 		}, specs)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)

@@ -111,7 +111,6 @@ func run(cfg sim.Config, specs []sim.JobSpec) (*sim.Result, error) {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = core.NewKRAD(cfg.K)
 	}
-	cfg.ValidateAllotments = true
 	return sim.Run(cfg, specs)
 }
 

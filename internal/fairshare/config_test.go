@@ -127,16 +127,17 @@ func FuzzFairConfig(f *testing.F) {
 			// least as strict as the compiler.
 			t.Fatalf("parsed config does not compile: %v\ninput: %q", err, in)
 		}
-		states := make(map[string]State)
-		for i, l := range tr.Leaves() {
-			states[l.Path] = State{InFlight: i % 3, Usage: float64(i) * 1.5, Requesting: i%2 == 0}
+		leaves := tr.Leaves()
+		states := make([]State, len(leaves))
+		for i := range leaves {
+			states[i] = State{InFlight: i % 3, Usage: float64(i) * 1.5, Requesting: i%2 == 0}
 		}
 		const capacity = 17
 		shares := tr.Shares(states, capacity)
 		sum := 0
-		for path, v := range shares {
+		for i, v := range shares {
 			if v < 0 {
-				t.Fatalf("negative share %d for %q", v, path)
+				t.Fatalf("negative share %d for %q", v, leaves[i].Path)
 			}
 			sum += v
 		}

@@ -27,6 +27,7 @@
 package fairshare
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -168,11 +169,9 @@ func New(cfg Config) (*Tree, error) {
 	if defPath == "" {
 		defPath = "default"
 	}
-	def, err := t.ensure(defPath)
-	if err != nil {
-		return nil, fmt.Errorf("fairshare: default leaf: %w", err)
+	if t.def = t.ensure(defPath); t.def == nil {
+		return nil, fmt.Errorf("fairshare: default leaf %q is not a valid leaf path", defPath)
 	}
-	t.def = def
 	t.static = len(t.order)
 	return t, nil
 }
@@ -188,10 +187,8 @@ func (t *Tree) build(parent *node, prefix string, nc NodeConfig, dynamic bool) e
 	if prefix != "" {
 		path = prefix + "/" + nc.Name
 	}
-	for _, c := range parent.children {
-		if c.name == nc.Name {
-			return fmt.Errorf("fairshare: duplicate node %q", path)
-		}
+	if parent.child(nc.Name) != nil {
+		return fmt.Errorf("fairshare: duplicate node %q", path)
 	}
 	n := &node{
 		name:     nc.Name,
@@ -228,6 +225,15 @@ func (t *Tree) build(parent *node, prefix string, nc NodeConfig, dynamic bool) e
 	for _, child := range nc.Children {
 		if err := t.build(n, path, child, dynamic); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+func (n *node) child(name string) *node {
+	for _, c := range n.children {
+		if c.name == name {
+			return c
 		}
 	}
 	return nil
@@ -274,12 +280,13 @@ func (t *Tree) Listing() []*Leaf {
 	return out
 }
 
-// Lookup returns the leaf with the exact path, if one exists.
+// Lookup returns the leaf Ensure(path) would return, and false when
+// Ensure would create one. It creates nothing.
 func (t *Tree) Lookup(path string) (*Leaf, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	l, ok := t.leaves[path]
-	return l, ok
+	l, _, _ := t.resolve(path)
+	return l, l != nil
 }
 
 // Ensure resolves a tenant header value to a leaf, auto-creating a
@@ -302,105 +309,118 @@ func (t *Tree) Lookup(path string) (*Leaf, bool) {
 func (t *Tree) Ensure(path string) *Leaf {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	l, err := t.ensure(path)
-	if err != nil || l == nil {
-		return t.def
+	return t.ensure(path)
+}
+
+func (t *Tree) ensure(path string) *Leaf {
+	l, n, segs := t.resolve(path)
+	if l == nil && n != nil { // n is nil too for a malformed path while New has no default leaf yet
+		l = t.extend(n, segs)
 	}
 	return l
 }
 
-func (t *Tree) ensure(path string) (*Leaf, error) {
+// resolve applies Ensure's rules without creating anything: it returns
+// the leaf, or, when Ensure would create one, the node its dynamic chain
+// hangs from and the chain's segments.
+func (t *Tree) resolve(path string) (*Leaf, *node, []string) {
 	if path == "" {
-		return t.def, nil
+		return t.def, nil, nil
 	}
 	if l, ok := t.leaves[path]; ok {
-		return l, nil
+		return l, nil, nil
 	}
-	segs := strings.Split(path, "/")
-	if len(segs) > 3 { // tenant → project → queue: three levels deep
-		return nil, fmt.Errorf("fairshare: path %q deeper than 3 levels", path)
+	segs := strings.Split(path, "/") // tenant → project → queue: three levels deep
+	if len(segs) > 3 || slices.ContainsFunc(segs, func(s string) bool { return checkSegment(s) != nil }) {
+		return t.def, nil, nil
 	}
-	for _, s := range segs {
-		if err := checkSegment(s); err != nil {
-			return nil, err
+	n, i := t.root, 0
+	for ; i < len(segs) && n.leaf == nil; i++ {
+		c := n.child(segs[i])
+		if c == nil {
+			break
 		}
+		n = c
 	}
-	n := t.root
-	prefix := ""
-walk:
-	for _, s := range segs {
-		if n.leaf != nil {
-			// A configured leaf absorbs unconfigured sub-paths.
-			return n.leaf, nil
+	switch {
+	case n.leaf != nil: // a configured leaf absorbs its unconfigured sub-paths
+		return n.leaf, nil, nil
+	case i == len(segs): // an interior node: its default child
+		if c := n.child("default"); c != nil {
+			return cmp.Or(c.leaf, t.def), nil, nil
 		}
-		for _, c := range n.children {
-			if c.name == s {
-				n = c
-				prefix = c.path
-				continue walk
-			}
-		}
-		// Unknown segment: extend dynamically from here.
-		rest := segs[len(strings.Split(prefix, "/")):]
-		if prefix == "" {
-			rest = segs
-		}
-		return t.extend(n, prefix, rest)
+		segs, i = []string{"default"}, 0
 	}
-	// Path names an interior node: resolve to its default child leaf,
-	// created dynamically if it does not exist yet.
-	for _, c := range n.children {
-		if c.name == "default" && c.leaf != nil {
-			return c.leaf, nil
-		}
+	if t.dynamic >= MaxDynamicLeaves {
+		return t.def, nil, nil
 	}
-	return t.extend(n, prefix, []string{"default"})
+	return nil, n, segs[i:]
 }
 
-// extend grows a dynamic chain of nodes under n ending in a leaf.
-func (t *Tree) extend(n *node, prefix string, segs []string) (*Leaf, error) {
-	if t.dynamic >= MaxDynamicLeaves {
-		return t.def, nil
-	}
+// extend grows the dynamic chain resolve found under n, ending in a leaf.
+func (t *Tree) extend(n *node, segs []string) *Leaf {
 	nc := NodeConfig{Name: segs[len(segs)-1], Weight: 1}
 	for i := len(segs) - 2; i >= 0; i-- {
 		nc = NodeConfig{Name: segs[i], Weight: 1, Children: []NodeConfig{nc}}
 	}
-	if err := t.build(n, prefix, nc, true); err != nil {
-		return nil, err
+	if err := t.build(n, n.path, nc, true); err != nil {
+		panic(err) // resolve checked every segment, and that n has no such child
 	}
 	t.dynamic++
-	leafPath := prefix
-	if leafPath == "" {
-		leafPath = strings.Join(segs, "/")
-	} else {
-		leafPath = prefix + "/" + strings.Join(segs, "/")
+	return t.order[len(t.order)-1]
+}
+
+// Request is the gate's question: the leaf Ensure(path) would return (nil
+// if Ensure would create it), that leaf's path, and its share over states
+// as the requester. It creates nothing: a leaf Ensure would create is
+// grown under the lock, divided for, and unlinked before Request returns,
+// so the tree, its listing and every index are as they were. (Growing the
+// real chain, rather than adding a synthetic claimant to the division,
+// keeps one path: the leaf sits and claims exactly as Ensure would make it.)
+func (t *Tree) Request(path string, states []State, capacity int) (leaf *Leaf, resolved string, share int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	l, n, segs := t.resolve(path)
+	if leaf = l; l == nil {
+		l = t.extend(n, segs)
+		defer t.unlink(n, l)
+		states = states[:min(len(states), l.index)] // the new leaf starts idle
 	}
-	return t.leaves[leafPath], nil
+	t.div.req = l.n
+	share = t.share(l, states, capacity)
+	t.div.req = nil
+	return leaf, l.Path, share
+}
+
+// unlink removes the chain extend grew under n for l.
+func (t *Tree) unlink(n *node, l *Leaf) {
+	head := l.n
+	for head.parent != n {
+		head = head.parent
+	}
+	n.children = slices.Delete(n.children, head.pos, head.pos+1)
+	for i := head.pos; i < len(n.children); i++ {
+		n.children[i].pos = i
+	}
+	delete(t.leaves, l.Path)
+	t.order = slices.Delete(t.order, l.index, l.index+1)
+	t.dynamic--
 }
 
 // Shares divides capacity admission slots among the tree's leaves by
 // hierarchical weighted fair share over the active set. states carries
-// each leaf's live inputs (missing entries mean idle with zero usage);
-// the result maps every leaf path to its integer bound, summing to
-// exactly capacity whenever at least one active leaf has over-quota
-// weight at every level. The result is deterministic: shares depend only
-// on (tree, states, capacity), never on map iteration order.
-func (t *Tree) Shares(states map[string]State, capacity int) map[string]int {
+// each leaf's live inputs, indexed like Leaves() (a shorter slice leaves
+// the missing leaves idle); the result is indexed the same way, one bound
+// per leaf, summing to exactly capacity whenever at least one active leaf
+// has over-quota weight at every level. The result is deterministic:
+// shares depend only on (tree, states, capacity).
+func (t *Tree) Shares(states []State, capacity int) []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[string]int, len(t.leaves))
-	for path := range t.leaves {
-		out[path] = 0
+	out := make([]int, len(t.order))
+	if capacity > 0 {
+		t.divide(t.root, 0, capacity, states, out)
 	}
-	if capacity <= 0 {
-		return out
-	}
-	flat := make([]State, len(t.order))
-	for i, l := range t.order {
-		flat[i] = states[l.Path]
-	}
-	t.divide(t.root, 0, capacity, flat, out)
 	return out
 }
 
@@ -413,6 +433,10 @@ func (t *Tree) Shares(states map[string]State, capacity int) map[string]int {
 func (t *Tree) Share(l *Leaf, states []State, capacity int) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.share(l, states, capacity)
+}
+
+func (t *Tree) share(l *Leaf, states []State, capacity int) int {
 	path := t.div.path[:0]
 	for n := l.n; n != t.root; n = n.parent {
 		path = append(path, n)
@@ -444,7 +468,7 @@ func (t *Tree) gather(n *node, states []State) aggregate {
 		}
 		return aggregate{
 			n:        n,
-			active:   st.InFlight > 0 || st.Requesting,
+			active:   st.InFlight > 0 || st.Requesting || n == t.div.req,
 			deserved: n.deserved,
 			weight:   n.weight,
 			priority: n.priority,
@@ -475,9 +499,9 @@ func (t *Tree) gather(n *node, states []State) aggregate {
 	return agg
 }
 
-func (t *Tree) divide(n *node, depth, alloc int, states []State, out map[string]int) {
+func (t *Tree) divide(n *node, depth, alloc int, states []State, out []int) {
 	if n.leaf != nil {
-		out[n.path] = alloc
+		out[n.leaf.index] = alloc
 		return
 	}
 	grants := t.split(n, depth, alloc, states)
@@ -518,6 +542,7 @@ func (t *Tree) split(n *node, depth, alloc int, states []State) []int {
 // divider is the division's scratch, kept on the tree and reused by every
 // Shares and Share call: the admission gate divides once per submission.
 type divider struct {
+	req      *node   // Request's leaf, active whatever its State
 	path     []*node // Share's ancestors, leaf first
 	grants   [][]int // per depth
 	aggs     []aggregate

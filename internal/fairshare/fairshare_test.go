@@ -1,6 +1,7 @@
 package fairshare
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -73,6 +74,21 @@ func TestUsageDropsBelowOnePercent(t *testing.T) {
 	if got := u.At(7*64, 64); got >= 10 {
 		t.Errorf("usage after 7 half-lives = %g, want below 1%% of 1000", got)
 	}
+}
+
+// sharesByPath is Shares over path-keyed states, keyed by leaf path: the
+// form the table tests read best in.
+func sharesByPath(tr *Tree, states map[string]State, capacity int) map[string]int {
+	leaves := tr.Leaves()
+	flat := make([]State, len(leaves))
+	for i, l := range leaves {
+		flat[i] = states[l.Path]
+	}
+	out := make(map[string]int, len(leaves))
+	for i, v := range tr.Shares(flat, capacity) {
+		out[leaves[i].Path] = v
+	}
+	return out
 }
 
 func flatTree(t *testing.T, nodes ...NodeConfig) *Tree {
@@ -206,7 +222,7 @@ func TestSharesWeightedDivision(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			tr := flatTree(t, c.nodes...)
-			got := tr.Shares(c.states, c.capacity)
+			got := sharesByPath(tr, c.states, c.capacity)
 			if !reflect.DeepEqual(got, c.want) {
 				t.Errorf("Shares = %v, want %v", got, c.want)
 			}
@@ -228,7 +244,7 @@ func TestSharesSumToCapacity(t *testing.T) {
 		"c": {InFlight: 1, Usage: 400},
 	}
 	for capacity := 1; capacity <= 64; capacity++ {
-		got := tr.Shares(states, capacity)
+		got := sharesByPath(tr, states, capacity)
 		sum := 0
 		for _, v := range got {
 			sum += v
@@ -273,12 +289,12 @@ func TestRebalanceDeterminism(t *testing.T) {
 			}
 		}
 		capacity := 1 + rng.Intn(100)
-		a := tr.Shares(fwd, capacity)
-		b := tr.Shares(rev, capacity)
+		a := sharesByPath(tr, fwd, capacity)
+		b := sharesByPath(tr, rev, capacity)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("trial %d: insertion order changed shares: %v vs %v", trial, a, b)
 		}
-		if c := tr.Shares(fwd, capacity); !reflect.DeepEqual(a, c) {
+		if c := sharesByPath(tr, fwd, capacity); !reflect.DeepEqual(a, c) {
 			t.Fatalf("trial %d: repeated call changed shares: %v vs %v", trial, a, c)
 		}
 	}
@@ -328,7 +344,7 @@ func TestLateNodesInNameOrder(t *testing.T) {
 		for i, p := range paths {
 			states[p] = State{InFlight: 1, Usage: 0.1 * float64(i+1)}
 		}
-		return b.String(), listing, tr.Shares(states, 17)
+		return b.String(), listing, sharesByPath(tr, states, 17)
 	}
 	shape, listing, shares := build(paths)
 	if want := "zeta zeta/prod zeta/ab zeta/cv zeta/ml acme default beta beta/a beta/x team-a team-b "; shape != want {
@@ -462,10 +478,25 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// randomTree builds a queue tree of up to three configured levels with
-// random deserved quotas, weights and priorities, plus dynamic leaves.
-func randomTree(t *testing.T, rng *rand.Rand) *Tree {
-	t.Helper()
+// TestRequestAllocatesNothing: the gate's question about a header that
+// names an existing leaf, or no tenant, allocates nothing once the tree's
+// scratch has grown.
+func TestRequestAllocatesNothing(t *testing.T) {
+	tr := flatTree(t,
+		NodeConfig{Name: "acme", Weight: 2, Children: []NodeConfig{{Name: "ml", Weight: 3}, {Name: "web", Weight: 1}}},
+		NodeConfig{Name: "beta", Weight: 1},
+	)
+	states := []State{{InFlight: 3, Usage: 5}, {InFlight: 1, Usage: 2}, {InFlight: 2, Usage: 9}}
+	for _, path := range []string{"acme/web", "", "beta"} {
+		if avg := testing.AllocsPerRun(100, func() { tr.Request(path, states, 37) }); avg != 0 {
+			t.Errorf("Request(%q) allocates %.1f/op, want 0", path, avg)
+		}
+	}
+}
+
+// randomConfig draws a queue tree of up to three configured levels with
+// random deserved quotas, weights and priorities.
+func randomConfig(rng *rand.Rand) Config {
 	names := 0
 	var level func(depth int) []NodeConfig
 	level = func(depth int) []NodeConfig {
@@ -484,7 +515,13 @@ func randomTree(t *testing.T, rng *rand.Rand) *Tree {
 		}
 		return nodes
 	}
-	tr, err := New(Config{Nodes: level(0)})
+	return Config{Nodes: level(0)}
+}
+
+// randomTree builds randomConfig's tree plus dynamic leaves.
+func randomTree(t *testing.T, rng *rand.Rand) *Tree {
+	t.Helper()
+	tr, err := New(randomConfig(rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,6 +529,101 @@ func randomTree(t *testing.T, rng *rand.Rand) *Tree {
 		tr.Ensure(p)
 	}
 	return tr
+}
+
+// randomPaths draws tenant paths over tr's nodes: configured paths and
+// their sub-paths (absorbed, or defaulted under an interior node), and
+// new dynamic chains under the root or under any interior node.
+func randomPaths(tr *Tree, rng *rand.Rand, n int) []string {
+	var nodes []string
+	var walk func(nd *node)
+	walk = func(nd *node) {
+		for _, c := range nd.children {
+			nodes = append(nodes, c.path)
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	out := make([]string, n)
+	for i := range out {
+		p := fmt.Sprintf("d%d", rng.Intn(6))
+		switch rng.Intn(4) {
+		case 0:
+			p = nodes[rng.Intn(len(nodes))]
+		case 1:
+			p = nodes[rng.Intn(len(nodes))] + "/" + p
+		case 2:
+			p += fmt.Sprintf("/e%d", rng.Intn(3))
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// FuzzTreeShare is the gate's differential test: over a random tree grown
+// by random Ensure calls and random states, Request's share for a path
+// equals the Shares entry that Ensure(path)'s leaf gets as the requester
+// on a second tree grown the same way, and the first tree keeps its
+// listing and every leaf index. A path with no leaf yet is exactly the
+// case where the gate answers for a leaf that does not exist.
+func FuzzTreeShare(f *testing.F) {
+	f.Add(int64(1), "", uint8(0), uint8(0), 17)
+	f.Add(int64(2), "d1/e2", uint8(5), uint8(1), 9)
+	f.Add(int64(3), "nb/deep", uint8(9), uint8(1), 40)
+	f.Add(int64(4), "a/b/c/d", uint8(2), uint8(1), 3)
+	f.Fuzz(func(t *testing.T, seed int64, raw string, grow, pick uint8, capacity int) {
+		if len(raw) > 200 {
+			t.Skip("no tenant path is this long; a long one only slows minimizing")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		cfg := randomConfig(rng)
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := New(cfg)
+		for _, p := range randomPaths(a, rng, int(grow%12)) {
+			a.Ensure(p)
+			b.Ensure(p)
+		}
+		path := raw
+		if pick%2 == 0 {
+			path = randomPaths(a, rng, 1)[0]
+		}
+		listing := func() (paths []string) {
+			for _, l := range a.Listing() {
+				paths = append(paths, l.Path)
+			}
+			return paths
+		}
+		before := listing()
+		states := make([]State, len(a.Leaves()))
+		for i := range states {
+			if rng.Intn(3) != 0 {
+				states[i] = State{InFlight: rng.Intn(6), Usage: float64(rng.Intn(500)) / 7}
+			}
+		}
+		capacity %= 64
+
+		leaf, resolved, share := a.Request(path, states, capacity)
+		if after := listing(); !slices.Equal(after, before) {
+			t.Fatalf("Request(%q) changed the listing: %v, was %v", path, after, before)
+		}
+		for i, l := range a.Leaves() {
+			if l.Index() != i {
+				t.Fatalf("Request(%q): leaf %s has index %d, want %d", path, l.Path, l.Index(), i)
+			}
+		}
+		want := b.Ensure(path)
+		if want.Path != resolved || (leaf == nil) != (want.Index() == len(states)) || (leaf != nil && leaf.Index() != want.Index()) {
+			t.Fatalf("Request(%q) resolves %v at %q, Ensure gives %s at index %d of %d", path, leaf, resolved, want.Path, want.Index(), len(states))
+		}
+		bstates := append(slices.Clone(states), make([]State, len(b.Leaves())-len(states))...)
+		bstates[want.Index()].Requesting = true
+		if got := b.Shares(bstates, capacity)[want.Index()]; share != got {
+			t.Fatalf("Request(%q) shares %d, Shares gives the requesting %s %d", path, share, want.Path, got)
+		}
+	})
 }
 
 // TestShareMatchesShares: the path-only division gives every leaf the
@@ -502,22 +634,20 @@ func TestShareMatchesShares(t *testing.T) {
 		tr := randomTree(t, rng)
 		leaves := tr.Leaves()
 		flat := make([]State, len(leaves))
-		states := make(map[string]State)
-		for i, l := range leaves {
+		for i := range leaves {
 			if rng.Intn(3) == 0 {
 				continue
 			}
 			flat[i] = State{InFlight: rng.Intn(6), Usage: float64(rng.Intn(500)) / 7, Requesting: rng.Intn(5) == 0}
-			states[l.Path] = flat[i]
 		}
 		capacity := rng.Intn(40) - 2
-		want := tr.Shares(states, capacity)
+		want := tr.Shares(flat, capacity)
 		for i, l := range leaves {
 			if l.Index() != i {
 				t.Fatalf("leaf %s has index %d, want %d", l.Path, l.Index(), i)
 			}
-			if got := tr.Share(l, flat, capacity); got != want[l.Path] {
-				t.Fatalf("trial %d: Share(%s) = %d, Shares gives %d (%v)", trial, l.Path, got, want[l.Path], want)
+			if got := tr.Share(l, flat, capacity); got != want[i] {
+				t.Fatalf("trial %d: Share(%s) = %d, Shares gives %d (%v)", trial, l.Path, got, want[i], want)
 			}
 		}
 	}

@@ -37,14 +37,6 @@ type fairController struct {
 // process.
 type tally struct{ admitted, shed int64 }
 
-func newFairController(cfg fairshare.Config) (*fairController, error) {
-	tree, err := fairshare.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &fairController{tree: tree}, nil
-}
-
 // tally returns l's counters, growing the table to it. Callers hold mu.
 func (fc *fairController) tally(l *fairshare.Leaf) *tally {
 	for len(fc.tallies) <= l.Index() {
@@ -53,38 +45,52 @@ func (fc *fairController) tally(l *fairshare.Leaf) *tally {
 	return &fc.tallies[l.Index()]
 }
 
-// recordAdmit counts a committed admission against the leaf.
-func (fc *fairController) recordAdmit(l *fairshare.Leaf, n int) {
-	fc.mu.Lock()
-	fc.tally(l).admitted += int64(n)
-	fc.mu.Unlock()
-}
-
-// fairAdmit is the fair-share admission gate: it resolves the tenant
-// header to a leaf, divides the fleet bound over the active leaves (with
-// the requester forced active, so a first submission is never shed for
-// lack of a share), and rejects the n jobs with ErrOverQuota when they
-// would take the leaf's in-flight work past its share. Only the share of
-// the requesting leaf is computed: Tree.Share divides down its ancestor
-// path alone, which gives what the full division (Tree.Shares) gives that
-// leaf. Returns the resolved leaf for downstream accounting. Only called
-// when fairness is enabled.
+// fairSubmit is submit behind the fair-share gate: the n jobs are shed
+// with ErrOverQuota when they would take the tenant leaf's in-flight work
+// past its share of the fleet bound, divided with that leaf as the
+// requester (so a first submission is never shed for lack of a share)
+// down its ancestor path alone (Tree.Request). Tallies count only leaves
+// that exist.
 //
-// Concurrent submissions may both pass the gate before either lands on a
-// shard — the transient overshoot is bounded by the caller count and the
+// The gate creates no leaf: the Admitted hook does, when the first record
+// naming it commits, as on a restart or a follower. The gate stays shut
+// over such a first admission, so no other submission resolves against a
+// tree without that leaf, and the records name the leaves of one tree in
+// whatever order the shards replay them. A tenant with a leaf is admitted
+// outside it: concurrent submissions may both pass the gate before either
+// lands on a shard — the overshoot is bounded by the caller count, and the
 // per-shard admission bound still caps the fleet total.
-func (s *Service) fairAdmit(tenant string, n int) (*fairshare.Leaf, error) {
+func (s *Service) fairSubmit(key, tenant string, specs []sim.JobSpec) (*shard, []int, error) {
 	fc := s.fair
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	leaf := fc.tree.Ensure(tenant)
-	states := s.fairInputs(leaf.Index() + 1)
-	states[leaf.Index()].Requesting = true
-	if states[leaf.Index()].InFlight+n > fc.tree.Share(leaf, states, s.cfg.MaxInFlight) {
-		fc.tally(leaf).shed += int64(n)
-		return nil, fmt.Errorf("%w: %s", ErrOverQuota, leaf.Path)
+	states := s.fairInputs(0)
+	leaf, path, share := fc.tree.Request(tenant, states, s.cfg.MaxInFlight)
+	var st fairshare.State
+	if leaf != nil && leaf.Index() < len(states) {
+		st = states[leaf.Index()]
 	}
-	return leaf, nil
+	if st.InFlight+len(specs) > share {
+		if leaf != nil {
+			fc.tally(leaf).shed += int64(len(specs))
+		}
+		return nil, nil, fmt.Errorf("%w: %s", ErrOverQuota, path)
+	}
+	if leaf != nil {
+		fc.mu.Unlock()
+	}
+	sh, ids, err := s.admit(key, path, specs)
+	if leaf != nil {
+		fc.mu.Lock()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if leaf == nil {
+		leaf, _ = fc.tree.Lookup(path) // the Admitted hook has created it
+	}
+	fc.tally(leaf).admitted += int64(len(ids))
+	return sh, ids, nil
 }
 
 // fairInputs gathers the leaves' fleet-wide live state from the shards'
@@ -133,19 +139,15 @@ func (s *Service) tenantStats() []TenantStats {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	leaves := fc.tree.Listing()
-	flat := s.fairInputs(len(leaves))
-	states := make(map[string]fairshare.State, len(leaves))
-	for _, l := range leaves {
-		states[l.Path] = flat[l.Index()]
-	}
+	states := s.fairInputs(len(leaves))
 	shares := fc.tree.Shares(states, s.cfg.MaxInFlight)
 	out := make([]TenantStats, 0, len(leaves))
 	for _, l := range leaves {
-		st, tl := states[l.Path], fc.tally(l)
+		st, tl := states[l.Index()], fc.tally(l)
 		out = append(out, TenantStats{
 			Path:     l.Path,
 			InFlight: st.InFlight,
-			Share:    shares[l.Path],
+			Share:    shares[l.Index()],
 			Usage:    st.Usage,
 			Admitted: tl.admitted,
 			Shed:     tl.shed,
@@ -162,8 +164,8 @@ func (s *Service) tenantStats() []TenantStats {
 // Admitted, the completions, cancellations and steals that forget a job,
 // and a fair or snap record restoring it — all under the shard lock; the
 // gate reads it under the same lock. A record's tenant resolves through
-// the tree, so replay and a follower create each dynamic leaf the live
-// gate did.
+// the tree (Tree.Ensure), which is where every dynamic leaf is created, so
+// the primary, replay and a follower create the same ones.
 type shardFair struct {
 	tree     *fairshare.Tree
 	halfLife int64

@@ -524,32 +524,26 @@ func TestFairJournalConfigMismatches(t *testing.T) {
 }
 
 // fairStates is the gate's inputs computed from scratch, the way the gate
-// once did on every submission: a fresh map over every tenant any shard's
-// ledger holds, usage summed in shard order with each accumulator decayed
-// to its shard's clock, in-flight counted off the job→tenant maps rather
-// than the hooks' counters. requesting marks the leaf being admitted.
-func fairStates(s *Service, requesting string) map[string]fairshare.State {
-	states := make(map[string]fairshare.State)
+// once did on every submission: fresh states over every leaf, usage summed
+// in shard order with each accumulator decayed to its shard's clock,
+// in-flight counted off the job→leaf maps rather than the hooks' counters.
+// requesting marks the leaf being admitted.
+func fairStates(s *Service, requesting *fairshare.Leaf) []fairshare.State {
+	states := make([]fairshare.State, len(s.fair.tree.Leaves()))
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		f, now, leaves := sh.fair, sh.eng.Now(), sh.fair.tree.Leaves()
+		f, now := sh.fair, sh.eng.Now()
 		for i, e := range f.ledger {
 			if e.charged {
-				st := states[leaves[i].Path]
-				st.Usage += e.usage.At(now, f.halfLife)
-				states[leaves[i].Path] = st
+				states[i].Usage += e.usage.At(now, f.halfLife)
 			}
 		}
 		for _, leaf := range f.jobs {
-			st := states[leaf.Path]
-			st.InFlight++
-			states[leaf.Path] = st
+			states[leaf.Index()].InFlight++
 		}
 		sh.mu.Unlock()
 	}
-	st := states[requesting]
-	st.Requesting = true
-	states[requesting] = st
+	states[requesting.Index()].Requesting = true
 	return states
 }
 
@@ -623,8 +617,8 @@ func TestFairGateMatchesShares(t *testing.T) {
 					fc := svc.fair
 					fc.mu.Lock()
 					leaf := fc.tree.Ensure(tenant)
-					states := fairStates(svc, leaf.Path)
-					fits := states[leaf.Path].InFlight+len(specs) <= fc.tree.Shares(states, cfg.MaxInFlight)[leaf.Path]
+					states := fairStates(svc, leaf)
+					fits := states[leaf.Index()].InFlight+len(specs) <= fc.tree.Shares(states, cfg.MaxInFlight)[leaf.Index()]
 					fc.mu.Unlock()
 					got, err := svc.SubmitBatchTenant(tenant, tenant, specs)
 					if errors.Is(err, ErrOverQuota) == fits {

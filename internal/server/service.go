@@ -288,21 +288,18 @@ func New(cfg Config) (*Service, error) {
 	for i := range s.retryVals {
 		s.retryVals[i] = strconv.FormatInt(retryAfterSeconds(cfg.StepEvery)+int64(i), 10)
 	}
+	s.shape = journal.Shape{Caps: append([]int(nil), cfg.Sim.Caps...), Shards: cfg.Shards}
 	if cfg.Fairness != nil {
-		fc, err := newFairController(*cfg.Fairness)
+		tree, err := fairshare.New(*cfg.Fairness)
 		if err != nil {
 			return nil, err
 		}
-		s.fair = fc
+		s.fair, s.shape.HalfLife = &fairController{tree: tree}, tree.HalfLife()
 		// Arm each shard's ledger before journal replay, so replay can
 		// rebuild fair-share state alongside engine state.
 		for _, sh := range shards {
-			sh.armFair(fc.tree)
+			sh.armFair(tree)
 		}
-	}
-	s.shape = journal.Shape{Caps: append([]int(nil), cfg.Sim.Caps...), Shards: cfg.Shards}
-	if s.fair != nil {
-		s.shape.HalfLife = s.fair.tree.HalfLife()
 	}
 	record := false
 	if cfg.Journal != nil {
@@ -419,19 +416,19 @@ func (s *Service) SubmitBatchTenant(key, tenant string, specs []sim.JobSpec) ([]
 	return out, nil
 }
 
-// submit is the one submission path: the fair-share gate, placement, the
-// shard's all-or-nothing admission of a copy of specs, and the tenant's
-// admitted tally. It returns the shard and the engine-local IDs.
+// submit is the one submission path: the fair-share gate when fairness
+// is on (fairSubmit), then admit. It returns the shard and the
+// engine-local IDs.
 func (s *Service) submit(key, tenant string, specs []sim.JobSpec) (*shard, []int, error) {
-	var leaf *fairshare.Leaf
-	leafPath := ""
 	if s.fair != nil {
-		var err error
-		if leaf, err = s.fairAdmit(tenant, len(specs)); err != nil {
-			return nil, nil, err
-		}
-		leafPath = leaf.Path
+		return s.fairSubmit(key, tenant, specs)
 	}
+	return s.admit(key, "", specs)
+}
+
+// admit places a submission and has the shard admit a copy of specs, all
+// or nothing, under the tenant leaf's path.
+func (s *Service) admit(key, leafPath string, specs []sim.JobSpec) (*shard, []int, error) {
 	sh, err := s.pick(key)
 	if err != nil {
 		return nil, nil, err
@@ -441,9 +438,6 @@ func (s *Service) submit(key, tenant string, specs []sim.JobSpec) (*shard, []int
 	ids, err := sh.submitBatch(leafPath, own)
 	if err != nil {
 		return nil, nil, err
-	}
-	if s.fair != nil {
-		s.fair.recordAdmit(leaf, len(ids))
 	}
 	return sh, ids, nil
 }

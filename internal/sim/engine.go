@@ -68,8 +68,11 @@ type Config struct {
 	MaxSteps int64
 	// Trace selects how much per-step detail to record.
 	Trace TraceLevel
-	// ValidateAllotments re-checks the scheduler's output every step and
-	// fails the run on the first violation. Cheap; on by default in tests.
+	// ValidateAllotments is ignored: the engine re-checks the scheduler's
+	// output against the Section 2 conditions every round and fails the
+	// run on the first violation.
+	//
+	// Deprecated: the check is always on.
 	ValidateAllotments bool
 	// Observer, when non-nil, is invoked after every scheduling decision
 	// with the step, the job views the scheduler saw, and the allotments

@@ -910,15 +910,13 @@ func (e *Engine) executeRound(t int64, budget int64) (int64, error) {
 	if e.cfg.Observer != nil {
 		e.cfg.Observer(t, e.views, allot)
 	}
-	if e.cfg.ValidateAllotments {
-		// Every job that pins processors is touched, and the rows of zeros
-		// left — floor-free jobs and holes — satisfy every Section 2
-		// condition and add nothing to a column sum, so checking the touched
-		// rows, in place, checks the matrix.
-		if err = sched.ValidateAllotmentRows(e.views, e.cfg.Caps, allot, touched); err != nil {
-			e.clearAllot(n)
-			return 0, fmt.Errorf("sim: step %d: %w", t, err)
-		}
+	// Every job that pins processors is touched, and the rows of zeros left
+	// — floor-free jobs and holes — satisfy every Section 2 condition and
+	// add nothing to a column sum, so checking the touched rows, in place,
+	// checks the matrix.
+	if err = sched.ValidateAllotmentRows(e.views, e.cfg.Caps, allot, touched); err != nil {
+		e.clearAllot(n)
+		return 0, fmt.Errorf("sim: step %d: %w", t, err)
 	}
 
 	// Event-leap: repeat this exact allotment for n steps when it is

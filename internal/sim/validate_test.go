@@ -125,29 +125,16 @@ func namesStarvedFloor(t *testing.T, caps int, s sched.Scheduler) {
 }
 
 // TestEngineRefusesFloorsAboveCapacity: floors that pin more processors
-// than a category has — here two external runtimes, admitted to a machine
-// whose validation is off and whose scheduler over-grants — fail the round
-// with an error that names the category, where the engine used to panic.
+// than a category has — here two external runtimes that report a floor
+// before any grant, on a one-processor machine — fail the round with an
+// error that names the category, where the engine used to panic. (An
+// over-granting scheduler can no longer pin them: the engine's validation
+// refuses the over-grant itself first.)
 func TestEngineRefusesFloorsAboveCapacity(t *testing.T) {
-	specs := []sim.JobSpec{{Source: &pinJob{left: 5}}, {Source: &pinJob{left: 5}}}
-	eng := admitAll(t, sim.Config{K: 1, Caps: []int{1}, Scheduler: overGrant{}}, specs)
-	if _, err := eng.Step(); err != nil {
-		t.Fatalf("step 1: %v", err)
-	}
+	specs := []sim.JobSpec{{Source: &pinJob{left: 5, started: true}}, {Source: &pinJob{left: 5, started: true}}}
+	eng := admitAll(t, sim.Config{K: 1, Caps: []int{1}, Scheduler: core.NewKRAD(1)}, specs)
 	_, err := eng.Step()
 	if err == nil || !strings.Contains(err.Error(), "category 1 floors pin 2 processors, capacity 1") {
 		t.Errorf("floors above capacity: %v", err)
 	}
-}
-
-// overGrant gives every job one processor, whatever the capacity.
-type overGrant struct{}
-
-func (overGrant) Name() string { return "over-grant" }
-func (overGrant) Allot(_ int64, jobs []sched.JobView, caps []int) [][]int {
-	out := make([][]int, len(jobs))
-	for i := range out {
-		out[i] = []int{1}
-	}
-	return out
 }
