@@ -63,51 +63,8 @@ import (
 	"krad/internal/metrics"
 	"krad/internal/moldable"
 	"krad/internal/profile"
-	"krad/internal/wire"
 	"krad/internal/workload"
 )
-
-// wireJob is the client-side submit body (the decode-side lives in
-// internal/server; clients keep their own encode-side struct so the
-// server's pooled type stays private).
-type wireJob struct {
-	Graph   *dag.Graph         `json:"graph,omitempty"`
-	Mold    *moldable.Spec     `json:"mold,omitempty"`
-	Rigid   *profile.RigidSpec `json:"rigid,omitempty"`
-	Release int64              `json:"release,omitempty"`
-}
-
-// appendJSON appends the job's body, the bytes json.Marshal writes for it.
-func (j *wireJob) appendJSON(dst []byte) ([]byte, error) {
-	sep := byte('{')
-	key := func(k string) {
-		dst = append(append(dst, sep), k...)
-		sep = ','
-	}
-	if j.Graph != nil {
-		key(`"graph":`)
-		dst = j.Graph.AppendJSON(dst)
-	}
-	if j.Mold != nil {
-		key(`"mold":`)
-		var err error
-		if dst, err = j.Mold.AppendJSON(dst); err != nil {
-			return nil, err
-		}
-	}
-	if j.Rigid != nil {
-		key(`"rigid":`)
-		dst = j.Rigid.AppendJSON(dst)
-	}
-	if j.Release != 0 {
-		key(`"release":`)
-		dst = wire.AppendInt(dst, j.Release)
-	}
-	if sep == '{' {
-		dst = append(dst, sep)
-	}
-	return append(dst, '}'), nil
-}
 
 type options struct {
 	addr     string
@@ -371,7 +328,7 @@ func run(o options) (*report, error) {
 
 // newSource builds the job iterator. It returns batches of exactly
 // o.batch jobs (the tail may be shorter) for a daemon of k categories.
-func newSource(o options, k int) (func() ([]wireJob, error), string, error) {
+func newSource(o options, k int) (func() ([]workload.JobText, error), string, error) {
 	if o.trace != "" {
 		f, err := os.Open(o.trace)
 		if err != nil {
@@ -379,8 +336,8 @@ func newSource(o options, k int) (func() ([]wireJob, error), string, error) {
 		}
 		rd := workload.NewSWFReader(f)
 		emitted := 0
-		next := func() ([]wireJob, error) {
-			var out []wireJob
+		next := func() ([]workload.JobText, error) {
+			var out []workload.JobText
 			for len(out) < o.batch {
 				if o.jobs > 0 && emitted >= o.jobs {
 					break
@@ -406,8 +363,7 @@ func newSource(o options, k int) (func() ([]wireJob, error), string, error) {
 				if err != nil {
 					return nil, err
 				}
-				box := sp
-				out = append(out, wireJob{Rigid: &box})
+				out = append(out, workload.JobText{Rigid: sp})
 				emitted++
 			}
 			if len(out) == 0 {
@@ -425,7 +381,7 @@ func newSource(o options, k int) (func() ([]wireJob, error), string, error) {
 	}
 	rng := rand.New(rand.NewSource(o.seed))
 	emitted := 0
-	next := func() ([]wireJob, error) {
+	next := func() ([]workload.JobText, error) {
 		if emitted >= o.jobs {
 			return nil, io.EOF
 		}
@@ -433,7 +389,7 @@ func newSource(o options, k int) (func() ([]wireJob, error), string, error) {
 		if rest := o.jobs - emitted; n > rest {
 			n = rest
 		}
-		out := make([]wireJob, 0, n)
+		out := make([]workload.JobText, 0, n)
 		for i := 0; i < n; i++ {
 			out = append(out, synthJob(rng, k, weights, emitted+i))
 		}
@@ -475,23 +431,23 @@ func parseMix(s string) (map[string]float64, error) {
 // synthJob draws one synthetic job from the family mix: small rigid
 // rectangles, tiny DAG chains, or single-task moldable jobs with a
 // power-law speedup curve.
-func synthJob(rng *rand.Rand, k int, weights map[string]float64, i int) wireJob {
+func synthJob(rng *rand.Rand, k int, weights map[string]float64, i int) workload.JobText {
 	total := weights["rigid"] + weights["dag"] + weights["mold"]
 	r := rng.Float64() * total
 	cat := dag.Category(i%k + 1)
 	switch {
 	case r < weights["rigid"]:
-		return wireJob{Rigid: &profile.RigidSpec{
+		return workload.JobText{Rigid: profile.RigidSpec{
 			K: k, Name: fmt.Sprintf("syn-%d", i), Cat: int(cat),
 			Procs: 1 + rng.Intn(4), Steps: 1 + rng.Intn(8),
 		}}
 	case r < weights["rigid"]+weights["dag"]:
 		if rng.Intn(2) == 0 {
-			return wireJob{Graph: dag.Singleton(k, cat)}
+			return workload.JobText{Graph: dag.Singleton(k, cat)}
 		}
-		return wireJob{Graph: dag.RoundRobinChain(k, 2+rng.Intn(6))}
+		return workload.JobText{Graph: dag.RoundRobinChain(k, 2+rng.Intn(6))}
 	default:
-		return wireJob{Mold: &moldable.Spec{
+		return workload.JobText{Mold: &moldable.Spec{
 			K: k, Name: fmt.Sprintf("syn-%d", i),
 			Tasks: []moldable.TaskSpec{{
 				Cat: int(cat), Work: 4 + rng.Intn(12), Max: 4,
@@ -504,7 +460,7 @@ func synthJob(rng *rand.Rand, k int, weights map[string]float64, i int) wireJob 
 // workItem is one batch plus the placement key ("" when -skew is off) and
 // tenant index (-1 when -tenants is off) it submits under.
 type workItem struct {
-	jobs   []wireJob
+	jobs   []workload.JobText
 	key    string
 	tenant int
 }
@@ -520,7 +476,7 @@ func tenantName(i int) string { return "team-" + strconv.Itoa(i) }
 // in closed-loop mode, or paced at -rate in open-loop mode. keyGen, when
 // set, stamps each batch with a skewed placement key; with -tenants the
 // batches rotate over the tenants.
-func feed(o options, src func() ([]wireJob, error), keyGen func() string, jobs chan<- workItem) {
+func feed(o options, src func() ([]workload.JobText, error), keyGen func() string, jobs chan<- workItem) {
 	defer close(jobs)
 	rng := rand.New(rand.NewSource(o.seed + 1))
 	var next time.Time
@@ -583,17 +539,9 @@ func submitBatch(o options, client *http.Client, item workItem, hist *metrics.Hi
 	var err error
 	if len(batch) == 1 && o.batch == 1 {
 		path = "/v1/jobs"
-		body, err = batch[0].appendJSON(nil)
+		body, err = batch[0].AppendJSON(nil)
 	} else {
-		sep := byte('[')
-		body = append(body, `{"jobs":`...)
-		for i := range batch {
-			if body, err = batch[i].appendJSON(append(body, sep)); err != nil {
-				break
-			}
-			sep = ','
-		}
-		body = append(body, "]}"...)
+		body, err = (&workload.BatchText{Jobs: batch}).AppendJSON(nil)
 	}
 	if err != nil {
 		c.errors.Add(n)

@@ -41,31 +41,6 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
-// TestWireJobEncoding pins the hand-written request bodies against
-// json.Marshal of the same jobs, for every mix the generator draws.
-func TestWireJobEncoding(t *testing.T) {
-	next, _, err := newSource(options{jobs: 300, batch: 1, seed: 3, mix: "rigid=1,dag=1,mold=1"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []wireJob{{}, {Release: 4}}
-	for {
-		batch, err := next()
-		if err != nil {
-			break
-		}
-		batch[0].Release = int64(len(jobs) % 3)
-		jobs = append(jobs, batch...)
-	}
-	for _, j := range jobs {
-		got, err := j.appendJSON(nil)
-		want, werr := json.Marshal(j)
-		if err != nil || werr != nil || string(got) != string(want) {
-			t.Fatalf("wrote\n %s (%v)\nwant\n %s (%v)", got, err, want, werr)
-		}
-	}
-}
-
 func TestRetryDelay(t *testing.T) {
 	// Every delay lands in the upper half of the capped hint, and the draws
 	// differ: workers that all hit the cap must not retry in lockstep.

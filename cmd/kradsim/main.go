@@ -2,9 +2,11 @@
 // the paper's metrics: makespan, mean response time, the Section 4/6 lower
 // bounds, and the resulting competitive ratios.
 //
-// The workload is either generated (-jobs/-shapes/-arrive) or loaded from a
-// JSON file (-load) holding [{"release": R, "graph": {...}}, ...] with
-// graphs in the internal/dag encoding.
+// The workload is either generated (-jobs/-shapes/-arrive), read from an
+// SWF log (-swf) or loaded from a job file (-load): a JSON array of job
+// texts, each {"graph" | "mold" | "rigid": {...}, "release": R} as kradd's
+// POST /v1/jobs takes it. -save writes any graph, moldable or rigid job
+// set in that form.
 //
 // Usage:
 //
@@ -364,43 +366,21 @@ func generateFamily(family string, k, jobs int, shapes, arrive string, minSize, 
 	return nil, fmt.Errorf("unknown family %q (want dag, profile, moldable or mixed)", family)
 }
 
-// jobJSON is one job of the -load file format,
-//
-//	[{"release": R, "graph": {"k": K, "categories": [...], "edges": [[u,v], ...]}}, ...]
-//
-// read and written on internal/wire's scanner like every other text that
-// carries a job.
-type jobJSON struct {
-	Release int64
-	Graph   *dag.Graph
-}
-
-var jobFields = []string{"release", "graph"}
-
-func (j *jobJSON) readJSON(s *wire.Scanner) error {
-	return s.Object("job", func(key []byte) error {
-		switch wire.Field(key, jobFields) {
-		case "release":
-			return wire.ReadInt(s, "release", &j.Release)
-		case "graph":
-			return wire.Ptr(s, &j.Graph, (*dag.Graph).ReadJSON)
-		}
-		return s.SkipValue()
-	})
-}
-
-// saveSpecs writes one job per line.
+// saveSpecs writes the job set as a job file: a JSON array holding one
+// workload.JobText per line, each the POST /v1/jobs body for that job.
 func saveSpecs(path string, specs []sim.JobSpec) error {
 	data := []byte{'['}
 	for i, s := range specs {
-		if s.Graph == nil {
-			return fmt.Errorf("job %d has no graph; only DAG-backed job sets can be saved", i)
+		text, err := workload.TextOf(s)
+		if err != nil {
+			return fmt.Errorf("job %d: %w", i, err)
 		}
 		if i > 0 {
 			data = append(data, ',')
 		}
-		data = wire.AppendInt(append(data, "\n {\"release\": "...), s.Release)
-		data = append(s.Graph.AppendJSON(append(data, `, "graph": `...)), '}')
+		if data, err = text.AppendJSON(append(data, '\n')); err != nil {
+			return fmt.Errorf("job %d: %w", i, err)
+		}
 	}
 	return os.WriteFile(path, append(data, "\n]\n"...), 0o644)
 }
@@ -410,10 +390,10 @@ func loadSpecs(path string) ([]sim.JobSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	var jobs []jobJSON
+	var jobs []workload.JobText
 	s := wire.NewScanner(data)
 	s.Peek()
-	err = wire.Array(&s, "the job list", &jobs, (*jobJSON).readJSON)
+	err = wire.Array(&s, "the job list", &jobs, (*workload.JobText).ReadJSON)
 	if err == nil {
 		err = s.End()
 	}
@@ -421,11 +401,10 @@ func loadSpecs(path string) ([]sim.JobSpec, error) {
 		return nil, fmt.Errorf("parse %s: %s", path, describeJSONError(data, s.Pos, err))
 	}
 	specs := make([]sim.JobSpec, len(jobs))
-	for i, j := range jobs {
-		if j.Graph == nil {
-			return nil, fmt.Errorf("%s: job %d has no graph", path, i)
+	for i := range jobs {
+		if specs[i], err = jobs[i].Spec(); err != nil {
+			return nil, fmt.Errorf("%s: job %d: %w", path, i, err)
 		}
-		specs[i] = sim.JobSpec{Graph: j.Graph, Release: j.Release}
 	}
 	return specs, nil
 }
@@ -433,7 +412,7 @@ func loadSpecs(path string) ([]sim.JobSpec, error) {
 // describeJSONError locates a decode error by the line and column the
 // scanner stopped at and reminds the user of the expected file format.
 func describeJSONError(data []byte, offset int, err error) string {
-	const hint = `expected [{"release": R, "graph": {"k": K, "categories": [...], "edges": [[u,v], ...]}}, ...]`
+	const hint = `expected [{"graph" | "mold" | "rigid": {...}, "release": R}, ...]`
 	line, col := 1, 1
 	for _, b := range data[:min(offset, len(data))] {
 		if b == '\n' {

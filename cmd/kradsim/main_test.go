@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"krad/internal/core"
 	"krad/internal/dag"
 	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 func TestParseInts(t *testing.T) {
@@ -94,6 +96,75 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			back[i].Graph.Span() != specs[i].Graph.Span() {
 			t.Errorf("job %d shape changed", i)
 		}
+	}
+}
+
+// TestSaveLoadEveryKind saves a rigid job set read from an SWF log, a
+// moldable set and a graph set, loads each back, and pins that the
+// reloaded set runs to the same makespan and mean response.
+func TestSaveLoadEveryKind(t *testing.T) {
+	const k = 2
+	caps := []int{3, 2}
+	var swf bytes.Buffer
+	if err := workload.WriteSyntheticSWF(&swf, 40, 5); err != nil {
+		t.Fatal(err)
+	}
+	rigid, _, err := workload.ParseSWF(&swf, workload.SWFOptions{K: k, TimeScale: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	molds, err := generateFamily("moldable", k, 12, "", "poisson:3", 2, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := generateFamily("dag", k, 12, "", "poisson:3", 2, 12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(specs []sim.JobSpec) *sim.Result {
+		t.Helper()
+		res, err := sim.Run(sim.Config{K: k, Caps: caps, Scheduler: core.NewKRAD(k), Pick: dag.PickFIFO}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for name, specs := range map[string][]sim.JobSpec{"swf": rigid, "moldable": molds, "dag": graphs} {
+		if len(specs) == 0 {
+			t.Fatalf("%s: empty job set", name)
+		}
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := saveSpecs(path, specs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		back, err := loadSpecs(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, got := run(specs), run(back)
+		if got.Makespan != want.Makespan || got.MeanResponse() != want.MeanResponse() {
+			t.Errorf("%s: reloaded run has makespan %d, mean response %.3f; saved run %d, %.3f",
+				name, got.Makespan, got.MeanResponse(), want.Makespan, want.MeanResponse())
+		}
+	}
+}
+
+// TestLoadSpecsOldForm loads a file in the form -save wrote before job
+// files held job texts: release first, spaced keys, one job per line.
+func TestLoadSpecsOldForm(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := "[\n {\"release\": 7, \"graph\": {\"k\":2,\"categories\":[1,2,2],\"edges\":[[0,1],[0,2]]}}," +
+		"\n {\"release\": 0, \"graph\": {\"k\":2,\"categories\":[1]}}\n]\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	specs, err := loadSpecs(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 2 || specs[0].Release != 7 || specs[0].Graph.NumTasks() != 3 ||
+		specs[1].Release != 0 || specs[1].Graph.NumTasks() != 1 {
+		t.Fatalf("loaded %+v", specs)
 	}
 }
 
@@ -198,5 +269,13 @@ func TestSaveSpecsRejectsSourceJobs(t *testing.T) {
 	err := saveSpecs(filepath.Join(dir, "x.json"), []sim.JobSpec{{Source: sim.GraphSource(dag.Figure1())}})
 	if err == nil {
 		t.Error("source-backed spec accepted")
+	}
+	// Multi-phase profile jobs have no job text either.
+	profs, err := generateFamily("profile", 2, 3, "", "batched", 2, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := saveSpecs(filepath.Join(dir, "p.json"), profs); err == nil {
+		t.Error("profile job set accepted")
 	}
 }

@@ -67,7 +67,7 @@ func main() {
 	running := make(map[int]bool, len(specs))
 	for _, spec := range specs {
 		var out struct{ ID int }
-		body := append(spec.Graph.AppendJSON([]byte(`{"graph":`)), '}')
+		body, _ := (&workload.JobText{Graph: spec.Graph}).AppendJSON(nil) // only a moldable curve can fail
 		if err := call(http.MethodPost, base+"/v1/jobs", body, &out); err != nil {
 			log.Fatal(err)
 		}

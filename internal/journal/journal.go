@@ -171,8 +171,12 @@ type Journal struct {
 	syncs       int64
 	syncNanos   int64
 	lastSync    time.Time
-	failed      error
-	buf         []byte
+	// dirty is set while the file holds bytes no fsync has covered yet:
+	// an append since the last sync, or what Open wrote or truncated.
+	// Sync and Close skip the fsync of a clean file.
+	dirty  bool
+	failed error
+	buf    []byte
 }
 
 // Open reads, validates and repairs the journal at path, returning the
@@ -205,7 +209,7 @@ func OpenStream(path string, opts Options, fn func(rec *Record) error) (*Journal
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{path: path, opts: opts, size: goodLen, records: int64(n)}
+	j := &Journal{path: path, opts: opts, size: goodLen, records: int64(n), dirty: true}
 	f, err := opts.openAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: open %s for append: %w", path, err)
@@ -222,6 +226,7 @@ func OpenStream(path string, opts Options, fn func(rec *Record) error) (*Journal
 				_ = f.Close()
 				return nil, fmt.Errorf("journal: sync header of %s: %w", path, err)
 			}
+			j.dirty = false
 		}
 	}
 	return j, nil
@@ -451,6 +456,7 @@ func (j *Journal) Append(rec Record) error {
 	}
 	j.records++
 	j.appended++
+	j.dirty = true
 	if err := j.maybeSyncLocked(); err != nil {
 		return err
 	}
@@ -467,17 +473,19 @@ func seal(frame []byte) {
 
 // Sync forces an fsync now, regardless of the interval under SyncInterval
 // — the barrier cross-shard stealing uses to make the victim's steal
-// record durable before the thief acknowledges the re-admission. Under
-// SyncNever it is a no-op (that policy explicitly trades durability away,
-// and stealing inherits the trade). Failures latch exactly like append
-// failures: the journal stops acknowledging work.
+// record durable before the thief acknowledges the re-admission. A file
+// nothing was appended to since its last fsync is not synced again (under
+// SyncAlways that is every file between appends). Under SyncNever it is a
+// no-op (that policy explicitly trades durability away, and stealing
+// inherits the trade). Failures latch exactly like append failures: the
+// journal stops acknowledging work.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.failed != nil {
 		return j.failed
 	}
-	if j.opts.Sync == SyncNever || j.f == nil {
+	if j.opts.Sync == SyncNever || j.f == nil || !j.dirty {
 		return nil
 	}
 	if err := j.syncTimedLocked(j.f); err != nil {
@@ -515,6 +523,7 @@ func (j *Journal) syncTimedLocked(f File) error {
 	j.syncNanos += int64(time.Since(start))
 	if err == nil {
 		j.syncs++
+		j.dirty = false
 	}
 	return err
 }
@@ -613,7 +622,8 @@ func syncDir(dir string) error {
 // Close syncs and closes the file. Under SyncInterval this final sync is
 // what makes a clean shutdown loss-free: appends inside the last interval
 // window have not hit the disk yet, and skipping the flush here would
-// silently demote "clean exit" to "bounded loss". A failed final sync is
+// silently demote "clean exit" to "bounded loss". A file whose every byte
+// an earlier fsync covered is closed without one. A failed final sync is
 // therefore latched into the sticky failure (visible via Err after Close)
 // and returned — callers must not report a clean shutdown over it.
 func (j *Journal) Close() error {
@@ -623,7 +633,7 @@ func (j *Journal) Close() error {
 		return j.failed
 	}
 	var errs []error
-	if j.failed == nil && j.opts.Sync != SyncNever {
+	if j.failed == nil && j.opts.Sync != SyncNever && j.dirty {
 		if err := j.syncTimedLocked(j.f); err != nil {
 			j.failed = fmt.Errorf("journal: close %s: final sync: %w", j.path, err)
 			errs = append(errs, j.failed)

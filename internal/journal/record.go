@@ -8,6 +8,7 @@ import (
 	"krad/internal/moldable"
 	"krad/internal/profile"
 	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 // Type discriminates journal records. The five kinds mirror the engine's
@@ -114,27 +115,18 @@ type JobRecord struct {
 	Rigid *profile.RigidSpec `json:"rigid,omitempty"`
 }
 
-// spec reconstructs the admitted sim.JobSpec. Graph-backed records are a
-// field copy; moldable and rigid records re-validate through their
-// packages' FromSpec constructors, so a corrupt-but-CRC-valid payload
-// fails here with a located error instead of panicking inside the engine.
+// spec reconstructs the admitted sim.JobSpec through the job text's own
+// conversion (workload.JobText.Spec), so a record and a submit body
+// become an engine job alike: graph-backed records are a field copy, and
+// moldable and rigid records re-validate through their packages' FromSpec
+// constructors, so a corrupt-but-CRC-valid payload fails here with a
+// located error instead of panicking inside the engine.
 func (j JobRecord) spec() (sim.JobSpec, error) {
-	switch {
-	case j.Graph != nil:
-		return sim.JobSpec{Graph: j.Graph, Release: j.Release}, nil
-	case j.Rigid != nil:
-		job, err := profile.FromRigidSpec(*j.Rigid)
-		if err != nil {
-			return sim.JobSpec{}, err
-		}
-		return sim.JobSpec{Source: job, Release: j.Release}, nil
-	default:
-		job, err := moldable.FromSpec(*j.Mold)
-		if err != nil {
-			return sim.JobSpec{}, err
-		}
-		return sim.JobSpec{Source: job, Release: j.Release}, nil
+	text := workload.JobText{Graph: j.Graph, Mold: j.Mold, Release: j.Release}
+	if j.Rigid != nil {
+		text.Rigid = *j.Rigid
 	}
+	return text.Spec()
 }
 
 // recordVersion is the version stamped on admit/batch records that carry

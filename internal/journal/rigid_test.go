@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"krad/internal/core"
 	"krad/internal/dag"
@@ -129,8 +130,9 @@ func TestAdmitRecordIntoRecycles(t *testing.T) {
 }
 
 // TestJournalSyncStats pins the durability-overhead counters: every
-// SyncAlways append flushes once, and the cumulative flush time is
-// reported as a non-negative duration.
+// SyncAlways append flushes once, Sync and Close flush only a file holding
+// bytes no flush covered, and the cumulative flush time is reported as a
+// non-negative duration.
 func TestJournalSyncStats(t *testing.T) {
 	path := tempJournal(t)
 	j, _ := mustOpen(t, path, Options{Sync: SyncAlways})
@@ -145,10 +147,29 @@ func TestJournalSyncStats(t *testing.T) {
 	if st.SyncSeconds < 0 {
 		t.Fatalf("SyncSeconds negative: %v", st.SyncSeconds)
 	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Stats().Syncs; got != base+4 {
-		t.Fatalf("Close did not count its final sync: %d, want %d", got, base+4)
+	if got := j.Stats().Syncs; got != base+3 {
+		t.Fatalf("Sync and Close re-synced a synced file: %d syncs, want %d", got, base+3)
+	}
+
+	// Under an hour-long interval the first append syncs and the second
+	// waits for Close.
+	j, _ = mustOpen(t, tempJournal(t), Options{Sync: SyncInterval, Interval: time.Hour})
+	base = j.Stats().Syncs
+	mustAppend(t, j, StepsRecord(1, 1))
+	mustAppend(t, j, StepsRecord(1, 2))
+	if got := j.Stats().Syncs; got != base+1 {
+		t.Fatalf("%d syncs after two appends inside one interval, want %d", got, base+1)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Stats().Syncs; got != base+2 {
+		t.Fatalf("Close did not count its final sync: %d, want %d", got, base+2)
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -58,11 +57,10 @@ func pullReplication(t *testing.T, pdir string, follower *Service) {
 
 // applyPathsConfig is a journaled two-shard fleet whose scheduler snapshots
 // its state (compaction).
-func applyPathsConfig(dir string, mode string, retire bool) Config {
+func applyPathsConfig(dir string, mode string) Config {
 	cfg := testConfig(2, 3, 2)
 	cfg.Shards = 2
 	cfg.MaxInFlight = 512
-	cfg.RetireDone = retire
 	cfg.Journal = &JournalConfig{Dir: dir, SnapshotEvery: 1, Sync: journal.SyncNever} // equivalence, not durability: skip the fsyncs
 	if strings.HasSuffix(mode, "fairness") {
 		cfg.Fairness = &fairshare.Config{HalfLife: 32, Nodes: []fairshare.NodeConfig{
@@ -194,9 +192,7 @@ func comparableStats(svc *Service) Stats {
 // the primary's journal must agree on Stats, every job's status through
 // redirects, tenant state and engine checkpoints, and the follower's WAL
 // must be a byte prefix of the primary's. The modes cross fair share with
-// stealing; each runs with Config.RetireDone off and on, and the rows with
-// it on must agree just as strictly, since the field is ignored. Seed
-// count from KRAD_APPLY_SEEDS (default 10).
+// stealing. Seed count from KRAD_APPLY_SEEDS (default 10).
 func TestApplyPathsAgree(t *testing.T) {
 	seeds := 10
 	if v := os.Getenv("KRAD_APPLY_SEEDS"); v != "" {
@@ -207,31 +203,29 @@ func TestApplyPathsAgree(t *testing.T) {
 		seeds = n
 	}
 	for _, mode := range []string{"plain", "fairness", "steal", "steal+fairness"} {
-		for _, retire := range []bool{false, true} {
-			mode, retire := mode, retire
-			t.Run(fmt.Sprintf("%s/retire=%v", mode, retire), func(t *testing.T) {
-				t.Parallel()
-				var stolen int64
-				for seed := int64(1); seed <= int64(seeds); seed++ {
-					stolen += applyPathsAgree(t, mode, retire, seed)
-				}
-				if strings.HasPrefix(mode, "steal") && stolen == 0 {
-					t.Fatal("the scripts stole nothing")
-				}
-			})
-		}
+		mode := mode
+		t.Run(mode, func(t *testing.T) {
+			t.Parallel()
+			var stolen int64
+			for seed := int64(1); seed <= int64(seeds); seed++ {
+				stolen += applyPathsAgree(t, mode, seed)
+			}
+			if strings.HasPrefix(mode, "steal") && stolen == 0 {
+				t.Fatal("the scripts stole nothing")
+			}
+		})
 	}
 }
 
 // applyPathsAgree runs one seed and returns how many jobs it stole.
-func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) int64 {
+func applyPathsAgree(t *testing.T, mode string, seed int64) int64 {
 	t.Helper()
 	pdir, fdir := t.TempDir(), t.TempDir()
-	primary, err := New(applyPathsConfig(pdir, mode, retire))
+	primary, err := New(applyPathsConfig(pdir, mode))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfg := applyPathsConfig(fdir, mode, retire)
+	fcfg := applyPathsConfig(fdir, mode)
 	fcfg.Follower = true
 	follower, err := New(fcfg)
 	if err != nil {
@@ -286,7 +280,7 @@ func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) int64 {
 	}
 	drainlessClose(t, primary)
 
-	restarted, err := New(applyPathsConfig(pdir, mode, retire))
+	restarted, err := New(applyPathsConfig(pdir, mode))
 	if err != nil {
 		t.Fatalf("seed %d: restart over the primary's journal: %v", seed, err)
 	}
@@ -303,7 +297,7 @@ func applyPathsAgree(t *testing.T, mode string, retire bool, seed int64) int64 {
 	// records through the same hooks: only the Stats.Steal a steal-off
 	// service omits may differ.
 	drainlessClose(t, restarted)
-	offCfg := applyPathsConfig(pdir, mode, retire)
+	offCfg := applyPathsConfig(pdir, mode)
 	offCfg.Steal = false
 	off, err := New(offCfg)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"krad/internal/dag"
 	"krad/internal/sched"
 	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 // BenchmarkShardedStepThroughput measures aggregate step throughput as
@@ -132,7 +133,7 @@ func benchSubmitService(b *testing.B) *Service {
 // DAG body.
 func BenchmarkHTTPSubmit(b *testing.B) {
 	rigid := []byte(`{"rigid":{"k":2,"cat":1,"procs":2,"steps":3}}`)
-	graphBody, err := json.Marshal(submitRequest{Graph: dag.ForkJoin(2, 16, 1, 2, 1)})
+	graphBody, err := json.Marshal(workload.JobText{Graph: dag.ForkJoin(2, 16, 1, 2, 1)})
 	if err != nil {
 		b.Fatal(err)
 	}

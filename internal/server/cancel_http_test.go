@@ -9,12 +9,13 @@ import (
 
 	"krad/internal/dag"
 	"krad/internal/metrics"
+	"krad/internal/workload"
 )
 
 // postJobRelease submits a job with an explicit absolute release time.
 func postJobRelease(t *testing.T, url string, g *dag.Graph, release int64) int {
 	t.Helper()
-	body, err := json.Marshal(submitRequest{Graph: g, Release: release})
+	body, err := json.Marshal(workload.JobText{Graph: g, Release: release})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func postJobRelease(t *testing.T, url string, g *dag.Graph, release int64) int {
 	return out.ID
 }
 
-func deleteJob(t *testing.T, url string, id int) (int, jobJSON) {
+func deleteJob(t *testing.T, url string, id int) (int, statusJSON) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/jobs/%d", url, id), nil)
 	if err != nil {
@@ -46,7 +47,7 @@ func deleteJob(t *testing.T, url string, id int) (int, jobJSON) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st jobJSON
+	var st statusJSON
 	_ = json.NewDecoder(resp.Body).Decode(&st)
 	return resp.StatusCode, st
 }

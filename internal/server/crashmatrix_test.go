@@ -19,6 +19,7 @@ import (
 	"krad/internal/dag"
 	"krad/internal/journal"
 	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 // TestCrashMatrix is the end-to-end durability harness: it builds the real
@@ -137,7 +138,7 @@ burst:
 			stats.Submitted, stats.Completed, stats.Now, snap.Admitted, snap.Completed, snap.Now)
 	}
 	for _, id := range acked {
-		var got jobJSON
+		var got statusJSON
 		resp, err := client.Get(fmt.Sprintf("http://%s/v1/jobs/%d", addr, id))
 		if err != nil {
 			t.Fatalf("query acked job %d: %v", id, err)
@@ -225,7 +226,7 @@ func waitReady(t *testing.T, addr string) {
 // is dead or the response was cut off mid-body — not acknowledged).
 func trySubmit(t *testing.T, client *http.Client, addr string, g *dag.Graph) (int, int) {
 	t.Helper()
-	body, err := json.Marshal(submitRequest{Graph: g})
+	body, err := json.Marshal(workload.JobText{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"krad/internal/dag"
 	"krad/internal/journal"
 	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 // TestFailoverMatrix is the replication extension of the crash matrix: it
@@ -502,7 +503,7 @@ func diffJobsAgainstOracle(t *testing.T, client *http.Client, addr string, oracl
 		if !ok {
 			continue
 		}
-		var got jobJSON
+		var got statusJSON
 		resp, err := client.Get(fmt.Sprintf("http://%s/v1/jobs/%d", addr, id))
 		if err != nil {
 			t.Fatalf("query job %d: %v", id, err)
@@ -546,7 +547,7 @@ func promoteHTTP(t *testing.T, client *http.Client, addr string) int64 {
 // fencing and lease assertions need the error text, not just the code.
 func submitProbe(t *testing.T, client *http.Client, addr string) (int, string) {
 	t.Helper()
-	payload, err := json.Marshal(submitRequest{Graph: dag.Singleton(1, 1)})
+	payload, err := json.Marshal(workload.JobText{Graph: dag.Singleton(1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +568,7 @@ func waitJobDone(t *testing.T, client *http.Client, addr string, id int) {
 			return false
 		}
 		defer resp.Body.Close()
-		var got jobJSON
+		var got statusJSON
 		if json.NewDecoder(resp.Body).Decode(&got) != nil {
 			return false
 		}

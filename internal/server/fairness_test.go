@@ -19,6 +19,7 @@ import (
 	"krad/internal/fairshare"
 	"krad/internal/profile"
 	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 // fairConfig is testConfig plus a two-tenant 2:1 queue tree.
@@ -241,7 +242,7 @@ func TestFairHTTP429(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	body, err := json.Marshal(submitRequest{Graph: dag.Singleton(1, 1)})
+	body, err := json.Marshal(workload.JobText{Graph: dag.Singleton(1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,9 +528,10 @@ func TestFairJournalConfigMismatches(t *testing.T) {
 // once did on every submission: fresh states over every leaf, usage summed
 // in shard order with each accumulator decayed to its shard's clock,
 // in-flight counted off the job→leaf maps rather than the hooks' counters.
-// requesting marks the leaf being admitted.
-func fairStates(s *Service, requesting *fairshare.Leaf) []fairshare.State {
-	states := make([]fairshare.State, len(s.fair.tree.Leaves()))
+// The states are indexed by the live tree's leaves and are n long, n at
+// least their number.
+func fairStates(s *Service, n int) []fairshare.State {
+	states := make([]fairshare.State, n)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		f, now := sh.fair, sh.eng.Now()
@@ -543,7 +545,6 @@ func fairStates(s *Service, requesting *fairshare.Leaf) []fairshare.State {
 		}
 		sh.mu.Unlock()
 	}
-	states[requesting.Index()].Requesting = true
 	return states
 }
 
@@ -576,10 +577,12 @@ func randomFairConfig(rng *rand.Rand) *fairshare.Config {
 // clocks diverge) over random trees — deserved quotas, weights,
 // priorities, three-level paths, dynamic leaves, junk headers — on two and
 // three shards with a fleet bound small enough to shed. Before every
-// submission the from-scratch oracle, Tree.Shares over fairStates, says
-// whether the batch fits the tenant's share; the gate, dividing down the
-// tenant's path over its flat ledgers, must shed exactly when it does not.
-// The script then continues on a service restarted from the journal.
+// submission the from-scratch oracle, Tree.Shares over fairStates on a
+// second tree grown to the live one plus the tenant's leaf, says whether
+// the batch fits the tenant's share; the gate, dividing down the tenant's
+// path over its flat ledgers — growing and unlinking a chain for a tenant
+// with no leaf yet — must shed exactly when it does not. The script then
+// continues on a service restarted from the journal.
 func TestFairGateMatchesShares(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -599,7 +602,7 @@ func TestFairGateMatchesShares(t *testing.T) {
 			tenants = append(tenants, nc.Name, nc.Name+"/fresh")
 		}
 		var ids []int
-		shed, admitted := 0, 0
+		shed, admitted, noLeaf := 0, 0, 0
 		script := func(svc *Service, ops int) {
 			for op := 0; op < ops; op++ {
 				switch r := rng.Intn(10); {
@@ -612,13 +615,28 @@ func TestFairGateMatchesShares(t *testing.T) {
 							specs[i].Release = 1 << 30
 						}
 					}
-					// The oracle resolves the header first, creating any
-					// dynamic leaf; the gate resolves it again to the same one.
+					// The oracle resolves the header on a second tree grown
+					// by Ensure over the live tree's leaves in index order,
+					// so the live tree stays as the records left it and the
+					// gate divides for a tenant without a leaf itself.
 					fc := svc.fair
 					fc.mu.Lock()
-					leaf := fc.tree.Ensure(tenant)
-					states := fairStates(svc, leaf)
-					fits := states[leaf.Index()].InFlight+len(specs) <= fc.tree.Shares(states, cfg.MaxInFlight)[leaf.Index()]
+					oracle, err := fairshare.New(*cfg.Fairness)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, l := range fc.tree.Leaves() {
+						if o := oracle.Ensure(l.Path); o.Index() != l.Index() {
+							t.Fatalf("seed %d: oracle grew %s at index %d, live tree has it at %d", seed, l.Path, o.Index(), l.Index())
+						}
+					}
+					if _, ok := fc.tree.Lookup(tenant); !ok {
+						noLeaf++
+					}
+					leaf := oracle.Ensure(tenant)
+					states := fairStates(svc, len(oracle.Leaves()))
+					states[leaf.Index()].Requesting = true
+					fits := states[leaf.Index()].InFlight+len(specs) <= oracle.Shares(states, cfg.MaxInFlight)[leaf.Index()]
 					fc.mu.Unlock()
 					got, err := svc.SubmitBatchTenant(tenant, tenant, specs)
 					if errors.Is(err, ErrOverQuota) == fits {
@@ -648,8 +666,9 @@ func TestFairGateMatchesShares(t *testing.T) {
 			t.Fatalf("seed %d: restart: %v", seed, err)
 		}
 		script(svc, 200)
-		if shed == 0 || admitted == 0 {
-			t.Errorf("seed %d: %d batches admitted, %d shed; the script must exercise both", seed, admitted, shed)
+		if shed == 0 || admitted == 0 || noLeaf == 0 {
+			t.Errorf("seed %d: %d batches admitted, %d shed, %d for a tenant without a leaf; the script must exercise all three",
+				seed, admitted, shed, noLeaf)
 		}
 		if err := svc.Close(context.Background()); err != nil {
 			t.Fatal(err)

@@ -11,12 +11,10 @@ import (
 	"sync"
 	"time"
 
-	"krad/internal/dag"
-	"krad/internal/moldable"
-	"krad/internal/profile"
 	"krad/internal/replicate"
 	"krad/internal/sim"
 	"krad/internal/wire"
+	"krad/internal/workload"
 )
 
 // PlacementKeyHeader is the request header carrying the client's shard
@@ -31,101 +29,6 @@ const PlacementKeyHeader = "X-Krad-Placement-Key"
 // Absent or empty means the default leaf. With fairness off the header
 // is ignored.
 const TenantHeader = "X-Krad-Tenant"
-
-// submitRequest is the POST /v1/jobs body: exactly one job description —
-// a K-DAG in the internal/dag JSON encoding (graph), a moldable-task
-// spec (mold), or a rigid profile spec (rigid) — plus an optional
-// absolute virtual release time (0 or omitted means "now"). Rigid is a
-// value, not a pointer, so the pooled-decode path (submitScratch) stays
-// allocation-free for the profile family that dominates high-rate
-// replay traffic; presence is Procs or Steps being nonzero.
-type submitRequest struct {
-	Graph   *dag.Graph        `json:"graph,omitempty"`
-	Mold    *moldable.Spec    `json:"mold,omitempty"`
-	Rigid   profile.RigidSpec `json:"rigid,omitzero"`
-	Release int64             `json:"release,omitempty"`
-}
-
-// hasRigid reports whether the rigid field was populated. A rigid job
-// needs Procs ≥ 1 and Steps ≥ 1 to validate, so an all-zero value can
-// only mean "absent".
-func (r *submitRequest) hasRigid() bool {
-	return r.Rigid.Procs != 0 || r.Rigid.Steps != 0
-}
-
-// spec validates the request body and builds the engine job spec.
-// Moldable and rigid specs validate eagerly (moldable.FromSpec,
-// profile.FromRigidSpec) so malformed curves, edges and widths come back
-// as located 400s, not 500s at admission.
-func (r *submitRequest) spec() (sim.JobSpec, error) {
-	payloads := 0
-	for _, present := range [...]bool{r.Graph != nil, r.Mold != nil, r.hasRigid()} {
-		if present {
-			payloads++
-		}
-	}
-	switch {
-	case payloads > 1:
-		return sim.JobSpec{}, fmt.Errorf("job has %d of graph/mold/rigid; submit exactly one", payloads)
-	case r.Mold != nil:
-		job, err := moldable.FromSpec(*r.Mold)
-		if err != nil {
-			return sim.JobSpec{}, err
-		}
-		return sim.JobSpec{Source: job, Release: r.Release}, nil
-	case r.hasRigid():
-		job, err := profile.FromRigidSpec(r.Rigid)
-		if err != nil {
-			return sim.JobSpec{}, err
-		}
-		return sim.JobSpec{Source: job, Release: r.Release}, nil
-	case r.Graph != nil:
-		return sim.JobSpec{Graph: r.Graph, Release: r.Release}, nil
-	default:
-		return sim.JobSpec{}, fmt.Errorf("job has no graph")
-	}
-}
-
-// batchRequest is the POST /v1/jobs/batch body: a burst of jobs admitted
-// all-or-nothing on one shard under a single engine lock acquisition.
-type batchRequest struct {
-	Jobs []submitRequest `json:"jobs"`
-}
-
-// Both bodies are read by hand on internal/wire's scanner, the graph,
-// mold and rigid values in place by their own packages, with the
-// semantics json.Unmarshal gave these structs (which the tests keep as
-// the oracle): no byte of a body goes through encoding/json.
-
-var (
-	submitFields = []string{"graph", "mold", "rigid", "release"}
-	batchFields  = []string{"jobs"}
-)
-
-func (r *submitRequest) readJSON(s *wire.Scanner) error {
-	return s.Object("job", func(key []byte) error {
-		switch wire.Field(key, submitFields) {
-		case "graph":
-			return wire.Ptr(s, &r.Graph, (*dag.Graph).ReadJSON)
-		case "mold":
-			return wire.Ptr(s, &r.Mold, (*moldable.Spec).ReadJSON)
-		case "rigid":
-			return r.Rigid.ReadJSON(s)
-		case "release":
-			return wire.ReadInt(s, "release", &r.Release)
-		}
-		return s.SkipValue()
-	})
-}
-
-func (b *batchRequest) readJSON(s *wire.Scanner) error {
-	return s.Object("batch", func(key []byte) error {
-		if wire.Field(key, batchFields) == "" {
-			return s.SkipValue()
-		}
-		return wire.Array(s, "jobs", &b.Jobs, (*submitRequest).readJSON)
-	})
-}
 
 // retryAfterSeconds derives the base 503 Retry-After value from the step
 // pace: one virtual step of queue drain, ceiled to whole seconds, never
@@ -148,7 +51,7 @@ func (s *Service) retryAfterValue() string {
 
 // appendJobStatus appends the body GET and DELETE /v1/jobs/{id} answer
 // with, byte for byte what encoding/json wrote for the status struct the
-// tests keep as the oracle (jobJSON): family, completion, response and
+// tests keep as the oracle (statusJSON): family, completion, response and
 // cancelled_at omitted when zero, a nil work vector as null, and the
 // trailing newline json.Encoder adds.
 func appendJobStatus(dst []byte, st sim.JobStatus) []byte {
@@ -265,8 +168,8 @@ const (
 // decoded graphs past the request) while keeping the flat buffers.
 type submitScratch struct {
 	buf   []byte
-	req   submitRequest
-	batch batchRequest
+	req   workload.JobText
+	batch workload.BatchText
 	specs []sim.JobSpec
 	out   []byte
 }
@@ -274,10 +177,10 @@ type submitScratch struct {
 var submitPool = sync.Pool{New: func() any { return new(submitScratch) }}
 
 func (sc *submitScratch) release() {
-	sc.req = submitRequest{}
+	sc.req = workload.JobText{}
 	jobs := sc.batch.Jobs[:cap(sc.batch.Jobs)]
 	for i := range jobs {
-		jobs[i] = submitRequest{}
+		jobs[i] = workload.JobText{}
 	}
 	sc.batch.Jobs = jobs[:0]
 	for i := range sc.specs {
@@ -332,11 +235,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if done {
 		return
 	}
-	if err := wire.Decode(body, sc.req.readJSON); err != nil {
+	if err := wire.Decode(body, sc.req.ReadJSON); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid job JSON: %v", err)
 		return
 	}
-	spec, err := sc.req.spec()
+	spec, err := sc.req.Spec()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -360,7 +263,7 @@ func (s *Service) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	if done {
 		return
 	}
-	if err := wire.Decode(body, sc.batch.readJSON); err != nil {
+	if err := wire.Decode(body, sc.batch.ReadJSON); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid batch JSON: %v", err)
 		return
 	}
@@ -370,7 +273,7 @@ func (s *Service) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	specs := sc.specs[:0]
 	for i := range sc.batch.Jobs {
-		spec, err := sc.batch.Jobs[i].spec()
+		spec, err := sc.batch.Jobs[i].Spec()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "batch job %d: %v", i, err)
 			return

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"krad/internal/dag"
+	"krad/internal/workload"
 )
 
 // startHTTP spins up a free-running service behind an httptest server.
@@ -45,7 +46,7 @@ func startHTTPClock(t *testing.T, cfg Config, run bool) (*Service, *httptest.Ser
 
 func postJob(t *testing.T, url string, g *dag.Graph) (int, *http.Response) {
 	t.Helper()
-	body, err := json.Marshal(submitRequest{Graph: g})
+	body, err := json.Marshal(workload.JobText{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func postJob(t *testing.T, url string, g *dag.Graph) (int, *http.Response) {
 	return out.ID, resp
 }
 
-func getJob(t *testing.T, url string, id int) jobJSON {
+func getJob(t *testing.T, url string, id int) statusJSON {
 	t.Helper()
 	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", url, id))
 	if err != nil {
@@ -76,7 +77,7 @@ func getJob(t *testing.T, url string, id int) jobJSON {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET job %d: status %d", id, resp.StatusCode)
 	}
-	var st jobJSON
+	var st statusJSON
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestHTTPConcurrentSubmissions(t *testing.T) {
 			defer wg.Done()
 			client := &http.Client{}
 			for i := 0; i < perWorker; i++ {
-				body, _ := json.Marshal(submitRequest{Graph: dag.ForkJoin(2, 3, 1, 2, 1)})
+				body, _ := json.Marshal(workload.JobText{Graph: dag.ForkJoin(2, 3, 1, 2, 1)})
 				for attempt := 0; ; attempt++ {
 					resp, err := client.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 					if err != nil {
@@ -342,7 +343,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		t.Errorf("graphless job: status %d", got)
 	}
 	// K mismatch: the engine rejects a 3-category job on a 2-category machine.
-	body, _ := json.Marshal(submitRequest{Graph: dag.Singleton(3, 1)})
+	body, _ := json.Marshal(workload.JobText{Graph: dag.Singleton(3, 1)})
 	if got := post(string(body)); got != http.StatusBadRequest {
 		t.Errorf("K-mismatched job: status %d", got)
 	}
@@ -369,7 +370,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 
 	// Cancel flow: a far-future job can be cancelled once, then conflicts.
-	body, _ = json.Marshal(submitRequest{Graph: dag.Singleton(2, 1), Release: 1 << 40})
+	body, _ = json.Marshal(workload.JobText{Graph: dag.Singleton(2, 1), Release: 1 << 40})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ import (
 	"krad/internal/profile"
 	"krad/internal/sched"
 	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 func journaledConfig(t *testing.T, k int, caps ...int) Config {
@@ -585,7 +586,7 @@ func TestDegradedHTTPIs503WithRetryAfter(t *testing.T) {
 	}
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	body, err := json.Marshal(submitRequest{Graph: dag.Singleton(1, 1)})
+	body, err := json.Marshal(workload.JobText{Graph: dag.Singleton(1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

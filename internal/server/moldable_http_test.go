@@ -11,11 +11,12 @@ import (
 	"krad/internal/dag"
 	"krad/internal/moldable"
 	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 // moldBody builds a valid two-category moldable submission body.
-func moldBody(name string) submitRequest {
-	return submitRequest{Mold: &moldable.Spec{
+func moldBody(name string) workload.JobText {
+	return workload.JobText{Mold: &moldable.Spec{
 		K:    2,
 		Name: name,
 		Tasks: []moldable.TaskSpec{
@@ -101,8 +102,8 @@ func TestHTTPSubmitMoldableValidation(t *testing.T) {
 	}{
 		{"bad-curve", badCurve, "task 1: curve: powerlaw alpha 1.7"},
 		{"graph-and-mold", both, "exactly one"},
-		{"neither", submitRequest{}, "no graph"},
-		{"cyclic", submitRequest{Mold: &moldable.Spec{K: 1, Tasks: []moldable.TaskSpec{
+		{"neither", workload.JobText{}, "no graph"},
+		{"cyclic", workload.JobText{Mold: &moldable.Spec{K: 1, Tasks: []moldable.TaskSpec{
 			{Cat: 1, Work: 1, Max: 1, Curve: moldable.CurveSpec{Type: moldable.CurvePowerLaw, Alpha: 1}},
 			{Cat: 1, Work: 1, Max: 1, Curve: moldable.CurveSpec{Type: moldable.CurvePowerLaw, Alpha: 1}},
 		}, Edges: [][2]int{{0, 1}, {1, 0}}}}, "cycle"},
@@ -136,7 +137,7 @@ func TestHTTPSubmitMoldableValidation(t *testing.T) {
 // the same engine.
 func TestHTTPBatchMixedFamilies(t *testing.T) {
 	_, ts := startHTTP(t, testConfig(2, 3, 3))
-	batch := batchRequest{Jobs: []submitRequest{
+	batch := workload.BatchText{Jobs: []workload.JobText{
 		{Graph: dag.UniformChain(2, 4, 1)},
 		moldBody("batched-mold"),
 	}}
@@ -168,7 +169,7 @@ func TestHTTPBatchMixedFamilies(t *testing.T) {
 	}
 	// A bad job anywhere in the batch rejects the whole batch with a
 	// located error.
-	bad := batchRequest{Jobs: []submitRequest{
+	bad := workload.BatchText{Jobs: []workload.JobText{
 		{Graph: dag.UniformChain(2, 2, 1)},
 		{Mold: &moldable.Spec{K: 2}},
 	}}

@@ -19,6 +19,7 @@ import (
 	"krad/internal/metrics"
 	"krad/internal/sched"
 	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 // poolConfig is testConfig with N shards behind the front-end.
@@ -257,7 +258,7 @@ func TestHashPlacementAffinityHTTP(t *testing.T) {
 
 	submitKeyed := func(key string) int {
 		t.Helper()
-		body, _ := json.Marshal(submitRequest{Graph: dag.Singleton(2, 1), Release: 1 << 30})
+		body, _ := json.Marshal(workload.JobText{Graph: dag.Singleton(2, 1), Release: 1 << 30})
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
 		if key != "" {
 			req.Header.Set(PlacementKeyHeader, key)
@@ -338,11 +339,11 @@ func TestSubmitBatchHTTP(t *testing.T) {
 		return resp, b
 	}
 
-	jobs := make([]submitRequest, 5)
+	jobs := make([]workload.JobText, 5)
 	for i := range jobs {
-		jobs[i] = submitRequest{Graph: dag.ForkJoin(2, 3, 1, 2, 1)}
+		jobs[i] = workload.JobText{Graph: dag.ForkJoin(2, 3, 1, 2, 1)}
 	}
-	resp, body := postBatch(batchRequest{Jobs: jobs})
+	resp, body := postBatch(workload.BatchText{Jobs: jobs})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
 	}
@@ -365,20 +366,20 @@ func TestSubmitBatchHTTP(t *testing.T) {
 
 	// All-or-nothing: a batch with one invalid member admits nothing.
 	before := svc.Stats().Submitted
-	bad := []submitRequest{
+	bad := []workload.JobText{
 		{Graph: dag.Singleton(2, 1)},
 		{Graph: dag.Singleton(3, 1)}, // K mismatch
 	}
-	if resp, body := postBatch(batchRequest{Jobs: bad}); resp.StatusCode != http.StatusBadRequest {
+	if resp, body := postBatch(workload.BatchText{Jobs: bad}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid batch status %d: %s", resp.StatusCode, body)
 	}
 	if after := svc.Stats().Submitted; after != before {
 		t.Errorf("invalid batch admitted %d jobs", after-before)
 	}
-	if resp, _ := postBatch(batchRequest{}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postBatch(workload.BatchText{}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch status %d", resp.StatusCode)
 	}
-	if resp, _ := postBatch(batchRequest{Jobs: []submitRequest{{}}}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postBatch(workload.BatchText{Jobs: []workload.JobText{{}}}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("graphless batch member status %d", resp.StatusCode)
 	}
 }
@@ -391,11 +392,11 @@ func TestBatchBackpressureRetryAfter(t *testing.T) {
 	cfg.StepEvery = 1700 * time.Millisecond // ceil → 2s
 	_, ts := startHTTPClock(t, cfg, false)
 
-	jobs := make([]submitRequest, 4) // exceeds the bound outright
+	jobs := make([]workload.JobText, 4) // exceeds the bound outright
 	for i := range jobs {
-		jobs[i] = submitRequest{Graph: dag.Singleton(1, 1)}
+		jobs[i] = workload.JobText{Graph: dag.Singleton(1, 1)}
 	}
-	raw, _ := json.Marshal(batchRequest{Jobs: jobs})
+	raw, _ := json.Marshal(workload.BatchText{Jobs: jobs})
 	resp, err := http.Post(ts.URL+"/v1/jobs/batch", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)

@@ -561,6 +561,27 @@ func TestStealThiefJournalFailureRehomesJobs(t *testing.T) {
 	}
 }
 
+// TestStealSyncsEachHalfOnce: under SyncAlways each half of a steal is
+// fsynced by its own append, so one steal costs the fleet two fsyncs, not
+// a second one per half from the steal's durability barrier.
+func TestStealSyncsEachHalfOnce(t *testing.T) {
+	cfg := journaledStealConfig(t, 2, 1, 1)
+	cfg.Journal.Sync = journal.SyncAlways
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainlessClose(t, svc)
+	submitBurst(t, svc, 0, 4, 3, 100)
+	before := svc.Stats().Journal.Syncs
+	if !svc.stealFor(svc.shards[1]) {
+		t.Fatal("steal moved nothing")
+	}
+	if got := svc.Stats().Journal.Syncs - before; got != 2 {
+		t.Fatalf("one steal took %d fsyncs, want 2", got)
+	}
+}
+
 // TestStealDoubleAdmissionRefusesRestart: journals that hold both a thief's
 // admission of stolen jobs and the victim's own re-admission of them would
 // run each job twice. The thief-failure path never writes both; should a

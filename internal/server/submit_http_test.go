@@ -16,6 +16,7 @@ import (
 	"krad/internal/profile"
 	"krad/internal/replicate"
 	"krad/internal/sim"
+	"krad/internal/workload"
 )
 
 func postRaw(t *testing.T, url, path string, body []byte) *http.Response {
@@ -55,7 +56,7 @@ func TestRigidSubmitHTTP(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
 		t.Fatal(err)
 	}
-	var job jobJSON
+	var job statusJSON
 	for job.State != "done" {
 		r2, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", ts.URL, created.ID))
 		if err != nil {
@@ -148,7 +149,7 @@ func TestPooledScratchIsolation(t *testing.T) {
 	_, ts := startHTTPClock(t, cfg, false)
 
 	for round := 0; round < 3; round++ {
-		g, _ := json.Marshal(submitRequest{Graph: dag.Singleton(1, 1)})
+		g, _ := json.Marshal(workload.JobText{Graph: dag.Singleton(1, 1)})
 		if resp := postRaw(t, ts.URL, "/v1/jobs", g); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("round %d: graph submit status %d", round, resp.StatusCode)
 		}
@@ -159,9 +160,9 @@ func TestPooledScratchIsolation(t *testing.T) {
 			t.Fatalf("round %d: stale graph leaked through the pool (status %d)", round, resp.StatusCode)
 		}
 
-		long := batchRequest{Jobs: make([]submitRequest, 5)}
+		long := workload.BatchText{Jobs: make([]workload.JobText, 5)}
 		for i := range long.Jobs {
-			long.Jobs[i] = submitRequest{Graph: dag.Singleton(1, 1)}
+			long.Jobs[i] = workload.JobText{Graph: dag.Singleton(1, 1)}
 		}
 		lb, _ := json.Marshal(long)
 		if resp := postRaw(t, ts.URL, "/v1/jobs/batch", lb); resp.StatusCode != http.StatusCreated {
@@ -359,7 +360,7 @@ func TestSubmitAllocsPinnedGraph(t *testing.T) {
 		dag.MapReduce(2, 10, 8, 1, 2, 1, 2),
 		dag.MapReduce(2, 190, 8, 1, 2, 1, 2),
 	} {
-		body, _ := json.Marshal(submitRequest{Graph: g})
+		body, _ := json.Marshal(workload.JobText{Graph: g})
 		submit := func() {
 			req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body))
 			rec.Body.Reset()
@@ -384,9 +385,9 @@ func TestSubmitAllocsPinnedGraph(t *testing.T) {
 // slots), so a 64-job batch stays within 64× the single-job constant, and
 // replication must add nothing to it.
 func TestSubmitAllocsPinnedBatch(t *testing.T) {
-	var batch batchRequest
+	var batch workload.BatchText
 	for i := 0; i < 64; i++ {
-		batch.Jobs = append(batch.Jobs, submitRequest{Rigid: profile.RigidSpec{K: 2, Cat: 2, Procs: 1, Steps: 2}})
+		batch.Jobs = append(batch.Jobs, workload.JobText{Rigid: profile.RigidSpec{K: 2, Cat: 2, Procs: 1, Steps: 2}})
 	}
 	body, _ := json.Marshal(batch)
 	var journaled float64

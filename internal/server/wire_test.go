@@ -17,13 +17,14 @@ import (
 	"krad/internal/profile"
 	"krad/internal/sim"
 	"krad/internal/wire"
+	"krad/internal/workload"
 )
 
-// The submit bodies used to be read with json.Unmarshal into
-// submitRequest and batchRequest, and that reflective decode is the oracle
-// here: the hand-written one must give the same verdict, the same decoded
-// values — and so the same specs — and the same bytes when the values are
-// encoded again. The one licensed disagreement is a moldable edge that is
+// The submit bodies are workload.JobText and workload.BatchText, and
+// json.Unmarshal and json.Marshal over those structs are the oracle here:
+// the hand-written reader must give the same verdict, the same decoded
+// values — and so the same specs — and the same bytes when the values,
+// and the whole texts, are encoded again. The one licensed disagreement is a moldable edge that is
 // not exactly two integers, which [][2]int padded, truncated or took as
 // whatever the slot held.
 
@@ -47,9 +48,9 @@ func agree(t *testing.T, err, oerr error) bool {
 }
 
 // sameSubmit fails unless got and want hold the same job, graphs compared
-// by k, name, categories and adjacency order, and unless each value
-// re-encodes to encoding/json's bytes for it.
-func sameSubmit(t *testing.T, got, want submitRequest) {
+// by k, name, categories and adjacency order, and unless each value and
+// the whole text re-encode to encoding/json's bytes for them.
+func sameSubmit(t *testing.T, got, want workload.JobText) {
 	t.Helper()
 	if (got.Graph == nil) != (want.Graph == nil) {
 		t.Fatalf("graph %v, want %v", got.Graph, want.Graph)
@@ -75,8 +76,10 @@ func sameSubmit(t *testing.T, got, want submitRequest) {
 		reencoded(t, out, err, want.Mold)
 	}
 	reencoded(t, got.Rigid.AppendJSON(nil), nil, want.Rigid)
-	_, serr := got.spec()
-	_, oerr := want.spec()
+	out, err := got.AppendJSON(nil)
+	reencoded(t, out, err, want)
+	_, serr := got.Spec()
+	_, oerr := want.Spec()
 	if (serr == nil) != (oerr == nil) || serr != nil && serr.Error() != oerr.Error() {
 		t.Fatalf("spec: %v, oracle %v", serr, oerr)
 	}
@@ -91,18 +94,20 @@ func reencoded(t *testing.T, got []byte, err error, v any) {
 }
 
 func checkBody(t *testing.T, data []byte) {
-	var got, want submitRequest
-	if agree(t, wire.Decode(data, got.readJSON), json.Unmarshal(data, &want)) {
+	var got, want workload.JobText
+	if agree(t, wire.Decode(data, got.ReadJSON), json.Unmarshal(data, &want)) {
 		sameSubmit(t, got, want)
 	}
-	var gotB, wantB batchRequest
-	if agree(t, wire.Decode(data, gotB.readJSON), json.Unmarshal(data, &wantB)) {
+	var gotB, wantB workload.BatchText
+	if agree(t, wire.Decode(data, gotB.ReadJSON), json.Unmarshal(data, &wantB)) {
 		if len(gotB.Jobs) != len(wantB.Jobs) || (gotB.Jobs == nil) != (wantB.Jobs == nil) {
 			t.Fatalf("batch of %d jobs, want %d", len(gotB.Jobs), len(wantB.Jobs))
 		}
 		for i := range gotB.Jobs {
 			sameSubmit(t, gotB.Jobs[i], wantB.Jobs[i])
 		}
+		out, err := gotB.AppendJSON(nil)
+		reencoded(t, out, err, wantB)
 	}
 }
 
@@ -159,7 +164,7 @@ func FuzzSubmitBody(f *testing.F) {
 	}
 	mold, _ := json.Marshal(moldBody("seed"))
 	f.Add(mold)
-	batch, _ := json.Marshal(batchRequest{Jobs: []submitRequest{
+	batch, _ := json.Marshal(workload.BatchText{Jobs: []workload.JobText{
 		moldBody("b"), {Graph: dag.Figure1(), Release: 3}, {Rigid: profile.RigidSpec{K: 2, Cat: 2, Procs: 1, Steps: 2}},
 	}})
 	f.Add(batch)
@@ -171,8 +176,8 @@ func FuzzSubmitBody(f *testing.F) {
 func TestSubmitSeedsAgree(t *testing.T) {
 	for _, s := range submitSeeds {
 		checkBody(t, []byte(s))
-		var got, want submitRequest
-		if err := wire.Decode([]byte(s), got.readJSON); moldEdgeShape(err) {
+		var got, want workload.JobText
+		if err := wire.Decode([]byte(s), got.ReadJSON); moldEdgeShape(err) {
 			if oerr := json.Unmarshal([]byte(s), &want); oerr != nil {
 				t.Errorf("%.60s: the oracle rejects a malformed edge too: %v", s, oerr)
 			}
@@ -248,10 +253,10 @@ func TestSubmitResponseMatchesWriteJSON(t *testing.T) {
 	}
 }
 
-// jobJSON is the status body GET and DELETE /v1/jobs/{id} used to encode
+// statusJSON is the status body GET and DELETE /v1/jobs/{id} used to encode
 // through writeJSON, kept as appendJobStatus's oracle and as the tests'
 // decode target.
-type jobJSON struct {
+type statusJSON struct {
 	ID          int    `json:"id"`
 	State       string `json:"state"`
 	Family      string `json:"family,omitempty"`
@@ -263,8 +268,8 @@ type jobJSON struct {
 	Span        int    `json:"span"`
 }
 
-func toJobJSON(st sim.JobStatus) jobJSON {
-	j := jobJSON{
+func toJobJSON(st sim.JobStatus) statusJSON {
+	j := statusJSON{
 		ID:          st.ID,
 		State:       st.Phase.String(),
 		Release:     st.Release,

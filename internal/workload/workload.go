@@ -1,7 +1,9 @@
 // Package workload generates the synthetic job sets the experiment suite
 // runs on: batched and online-arrival mixes of the job shapes from
 // internal/dag, all driven by seeded math/rand generators so every
-// experiment is reproducible from its parameters alone.
+// experiment is reproducible from its parameters alone. It also reads
+// SWF logs into rigid jobs, and owns the JSON text of a job (JobText)
+// that submit bodies, job files and load generators share.
 package workload
 
 import (
