@@ -63,6 +63,7 @@ import (
 	"krad/internal/metrics"
 	"krad/internal/moldable"
 	"krad/internal/profile"
+	"krad/internal/server"
 	"krad/internal/workload"
 )
 
@@ -140,23 +141,6 @@ type journalDelta struct {
 	SyncShare float64 `json:"sync_share_of_wall"`
 }
 
-// healthStats is the slice of /healthz this client reads.
-type healthStats struct {
-	Status string `json:"status"`
-	Stats  struct {
-		Steps     int64 `json:"steps"`
-		K         int   `json:"k"`
-		Submitted int64 `json:"submitted"`
-		Completed int64 `json:"completed"`
-		Rejected  int64 `json:"rejected"`
-		InFlight  int   `json:"in_flight"`
-		Journal   *struct {
-			Syncs       int64   `json:"syncs"`
-			SyncSeconds float64 `json:"sync_seconds"`
-		} `json:"journal"`
-	} `json:"stats"`
-}
-
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", "http://localhost:8080", "kradd base URL")
@@ -225,15 +209,15 @@ func run(o options) (*report, error) {
 	if o.workers < 1 || o.batch < 1 || o.tenants < 0 {
 		return nil, fmt.Errorf("kradreplay: need workers ≥ 1, batch ≥ 1 and tenants ≥ 0")
 	}
-	before, err := fetchHealth(o.addr)
+	before, status, err := fetchHealth(o.addr)
 	if err != nil {
 		return nil, fmt.Errorf("kradreplay: daemon not reachable: %w", err)
 	}
-	if before.Stats.K < 1 {
-		return nil, fmt.Errorf("kradreplay: daemon not ready: /healthz says %q and carries no stats yet", before.Status)
+	if before.K < 1 {
+		return nil, fmt.Errorf("kradreplay: daemon not ready: /healthz says %q and carries no stats yet", status)
 	}
 
-	src, name, err := newSource(o, before.Stats.K)
+	src, name, err := newSource(o, before.K)
 	if err != nil {
 		return nil, err
 	}
@@ -306,11 +290,11 @@ func run(o options) (*report, error) {
 		}
 		rep.Drain = dr
 	}
-	after, err := fetchHealth(o.addr)
+	after, _, err := fetchHealth(o.addr)
 	if err != nil {
 		return rep, err
 	}
-	if bj, aj := before.Stats.Journal, after.Stats.Journal; bj != nil && aj != nil {
+	if bj, aj := before.Journal, after.Journal; bj != nil && aj != nil {
 		d := &journalDelta{
 			Syncs:       aj.Syncs - bj.Syncs,
 			SyncSeconds: aj.SyncSeconds - bj.SyncSeconds,
@@ -624,18 +608,18 @@ func retryDelay(header string, cap time.Duration, attempt int) time.Duration {
 
 // waitDrain polls /healthz until the daemon has completed everything this
 // run submitted, returning drain throughput over the full run.
-func waitDrain(o options, before *healthStats, accepted int64, start time.Time) (*drainReport, error) {
-	target := before.Stats.Completed + accepted
+func waitDrain(o options, before *server.Stats, accepted int64, start time.Time) (*drainReport, error) {
+	target := before.Completed + accepted
 	lastProgress := time.Now()
 	lastDone := int64(-1)
 	for {
-		cur, err := fetchHealth(o.addr)
+		cur, _, err := fetchHealth(o.addr)
 		if err != nil {
 			return nil, err
 		}
-		if cur.Stats.Completed >= target {
+		if cur.Completed >= target {
 			elapsed := time.Since(start)
-			steps := cur.Stats.Steps - before.Stats.Steps
+			steps := cur.Steps - before.Steps
 			dr := &drainReport{
 				Jobs:    accepted,
 				Seconds: elapsed.Seconds(),
@@ -651,25 +635,29 @@ func waitDrain(o options, before *healthStats, accepted int64, start time.Time) 
 			}
 			return dr, nil
 		}
-		if cur.Stats.Completed != lastDone {
-			lastDone = cur.Stats.Completed
+		if cur.Completed != lastDone {
+			lastDone = cur.Completed
 			lastProgress = time.Now()
 		} else if time.Since(lastProgress) > o.drainMax {
-			return nil, fmt.Errorf("kradreplay: drain stalled at %d/%d completed", cur.Stats.Completed, target)
+			return nil, fmt.Errorf("kradreplay: drain stalled at %d/%d completed", cur.Completed, target)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 }
 
-func fetchHealth(addr string) (*healthStats, error) {
+// fetchHealth reads /healthz: the daemon's Stats and its status line.
+func fetchHealth(addr string) (*server.Stats, string, error) {
 	resp, err := http.Get(addr + "/healthz")
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
-	var hs healthStats
-	if err := json.NewDecoder(resp.Body).Decode(&hs); err != nil {
-		return nil, err
+	var h struct {
+		Status string
+		Stats  server.Stats
 	}
-	return &hs, nil
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		return nil, "", err
+	}
+	return &h.Stats, h.Status, nil
 }

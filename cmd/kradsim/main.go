@@ -54,7 +54,7 @@ func main() {
 		swfScale   = flag.Int64("swf-scale", 60, "seconds per simulation step when reading SWF")
 		swfMax     = flag.Int("swf-maxjobs", 500, "cap on SWF jobs read (0 = all)")
 		presetFlag = flag.String("preset", "", fmt.Sprintf("use a named workload preset (overrides -caps/-jobs): %v", workload.PresetNames()))
-		saveFlag   = flag.String("save", "", "write the job set to a JSON file (usable later with -load)")
+		saveFlag   = flag.String("save", "", "write the job set to a JSON job file (usable later with -load); it holds graph, moldable and rigid jobs, so not -family profile or mixed")
 		ganttFlag  = flag.Bool("gantt", false, "print an ASCII Gantt chart and re-check the schedule against Section 2 (small DAG runs only)")
 		csvFlag    = flag.String("csv", "", "write the per-step trace as CSV to this file")
 		jsonFlag   = flag.String("json", "", `write the run result + competitive ratios as JSON to this file ("-" = stdout, suppressing the report)`)
@@ -112,7 +112,7 @@ func main() {
 	}
 	if *saveFlag != "" {
 		if err := saveSpecs(*saveFlag, specs); err != nil {
-			log.Fatal(err)
+			log.Fatalf("-save: %v", err)
 		}
 		fmt.Printf("job set written to %s\n", *saveFlag)
 	}
@@ -373,7 +373,7 @@ func saveSpecs(path string, specs []sim.JobSpec) error {
 	for i, s := range specs {
 		text, err := workload.TextOf(s)
 		if err != nil {
-			return fmt.Errorf("job %d: %w", i, err)
+			return fmt.Errorf("job %d: %w (-family profile and mixed draw multi-phase profile jobs)", i, err)
 		}
 		if i > 0 {
 			data = append(data, ',')

@@ -275,7 +275,14 @@ func TestSaveSpecsRejectsSourceJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := saveSpecs(filepath.Join(dir, "p.json"), profs); err == nil {
-		t.Error("profile job set accepted")
+	err = saveSpecs(filepath.Join(dir, "p.json"), profs)
+	if err == nil {
+		t.Fatal("profile job set accepted")
+	}
+	// The refusal names the job's family and the -family sets that draw it.
+	for _, want := range []string{`family "profile"`, "-family profile and mixed"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"krad/internal/core"
+	"krad/internal/metrics"
 	"krad/internal/sched"
 	"krad/internal/server"
 	"krad/internal/sim"
@@ -104,8 +105,8 @@ func main() {
 }
 
 // row is one finished job: its response time against its solo lower bound
-// max(span, max_α ceil(work_α / P_α)) — the best any schedule could do for
-// that job alone on one shard's machine.
+// (metrics.SoloBound) — the best any schedule could do for that job alone
+// on one shard's machine.
 type row struct{ id, response, solo int }
 
 func (r row) slowdown() float64 { return float64(r.response) / float64(r.solo) }
@@ -119,13 +120,7 @@ func finished(base string, caps []int, id int) row {
 	if err := call(http.MethodGet, fmt.Sprintf("%s/v1/jobs/%d", base, id), nil, &js); err != nil {
 		log.Fatal(err)
 	}
-	solo := js.Span
-	for a, w := range js.Work {
-		if lb := (w + caps[a] - 1) / caps[a]; lb > solo {
-			solo = lb
-		}
-	}
-	return row{id, js.Response, solo}
+	return row{id, js.Response, int(metrics.SoloBound(js.Span, js.Work, caps))}
 }
 
 // selfHost starts an in-process kradd (K=2, caps 4 and 2) on a loopback

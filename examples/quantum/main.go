@@ -3,7 +3,7 @@
 // recomputed every unit step; real runtimes re-partition processors on a
 // scheduling quantum. This example wraps K-RAD in krad.NewQuantized and
 // sweeps the quantum L, printing how the makespan and mean response
-// degrade, plus the per-job slowdown distribution at the largest L.
+// degrade, plus the worst per-job slowdown at each L.
 //
 //	go run ./examples/quantum [-jobs 40]
 package main
@@ -56,27 +56,11 @@ func main() {
 		}
 		fmt.Printf("%8d  %8d  %12.2f  %10.1f  %12.1f\n",
 			l, res.Makespan, float64(res.Makespan)/float64(base),
-			res.MeanResponse(), maxSlowdown(res))
+			res.MeanResponse(), krad.MaxSlowdown(res))
 	}
 
 	fmt.Println("\nThe proven bounds apply at L = 1. The degradation above is the price")
 	fmt.Println("of holding allotments fixed between allocator invocations: jobs whose")
 	fmt.Println("parallelism shifted mid-quantum idle until the next boundary. Pick the")
 	fmt.Println("quantum by how much of that price the deployment can afford.")
-}
-
-func maxSlowdown(res *krad.Result) float64 {
-	worst := 1.0
-	for _, j := range res.Jobs {
-		ideal := int64(j.Span)
-		for a, w := range j.Work {
-			if v := int64((w + res.Caps[a] - 1) / res.Caps[a]); v > ideal {
-				ideal = v
-			}
-		}
-		if s := float64(j.Response()) / float64(ideal); s > worst {
-			worst = s
-		}
-	}
-	return worst
 }

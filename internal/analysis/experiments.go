@@ -85,16 +85,6 @@ func Find(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("analysis: unknown experiment %q", id)
 }
 
-// RunE3 runs E3, the Figure 3 reproduction whose cells TestE3GoldenValues
-// pins.
-func RunE3(opts Options) (*Table, error) {
-	e, err := Find("E3")
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(opts)
-}
-
 // scale picks a sweep's full value, or its quick one under Options.Quick.
 func scale[T any](o Options, full, quick T) T {
 	if o.Quick {

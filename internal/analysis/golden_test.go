@@ -10,7 +10,11 @@ import (
 // K + m·PK − 1, cell for cell. Any engine or scheduler regression that
 // perturbs the adversarial dance breaks this test immediately.
 func TestE3GoldenValues(t *testing.T) {
-	tbl, err := RunE3(Options{Quick: true, Seed: 1})
+	e, err := Find("E3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.Run(Options{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

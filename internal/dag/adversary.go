@@ -23,8 +23,8 @@ import "fmt"
 // tasks of its level — emulated by the PickCPLast policy. The optimal
 // clairvoyant schedule instead runs critical tasks first (PickCPFirst).
 type Adversarial struct {
-	// K is the number of resource categories; K ≥ 2. (For K = 1 the
-	// construction degenerates; see Homogeneous.)
+	// K is the number of resource categories; K ≥ 2 (for K = 1 the
+	// construction degenerates).
 	K int
 	// P[α−1] is the processor count of category α. The construction
 	// requires P[K−1] = Pmax, as in the paper's proof.
@@ -42,7 +42,7 @@ type Adversarial struct {
 // maximum processor count (the proof's convention PK = Pmax).
 func NewAdversarial(k, m int, p []int) (*Adversarial, error) {
 	if k < 2 {
-		return nil, fmt.Errorf("dag: adversarial construction needs K ≥ 2, got %d (use Homogeneous for K = 1)", k)
+		return nil, fmt.Errorf("dag: adversarial construction needs K ≥ 2, got %d", k)
 	}
 	if m < 1 {
 		return nil, fmt.Errorf("dag: adversarial construction needs m ≥ 1, got %d", m)
@@ -137,67 +137,6 @@ func (a *Adversarial) JobSet(bigJobLast bool) []*Graph {
 	}
 	if bigJobLast {
 		jobs = append(jobs, a.BigJob)
-	}
-	return jobs
-}
-
-// Homogeneous is the K = 1 analogue: n − 1 singleton jobs plus one chain of
-// length m·P. Any non-clairvoyant scheduler that the adversary steers into
-// running the chain job last needs ≈ 2·m·P steps while the optimum is
-// m·P + ... — the classic 2 − 1/P makespan lower bound of Shmoys et al.
-type Homogeneous struct {
-	P, M     int
-	ChainJob *Graph
-	// NumSingletons is m·P·P − ... kept simple: (m·P − 1)·P singletons so
-	// total 1-work is m·P² − P + 1 ≈ the chain drains alongside.
-	NumSingletons int
-}
-
-// NewHomogeneous builds the K = 1 lower-bound instance on p processors with
-// scale m: one chain of length m·p and (m·p−1)·p singletons.
-func NewHomogeneous(p, m int) (*Homogeneous, error) {
-	if p < 1 || m < 1 {
-		return nil, fmt.Errorf("dag: homogeneous construction needs p ≥ 1 and m ≥ 1, got p=%d m=%d", p, m)
-	}
-	return &Homogeneous{
-		P:             p,
-		M:             m,
-		ChainJob:      UniformChain(1, m*p, 1).Named(fmt.Sprintf("hom-chain-%d", m*p)),
-		NumSingletons: (m*p - 1) * p,
-	}, nil
-}
-
-// OptimalMakespan returns m·p + m − 1: run the chain continuously while the
-// singleton mass fills the remaining p−1 processors.
-func (h *Homogeneous) OptimalMakespan() int {
-	// Total work = m·p (chain) + (m·p−1)·p singletons = m·p² + m·p − p.
-	// With the chain on one processor for m·p steps, the singletons need
-	// ⌈(m·p−1)·p / p⌉ = m·p − 1 slots spread over the other p−1 processors
-	// during the chain, which fits when m·p ≥ ... For the ratio experiments
-	// we report the work-based lower bound, which the CP-first schedule
-	// meets within rounding.
-	total := h.M*h.P*h.P + h.M*h.P - h.P
-	lb := (total + h.P - 1) / h.P
-	if c := h.M * h.P; c > lb {
-		return c
-	}
-	return lb
-}
-
-// LimitRatio returns 2 − 1/P.
-func (h *Homogeneous) LimitRatio() float64 { return 2 - 1/float64(h.P) }
-
-// JobSet materializes the instance, chain job last when chainLast is true.
-func (h *Homogeneous) JobSet(chainLast bool) []*Graph {
-	jobs := make([]*Graph, 0, h.NumSingletons+1)
-	if !chainLast {
-		jobs = append(jobs, h.ChainJob)
-	}
-	for i := 0; i < h.NumSingletons; i++ {
-		jobs = append(jobs, Singleton(1, 1))
-	}
-	if chainLast {
-		jobs = append(jobs, h.ChainJob)
 	}
 	return jobs
 }

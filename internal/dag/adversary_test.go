@@ -121,29 +121,3 @@ func TestAdversarialJobSetOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestHomogeneous(t *testing.T) {
-	if _, err := NewHomogeneous(0, 1); err == nil {
-		t.Error("accepted p=0")
-	}
-	h, err := NewHomogeneous(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.ChainJob.Span() != 8 {
-		t.Errorf("chain span %d, want 8", h.ChainJob.Span())
-	}
-	if h.LimitRatio() != 2-0.25 {
-		t.Errorf("LimitRatio = %v", h.LimitRatio())
-	}
-	set := h.JobSet(true)
-	if set[len(set)-1] != h.ChainJob {
-		t.Error("chain not last")
-	}
-	if len(set) != h.NumSingletons+1 {
-		t.Errorf("set size %d", len(set))
-	}
-	if h.OptimalMakespan() < 8 {
-		t.Errorf("optimal %d below chain length", h.OptimalMakespan())
-	}
-}

@@ -1,30 +1,25 @@
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"strings"
+import "krad/internal/sim"
 
-	"krad/internal/sim"
-)
+// SoloBound is a job's solo lower bound max(T∞, maxα ⌈T1(α)/Pα⌉), never
+// below 1: the job alone on a machine of caps can finish no sooner.
+// work[α−1] is the job's category-α work.
+func SoloBound(span int, work, caps []int) int64 {
+	b := max(int64(span), 1)
+	for a, w := range work {
+		b = max(b, ceilDiv(int64(w), int64(caps[a])))
+	}
+	return b
+}
 
 // Slowdowns returns each job's slowdown (a.k.a. stretch): response time
-// divided by the job's ideal solo duration. The solo lower bound is
-// max(T∞(Ji), maxα ⌈T1(Ji,α)/Pα⌉) — the job alone on the machine can do no
-// better — so every slowdown is ≥ 1 and measures queueing/sharing delay.
+// divided by its SoloBound, so every slowdown is ≥ 1 and measures
+// queueing/sharing delay.
 func Slowdowns(r *sim.Result) []float64 {
 	out := make([]float64, len(r.Jobs))
 	for i, j := range r.Jobs {
-		ideal := int64(j.Span)
-		for a, w := range j.Work {
-			if v := ceilDiv(int64(w), int64(r.Caps[a])); v > ideal {
-				ideal = v
-			}
-		}
-		if ideal < 1 {
-			ideal = 1
-		}
-		out[i] = float64(j.Response()) / float64(ideal)
+		out[i] = float64(j.Response()) / float64(SoloBound(j.Span, j.Work, r.Caps))
 	}
 	return out
 }
@@ -34,57 +29,4 @@ func Slowdowns(r *sim.Result) []float64 {
 // keeping the mean respectable.
 func MaxSlowdown(r *sim.Result) float64 {
 	return MaxFloat(Slowdowns(r))
-}
-
-// Histogram renders a fixed-width ASCII histogram of a sample: `buckets`
-// equal-width bins between min and max, one line per bin with a bar scaled
-// to the modal count. Intended for terminal reports (cmd/kradsim,
-// examples). Empty samples produce an explanatory line.
-func Histogram(xs []float64, buckets, width int) string {
-	if len(xs) == 0 {
-		return "(empty sample)\n"
-	}
-	if buckets < 1 {
-		buckets = 1
-	}
-	if width < 1 {
-		width = 40
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	counts := make([]int, buckets)
-	if hi == lo {
-		counts[0] = len(xs)
-	} else {
-		for _, x := range xs {
-			b := int(float64(buckets) * (x - lo) / (hi - lo))
-			if b >= buckets {
-				b = buckets - 1
-			}
-			counts[b]++
-		}
-	}
-	modal := 0
-	for _, c := range counts {
-		if c > modal {
-			modal = c
-		}
-	}
-	var b strings.Builder
-	step := (hi - lo) / float64(buckets)
-	for i, c := range counts {
-		bar := ""
-		if modal > 0 {
-			bar = strings.Repeat("█", c*width/modal)
-		}
-		fmt.Fprintf(&b, "%10.1f–%-10.1f %6d |%s\n", lo+float64(i)*step, lo+float64(i+1)*step, c, bar)
-	}
-	return b.String()
 }

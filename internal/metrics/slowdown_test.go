@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 
 	"krad/internal/core"
@@ -49,25 +48,23 @@ func TestSlowdownWorkLimitedIdeal(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	if !strings.Contains(Histogram(nil, 5, 20), "empty") {
-		t.Error("empty sample not reported")
+func TestSoloBound(t *testing.T) {
+	cases := []struct {
+		name       string
+		span       int
+		work, caps []int
+		want       int64
+	}{
+		{"span-limited", 9, []int{9}, []int{4}, 9},
+		{"work-limited", 3, []int{10}, []int{2}, 5},
+		{"rounds-up", 1, []int{5, 7}, []int{2, 2}, 4},
+		{"never-below-one", 0, []int{0, 0}, []int{4, 4}, 1},
 	}
-	out := Histogram([]float64{1, 1, 2, 5, 5, 5}, 4, 20)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("%d lines, want 4:\n%s", len(lines), out)
+	for _, tc := range cases {
+		if got := SoloBound(tc.span, tc.work, tc.caps); got != tc.want {
+			t.Errorf("%s: SoloBound = %d, want %d", tc.name, got, tc.want)
+		}
 	}
-	if !strings.Contains(out, "█") {
-		t.Error("no bars rendered")
-	}
-	// Constant sample lands in one bucket.
-	out = Histogram([]float64{3, 3, 3}, 4, 10)
-	if !strings.Contains(out, "3") {
-		t.Errorf("constant histogram:\n%s", out)
-	}
-	// Degenerate parameters are clamped, not fatal.
-	_ = Histogram([]float64{1, 2}, 0, 0)
 }
 
 // runKRAD is defined in bounds_test.go; this file adds a compile-time use

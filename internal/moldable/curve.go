@@ -24,57 +24,25 @@ import (
 	"math"
 )
 
-// Curve is a task's speedup function s(p): running on p processors takes
-// ceil(work / s(p)) steps. The model requires s(1) = 1, s nondecreasing,
-// s concave, and s(p) ≤ p (no superlinear speedup); CheckCurve verifies
-// all four numerically and Spec decoding enforces the parameter ranges
-// that guarantee them analytically.
-type Curve interface {
-	// Speedup returns s(p) for p ≥ 1.
-	Speedup(p int) float64
-	// Spec returns the curve's wire encoding.
-	Spec() CurveSpec
-}
-
-// PowerLaw is s(p) = p^Alpha with Alpha in (0, 1]. Alpha = 1 is linear
-// (perfectly parallel) speedup; smaller exponents model communication
-// overhead growing with the allotment.
-type PowerLaw struct {
-	Alpha float64
-}
-
-// Speedup implements Curve.
-func (c PowerLaw) Speedup(p int) float64 { return math.Pow(float64(p), c.Alpha) }
-
-// Spec implements Curve.
-func (c PowerLaw) Spec() CurveSpec { return CurveSpec{Type: CurvePowerLaw, Alpha: c.Alpha} }
-
-// Amdahl is s(p) = 1 / (Serial + (1−Serial)/p) with Serial in [0, 1]: a
-// Serial fraction of the work cannot be parallelized, so speedup
-// saturates at 1/Serial. Serial = 0 is linear speedup; Serial = 1 is no
-// speedup at all.
-type Amdahl struct {
-	Serial float64
-}
-
-// Speedup implements Curve.
-func (c Amdahl) Speedup(p int) float64 {
-	return 1 / (c.Serial + (1-c.Serial)/float64(p))
-}
-
-// Spec implements Curve.
-func (c Amdahl) Spec() CurveSpec { return CurveSpec{Type: CurveAmdahl, Serial: c.Serial} }
-
 // Curve type names used on the wire.
 const (
 	CurvePowerLaw = "powerlaw"
 	CurveAmdahl   = "amdahl"
 )
 
-// CurveSpec is the wire encoding of a speedup curve:
+// CurveSpec is a task's speedup function s(p), in its wire encoding:
 //
-//	{"type": "powerlaw", "alpha": 0.5}
-//	{"type": "amdahl", "serial": 0.1}
+//	{"type": "powerlaw", "alpha": 0.5}   s(p) = p^Alpha
+//	{"type": "amdahl", "serial": 0.1}    s(p) = 1 / (Serial + (1−Serial)/p)
+//
+// Running on p processors takes ceil(work / s(p)) steps. The model
+// requires s(1) = 1, s nondecreasing, s concave, and s(p) ≤ p (no
+// superlinear speedup); validate's parameter ranges guarantee all four
+// analytically, and checkCurve verifies them numerically. A power law
+// with Alpha = 1 is linear (perfectly parallel) speedup; smaller exponents
+// model communication overhead growing with the allotment. Under Amdahl's
+// law a Serial fraction of the work cannot be parallelized, so speedup
+// saturates at 1/Serial.
 type CurveSpec struct {
 	Type string `json:"type"`
 	// Alpha is the power-law exponent (powerlaw curves only), in (0, 1].
@@ -82,18 +50,6 @@ type CurveSpec struct {
 	// Serial is the non-parallelizable fraction (amdahl curves only), in
 	// [0, 1].
 	Serial float64 `json:"serial,omitempty"`
-}
-
-// Curve decodes and validates the spec. Parameter ranges are chosen so
-// the decoded curve satisfies the model's assumptions by construction.
-func (cs CurveSpec) Curve() (Curve, error) {
-	if err := cs.validate(); err != nil {
-		return nil, err
-	}
-	if cs.Type == CurveAmdahl {
-		return Amdahl{Serial: cs.Serial}, nil
-	}
-	return PowerLaw{Alpha: cs.Alpha}, nil
 }
 
 // validate checks the spec's type and parameter ranges.
@@ -120,29 +76,24 @@ func (cs CurveSpec) validate() error {
 	}
 }
 
-// Speedup returns s(p) for the curve a valid spec describes, computed as
-// its Curve computes it but without boxing the curve into an interface.
+// Speedup returns s(p), p ≥ 1, for the curve a valid spec describes.
 func (cs CurveSpec) Speedup(p int) float64 {
 	if cs.Type == CurveAmdahl {
-		return Amdahl{Serial: cs.Serial}.Speedup(p)
+		return 1 / (cs.Serial + (1-cs.Serial)/float64(p))
 	}
-	return PowerLaw{Alpha: cs.Alpha}.Speedup(p)
+	return math.Pow(float64(p), cs.Alpha)
 }
 
-// curveEps absorbs float rounding in the CheckCurve comparisons.
+// curveEps absorbs float rounding in the checkCurve comparisons.
 const curveEps = 1e-9
 
-// CheckCurve numerically verifies the model's assumptions over p = 1..pmax:
-// s(1) = 1 (identity), s nondecreasing (monotone), increments nonincreasing
-// (concave), and s(p) ≤ p (no superlinear speedup). Spec-decoded curves
-// satisfy it by construction; the check exists for custom Curve
-// implementations and as the oracle of the curve test suite.
-func CheckCurve(c Curve, pmax int) error { return checkCurve(c, pmax) }
-
-// speeder is what the curve arithmetic needs of a curve: a Curve, or a
-// CurveSpec, which FromSpec evaluates without boxing it into one.
+// speeder is what the curve arithmetic needs of a curve: a CurveSpec, or
+// a test's deliberately broken curve.
 type speeder interface{ Speedup(p int) float64 }
 
+// checkCurve numerically verifies the model's assumptions over p = 1..pmax:
+// s(1) = 1 (identity), s nondecreasing (monotone), increments nonincreasing
+// (concave), and s(p) ≤ p (no superlinear speedup).
 func checkCurve[C speeder](c C, pmax int) error {
 	s1 := c.Speedup(1)
 	if math.IsNaN(s1) || math.Abs(s1-1) > curveEps {

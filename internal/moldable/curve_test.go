@@ -6,27 +6,54 @@ import (
 	"testing"
 )
 
+// powerlaw and amdahl build the two wire curves.
+func powerlaw(alpha float64) CurveSpec { return CurveSpec{Type: CurvePowerLaw, Alpha: alpha} }
+func amdahl(serial float64) CurveSpec  { return CurveSpec{Type: CurveAmdahl, Serial: serial} }
+
+// TestSpeedupClosedForms holds CurveSpec.Speedup to the two closed forms
+// bit for bit: every moldable duration is ceil(work / s(p)), so a speedup
+// that moves by one ulp can move a duration, a makespan and the journal.
+func TestSpeedupClosedForms(t *testing.T) {
+	for _, a := range []float64{0.3, 0.5, 0.9, 1} {
+		for p := 1; p <= 256; p++ {
+			if got, want := powerlaw(a).Speedup(p), math.Pow(float64(p), a); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("powerlaw %v: s(%d) = %v, want p^alpha = %v", a, p, got, want)
+			}
+		}
+	}
+	for _, sf := range []float64{0, 0.05, 0.5, 1} {
+		for p := 1; p <= 256; p++ {
+			if got, want := amdahl(sf).Speedup(p), 1/(sf+(1-sf)/float64(p)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("amdahl %v: s(%d) = %v, want 1/(s+(1-s)/p) = %v", sf, p, got, want)
+			}
+		}
+	}
+}
+
 // TestCurveFamilies is the table-driven model-assumption check for every
-// curve the wire format can express: s(1) = 1, monotone, concave, never
-// superlinear — verified pointwise here, independently of CheckCurve, and
-// then through CheckCurve itself.
+// curve the wire format can express: valid, s(1) = 1, monotone, concave,
+// never superlinear — verified pointwise here, independently of
+// checkCurve, and then through checkCurve itself.
 func TestCurveFamilies(t *testing.T) {
 	cases := []struct {
 		name  string
-		curve Curve
+		curve CurveSpec
 	}{
-		{"powerlaw-0.3", PowerLaw{Alpha: 0.3}},
-		{"powerlaw-0.5", PowerLaw{Alpha: 0.5}},
-		{"powerlaw-0.9", PowerLaw{Alpha: 0.9}},
-		{"powerlaw-linear", PowerLaw{Alpha: 1}},
-		{"amdahl-perfect", Amdahl{Serial: 0}},
-		{"amdahl-0.05", Amdahl{Serial: 0.05}},
-		{"amdahl-0.5", Amdahl{Serial: 0.5}},
-		{"amdahl-serial", Amdahl{Serial: 1}},
+		{"powerlaw-0.3", powerlaw(0.3)},
+		{"powerlaw-0.5", powerlaw(0.5)},
+		{"powerlaw-0.9", powerlaw(0.9)},
+		{"powerlaw-linear", powerlaw(1)},
+		{"amdahl-perfect", amdahl(0)},
+		{"amdahl-0.05", amdahl(0.05)},
+		{"amdahl-0.5", amdahl(0.5)},
+		{"amdahl-serial", amdahl(1)},
 	}
 	const pmax = 256
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.curve.validate(); err != nil {
+				t.Fatalf("validate: %v", err)
+			}
 			if s1 := tc.curve.Speedup(1); math.Abs(s1-1) > curveEps {
 				t.Fatalf("s(1) = %v, want 1", s1)
 			}
@@ -46,18 +73,8 @@ func TestCurveFamilies(t *testing.T) {
 				}
 				prev = s
 			}
-			if err := CheckCurve(tc.curve, pmax); err != nil {
-				t.Fatalf("CheckCurve: %v", err)
-			}
-			// Round-trip through the wire spec preserves the curve.
-			rt, err := tc.curve.Spec().Curve()
-			if err != nil {
-				t.Fatalf("Spec().Curve(): %v", err)
-			}
-			for p := 1; p <= 16; p++ {
-				if got, want := rt.Speedup(p), tc.curve.Speedup(p); got != want {
-					t.Fatalf("round-tripped s(%d) = %v, want %v", p, got, want)
-				}
+			if err := checkCurve(tc.curve, pmax); err != nil {
+				t.Fatalf("checkCurve: %v", err)
 			}
 		})
 	}
@@ -72,13 +89,11 @@ func (badCurve) Speedup(p int) float64 {
 	}
 	return 1 + float64(p*p)/64
 }
-func (badCurve) Spec() CurveSpec { return CurveSpec{} }
 
 // offsetCurve breaks the s(1) = 1 anchor.
 type offsetCurve struct{}
 
 func (offsetCurve) Speedup(p int) float64 { return float64(p) / 2 }
-func (offsetCurve) Spec() CurveSpec       { return CurveSpec{} }
 
 // nonMonotone dips at p = 3.
 type nonMonotone struct{}
@@ -89,14 +104,13 @@ func (nonMonotone) Speedup(p int) float64 {
 	}
 	return math.Min(float64(p), 2)
 }
-func (nonMonotone) Spec() CurveSpec { return CurveSpec{} }
 
-// TestCheckCurveRejects feeds CheckCurve curves that break each model
+// TestCheckCurveRejects feeds checkCurve curves that break each model
 // assumption and asserts the failure is detected and named.
 func TestCheckCurveRejects(t *testing.T) {
 	cases := []struct {
 		name string
-		c    Curve
+		c    speeder
 		pmax int
 		want string
 	}{
@@ -106,9 +120,9 @@ func TestCheckCurveRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := CheckCurve(tc.c, tc.pmax)
+			err := checkCurve(tc.c, tc.pmax)
 			if err == nil {
-				t.Fatal("CheckCurve accepted an invalid curve")
+				t.Fatal("checkCurve accepted an invalid curve")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
@@ -139,12 +153,12 @@ func TestCurveSpecValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := tc.spec.Curve()
+			err := tc.spec.validate()
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("valid spec rejected: %v", err)
 				}
-				if err := CheckCurve(c, 64); err != nil {
+				if err := checkCurve(tc.spec, 64); err != nil {
 					t.Fatalf("decoded curve violates the model: %v", err)
 				}
 				return
@@ -162,20 +176,20 @@ func TestCurveSpecValidation(t *testing.T) {
 // TestStepsIdentity pins the p = 1 degenerate case: on one processor every
 // task runs for exactly its serial work, whatever the curve.
 func TestStepsIdentity(t *testing.T) {
-	curves := []Curve{PowerLaw{Alpha: 0.3}, PowerLaw{Alpha: 1}, Amdahl{Serial: 0}, Amdahl{Serial: 1}}
+	curves := []CurveSpec{powerlaw(0.3), powerlaw(1), amdahl(0), amdahl(1)}
 	for _, c := range curves {
 		for _, w := range []int{1, 2, 7, 1000} {
 			if got := steps(w, c, 1); got != w {
-				t.Errorf("%+v: steps(%d, p=1) = %d, want %d", c.Spec(), w, got, w)
+				t.Errorf("%+v: steps(%d, p=1) = %d, want %d", c, w, got, w)
 			}
 		}
 	}
 	// Linear speedup divides evenly, rounding up.
-	if got := steps(10, PowerLaw{Alpha: 1}, 4); got != 3 {
+	if got := steps(10, powerlaw(1), 4); got != 3 {
 		t.Errorf("steps(10, linear, 4) = %d, want 3", got)
 	}
 	// Duration never drops below one step.
-	if got := steps(1, PowerLaw{Alpha: 1}, 8); got != 1 {
+	if got := steps(1, powerlaw(1), 8); got != 1 {
 		t.Errorf("steps(1, linear, 8) = %d, want 1", got)
 	}
 }
@@ -183,14 +197,14 @@ func TestStepsIdentity(t *testing.T) {
 // TestStepsMonotone checks that durations never increase with more
 // processors — the property the greedy molding in Execute relies on.
 func TestStepsMonotone(t *testing.T) {
-	curves := []Curve{PowerLaw{Alpha: 0.4}, PowerLaw{Alpha: 0.8}, Amdahl{Serial: 0.1}, Amdahl{Serial: 0.5}}
+	curves := []CurveSpec{powerlaw(0.4), powerlaw(0.8), amdahl(0.1), amdahl(0.5)}
 	for _, c := range curves {
 		for _, w := range []int{1, 5, 33, 512} {
 			prev := steps(w, c, 1)
 			for p := 2; p <= 32; p++ {
 				d := steps(w, c, p)
 				if d > prev {
-					t.Fatalf("%+v: steps(w=%d) rose from %d to %d at p=%d", c.Spec(), w, prev, d, p)
+					t.Fatalf("%+v: steps(w=%d) rose from %d to %d at p=%d", c, w, prev, d, p)
 				}
 				prev = d
 			}
@@ -203,24 +217,24 @@ func TestStepsMonotone(t *testing.T) {
 func TestUsefulProcs(t *testing.T) {
 	cases := []struct {
 		name string
-		c    Curve
+		c    CurveSpec
 		max  int
 		want int
 	}{
 		// Linear speedup is 100% efficient: the cap is the task maximum.
-		{"linear", PowerLaw{Alpha: 1}, 16, 16},
+		{"linear", powerlaw(1), 16, 16},
 		// s(p) = √p: efficiency √p/p ≥ ½ iff p ≤ 4.
-		{"sqrt", PowerLaw{Alpha: 0.5}, 16, 4},
-		{"sqrt-clamped", PowerLaw{Alpha: 0.5}, 3, 3},
+		{"sqrt", powerlaw(0.5), 16, 4},
+		{"sqrt-clamped", powerlaw(0.5), 3, 3},
 		// Fully serial work: s(p) = 1, so p = 2 sits exactly at ½
 		// efficiency (the rule is inclusive) and p = 3 falls below.
-		{"serial", Amdahl{Serial: 1}, 16, 2},
+		{"serial", amdahl(1), 16, 2},
 		// Perfect Amdahl is linear.
-		{"amdahl-perfect", Amdahl{Serial: 0}, 16, 16},
+		{"amdahl-perfect", amdahl(0), 16, 16},
 		// Serial = 1/3: s(p)/p = 1/(p/3 + 2/3·1)… efficiency ½ at
 		// s(p) = p/2 ⇒ 1/(1/3 + 2/(3p)) = p/2 ⇒ p = 4.
-		{"amdahl-third", Amdahl{Serial: 1.0 / 3}, 16, 4},
-		{"max-one", PowerLaw{Alpha: 0.3}, 1, 1},
+		{"amdahl-third", amdahl(1.0 / 3), 16, 4},
+		{"max-one", powerlaw(0.3), 1, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,13 +244,13 @@ func TestUsefulProcs(t *testing.T) {
 		})
 	}
 	// Property: the cap is efficient, the next allotment is not.
-	for _, c := range []Curve{PowerLaw{Alpha: 0.35}, PowerLaw{Alpha: 0.7}, Amdahl{Serial: 0.2}} {
+	for _, c := range []CurveSpec{powerlaw(0.35), powerlaw(0.7), amdahl(0.2)} {
 		u := usefulProcs(c, 64)
 		if 2*c.Speedup(u) < float64(u)-curveEps {
-			t.Errorf("%+v: cap %d is below ½ efficiency", c.Spec(), u)
+			t.Errorf("%+v: cap %d is below ½ efficiency", c, u)
 		}
 		if u < 64 && 2*c.Speedup(u+1) >= float64(u+1)-curveEps {
-			t.Errorf("%+v: cap %d is not maximal (%d still efficient)", c.Spec(), u, u+1)
+			t.Errorf("%+v: cap %d is not maximal (%d still efficient)", c, u, u+1)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func BenchmarkShardedStepThroughput(b *testing.B) {
 					specs[j] = sim.JobSpec{Graph: dag.RoundRobinChain(2, 30)}
 				}
 				for s := 0; s < shards; s++ {
-					if _, err := svc.SubmitBatch("", specs); err != nil {
+					if _, err := svc.SubmitBatchTenant("", "", specs); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -107,7 +107,7 @@ func BenchmarkAdmitBurst(b *testing.B) {
 		svc, specs := mk(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := svc.SubmitBatch("", specs); err != nil {
+			if _, err := svc.SubmitBatchTenant("", "", specs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -40,7 +40,7 @@ func TestIDIndexBytes(t *testing.T) {
 				for i := range batch {
 					batch[i] = specs[i%2]
 				}
-				if _, err := svc.SubmitBatch("", batch); err != nil {
+				if _, err := svc.SubmitBatchTenant("", "", batch); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := svc.StepAll(4); err != nil {

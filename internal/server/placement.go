@@ -28,10 +28,10 @@ func LocalID(id int) int { return id & (1<<shardIDBits - 1) }
 // Pick returns a shard index in [0, len(loads)). key is the
 // client-supplied affinity key ("" when absent) and loads reports each
 // shard's current load for load-aware policies: the in-flight count by
-// default, or the estimated remaining work (sum of outstanding
-// allotment-seconds) when stealing is enabled — the same gauge the
-// thief uses to pick victims, so placement and stealing pull toward the
-// same equilibrium. Pick may be called concurrently.
+// default, or the estimated remaining work of its pending and active
+// jobs when stealing is enabled. (A thief picks its victim by pending
+// work alone, the only work a steal moves.) Pick may be called
+// concurrently.
 type Placement interface {
 	Name() string
 	Pick(key string, loads []int) int

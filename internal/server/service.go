@@ -390,17 +390,12 @@ func (s *Service) SubmitTenant(key, tenant string, spec sim.JobSpec) (int, error
 	return composeID(sh.idx, ids[0]), nil
 }
 
-// SubmitBatch admits every spec — or none — on a single shard chosen by
-// the placement policy, under one engine lock acquisition
+// SubmitBatchTenant admits every spec — or none — on a single shard
+// chosen by the placement policy, under one engine lock acquisition
 // (sim.Engine.AdmitBatch). It returns the namespaced IDs in spec order.
 // The whole batch must fit the shard's admission bound or it is rejected
-// with ErrQueueFull.
-func (s *Service) SubmitBatch(key string, specs []sim.JobSpec) ([]int, error) {
-	return s.SubmitBatchTenant(key, "", specs)
-}
-
-// SubmitBatchTenant is SubmitBatch with a tenant identity; the whole
-// batch is gated, admitted and charged as one unit (see SubmitTenant).
+// with ErrQueueFull. tenant is as for SubmitTenant: the whole batch is
+// gated, admitted and charged as one unit.
 func (s *Service) SubmitBatchTenant(key, tenant string, specs []sim.JobSpec) ([]int, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -480,9 +475,9 @@ func (s *Service) pick(key string) (*shard, error) {
 	}
 	// Loads come from the shards' lock-free gauges, so placement never
 	// contends with the step loops. With stealing on, "least-loaded" reads
-	// estimated remaining work (task-steps) instead of in-flight counts —
-	// the same signal victim selection uses — so placement and stealing
-	// pull toward the same equilibrium.
+	// estimated remaining work (task-steps of pending and active jobs)
+	// instead of in-flight counts; victim selection reads pending work
+	// alone (stealFor).
 	loads := make([]int, len(s.shards))
 	for i, sh := range s.shards {
 		if s.cfg.Steal {

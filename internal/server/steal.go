@@ -368,7 +368,8 @@ type StealStats struct {
 	// StolenIn counts jobs re-admitted by thieves (fleet-wide; equals
 	// Stolen when no steal is mid-repair).
 	StolenIn int64 `json:"stolen_in"`
-	// EstWork is the fleet's estimated remaining work (task-steps), the
-	// gauge placement and victim selection read.
+	// EstWork is the fleet's estimated remaining work (task-steps of
+	// pending and active jobs), the gauge least-loaded placement reads
+	// under stealing. Victim selection reads pending work instead.
 	EstWork int64 `json:"est_work"`
 }

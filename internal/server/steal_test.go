@@ -173,6 +173,52 @@ func TestStealMovesPendingWork(t *testing.T) {
 	}
 }
 
+// TestStealPicksDeepestPendingBacklog pins what victim selection reads:
+// pending work, not the estimated-remaining-work gauge that least-loaded
+// placement reads. Shard 0 owes the most work but all of it is active;
+// shard 1 owes less, all of it pending. A thief that chose by estimated
+// work would pick shard 0, find nothing stealable and move nothing.
+func TestStealPicksDeepestPendingBacklog(t *testing.T) {
+	svc, err := New(stealConfig(3, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitBurst(t, svc, 0, 4, 50, 0)
+	stepShard(t, svc, 0) // releases shard 0's jobs: active, none pending
+	pending := submitBurst(t, svc, 1, 3, 5, 1000)
+
+	sh0, sh1, thief := svc.shards[0], svc.shards[1], svc.shards[2]
+	if p := sh0.loadPendWork.Load(); p != 0 {
+		t.Fatalf("shard 0 pending work %d, want 0", p)
+	}
+	if e0, e1, p1 := sh0.loadEstWork.Load(), sh1.loadEstWork.Load(), sh1.loadPendWork.Load(); e0 <= e1 || p1 != e1 {
+		t.Fatalf("est work %d (shard 0) vs %d (shard 1), shard 1 pending %d: want shard 0 deeper by estimated work and shard 1 all pending", e0, e1, p1)
+	}
+	before := sh1.loadPendWork.Load()
+
+	if !svc.stealFor(thief) {
+		t.Fatal("stealFor moved nothing")
+	}
+	if after := sh1.loadPendWork.Load(); after >= before {
+		t.Fatalf("shard 1 pending work %d after the steal, was %d", after, before)
+	}
+	if w := thief.loadPendWork.Load(); w <= 0 {
+		t.Fatalf("thief pending work %d after the steal, want > 0", w)
+	}
+	if n := len(sh0.redirects()); n != 0 {
+		t.Fatalf("shard 0 gave up %d jobs, want none", n)
+	}
+	moved := 0
+	for _, id := range pending {
+		if _, ok := sh1.redirect(LocalID(id)); ok {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no job of shard 1 carries a redirect")
+	}
+}
+
 // requireStolenOnVictim asserts that the shard a job was stolen from keeps
 // only its stolen record, which status reads pass over for the redirect —
 // the answer a live steal, a restart and a follower must all give.

@@ -349,6 +349,8 @@ var (
 	ResponseLowerBound = metrics.ResponseLowerBound
 	// MakespanCompetitiveLimit returns K + 1 − 1/Pmax.
 	MakespanCompetitiveLimit = metrics.MakespanCompetitiveLimit
+	// MaxSlowdown returns a run's worst response time over its solo bound.
+	MaxSlowdown = metrics.MaxSlowdown
 	// ComputeRatios evaluates a run against all the paper's bounds.
 	ComputeRatios = metrics.ComputeRatios
 	// Theorem checkers for individual runs.
