@@ -263,12 +263,15 @@ func resolveFleet(fs *flag.FlagSet, o *options) (fleet, *journal.Shape, error) {
 
 // dependents maps each flag that only means something inside a mode to the
 // flag that turns the mode on (non-empty); checkDependents refuses one set
-// without its mode, where it would otherwise be silently ignored.
+// without its mode, where it would otherwise be silently ignored or, for
+// replication, refused only after the journal replays.
 var dependents = map[string]string{
 	"fsync":          "journal-dir",
 	"snapshot-every": "journal-dir",
 	"lease":          "replicate-to",
 	"promote-after":  "follow",
+	"replicate-to":   "journal-dir",
+	"follow":         "journal-dir",
 }
 
 // checkDependents walks the flags set on fs's command line and returns an
@@ -291,8 +294,13 @@ func main() {
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected argument %q (a queue-tree file is given as -fairness=FILE)", flag.Arg(0))
 	}
+	// Both refusals come before anything reads or writes the journal
+	// directory: a refused start changes no file.
 	if err := checkDependents(flag.CommandLine); err != nil {
 		log.Fatal(err)
+	}
+	if o.repTo != "" && o.follow != "" {
+		log.Fatal("-replicate-to and -follow are mutually exclusive: a daemon is the primary or the standby, not both")
 	}
 	f, recorded, err := resolveFleet(flag.CommandLine, o)
 	if err != nil {
@@ -314,20 +322,6 @@ func main() {
 			SnapshotEvery: o.snap,
 		}
 	}
-	if o.repTo != "" && o.follow != "" {
-		log.Fatal("-replicate-to and -follow are mutually exclusive: a daemon is the primary or the standby, not both")
-	}
-	if (o.repTo != "" || o.follow != "") && o.journal == "" {
-		log.Fatal("replication requires -journal-dir: the journal is both what the primary ships and the durable apply log (follower)")
-	}
-	// The replication epoch and fence are state in the journal directory.
-	var epoch *replicate.EpochFile
-	if o.repTo != "" || o.follow != "" {
-		if epoch, err = replicate.OpenEpochFile(o.journal); err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	// The listener comes up before the service: journal replay can take a
 	// while, and an orchestrator probing /healthz must see the process
 	// alive (200) but not ready (/readyz 503) until replay finishes. The
@@ -387,44 +381,25 @@ func main() {
 		log.Printf("fair-share admission enabled (half-life=%d steps, queue tree %q)", hl, o.fair)
 	}
 
-	// Replication wiring: the sender ships each shard's WAL and attaches
-	// before Start and before the handler swap, so every committed record
-	// wakes it; attaching reports what the journals already hold (replayed
-	// history).
-	var sender *replicate.Sender
-	var receiver *replicate.Receiver
+	// Replication attaches before Start and before the handler swap, so
+	// every committed record wakes the sender.
 	if o.repTo != "" {
-		sender, err = replicate.NewSender(replicate.SenderConfig{
-			Addr:  o.repTo,
-			Epoch: epoch,
-			Shape: svc.Shape(),
-			WAL:   svc.JournalPaths(),
-			Lease: o.lease,
-			Logf:  log.Printf,
-		})
+		sender, err := svc.ReplicateTo(replicate.SenderConfig{Addr: o.repTo, Lease: o.lease, Logf: log.Printf})
 		if err != nil {
 			log.Fatal(err)
 		}
-		svc.SetReplicator(sender)
-		svc.SetReplicationStats(func() *server.ReplicationStats {
-			st := sender.Stats()
-			return &server.ReplicationStats{Role: "primary", Primary: &st}
-		})
-		sender.Start()
-		log.Printf("replicating to %s (epoch %d, fenced by %d, lease %v)", o.repTo, epoch.Current(), epoch.FencedBy(), o.lease)
+		st := sender.Stats()
+		log.Printf("replicating to %s (epoch %d, fenced by %d, lease %v)", o.repTo, st.Epoch, st.FencedBy, o.lease)
 	}
 	if o.follow != "" {
 		ln, err := net.Listen("tcp", o.follow)
 		if err != nil {
 			log.Fatal(err)
 		}
-		receiver, err = replicate.NewReceiver(replicate.ReceiverConfig{
+		receiver, err := svc.Follow(replicate.ReceiverConfig{
 			Listener:     ln,
-			Applier:      svc,
-			Epoch:        epoch,
 			PromoteAfter: o.promote,
 			OnPromote: func(epoch int64) {
-				svc.Promote()
 				log.Printf("promoted to primary at epoch %d: step loops started, admissions open", epoch)
 			},
 			Logf: log.Printf,
@@ -432,16 +407,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		svc.SetPromote(receiver.Promote)
-		svc.SetReplicationStats(func() *server.ReplicationStats {
-			st := receiver.Stats()
-			role := "follower"
-			if promoted, _ := receiver.Promoted(); promoted {
-				role = "primary"
-			}
-			return &server.ReplicationStats{Role: role, Follower: &st}
-		})
-		log.Printf("following: replication listener on %s (epoch %d, promote-after %v)", ln.Addr(), epoch.Current(), o.promote)
+		log.Printf("following: replication listener on %s (epoch %d, promote-after %v)", ln.Addr(), receiver.Stats().Epoch, o.promote)
 	}
 
 	svc.Start()
@@ -463,18 +429,12 @@ func main() {
 	drainCtx, stop := context.WithTimeout(context.Background(), o.drain)
 	defer stop()
 	// Close first so the drain happens while the HTTP surface still
-	// answers status queries; then shut the listener down. The sender
-	// stops after the drain so the final records stream out; the receiver
-	// closes without promoting — a restarting standby resumes following.
+	// answers status queries; then shut the listener down. Close also
+	// ends replication: the receiver without promoting, the sender after
+	// the drain.
 	closeErr := svc.Close(drainCtx)
 	if closeErr != nil {
 		log.Printf("drain: %v", closeErr)
-	}
-	if sender != nil {
-		sender.Stop()
-	}
-	if receiver != nil {
-		receiver.Close()
 	}
 	if err := srv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("http shutdown: %v", err)

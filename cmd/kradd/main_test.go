@@ -117,6 +117,8 @@ func TestCheckDependents(t *testing.T) {
 		{"-journal-dir d -follow :1 -lease 3s", "-replicate-to"},
 		{"-promote-after 5s", "-follow"},
 		{"-journal-dir d -replicate-to :1 -promote-after 5s", "-follow"},
+		{"-replicate-to :1", "-journal-dir"},
+		{"-follow :1", "-journal-dir"},
 	} {
 		fs := newFlagSet()
 		if err := fs.Parse(strings.Fields(tc.argv)); err != nil {

@@ -199,3 +199,19 @@ func TestRestartWithJournalDirAlone(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedReplicationChangesNoFile: kradd refuses -replicate-to with
+// -follow before it opens the journal directory, so a fresh directory
+// stays empty.
+func TestRefusedReplicationChangesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	bad := exec.Command(os.Args[0], "-addr", freeAddr(t), "-journal-dir", dir, "-replicate-to", "127.0.0.1:1", "-follow", "127.0.0.1:0")
+	bad.Env = append(os.Environ(), "KRADD_RUN_MAIN=1")
+	out, err := bad.CombinedOutput()
+	if err == nil || !bytes.Contains(out, []byte("-replicate-to and -follow are mutually exclusive")) {
+		t.Fatalf("kradd -replicate-to -follow: %v\n%s", err, out)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("a refused start left %v in the journal directory (%v)", ents, err)
+	}
+}

@@ -319,31 +319,25 @@ func newSource(o options, k int) (func() ([]workload.JobText, error), string, er
 			return nil, "", err
 		}
 		rd := workload.NewSWFReader(f)
+		swf := workload.SWFOptions{
+			K: k, TimeScale: o.scale, MaxProcs: o.maxProcs,
+			// A record's partition picks its category; one with none goes
+			// round-robin by acceptance order.
+			Category: func(rec workload.SWFRecord, i int) dag.Category {
+				if rec.Partition > 0 {
+					return dag.Category((rec.Partition-1)%k + 1)
+				}
+				return dag.Category(i%k + 1)
+			},
+		}
 		emitted := 0
 		next := func() ([]workload.JobText, error) {
 			var out []workload.JobText
-			for len(out) < o.batch {
-				if o.jobs > 0 && emitted >= o.jobs {
-					break
-				}
-				rec, err := rd.Next()
+			for len(out) < o.batch && (o.jobs <= 0 || emitted < o.jobs) {
+				_, sp, err := rd.NextRigid(swf)
 				if err == io.EOF {
 					break
 				}
-				if err != nil {
-					return nil, err
-				}
-				if !rec.Usable() {
-					continue
-				}
-				if o.maxProcs > 0 && rec.Procs > o.maxProcs {
-					rec.Procs = o.maxProcs
-				}
-				cat := dag.Category((rec.Partition-1+k)%k + 1)
-				if rec.Partition <= 0 {
-					cat = dag.Category(emitted%k + 1)
-				}
-				sp, err := rec.RigidSpec(k, cat, o.scale)
 				if err != nil {
 					return nil, err
 				}

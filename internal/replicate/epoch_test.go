@@ -143,8 +143,8 @@ func TestReceiverFailsClosedOnEpochWrite(t *testing.T) {
 	if _, err := r.Promote(); err == nil {
 		t.Fatal("promotion succeeded without recording its epoch")
 	}
-	if promoted, epoch := r.Promoted(); promoted || epoch != 1 {
-		t.Fatalf("after a refused promotion: promoted=%v epoch=%d, want a follower at 1", promoted, epoch)
+	if st := r.Stats(); st.Promoted || st.Epoch != 1 {
+		t.Fatalf("after a refused promotion: promoted=%v epoch=%d, want a follower at 1", st.Promoted, st.Epoch)
 	}
 
 	conn, err := net.Dial("tcp", ln.Addr().String())

@@ -91,7 +91,8 @@ type Receiver struct {
 	ever      bool
 	closed    bool
 
-	done chan struct{} // closed when the accept loop exits
+	done    chan struct{}  // closed when the accept loop exits
+	streams sync.WaitGroup // attached streams, which may still apply
 }
 
 // NewReceiver builds a receiver and starts accepting.
@@ -116,7 +117,8 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	return r, nil
 }
 
-// Close stops accepting and tears down the active stream. It does not
+// Close stops accepting, tears down the active stream and waits until no
+// record is being applied, so none applies after it returns. It does not
 // promote.
 func (r *Receiver) Close() {
 	r.mu.Lock()
@@ -128,6 +130,7 @@ func (r *Receiver) Close() {
 		_ = conn.Close()
 	}
 	<-r.done
+	r.streams.Wait()
 }
 
 // Promote flips the follower to primary: record an epoch past everything
@@ -135,7 +138,7 @@ func (r *Receiver) Close() {
 // OnPromote. Idempotent — later calls return the promoted epoch without
 // side effects. If the epoch cannot be recorded the node stays a follower
 // and Promote returns the error. The caller is responsible for actually
-// starting to serve (server.Service.Promote does, via OnPromote).
+// starting to serve (server.Service.Follow wraps OnPromote to do so).
 func (r *Receiver) Promote() (int64, error) {
 	r.mu.Lock()
 	if r.promoted {
@@ -164,14 +167,6 @@ func (r *Receiver) Promote() (int64, error) {
 		r.cfg.OnPromote(epoch)
 	}
 	return epoch, nil
-}
-
-// Promoted reports whether the follower has taken over, and at which
-// epoch.
-func (r *Receiver) Promoted() (bool, int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.promoted, r.cfg.Epoch.Current()
 }
 
 // Stats snapshots the receiver.
@@ -306,6 +301,9 @@ func (r *Receiver) handle(conn net.Conn) {
 	r.connects++
 	r.ever = true
 	r.lastFrame = time.Now()
+	// Added under r.mu while not closed, so Close's Wait counts it.
+	r.streams.Add(1)
+	defer r.streams.Done()
 	r.mu.Unlock()
 
 	drop := func() {
@@ -334,7 +332,7 @@ func (r *Receiver) handle(conn net.Conn) {
 			return
 		}
 		r.mu.Lock()
-		if r.active != conn || r.promoted {
+		if r.active != conn || r.promoted || r.closed {
 			r.mu.Unlock()
 			return
 		}

@@ -415,20 +415,19 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePromote flips a standby follower into the serving primary: the
-// registered promotion callback (replicate.Receiver.Promote) records an
-// epoch past every one this node has seen, fences the old primary's
-// stream, and starts this daemon's step loops. Idempotent; 409 on a daemon
-// that was never configured as a follower, 500 with the error when the
-// epoch cannot be recorded (the daemon stays a follower).
+// receiver Follow attached records an epoch past every one this node has
+// seen, fences the old primary's stream, and starts this daemon's step
+// loops. Idempotent; 409 on a daemon with no receiver, 500 with the error
+// when the epoch cannot be recorded (the daemon stays a follower).
 func (s *Service) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	f := s.promoteFn
+	rcv := s.receiver
 	s.mu.Unlock()
-	if f == nil {
+	if rcv == nil {
 		writeError(w, http.StatusConflict, "not a replication follower: nothing to promote")
 		return
 	}
-	epoch, err := f()
+	epoch, err := rcv.Promote()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -9,12 +9,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"krad/internal/dag"
+	"krad/internal/replicate"
 	"krad/internal/workload"
 )
 
@@ -394,11 +397,24 @@ func TestHTTPErrorPaths(t *testing.T) {
 }
 
 // TestPromoteErrorKeepsPercent: a failed promotion answers 500 with the
-// callback's message verbatim, not read as a format string.
+// receiver's error verbatim, not read as a format string. The journal
+// directory's name carries a %, and a directory stands where the epoch
+// file goes, so recording the promoted epoch fails with a message naming
+// the path.
 func TestPromoteErrorKeepsPercent(t *testing.T) {
-	svc, ts := startHTTPClock(t, testConfig(1, 1), false)
-	const msg = "epoch file replication-epoch: device 100% full"
-	svc.SetPromote(func() (int64, error) { return 0, fmt.Errorf("%s", msg) })
+	cfg := replConfig(t)
+	cfg.Journal.Dir = filepath.Join(t.TempDir(), "device 100%full")
+	svc, _, _ := startFollower(t, cfg, 0)
+	epoch := openEpoch(t, cfg.Journal.Dir)
+	if err := os.Mkdir(filepath.Join(cfg.Journal.Dir, replicate.EpochFileName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, want := epoch.Promote()
+	if want == nil || !strings.Contains(want.Error(), "100%full") {
+		t.Fatalf("blocked epoch write: %v, want an error naming the directory", want)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/promote", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +424,7 @@ func TestPromoteErrorKeepsPercent(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusInternalServerError || body.Error != msg {
-		t.Errorf("promote answered %d %q, want 500 %q", resp.StatusCode, body.Error, msg)
+	if resp.StatusCode != http.StatusInternalServerError || body.Error != want.Error() {
+		t.Errorf("promote answered %d %q, want 500 %q", resp.StatusCode, body.Error, want)
 	}
 }

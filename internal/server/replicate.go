@@ -13,21 +13,6 @@ import (
 // /v1/promote, or the -promote-after timeout).
 var ErrFollower = errors.New("server: standby follower — replicating from the primary, not accepting writes")
 
-// Replicator is the primary-side replication hook a Service drives: every
-// record a shard journals wakes Committed under the shard lock (so it
-// must be cheap and non-blocking — replicate.Sender notes the seq and
-// reads the record from the WAL on its own goroutine), and WriteAllowed
-// gates admissions behind epoch fencing and the follower liveness lease.
-// In practice this is a *replicate.Sender.
-type Replicator interface {
-	// Committed reports that shard's journal now holds its seq-th mutation.
-	Committed(shard int, seq int64)
-	// WriteAllowed reports whether this daemon may still act as primary:
-	// replicate.ErrFenced after a follower promoted past it,
-	// replicate.ErrLeaseExpired while the follower lease is blown.
-	WriteAllowed() error
-}
-
 // ReplicationStats is the replication slice of Stats: the daemon's role
 // plus the sender-side or receiver-side summary, whichever applies.
 type ReplicationStats struct {
@@ -38,56 +23,114 @@ type ReplicationStats struct {
 	Follower *replicate.ReceiverStats `json:"follower,omitempty"`
 }
 
-// SetReplicator attaches the primary-side replication hook to every shard
-// and reports how far each shard's journal already reaches (replayed
-// history), so those records ship too. Call before Start and before
-// serving traffic (cmd/kradd wires it right after New).
-func (s *Service) SetReplicator(r Replicator) {
+// ReplicateTo makes the Service a primary that ships each shard's WAL to
+// the follower at cfg.Addr, and starts the sender. The service fills in
+// its shape, its WAL paths and the epoch file in its journal directory,
+// over whatever cfg holds for them. Attaching reports how far each
+// journal already reaches, so the records committed before it (replayed
+// history included) ship too; attach before serving traffic, so every
+// admission passes the sender's fence and lease gate. Close stops the
+// sender after the shards drain.
+func (s *Service) ReplicateTo(cfg replicate.SenderConfig) (*replicate.Sender, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	epoch, err := s.attachLocked("ReplicateTo", false)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Epoch, cfg.Shape, cfg.WAL = epoch, s.shape, make([]string, len(s.shards))
+	for i, sh := range s.shards {
+		cfg.WAL[i] = sh.jn.Path()
+	}
+	snd, err := replicate.NewSender(cfg)
+	if err != nil {
+		return nil, err
+	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.rep = r
-		r.Committed(sh.idx, sh.repSeq)
+		sh.rep = snd
+		snd.Committed(sh.idx, sh.repSeq)
 		sh.mu.Unlock()
 	}
+	s.sender = snd
+	snd.Start()
+	return snd, nil
 }
 
-// JournalPaths names each shard's journal file, in shard order: the WAL a
-// replicate.Sender ships from. Nil without a journal.
-func (s *Service) JournalPaths() []string {
-	var paths []string
-	for _, sh := range s.shards {
-		if sh.jn != nil {
-			paths = append(paths, sh.jn.Path())
+// Follow makes a Service built with Config.Follower a warm standby that
+// applies the primary stream cfg.Listener accepts. The service fills in
+// itself as the applier and the epoch file in its journal directory, over
+// whatever cfg holds for them. A promotion, by POST /v1/promote or
+// PromoteAfter, runs Service.Promote first and cfg.OnPromote second.
+// Close closes the receiver without promoting. On an error the listener
+// stays the caller's.
+func (s *Service) Follow(cfg replicate.ReceiverConfig) (*replicate.Receiver, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	epoch, err := s.attachLocked("Follow", true)
+	if err != nil {
+		return nil, err
+	}
+	onPromote := cfg.OnPromote
+	cfg.Applier, cfg.Epoch = s, epoch
+	cfg.OnPromote = func(epoch int64) {
+		s.Promote()
+		if onPromote != nil {
+			onPromote(epoch)
 		}
 	}
-	return paths
+	rcv, err := replicate.NewReceiver(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.receiver = rcv
+	return rcv, nil
 }
 
-// SetReplicationStats registers the probe Stats and /metrics use to
-// report replication state; nil keeps the replication-free encodings.
-func (s *Service) SetReplicationStats(f func() *ReplicationStats) {
-	s.mu.Lock()
-	s.repStats = f
-	s.mu.Unlock()
+// attachLocked refuses an attach the Service cannot take and opens the
+// epoch file the role records in: the replication epoch and fence are
+// state in the journal directory.
+func (s *Service) attachLocked(call string, follow bool) (*replicate.EpochFile, error) {
+	switch {
+	case s.closed:
+		return nil, fmt.Errorf("server: %s: the service is closed", call)
+	case s.cfg.Journal == nil:
+		return nil, fmt.Errorf("server: %s: replication needs Config.Journal: the journal is both what the primary ships and the durable apply log (follower)", call)
+	case s.sender != nil || s.receiver != nil:
+		return nil, fmt.Errorf("server: %s: replication is already attached", call)
+	case follow != s.cfg.Follower:
+		return nil, fmt.Errorf("server: %s: the service has Config.Follower %v: a daemon is the primary or the standby, not both", call, s.cfg.Follower)
+	}
+	return replicate.OpenEpochFile(s.cfg.Journal.Dir)
 }
 
-// SetPromote registers the callback POST /v1/promote triggers — the
-// replication receiver's Promote, which records an epoch past every one
-// this node has seen, fences the old primary and calls back into
-// Service.Promote. An error (the epoch could not be recorded) leaves the
-// node a follower, and the request answers with it.
-func (s *Service) SetPromote(f func() (int64, error)) {
+// replicationStats reports the attached role, or nil when replication is
+// not configured. A promoted follower reports "primary".
+func (s *Service) replicationStats() *ReplicationStats {
 	s.mu.Lock()
-	s.promoteFn = f
+	snd, rcv := s.sender, s.receiver
 	s.mu.Unlock()
+	switch {
+	case snd != nil:
+		st := snd.Stats()
+		return &ReplicationStats{Role: "primary", Primary: &st}
+	case rcv != nil:
+		st := rcv.Stats()
+		role := "follower"
+		if st.Promoted {
+			role = "primary"
+		}
+		return &ReplicationStats{Role: role, Follower: &st}
+	}
+	return nil
 }
 
 // Promote flips a follower Service into a serving primary: the follower
 // gate lifts and the shard step loops start (they were held down so the
 // engines would mutate only through the replicated stream). Idempotent;
 // a no-op on a Service that was never a follower. Callers normally reach
-// it through replicate.Receiver's OnPromote, which owns the epoch bump
-// and fencing.
+// it through the receiver Follow attached, which owns the epoch bump and
+// fencing.
 func (s *Service) Promote() {
 	s.mu.Lock()
 	if !s.follower {

@@ -38,33 +38,16 @@ func replConfig(t *testing.T) Config {
 func startFollower(t *testing.T, cfg Config, promoteAfter time.Duration) (*Service, *replicate.Receiver, string) {
 	t.Helper()
 	cfg.Follower = true
-	svc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := newPrimary(t, cfg)
 	svc.Start() // held down until promotion; records intent to run
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcv, err := replicate.NewReceiver(replicate.ReceiverConfig{
-		Listener:     ln,
-		Applier:      svc,
-		Epoch:        openEpoch(t, cfg.Journal.Dir),
-		PromoteAfter: promoteAfter,
-		OnPromote:    func(int64) { svc.Promote() },
-		Logf:         t.Logf,
-	})
+	rcv, err := svc.Follow(replicate.ReceiverConfig{Listener: ln, PromoteAfter: promoteAfter, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.SetPromote(rcv.Promote)
-	t.Cleanup(func() {
-		rcv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = svc.Close(ctx)
-	})
 	return svc, rcv, ln.Addr().String()
 }
 
@@ -78,8 +61,9 @@ func openEpoch(t *testing.T, dir string) *replicate.EpochFile {
 	return e
 }
 
-// newPrimary builds a primary Service over its own journal dir without
-// starting its step loops: the clock stands still until Start.
+// newPrimary builds a Service over its own journal dir without starting
+// its step loops: the clock stands still until Start. Cleanup closes it,
+// and with it any replication role attached.
 func newPrimary(t *testing.T, cfg Config) *Service {
 	t.Helper()
 	svc, err := New(cfg)
@@ -102,16 +86,12 @@ func startPrimary(t *testing.T, cfg Config) *Service {
 	return svc
 }
 
-// startSender wires a replication sender onto a primary Service: shipping
-// its journals, attached as the commit hook, running with test-friendly
-// timings. mut may tweak the config first.
+// startSender attaches a replication sender to a primary Service with
+// test-friendly timings. mut may tweak the config first.
 func startSender(t *testing.T, svc *Service, addr string, mut func(*replicate.SenderConfig)) *replicate.Sender {
 	t.Helper()
 	cfg := replicate.SenderConfig{
 		Addr:       addr,
-		Epoch:      openEpoch(t, filepath.Dir(svc.JournalPaths()[0])),
-		Shape:      svc.Shape(),
-		WAL:        svc.JournalPaths(),
 		Heartbeat:  20 * time.Millisecond,
 		MinBackoff: 2 * time.Millisecond,
 		MaxBackoff: 50 * time.Millisecond,
@@ -120,14 +100,98 @@ func startSender(t *testing.T, svc *Service, addr string, mut func(*replicate.Se
 	if mut != nil {
 		mut(&cfg)
 	}
-	s, err := replicate.NewSender(cfg)
+	s, err := svc.ReplicateTo(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.SetReplicator(s)
-	s.Start()
-	t.Cleanup(s.Stop)
 	return s
+}
+
+// TestAttachRefusals: ReplicateTo and Follow refuse, naming the call, an
+// attach the service cannot take, and a refused attach changes no role.
+func TestAttachRefusals(t *testing.T) {
+	replicateTo := func(svc *Service) error {
+		_, err := svc.ReplicateTo(replicate.SenderConfig{Addr: "127.0.0.1:1", MinBackoff: time.Hour, MaxBackoff: time.Hour})
+		return err
+	}
+	follow := func(svc *Service) error {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = svc.Follow(replicate.ReceiverConfig{Listener: ln}); err != nil {
+			ln.Close()
+		}
+		return err
+	}
+	closeSvc := func(svc *Service) error { return svc.Close(context.Background()) }
+	memory, journaled := testConfig(1, 2), replConfig(t)
+	memoryFollower, journaledFollower := memory, replConfig(t)
+	memoryFollower.Follower, journaledFollower.Follower = true, true
+	for _, c := range []struct {
+		name          string
+		cfg           Config
+		first, attach func(*Service) error
+		want          string
+	}{
+		{"ReplicateTo without a journal", memory, nil, replicateTo, "server: ReplicateTo: replication needs Config.Journal"},
+		{"Follow without a journal", memoryFollower, nil, follow, "server: Follow: replication needs Config.Journal"},
+		{"Follow on a primary", journaled, nil, follow, "server: Follow: the service has Config.Follower false"},
+		{"ReplicateTo on a follower", journaledFollower, nil, replicateTo, "server: ReplicateTo: the service has Config.Follower true"},
+		{"second ReplicateTo", journaled, replicateTo, replicateTo, "server: ReplicateTo: replication is already attached"},
+		{"second Follow", journaledFollower, follow, follow, "server: Follow: replication is already attached"},
+		{"ReplicateTo after Close", journaled, closeSvc, replicateTo, "server: ReplicateTo: the service is closed"},
+		{"Follow after Close", journaledFollower, closeSvc, follow, "server: Follow: the service is closed"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			svc, err := New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer drainAndClose(t, svc)
+			if c.first != nil {
+				if err := c.first(svc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := svc.Stats().Replication
+			if err := c.attach(svc); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+				t.Fatalf("attach: %v, want %q", err, c.want)
+			}
+			if rs := svc.Stats().Replication; (before == nil) != (rs == nil) {
+				t.Fatalf("a refused attach changed the role from %+v to %+v", before, rs)
+			}
+		})
+	}
+}
+
+// TestReplicationEndsOnClose: Close stops an attached sender, and closes an
+// attached receiver without promoting it, freeing its listener.
+func TestReplicationEndsOnClose(t *testing.T) {
+	fcfg := replConfig(t)
+	follower, rcv, addr := startFollower(t, fcfg, 0)
+	primary := startPrimary(t, replConfig(t))
+	sender := startSender(t, primary, addr, nil)
+	if _, err := primary.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 2, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "primary drain", func() bool { return primary.Stats().Completed == 1 })
+	waitCaughtUp(t, primary, follower)
+	waitFor(t, "stream up", func() bool { return sender.Stats().Connected })
+
+	drainAndClose(t, primary)
+	if sender.Stats().Connected {
+		t.Fatal("the sender still streams after its primary closed")
+	}
+	drainAndClose(t, follower)
+	if st := rcv.Stats(); st.Promoted || !follower.Following() || openEpoch(t, fcfg.Journal.Dir).Current() != 1 {
+		t.Fatalf("a closed standby promoted: %+v", st)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("the closed receiver kept its listener: %v", err)
+	}
+	ln.Close()
 }
 
 // waitCaughtUp blocks until the follower has applied every record the
@@ -611,19 +675,11 @@ func TestReplicationLeaseExpiryHeals(t *testing.T) {
 // role-tagged replication slice.
 func TestReplicationMetricsExposition(t *testing.T) {
 	fcfg := replConfig(t)
-	follower, rcv, addr := startFollower(t, fcfg, 0)
-	follower.SetReplicationStats(func() *ReplicationStats {
-		st := rcv.Stats()
-		return &ReplicationStats{Role: "follower", Follower: &st}
-	})
+	follower, _, addr := startFollower(t, fcfg, 0)
 
 	pcfg := replConfig(t)
 	primary := startPrimary(t, pcfg)
 	sender := startSender(t, primary, addr, nil)
-	primary.SetReplicationStats(func() *ReplicationStats {
-		st := sender.Stats()
-		return &ReplicationStats{Role: "primary", Primary: &st}
-	})
 
 	for i := 0; i < 3; i++ {
 		if _, err := primary.Submit(sim.JobSpec{Graph: dag.UniformChain(1, 2, 1)}); err != nil {
@@ -840,11 +896,10 @@ func TestLeaseHoldsOnIdleLink(t *testing.T) {
 		t.Errorf("%d of 40 WriteAllowed probes refused on a healthy idle link", refused)
 	}
 
-	_, err := replicate.NewSender(replicate.SenderConfig{
-		Addr: addr, Epoch: openEpoch(t, t.TempDir()), Shape: primary.Shape(), WAL: primary.JournalPaths(),
-		Heartbeat: time.Second, Lease: 300 * time.Millisecond,
+	_, err := newPrimary(t, replConfig(t)).ReplicateTo(replicate.SenderConfig{
+		Addr: addr, Heartbeat: time.Second, Lease: 300 * time.Millisecond,
 	})
 	if err == nil || !strings.Contains(err.Error(), "Heartbeat") {
-		t.Errorf("NewSender took a 1s heartbeat under a 300ms lease: err = %v", err)
+		t.Errorf("ReplicateTo took a 1s heartbeat under a 300ms lease: err = %v", err)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"krad/internal/fairshare"
 	"krad/internal/journal"
 	"krad/internal/metrics"
+	"krad/internal/replicate"
 	"krad/internal/sched"
 	"krad/internal/sim"
 )
@@ -214,12 +215,12 @@ type Service struct {
 	retryVals [4]string     // Retry-After values base..base+3s; base from StepEvery
 	retrySeq  atomic.Uint32 // round-robin cursor into retryVals
 
-	mu        sync.Mutex
-	started   bool
-	closed    bool
-	follower  bool                     // standby: refuse writes, step loops down
-	promoteFn func() (int64, error)    // POST /v1/promote target (receiver.Promote)
-	repStats  func() *ReplicationStats // replication slice of Stats and /metrics
+	mu       sync.Mutex
+	started  bool
+	closed   bool
+	follower bool                // standby: refuse writes, step loops down
+	sender   *replicate.Sender   // attached by ReplicateTo
+	receiver *replicate.Receiver // attached by Follow
 }
 
 // New builds a Service around Shards fresh engines. Call Start to begin
@@ -670,18 +671,6 @@ func (s *Service) collect() (Stats, []shardView, *metrics.Hist) {
 	return st, views, &resp
 }
 
-// replicationStats invokes the registered replication probe, or nil when
-// replication is not configured.
-func (s *Service) replicationStats() *ReplicationStats {
-	s.mu.Lock()
-	f := s.repStats
-	s.mu.Unlock()
-	if f == nil {
-		return nil
-	}
-	return f()
-}
-
 // Subscribe registers an event listener over the merged stream of every
 // shard's step events. The returned cancel function unsubscribes and
 // closes the channel; the channel also closes when the service shuts
@@ -693,11 +682,19 @@ func (s *Service) Subscribe() (<-chan Event, func()) {
 // Close stops admission, drains in-flight jobs on every shard in
 // parallel (stepping until each engine is idle), then stops the loops and
 // closes subscriber channels. If ctx expires first, the remaining loops
-// are stopped immediately, abandoning unfinished jobs.
+// are stopped immediately, abandoning unfinished jobs. An attached
+// receiver closes first, without promoting: no replicated record applies
+// beside the drain, and a restarting standby resumes following. An
+// attached sender stops last, so the records the drain commits stream to
+// the follower while it runs.
 func (s *Service) Close(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
+	snd, rcv := s.sender, s.receiver
 	s.mu.Unlock()
+	if rcv != nil {
+		rcv.Close()
+	}
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
 	for i, sh := range s.shards {
@@ -709,5 +706,8 @@ func (s *Service) Close(ctx context.Context) error {
 	}
 	wg.Wait()
 	s.fan.close()
+	if snd != nil {
+		snd.Stop()
+	}
 	return errors.Join(errs...)
 }

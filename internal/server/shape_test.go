@@ -266,16 +266,10 @@ func TestHelloRefusesOtherShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcv, err := replicate.NewReceiver(replicate.ReceiverConfig{
-		Listener: ln,
-		Applier:  follower,
-		Epoch:    openEpoch(t, fcfg.Journal.Dir),
-		Logf:     rlog.logf,
-	})
+	rcv, err := follower.Follow(replicate.ReceiverConfig{Listener: ln, Logf: rlog.logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rcv.Close()
 	var dials atomic.Int64
 	start := time.Now()
 	sender := startSender(t, primary, ln.Addr().String(), func(c *replicate.SenderConfig) {

@@ -10,6 +10,7 @@ import (
 
 	"krad/internal/journal"
 	"krad/internal/metrics"
+	"krad/internal/replicate"
 	"krad/internal/sched"
 	"krad/internal/sim"
 )
@@ -104,12 +105,12 @@ type shard struct {
 	// own). applied counts records applied since the engine's birth or its
 	// last snapshot (which counts as one) — the pos argument journal.Apply
 	// needs.
-	// rep, when set, is woken by every committed record (primary mode) and
-	// gates admissions behind fencing/lease checks. repErr latches a
-	// follower that diverged from its primary's stream. newEngine rebuilds a
-	// fresh engine (fresh scheduler instance included) for snapshot
-	// restores.
-	rep       Replicator
+	// rep, the sender Service.ReplicateTo attached (primary mode), is woken
+	// by every committed record and gates admissions behind fencing/lease
+	// checks. repErr latches a follower that diverged from its primary's
+	// stream. newEngine rebuilds a fresh engine (fresh scheduler instance
+	// included) for snapshot restores.
+	rep       *replicate.Sender
 	repSeq    int64
 	applied   int64
 	repErr    error

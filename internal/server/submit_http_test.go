@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"krad/internal/dag"
 	"krad/internal/journal"
@@ -204,11 +205,11 @@ func allocRows(t *testing.T) []allocRow {
 		}
 		t.Cleanup(func() { svc.Close(context.Background()) })
 		if name == "replicated" {
-			sender, err := replicate.NewSender(replicate.SenderConfig{Addr: "127.0.0.1:1", Epoch: openEpoch(t, cfg.Journal.Dir), Shape: svc.Shape(), WAL: svc.JournalPaths()})
-			if err != nil {
+			// No follower listens: after one refused dial the sender backs
+			// off for the rest of the test.
+			if _, err := svc.ReplicateTo(replicate.SenderConfig{Addr: "127.0.0.1:1", MinBackoff: time.Hour, MaxBackoff: time.Hour}); err != nil {
 				t.Fatal(err)
 			}
-			svc.SetReplicator(sender)
 		}
 		rows = append(rows, allocRow{name, svc})
 	}

@@ -86,6 +86,7 @@ func (rec SWFRecord) RigidSpec(k int, cat dag.Category, timeScale int64) (profil
 type SWFReader struct {
 	sc     *bufio.Scanner
 	lineNo int
+	used   int // records NextRigid has returned
 }
 
 // NewSWFReader wraps r; lines longer than 1 MiB fail rather than split.
@@ -161,33 +162,19 @@ type SWFOptions struct {
 	Category func(rec SWFRecord, index int) dag.Category
 }
 
-// ParseSWF reads an SWF log and returns engine-ready job specs (releases
-// in simulation steps, each job a *profile.Rigid — O(1) memory whatever its
-// length) plus the parsed records. Records with unusable run times or
-// processor counts are skipped, not fatal: real logs contain cancelled and
-// malformed entries.
-func ParseSWF(r io.Reader, opts SWFOptions) ([]sim.JobSpec, []SWFRecord, error) {
-	if opts.K < 1 {
-		return nil, nil, fmt.Errorf("workload: SWF options need K ≥ 1")
+// NextRigid returns the next usable record, its processor count capped
+// at opts.MaxProcs, and its rigid spec in the category opts.Category
+// assigns it (the index is the number of records NextRigid returned
+// before). Unusable records are skipped; io.EOF ends the log; any other
+// error names the offending line. opts.MaxJobs is the caller's to apply.
+func (r *SWFReader) NextRigid(opts SWFOptions) (SWFRecord, profile.RigidSpec, error) {
+	if opts.K < 1 || opts.TimeScale < 1 {
+		return SWFRecord{}, profile.RigidSpec{}, fmt.Errorf("workload: SWF options need K ≥ 1 and TimeScale ≥ 1, got %d and %d", opts.K, opts.TimeScale)
 	}
-	if opts.TimeScale < 1 {
-		return nil, nil, fmt.Errorf("workload: SWF options need TimeScale ≥ 1")
-	}
-	assign := opts.Category
-	if assign == nil {
-		assign = func(_ SWFRecord, i int) dag.Category { return dag.Category(i%opts.K + 1) }
-	}
-
-	var specs []sim.JobSpec
-	var records []SWFRecord
-	rd := NewSWFReader(r)
 	for {
-		rec, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
+		rec, err := r.Next()
 		if err != nil {
-			return nil, nil, err
+			return SWFRecord{}, profile.RigidSpec{}, err
 		}
 		// Skip unusable records (cancelled jobs, unknown durations).
 		if !rec.Usable() {
@@ -196,14 +183,38 @@ func ParseSWF(r io.Reader, opts SWFOptions) ([]sim.JobSpec, []SWFRecord, error) 
 		if opts.MaxProcs > 0 && rec.Procs > opts.MaxProcs {
 			rec.Procs = opts.MaxProcs
 		}
-
-		cat := assign(rec, len(records))
+		cat := dag.Category(r.used%opts.K + 1)
+		if opts.Category != nil {
+			cat = opts.Category(rec, r.used)
+		}
 		if cat < 1 || int(cat) > opts.K {
-			return nil, nil, fmt.Errorf("workload: SWF line %d: category %d out of [1,%d]", rd.Line(), cat, opts.K)
+			return SWFRecord{}, profile.RigidSpec{}, fmt.Errorf("workload: SWF line %d: category %d out of [1,%d]", r.lineNo, cat, opts.K)
 		}
 		sp, err := rec.RigidSpec(opts.K, cat, opts.TimeScale)
 		if err != nil {
-			return nil, nil, fmt.Errorf("workload: SWF line %d: %w", rd.Line(), err)
+			return SWFRecord{}, profile.RigidSpec{}, fmt.Errorf("workload: SWF line %d: %w", r.lineNo, err)
+		}
+		r.used++
+		return rec, sp, nil
+	}
+}
+
+// ParseSWF reads an SWF log and returns engine-ready job specs (releases
+// in simulation steps, each job a *profile.Rigid — O(1) memory whatever its
+// length) plus the parsed records. Records with unusable run times or
+// processor counts are skipped, not fatal: real logs contain cancelled and
+// malformed entries.
+func ParseSWF(r io.Reader, opts SWFOptions) ([]sim.JobSpec, []SWFRecord, error) {
+	var specs []sim.JobSpec
+	var records []SWFRecord
+	rd := NewSWFReader(r)
+	for opts.MaxJobs <= 0 || len(records) < opts.MaxJobs {
+		rec, sp, err := rd.NextRigid(opts)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 		job, err := profile.FromRigidSpec(sp)
 		if err != nil {
@@ -214,9 +225,6 @@ func ParseSWF(r io.Reader, opts SWFOptions) ([]sim.JobSpec, []SWFRecord, error) 
 			Release: rec.Submit / opts.TimeScale,
 		})
 		records = append(records, rec)
-		if opts.MaxJobs > 0 && len(records) >= opts.MaxJobs {
-			break
-		}
 	}
 	if len(specs) == 0 {
 		return nil, nil, fmt.Errorf("workload: SWF log contained no usable jobs")
